@@ -4,7 +4,7 @@ GO ?= go
 # how long each runs. 1s gives stable ns/op; drop to e.g. 5x for a quick
 # local look.
 BENCHTIME ?= 1s
-BENCH_JSON_PATTERN ?= 'BenchmarkExtractMemoryVsPaged|BenchmarkExtractPagedViaNeighbors|BenchmarkPageRankMemoryVsPaged|BenchmarkRWRMultiFanout|BenchmarkRWRPushVsPower|BenchmarkRWRSetSweepVsNeighbors|BenchmarkPageRankSweepVsNeighbors|BenchmarkPageRankShards|BenchmarkRWRSetShards|BenchmarkExtractTieredSkewed'
+BENCH_JSON_PATTERN ?= 'BenchmarkExtractMemoryVsPaged|BenchmarkExtractPagedViaNeighbors|BenchmarkPageRankMemoryVsPaged|BenchmarkRWRMultiFanout|BenchmarkRWRPushVsPower|BenchmarkRWRSetSweepVsNeighbors|BenchmarkPageRankSweepVsNeighbors|BenchmarkPageRankShards|BenchmarkRWRSetShards|BenchmarkExtractTieredSkewed|BenchmarkKeyPathPagedCursor'
 
 .PHONY: all build vet lint test race check bench bench-json fmt fuzz-smoke
 
@@ -30,10 +30,11 @@ race:
 
 check: build vet lint race
 
-# Short randomized shake of the decoder/sweep entry points that parse
-# attacker-shaped bytes (CI runs the same three).
+# Short randomized shake of the decoder/sweep/cursor entry points that
+# parse attacker-shaped bytes (CI runs the same four).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSweepEdges -fuzztime 10s ./internal/gtree
+	$(GO) test -run '^$$' -fuzz FuzzCursorRows -fuzztime 10s ./internal/gtree
 	$(GO) test -run '^$$' -fuzz FuzzDecodeLeaf -fuzztime 10s ./internal/gtree
 	$(GO) test -run '^$$' -fuzz FuzzOpenCSRSection -fuzztime 10s ./internal/gtree
 

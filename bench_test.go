@@ -10,6 +10,7 @@
 package gmine_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -20,6 +21,7 @@ import (
 
 	gmine "repro"
 	"repro/internal/experiments"
+	"repro/internal/obs"
 )
 
 const (
@@ -751,6 +753,56 @@ func BenchmarkExtractPagedViaNeighbors(b *testing.B) {
 		if _, err := gmine.ConnectionSubgraphAdj(slow, false, nil, sources, opts); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkKeyPathPagedCursor is the trajectory point for the row cursor:
+// one two-source extraction whose time is mostly key-path expansion
+// (restart 0.5 keeps the RWR solve short), in memory and paged with a
+// pool far smaller than (16) and about the size of (256) the CSR section.
+// expand-ns/op is the "expand" stage alone; pins/op is what the
+// extraction's row cursors cost the buffer pool (the trace's
+// pool.cursor.pins) and rows/op how many rows they read for it — before
+// the cursor every row paid its own two or more pins.
+func BenchmarkKeyPathPagedCursor(b *testing.B) {
+	setup(b)
+	sources := []gmine.NodeID{
+		benchDS.Notables[gmine.NamePhilipYu],
+		benchDS.Notables[gmine.NameFlipKorn],
+	}
+	opts := gmine.ExtractOptions{Budget: 30, RWR: gmine.RWROptions{Restart: 0.5}}
+	run := func(b *testing.B, eng *gmine.Engine) {
+		b.Helper()
+		var expandMicros, pins, rows int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tr := obs.NewTrace("bench")
+			if _, err := eng.ExtractTraced(context.Background(), tr, sources, opts); err != nil {
+				b.Fatal(err)
+			}
+			for _, st := range tr.Stages() {
+				if st.Name == "expand" {
+					expandMicros += st.DurMicros
+				}
+			}
+			pins += tr.CountValue("pool.cursor.pins")
+			rows += tr.CountValue("pool.cursor.rows")
+		}
+		b.ReportMetric(float64(expandMicros)*1e3/float64(b.N), "expand-ns/op")
+		b.ReportMetric(float64(pins)/float64(b.N), "pins/op")
+		b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+	}
+	b.Run("MemoryCSR", func(b *testing.B) { run(b, benchEng) })
+	for _, pool := range []int{16, 256} {
+		b.Run(fmt.Sprintf("Paged/pool=%d", pool), func(b *testing.B) {
+			disk, err := gmine.Open(benchTree, pool)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer disk.Close()
+			run(b, disk)
+		})
 	}
 }
 

@@ -39,6 +39,11 @@ type CSR = graph.CSR
 // paged implementation bounded by their buffer pool (see Engine.Adj).
 type Adjacency = graph.Adjacency
 
+// RowCursor is the per-goroutine random-access row reader opened with
+// Adjacency.Cursor; on a paged backend it keeps its last pages pinned
+// between reads. Close it on every path.
+type RowCursor = graph.RowCursor
+
 // PagedCSR is the disk-backed Adjacency over a v2 G-Tree file's CSR
 // section, reading neighbor ranges through the buffer pool.
 type PagedCSR = gtree.PagedCSR

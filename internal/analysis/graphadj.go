@@ -111,11 +111,13 @@ func ReportAdjSharded(adj graph.Adjacency, directed bool, shards int) AdjacencyR
 		// query on — the partial report never escapes.
 		_ = sweeper.SweepNeighborIDs(0, graph.NodeID(n), visit)
 	} else {
+		cur := adj.Cursor()
 		var nbrs []graph.NodeID
 		for u := 0; u < n; u++ {
-			nbrs = graph.NeighborIDs(adj, graph.NodeID(u), nbrs[:0])
+			nbrs = cur.NeighborIDs(graph.NodeID(u), nbrs[:0])
 			visit(graph.NodeID(u), nbrs)
 		}
+		cur.Close()
 	}
 	rep.Degree.Mean = float64(total) / float64(n)
 	rep.Degree.PowerLawExponent = fitPowerLaw(rep.Degree.Histogram)

@@ -245,10 +245,11 @@ func (e *Engine) TierBudget() int64 { return e.tierBudget }
 // When tr is non-nil the acquisition is recorded as the "open" stage, and
 // the release function charges the query's pool activity — pins (buffer
 // pool Gets = hits + misses), private hits/misses, evictions, reservation
-// quota/held and the partition's fault-epoch delta — to the trace before
-// closing the partition. This is the engine's "report what this query
-// cost" seam: the counters come from the partition the query pinned
-// through, so they name this query's paging, not the session's.
+// quota/held, the partition's fault-epoch delta and the row cursors'
+// rows/pins — to the trace before closing the partition. This is the
+// engine's "report what this query cost" seam: the counters come from the
+// partition the query pinned through, so they name this query's paging,
+// not the session's.
 func (e *Engine) queryAdj(ctx context.Context, tr *obs.Trace) (graph.Adjacency, func(), error) {
 	sp := tr.StartStage("open")
 	defer sp.End()
@@ -288,6 +289,13 @@ func (e *Engine) queryAdj(ctx context.Context, tr *obs.Trace) (graph.Adjacency, 
 				tr.Count("pool.quota", int64(st.Quota))
 				tr.Count("pool.held", int64(st.Held))
 				tr.Count("pool.faults", int64(view.Faults()-faults0))
+				// Row reads of the local kernels (key paths, push, induce):
+				// pins/rows near the page count over the row count means
+				// the cursors' sticky pins held; near 3 means every row
+				// paid the pool on its own.
+				rows, pins := view.CursorCounts()
+				tr.Count("pool.cursor.rows", rows)
+				tr.Count("pool.cursor.pins", pins)
 				// Transient-read recovery across this query's window. The
 				// pager counters are store-wide, so under concurrent queries
 				// the delta attributes overlapping retries to each of them —

@@ -224,6 +224,34 @@ func TestChaosCancellationReleasesEverything(t *testing.T) {
 		t.Fatalf("pre-cancelled analysis: %v, want context.Canceled", err)
 	}
 
+	// Mid-expand: the cancel fires as the "rwr" stage completes, so the
+	// key-path rounds start under a dead context with their row cursor
+	// open; the extraction must stop there, and the cursor's sticky pins
+	// and the query's partition must unwind with it.
+	ectx, ecancel := context.WithCancel(context.Background())
+	stages := map[string]bool{}
+	mid := opts
+	mid.StageHook = func(stage string, _ time.Time, _ time.Duration) {
+		stages[stage] = true
+		if stage == "rwr" {
+			ecancel()
+		}
+	}
+	_, err = disk.ExtractTraced(ectx, nil, sources, mid)
+	ecancel()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("extract cancelled mid-expand: %v, want context.Canceled", err)
+	}
+	if !stages["rwr"] || stages["expand"] || stages["induce"] {
+		t.Fatalf("cancel after rwr should stop inside expand; stages completed: %v", stages)
+	}
+	if pins := disk.Store().PinnedFrames(); pins != 0 {
+		t.Fatalf("%d frames still pinned after a mid-expand cancel", pins)
+	}
+	if parts := disk.Store().PoolInfo().Partitions; len(parts) != 0 {
+		t.Fatalf("%d partitions still open after a mid-expand cancel", len(parts))
+	}
+
 	// Racy: concurrent queries cancelled at random points mid-solve.
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {

@@ -90,6 +90,54 @@ func TestExtractTracePinsMatchPoolCounters(t *testing.T) {
 	}
 }
 
+// TestExtractTraceCursorCounts: the trace names what the extraction's row
+// cursors did — rows read and pool pins taken — and the sticky pins show
+// in the numbers: the key-path rounds read many rows per pin, and every
+// cursor pin is one of the partition's pins. A query without row reads
+// (whole-graph analysis sweeps) reports zero cursor rows.
+func TestExtractTraceCursorCounts(t *testing.T) {
+	eng := tracedDiskEngine(t)
+	// Two sources two hops apart, so the goodness is positive somewhere
+	// and the key-path rounds actually run.
+	g := dblp.SmallFixture().Graph
+	var sources []graph.NodeID
+	for u := 0; u < g.NumNodes() && sources == nil; u++ {
+		for _, e := range g.Neighbors(graph.NodeID(u)) {
+			for _, e2 := range g.Neighbors(e.To) {
+				if e2.To != graph.NodeID(u) && !g.HasEdge(graph.NodeID(u), e2.To) {
+					sources = []graph.NodeID{graph.NodeID(u), e2.To}
+				}
+			}
+		}
+	}
+	tr := obs.NewTrace("cursor-req")
+	res, err := eng.ExtractTraced(context.Background(), tr, sources, extract.Options{Budget: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Iterations == 0 {
+		t.Fatalf("sources %v expanded no key path; the fixture proves nothing", sources)
+	}
+	rows, pins := tr.CountValue("pool.cursor.rows"), tr.CountValue("pool.cursor.pins")
+	if rows == 0 || pins == 0 {
+		t.Fatalf("paged extraction reported cursor rows=%d pins=%d", rows, pins)
+	}
+	if pins > tr.CountValue("pool.pins") {
+		t.Errorf("cursor pins %d exceed the query's pool pins %d", pins, tr.CountValue("pool.pins"))
+	}
+	if rows < 2*pins {
+		t.Errorf("cursors pinned %d pages for %d rows — sticky pins not holding", pins, rows)
+	}
+
+	tr = obs.NewTrace("sweep-req")
+	if _, err := eng.PageRankTraced(context.Background(), tr, analysis.PageRankOptions{MaxIter: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if rows := tr.CountValue("pool.cursor.rows"); rows != 0 {
+		t.Errorf("sweep-only query reported %d cursor rows", rows)
+	}
+}
+
 // TestAnalyzeGraphTracedStages: the whole-graph analysis path records its
 // stage breakdown and pool accounting too, and a debug trace carries
 // ReadMemStats deltas.

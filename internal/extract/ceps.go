@@ -162,30 +162,48 @@ func ConnectionSubgraphAdj(adj graph.Adjacency, directed bool, labelOf func(grap
 	begin = time.Now()
 	dests := newDestQueue(goodness, opts.Budget)
 	iterations := 0
-	for len(chosen) < opts.Budget {
-		pd := dests.nextDest(inH)
-		if pd < 0 {
-			break // no positive-goodness node remains
-		}
-		iterations++
-		for _, s := range sources {
-			if len(chosen) >= opts.Budget {
-				break
+	// expand runs the key-path rounds on one row cursor and one set of DP
+	// tables. It is a function of its own so the cursor is closed — pins
+	// dropped — on the cancellation return as on the normal one, and
+	// before inducedFromAdj reads the backend again.
+	expand := func() error {
+		cur := adj.Cursor()
+		defer cur.Close()
+		var dp keyPathDP
+		for len(chosen) < opts.Budget {
+			// One DP round is milliseconds; polling between rounds lets a
+			// timed-out query stop expanding instead of running ~60 more.
+			if ctx := opts.RWR.Ctx; ctx != nil && ctx.Err() != nil {
+				return ctx.Err()
 			}
-			for _, u := range keyPath(adj, s, pd, logGood, opts.MaxPathLen) {
-				if !inH[u] {
-					if len(chosen) >= opts.Budget {
-						break
+			pd := dests.nextDest(inH)
+			if pd < 0 {
+				break // no positive-goodness node remains
+			}
+			iterations++
+			for _, s := range sources {
+				if len(chosen) >= opts.Budget {
+					break
+				}
+				for _, u := range dp.path(cur, s, pd, logGood, opts.MaxPathLen) {
+					if !inH[u] {
+						if len(chosen) >= opts.Budget {
+							break
+						}
+						add(u)
 					}
-					add(u)
 				}
 			}
+			// pd never repeats as a destination (the queue's cursor moved
+			// past it), so the loop performs at most budget iterations.
+			if !inH[pd] && len(chosen) < opts.Budget {
+				add(pd)
+			}
 		}
-		// pd never repeats as a destination (the queue's cursor moved past
-		// it), so the loop performs at most budget iterations.
-		if !inH[pd] && len(chosen) < opts.Budget {
-			add(pd)
-		}
+		return nil
+	}
+	if err := expand(); err != nil {
+		return nil, err
 	}
 	stage("expand", begin)
 
@@ -240,10 +258,14 @@ func inducedFromAdj(adj graph.Adjacency, directed bool, labelOf func(graph.NodeI
 			}
 		}
 	}
+	// Opened after the label lookups above: a goroutine holding a cursor
+	// must not read the backend any other way.
+	cur := adj.Cursor()
+	defer cur.Close()
 	var nbrs []graph.NodeID
 	var ws []float64
 	for nu, ou := range new2old {
-		nbrs, ws = adj.NeighborsInto(ou, nbrs[:0], ws[:0])
+		nbrs, ws = cur.Neighbors(ou, nbrs[:0], ws[:0])
 		for i, v := range nbrs {
 			nv, ok := old2new[v]
 			if !ok {
@@ -260,60 +282,76 @@ func inducedFromAdj(adj graph.Adjacency, directed bool, labelOf func(graph.NodeI
 	return sub, new2old
 }
 
-// keyPath finds a high-goodness path from src to dst with at most maxLen
+// keyPathDP holds the tables of the key-path dynamic program so the ~60
+// solves of one extraction reuse them: two score rows and maxLen+1 parent
+// rows of n entries each, about 0.5 MB on a 10k-node graph, which used to
+// be allocated and thrown away per (source, destination). Only buffers
+// are shared — every path call runs its own full DP.
+type keyPathDP struct {
+	prev, cur []float64
+	parents   [][]int32 // parents[l][v]: predecessor of v on the best l-edge walk
+	nbrs      []graph.NodeID
+}
+
+// path finds a high-goodness path from src to dst with at most maxLen
 // edges by dynamic programming: dp[l][v] = best sum of log-goodness over
-// the nodes of a walk of exactly l edges from src to v. Returns the node
-// sequence src..dst, or nil if dst is unreachable within maxLen.
-func keyPath(c graph.Adjacency, src, dst graph.NodeID, logGood []float64, maxLen int) []graph.NodeID {
-	n := c.N()
+// the nodes of a walk of exactly l edges from src to v. Rows are read
+// through cur in ascending node order per level — the order a paged
+// cursor's sticky pins are made for — and ids only: the DP never looks at
+// edge weights. Returns the node sequence src..dst, or nil if dst is
+// unreachable within maxLen.
+func (d *keyPathDP) path(cur graph.RowCursor, src, dst graph.NodeID, logGood []float64, maxLen int) []graph.NodeID {
+	if src == dst {
+		return []graph.NodeID{src}
+	}
+	n := len(logGood)
 	negInf := math.Inf(-1)
-	prev := make([]float64, n)
-	cur := make([]float64, n)
-	// parent[l][v]: predecessor of v on the best l-edge walk.
-	parents := make([][]int32, maxLen+1)
+	if len(d.prev) != n || len(d.parents) != maxLen+1 {
+		d.prev = make([]float64, n)
+		d.cur = make([]float64, n)
+		d.parents = make([][]int32, maxLen+1)
+		for l := 1; l <= maxLen; l++ {
+			d.parents[l] = make([]int32, n)
+		}
+	}
+	prev, next := d.prev, d.cur
 	for i := range prev {
 		prev[i] = negInf
 	}
 	prev[src] = logGood[src]
 	bestLen, bestScore := -1, negInf
-	if src == dst {
-		return []graph.NodeID{src}
-	}
-	// One reusable buffer for the whole DP (this goroutine only). The DP
-	// never reads edge weights, so the ids-only fast path skips decoding
-	// (and, paged, skips reading) the EdgeW run entirely.
-	var nbrs []graph.NodeID
+	nbrs := d.nbrs
 	for l := 1; l <= maxLen; l++ {
-		par := make([]int32, n)
+		par := d.parents[l]
 		for i := range par {
 			par[i] = -1
 		}
-		for i := range cur {
-			cur[i] = negInf
+		for i := range next {
+			next[i] = negInf
 		}
 		for u := 0; u < n; u++ {
 			if prev[u] == negInf {
 				continue
 			}
-			nbrs = graph.NeighborIDs(c, graph.NodeID(u), nbrs[:0])
+			nbrs = cur.NeighborIDs(graph.NodeID(u), nbrs[:0])
 			for _, v := range nbrs {
 				if logGood[v] == negInf {
 					continue
 				}
 				cand := prev[u] + logGood[v]
-				if cand > cur[v] {
-					cur[v] = cand
+				if cand > next[v] {
+					next[v] = cand
 					par[v] = int32(u)
 				}
 			}
 		}
-		parents[l] = par
-		if cur[dst] > bestScore {
-			bestScore = cur[dst]
+		if next[dst] > bestScore {
+			bestScore = next[dst]
 			bestLen = l
 		}
-		prev, cur = cur, prev
+		prev, next = next, prev
 	}
+	d.nbrs = nbrs[:0]
 	if bestLen < 0 {
 		return nil
 	}
@@ -322,7 +360,7 @@ func keyPath(c graph.Adjacency, src, dst graph.NodeID, logGood []float64, maxLen
 	rev := []graph.NodeID{dst}
 	v := dst
 	for l := bestLen; l >= 1; l-- {
-		p := parents[l][v]
+		p := d.parents[l][v]
 		if p < 0 {
 			break
 		}

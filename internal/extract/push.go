@@ -67,8 +67,12 @@ func RWRPushCtx(ctx context.Context, c graph.Adjacency, src graph.NodeID, restar
 	// FIFO queue of nodes whose residual exceeds the push threshold.
 	inQ := make([]bool, n)
 	queue := make([]int32, 0, 64)
-	// One buffer pair for the whole solve (this goroutine only): the paged
-	// backend decodes into it instead of allocating per push.
+	// One cursor and one buffer pair for the whole solve (this goroutine
+	// only), opened after WeightedDegrees above — which may sweep a paged
+	// backend — because a goroutine holding a cursor must not read the
+	// backend any other way.
+	cur := c.Cursor()
+	defer cur.Close()
 	var nbrs []graph.NodeID
 	var ws []float64
 	pushable := func(u int32) bool {
@@ -121,7 +125,7 @@ func RWRPushCtx(ctx context.Context, c graph.Adjacency, src graph.NodeID, restar
 		}
 		p[u] += restart * ru
 		spread := (1 - restart) * ru / wdeg[u]
-		nbrs, ws = c.NeighborsInto(graph.NodeID(u), nbrs[:0], ws[:0])
+		nbrs, ws = cur.Neighbors(graph.NodeID(u), nbrs[:0], ws[:0])
 		for i, v := range nbrs {
 			r[v] += spread * ws[i]
 			enqueue(int32(v))

@@ -18,6 +18,14 @@ type nodeCentricOnly struct{ graph.Adjacency }
 // file (multi-page runs) with the given pool size.
 func pagedFixture(t *testing.T, g *graph.Graph, poolPages int) *gtree.PagedCSR {
 	t.Helper()
+	_, c := pagedStoreFixture(t, g, poolPages)
+	return c
+}
+
+// pagedStoreFixture is pagedFixture that also hands out the store, for
+// tests that read its pool counters.
+func pagedStoreFixture(t *testing.T, g *graph.Graph, poolPages int) (*gtree.Store, *gtree.PagedCSR) {
+	t.Helper()
 	tree, err := gtree.Build(g, gtree.BuildOptions{K: 3, Levels: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +43,7 @@ func pagedFixture(t *testing.T, g *graph.Graph, poolPages int) *gtree.PagedCSR {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return s, c
 }
 
 // TestRWRSetSweepBitIdentical is the tentpole property test: across

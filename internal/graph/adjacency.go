@@ -2,14 +2,19 @@ package graph
 
 // Adjacency is the read-only view of a graph's neighbor structure that the
 // algorithm kernels (RWR, residual push, goodness, key paths, PageRank)
-// consume. Two implementations exist: the in-memory *CSR and the
+// consume. Three implementations exist: the in-memory *CSR, the
 // disk-backed gtree.PagedCSR, which reads neighbor ranges through the
 // storage buffer pool so the resident adjacency memory is bounded by the
-// pool size instead of the graph size.
+// pool size instead of the graph size, and gtree.TieredCSR, a PagedCSR
+// with hot node ranges pinned in memory.
+//
+// There are three ways to read rows, by access pattern: whole-graph
+// kernels sweep (EdgeSweeper below); local kernels that read many rows in
+// their own order open a Cursor; a stray row goes through NeighborsInto.
 //
 // Implementations must be safe for concurrent readers: the extraction
-// worker pool calls Neighbors from several goroutines at once. Callers
-// must not mutate any returned slice.
+// worker pool reads from several goroutines at once (each with its own
+// cursor or sweep). Callers must not mutate any returned slice.
 type Adjacency interface {
 	// N returns the number of nodes.
 	N() int
@@ -68,7 +73,9 @@ type Adjacency interface {
 	//     its whole pass.
 	//
 	// A paged implementation that faults mid-read returns empty slices and
-	// records the fault exactly like Neighbors.
+	// records the fault exactly like Neighbors. NeighborsInto pins and
+	// unpins the pages of one row per call; a loop over many rows should
+	// open a Cursor instead.
 	NeighborsInto(u NodeID, nbrBuf []NodeID, wBuf []float64) ([]NodeID, []float64)
 	// WeightedDegrees returns the per-node weighted degree table (cached
 	// after the first call).
@@ -76,31 +83,46 @@ type Adjacency interface {
 	// HalfEdges returns the number of stored half-edges (2E for undirected
 	// graphs, E for directed ones).
 	HalfEdges() int
+	// Cursor opens a row cursor for the calling goroutine (see RowCursor).
+	Cursor() RowCursor
 }
 
-// NeighborLister is an optional fast path next to Adjacency for callers
-// that need only the neighbor ids — the key-path DP and connectivity
-// sweeps. A paged implementation can then skip the EdgeW run entirely:
-// weights are 8 of the 12 bytes per half-edge, so an ids-only sweep reads
-// a third of the bytes and stops evicting id pages to fault in weight
-// pages. Both implementations in this repo provide it; use the
-// NeighborIDs helper rather than asserting directly.
-type NeighborLister interface {
-	// NeighborIDsInto appends u's neighbor ids to buf, under exactly the
-	// buffer-ownership contract of Adjacency.NeighborsInto (aliasing
-	// implementations ignore buf and return read-only subslices).
-	NeighborIDsInto(u NodeID, buf []NodeID) []NodeID
-}
-
-// NeighborIDs returns u's neighbor ids through adj's NeighborLister fast
-// path when available, else through NeighborsInto with the weights
-// discarded. Buffer-ownership contract as NeighborsInto.
-func NeighborIDs(adj Adjacency, u NodeID, buf []NodeID) []NodeID {
-	if l, ok := adj.(NeighborLister); ok {
-		return l.NeighborIDsInto(u, buf)
-	}
-	nbrs, _ := adj.NeighborsInto(u, buf, nil)
-	return nbrs
+// RowCursor is the random-access primitive of the local kernels — key-path
+// DP, residual push, induced-subgraph materialization — which read one
+// node's row at a time in an order only they know. It is opened from an
+// Adjacency, belongs to ONE goroutine, and must be Closed on every path
+// (the pinpair analyzer checks).
+//
+// Why a cursor and not more NeighborsInto calls: a paged backend's cursor
+// keeps the page it last read in each run pinned until a read lands on a
+// different page, so a kernel that visits nodes roughly in id order pays
+// the buffer pool one pin per page instead of two per node. Open one for
+// any loop that reads more than a handful of rows.
+//
+// Contract:
+//
+//   - Reads return exactly the ids, weights and order NeighborsInto would
+//     — kernels stay bit-identical across backends and across the two
+//     read paths.
+//   - Buffers follow NeighborsInto's append-into contract (an aliasing
+//     backend ignores them), and the returned rows are read-only and valid
+//     only until the next read on the same cursor. The sweepalias analyzer
+//     flags rows stored anywhere longer-lived than a local.
+//   - NeighborIDs skips the weights; a paged backend then never touches
+//     the EdgeW run (8 of the 12 bytes per half-edge).
+//   - A paged read fault appends nothing and latches the backend's fault
+//     epoch once, exactly like NeighborsInto.
+//   - While a cursor is open its goroutine must not read the same backend
+//     any other way (sweeps, NeighborsInto, label or leaf loads): the
+//     cursor may be holding pool frames, and the pool's rule is never to
+//     wait for a frame while holding one (storage.BufferPool.Get).
+type RowCursor interface {
+	// Neighbors reads u's neighbor ids and parallel edge weights.
+	Neighbors(u NodeID, nbrBuf []NodeID, wBuf []float64) ([]NodeID, []float64)
+	// NeighborIDs reads u's neighbor ids only.
+	NeighborIDs(u NodeID, nbrBuf []NodeID) []NodeID
+	// Close releases whatever the cursor holds. Idempotent.
+	Close()
 }
 
 // EdgeSweeper is the optional edge-centric fast path next to Adjacency for
@@ -151,7 +173,6 @@ type NeighborIDSweeper interface {
 }
 
 var _ Adjacency = (*CSR)(nil)
-var _ NeighborLister = (*CSR)(nil)
 var _ EdgeSweeper = (*CSR)(nil)
 var _ NeighborIDSweeper = (*CSR)(nil)
 var _ EdgeOffsetter = (*CSR)(nil)

@@ -74,13 +74,37 @@ func (c *CSR) NeighborsInto(u NodeID, _ []NodeID, _ []float64) ([]NodeID, []floa
 }
 
 // NeighborIDsInto returns u's neighbor ids as a read-only, cap-clamped
-// alias of internal storage (NeighborLister; the buffer is ignored).
+// alias of internal storage (the buffer is ignored).
 //
 //gmine:hotpath
 func (c *CSR) NeighborIDsInto(u NodeID, _ []NodeID) []NodeID {
 	lo, hi := c.Xadj[u], c.Xadj[u+1]
 	return c.Adjncy[lo:hi:hi]
 }
+
+// csrCursor is the CSR seen through RowCursor. It is the same memory under
+// a second method set, so opening one allocates nothing and a read is one
+// interface call straight into the row arrays — the local kernels' inner
+// loop has no second dispatch to pay.
+type csrCursor CSR
+
+// Cursor opens a row cursor (Adjacency). Rows alias internal storage
+// exactly as NeighborsInto's do; there is nothing to release.
+func (c *CSR) Cursor() RowCursor { return (*csrCursor)(c) }
+
+//gmine:hotpath
+func (c *csrCursor) Neighbors(u NodeID, _ []NodeID, _ []float64) ([]NodeID, []float64) {
+	lo, hi := c.Xadj[u], c.Xadj[u+1]
+	return c.Adjncy[lo:hi:hi], c.EdgeW[lo:hi:hi]
+}
+
+//gmine:hotpath
+func (c *csrCursor) NeighborIDs(u NodeID, _ []NodeID) []NodeID {
+	lo, hi := c.Xadj[u], c.Xadj[u+1]
+	return c.Adjncy[lo:hi:hi]
+}
+
+func (c *csrCursor) Close() {}
 
 // SweepEdges emits every node in [lo,hi) with its neighbor row
 // (EdgeSweeper). On the in-memory CSR the "blocked sweep" degenerates to

@@ -68,6 +68,39 @@ func TestCSRNeighborsInto(t *testing.T) {
 	}
 }
 
+// TestCSRCursor: the CSR's row cursor hands out the very rows
+// NeighborsInto does — same backing memory, capacities clamped — and
+// opening, reading and closing one allocates nothing.
+func TestCSRCursor(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	c := ToCSR(randomGraph(rng, 30, 90))
+	var adj Adjacency = c
+	cur := adj.Cursor()
+	for u := 0; u < c.N(); u++ {
+		wantN, wantW := c.NeighborsInto(NodeID(u), nil, nil)
+		gotN, gotW := cur.Neighbors(NodeID(u), nil, nil)
+		ids := cur.NeighborIDs(NodeID(u), nil)
+		if len(gotN) != len(wantN) || len(gotW) != len(wantW) || len(ids) != len(wantN) {
+			t.Fatalf("node %d: cursor %d/%d/%d entries, want %d", u, len(gotN), len(gotW), len(ids), len(wantN))
+		}
+		if len(wantN) > 0 && (&gotN[0] != &wantN[0] || &gotW[0] != &wantW[0] || &ids[0] != &wantN[0]) {
+			t.Fatalf("node %d: cursor rows do not alias the CSR rows", u)
+		}
+		if len(gotN) != cap(gotN) || len(gotW) != cap(gotW) || len(ids) != cap(ids) {
+			t.Fatalf("node %d: cursor row capacity not clamped", u)
+		}
+	}
+	cur.Close()
+	var n []NodeID
+	if allocs := testing.AllocsPerRun(100, func() {
+		cur := adj.Cursor()
+		n = cur.NeighborIDs(7, n[:0])
+		cur.Close()
+	}); allocs != 0 {
+		t.Fatalf("CSR cursor open/read/close allocates %.1f per run, want 0", allocs)
+	}
+}
+
 func TestCSRNodeWeightsDefaultOne(t *testing.T) {
 	g := NewWithNodes(5, false)
 	c := ToCSR(g)

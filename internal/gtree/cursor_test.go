@@ -1,0 +1,503 @@
+package gtree
+
+import (
+	"encoding/binary"
+	"hash/crc32"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/graph"
+)
+
+// intoReader is the one-shot row-read surface all three backends share;
+// the cursor must reproduce it bit for bit.
+type intoReader interface {
+	graph.Adjacency
+	NeighborIDsInto(u graph.NodeID, buf []graph.NodeID) []graph.NodeID
+}
+
+// intoRows reads every row of adj through NeighborsInto and
+// NeighborIDsInto (before any cursor is opened — a goroutine holding a
+// cursor reads the backend no other way).
+func intoRows(t *testing.T, adj intoReader) (ids [][]graph.NodeID, ws [][]float64) {
+	t.Helper()
+	n := adj.N()
+	ids, ws = make([][]graph.NodeID, n), make([][]float64, n)
+	for u := 0; u < n; u++ {
+		ids[u], ws[u] = adj.NeighborsInto(graph.NodeID(u), nil, nil)
+		only := adj.NeighborIDsInto(graph.NodeID(u), nil)
+		if len(only) != len(ids[u]) {
+			t.Fatalf("node %d: NeighborIDsInto %d ids, NeighborsInto %d", u, len(only), len(ids[u]))
+		}
+		for i := range only {
+			if only[i] != ids[u][i] {
+				t.Fatalf("node %d: NeighborIDsInto and NeighborsInto disagree at %d", u, i)
+			}
+		}
+	}
+	return ids, ws
+}
+
+// visitOrders returns the ascending, descending and a seeded random order
+// over [0,n).
+func visitOrders(n int, seed int64) map[string][]graph.NodeID {
+	asc, desc := make([]graph.NodeID, n), make([]graph.NodeID, n)
+	for i := range asc {
+		asc[i] = graph.NodeID(i)
+		desc[i] = graph.NodeID(n - 1 - i)
+	}
+	random := append([]graph.NodeID(nil), asc...)
+	rand.New(rand.NewSource(seed)).Shuffle(n, func(i, j int) { random[i], random[j] = random[j], random[i] })
+	return map[string][]graph.NodeID{"ascending": asc, "descending": desc, "random": random}
+}
+
+// checkCursorMatches walks one cursor over order, alternating full and
+// ids-only reads on one reused buffer pair, and requires every row to
+// equal the NeighborsInto/NeighborIDsInto rows bit for bit.
+func checkCursorMatches(t *testing.T, name string, adj graph.Adjacency, order []graph.NodeID, ids [][]graph.NodeID, ws [][]float64) {
+	t.Helper()
+	cur := adj.Cursor()
+	defer cur.Close()
+	var nbrs []graph.NodeID
+	var w []float64
+	for i, u := range order {
+		full := i%3 != 0
+		if full {
+			nbrs, w = cur.Neighbors(u, nbrs[:0], w[:0])
+		} else {
+			nbrs = cur.NeighborIDs(u, nbrs[:0])
+		}
+		if len(nbrs) != len(ids[u]) || (full && len(w) != len(ws[u])) {
+			t.Fatalf("%s node %d: cursor read %d ids, want %d", name, u, len(nbrs), len(ids[u]))
+		}
+		for j := range nbrs {
+			if nbrs[j] != ids[u][j] {
+				t.Fatalf("%s node %d id %d: %d want %d", name, u, j, nbrs[j], ids[u][j])
+			}
+			if full && math.Float64bits(w[j]) != math.Float64bits(ws[u][j]) {
+				t.Fatalf("%s node %d weight %d: %g want %g", name, u, j, w[j], ws[u][j])
+			}
+		}
+	}
+}
+
+// TestCursorRowsMatchInto is the identity property behind the row
+// cursor: on the memory, paged and tiered backends, over random hub
+// graphs (rows straddling many small pages, a tail of zero-degree nodes),
+// page sizes and pool sizes, a cursor walked in ascending, descending and
+// random order returns exactly the rows NeighborsInto/NeighborIDsInto do
+// — and leaves no frame pinned once closed.
+func TestCursorRowsMatchInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 6; trial++ {
+		n := 150 + rng.Intn(500)
+		g := hubGraph(n, 2*n+rng.Intn(3*n), 1+trial%3, int64(100+trial))
+		pageSize := []int{256, 512, 1024}[trial%3]
+		pool := []int{4, 16, 4096}[trial%3]
+		path := buildAndSave(t, g, pageSize)
+
+		mem := graph.ToCSR(g)
+		ids, ws := intoRows(t, mem)
+		for name, order := range visitOrders(n, int64(trial)) {
+			checkCursorMatches(t, "memory/"+name, mem, order, ids, ws)
+		}
+
+		s, err := OpenFile(path, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paged, err := s.PagedCSR()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pids, pws := intoRows(t, paged)
+		for u := range ids {
+			if len(pids[u]) != len(ids[u]) {
+				t.Fatalf("trial %d: paged NeighborsInto row %d differs from memory", trial, u)
+			}
+		}
+		for name, order := range visitOrders(n, int64(trial)) {
+			checkCursorMatches(t, "paged/"+name, paged, order, pids, pws)
+			if pins := s.PinnedFrames(); pins != 0 {
+				t.Fatalf("trial %d paged/%s: %d frames pinned after Close", trial, name, pins)
+			}
+		}
+
+		// Tiered: promote the hub rows, then walk hits and misses on one
+		// buffer pair.
+		s.SetTierBudget(24 << 10)
+		warmRows(paged, []graph.NodeID{0, 7, 14}, 8)
+		tiered := paged.Tiered()
+		tiered.Promote()
+		tids, tws := intoRows(t, tiered)
+		for name, order := range visitOrders(n, int64(trial)) {
+			checkCursorMatches(t, "tiered/"+name, tiered, order, tids, tws)
+		}
+		if err := paged.Err(); err != nil {
+			t.Fatalf("trial %d: clean walks latched %v", trial, err)
+		}
+		if pins := s.PinnedFrames(); pins != 0 {
+			t.Fatalf("trial %d: %d frames pinned after all cursors closed", trial, pins)
+		}
+		s.Close()
+	}
+}
+
+// TestCursorPromotionRace walks tiered cursors while another goroutine
+// keeps shifting heat and promoting: rows flip between fragment hits and
+// paged misses under the cursor's feet and must stay bit-identical. Run
+// with -race.
+func TestCursorPromotionRace(t *testing.T) {
+	g := hubGraph(600, 2500, 3, 43)
+	s, tiered := openTiered(t, g, 1<<17)
+	base, err := s.PagedCSR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, ws := intoRows(t, base)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rows := []graph.NodeID{0, 7, 14, 100, 200, 300}
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			warmRows(base, rows[i%len(rows):i%len(rows)+1], 2)
+			tiered.Promote()
+		}
+	}()
+	for pass := 0; pass < 6; pass++ {
+		for name, order := range visitOrders(tiered.N(), int64(pass)) {
+			checkCursorMatches(t, "tiered-race/"+name, tiered, order, ids, ws)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if err := tiered.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if pins := s.PinnedFrames(); pins != 0 {
+		t.Fatalf("%d frames pinned after the race", pins)
+	}
+}
+
+// resealPage recomputes the trailing CRC-32C of page id in raw.
+func resealPage(raw []byte, pageSize, id int) {
+	page := raw[id*pageSize : (id+1)*pageSize]
+	sum := crc32.Checksum(page[:pageSize-4], crc32.MakeTable(crc32.Castagnoli))
+	binary.LittleEndian.PutUint32(page[pageSize-4:], sum)
+}
+
+// TestCursorFaults: an out-of-range node, Xadj bounds that point past the
+// half-edge run (behind a valid checksum) and a checksum flip each make
+// the cursor read append nothing — whatever the buffers already held
+// stays — and bump the fault epoch exactly once; the cursor keeps working
+// for clean rows and closes with no frame pinned.
+func TestCursorFaults(t *testing.T) {
+	const pageSize = 256
+	g := hubGraph(400, 1500, 2, 47)
+	want := graph.ToCSR(g)
+	path := buildAndSave(t, g, pageSize)
+
+	// Pick two victims with edges on distinct Xadj pages: badX gets
+	// corrupt bounds, badSum sits on an Adjncy page whose checksum flips.
+	perPage := (pageSize - 4) / 4
+	badX, badSum := graph.NodeID(-1), graph.NodeID(-1)
+	for u := 0; u < want.N() && (badX < 0 || badSum < 0); u++ {
+		if want.Degree(graph.NodeID(u)) == 0 {
+			continue
+		}
+		switch {
+		case badX < 0 && u > 20:
+			badX = graph.NodeID(u)
+		case badX >= 0 && u/perPage != int(badX)/perPage && (u+1)/perPage == u/perPage:
+			badSum = graph.NodeID(u)
+		}
+	}
+	if badX < 0 || badSum < 0 {
+		t.Fatal("fixture has no suitable victim rows")
+	}
+
+	probe, err := OpenFile(path, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xadjFirst, adjFirst := int(probe.csrPages[0]), int(probe.csrPages[1])
+	halfEdges := probe.halfEdges
+	probe.Close()
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Xadj[badX+1] := halfEdges+100, resealed so only the bounds check can
+	// catch it.
+	xi := int(badX) + 1
+	xpage := xadjFirst + xi/perPage
+	binary.LittleEndian.PutUint32(raw[xpage*pageSize+(xi%perPage)*4:], uint32(halfEdges+100))
+	resealPage(raw, pageSize, xpage)
+	// Flip the checksum of the Adjncy page holding badSum's first id.
+	apage := adjFirst + int(want.Xadj[badSum])/perPage
+	raw[(apage+1)*pageSize-1] ^= 0x01
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := OpenFile(path, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	paged, err := s.PagedCSR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, adj := range map[string]graph.Adjacency{"paged": paged, "tiered": paged.Tiered()} {
+		cur := adj.Cursor()
+		// Sentinel content the failed reads must leave untouched.
+		nbrs, ws := []graph.NodeID{-7, -8}, []float64{1.5}
+		for _, c := range []struct {
+			what string
+			u    graph.NodeID
+		}{
+			{"node below range", -1},
+			{"node past range", graph.NodeID(paged.N())},
+			{"corrupt xadj bounds", badX},
+			{"checksum flip", badSum},
+		} {
+			for _, idsOnly := range []bool{false, true} {
+				epoch := paged.Faults()
+				if idsOnly {
+					nbrs = cur.NeighborIDs(c.u, nbrs)
+				} else {
+					nbrs, ws = cur.Neighbors(c.u, nbrs, ws)
+				}
+				if len(nbrs) != 2 || nbrs[0] != -7 || nbrs[1] != -8 || len(ws) != 1 || ws[0] != 1.5 {
+					t.Fatalf("%s %s (idsOnly=%v): failed read changed the buffers: %v %v", name, c.what, idsOnly, nbrs, ws)
+				}
+				if d := paged.Faults() - epoch; d != 1 {
+					t.Fatalf("%s %s (idsOnly=%v): fault epoch moved by %d, want exactly 1", name, c.what, idsOnly, d)
+				}
+			}
+		}
+		// The cursor survives its faults: a clean row still reads right.
+		epoch := paged.Faults()
+		got, gw := cur.Neighbors(2, nil, nil)
+		wn, ww := want.Neighbors(2)
+		if len(got) != len(wn) || len(gw) != len(ww) {
+			t.Fatalf("%s: clean row after faults: %d ids, want %d", name, len(got), len(wn))
+		}
+		if paged.ErrSince(epoch) != nil {
+			t.Fatalf("%s: clean row after faults latched %v", name, paged.ErrSince(epoch))
+		}
+		cur.Close()
+		cur.Close() // idempotent
+		if pins := s.PinnedFrames(); pins != 0 {
+			t.Fatalf("%s: %d frames pinned after Close", name, pins)
+		}
+	}
+}
+
+// TestCursorWarmReadAllocFree: once its buffers have grown, a cursor read
+// allocates nothing — neither the sticky same-page read nor the read that
+// moves every pin to another (resident) page.
+func TestCursorWarmReadAllocFree(t *testing.T) {
+	g := hubGraph(600, 2500, 2, 53)
+	path := buildAndSave(t, g, 256)
+	s, err := OpenFile(path, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	paged, err := s.PagedCSR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	far := graph.NodeID(paged.N() * 3 / 5) // other Xadj, Adjncy and EdgeW pages than node 1's
+	cur := paged.Cursor()
+	defer cur.Close()
+	var nbrs []graph.NodeID
+	var ws []float64
+	for _, u := range []graph.NodeID{0, 1, far} { // node 0 is a hub: grows the buffers
+		nbrs, ws = cur.Neighbors(u, nbrs[:0], ws[:0])
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		nbrs, ws = cur.Neighbors(1, nbrs[:0], ws[:0])
+	}); n != 0 {
+		t.Errorf("sticky cursor read allocated %.1f times per run", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		nbrs, ws = cur.Neighbors(1, nbrs[:0], ws[:0])
+		nbrs = cur.NeighborIDs(far, nbrs[:0])
+	}); n != 0 {
+		t.Errorf("pin-moving cursor reads allocated %.1f times per run", n)
+	}
+	if err := paged.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCursorLivenessTinyPools: eight goroutines each hold a cursor — up
+// to three sticky pins apiece — over pools of one, two and three frames.
+// No cursor ever waits for a frame while holding one (it drops its pins
+// first), so the walks serialize instead of deadlocking: all finish
+// inside the deadline with correct rows and nothing left pinned. Run with
+// -race.
+func TestCursorLivenessTinyPools(t *testing.T) {
+	g := hubGraph(160, 500, 1, 59)
+	want := graph.ToCSR(g)
+	path := buildAndSave(t, g, 256)
+	for _, capacity := range []int{1, 2, 3} {
+		s, err := OpenFile(path, capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := s.PagedCSR()
+		if err != nil {
+			t.Fatal(err)
+		}
+		const workers = 8
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				// Half the cursors pin through private partitions, as
+				// engine queries do; half through the shared pool.
+				view := base
+				if w%2 == 0 {
+					v, release, err := s.PagedCSRPartition(1)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					defer release()
+					view = v
+				}
+				order := visitOrders(view.N(), int64(w))[[]string{"ascending", "descending", "random"}[w%3]]
+				cur := view.Cursor()
+				defer cur.Close()
+				var nbrs []graph.NodeID
+				var ws []float64
+				for _, u := range order {
+					if w%4 < 2 {
+						nbrs, ws = cur.Neighbors(u, nbrs[:0], ws[:0])
+					} else {
+						nbrs = cur.NeighborIDs(u, nbrs[:0])
+					}
+					wn, _ := want.Neighbors(u)
+					if len(nbrs) != len(wn) {
+						t.Errorf("pool=%d worker %d node %d: %d ids, want %d", capacity, w, u, len(nbrs), len(wn))
+						return
+					}
+				}
+			}(w)
+		}
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Minute):
+			t.Fatalf("pool=%d: %d concurrent cursors did not finish — a cursor waited while pinned", capacity, workers)
+		}
+		if err := base.Err(); err != nil {
+			t.Fatalf("pool=%d: %v", capacity, err)
+		}
+		if pins := s.PinnedFrames(); pins != 0 {
+			t.Fatalf("pool=%d: %d frames still pinned", capacity, pins)
+		}
+		if parts := s.PoolInfo().Partitions; len(parts) != 0 {
+			t.Fatalf("pool=%d: %d partitions still open", capacity, len(parts))
+		}
+		s.Close()
+	}
+}
+
+// FuzzCursorRows drives a row cursor over randomly shaped graphs, page
+// sizes, visiting orders and byte corruptions: every read either
+// reproduces the in-memory row exactly or appends nothing AND surfaces
+// through the Faults/ErrSince epoch — never a partial or silently wrong
+// row — and the closed cursor leaves nothing pinned.
+func FuzzCursorRows(f *testing.F) {
+	f.Add(int64(1), uint16(50), uint16(200), uint8(0), uint8(0), uint32(0))
+	f.Add(int64(2), uint16(300), uint16(1200), uint8(1), uint8(1), uint32(0))
+	f.Add(int64(3), uint16(80), uint16(0), uint8(0), uint8(2), uint32(0))      // zero-degree everywhere
+	f.Add(int64(4), uint16(120), uint16(800), uint8(2), uint8(0), uint32(700)) // corrupted byte
+	f.Add(int64(5), uint16(40), uint16(5000), uint8(0), uint8(2), uint32(0))   // dense rows straddling pages
+	f.Fuzz(func(t *testing.T, seed int64, n, m uint16, pageSel, orderSel uint8, corruptAt uint32) {
+		nodes := int(n%2000) + 2
+		edges := int(m % 8000)
+		pageSize := []int{256, 512, 1024}[int(pageSel)%3]
+		g := hubGraph(nodes, edges, int(seed%3), seed)
+		want := graph.ToCSR(g)
+		tree, err := Build(g, BuildOptions{K: 3, Levels: 2})
+		if err != nil {
+			t.Skip()
+		}
+		path := filepath.Join(t.TempDir(), "fz.gtree")
+		if err := Save(tree, g, path, pageSize); err != nil {
+			t.Skip()
+		}
+		if corruptAt != 0 {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			off := int(corruptAt)%(len(raw)-pageSize) + pageSize
+			raw[off] ^= 0xA5
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := OpenFile(path, 8)
+		if err != nil {
+			return // corruption reached resident metadata; fine
+		}
+		defer s.Close()
+		c, err := s.PagedCSR()
+		if err != nil {
+			return
+		}
+		order := visitOrders(c.N(), seed)[[]string{"ascending", "descending", "random"}[int(orderSel)%3]]
+		cur := c.Cursor()
+		var nbrs []graph.NodeID
+		var ws []float64
+		for i, u := range order {
+			epoch := c.Faults()
+			if i%2 == 0 {
+				nbrs, ws = cur.Neighbors(u, nbrs[:0], ws[:0])
+			} else {
+				nbrs, ws = cur.NeighborIDs(u, nbrs[:0]), ws[:0]
+			}
+			if c.ErrSince(epoch) != nil {
+				if len(nbrs) != 0 || len(ws) != 0 {
+					t.Fatalf("node %d: faulted read appended %d/%d entries", u, len(nbrs), len(ws))
+				}
+				continue
+			}
+			wn, ww := want.Neighbors(u)
+			if len(nbrs) != len(wn) || (i%2 == 0 && len(ws) != len(ww)) {
+				t.Fatalf("node %d: %d/%d entries, want %d, and no fault latched", u, len(nbrs), len(ws), len(wn))
+			}
+			for j := range nbrs {
+				if nbrs[j] != wn[j] || (i%2 == 0 && math.Float64bits(ws[j]) != math.Float64bits(ww[j])) {
+					t.Fatalf("node %d entry %d differs, and no fault latched", u, j)
+				}
+			}
+		}
+		cur.Close()
+		if pins := s.PinnedFrames(); pins != 0 {
+			t.Fatalf("%d frames pinned after Close", pins)
+		}
+	})
+}

@@ -25,10 +25,12 @@ var ErrPagedRead = errors.New("gtree: paged read fault")
 // PagedCSR is the disk-backed implementation of graph.Adjacency: the
 // persisted CSR section of a v2 G-Tree file read on demand through the
 // store's buffer pool. Neighbor ranges are located arithmetically in the
-// fixed-stride page runs, the touched pages are pinned only while their
-// elements are copied out, and the pool's LRU keeps the query's working
-// set resident — so the memory an extraction or PageRank holds for the
-// adjacency is bounded by the pool capacity, not the graph size. This is
+// fixed-stride page runs and decoded straight from the pinned frames (a
+// row cursor keeps its last page per run pinned between reads, everything
+// else unpins as soon as a row or window is decoded), and the pool's LRU
+// keeps the query's working set resident — so the memory an extraction or
+// PageRank holds for the adjacency is bounded by the pool capacity, not
+// the graph size. This is
 // the paper's single-file claim carried to whole-graph mining: the engine
 // pages the graph, it never loads it.
 //
@@ -67,9 +69,15 @@ type PagedCSR struct {
 
 	// sh is shared between a base PagedCSR and all its pool-partition
 	// views: the fault-epoch latch, the weighted-degree cache and the
-	// scratch pools are properties of the underlying file, not of the pool
+	// sweep buffers are properties of the underlying file, not of the pool
 	// a particular query pins pages through.
 	sh *pagedShared
+
+	// cc totals the row reads of every cursor closed on this view and on
+	// the views derived from it (shard views, WithContext): one instance
+	// per query partition view, so the trace's pool.cursor.* counts name
+	// this query's reads.
+	cc *cursorCounts
 
 	// ctx/done carry a query's cooperative cancellation into the blocked
 	// sweeps (see WithContext). done caches ctx.Done() so the per-chunk
@@ -93,14 +101,6 @@ type pagedShared struct {
 	wdegMu sync.Mutex
 	wdeg   []float64 // cached only after a fault-free build
 
-	// scratch recycles the raw page-copy buffer of NeighborsInto across
-	// calls; the kernels call it O(n·iterations) times per solve, and
-	// without reuse the short-lived buffers dominate GC pressure on the
-	// paged path. The pool holds *[]byte, not []byte: boxing a pointer
-	// into sync.Pool's interface is free, while boxing a slice header
-	// allocates on every Put.
-	scratch sync.Pool
-
 	// sweeps recycles the block buffers of the edge-centric sweep
 	// (*sweepBufs): one set per concurrent sweep, a few tens of KiB each,
 	// reused across the O(iterations) sweeps of a power-iteration solve.
@@ -114,7 +114,6 @@ type pagedShared struct {
 }
 
 var _ graph.Adjacency = (*PagedCSR)(nil)
-var _ graph.NeighborLister = (*PagedCSR)(nil)
 var _ graph.EdgeSweeper = (*PagedCSR)(nil)
 var _ graph.NeighborIDSweeper = (*PagedCSR)(nil)
 var _ graph.EdgeOffsetter = (*PagedCSR)(nil)
@@ -123,7 +122,7 @@ var _ graph.SweepShardViewer = (*PagedCSR)(nil)
 // newPagedCSR wires the four run readers over the store's buffer pool,
 // validating the section's geometry against the file.
 func newPagedCSR(s *Store) (*PagedCSR, error) {
-	c := &PagedCSR{n: s.graphNodes, halfEdges: s.halfEdges, directed: s.directed, sh: &pagedShared{}, pool: s.pool}
+	c := &PagedCSR{n: s.graphNodes, halfEdges: s.halfEdges, directed: s.directed, sh: &pagedShared{}, pool: s.pool, cc: &cursorCounts{}}
 	var err error
 	if c.xadj, err = storage.NewRunReader(s.pool, s.csrPages[0], 4, s.graphNodes+1); err != nil {
 		return nil, fmt.Errorf("gtree: CSR xadj: %w", err)
@@ -145,11 +144,12 @@ func newPagedCSR(s *Store) (*PagedCSR, error) {
 }
 
 // withPool returns a view of c that pins pages through p (normally a
-// storage.Partition), sharing the fault epoch, weighted-degree cache and
-// scratch pools with c. Both stay safe for concurrent use.
+// storage.Partition), sharing the fault epoch, weighted-degree cache,
+// sweep buffers and cursor counters with c. Both stay safe for concurrent
+// use.
 func (c *PagedCSR) withPool(p storage.PagePool) *PagedCSR {
 	return &PagedCSR{
-		n: c.n, halfEdges: c.halfEdges, directed: c.directed, sh: c.sh, pool: p,
+		n: c.n, halfEdges: c.halfEdges, directed: c.directed, sh: c.sh, pool: p, cc: c.cc,
 		ctx: c.ctx, done: c.done,
 		xadj:   c.xadj.WithPool(p),
 		adjncy: c.adjncy.WithPool(p),
@@ -254,28 +254,6 @@ func (c *PagedCSR) sweepFault(err error) error {
 	return err
 }
 
-// xrange reads Xadj[u] and Xadj[u+1], the bounds of u's neighbor range.
-//
-//gmine:hotpath
-func (c *PagedCSR) xrange(u graph.NodeID) (lo, hi int, ok bool) {
-	if u < 0 || int(u) >= c.n {
-		c.setErr(fmt.Errorf("gtree: CSR node %d out of range (n=%d)", u, c.n))
-		return 0, 0, false
-	}
-	var buf [8]byte
-	if err := c.xadj.Read(int(u), int(u)+2, buf[:]); err != nil {
-		c.setErr(err)
-		return 0, 0, false
-	}
-	lo = int(int32(binary.LittleEndian.Uint32(buf[0:4])))
-	hi = int(int32(binary.LittleEndian.Uint32(buf[4:8])))
-	if lo < 0 || hi < lo || hi > c.halfEdges {
-		c.setErr(fmt.Errorf("gtree: corrupt CSR xadj at node %d: [%d,%d) of %d half-edges", u, lo, hi, c.halfEdges))
-		return 0, 0, false
-	}
-	return lo, hi, true
-}
-
 // EdgeOffset returns the persisted half-edge prefix offset Xadj[u]
 // (graph.EdgeOffsetter), for u in [0, n]. The shard splitter probes it a
 // handful of times per boundary; a paged read fault latches on the epoch
@@ -339,17 +317,16 @@ func (c *PagedCSR) SweepShardViews(k int) ([]graph.EdgeSweeper, func(), error) {
 
 // Degree returns the number of stored half-edges at u.
 func (c *PagedCSR) Degree(u graph.NodeID) int {
-	lo, hi, ok := c.xrange(u)
-	if !ok {
-		return 0
-	}
+	var pc pagedCursor
+	pc.open(c)
+	lo, hi, _ := pc.xrange(u)
+	pc.Close()
 	return hi - lo
 }
 
 // Neighbors returns fresh copies of u's neighbor ids and edge weights,
-// paged in through the buffer pool. The returned slices are the caller's;
-// the intermediate page-copy buffer is pooled. Kernel hot loops should use
-// NeighborsInto instead, which reuses caller buffers across calls.
+// paged in through the buffer pool. Kernel hot loops should open a Cursor
+// (or, for a stray row, use NeighborsInto), which reuse caller buffers.
 func (c *PagedCSR) Neighbors(u graph.NodeID) ([]graph.NodeID, []float64) {
 	nbrs, ws := c.NeighborsInto(u, nil, nil)
 	if len(nbrs) == 0 {
@@ -359,94 +336,204 @@ func (c *PagedCSR) Neighbors(u graph.NodeID) ([]graph.NodeID, []float64) {
 }
 
 // NeighborsInto decodes u's neighbor range into the caller's buffers
-// (append-into contract, see graph.Adjacency), paging the touched pages
-// through the buffer pool and recycling the pooled page-copy scratch. The
-// buffers grow toward the maximum degree the solve encounters and are then
-// reused verbatim, so a paged kernel iteration stops allocating per node.
-// A fault mid-read is recorded on the epoch counter and nothing is
-// appended.
+// (append-into contract, see graph.Adjacency): one row read on a cursor
+// that is opened and closed around it, so every touched page is pinned
+// and unpinned within the call. The buffers grow toward the maximum
+// degree the solve encounters and are then reused verbatim. A fault
+// mid-read is recorded on the epoch counter and nothing is appended.
 //
 //gmine:hotpath
 func (c *PagedCSR) NeighborsInto(u graph.NodeID, nbrBuf []graph.NodeID, wBuf []float64) ([]graph.NodeID, []float64) {
-	lo, hi, ok := c.xrange(u)
-	if !ok || hi == lo {
-		return nbrBuf, wBuf
-	}
-	m := hi - lo
-	p, _ := c.sh.scratch.Get().(*[]byte)
-	if p == nil {
-		p = new([]byte)
-	}
-	raw := *p // big enough for both runs; ids first
-	if cap(raw) < m*8 {
-		raw = make([]byte, m*8)
-		*p = raw
-	}
-	raw = raw[:m*8]
-	nbrBuf, wBuf = c.decodeInto(lo, hi, raw, nbrBuf, wBuf)
-	c.sh.scratch.Put(p)
+	var pc pagedCursor
+	pc.open(c)
+	nbrBuf, wBuf = pc.Neighbors(u, nbrBuf, wBuf)
+	pc.Close()
 	return nbrBuf, wBuf
 }
 
-// NeighborIDsInto appends u's neighbor ids to buf (graph.NeighborLister),
-// reading only the Adjncy run: weights are 8 of the 12 bytes per
-// half-edge, so the ids-only sweeps — whole-graph connectivity, key-path
-// DP — page a third of the bytes NeighborsInto would and stop evicting id
-// pages to fault in weight pages.
+// NeighborIDsInto appends u's neighbor ids to buf, reading only the Xadj
+// and Adjncy runs (see RowCursor.NeighborIDs); open-read-close like
+// NeighborsInto.
 //
 //gmine:hotpath
 func (c *PagedCSR) NeighborIDsInto(u graph.NodeID, buf []graph.NodeID) []graph.NodeID {
-	lo, hi, ok := c.xrange(u)
-	if !ok || hi == lo {
-		return buf
-	}
-	m := hi - lo
-	p, _ := c.sh.scratch.Get().(*[]byte)
-	if p == nil {
-		p = new([]byte)
-	}
-	raw := *p
-	if cap(raw) < m*4 {
-		raw = make([]byte, m*4)
-		*p = raw
-	}
-	raw = raw[:m*4]
-	if err := c.adjncy.Read(lo, hi, raw); err != nil {
-		c.setErr(err)
-	} else {
-		nb := len(buf)
-		buf = slices.Grow(buf, m)[:nb+m]
-		for i := 0; i < m; i++ {
-			buf[nb+i] = graph.NodeID(int32(binary.LittleEndian.Uint32(raw[4*i:])))
-		}
-	}
-	c.sh.scratch.Put(p)
+	var pc pagedCursor
+	pc.open(c)
+	buf = pc.NeighborIDs(u, buf)
+	pc.Close()
 	return buf
 }
 
-// decodeInto reads and decodes the half-edge range [lo,hi) into the
-// caller's buffers using raw (sized (hi-lo)*8) as the page-copy scratch.
+// --- Row cursor -----------------------------------------------------------
+
+// Run positions inside a pagedCursor's storage.RunCursor.
+const (
+	curXadj = iota
+	curAdjncy
+	curEdgeW
+)
+
+// cursorCounts accumulates, per query view, what closed cursors read.
+type cursorCounts struct {
+	rows, pins atomic.Int64
+}
+
+// CursorCounts returns the rows read and the pool pins taken by cursors
+// closed so far on this view and the views derived from it — including
+// the open-read-close cursors behind NeighborsInto, NeighborIDsInto and
+// Degree. pins/rows is how well sticky pins worked: ~3 per row for
+// one-shot reads, pages/rows for an in-order cursor walk.
+func (c *PagedCSR) CursorCounts() (rows, pins int64) {
+	return c.cc.rows.Load(), c.cc.pins.Load()
+}
+
+// pagedCursor is the graph.RowCursor of a PagedCSR view: a
+// storage.RunCursor over the Xadj, Adjncy and EdgeW runs, which keeps the
+// last page of each run pinned between reads (EdgeW only once a read asks
+// for weights) and never waits for a frame while holding one. Rows are
+// decoded straight from the pinned frames into the caller's buffers.
+// Every read keeps the checks of the one-shot path it replaces: node
+// range, Xadj bounds against the half-edge count, run ranges, page
+// checksums (inside the pool's page read), and one fault-epoch bump per
+// failed read with nothing appended.
+type pagedCursor struct {
+	c    *PagedCSR
+	runs storage.RunCursor
+	rows int64
+}
+
+// Cursor opens a row cursor over c for the calling goroutine
+// (graph.Adjacency). Close it on every path.
+func (c *PagedCSR) Cursor() graph.RowCursor {
+	pc := &pagedCursor{}
+	pc.open(c)
+	return pc
+}
+
+// open binds a zero pagedCursor to c.
+func (pc *pagedCursor) open(c *PagedCSR) {
+	pc.c = c
+	pc.runs.Open(c.xadj, c.adjncy, c.edgew)
+}
+
+// Close unpins the cursor's pages and folds its counts into the view's.
 //
 //gmine:hotpath
-func (c *PagedCSR) decodeInto(lo, hi int, raw []byte, nbrBuf []graph.NodeID, wBuf []float64) ([]graph.NodeID, []float64) {
-	m := hi - lo
-	if err := c.adjncy.Read(lo, hi, raw[:m*4]); err != nil {
+func (pc *pagedCursor) Close() {
+	pins := pc.runs.Close()
+	if pc.rows != 0 {
+		pc.c.cc.rows.Add(pc.rows)
+		pc.c.cc.pins.Add(int64(pins))
+		pc.rows = 0
+	}
+}
+
+// xrange reads Xadj[u] and Xadj[u+1], the bounds of u's neighbor range.
+//
+//gmine:hotpath
+func (pc *pagedCursor) xrange(u graph.NodeID) (lo, hi int, ok bool) {
+	c := pc.c
+	pc.rows++
+	if u < 0 || int(u) >= c.n {
+		c.setErr(fmt.Errorf("gtree: CSR node %d out of range (n=%d)", u, c.n))
+		return 0, 0, false
+	}
+	b, n, err := pc.runs.Span(curXadj, int(u), int(u)+2)
+	if err != nil {
 		c.setErr(err)
-		return nbrBuf, wBuf
+		return 0, 0, false
+	}
+	lo = int(int32(binary.LittleEndian.Uint32(b)))
+	if n == 2 {
+		hi = int(int32(binary.LittleEndian.Uint32(b[4:])))
+	} else {
+		// u is the last offset on its page; Xadj[u+1] opens the next one.
+		if b, _, err = pc.runs.Span(curXadj, int(u)+1, int(u)+2); err != nil {
+			c.setErr(err)
+			return 0, 0, false
+		}
+		hi = int(int32(binary.LittleEndian.Uint32(b)))
+	}
+	if lo < 0 || hi < lo || hi > c.halfEdges {
+		c.setErr(fmt.Errorf("gtree: corrupt CSR xadj at node %d: [%d,%d) of %d half-edges", u, lo, hi, c.halfEdges))
+		return 0, 0, false
+	}
+	return lo, hi, true
+}
+
+// ids appends the Adjncy elements [lo,hi) to buf, page span by page span.
+//
+//gmine:hotpath
+func (pc *pagedCursor) ids(lo, hi int, buf []graph.NodeID) ([]graph.NodeID, error) {
+	at := len(buf)
+	buf = slices.Grow(buf, hi-lo)[:at+hi-lo]
+	for lo < hi {
+		b, n, err := pc.runs.Span(curAdjncy, lo, hi)
+		if err != nil {
+			return buf, err
+		}
+		for i := 0; i < n; i++ {
+			buf[at+i] = graph.NodeID(int32(binary.LittleEndian.Uint32(b[4*i:])))
+		}
+		at += n
+		lo += n
+	}
+	return buf, nil
+}
+
+// weights appends the EdgeW elements [lo,hi) to buf.
+//
+//gmine:hotpath
+func (pc *pagedCursor) weights(lo, hi int, buf []float64) ([]float64, error) {
+	at := len(buf)
+	buf = slices.Grow(buf, hi-lo)[:at+hi-lo]
+	for lo < hi {
+		b, n, err := pc.runs.Span(curEdgeW, lo, hi)
+		if err != nil {
+			return buf, err
+		}
+		for i := 0; i < n; i++ {
+			buf[at+i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+		at += n
+		lo += n
+	}
+	return buf, nil
+}
+
+// NeighborIDs implements graph.RowCursor.
+//
+//gmine:hotpath
+func (pc *pagedCursor) NeighborIDs(u graph.NodeID, nbrBuf []graph.NodeID) []graph.NodeID {
+	lo, hi, ok := pc.xrange(u)
+	if !ok || hi == lo {
+		return nbrBuf
 	}
 	nb := len(nbrBuf)
-	nbrBuf = slices.Grow(nbrBuf, m)[:nb+m]
-	for i := 0; i < m; i++ {
-		nbrBuf[nb+i] = graph.NodeID(int32(binary.LittleEndian.Uint32(raw[4*i:])))
+	nbrBuf, err := pc.ids(lo, hi, nbrBuf)
+	if err != nil {
+		pc.c.setErr(err)
+		return nbrBuf[:nb]
 	}
-	if err := c.edgew.Read(lo, hi, raw); err != nil {
-		c.setErr(err)
-		return nbrBuf[:nb], wBuf
+	return nbrBuf
+}
+
+// Neighbors implements graph.RowCursor.
+//
+//gmine:hotpath
+func (pc *pagedCursor) Neighbors(u graph.NodeID, nbrBuf []graph.NodeID, wBuf []float64) ([]graph.NodeID, []float64) {
+	lo, hi, ok := pc.xrange(u)
+	if !ok || hi == lo {
+		return nbrBuf, wBuf
 	}
-	wb := len(wBuf)
-	wBuf = slices.Grow(wBuf, m)[:wb+m]
-	for i := 0; i < m; i++ {
-		wBuf[wb+i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+	nb, wb := len(nbrBuf), len(wBuf)
+	nbrBuf, err := pc.ids(lo, hi, nbrBuf)
+	if err == nil {
+		wBuf, err = pc.weights(lo, hi, wBuf)
+	}
+	if err != nil {
+		pc.c.setErr(err)
+		return nbrBuf[:nb], wBuf[:wb]
 	}
 	return nbrBuf, wBuf
 }

@@ -648,7 +648,9 @@ func (s *Store) PagedCSRPartitionView(frames int) (*PagedCSR, *storage.Partition
 		return nil, nil, err
 	}
 	part := s.pool.Partition(frames)
-	return base.withPool(part), part, nil
+	view := base.withPool(part)
+	view.cc = &cursorCounts{} // this query's row reads, not the file's
+	return view, part, nil
 }
 
 // PreloadLabels loads the label index and builds its node-indexed view,

@@ -212,7 +212,6 @@ type TieredCSR struct {
 }
 
 var _ graph.Adjacency = (*TieredCSR)(nil)
-var _ graph.NeighborLister = (*TieredCSR)(nil)
 var _ graph.EdgeSweeper = (*TieredCSR)(nil)
 var _ graph.NeighborIDSweeper = (*TieredCSR)(nil)
 var _ graph.EdgeOffsetter = (*TieredCSR)(nil)
@@ -282,60 +281,113 @@ func (t *TieredCSR) Neighbors(u graph.NodeID) ([]graph.NodeID, []float64) {
 	return nbrs, ws
 }
 
+// fragNeighbors serves u's row from a resident fragment: one lookup, the
+// LRU stamp and hit counters, and a copy-out into the caller's buffers
+// (see the type comment for why fragment rows are copied, not aliased).
+// hit=false — nothing appended, nothing counted — when u is cold. ids and
+// weights are copied only into the buffers the mode names.
+//
+//gmine:hotpath
+func (t *TieredCSR) fragNeighbors(u graph.NodeID, mode sweepMode, nbrBuf []graph.NodeID, wBuf []float64) (_ []graph.NodeID, _ []float64, hit bool) {
+	f := t.ts.lookup(int(u))
+	if f == nil {
+		return nbrBuf, wBuf, false
+	}
+	t.ts.touch(f)
+	t.ts.hits.Add(1)
+	t.qc.hits.Add(1)
+	i := int(u) - f.lo
+	elo, ehi := int(f.xadj[i])-f.elo, int(f.xadj[i+1])-f.elo
+	m := ehi - elo
+	if m == 0 {
+		return nbrBuf, wBuf, true
+	}
+	nb := len(nbrBuf)
+	nbrBuf = slices.Grow(nbrBuf, m)[:nb+m]
+	copy(nbrBuf[nb:], f.ids[elo:ehi])
+	if mode&sweepW != 0 {
+		wb := len(wBuf)
+		wBuf = slices.Grow(wBuf, m)[:wb+m]
+		copy(wBuf[wb:], f.ws[elo:ehi])
+	}
+	return nbrBuf, wBuf, true
+}
+
+// miss charges one row to the paged path's counters.
+//
+//gmine:hotpath
+func (t *TieredCSR) miss() {
+	t.ts.misses.Add(1)
+	t.qc.misses.Add(1)
+}
+
 // NeighborsInto appends u's neighbors into the caller's buffers
-// (append-into contract, identical on hits and misses — see the type
-// comment for why fragment rows are copied, not aliased). A fragment hit
+// (append-into contract, identical on hits and misses). A fragment hit
 // touches no pages and allocates nothing once the buffers have grown.
 //
 //gmine:hotpath
 func (t *TieredCSR) NeighborsInto(u graph.NodeID, nbrBuf []graph.NodeID, wBuf []float64) ([]graph.NodeID, []float64) {
-	if f := t.ts.lookup(int(u)); f != nil {
-		t.ts.touch(f)
-		t.ts.hits.Add(1)
-		t.qc.hits.Add(1)
-		i := int(u) - f.lo
-		elo, ehi := int(f.xadj[i])-f.elo, int(f.xadj[i+1])-f.elo
-		m := ehi - elo
-		if m == 0 {
-			return nbrBuf, wBuf
-		}
-		nb := len(nbrBuf)
-		nbrBuf = slices.Grow(nbrBuf, m)[:nb+m]
-		copy(nbrBuf[nb:], f.ids[elo:ehi])
-		wb := len(wBuf)
-		wBuf = slices.Grow(wBuf, m)[:wb+m]
-		copy(wBuf[wb:], f.ws[elo:ehi])
+	nbrBuf, wBuf, hit := t.fragNeighbors(u, sweepIDs|sweepW, nbrBuf, wBuf)
+	if hit {
 		return nbrBuf, wBuf
 	}
-	t.ts.misses.Add(1)
-	t.qc.misses.Add(1)
+	t.miss()
 	return t.paged.NeighborsInto(u, nbrBuf, wBuf)
 }
 
-// NeighborIDsInto appends u's neighbor ids to buf (graph.NeighborLister),
-// copying from the fragment when resident.
+// NeighborIDsInto appends u's neighbor ids to buf, copying from the
+// fragment when resident.
 //
 //gmine:hotpath
 func (t *TieredCSR) NeighborIDsInto(u graph.NodeID, buf []graph.NodeID) []graph.NodeID {
-	if f := t.ts.lookup(int(u)); f != nil {
-		t.ts.touch(f)
-		t.ts.hits.Add(1)
-		t.qc.hits.Add(1)
-		i := int(u) - f.lo
-		elo, ehi := int(f.xadj[i])-f.elo, int(f.xadj[i+1])-f.elo
-		m := ehi - elo
-		if m == 0 {
-			return buf
-		}
-		nb := len(buf)
-		buf = slices.Grow(buf, m)[:nb+m]
-		copy(buf[nb:], f.ids[elo:ehi])
+	buf, _, hit := t.fragNeighbors(u, sweepIDs, buf, nil)
+	if hit {
 		return buf
 	}
-	t.ts.misses.Add(1)
-	t.qc.misses.Add(1)
+	t.miss()
 	return t.paged.NeighborIDsInto(u, buf)
 }
+
+// tieredCursor is the graph.RowCursor of a TieredCSR: fragment hits take
+// exactly the NeighborsInto hit path — they still copy, because the
+// caller's next read may be a paged miss appending into the same buffers
+// and a fragment can be demoted while the cursor is open — and misses go
+// to a paged cursor, whose sticky pins then cover the cold stretches
+// between fragments.
+type tieredCursor struct {
+	t  *TieredCSR
+	pc pagedCursor
+}
+
+// Cursor opens a row cursor over t for the calling goroutine
+// (graph.Adjacency). Close it on every path.
+func (t *TieredCSR) Cursor() graph.RowCursor {
+	tc := &tieredCursor{t: t}
+	tc.pc.open(t.paged)
+	return tc
+}
+
+//gmine:hotpath
+func (tc *tieredCursor) Neighbors(u graph.NodeID, nbrBuf []graph.NodeID, wBuf []float64) ([]graph.NodeID, []float64) {
+	nbrBuf, wBuf, hit := tc.t.fragNeighbors(u, sweepIDs|sweepW, nbrBuf, wBuf)
+	if hit {
+		return nbrBuf, wBuf
+	}
+	tc.t.miss()
+	return tc.pc.Neighbors(u, nbrBuf, wBuf)
+}
+
+//gmine:hotpath
+func (tc *tieredCursor) NeighborIDs(u graph.NodeID, nbrBuf []graph.NodeID) []graph.NodeID {
+	nbrBuf, _, hit := tc.t.fragNeighbors(u, sweepIDs, nbrBuf, nil)
+	if hit {
+		return nbrBuf
+	}
+	tc.t.miss()
+	return tc.pc.NeighborIDs(u, nbrBuf)
+}
+
+func (tc *tieredCursor) Close() { tc.pc.Close() }
 
 // WeightedDegrees returns the shared per-node weighted degree table
 // (cached on the underlying file, identical across views and tiers).

@@ -1,13 +1,16 @@
 // Package pinpair enforces the buffer-pool pin discipline
 // (internal/storage/bufferpool.go): every BufferPool/Partition/PagePool
-// Get must be paired with a Release on every path out of the function,
-// and every Partition handle must be Closed. A leaked pin permanently
-// removes a frame from the pool's economy — under a small pool the
-// symptom is every later query blocking in Get's wait loop, which is the
-// class of bug previously only hand-audited in ReadBlob-style readers.
+// Get or TryGet must be paired with a Release on every path out of the
+// function, every Partition handle must be Closed, and every opened
+// cursor — a row cursor keeps pages pinned between reads — must reach
+// Close. A leaked pin permanently removes a frame from the pool's economy
+// — under a small pool the symptom is every later query blocking in Get's
+// wait loop, which is the class of bug previously only hand-audited in
+// ReadBlob-style readers.
 //
-// The analysis is intraprocedural and deliberately conservative in what
-// it reports:
+// The analysis is intraprocedural (function literals are checked as
+// functions of their own) and deliberately conservative in what it
+// reports:
 //
 //   - A pin acquired via `data, err := pool.Get(id)` is not charged on
 //     the `if err != nil { return ... }` guard of that same err — a
@@ -17,18 +20,27 @@
 //   - A Release anywhere later in the source marks the pin satisfied;
 //     what is flagged is a `return` reached *before* any Release on the
 //     walk, and pins with no Release at all.
-//   - Partition handles that escape — returned, captured by a closure,
-//     stored in a field — transfer Close responsibility to the new owner
-//     and are skipped; the engine's release-closure seam stays legal.
+//   - A page whose payload is stored into a struct field now belongs to
+//     that struct (a cursor slot), whose Close releases it.
+//   - A cursor is opened by any call returning a type named *Cursor
+//     (adj.Cursor()) or by an open/Open method on a local of such a type
+//     (the stack cursors behind one-shot row reads), and closed by Close
+//     on the same variable.
+//   - Partition and cursor handles that escape — returned, captured by a
+//     closure, stored in a field — transfer Close responsibility to the
+//     new owner and are skipped; the engine's release-closure seam stays
+//     legal. Passing a Partition to another call transfers it too (it is
+//     being wrapped in a view); passing a cursor only lends it.
 //
-// Matching is structural by type name (BufferPool, Partition, PagePool),
-// so fixtures and future pool views are covered without importing the
-// storage package.
+// Matching is structural by type name (BufferPool, Partition, PagePool,
+// *Cursor), so fixtures and future pool views are covered without
+// importing the storage package.
 package pinpair
 
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/astq"
@@ -40,8 +52,8 @@ var Analyzer = &analysis.Analyzer{
 	Name: "pinpair",
 	Doc: "flags BufferPool/PagePool Get calls whose Release is not reachable on " +
 		"every path out of the function (early returns before Release, or no " +
-		"Release at all), and Partition handles that can exit without Close. " +
-		"Escaping handles (returned/captured/stored) transfer ownership and are skipped.",
+		"Release at all), and Partition handles and opened cursors that can exit " +
+		"without Close. Escaping handles (returned/captured/stored) transfer ownership and are skipped.",
 	Run: run,
 }
 
@@ -53,13 +65,26 @@ var poolTypeNames = map[string]bool{
 	"PagePool":   true,
 }
 
-// pin is one outstanding obligation: a pinned page or an open partition.
+// handleKind classifies the Close-bearing handle types by name:
+// "partition", "cursor", or "" for anything else.
+func handleKind(t types.Type) string {
+	switch name := astq.NamedTypeName(t); {
+	case name == "Partition":
+		return "partition"
+	case strings.HasSuffix(name, "Cursor"):
+		return "cursor"
+	}
+	return ""
+}
+
+// pin is one outstanding obligation: a pinned page, an open partition or
+// an open cursor.
 type pin struct {
 	pos      ast.Node
-	kind     string // "page" or "partition"
-	recv     string // receiver spelling, e.g. "bp" or "r.pool" (page pins)
-	arg      string // page-id argument spelling (page pins)
-	obj      types.Object
+	kind     string       // "page", "partition" or "cursor"
+	recv     string       // receiver spelling, e.g. "bp" or "r.pool" (page pins)
+	arg      string       // page-id argument spelling (page pins)
+	obj      types.Object // the handle; for page pins, the payload variable
 	errVar   types.Object // err assigned alongside the acquisition, if any
 	guarded  bool         // the errVar's failure guard has been seen
 	released bool
@@ -68,60 +93,67 @@ type pin struct {
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch fn := n.(type) {
+			case *ast.FuncDecl:
+				if fn.Body != nil {
+					checkFunc(pass, fn.Name.Name, fn.Body)
+				}
+			case *ast.FuncLit:
+				checkFunc(pass, "this func literal", fn.Body)
 			}
-			checkFunc(pass, fd)
-		}
+			return true
+		})
 	}
 	return nil
 }
 
 type walker struct {
 	pass *analysis.Pass
-	fd   *ast.FuncDecl
 	pins []*pin
-	// escaped partition objects: ownership transferred out of fd.
+	// escaped handles and page payloads: ownership transferred out of the
+	// function.
 	escaped map[types.Object]bool
 	// anyRelease/anyClose: the function contains at least one matching
-	// Release/Close. When it contains none, per-return diagnostics defer
-	// to the single "never Released/Closed" report.
-	anyRelease, anyClose bool
+	// Release/Close (per handle kind). When it contains none, per-return
+	// diagnostics defer to the single "never Released/Closed" report.
+	anyRelease bool
+	anyClose   map[string]bool
 }
 
-func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
-	w := &walker{pass: pass, fd: fd, escaped: escapedHandles(pass, fd)}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+func checkFunc(pass *analysis.Pass, name string, body *ast.BlockStmt) {
+	w := &walker{pass: pass, escaped: escapedHandles(pass, body), anyClose: make(map[string]bool)}
+	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		if sel, _, ok := astq.MethodCall(call); ok {
+		if sel, recv, ok := astq.MethodCall(call); ok {
 			switch sel.Sel.Name {
 			case "Release":
 				if poolTypeNames[astq.ReceiverTypeName(pass.TypesInfo, call)] {
 					w.anyRelease = true
 				}
 			case "Close":
-				if astq.ReceiverTypeName(pass.TypesInfo, call) == "Partition" {
-					w.anyClose = true
+				if kind := handleKind(pass.TypesInfo.TypeOf(recv)); kind != "" {
+					w.anyClose[kind] = true
 				}
 			}
 		}
 		return true
 	})
-	w.walkStmts(fd.Body.List, nil)
+	w.walkStmts(body.List, nil)
 	for _, p := range w.pins {
 		if p.released || p.reported || w.escaped[p.obj] {
 			continue
 		}
 		switch p.kind {
 		case "page":
-			pass.Reportf(p.pos.Pos(), "page pinned by %s.Get(%s) is never Released in %s; the frame stays pinned and unevictable forever", p.recv, p.arg, fd.Name.Name)
+			pass.Reportf(p.pos.Pos(), "page pinned by %s.Get(%s) is never Released in %s; the frame stays pinned and unevictable forever", p.recv, p.arg, name)
 		case "partition":
-			pass.Reportf(p.pos.Pos(), "Partition acquired here is never Closed in %s; its reservation is never returned to the pool", fd.Name.Name)
+			pass.Reportf(p.pos.Pos(), "Partition acquired here is never Closed in %s; its reservation is never returned to the pool", name)
+		case "cursor":
+			pass.Reportf(p.pos.Pos(), "cursor opened here is never Closed in %s; the pages it holds stay pinned and unevictable", name)
 		}
 	}
 }
@@ -240,22 +272,33 @@ func (w *walker) acquire(at ast.Node, rhs []ast.Expr, lhs []ast.Expr, open []*pi
 		recvType := astq.ReceiverTypeName(w.pass.TypesInfo, call)
 		var p *pin
 		switch {
-		case sel.Sel.Name == "Get" && poolTypeNames[recvType] && len(call.Args) == 1:
+		case (sel.Sel.Name == "Get" || sel.Sel.Name == "TryGet") && poolTypeNames[recvType] && len(call.Args) == 1:
 			p = &pin{
 				pos:  call,
 				kind: "page",
 				recv: astq.ExprString(w.pass.Fset, recv),
 				arg:  astq.ExprString(w.pass.Fset, call.Args[0]),
 			}
-		case isPartitionAcquisition(w.pass, sel, call):
-			p = &pin{pos: call, kind: "partition"}
+		case strings.EqualFold(sel.Sel.Name, "open") && handleKind(w.pass.TypesInfo.TypeOf(recv)) == "cursor":
+			// A stack cursor opened in place: x.open(...). Only a plain
+			// local is tracked; opening a field is the owner's business.
+			id, ok := recv.(*ast.Ident)
+			if !ok {
+				continue
+			}
+			p = &pin{pos: call, kind: "cursor", obj: astq.ObjectOf(w.pass.TypesInfo, id)}
 		default:
-			continue
+			kind := acquiredHandle(w.pass, sel, call)
+			if kind == "" {
+				continue
+			}
+			p = &pin{pos: call, kind: kind}
 		}
-		// Bind the result objects: the partition handle and any err var
-		// assigned alongside (for the err-guard exemption).
+		// Bind the result objects: the handle (for page pins the payload
+		// variable) and any err var assigned alongside (for the err-guard
+		// exemption).
 		if len(rhs) == 1 {
-			for _, l := range lhs {
+			for j, l := range lhs {
 				id, ok := l.(*ast.Ident)
 				if !ok {
 					continue
@@ -266,7 +309,7 @@ func (w *walker) acquire(at ast.Node, rhs []ast.Expr, lhs []ast.Expr, open []*pi
 				}
 				if astq.IsErrorType(obj.Type()) {
 					p.errVar = obj
-				} else if p.kind == "partition" && astq.NamedTypeName(obj.Type()) == "Partition" {
+				} else if (p.kind == "page" && j == 0) || (p.kind != "page" && handleKind(obj.Type()) == p.kind) {
 					p.obj = obj
 				}
 			}
@@ -337,7 +380,7 @@ func (w *walker) applyReleaseCall(call *ast.CallExpr, open []*pin) {
 		if id, ok := recv.(*ast.Ident); ok {
 			obj := astq.ObjectOf(w.pass.TypesInfo, id)
 			for _, p := range open {
-				if p.kind == "partition" && !p.released && p.obj != nil && p.obj == obj {
+				if p.kind != "page" && !p.released && p.obj != nil && p.obj == obj {
 					p.released = true
 				}
 			}
@@ -353,7 +396,7 @@ func (w *walker) reportOpenAt(ret *ast.ReturnStmt, open []*pin) {
 		}
 		// No Release/Close anywhere in the function: the end-of-function
 		// "never Released/Closed" report covers it better than one line.
-		if (p.kind == "page" && !w.anyRelease) || (p.kind == "partition" && !w.anyClose) {
+		if (p.kind == "page" && !w.anyRelease) || (p.kind != "page" && !w.anyClose[p.kind]) {
 			continue
 		}
 		pos := w.pass.Fset.Position(ret.Pos())
@@ -362,6 +405,8 @@ func (w *walker) reportOpenAt(ret *ast.ReturnStmt, open []*pin) {
 			w.pass.Reportf(p.pos.Pos(), "page pinned by %s.Get(%s) can reach the return at line %d without Release; add a Release on this path or defer it", p.recv, p.arg, pos.Line)
 		case "partition":
 			w.pass.Reportf(p.pos.Pos(), "Partition acquired here can reach the return at line %d without Close; its reservation would never be returned", pos.Line)
+		case "cursor":
+			w.pass.Reportf(p.pos.Pos(), "cursor opened here can reach the return at line %d without Close; defer the Close right after opening", pos.Line)
 		}
 		p.reported = true
 	}
@@ -389,66 +434,85 @@ func errGuard(pass *analysis.Pass, cond ast.Expr) types.Object {
 	return obj
 }
 
-// isPartitionAcquisition matches calls that mint a Partition handle: a
-// Partition(...) method on a pool-typed receiver, or any call returning a
-// *Partition among its results.
-func isPartitionAcquisition(pass *analysis.Pass, sel *ast.SelectorExpr, call *ast.CallExpr) bool {
+// acquiredHandle returns the kind of handle a call mints: a Partition(...)
+// method on a pool-typed receiver, or any call returning a Partition or a
+// cursor among its results ("" when it mints none).
+func acquiredHandle(pass *analysis.Pass, sel *ast.SelectorExpr, call *ast.CallExpr) string {
 	if sel.Sel.Name == "Partition" && poolTypeNames[astq.ReceiverTypeName(pass.TypesInfo, call)] {
-		return true
+		return "partition"
 	}
 	sig, ok := pass.TypesInfo.TypeOf(call.Fun).(*types.Signature)
 	if !ok {
-		return false
+		return ""
 	}
 	res := sig.Results()
 	for i := 0; i < res.Len(); i++ {
-		if astq.NamedTypeName(res.At(i).Type()) == "Partition" {
-			return true
+		if kind := handleKind(res.At(i).Type()); kind != "" {
+			return kind
 		}
 	}
-	return false
+	return ""
 }
 
-// escapedHandles finds Partition-typed locals whose ownership leaves fd:
-// returned, captured by a func literal, stored into a field/index, or
-// passed as a bare argument to another call.
-func escapedHandles(pass *analysis.Pass, fd *ast.FuncDecl) map[types.Object]bool {
+// escapedHandles finds locals whose ownership leaves the function: a
+// handle that is returned, captured by a func literal or stored into a
+// field/index; a Partition passed as a bare argument to another call (a
+// cursor passed along is only lent); and any variable stored into a
+// field — which is how a pinned page's payload is handed to the cursor
+// slot that will release it.
+func escapedHandles(pass *analysis.Pass, body *ast.BlockStmt) map[types.Object]bool {
 	escaped := make(map[types.Object]bool)
-	mark := func(e ast.Expr) {
+	// mark records every handle named in e — every variable at all when e
+	// is being stored into a field. skipCalls leaves out handles that only
+	// appear as the receiver of a method CALL: `return cur.NeighborIDs(u,
+	// nil)` hands out a row, not the cursor, while the method VALUE in
+	// `return part.Close` does carry the handle away.
+	var mark func(e ast.Node, stored, skipCalls bool)
+	mark = func(e ast.Node, stored, skipCalls bool) {
 		ast.Inspect(e, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if obj := astq.ObjectOf(pass.TypesInfo, id); obj != nil && astq.NamedTypeName(obj.Type()) == "Partition" {
+			switch x := n.(type) {
+			case *ast.CallExpr:
+				if _, recv, ok := astq.MethodCall(x); ok && skipCalls {
+					if _, isIdent := recv.(*ast.Ident); isIdent && handleKind(pass.TypesInfo.TypeOf(recv)) != "" {
+						for _, a := range x.Args {
+							mark(a, stored, skipCalls)
+						}
+						return false
+					}
+				}
+			case *ast.Ident:
+				if obj := astq.ObjectOf(pass.TypesInfo, x); obj != nil && (stored || handleKind(obj.Type()) != "") {
 					escaped[obj] = true
 				}
 			}
 			return true
 		})
 	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.ReturnStmt:
 			for _, r := range x.Results {
-				mark(r)
+				mark(r, false, true)
 			}
 		case *ast.FuncLit:
-			mark(x)
+			mark(x, false, false)
 		case *ast.AssignStmt:
 			for i, lhs := range x.Lhs {
 				switch lhs.(type) {
 				case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
 					if i < len(x.Rhs) {
-						mark(x.Rhs[i])
+						mark(x.Rhs[i], true, false)
 					} else if len(x.Rhs) == 1 {
-						mark(x.Rhs[0])
+						mark(x.Rhs[0], true, false)
 					}
 				}
 			}
 		case *ast.CallExpr:
-			// Passing the handle itself to another function transfers
+			// Passing a Partition itself to another function transfers
 			// responsibility (e.g. wrapping it in a view).
 			for _, a := range x.Args {
 				if id, ok := ast.Unparen(a).(*ast.Ident); ok {
-					if obj := astq.ObjectOf(pass.TypesInfo, id); obj != nil && astq.NamedTypeName(obj.Type()) == "Partition" {
+					if obj := astq.ObjectOf(pass.TypesInfo, id); obj != nil && handleKind(obj.Type()) == "partition" {
 						escaped[obj] = true
 					}
 				}

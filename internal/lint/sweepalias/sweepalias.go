@@ -13,15 +13,17 @@
 // crash. Copying the *elements* out (append(dst, nbrs...), copy, reading
 // values) is always fine; it is retaining the slice header that is not.
 //
-// NeighborsInto / NeighborIDsInto / graph.NeighborIDs results follow the
-// same discipline per the per-goroutine scratch contract: they may alias
-// backend storage, so the analyzer flags callers that store the returned
-// slices anywhere longer-lived than a local variable.
+// NeighborsInto / NeighborIDsInto results and the rows a graph.RowCursor
+// reads (cur.Neighbors, cur.NeighborIDs) follow the same discipline per
+// the per-goroutine scratch contract: they may alias backend storage and
+// are valid only until the next read, so the analyzer flags callers that
+// store the returned slices anywhere longer-lived than a local variable.
 package sweepalias
 
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/astq"
@@ -33,7 +35,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "flags SweepEdges/SweepNeighborIDs callbacks that let the emitted nbrs/w " +
 		"row slices escape the callback (captured-variable assignment, append of " +
 		"the slice header, channel send, struct-field storage), and NeighborsInto/" +
-		"NeighborIDs callers that store the returned slices outside local variables. " +
+		"row-cursor callers that store the returned slices outside local variables. " +
 		"Rows alias block buffers valid only during the callback.",
 	Run: run,
 }
@@ -50,7 +52,14 @@ var sweepMethods = map[string]int{
 var intoCalls = map[string]bool{
 	"NeighborsInto":   true,
 	"NeighborIDsInto": true,
-	"NeighborIDs":     true,
+}
+
+// cursorReads are the row reads of a graph.RowCursor, matched on
+// receivers whose type is named *Cursor (Adjacency.Neighbors, the
+// allocating one-argument read, is a different method).
+var cursorReads = map[string]bool{
+	"Neighbors":   true,
+	"NeighborIDs": true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -96,20 +105,18 @@ func sweepCallbackArg(call *ast.CallExpr) (string, ast.Expr) {
 	return sel.Sel.Name, call.Args[idx]
 }
 
-// intoCallName matches NeighborsInto-family calls (methods or the
-// package-level NeighborIDs helper).
+// intoCallName matches NeighborsInto-family method calls and row-cursor
+// reads.
 func intoCallName(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		if intoCalls[fun.Sel.Name] {
-			return fun.Sel.Name, true
-		}
-	case *ast.Ident:
-		if intoCalls[fun.Name] {
-			if _, isFunc := pass.TypesInfo.Uses[fun].(*types.Func); isFunc {
-				return fun.Name, true
-			}
-		}
+	sel, recv, ok := astq.MethodCall(call)
+	if !ok {
+		return "", false
+	}
+	if intoCalls[sel.Sel.Name] {
+		return sel.Sel.Name, true
+	}
+	if cursorReads[sel.Sel.Name] && strings.HasSuffix(astq.NamedTypeName(pass.TypesInfo.TypeOf(recv)), "Cursor") {
+		return "cursor " + sel.Sel.Name, true
 	}
 	return "", false
 }

@@ -27,9 +27,6 @@ func (c *csr) NeighborsInto(u NodeID, nbrBuf []NodeID, wBuf []float64) ([]NodeID
 
 func (c *csr) NeighborIDsInto(u NodeID, buf []NodeID) []NodeID { return buf }
 
-// NeighborIDs mirrors the graph.NeighborIDs package helper.
-func NeighborIDs(c *csr, u NodeID, buf []NodeID) []NodeID { return c.NeighborIDsInto(u, buf) }
-
 var globalRow []NodeID
 
 func violations(c *csr, ch chan []NodeID) {
@@ -133,11 +130,11 @@ func shardWorkerViolations(c *csr) {
 func intoViolations(c *csr, ch chan []NodeID) {
 	var nbrs []NodeID
 	var ws []float64
-	nbrs, ws = c.NeighborsInto(3, nbrs[:0], ws[:0]) // locals: compliant
-	globalRow = NeighborIDs(c, 4, nil)              // want `NeighborIDs result stored in package-level variable globalRow`
-	c.result, _ = c.NeighborsInto(5, nil, nil)      // want `NeighborsInto result stored through c\.result`
-	ch <- c.NeighborIDsInto(6, nil)                 // want `NeighborIDsInto result sent on a channel`
-	c.keep = append(c.keep, NeighborIDs(c, 7, nil)) // want `NeighborIDs result appended as a slice header`
+	nbrs, ws = c.NeighborsInto(3, nbrs[:0], ws[:0])    // locals: compliant
+	globalRow = c.NeighborIDsInto(4, nil)              // want `NeighborIDsInto result stored in package-level variable globalRow`
+	c.result, _ = c.NeighborsInto(5, nil, nil)         // want `NeighborsInto result stored through c\.result`
+	ch <- c.NeighborIDsInto(6, nil)                    // want `NeighborIDsInto result sent on a channel`
+	c.keep = append(c.keep, c.NeighborIDsInto(7, nil)) // want `NeighborIDsInto result appended as a slice header`
 	_ = nbrs
 	_ = ws
 }

@@ -38,8 +38,14 @@ type HotRange struct {
 // through: the shared BufferPool itself, or a Partition view of it whose
 // pins are accounted against a per-query reservation.
 type PagePool interface {
-	// Get returns the payload of page id, pinned until Release.
+	// Get returns the payload of page id, pinned until Release. It may
+	// wait for a frame, so the caller must hold no other pin (see
+	// BufferPool.Get).
 	Get(id PageID) ([]byte, error)
+	// TryGet is Get that never waits: ok=false (nothing pinned) when the
+	// page is not resident and no frame can be freed right now. It is the
+	// only way to take a pin while holding another.
+	TryGet(id PageID) (data []byte, ok bool, err error)
 	// Release unpins page id.
 	Release(id PageID)
 }
@@ -56,10 +62,9 @@ type frame struct {
 	owner *Partition
 	// Intrusive LRU links, valid only while inLRU (the frame is unpinned
 	// and evictable). Intrusive rather than container/list so the hottest
-	// pool operations — hit, pin, release — allocate nothing: the paged
-	// kernels call Get/Release once per page per node visit, and a
+	// pool operations — hit, pin, release — allocate nothing: a
 	// list.Element allocation per release was the last per-call garbage on
-	// the zero-alloc NeighborsInto path.
+	// the zero-alloc row-read path.
 	prev, next *frame
 	inLRU      bool
 }
@@ -72,11 +77,12 @@ type frame struct {
 // pages outside the current working set (experiment E10).
 //
 // Two contracts here are machine-checked by `make lint` (cmd/gminevet):
-// every Get must have a Release reachable on all paths and every Partition
-// a Close (the pinpair analyzer), and the warm Get/Release path itself is
-// annotated //gmine:hotpath, so the hotalloc analyzer rejects new
-// allocation in it — the intrusive LRU exists precisely to keep that path
-// at zero allocations.
+// every Get/TryGet must have a Release reachable on all paths (or hand
+// the pin to a cursor struct that owns it), every Partition a Close and
+// every opened cursor a Close (the pinpair analyzer), and the warm
+// Get/Release path itself is annotated //gmine:hotpath, so the hotalloc
+// analyzer rejects new allocation in it — the intrusive LRU exists
+// precisely to keep that path at zero allocations.
 type BufferPool struct {
 	mu     sync.Mutex
 	cond   *sync.Cond // signaled when a frame becomes unpinned or protection lapses
@@ -231,23 +237,36 @@ func evictableBy(fr *frame, requester *Partition) bool {
 // for a Release instead of failing, so a pool smaller than the momentary
 // reader count degrades to serialized paging rather than spurious I/O
 // errors (e.g. a tiny -pool with a wide extraction worker fan-out). The
-// waiting is deadlock-free as long as no caller holds a pin while
-// requesting another page — every reader in this repo (blob, run, leaf)
-// pins exactly one page at a time and releases it before the next Get;
-// keep it that way. (Partition reservations cannot starve a waiter either:
-// reserved ≤ cap-1, so once pins drain at least one frame is always
-// evictable by anyone.)
+// waiting is deadlock-free under one rule: never WAIT while pinned. A
+// goroutine may call Get only while it holds no pin; a reader that keeps
+// pages pinned across reads (RunCursor) takes further pins with TryGet,
+// and when that reports it would have to wait, releases everything it
+// holds before calling Get. The copy-out readers (blob, run, leaf) pin
+// one page at a time and release it before the next Get. (Partition
+// reservations cannot starve a waiter either: reserved ≤ cap-1, so once
+// the pin holders move on at least one frame is evictable by anyone.)
 //
 //gmine:hotpath
 func (bp *BufferPool) Get(id PageID) ([]byte, error) {
-	return bp.get(id, nil)
+	data, _, err := bp.get(id, nil, true)
+	return data, err
 }
 
-// get is Get on behalf of requester (nil = the shared remainder). Hits and
-// loads are attributed to the requester's counters and reservation.
+// TryGet pins page id like Get but never waits: when the page is not
+// resident and every frame is pinned or protected it returns ok=false
+// with nothing pinned and no counter touched.
 //
 //gmine:hotpath
-func (bp *BufferPool) get(id PageID, requester *Partition) ([]byte, error) {
+func (bp *BufferPool) TryGet(id PageID) ([]byte, bool, error) {
+	return bp.get(id, nil, false)
+}
+
+// get is Get (wait) or TryGet (!wait) on behalf of requester (nil = the
+// shared remainder). Hits and loads are attributed to the requester's
+// counters and reservation.
+//
+//gmine:hotpath
+func (bp *BufferPool) get(id PageID, requester *Partition, wait bool) ([]byte, bool, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	if requester != nil && requester.closed {
@@ -255,9 +274,9 @@ func (bp *BufferPool) get(id PageID, requester *Partition) ([]byte, error) {
 		// frames to a dead reservation; serve it from the shared remainder.
 		requester = nil
 	}
-	bp.recordHeat(id, requester)
 	for {
 		if fr, ok := bp.frames[id]; ok {
+			bp.recordHeat(id, requester)
 			bp.stats.Hits++
 			if requester != nil {
 				requester.stats.Hits++
@@ -271,7 +290,7 @@ func (bp *BufferPool) get(id PageID, requester *Partition) ([]byte, error) {
 			}
 			fr.pins++
 			bp.lruRemove(fr)
-			return fr.data, nil
+			return fr.data, true, nil
 		}
 		if len(bp.frames) < bp.cap {
 			break
@@ -298,18 +317,22 @@ func (bp *BufferPool) get(id PageID, requester *Partition) ([]byte, error) {
 		if evicted {
 			continue
 		}
+		if !wait {
+			return nil, false, nil
+		}
 		// Every frame is pinned or protected: wait for a Release (or a
 		// Partition.Close lifting protection), then re-check from scratch
 		// (the wanted page may have been loaded meanwhile).
 		bp.cond.Wait()
 	}
+	bp.recordHeat(id, requester)
 	bp.stats.Misses++
 	if requester != nil {
 		requester.stats.Misses++
 	}
 	data, err := bp.pager.ReadPage(id)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	//lint:ignore hotalloc miss path: the frame allocation is paid once per page load, never on the warm hit path the zero-alloc guard covers
 	fr := &frame{id: id, data: data, pins: 1}
@@ -318,7 +341,7 @@ func (bp *BufferPool) get(id PageID, requester *Partition) ([]byte, error) {
 		requester.held++
 	}
 	bp.frames[id] = fr
-	return fr.data, nil
+	return fr.data, true, nil
 }
 
 // Release unpins page id. Fully unpinned pages become evictable (most
@@ -444,7 +467,15 @@ func (bp *BufferPool) Partition(frames int) *Partition {
 //
 //gmine:hotpath
 func (p *Partition) Get(id PageID) ([]byte, error) {
-	return p.bp.get(id, p)
+	data, _, err := p.bp.get(id, p, true)
+	return data, err
+}
+
+// TryGet is the non-waiting Get through the partition (PagePool).
+//
+//gmine:hotpath
+func (p *Partition) TryGet(id PageID) ([]byte, bool, error) {
+	return p.bp.get(id, p, false)
 }
 
 // Release unpins page id (PagePool).

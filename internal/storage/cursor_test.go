@@ -1,0 +1,237 @@
+package storage
+
+import (
+	"bytes"
+	"errors"
+	"path/filepath"
+	"sync"
+	"testing"
+	"time"
+)
+
+// TestTryGetNeverWaits: TryGet pins like Get when the page is resident or
+// a frame can be freed, and reports ok=false — pinning nothing, touching
+// no counter and no heat — exactly when Get would have waited.
+func TestTryGetNeverWaits(t *testing.T) {
+	bp, ids := partitionFile(t, 4, 2)
+	a, ok, err := bp.TryGet(ids[0]) // free frame: loads
+	if err != nil || !ok || a[0] != 0 {
+		t.Fatalf("TryGet into a free frame: ok=%v err=%v", ok, err)
+	}
+	if _, ok, _ := bp.TryGet(ids[0]); !ok { // resident: second pin
+		t.Fatal("TryGet of a resident page refused")
+	}
+	bp.Release(ids[0])
+	if _, err := bp.Get(ids[1]); err != nil { // pool now full, both pinned
+		t.Fatal(err)
+	}
+	before, hot := bp.Stats(), bp.HotRanges(4)
+	if data, ok, err := bp.TryGet(ids[2]); ok || err != nil || data != nil {
+		t.Fatalf("TryGet with every frame pinned: data=%v ok=%v err=%v, want a refusal", data, ok, err)
+	}
+	if after := bp.Stats(); after != before {
+		t.Fatalf("refused TryGet moved the counters: %+v -> %+v", before, after)
+	}
+	if now := bp.HotRanges(4); len(now) != len(hot) || now[0].Score != hot[0].Score {
+		t.Fatalf("refused TryGet recorded heat: %v -> %v", hot, now)
+	}
+	if pins := bp.PinnedFrames(); pins != 2 {
+		t.Fatalf("%d frames pinned, want 2", pins)
+	}
+	bp.Release(ids[1]) // one frame evictable again
+	if _, ok, err := bp.TryGet(ids[2]); !ok || err != nil {
+		t.Fatalf("TryGet with an evictable frame: ok=%v err=%v", ok, err)
+	}
+	bp.Release(ids[2])
+	bp.Release(ids[0])
+	if pins := bp.PinnedFrames(); pins != 0 {
+		t.Fatalf("%d frames still pinned", pins)
+	}
+
+	// Through a partition: another partition's protected frames are not
+	// evictable, so TryGet refuses where Get would wait for a Close.
+	bp2, ids2 := partitionFile(t, 4, 2)
+	owner, guest := bp2.Partition(1), bp2.Partition(0)
+	touch(t, owner, ids2[0]) // owner holds its one reserved frame, unpinned
+	if _, err := guest.Get(ids2[1]); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := guest.TryGet(ids2[2]); ok {
+		t.Fatal("TryGet evicted a frame protected by another partition's quota")
+	}
+	owner.Close() // protection lapses
+	if _, ok, _ := guest.TryGet(ids2[2]); !ok {
+		t.Fatal("TryGet refused after the protecting partition closed")
+	}
+	guest.Release(ids2[1])
+	guest.Release(ids2[2])
+	guest.Close()
+}
+
+// cursorRunsFile writes three runs shaped like a small CSR (4-byte
+// offsets, 4-byte ids, 8-byte weights) and returns readers over them.
+func cursorRunsFile(t *testing.T, capacity int) (*BufferPool, [3]*RunReader, [3][]byte) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "cur.gmine")
+	p, err := Create(path, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	shapes := [3][2]int{{4, 301}, {4, 900}, {8, 900}}
+	var firsts [3]PageID
+	var data [3][]byte
+	for i, sh := range shapes {
+		data[i] = make([]byte, sh[0]*sh[1])
+		for j := range data[i] {
+			data[i][j] = byte(i*53 + j*7)
+		}
+		if firsts[i], err = WriteRun(p, data[i], sh[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pool := NewBufferPool(p, capacity)
+	var runs [3]*RunReader
+	for i, sh := range shapes {
+		if runs[i], err = NewRunReader(pool, firsts[i], sh[0], sh[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return pool, runs, data
+}
+
+// readSpan reads elements [lo,hi) of run k through the cursor, span by
+// span, the way a row decoder does.
+func readSpan(t *testing.T, c *RunCursor, k, stride, lo, hi int) []byte {
+	t.Helper()
+	var out []byte
+	for lo < hi {
+		b, n, err := c.Span(k, lo, hi)
+		if err != nil {
+			t.Fatalf("run %d [%d,%d): %v", k, lo, hi, err)
+		}
+		if n < 1 || n > hi-lo || len(b) != n*stride {
+			t.Fatalf("run %d [%d,%d): span of %d elements, %d bytes", k, lo, hi, n, len(b))
+		}
+		out = append(out, b...)
+		lo += n
+	}
+	return out
+}
+
+// TestRunCursorSpansAndStickyPins: spans reproduce the run bytes for
+// ranges inside a page and across pages; an in-order walk pins each page
+// once, not once per read; ranges outside the run are RangeErrors that
+// touch no page; Close drops every pin and is idempotent.
+func TestRunCursorSpansAndStickyPins(t *testing.T) {
+	pool, runs, data := cursorRunsFile(t, 64)
+	var c RunCursor
+	c.Open(runs[0], runs[1], runs[2])
+	strides := [3]int{4, 4, 8}
+	counts := [3]int{301, 900, 900}
+	for k := range runs {
+		for lo := 0; lo < counts[k]; lo += 37 {
+			hi := lo + 1 + (lo*13)%150
+			if hi > counts[k] {
+				hi = counts[k]
+			}
+			got := readSpan(t, &c, k, strides[k], lo, hi)
+			if !bytes.Equal(got, data[k][lo*strides[k]:hi*strides[k]]) {
+				t.Fatalf("run %d [%d,%d): bytes differ", k, lo, hi)
+			}
+		}
+	}
+	if held := pool.PinnedFrames(); held != 3 {
+		t.Fatalf("cursor holds %d pins mid-walk, want one per run", held)
+	}
+	c.Close()
+
+	// Ascending single-element reads over all three runs: one pin per page.
+	pool.ResetStats()
+	c.Open(runs[0], runs[1], runs[2])
+	reads := 0
+	for i := 0; i < 900; i++ {
+		if i < 301 {
+			readSpan(t, &c, 0, 4, i, i+1)
+			reads++
+		}
+		readSpan(t, &c, 1, 4, i, i+1)
+		readSpan(t, &c, 2, 8, i, i+1)
+		reads += 2
+	}
+	pages := runs[0].Pages() + runs[1].Pages() + runs[2].Pages()
+	st := pool.Stats()
+	if gets := int(st.Hits + st.Misses); gets != pages {
+		t.Fatalf("%d reads cost %d pool pins, want one per page (%d)", reads, gets, pages)
+	}
+	if pins := c.Close(); pins != pages {
+		t.Fatalf("Close reported %d pins, want %d", pins, pages)
+	}
+	if pins := c.Close(); pins != 0 {
+		t.Fatalf("second Close reported %d pins", pins)
+	}
+	if held := pool.PinnedFrames(); held != 0 {
+		t.Fatalf("%d frames pinned after Close", held)
+	}
+
+	// Out-of-run ranges: typed error, pool untouched.
+	pool.ResetStats()
+	for _, r := range [][2]int{{-1, 2}, {5, 5}, {7, 3}, {0, 302}, {301, 302}} {
+		_, _, err := c.Span(0, r[0], r[1])
+		var re *RangeError
+		if !errors.As(err, &re) || re.Count != 301 {
+			t.Fatalf("Span(0, %d, %d) = %v, want a RangeError", r[0], r[1], err)
+		}
+	}
+	if st := pool.Stats(); st.Hits+st.Misses != 0 {
+		t.Fatal("rejected spans touched the pool")
+	}
+}
+
+// TestRunCursorsNeverWaitWhilePinned: more cursors than frames. Each
+// cursor wants three pages pinned at once and the pool has one or two
+// frames, so every other pin would have to wait; the cursors drop what
+// they hold first and the walks serialize instead of deadlocking.
+func TestRunCursorsNeverWaitWhilePinned(t *testing.T) {
+	for _, capacity := range []int{1, 2} {
+		pool, runs, data := cursorRunsFile(t, capacity)
+		const workers = 6
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				var c RunCursor
+				c.Open(runs[0], runs[1], runs[2])
+				defer c.Close()
+				for i := w; i < 900; i += 3 {
+					for k, stride := range [3]int{4, 4, 8} {
+						j := i
+						if k == 0 {
+							j = i % 301
+						}
+						b, _, err := c.Span(k, j, j+1)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if !bytes.Equal(b, data[k][j*stride:(j+1)*stride]) {
+							t.Errorf("capacity %d worker %d: run %d element %d differs", capacity, w, k, j)
+							return
+						}
+					}
+				}
+			}(w)
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(time.Minute):
+			t.Fatalf("capacity %d: cursors deadlocked", capacity)
+		}
+		if held := pool.PinnedFrames(); held != 0 {
+			t.Fatalf("capacity %d: %d frames still pinned", capacity, held)
+		}
+	}
+}

@@ -200,3 +200,121 @@ func (r *RunReader) Read(lo, hi int, dst []byte) error {
 	}
 	return nil
 }
+
+// cursorRuns is how many runs one RunCursor spans: the three arrays of a
+// persisted CSR (offsets, ids, weights) are the only runs read row by row.
+const cursorRuns = 3
+
+// RunCursor reads element spans of up to cursorRuns runs for ONE goroutine
+// and, unlike RunReader.Read, keeps the last page it touched in each run
+// pinned between reads. A caller that walks a run roughly in order — the
+// key-path DP reads node rows in ascending id, and a page holds a hundred
+// of them — then pays the buffer pool one pin per page instead of one per
+// read, and decodes straight from the pinned frame with no copy-out.
+//
+// Holding pins across reads is only deadlock-free under the pool's rule
+// (BufferPool.Get): never wait while pinned. The cursor takes every pin
+// with TryGet; when that would have to wait it first releases every page
+// it holds, in all runs, and only then calls the waiting Get. A pool
+// smaller than the number of open cursors therefore degrades to
+// serialized paging — cursors keep trading frames — never to a deadlock.
+// The same rule binds the caller: between Open and Close the goroutine
+// must not read the pool any other way (sweeps, blobs, RunReader.Read).
+//
+// The zero value is closed; Open it, and Close it on every path (the
+// pinpair analyzer checks). A RunCursor may live on the stack.
+type RunCursor struct {
+	slots [cursorRuns]cursorSlot
+	pins  int
+}
+
+// cursorSlot is one run of a cursor and the page it holds pinned, if any.
+type cursorSlot struct {
+	r    *RunReader
+	page PageID
+	data []byte // the pinned frame's payload; nil = no pin held
+}
+
+// Open binds the cursor to runs (at most cursorRuns; Span addresses them
+// by position). Nothing is pinned until the first Span.
+func (c *RunCursor) Open(runs ...*RunReader) {
+	*c = RunCursor{}
+	for i, r := range runs {
+		c.slots[i].r = r
+	}
+}
+
+// Span returns the bytes of elements [lo, lo+n) of run k, where n >= 1 is
+// as many of [lo,hi) as lie on lo's page. The bytes are the pinned pool
+// frame: read-only, and valid only until the next Span or Close on this
+// cursor (a Span on another run may have to drop this run's pin). A range
+// outside the run fails with a *RangeError before any page is touched,
+// exactly like RunReader.Read.
+//
+//gmine:hotpath
+func (c *RunCursor) Span(k, lo, hi int) (b []byte, n int, err error) {
+	s := &c.slots[k]
+	r := s.r
+	if lo < 0 || hi <= lo || hi > r.count {
+		return nil, 0, &RangeError{Lo: lo, Hi: hi, Count: r.count}
+	}
+	pg := r.first + PageID(lo/r.perPage)
+	if s.data == nil || s.page != pg {
+		if err := c.pin(s, pg); err != nil {
+			return nil, 0, err
+		}
+	}
+	off := lo % r.perPage
+	n = r.perPage - off
+	if n > hi-lo {
+		n = hi - lo
+	}
+	return s.data[off*r.stride : (off+n)*r.stride], n, nil
+}
+
+// pin moves slot s to page pg without ever waiting while pinned.
+//
+//gmine:hotpath
+func (c *RunCursor) pin(s *cursorSlot, pg PageID) error {
+	pool := s.r.pool
+	if s.data != nil {
+		pool.Release(s.page)
+		s.data = nil
+	}
+	data, ok, err := pool.TryGet(pg)
+	if err != nil {
+		return err
+	}
+	if !ok {
+		c.release()
+		if data, err = pool.Get(pg); err != nil {
+			return err
+		}
+	}
+	c.pins++
+	s.page, s.data = pg, data
+	return nil
+}
+
+// release unpins every page the cursor holds.
+//
+//gmine:hotpath
+func (c *RunCursor) release() {
+	for i := range c.slots {
+		if s := &c.slots[i]; s.data != nil {
+			s.r.pool.Release(s.page)
+			s.data = nil
+		}
+	}
+}
+
+// Close unpins every page the cursor holds and returns how many pool pins
+// it took since Open or the previous Close. The cursor stays bound to its
+// runs and may be read again (it re-pins on demand); Close is idempotent.
+//
+//gmine:hotpath
+func (c *RunCursor) Close() (pins int) {
+	c.release()
+	pins, c.pins = c.pins, 0
+	return pins
+}
