@@ -22,6 +22,7 @@ import (
 	gmine "repro"
 	"repro/internal/experiments"
 	"repro/internal/obs"
+	"repro/internal/storage"
 )
 
 const (
@@ -804,6 +805,53 @@ func BenchmarkKeyPathPagedCursor(b *testing.B) {
 			run(b, disk)
 		})
 	}
+}
+
+// BenchmarkPoolMiss measures the buffer pool's miss path alone: the bench
+// G-Tree file read through a 16-frame pool (file ≫ pool), every worker
+// walking its own slice of the pages round-robin so each Get evicts a
+// frame and loads a page and nothing ever hits. /Serial is the cost of
+// one miss (B/op and allocs/op are the point: a load reuses the victim's
+// frame and buffer); /Parallel4 is four goroutines missing on disjoint
+// pages at once, which the pool lock used to serialize around the read.
+func BenchmarkPoolMiss(b *testing.B) {
+	setup(b)
+	run := func(b *testing.B, workers int) {
+		p, err := storage.Open(benchTree, true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer p.Close()
+		bp := storage.NewBufferPool(p, 16)
+		span := (int(p.NumPages()) - 1) / workers // data pages per worker; page 0 is the superblock
+		if span < 32 {
+			b.Fatalf("bench file has %d pages: too small to always miss", p.NumPages())
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for k := g; k < b.N; k += workers {
+					id := storage.PageID(1 + g*span + (k/workers)%span)
+					if _, err := bp.Get(id); err != nil {
+						b.Error(err)
+						return
+					}
+					bp.Release(id)
+				}
+			}(g)
+		}
+		wg.Wait()
+		b.StopTimer()
+		if st := bp.Stats(); st.Hits != 0 {
+			b.Fatalf("%d hits: not a pure miss workload", st.Hits)
+		}
+	}
+	b.Run("Serial", func(b *testing.B) { run(b, 1) })
+	b.Run("Parallel4", func(b *testing.B) { run(b, 4) })
 }
 
 // zipfSources returns a deterministic generator of 3-source extraction

@@ -20,6 +20,12 @@
 // restricts the check to benchmark names matching a regexp. Benchmarks
 // present on only one side are reported but never fail the gate (the
 // suite grows over time), and improvements are listed for the log.
+//
+// Every report carries the environment that produced it (CPU count,
+// GOMAXPROCS, Go version, commit), and -compare refuses — exit code 3,
+// distinct from a regression's 1 — to diff two reports whose machines
+// differ: a 1-core point against a 2-core point says nothing about the
+// code.
 package main
 
 import (
@@ -28,7 +34,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -49,13 +57,61 @@ type Benchmark struct {
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
+// Fingerprint says what produced a report's numbers (the fields bench/'s
+// own reports carry; goos, goarch and the CPU model are already on the
+// Report, parsed from the `go test` stream). convert runs right after the
+// benchmarks on the same box with the same toolchain (`make bench-json`),
+// so its own runtime describes theirs.
+type Fingerprint struct {
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	GitCommit  string `json:"git_commit"`
+}
+
+func newFingerprint() *Fingerprint {
+	commit := "none"
+	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
+		commit = strings.TrimSpace(string(out))
+	}
+	return &Fingerprint{
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+		GitCommit:  commit,
+	}
+}
+
 // Report is the document written to stdout.
 type Report struct {
-	GoOS       string      `json:"goos,omitempty"`
-	GoArch     string      `json:"goarch,omitempty"`
-	Pkg        string      `json:"pkg,omitempty"`
-	CPU        string      `json:"cpu,omitempty"`
-	Benchmarks []Benchmark `json:"benchmarks"`
+	Env        *Fingerprint `json:"env,omitempty"`
+	GoOS       string       `json:"goos,omitempty"`
+	GoArch     string       `json:"goarch,omitempty"`
+	Pkg        string       `json:"pkg,omitempty"`
+	CPU        string       `json:"cpu,omitempty"`
+	Benchmarks []Benchmark  `json:"benchmarks"`
+}
+
+// machineMismatch names the first way in which two reports' machines
+// differ, "" when their numbers are comparable. The commit is provenance,
+// not machine: comparing two commits is the point. Two reports that both
+// predate the fingerprint compare as before; one that has it against one
+// that does not is refused.
+func machineMismatch(oldRep, newRep Report) string {
+	if (oldRep.Env == nil) != (newRep.Env == nil) {
+		return "only one report carries an environment fingerprint"
+	}
+	machine := func(r Report) string {
+		s := fmt.Sprintf("%s/%s %q", r.GoOS, r.GoArch, r.CPU)
+		if e := r.Env; e != nil {
+			s += fmt.Sprintf(" %d CPUs GOMAXPROCS=%d %s", e.NumCPU, e.GOMAXPROCS, e.GoVersion)
+		}
+		return s
+	}
+	if o, n := machine(oldRep), machine(newRep); o != n {
+		return o + " vs " + n
+	}
+	return ""
 }
 
 func main() {
@@ -93,7 +149,8 @@ func main() {
 }
 
 // runCompare loads both reports and prints the verdict; returns the
-// process exit code (0 ok, 1 regression, 2 usage/IO error).
+// process exit code (0 ok, 1 regression, 2 usage/IO error, 3 reports from
+// different machines).
 func runCompare(oldPath, newPath string, tolerance float64, match string) int {
 	if tolerance <= 0 {
 		fmt.Fprintf(os.Stderr, "benchjson: tolerance %g must be positive\n", tolerance)
@@ -116,6 +173,10 @@ func runCompare(oldPath, newPath string, tolerance float64, match string) int {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		return 2
+	}
+	if diff := machineMismatch(oldRep, newRep); diff != "" {
+		fmt.Printf("benchjson: %s and %s are not comparable: %s\n", oldPath, newPath, diff)
+		return 3
 	}
 	res := compareReports(oldRep, newRep, tolerance, re)
 	for _, l := range res.Notes {
@@ -200,7 +261,7 @@ func compareReports(oldRep, newRep Report, tolerance float64, match *regexp.Rege
 
 // convert is the original stdin->JSON mode.
 func convert() {
-	rep := Report{Benchmarks: []Benchmark{}}
+	rep := Report{Env: newFingerprint(), Benchmarks: []Benchmark{}}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {

@@ -73,3 +73,32 @@ func TestParseLine(t *testing.T) {
 		t.Fatal("non-benchmark line parsed")
 	}
 }
+
+// TestMachineMismatch: reports compare only when produced on the same
+// machine and toolchain; the commit may differ, that is what is compared.
+func TestMachineMismatch(t *testing.T) {
+	rep := func(cpus, procs int, goVersion, commit string) Report {
+		return Report{GoOS: "linux", GoArch: "amd64", CPU: "Xeon",
+			Env: &Fingerprint{NumCPU: cpus, GOMAXPROCS: procs, GoVersion: goVersion, GitCommit: commit}}
+	}
+	base := rep(2, 2, "go1.24.0", "aaa")
+	if diff := machineMismatch(base, rep(2, 2, "go1.24.0", "bbb")); diff != "" {
+		t.Fatalf("same machine, different commit refused: %s", diff)
+	}
+	if diff := machineMismatch(Report{CPU: "Xeon"}, Report{CPU: "Xeon"}); diff != "" {
+		t.Fatalf("two pre-fingerprint reports refused: %s", diff)
+	}
+	other := base
+	other.CPU = "EPYC"
+	for name, r := range map[string]Report{
+		"1-core vs 2-core": rep(1, 1, "go1.24.0", "aaa"),
+		"GOMAXPROCS":       rep(2, 1, "go1.24.0", "aaa"),
+		"Go version":       rep(2, 2, "go1.25.1", "aaa"),
+		"CPU model":        other,
+		"no fingerprint":   {GoOS: "linux", GoArch: "amd64", CPU: "Xeon"},
+	} {
+		if machineMismatch(base, r) == "" {
+			t.Errorf("%s: compared as the same machine", name)
+		}
+	}
+}

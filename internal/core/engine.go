@@ -286,6 +286,7 @@ func (e *Engine) queryAdj(ctx context.Context, tr *obs.Trace) (graph.Adjacency, 
 				tr.Count("pool.hits", int64(st.Hits))
 				tr.Count("pool.misses", int64(st.Misses))
 				tr.Count("pool.evictions", int64(st.Evictions))
+				tr.Count("pool.load_waits", int64(st.LoadWaits))
 				tr.Count("pool.quota", int64(st.Quota))
 				tr.Count("pool.held", int64(st.Held))
 				tr.Count("pool.faults", int64(view.Faults()-faults0))

@@ -135,9 +135,12 @@ func TestChaosSoakBitIdentityUnderTransientFaults(t *testing.T) {
 	}
 	wg.Wait()
 	close(errc)
-	// At 2% per-read fault rate the odds of readAttempts consecutive
-	// injected faults on one read are ~1.6e-7 — any query error here is a
-	// real bug, not bad luck.
+	// Rate injection is transient by construction: the injector follows
+	// readAttempts-1 consecutive faults at one offset with a clean read,
+	// so no page load can exhaust its retry budget. (Independent draws
+	// would not do: 0.02^4 = 1.6e-7 per read, times the ~1.1 M eligible
+	// reads of this soak, is a ~17% chance per run of a spurious permanent
+	// fault.) Any query error here is a real bug, not bad luck.
 	for err := range errc {
 		t.Errorf("query failed under transient chaos: %v", err)
 	}

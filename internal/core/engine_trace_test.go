@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/analysis"
@@ -87,6 +88,57 @@ func TestExtractTracePinsMatchPoolCounters(t *testing.T) {
 		if !names[want] {
 			t.Errorf("trace missing stage %q (have %v)", want, names)
 		}
+	}
+}
+
+// TestExtractTraceLoadWaits: a trace says how often its query waited on
+// another query's in-flight load of a page (pool.load_waits, read once at
+// release beside pool.pins). Four concurrent extractions over the same
+// pages may wait on each other any number of times, but warm-up aside
+// every pin goes through a query partition, so the traces' counts add up
+// to the pool's own counter exactly.
+func TestExtractTraceLoadWaits(t *testing.T) {
+	eng := tracedDiskEngine(t)
+	sources := []graph.NodeID{1, 5}
+	opts := extract.Options{Budget: 10}
+	if _, err := eng.Extract(sources, opts); err != nil { // warm labels + wdeg
+		t.Fatal(err)
+	}
+	before := eng.Store().PoolInfo()
+	traces := make([]*obs.Trace, 4)
+	var wg sync.WaitGroup
+	for i := range traces {
+		traces[i] = obs.NewTrace("test-req")
+		wg.Add(1)
+		go func(tr *obs.Trace) {
+			defer wg.Done()
+			if _, err := eng.ExtractTraced(context.Background(), tr, sources, opts); err != nil {
+				t.Error(err)
+			}
+		}(traces[i])
+	}
+	wg.Wait()
+	after := eng.Store().PoolInfo()
+	var waits, pins int64
+	for _, tr := range traces {
+		reported := false
+		for _, c := range tr.Counts() {
+			reported = reported || c.Name == "pool.load_waits"
+		}
+		if !reported {
+			t.Fatal("trace carries no pool.load_waits count")
+		}
+		if w, h := tr.CountValue("pool.load_waits"), tr.CountValue("pool.hits"); w > h {
+			t.Errorf("%d load waits among %d hits: every wait is a hit", w, h)
+		}
+		waits += tr.CountValue("pool.load_waits")
+		pins += tr.CountValue("pool.pins")
+	}
+	if want := int64(after.LoadWaits - before.LoadWaits); waits != want {
+		t.Errorf("traces report %d load waits, pool counter moved %d", waits, want)
+	}
+	if want := int64((after.Hits + after.Misses) - (before.Hits + before.Misses)); pins != want {
+		t.Errorf("traces report %d pins, pool counter moved %d", pins, want)
 	}
 }
 

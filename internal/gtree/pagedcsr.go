@@ -34,6 +34,14 @@ var ErrPagedRead = errors.New("gtree: paged read fault")
 // the paper's single-file claim carried to whole-graph mining: the engine
 // pages the graph, it never loads it.
 //
+// No frame byte outlives its pin. The pool recycles frames in place (see
+// storage.BufferPool.Get: the next page loaded into a frame overwrites
+// the buffer), so every read path here either copies out under the pin —
+// storage.RunReader.Read for sweep windows, EdgeOffset, NodeWeight and
+// tiered promotion; storage.ReadBlob for leaves and labels — or, in the
+// row cursor, decodes into the caller's buffers before the cursor moves
+// the pin. Nothing a caller receives aliases the pool.
+//
 // Values round-trip the file verbatim (same int32 ids, same float64
 // bits, same neighbor order as the in-memory CSR the file was saved
 // from), so every kernel produces bit-identical results on either

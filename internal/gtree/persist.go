@@ -695,6 +695,7 @@ type PoolInfo struct {
 	Hits       uint64
 	Misses     uint64
 	Evictions  uint64
+	LoadWaits  uint64 // Gets that waited on another goroutine's load of their page
 	Capacity   int
 	Resident   int
 	Reserved   int
@@ -716,6 +717,7 @@ func (s *Store) PoolInfo() PoolInfo {
 		Hits:       st.Hits,
 		Misses:     st.Misses,
 		Evictions:  st.Evictions,
+		LoadWaits:  st.LoadWaits,
 		Capacity:   s.pool.Capacity(),
 		Resident:   s.pool.Resident(),
 		Reserved:   s.pool.Reserved(),

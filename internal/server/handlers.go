@@ -182,6 +182,9 @@ type PoolInfo struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
+	// LoadWaits counts page requests that waited for another query's
+	// in-flight load of the same page instead of reading it again.
+	LoadWaits uint64 `json:"loadWaits"`
 	Capacity  int    `json:"capacity"`
 	Resident  int    `json:"resident"`
 	Reserved  int    `json:"reserved"`
@@ -213,6 +216,7 @@ type PartitionInfo struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
+	LoadWaits uint64 `json:"loadWaits"`
 }
 
 // poolInfoFrom converts a store's pool snapshot to the wire form.
@@ -222,6 +226,7 @@ func poolInfoFrom(st *gtree.Store) *PoolInfo {
 		Hits:         pi.Hits,
 		Misses:       pi.Misses,
 		Evictions:    pi.Evictions,
+		LoadWaits:    pi.LoadWaits,
 		Capacity:     pi.Capacity,
 		Resident:     pi.Resident,
 		Reserved:     pi.Reserved,
@@ -234,7 +239,7 @@ func poolInfoFrom(st *gtree.Store) *PoolInfo {
 	for _, p := range pi.Partitions {
 		out.Partitions = append(out.Partitions, PartitionInfo{
 			Quota: p.Quota, Held: p.Held,
-			Hits: p.Hits, Misses: p.Misses, Evictions: p.Evictions,
+			Hits: p.Hits, Misses: p.Misses, Evictions: p.Evictions, LoadWaits: p.LoadWaits,
 		})
 	}
 	return out

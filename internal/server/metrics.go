@@ -175,6 +175,11 @@ func newServerMetrics(s *Server) *serverMetrics {
 				}
 			}
 		})
+	reg.Collect("gmine_pool_load_waits_total",
+		"Page requests that waited on another reader's in-flight load of the same page, by session.",
+		"counter", poolLabels, func(emit func(v float64, labelVals ...string)) {
+			eachPool(emit, func(pi *PoolInfo) float64 { return float64(pi.LoadWaits) })
+		})
 
 	// Circuit breaker state per session: 0 closed, 1 open, 2 half-open.
 	eachBreaker := func(each func(name string, state int, opens uint64)) {

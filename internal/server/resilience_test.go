@@ -354,4 +354,7 @@ func TestChaosWrappedServer(t *testing.T) {
 	if !strings.Contains(string(body), `gmine_pool_read_retries_total{session="disk",op="healed"}`) {
 		t.Errorf("metrics miss retry family:\n%s", grepLines(string(body), "retries"))
 	}
+	if !strings.Contains(string(body), `gmine_pool_load_waits_total{session="disk"}`) {
+		t.Errorf("metrics miss the load-wait counter:\n%s", grepLines(string(body), "gmine_pool_"))
+	}
 }

@@ -83,7 +83,8 @@ func blobLen(p *Pager, id PageID, header uint32) (int, error) {
 }
 
 // ReadBlob reads the blob starting at page id through the buffer pool.
-// Pages are pinned only for the duration of the copy.
+// Pages are pinned only for the duration of the copy; the result is the
+// caller's own and shares nothing with the pool's frames.
 func ReadBlob(bp *BufferPool, id PageID) ([]byte, error) {
 	payload := bp.pager.PayloadSize()
 	pg, err := bp.Get(id)

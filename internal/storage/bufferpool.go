@@ -10,6 +10,18 @@ type Stats struct {
 	Hits      uint64
 	Misses    uint64
 	Evictions uint64
+	// LoadWaits counts the Gets that found their page being loaded by
+	// another goroutine and waited for that load instead of reading the
+	// page again. Each is also a Hit (the page was found in the pool).
+	LoadWaits uint64
+}
+
+// add folds o into s.
+func (s *Stats) add(o Stats) {
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Evictions += o.Evictions
+	s.LoadWaits += o.LoadWaits
 }
 
 // Heat tracking: every Get — hit or miss — bumps a decayed access counter
@@ -39,21 +51,36 @@ type HotRange struct {
 // pins are accounted against a per-query reservation.
 type PagePool interface {
 	// Get returns the payload of page id, pinned until Release. It may
-	// wait for a frame, so the caller must hold no other pin (see
-	// BufferPool.Get).
+	// wait for a frame or for another goroutine's load of the same page,
+	// so the caller must hold no other pin (see BufferPool.Get). The slice
+	// is the pool's frame buffer and dies at Release: the next page loaded
+	// into that frame overwrites it in place.
 	Get(id PageID) ([]byte, error)
 	// TryGet is Get that never waits: ok=false (nothing pinned) when the
-	// page is not resident and no frame can be freed right now. It is the
-	// only way to take a pin while holding another.
+	// page is not resident and no frame can be freed right now, or while
+	// another goroutine is still loading it. It is the only way to take a
+	// pin while holding another.
 	TryGet(id PageID) (data []byte, ok bool, err error)
-	// Release unpins page id.
+	// Release unpins page id; every slice Get/TryGet returned for that pin
+	// is dead from here on.
 	Release(id PageID)
 }
 
 type frame struct {
-	id   PageID
-	data []byte
+	id PageID
+	// page is the frame's own buffer, a whole page (checksum trailer
+	// included). It is allocated once, when the pool grows, and every page
+	// the frame ever holds is read into it: eviction recycles the frame and
+	// the buffer together.
+	page []byte
 	pins int
+	// loading is set while the goroutine that missed reads the page into
+	// the frame with bp.mu dropped. The frame is already published in
+	// bp.frames (pinned by the loader), so a second Get of the page finds
+	// it and waits for this load rather than starting another; err is the
+	// load's failure, handed to those waiters.
+	loading bool
+	err     error
 	// owner is the Partition whose Get loaded (or adopted) this frame, nil
 	// for frames belonging to the shared remainder. While owner's resident
 	// frame count is within its quota, other requesters may not evict this
@@ -61,13 +88,18 @@ type frame struct {
 	// flushing another's working set.
 	owner *Partition
 	// Intrusive LRU links, valid only while inLRU (the frame is unpinned
-	// and evictable). Intrusive rather than container/list so the hottest
-	// pool operations — hit, pin, release — allocate nothing: a
-	// list.Element allocation per release was the last per-call garbage on
-	// the zero-alloc row-read path.
+	// and evictable); next also chains the free list. Intrusive rather
+	// than container/list so the hottest pool operations — hit, pin,
+	// release — allocate nothing: a list.Element allocation per release
+	// was the last per-call garbage on the zero-alloc row-read path.
 	prev, next *frame
 	inLRU      bool
 }
+
+// payload is what Get hands out: the page without its checksum trailer.
+//
+//gmine:hotpath
+func (fr *frame) payload() []byte { return fr.page[:len(fr.page)-crcSize] }
 
 // BufferPool caches page payloads with LRU eviction. Pages are pinned while
 // handed out and must be released; only unpinned pages are evictable.
@@ -82,13 +114,23 @@ type frame struct {
 // every opened cursor a Close (the pinpair analyzer), and the warm
 // Get/Release path itself is annotated //gmine:hotpath, so the hotalloc
 // analyzer rejects new allocation in it — the intrusive LRU exists
-// precisely to keep that path at zero allocations.
+// precisely to keep that path at zero allocations. The miss path is held
+// to the same rule once the pool has grown to capacity: a load reuses the
+// evicted frame and its buffer.
 type BufferPool struct {
-	mu     sync.Mutex
-	cond   *sync.Cond // signaled when a frame becomes unpinned or protection lapses
+	mu sync.Mutex
+	// cond is signaled when a frame becomes unpinned or free, protection
+	// lapses, or a page load finishes.
+	cond   *sync.Cond
 	pager  *Pager
 	cap    int
-	frames map[PageID]*frame
+	frames map[PageID]*frame // resident and loading pages
+	// nframes counts the frames allocated so far; the pool grows one frame
+	// per miss until it reaches cap and only recycles from then on. free
+	// chains (through next) the frames that are in neither frames nor a
+	// getter's hands: those whose load failed.
+	nframes int
+	free    *frame
 	// LRU of unpinned frames: head = most recent, tail = next eviction
 	// victim.
 	head, tail *frame
@@ -230,8 +272,18 @@ func evictableBy(fr *frame, requester *Partition) bool {
 }
 
 // Get returns the payload of page id, pinning it. The returned slice is the
-// pool's frame; callers must not retain it past Release and must not write
-// to it.
+// pool's frame buffer itself: read-only, and dead at Release. Frames are
+// recycled — the next page loaded into the frame is read straight over
+// these bytes — so a slice (or any subslice of it) used after its Release
+// silently reads some other page. Copy out what must outlive the pin.
+//
+// A miss takes a frame (a failed load's leftover, a new one while the pool
+// is still growing to capacity, else the LRU victim, buffer and all),
+// publishes it pinned and loading, and reads and verifies the page with
+// the pool lock dropped: hits on other pages and other misses proceed
+// during the I/O, including its retry back-off. A Get of the page being
+// loaded waits for that one load and shares its outcome — bytes or error —
+// rather than reading the page a second time.
 //
 // When every frame is pinned or reserved by concurrent readers, Get waits
 // for a Release instead of failing, so a pool smaller than the momentary
@@ -244,7 +296,8 @@ func evictableBy(fr *frame, requester *Partition) bool {
 // holds before calling Get. The copy-out readers (blob, run, leaf) pin
 // one page at a time and release it before the next Get. (Partition
 // reservations cannot starve a waiter either: reserved ≤ cap-1, so once
-// the pin holders move on at least one frame is evictable by anyone.)
+// the pin holders move on at least one frame is evictable by anyone. And
+// a loader never waits: it holds the loading frame across I/O only.)
 //
 //gmine:hotpath
 func (bp *BufferPool) Get(id PageID) ([]byte, error) {
@@ -253,8 +306,9 @@ func (bp *BufferPool) Get(id PageID) ([]byte, error) {
 }
 
 // TryGet pins page id like Get but never waits: when the page is not
-// resident and every frame is pinned or protected it returns ok=false
-// with nothing pinned and no counter touched.
+// resident and every frame is pinned or protected, or the page is still
+// being loaded by another goroutine, it returns ok=false with nothing
+// pinned and no counter touched.
 //
 //gmine:hotpath
 func (bp *BufferPool) TryGet(id PageID) ([]byte, bool, error) {
@@ -268,56 +322,27 @@ func (bp *BufferPool) TryGet(id PageID) ([]byte, bool, error) {
 //gmine:hotpath
 func (bp *BufferPool) get(id PageID, requester *Partition, wait bool) ([]byte, bool, error) {
 	bp.mu.Lock()
-	defer bp.mu.Unlock()
 	if requester != nil && requester.closed {
 		// Defensive: a straggler read after Close must not re-attribute
 		// frames to a dead reservation; serve it from the shared remainder.
 		requester = nil
 	}
+	var fr *frame
 	for {
-		if fr, ok := bp.frames[id]; ok {
-			bp.recordHeat(id, requester)
-			bp.stats.Hits++
-			if requester != nil {
-				requester.stats.Hits++
-				// Re-adopt shared frames into the requester's working set
-				// while it has reservation to spare: a warm page a query
-				// keeps coming back to deserves the query's protection.
-				if fr.owner == nil && requester.held < requester.quota {
-					fr.owner = requester
-					requester.held++
-				}
+		if hit, ok := bp.frames[id]; ok {
+			if hit.loading && !wait {
+				bp.mu.Unlock()
+				return nil, false, nil
 			}
-			fr.pins++
-			bp.lruRemove(fr)
-			return fr.data, true, nil
+			data, err := bp.pinResident(hit, requester)
+			bp.mu.Unlock()
+			return data, err == nil, err
 		}
-		if len(bp.frames) < bp.cap {
+		if fr = bp.takeFrame(requester); fr != nil {
 			break
-		}
-		// Walk victims LRU-first, skipping frames protected by another
-		// partition's reservation.
-		evicted := false
-		for victim := bp.tail; victim != nil; victim = victim.prev {
-			if !evictableBy(victim, requester) {
-				continue
-			}
-			bp.lruRemove(victim)
-			delete(bp.frames, victim.id)
-			if victim.owner != nil {
-				victim.owner.held--
-			}
-			bp.stats.Evictions++
-			if requester != nil {
-				requester.stats.Evictions++
-			}
-			evicted = true
-			break
-		}
-		if evicted {
-			continue
 		}
 		if !wait {
+			bp.mu.Unlock()
 			return nil, false, nil
 		}
 		// Every frame is pinned or protected: wait for a Release (or a
@@ -329,19 +354,128 @@ func (bp *BufferPool) get(id PageID, requester *Partition, wait bool) ([]byte, b
 	bp.stats.Misses++
 	if requester != nil {
 		requester.stats.Misses++
-	}
-	data, err := bp.pager.ReadPage(id)
-	if err != nil {
-		return nil, false, err
-	}
-	//lint:ignore hotalloc miss path: the frame allocation is paid once per page load, never on the warm hit path the zero-alloc guard covers
-	fr := &frame{id: id, data: data, pins: 1}
-	if requester != nil {
-		fr.owner = requester
 		requester.held++
 	}
+	fr.id, fr.owner, fr.pins, fr.loading = id, requester, 1, true
 	bp.frames[id] = fr
-	return fr.data, true, nil
+	bp.mu.Unlock()
+
+	err := bp.pager.ReadPageInto(id, fr.page)
+
+	bp.mu.Lock()
+	fr.loading = false
+	if err != nil {
+		// Unpublish, so the next Get of the page starts a fresh load. The
+		// reservation goes back through fr.owner, not requester: a
+		// Partition.Close that raced the load has already disowned the
+		// frame and zeroed held.
+		delete(bp.frames, id)
+		if fr.owner != nil {
+			fr.owner.held--
+			fr.owner = nil
+		}
+		fr.err = err
+		bp.dropFailed(fr)
+		bp.mu.Unlock()
+		return nil, false, err
+	}
+	if fr.pins > 1 {
+		bp.cond.Broadcast() // getters waiting on this load
+	}
+	bp.mu.Unlock()
+	return fr.payload(), true, nil
+}
+
+// pinResident pins fr, which the caller found in bp.frames, for requester,
+// waiting out an in-flight load first. Caller holds bp.mu.
+//
+//gmine:hotpath
+func (bp *BufferPool) pinResident(fr *frame, requester *Partition) ([]byte, error) {
+	bp.recordHeat(fr.id, requester)
+	bp.stats.Hits++
+	if requester != nil {
+		requester.stats.Hits++
+		// Re-adopt shared frames into the requester's working set
+		// while it has reservation to spare: a warm page a query
+		// keeps coming back to deserves the query's protection.
+		if fr.owner == nil && requester.held < requester.quota {
+			fr.owner = requester
+			requester.held++
+		}
+	}
+	fr.pins++
+	bp.lruRemove(fr)
+	if fr.loading {
+		bp.stats.LoadWaits++
+		if requester != nil {
+			requester.stats.LoadWaits++
+		}
+		// The pin keeps fr from being recycled, so it is still this load's
+		// frame when the loader's broadcast arrives.
+		for fr.loading {
+			bp.cond.Wait()
+		}
+		if err := fr.err; err != nil {
+			bp.dropFailed(fr)
+			return nil, err
+		}
+	}
+	return fr.payload(), nil
+}
+
+// takeFrame returns a frame for requester to load a page into — off the
+// free list, newly allocated while the pool is below capacity, else the
+// LRU-most victim requester may evict — or nil when every frame is pinned
+// or protected. Caller holds bp.mu.
+//
+//gmine:hotpath
+func (bp *BufferPool) takeFrame(requester *Partition) *frame {
+	if fr := bp.free; fr != nil {
+		bp.free, fr.next = fr.next, nil
+		return fr
+	}
+	if bp.nframes < bp.cap {
+		bp.nframes++
+		return newFrame(bp.pager.PageSize())
+	}
+	// Walk victims LRU-first, skipping frames protected by another
+	// partition's reservation.
+	for victim := bp.tail; victim != nil; victim = victim.prev {
+		if !evictableBy(victim, requester) {
+			continue
+		}
+		bp.lruRemove(victim)
+		delete(bp.frames, victim.id)
+		if victim.owner != nil {
+			victim.owner.held--
+		}
+		bp.stats.Evictions++
+		if requester != nil {
+			requester.stats.Evictions++
+		}
+		return victim
+	}
+	return nil
+}
+
+// newFrame allocates a frame and its page buffer: the pool's growth step,
+// paid at most cap times in its life and so kept off the hot path.
+func newFrame(pageSize int) *frame {
+	return &frame{page: make([]byte, pageSize)}
+}
+
+// dropFailed gives up one pin on fr, whose load failed and which the
+// loader has already unpublished; the last of loader and waiters to let go
+// puts the frame on the free list. Caller holds bp.mu.
+func (bp *BufferPool) dropFailed(fr *frame) {
+	fr.pins--
+	if fr.pins == 0 {
+		fr.err = nil
+		fr.next, bp.free = bp.free, fr
+	}
+	// Wakes the load's waiters and, once the frame is free, getters
+	// waiting for a frame.
+	bp.cond.Broadcast()
 }
 
 // Release unpins page id. Fully unpinned pages become evictable (most
@@ -546,9 +680,7 @@ func (p *Partition) Close() {
 		// snapshot for the trace's pin distribution.
 		p.parent.quota += p.quota
 		p.parent.shardStats = append(p.parent.shardStats, PartitionStats{Quota: p.quota, Held: p.held, Heat: p.heat, Stats: p.stats})
-		p.parent.stats.Hits += p.stats.Hits
-		p.parent.stats.Misses += p.stats.Misses
-		p.parent.stats.Evictions += p.stats.Evictions
+		p.parent.stats.add(p.stats)
 		p.parent.heat += p.heat
 	} else {
 		bp.reserved -= p.quota

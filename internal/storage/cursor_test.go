@@ -11,7 +11,8 @@ import (
 
 // TestTryGetNeverWaits: TryGet pins like Get when the page is resident or
 // a frame can be freed, and reports ok=false — pinning nothing, touching
-// no counter and no heat — exactly when Get would have waited.
+// no counter and no heat — exactly when Get would have waited: for a
+// frame, or for another goroutine's in-flight load of the page.
 func TestTryGetNeverWaits(t *testing.T) {
 	bp, ids := partitionFile(t, 4, 2)
 	a, ok, err := bp.TryGet(ids[0]) // free frame: loads
@@ -66,6 +67,56 @@ func TestTryGetNeverWaits(t *testing.T) {
 	guest.Release(ids2[1])
 	guest.Release(ids2[2])
 	guest.Close()
+
+	// A page another goroutine is still loading: waiting for that load
+	// would be waiting, so TryGet refuses it the same way — while a hit on
+	// a resident page and a miss on a third page go through beside the
+	// parked load.
+	m := newMissFixture(t, 4, 4)
+	touch(t, m.pool, m.ids[0])
+	release := m.gate.hold(m.off(1))
+	done := make(chan error, 1)
+	go func() {
+		_, err := m.pool.Get(m.ids[1])
+		done <- err
+	}()
+	<-m.gate.in
+
+	before, hot = m.pool.Stats(), m.pool.HotRanges(4)
+	data, ok, err := m.pool.TryGet(m.ids[1])
+	if ok || err != nil || data != nil {
+		t.Fatalf("TryGet of a loading page: data=%v ok=%v err=%v, want a refusal", data, ok, err)
+	}
+	if after := m.pool.Stats(); after != before {
+		t.Fatalf("refused TryGet moved the counters: %+v -> %+v", before, after)
+	}
+	if now := m.pool.HotRanges(4); len(now) != len(hot) || now[0].Score != hot[0].Score {
+		t.Fatalf("refused TryGet recorded heat: %v -> %v", hot, now)
+	}
+	if pins := m.pool.PinnedFrames(); pins != 1 {
+		t.Fatalf("%d frames pinned, want only the loading one", pins)
+	}
+	if _, ok, err := m.pool.TryGet(m.ids[0]); !ok || err != nil { // hit beside the load
+		t.Fatalf("TryGet hit during a load: ok=%v err=%v", ok, err)
+	}
+	m.pool.Release(m.ids[0])
+	if _, ok, err := m.pool.TryGet(m.ids[2]); !ok || err != nil { // miss beside the load
+		t.Fatalf("TryGet miss during a load: ok=%v err=%v", ok, err)
+	}
+	m.pool.Release(m.ids[2])
+
+	release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := m.pool.TryGet(m.ids[1]); !ok {
+		t.Fatal("TryGet refused a loaded page")
+	}
+	m.pool.Release(m.ids[1])
+	m.pool.Release(m.ids[1])
+	if pins := m.pool.PinnedFrames(); pins != 0 {
+		t.Fatalf("%d frames still pinned", pins)
+	}
 }
 
 // cursorRunsFile writes three runs shaped like a small CSR (4-byte

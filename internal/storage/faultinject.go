@@ -128,6 +128,14 @@ type FaultInjectorStats struct {
 // FaultInjector wraps a File and injects read faults: scripted (an
 // explicit queue consumed one entry per read — deterministic tests) and
 // probabilistic (a seeded rate — chaos soak and the -chaos serve flag).
+//
+// Rate mode injects TRANSIENT faults only, by construction: a transient
+// fault is one that heals on re-read, so after readAttempts-1 consecutive
+// injected faults at one offset the next read there goes through clean,
+// whatever the rate. A page load that re-reads its page within the
+// pager's budget therefore always succeeds under rate injection (the pool
+// runs one load per page at a time). Exhausting the retry budget takes a
+// script, which has no such cap.
 // Reads at offset 0 are never faulted: the superblock is read once during
 // Open, outside the pager's retry loop, and poisoning it would fail every
 // open rather than exercise the recovery machinery.
@@ -144,18 +152,22 @@ type FaultInjector struct {
 	kinds   []FaultKind
 	latency time.Duration
 	script  []FaultKind
-	stats   FaultInjectorStats
+	// streak counts the consecutive rate-injected faults at each offset
+	// that is currently in a run of them (entries leave on a clean read).
+	streak map[int64]int
+	stats  FaultInjectorStats
 }
 
 // NewFaultInjector wraps f. With no script and no rate set it is a
 // transparent pass-through.
 func NewFaultInjector(f File, seed int64) *FaultInjector {
-	return &FaultInjector{f: f, rng: rand.New(rand.NewSource(seed))}
+	return &FaultInjector{f: f, rng: rand.New(rand.NewSource(seed)), streak: map[int64]int{}}
 }
 
 // SetRate arms probabilistic injection: each eligible read faults with
 // probability rate, drawing uniformly from kinds (default: flip, err,
-// short).
+// short) — except that a run of readAttempts-1 faults at one offset is
+// always followed by a clean read there.
 func (fi *FaultInjector) SetRate(rate float64, kinds ...FaultKind) {
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
@@ -189,8 +201,8 @@ func (fi *FaultInjector) Stats() FaultInjectorStats {
 	return fi.stats
 }
 
-// draw picks the fault (if any) for one eligible read.
-func (fi *FaultInjector) draw() (FaultKind, time.Duration, bool) {
+// draw picks the fault (if any) for one eligible read at off.
+func (fi *FaultInjector) draw(off int64) (FaultKind, time.Duration, bool) {
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
 	fi.stats.Reads++
@@ -200,11 +212,13 @@ func (fi *FaultInjector) draw() (FaultKind, time.Duration, bool) {
 		fi.stats.Injected++
 		return k, fi.latency, true
 	}
-	if fi.rate > 0 && fi.rng.Float64() < fi.rate {
+	if fi.rate > 0 && fi.rng.Float64() < fi.rate && fi.streak[off] < readAttempts-1 {
 		k := fi.kinds[fi.rng.Intn(len(fi.kinds))]
+		fi.streak[off]++
 		fi.stats.Injected++
 		return k, fi.latency, true
 	}
+	delete(fi.streak, off)
 	return 0, 0, false
 }
 
@@ -212,7 +226,7 @@ func (fi *FaultInjector) ReadAt(p []byte, off int64) (int, error) {
 	if off == 0 {
 		return fi.f.ReadAt(p, off)
 	}
-	kind, latency, inject := fi.draw()
+	kind, latency, inject := fi.draw(off)
 	if !inject {
 		return fi.f.ReadAt(p, off)
 	}

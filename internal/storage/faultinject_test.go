@@ -130,6 +130,31 @@ func TestProbabilisticInjectionIsSeeded(t *testing.T) {
 	}
 }
 
+// TestRateInjectionAlwaysHeals: rate injection is transient by
+// construction — even at rate 1 the injector lets every fourth read of an
+// offset through clean, so a page read spends its whole retry budget and
+// heals, never fails. (Exhausting the budget takes a script:
+// TestRetryExhaustionIsPermanent.)
+func TestRateInjectionAlwaysHeals(t *testing.T) {
+	path, id := buildFile(t)
+	p, inj := openInjected(t, path, 3)
+	defer p.Close()
+	inj.SetRate(1, FaultErr, FaultFlip, FaultShort)
+	const reads = 50
+	for i := 0; i < reads; i++ {
+		if _, err := p.ReadPage(id); err != nil {
+			t.Fatalf("read %d under rate-1 injection: %v", i, err)
+		}
+	}
+	want := RetryStats{Retries: reads * (readAttempts - 1), Healed: reads}
+	if rs := p.RetryStats(); rs != want {
+		t.Fatalf("retry stats %+v, want %+v", rs, want)
+	}
+	if st := inj.Stats(); st.Injected != reads*(readAttempts-1) || st.Reads != reads*readAttempts {
+		t.Fatalf("injector stats %+v", st)
+	}
+}
+
 func TestInjectorExemptsSuperblock(t *testing.T) {
 	path, _ := buildFile(t)
 	// Rate 1 faults every eligible read; Open must still succeed because

@@ -17,6 +17,7 @@ import (
 	"math/rand"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -41,14 +42,21 @@ const (
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Pager provides page-granular access to a single file.
+//
+// mu serializes the writers (Allocate, WritePage, SetMeta, Sync, Close) and
+// guards meta. The read path takes no lock: ReadAt on the File seam is safe
+// for concurrent use, numPages and the retry counters are atomics, and the
+// file is write-once/read-many, so concurrent page loads — and the retry
+// back-off of one of them — never queue behind each other.
 type Pager struct {
 	mu       sync.Mutex
 	f        File
 	pageSize int
-	numPages uint32
+	numPages atomic.Uint32
 	meta     []byte
 	readOnly bool
-	retry    RetryStats
+
+	retries, healed, failed atomic.Uint64 // RetryStats
 }
 
 // RetryStats counts the pager's transient-read recovery work. Retries is
@@ -75,7 +83,8 @@ func Create(path string, pageSize int) (*Pager, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Pager{f: osFile{f}, pageSize: pageSize, numPages: 1}
+	p := &Pager{f: osFile{f}, pageSize: pageSize}
+	p.numPages.Store(1)
 	if err := p.writeSuper(); err != nil {
 		f.Close()
 		return nil, err
@@ -136,7 +145,8 @@ func OpenWith(f File, readOnly bool) (*Pager, error) {
 		f.Close()
 		return nil, fmt.Errorf("storage: file size %d not a multiple of page size %d", size, pageSize)
 	}
-	p := &Pager{f: f, pageSize: pageSize, numPages: uint32(size / int64(pageSize)), readOnly: readOnly}
+	p := &Pager{f: f, pageSize: pageSize, readOnly: readOnly}
+	p.numPages.Store(uint32(size / int64(pageSize)))
 	// Verify the superblock checksum and load the meta blob.
 	page := make([]byte, pageSize)
 	if _, err := f.ReadAt(page, 0); err != nil {
@@ -190,11 +200,7 @@ func (p *Pager) PageSize() int { return p.pageSize }
 func (p *Pager) PayloadSize() int { return p.pageSize - crcSize }
 
 // NumPages returns the number of pages including the superblock.
-func (p *Pager) NumPages() uint32 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.numPages
-}
+func (p *Pager) NumPages() uint32 { return p.numPages.Load() }
 
 // Meta returns a copy of the client metadata blob stored in the superblock.
 func (p *Pager) Meta() []byte {
@@ -225,13 +231,13 @@ func (p *Pager) Allocate() (PageID, error) {
 	if p.readOnly {
 		return 0, fmt.Errorf("storage: Allocate on read-only file")
 	}
-	id := PageID(p.numPages)
+	id := PageID(p.numPages.Load())
 	page := make([]byte, p.pageSize)
 	sealCRC(page)
 	if _, err := p.f.WriteAt(page, int64(id)*int64(p.pageSize)); err != nil {
 		return 0, err
 	}
-	p.numPages++
+	p.numPages.Add(1)
 	return id, nil
 }
 
@@ -245,8 +251,8 @@ func (p *Pager) WritePage(id PageID, payload []byte) error {
 	if id == 0 {
 		return fmt.Errorf("storage: page 0 is the superblock")
 	}
-	if id >= PageID(p.numPages) {
-		return fmt.Errorf("storage: write to unallocated page %d (have %d)", id, p.numPages)
+	if n := p.numPages.Load(); id >= PageID(n) {
+		return fmt.Errorf("storage: write to unallocated page %d (have %d)", id, n)
 	}
 	if len(payload) > p.pageSize-crcSize {
 		return fmt.Errorf("storage: payload %d bytes exceeds page payload %d", len(payload), p.pageSize-crcSize)
@@ -273,7 +279,20 @@ func retryBackoff(attempt int) {
 }
 
 // ReadPage reads page id's payload into a fresh slice of PayloadSize bytes,
-// verifying the checksum.
+// verifying the checksum: ReadPageInto over a buffer allocated per call.
+func (p *Pager) ReadPage(id PageID) ([]byte, error) {
+	page := make([]byte, p.pageSize)
+	if err := p.ReadPageInto(id, page); err != nil {
+		return nil, err
+	}
+	return page[:p.pageSize-crcSize], nil
+}
+
+// ReadPageInto reads page id into page, which must be PageSize bytes long
+// (the checksum trailer lands in it too), and verifies the checksum; on
+// success page[:PayloadSize()] is the payload. On failure the contents of
+// page are unspecified. It holds no lock, so any number of loads — and
+// their retry back-offs — run concurrently.
 //
 // Transient failures — errors marked ErrTransient, short reads, and
 // checksum mismatches that heal on re-read (a torn buffer or in-flight
@@ -282,25 +301,27 @@ func retryBackoff(attempt int) {
 // (the buffer pool, and through it the paged-CSR fault epoch) therefore
 // only ever see post-classification permanent failures; a transient blip
 // never latches a query-visible fault.
-func (p *Pager) ReadPage(id PageID) ([]byte, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if id >= PageID(p.numPages) {
-		return nil, fmt.Errorf("storage: read of unallocated page %d (have %d)", id, p.numPages)
+//
+//gmine:hotpath
+func (p *Pager) ReadPageInto(id PageID, page []byte) error {
+	if n := p.numPages.Load(); id >= PageID(n) {
+		return fmt.Errorf("storage: read of unallocated page %d (have %d)", id, n)
 	}
-	page := make([]byte, p.pageSize)
+	if len(page) != p.pageSize {
+		return fmt.Errorf("storage: page buffer %d bytes, want page size %d", len(page), p.pageSize)
+	}
 	off := int64(id) * int64(p.pageSize)
 	var lastErr error
 	for attempt := 0; attempt < readAttempts; attempt++ {
 		if attempt > 0 {
-			p.retry.Retries++
+			p.retries.Add(1)
 			retryBackoff(attempt)
 		}
 		n, err := p.f.ReadAt(page, off)
 		if err != nil && err != io.EOF {
 			if !IsTransientRead(err) {
-				p.retry.Failed++
-				return nil, err
+				p.failed.Add(1)
+				return err
 			}
 			lastErr = fmt.Errorf("storage: page %d: %w", id, err)
 			continue
@@ -308,7 +329,7 @@ func (p *Pager) ReadPage(id PageID) ([]byte, error) {
 		if n < p.pageSize {
 			// EOF short of a full page: the tail bytes are unspecified, so
 			// zero them before the CRC check rather than trust leftovers
-			// from a previous attempt.
+			// from a previous attempt (or the buffer's previous page).
 			for i := n; i < p.pageSize; i++ {
 				page[i] = 0
 			}
@@ -318,19 +339,17 @@ func (p *Pager) ReadPage(id PageID) ([]byte, error) {
 			continue
 		}
 		if attempt > 0 {
-			p.retry.Healed++
+			p.healed.Add(1)
 		}
-		return page[:p.pageSize-crcSize], nil
+		return nil
 	}
-	p.retry.Failed++
-	return nil, lastErr
+	p.failed.Add(1)
+	return lastErr
 }
 
 // RetryStats snapshots the pager's transient-read recovery counters.
 func (p *Pager) RetryStats() RetryStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.retry
+	return RetryStats{Retries: p.retries.Load(), Healed: p.healed.Load(), Failed: p.failed.Load()}
 }
 
 // Sync flushes the file to stable storage.

@@ -79,8 +79,9 @@ func (e *RangeError) Error() string {
 }
 
 // RunReader reads element ranges of a fixed-stride page run through a
-// buffer pool. Pages are pinned only while their elements are copied out,
-// so a reader's resident footprint is always bounded by the pool. Safe for
+// buffer pool. Pages are pinned only while their elements are copied out —
+// dst never aliases a frame, which the pool recycles after Release — so a
+// reader's resident footprint is always bounded by the pool. Safe for
 // concurrent use (the pool serializes page access).
 type RunReader struct {
 	pool    PagePool
@@ -247,7 +248,8 @@ func (c *RunCursor) Open(runs ...*RunReader) {
 // Span returns the bytes of elements [lo, lo+n) of run k, where n >= 1 is
 // as many of [lo,hi) as lie on lo's page. The bytes are the pinned pool
 // frame: read-only, and valid only until the next Span or Close on this
-// cursor (a Span on another run may have to drop this run's pin). A range
+// cursor (a Span on another run may have to drop this run's pin, and an
+// unpinned frame is recycled: the bytes become some other page). A range
 // outside the run fails with a *RangeError before any page is touched,
 // exactly like RunReader.Read.
 //
