@@ -74,6 +74,25 @@ func BenchmarkE1_GTreeBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkGTreeBuildScale measures hierarchy construction (k 5, 5 levels)
+// as the graph grows, so super-linear growth of the build shows up as
+// falling nodes/s. 0.03 is the server benchmark's fixture size.
+func BenchmarkGTreeBuildScale(b *testing.B) {
+	for _, scale := range []float64{0.03, 0.1} {
+		b.Run(fmt.Sprint(scale), func(b *testing.B) {
+			ds := gmine.GenerateDBLP(gmine.DBLPConfig{Scale: scale, Seed: benchSeed})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := gmine.Build(ds.Graph, gmine.BuildConfig{K: 5, Levels: 5, Seed: benchSeed}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(ds.Graph.NumNodes())*float64(b.N)/b.Elapsed().Seconds(), "nodes/s")
+		})
+	}
+}
+
 // BenchmarkE2_SceneKinds measures producing the Fig 2 drawing vocabulary:
 // a Tomahawk scene with community nodes and connectivity edges, rendered
 // to SVG.

@@ -23,6 +23,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
@@ -138,20 +139,25 @@ func cmdBuild(args []string) error {
 	seed := fs.Int64("seed", 1, "partitioning seed")
 	pageSize := fs.Int("pagesize", 0, "storage page size (0 = default 4096)")
 	fs.Parse(args)
+	t0 := time.Now()
 	g, err := loadGraph(*in)
 	if err != nil {
 		return err
 	}
+	t1 := time.Now()
 	eng, err := core.BuildEngine(g, core.BuildConfig{K: *k, Levels: *levels, Seed: *seed})
 	if err != nil {
 		return err
 	}
+	t2 := time.Now()
 	if err := eng.SaveTree(*out, *pageSize); err != nil {
 		return err
 	}
+	t3 := time.Now()
 	st := eng.Tree().ComputeStats()
-	fmt.Printf("built G-Tree: %d communities (%d leaves, avg %.1f nodes) in %d levels -> %s\n",
-		st.Communities, st.Leaves, st.AvgLeafSize, st.Levels, *out)
+	fmt.Printf("built G-Tree: %d communities (%d leaves, avg %.1f nodes) in %d levels -> %s (read %s / build %s / save %s)\n",
+		st.Communities, st.Leaves, st.AvgLeafSize, st.Levels, *out,
+		t1.Sub(t0).Round(time.Millisecond), t2.Sub(t1).Round(time.Millisecond), t3.Sub(t2).Round(time.Millisecond))
 	return nil
 }
 

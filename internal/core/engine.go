@@ -42,6 +42,12 @@ type BuildConfig struct {
 	// Parallel bounds concurrent community partitionings per level
 	// (0 = GOMAXPROCS); the result is identical for any value.
 	Parallel int
+	// Ctx optionally carries the caller's cancellation into the build
+	// (same pattern as extract.RWROptions.Ctx): it is polled before each
+	// community split, and a cancelled build returns ctx.Err() and no
+	// engine. It has no effect on a build that completes. nil means never
+	// cancelled.
+	Ctx context.Context
 }
 
 // Engine is a GMine session over one graph. It is either memory-backed
@@ -85,7 +91,11 @@ type Engine struct {
 // BuildEngine partitions g recursively and returns a memory-backed engine
 // focused at the root.
 func BuildEngine(g *graph.Graph, cfg BuildConfig) (*Engine, error) {
-	t, err := gtree.Build(g, gtree.BuildOptions{
+	ctx := cfg.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	t, err := gtree.BuildContext(ctx, g, gtree.BuildOptions{
 		K:            cfg.K,
 		Levels:       cfg.Levels,
 		MinCommunity: cfg.MinCommunity,

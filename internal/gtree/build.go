@@ -1,6 +1,7 @@
 package gtree
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -51,6 +52,13 @@ func (o BuildOptions) withDefaults() (BuildOptions, error) {
 // in one bottom-up pass. Communities of one level partition concurrently;
 // the output is deterministic regardless of parallelism.
 func Build(g *graph.Graph, opts BuildOptions) (*Tree, error) {
+	return BuildContext(context.Background(), g, opts)
+}
+
+// BuildContext is Build for a caller that may give up: ctx is polled before
+// each community split, and once it is cancelled no further split starts,
+// the running ones finish, and the context's error is returned.
+func BuildContext(ctx context.Context, g *graph.Graph, opts BuildOptions) (*Tree, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
@@ -83,8 +91,11 @@ func Build(g *graph.Graph, opts BuildOptions) (*Tree, error) {
 			if node.Level >= opts.Levels-1 || len(w.members) <= opts.MinCommunity {
 				continue // leaf: settled below
 			}
-			wg.Add(1)
 			sem <- struct{}{}
+			if ctx.Err() != nil {
+				break
+			}
+			wg.Add(1)
 			go func(i int, w work) {
 				defer wg.Done()
 				defer func() { <-sem }()
@@ -105,6 +116,9 @@ func Build(g *graph.Graph, opts BuildOptions) (*Tree, error) {
 			}(i, w)
 		}
 		wg.Wait()
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		for _, err := range errs {
 			if err != nil {
 				return nil, err
@@ -164,9 +178,16 @@ func Build(g *graph.Graph, opts BuildOptions) (*Tree, error) {
 // level at which they differ contributes to the connectivity edge between
 // the two (same-level) communities.
 func (t *Tree) computeConnectivity(g *graph.Graph) {
+	// Root-to-leaf paths, once per leaf instead of twice per edge.
+	paths := make([][]TreeID, len(t.nodes))
+	for i := range t.nodes {
+		if t.nodes[i].IsLeaf() {
+			paths[i] = t.Path(TreeID(i))
+		}
+	}
 	g.Edges(func(u, v graph.NodeID, w float64) bool {
-		pu := t.Path(t.leafOf[u])
-		pv := t.Path(t.leafOf[v])
+		pu := paths[t.leafOf[u]]
+		pv := paths[t.leafOf[v]]
 		maxLevel := len(pu)
 		if len(pv) < maxLevel {
 			maxLevel = len(pv)

@@ -13,7 +13,8 @@ func multilevelBisect(c *graph.CSR, frac float64, opts Options, rng *rand.Rand) 
 	levels := coarsen(c, opts.CoarsenTo, rng)
 	coarsest := levels[len(levels)-1].csr
 	side := growBisection(coarsest, frac, opts, rng)
-	fmRefine(coarsest, side, frac, opts.Imbalance, opts.FMPasses, rng)
+	sc := newFMScratch(c.N())
+	fmRefine(coarsest, side, frac, opts.Imbalance, opts.FMPasses, sc)
 	// Project back through the hierarchy, refining at each level.
 	for li := len(levels) - 1; li > 0; li-- {
 		fine := levels[li-1].csr
@@ -23,7 +24,7 @@ func multilevelBisect(c *graph.CSR, frac float64, opts Options, rng *rand.Rand) 
 			fineSide[u] = side[cmap[u]]
 		}
 		side = fineSide
-		fmRefine(fine, side, frac, opts.Imbalance, opts.FMPasses, rng)
+		fmRefine(fine, side, frac, opts.Imbalance, opts.FMPasses, sc)
 	}
 	return side
 }

@@ -66,9 +66,11 @@ func contract(c *graph.CSR, match []int32) (*graph.CSR, []int32) {
 		coarse.NodeW[cmap[u]] += c.NodeW[u]
 	}
 	// Accumulate coarse adjacency with a dense scratch map reset per node.
+	// The fine half-edge count bounds the coarse one, so the lists never
+	// regrow.
 	pos := make([]int32, cn) // coarse neighbor -> index+1 in current list
-	var adj []graph.NodeID
-	var wts []float64
+	adj := make([]graph.NodeID, 0, len(c.Adjncy))
+	wts := make([]float64, 0, len(c.Adjncy))
 	touch := make([]int32, 0, 64)
 	appendNode := func(cu int32, fineNodes ...int32) {
 		start := len(adj)

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -459,5 +460,54 @@ func TestGrowBisectionRespectsTargetFraction(t *testing.T) {
 	// weight, and all weights are 1 here.
 	if w0 < 10 || w0 > 14 {
 		t.Fatalf("side0 weight=%d want ~10", w0)
+	}
+}
+
+// TestImbalanceCompoundsPerBisection pins what Options.Imbalance bounds:
+// each bisection may overshoot its target by that factor, so after the
+// ceil(log2 K) bisections above a part, the heaviest part stays within
+// Imbalance^ceil(log2 K) of the ideal weight — not within Imbalance itself.
+func TestImbalanceCompoundsPerBisection(t *testing.T) {
+	const imbalance = 1.10
+	for seed := int64(1); seed <= 6; seed++ {
+		g := randomCommunityGraph(rand.New(rand.NewSource(seed)), 6, 100, 0.08, 0.004)
+		for k := 2; k <= 8; k++ {
+			res, err := Partition(g, Options{K: k, Seed: seed, Imbalance: imbalance})
+			if err != nil {
+				t.Fatal(err)
+			}
+			depth := math.Ceil(math.Log2(float64(k)))
+			bound := math.Pow(imbalance, depth)
+			got := Imbalance(res.Parts, k)
+			if got > bound+1e-9 {
+				t.Errorf("seed %d k %d: imbalance %.3f exceeds %.2f^%g = %.3f", seed, k, got, imbalance, depth, bound)
+			}
+		}
+	}
+}
+
+// TestPartitionDirectedIsSymmetrized: a directed graph is partitioned as
+// its undirected form, so two one-way cliques joined by two arcs split
+// along those arcs.
+func TestPartitionDirectedIsSymmetrized(t *testing.T) {
+	const s = 10
+	g := graph.NewWithNodes(2*s, true)
+	for c := 0; c < 2; c++ {
+		for i := 0; i < s; i++ {
+			for j := i + 1; j < s; j++ {
+				g.AddEdge(graph.NodeID(c*s+i), graph.NodeID(c*s+j), 1)
+			}
+		}
+	}
+	g.AddEdge(0, s, 1)
+	g.AddEdge(s+1, 1, 1)
+	for seed := int64(1); seed <= 5; seed++ {
+		res, err := Partition(g, Options{K: 2, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cut != 2 {
+			t.Fatalf("seed %d: cut = %g, want the 2 bridge arcs", seed, res.Cut)
+		}
 	}
 }

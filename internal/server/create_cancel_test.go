@@ -1,0 +1,79 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"net/http"
+	"runtime"
+	"testing"
+)
+
+// TestCreateSessionCancelledByDisconnect: a client that goes away while
+// POST /sessions is building stops the build at the next community split;
+// the reservation is aborted, so the name is free again, no session is
+// listed and nothing keeps running.
+func TestCreateSessionCancelledByDisconnect(t *testing.T) {
+	s, ts := newTestServer(t)
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	baseline := runtime.NumGoroutine()
+
+	body, err := json.Marshal(CreateSessionRequest{Name: "big", Source: "synthetic", Scale: 0.1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/sessions", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	done := make(chan error, 1)
+	go func() {
+		resp, err := client.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		done <- err
+	}()
+
+	// The name is reserved before the build starts: from here on the
+	// multi-second build is under way, and the client hangs up.
+	waitFor(t, "the reservation", func() bool { _, ok := s.reg.get("big"); return ok })
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("client error = %v, want context.Canceled", err)
+	}
+
+	// A build that ran to completion would commit and keep the name.
+	waitFor(t, "the aborted reservation", func() bool { _, ok := s.reg.get("big"); return !ok })
+	if names := s.reg.names(); len(names) != 0 {
+		t.Fatalf("sessions listed after a cancelled create: %v", names)
+	}
+	waitFor(t, "goroutines to return to baseline", func() bool { return runtime.NumGoroutine() <= baseline })
+
+	// The name is usable again.
+	info := createSynthetic(t, ts, "big")
+	if info.Name != "big" {
+		t.Fatalf("re-created session is %q", info.Name)
+	}
+}
+
+// TestCreateSessionCancelledStatus: a cancelled build is reported as the
+// client's own cancellation (499), not as a bad request.
+func TestCreateSessionCancelledStatus(t *testing.T) {
+	s := New(Config{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, status, err := s.createSession(ctx, CreateSessionRequest{
+		Name: "gone", Source: "synthetic", Scale: 0.01, Seed: 7, K: 3, Levels: 3,
+	})
+	if !errors.Is(err, context.Canceled) || status != statusClientClosedRequest {
+		t.Fatalf("cancelled create returned status %d, err %v; want 499, context.Canceled", status, err)
+	}
+	if _, ok := s.reg.get("gone"); ok {
+		t.Fatal("cancelled create left its reservation behind")
+	}
+}

@@ -351,7 +351,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad session body: %s", err)
 		return
 	}
-	info, status, err := s.createSession(req)
+	info, status, err := s.createSession(r.Context(), req)
 	if err != nil {
 		writeError(w, status, "%s", err)
 		return
@@ -362,13 +362,15 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 // Preload builds a session outside HTTP (the CLI uses it to come up warm
 // before the listener opens).
 func (s *Server) Preload(req CreateSessionRequest) (SessionInfo, error) {
-	info, _, err := s.createSession(req)
+	info, _, err := s.createSession(context.Background(), req)
 	return info, err
 }
 
 // createSession validates req, reserves the name and builds the engine.
-// The returned status accompanies a non-nil error.
-func (s *Server) createSession(req CreateSessionRequest) (SessionInfo, int, error) {
+// The returned status accompanies a non-nil error. A build whose ctx is
+// cancelled (the client went away) stops at the next community split and
+// releases the name instead of committing a session nobody waits for.
+func (s *Server) createSession(ctx context.Context, req CreateSessionRequest) (SessionInfo, int, error) {
 	if !validName(req.Name) {
 		return SessionInfo{}, http.StatusBadRequest,
 			fmt.Errorf("session name must be 1-64 chars of [A-Za-z0-9._-]")
@@ -394,10 +396,10 @@ func (s *Server) createSession(req CreateSessionRequest) (SessionInfo, int, erro
 		return SessionInfo{}, http.StatusConflict, err
 	}
 	begin := time.Now()
-	eng, err := buildEngine(req, method, s.cfg.FaultWrap)
+	eng, err := buildEngine(ctx, req, method, s.cfg.FaultWrap)
 	if err != nil {
 		s.reg.abort(sess)
-		return SessionInfo{}, http.StatusBadRequest, fmt.Errorf("build failed: %w", err)
+		return SessionInfo{}, statusOf(err, http.StatusBadRequest), fmt.Errorf("build failed: %w", err)
 	}
 	sess.source = req.Source
 	sess.diskBacked = eng.DiskBacked()
@@ -418,9 +420,11 @@ func (s *Server) createSession(req CreateSessionRequest) (SessionInfo, int, erro
 
 // buildEngine constructs the engine behind a session. wrap (nil = none)
 // interposes on the backing file of disk-backed sessions — the server's
-// chaos fault injection seam.
-func buildEngine(req CreateSessionRequest, method partition.Method, wrap func(storage.File) storage.File) (*core.Engine, error) {
+// chaos fault injection seam. ctx cancels a hierarchy build; opening a
+// gtree file builds nothing and ignores it.
+func buildEngine(ctx context.Context, req CreateSessionRequest, method partition.Method, wrap func(storage.File) storage.File) (*core.Engine, error) {
 	cfg := core.BuildConfig{
+		Ctx:          ctx,
 		K:            req.K,
 		Levels:       req.Levels,
 		MinCommunity: req.MinCommunity,
