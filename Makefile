@@ -4,7 +4,7 @@ GO ?= go
 # how long each runs. 1s gives stable ns/op; drop to e.g. 5x for a quick
 # local look.
 BENCHTIME ?= 1s
-BENCH_JSON_PATTERN ?= 'BenchmarkExtractMemoryVsPaged|BenchmarkExtractPagedViaNeighbors|BenchmarkPageRankMemoryVsPaged|BenchmarkRWRMultiFanout|BenchmarkRWRPushVsPower|BenchmarkRWRSetSweepVsNeighbors|BenchmarkPageRankSweepVsNeighbors|BenchmarkPageRankShards|BenchmarkRWRSetShards|BenchmarkExtractTieredSkewed|BenchmarkKeyPathPagedCursor|BenchmarkPoolMiss|BenchmarkE1_GTreeBuild|BenchmarkPartition/Multilevel|BenchmarkGTreeBuildScale'
+BENCH_JSON_PATTERN ?= 'BenchmarkExtractMemoryVsPaged|BenchmarkExtractPagedViaNeighbors|BenchmarkPageRankMemoryVsPaged|BenchmarkRWRMultiFused|BenchmarkRWRPushVsPower|BenchmarkRWRSetSweepVsNeighbors|BenchmarkPageRankSweepVsNeighbors|BenchmarkPageRankShards|BenchmarkRWRSetShards|BenchmarkExtractTieredSkewed|BenchmarkKeyPathPagedCursor|BenchmarkPoolMiss|BenchmarkE1_GTreeBuild|BenchmarkPartition/Multilevel|BenchmarkGTreeBuildScale'
 
 .PHONY: all build vet lint test race check bench bench-json fmt fuzz-smoke
 

@@ -393,29 +393,67 @@ func BenchmarkRWRPushVsPower(b *testing.B) {
 	})
 }
 
-// BenchmarkRWRMultiFanout measures the multi-source RWR solve — the
-// extraction hot path — serial versus fanned out over the worker pool
-// (results are bit-identical; on a multi-core runner parallel>1 should
-// cut wall time roughly by the core count).
-func BenchmarkRWRMultiFanout(b *testing.B) {
+// sweepCountBench counts the whole-graph passes a solve makes. Embedding
+// the Adjacency interface value hides the backend's shard views, so the
+// one-source rows below are the serial sweep like the rest.
+type sweepCountBench struct {
+	gmine.Adjacency
+	sweeps int
+}
+
+func (c *sweepCountBench) SweepEdges(lo, hi gmine.NodeID, fn func(u gmine.NodeID, nbrs []gmine.NodeID, w []float64) bool) error {
+	c.sweeps++
+	return c.Adjacency.(gmine.EdgeSweeper).SweepEdges(lo, hi, fn)
+}
+
+// BenchmarkRWRMultiFused measures the multi-source RWR solve — the first
+// stage of every extraction — for 1, 2 and 8 sources, in memory and paged
+// at a pool far smaller than the CSR section. All the sources advance in
+// one sweep per power iteration, so sweeps/op is the iteration count of the
+// slowest source and barely moves with k, and pins/op (pool hits+misses
+// per solve) follows it; ns/op grows with k only by the per-row
+// arithmetic.
+func BenchmarkRWRMultiFused(b *testing.B) {
 	setup(b)
-	csr := gmine.ToCSR(benchDS.Graph)
 	n := benchDS.Graph.NumNodes()
-	sources := make([]gmine.NodeID, 8)
-	for i := range sources {
-		sources[i] = gmine.NodeID((i*n)/len(sources) + 1)
-	}
-	for _, bench := range []struct {
-		name     string
-		parallel int
-	}{{"Serial", 1}, {"Parallel", 0}} { // 0 = GOMAXPROCS
-		b.Run(bench.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := gmine.RWRMulti(csr, sources, gmine.RWROptions{Parallel: bench.parallel}); err != nil {
-					b.Fatal(err)
-				}
+	run := func(b *testing.B, adj gmine.Adjacency, k int) *sweepCountBench {
+		b.Helper()
+		sources := make([]gmine.NodeID, k)
+		for i := range sources {
+			sources[i] = gmine.NodeID((i*n)/k + 1)
+		}
+		counted := &sweepCountBench{Adjacency: adj}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := gmine.RWRMulti(counted, sources, gmine.RWROptions{}); err != nil {
+				b.Fatal(err)
 			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(counted.sweeps)/float64(b.N), "sweeps/op")
+		return counted
+	}
+	csr := gmine.ToCSR(benchDS.Graph)
+	for _, k := range []int{1, 2, 8} {
+		b.Run(fmt.Sprintf("MemoryCSR/k=%d", k), func(b *testing.B) { run(b, csr, k) })
+	}
+	for _, k := range []int{1, 2, 8} {
+		b.Run(fmt.Sprintf("Paged/pool=16/k=%d", k), func(b *testing.B) {
+			disk, err := gmine.Open(benchTree, 16)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer disk.Close()
+			adj, err := disk.Adj()
+			if err != nil {
+				b.Fatal(err)
+			}
+			adj.WeightedDegrees() // comparable warm start
+			disk.Store().ResetPoolStats()
+			run(b, adj, k)
+			st := disk.Store().PoolStats()
+			b.ReportMetric(float64(st.Hits+st.Misses)/float64(b.N), "pins/op")
 		})
 	}
 }

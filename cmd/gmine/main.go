@@ -331,7 +331,7 @@ func cmdExtract(args []string) error {
 	ids := fs.String("ids", "", "comma-separated source node ids (alternative)")
 	budget := fs.Int("budget", 30, "output node budget")
 	restart := fs.Float64("restart", 0.15, "RWR restart probability")
-	parallel := fs.Int("parallel", 0, "RWR worker pool size (0 = GOMAXPROCS; results identical for any value)")
+	fs.Int("parallel", 0, "accepted and ignored: the per-source RWR solves share one sweep per iteration, there is no worker pool to size")
 	svg := fs.String("svg", "", "write extraction SVG here")
 	seed := fs.Int64("seed", 1, "layout seed")
 	fs.Parse(args)
@@ -363,7 +363,7 @@ func cmdExtract(args []string) error {
 	}
 	res, err := extract.ConnectionSubgraph(g, sources, extract.Options{
 		Budget: *budget,
-		RWR:    extract.RWROptions{Restart: *restart, Parallel: *parallel},
+		RWR:    extract.RWROptions{Restart: *restart},
 	})
 	if err != nil {
 		return err

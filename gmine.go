@@ -219,9 +219,10 @@ var (
 // implements EdgeSweeper.
 var RWRSet = extract.RWRSet
 
-// RWRMulti runs one independent RWR per source over a bounded worker pool
-// (RWROptions.Parallel, default GOMAXPROCS); output is bit-identical to
-// the serial order for any pool size.
+// RWRMulti runs one independent RWR per source, all advanced by the same
+// sweep per power iteration (k sources cost the slowest one's sweeps, not
+// the sum). Each vector is bit-identical to RWRPower on that source alone;
+// RWROptions.Parallel is accepted and ignored.
 var RWRMulti = extract.RWRMulti
 
 // PairwiseOptions configures the KDD'04 electrical baseline.

@@ -203,7 +203,7 @@ func (e *Engine) SetPoolQuota(frames int) { e.poolQuota = frames }
 // sweeps: 0 = auto (one shard per core once the graph clears
 // graph.MinAutoShardEdges), 1 = serial, >= 2 = exactly that many shards.
 // Sharding is an execution knob only — the ordered merge keeps every
-// sharded kernel bit-identical to its serial sweep — so, like Parallel,
+// sharded kernel bit-identical to its serial sweep — so
 // it never participates in result cache keys. Kernel options with an
 // explicit non-zero Shards win over the session default. Propagated to
 // the store of disk-backed engines (its WeightedDegrees build shards

@@ -239,3 +239,69 @@ func TestTracedErrorCarriesRequestID(t *testing.T) {
 		t.Error("tagging hides the sentinel from errors.Is")
 	}
 }
+
+// sweepCounter counts the whole-graph passes a solve makes.
+type sweepCounter struct {
+	*graph.CSR
+	sweeps int64
+}
+
+func (c *sweepCounter) SweepEdges(lo, hi graph.NodeID, fn func(u graph.NodeID, nbrs []graph.NodeID, w []float64) bool) error {
+	c.sweeps++
+	return c.CSR.SweepEdges(lo, hi, fn)
+}
+
+// TestExtractFusedWorkCounts pins the work a multi-source extraction does
+// on a paged engine, in counts that repeat exactly. The RWR stage sweeps
+// the page run once per power iteration for all sources together, so its
+// pins are those of the slower source's solve alone — the max, not the sum,
+// of the per-source iteration counts — and the key-path stage reads a
+// frontier row once for every source that needs it, so the cursor rows of a
+// two-source extraction stay strictly below those of the two one-source
+// extractions added up.
+func TestExtractFusedWorkCounts(t *testing.T) {
+	eng := tracedDiskEngine(t)
+	eng.SetSweepShards(1) // a one-source solve would otherwise be free to shard
+	csr := graph.ToCSR(dblp.SmallFixture().Graph)
+	iterations := func(s graph.NodeID) int64 {
+		c := &sweepCounter{CSR: csr}
+		if _, err := extract.RWR(c, s, extract.RWROptions{Shards: 1}); err != nil {
+			t.Fatal(err)
+		}
+		return c.sweeps
+	}
+	// Two sources whose walks converge at different iterations.
+	a, b := graph.NodeID(1), graph.NodeID(2)
+	for iterations(b) == iterations(a) {
+		if b++; int(b) == csr.N() {
+			t.Fatal("every source converges at the same iteration; the fixture proves nothing")
+		}
+	}
+	itA, itB := iterations(a), iterations(b)
+
+	// sweepPins is what the RWR stage cost the pool: everything the query
+	// pinned that was not a row cursor's (key paths and induce).
+	work := func(sources ...graph.NodeID) (sweepPins, cursorRows int64) {
+		tr := obs.NewTrace("work-req")
+		if _, err := eng.ExtractTraced(context.Background(), tr, sources, extract.Options{Budget: 12}); err != nil {
+			t.Fatal(err)
+		}
+		return tr.CountValue("pool.pins") - tr.CountValue("pool.cursor.pins"), tr.CountValue("pool.cursor.rows")
+	}
+	work(a, b) // warm labels + wdeg, which pin outside the query's partition
+	pinsA, rowsA := work(a)
+	pinsB, rowsB := work(b)
+	pinsAB, rowsAB := work(a, b)
+
+	perSweep := pinsA / itA
+	if perSweep == 0 || pinsA != itA*perSweep || pinsB != itB*perSweep {
+		t.Fatalf("sweep pins %d and %d are not %d and %d iterations of one per-sweep cost", pinsA, pinsB, itA, itB)
+	}
+	if want := max(itA, itB) * perSweep; pinsAB != want {
+		t.Errorf("two-source extraction: %d sweep pins = %d sweeps, want max(%d, %d) = %d sweeps (the sum would be %d)",
+			pinsAB, pinsAB/perSweep, itA, itB, want/perSweep, itA+itB)
+	}
+	if rowsAB == 0 || rowsAB >= rowsA+rowsB {
+		t.Errorf("two-source extraction read %d cursor rows, want fewer than the one-source extractions' %d + %d", rowsAB, rowsA, rowsB)
+	}
+}

@@ -3,6 +3,7 @@ package extract
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -181,16 +182,20 @@ func ConnectionSubgraphAdj(adj graph.Adjacency, directed bool, labelOf func(grap
 				break // no positive-goodness node remains
 			}
 			iterations++
-			for _, s := range sources {
-				if len(chosen) >= opts.Budget {
-					break
-				}
-				for _, u := range dp.path(cur, s, pd, logGood, opts.MaxPathLen) {
-					if !inH[u] {
-						if len(chosen) >= opts.Budget {
-							break
+			for g := 0; g < len(sources) && len(chosen) < opts.Budget; g += maxFusedSources {
+				group := sources[g:min(g+maxFusedSources, len(sources))]
+				dp.build(cur, group, pd, logGood, opts.MaxPathLen)
+				for j := range group {
+					if len(chosen) >= opts.Budget {
+						break
+					}
+					for _, u := range dp.walk(j, pd) {
+						if !inH[u] {
+							if len(chosen) >= opts.Budget {
+								break
+							}
+							add(u)
 						}
-						add(u)
 					}
 				}
 			}
@@ -282,99 +287,173 @@ func inducedFromAdj(adj graph.Adjacency, directed bool, labelOf func(graph.NodeI
 	return sub, new2old
 }
 
-// keyPathDP holds the tables of the key-path dynamic program so the ~60
-// solves of one extraction reuse them: two score rows and maxLen+1 parent
-// rows of n entries each, about 0.5 MB on a 10k-node graph, which used to
-// be allocated and thrown away per (source, destination). Only buffers
-// are shared — every path call runs its own full DP.
+// maxFusedSources caps how many sources' key-path tables one row pass
+// fills. Every fused source holds two score rows and maxLen parent rows of
+// n entries — 56 bytes per node at the default maxLen of 10 — so a group
+// of four is 224 bytes per node: 2 MB on the 9.5k-node bench fixture,
+// 70 MB on the papers' 315k-node DBLP. Extractions rarely name more than
+// four sources; one that does runs ceil(k/4) passes per level.
+const maxFusedSources = 4
+
+// keyPathDP holds the tables of the key-path dynamic program so the ~30
+// destination rounds of one extraction reuse them, together with the
+// walk-back's buffers. One build fills the tables of a whole group of
+// sources for one destination: every level reads each frontier row once
+// through the cursor and relaxes it into the table of each source whose
+// frontier holds it. The arithmetic is still one full DP per (source,
+// destination); what the group shares is the row reads.
 type keyPathDP struct {
-	prev, cur []float64
-	parents   [][]int32 // parents[l][v]: predecessor of v on the best l-edge walk
+	n, maxLen int            // what the tables are sized for
+	tabs      []keyPathTable // [j]: group member j
+	live      []*keyPathTable
 	nbrs      []graph.NodeID
+	rev, out  []graph.NodeID // walk's parent chain and its result
 }
 
-// path finds a high-goodness path from src to dst with at most maxLen
-// edges by dynamic programming: dp[l][v] = best sum of log-goodness over
-// the nodes of a walk of exactly l edges from src to v. Rows are read
-// through cur in ascending node order per level — the order a paged
-// cursor's sticky pins are made for — and ids only: the DP never looks at
-// edge weights. Returns the node sequence src..dst, or nil if dst is
-// unreachable within maxLen.
-func (d *keyPathDP) path(cur graph.RowCursor, src, dst graph.NodeID, logGood []float64, maxLen int) []graph.NodeID {
-	if src == dst {
-		return []graph.NodeID{src}
-	}
+// keyPathTable is one source's share of a build.
+type keyPathTable struct {
+	prev, next []float64 // score rows of the last and the current level
+	parents    [][]int32 // parents[l][v]: predecessor of v on the best l-edge walk
+	par        []int32   // parents[l] of the current level
+	best       int       // length of the best walk to dst; 0 = the source is dst, -1 = none
+	bestScore  float64
+}
+
+// build runs the dynamic program from every source of srcs (at most
+// maxFusedSources) to dst: dp[l][v] = best sum of log-goodness over the
+// nodes of a walk of exactly l edges from the source to v, at most maxLen
+// edges. Rows are read through cur in ascending node order per level — the
+// order a paged cursor's sticky pins are made for — once for the whole
+// group, and ids only: the DP never looks at edge weights. walk then
+// returns each source's path.
+func (d *keyPathDP) build(cur graph.RowCursor, srcs []graph.NodeID, dst graph.NodeID, logGood []float64, maxLen int) {
 	n := len(logGood)
 	negInf := math.Inf(-1)
-	if len(d.prev) != n || len(d.parents) != maxLen+1 {
-		d.prev = make([]float64, n)
-		d.cur = make([]float64, n)
-		d.parents = make([][]int32, maxLen+1)
+	if d.n != n || d.maxLen != maxLen {
+		*d = keyPathDP{n: n, maxLen: maxLen}
+	}
+	for len(d.tabs) < len(srcs) {
+		t := keyPathTable{prev: make([]float64, n), next: make([]float64, n), parents: make([][]int32, maxLen+1)}
 		for l := 1; l <= maxLen; l++ {
-			d.parents[l] = make([]int32, n)
+			t.parents[l] = make([]int32, n)
 		}
+		d.tabs = append(d.tabs, t)
 	}
-	prev, next := d.prev, d.cur
-	for i := range prev {
-		prev[i] = negInf
+	d.live = d.live[:0]
+	for j, src := range srcs {
+		t := &d.tabs[j]
+		t.best, t.bestScore = -1, negInf
+		if src == dst {
+			t.best = 0 // the path is dst alone; no DP
+			continue
+		}
+		d.live = append(d.live, t)
+		prev := t.prev
+		for i := range prev {
+			prev[i] = negInf
+		}
+		prev[src] = logGood[src]
 	}
-	prev[src] = logGood[src]
-	bestLen, bestScore := -1, negInf
-	nbrs := d.nbrs
-	for l := 1; l <= maxLen; l++ {
-		par := d.parents[l]
-		for i := range par {
-			par[i] = -1
-		}
-		for i := range next {
-			next[i] = negInf
-		}
-		for u := 0; u < n; u++ {
-			if prev[u] == negInf {
-				continue
+	live, nbrs := d.live, d.nbrs
+	for l := 1; l <= maxLen && len(live) > 0; l++ {
+		for _, t := range live {
+			par, next := t.parents[l], t.next
+			for i := range par {
+				par[i] = -1
 			}
-			nbrs = cur.NeighborIDs(graph.NodeID(u), nbrs[:0])
-			for _, v := range nbrs {
-				if logGood[v] == negInf {
-					continue
-				}
-				cand := prev[u] + logGood[v]
-				if cand > next[v] {
-					next[v] = cand
-					par[v] = int32(u)
-				}
+			for i := range next {
+				next[i] = negInf
 			}
+			t.par = par
 		}
-		if next[dst] > bestScore {
-			bestScore = next[dst]
-			bestLen = l
+		nbrs = relaxLevel(cur, live, logGood, nbrs)
+		for _, t := range live {
+			if t.next[dst] > t.bestScore {
+				t.bestScore = t.next[dst]
+				t.best = l
+			}
+			t.prev, t.next = t.next, t.prev
 		}
-		prev, next = next, prev
 	}
 	d.nbrs = nbrs[:0]
-	if bestLen < 0 {
+}
+
+// relaxLevel runs one level of the dynamic program for every table of
+// live, in order, reading each row some table's frontier holds once
+// through cur. nbrs is the row buffer, handed back for the next level. It
+// is a function of its own to keep the row loop's working set in
+// registers; inside build's frame the compiler spills the loop counters.
+func relaxLevel(cur graph.RowCursor, live []*keyPathTable, logGood []float64, nbrs []graph.NodeID) []graph.NodeID {
+	negInf := math.Inf(-1)
+	n := len(logGood)
+	for u := 0; u < n; u++ {
+		// Row u is read when the first table whose frontier holds it
+		// comes up, and then serves the rest.
+		read := false
+		for _, t := range live {
+			pu := t.prev[u]
+			if pu == negInf {
+				continue
+			}
+			if !read {
+				nbrs, read = cur.NeighborIDs(graph.NodeID(u), nbrs[:0]), true
+			}
+			t.relax(nbrs, logGood, pu, int32(u))
+		}
+	}
+	return nbrs
+}
+
+// relax offers every neighbor v of u the walk that reaches u with score pu
+// and then steps to v. Kept out of line: inlined into build's three-deep
+// loop nest the compiler spills this loop's own counter to the stack, which
+// costs the in-memory DP a fifth of its time.
+//
+//go:noinline
+func (t *keyPathTable) relax(nbrs []graph.NodeID, logGood []float64, pu float64, u int32) {
+	negInf := math.Inf(-1)
+	next, par := t.next, t.par
+	for _, v := range nbrs {
+		if logGood[v] == negInf {
+			continue
+		}
+		cand := pu + logGood[v]
+		if cand > next[v] {
+			next[v] = cand
+			par[v] = u
+		}
+	}
+}
+
+// walk returns the node sequence src..dst of the last build's group member
+// j, or nil if dst is unreachable from it within maxLen. The slice is the
+// DP's own buffer, valid until the next walk.
+func (d *keyPathDP) walk(j int, dst graph.NodeID) []graph.NodeID {
+	t := &d.tabs[j]
+	if t.best < 0 {
 		return nil
 	}
-	// Walk parents back from dst at bestLen. A parent chain may revisit
-	// nodes (walks, not simple paths); dedup while preserving order.
-	rev := []graph.NodeID{dst}
+	// Walk parents back from dst at the best length. A parent chain may
+	// revisit nodes (walks, not simple paths); dedup while preserving
+	// order.
+	rev := append(d.rev[:0], dst)
 	v := dst
-	for l := bestLen; l >= 1; l-- {
-		p := d.parents[l][v]
+	for l := t.best; l >= 1; l-- {
+		p := t.parents[l][v]
 		if p < 0 {
 			break
 		}
 		v = graph.NodeID(p)
 		rev = append(rev, v)
 	}
-	out := make([]graph.NodeID, 0, len(rev))
-	used := map[graph.NodeID]bool{}
+	// At most maxLen+1 nodes: a scan of out beats any per-node table.
+	out := d.out[:0]
 	for i := len(rev) - 1; i >= 0; i-- {
-		if !used[rev[i]] {
-			used[rev[i]] = true
+		if !slices.Contains(out, rev[i]) {
 			out = append(out, rev[i])
 		}
 	}
+	d.rev, d.out = rev, out
 	return out
 }
 

@@ -3,7 +3,6 @@ package extract
 import (
 	"math"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -85,55 +84,5 @@ func TestNeighborsIntoKernelsBitIdentical(t *testing.T) {
 				t.Fatalf("trial %d node %d: %d vs %d", trial, i, got.Nodes[i], want.Nodes[i])
 			}
 		}
-	}
-}
-
-// shrinkingAdj wraps a CSR but lies about its node count once the
-// configured number of N() calls has been observed: later calls report a
-// single node, making every subsequent per-solve range check fail. It
-// exists to trigger worker errors inside RWRMulti without a
-// fault-injectable backend; only interface calls bump the counter
-// (the CSR's internal method calls do not go through the wrapper).
-type shrinkingAdj struct {
-	*graph.CSR
-	calls atomic.Int64
-	flip  int64
-}
-
-func (a *shrinkingAdj) N() int {
-	if a.calls.Add(1) > a.flip {
-		return 1
-	}
-	return a.CSR.N()
-}
-
-// TestRWRMultiStopsFeedingAfterError pins the early-cancel fix: once a
-// worker records the batch's first error, the feeder must stop handing out
-// sources and the workers must stop burning full solves on them — before
-// the fix a bad batch of m sources cost m wasted RWR solves.
-func TestRWRMultiStopsFeedingAfterError(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := randomConnected(rng, 50, 120)
-	const m, workers = 512, 4
-	sources := make([]graph.NodeID, m)
-	for i := range sources {
-		sources[i] = graph.NodeID(1 + i%40) // all >= 1: out of range once N()==1
-	}
-	// RWRMulti's up-front validation calls N() once per source; every later
-	// call comes from a worker's RWRSet, so flipping after m calls makes
-	// exactly the solves fail.
-	adj := &shrinkingAdj{CSR: graph.ToCSR(g), flip: m}
-	if _, err := RWRMulti(adj, sources, RWROptions{Parallel: workers}); err == nil {
-		t.Fatal("shrinking adjacency produced no error")
-	}
-	attempted := adj.calls.Load() - m
-	if attempted < 1 {
-		t.Fatalf("no solve was ever attempted (calls=%d)", adj.calls.Load())
-	}
-	// Without the early stop every source is solved (attempted == m). With
-	// it, at most a few jobs per worker slip through before the first error
-	// is observed.
-	if attempted > 8*workers {
-		t.Fatalf("%d of %d sources were still solved after the first error", attempted, m)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
 	"repro/internal/graph"
 )
@@ -29,20 +28,21 @@ type RWROptions struct {
 	Epsilon float64
 	// MaxIter caps power iterations (default 200).
 	MaxIter int
-	// Parallel bounds the worker pool RWRMulti fans sources out over
-	// (default GOMAXPROCS). Results are bit-identical for any value: each
-	// source's walk is independent and deterministic, so Parallel is an
-	// execution knob, never a semantic one (and is excluded from server
-	// cache keys for that reason).
+	// Parallel is accepted and ignored by the solver: RWRMulti used to fan
+	// sources out over a worker pool of this size; it now advances every
+	// source in one sweep per iteration, which leaves nothing to bound.
+	// The field stays because bench/layers sets it (deleting it is a
+	// [benchmark] change first). It never affected results and stays out
+	// of server cache keys.
 	Parallel int
-	// Shards is the per-iteration sweep shard count of one RWRSet solve:
-	// 0 = auto (GOMAXPROCS when the graph clears graph.MinAutoShardEdges),
-	// 1 = serial, >= 2 = exactly that many shards. Like Parallel it is an
-	// execution knob only — the ordered merge keeps the sharded solve
-	// bit-identical to the serial sweep — and is likewise excluded from
-	// server cache keys. RWRMulti forces the inner solves serial whenever
-	// it is already fanning sources out over more than one worker, so the
-	// two parallelism axes never multiply.
+	// Shards is the per-iteration sweep shard count of a solve with one
+	// restart set (RWR, RWRSet, a one-source RWRMulti): 0 = auto
+	// (GOMAXPROCS when the graph clears graph.MinAutoShardEdges),
+	// 1 = serial, >= 2 = exactly that many shards. An execution knob only
+	// — the ordered merge keeps the sharded solve bit-identical to the
+	// serial sweep — and excluded from server cache keys. RWRMulti over
+	// two or more sources never shards: its one pass per iteration already
+	// serves all of them.
 	Shards int
 	// Ctx optionally carries the caller's cancellation into the solve:
 	// RWRSet polls it at every power-iteration boundary and aborts with
@@ -98,28 +98,69 @@ func RWR(c graph.Adjacency, src graph.NodeID, opts RWROptions) ([]float64, error
 // RWRSet computes RWR with the restart mass spread uniformly over a source
 // set (the particle teleports to a random member of the set).
 func RWRSet(c graph.Adjacency, sources []graph.NodeID, opts RWROptions) ([]float64, error) {
+	out, err := rwrBlocked(c, [][]graph.NodeID{sources}, opts)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// RWRMulti runs an independent RWR per source, returning one score vector
+// per source — the inputs to the goodness score. All the walks advance
+// together: one pass over the adjacency per power iteration serves every
+// source that has not converged yet, so k sources cost as many sweeps as
+// the slowest of them, not the sum. Each vector is bit-identical to
+// RWR(c, source, opts). opts.Parallel is not read — there is no worker
+// pool left to bound — and opts.Shards applies to one-source solves only.
+func RWRMulti(c graph.Adjacency, sources []graph.NodeID, opts RWROptions) ([][]float64, error) {
+	sets := make([][]graph.NodeID, len(sources))
+	for i := range sources {
+		sets[i] = sources[i : i+1]
+	}
+	return rwrBlocked(c, sets, opts)
+}
+
+// rwrWalk is the state of one restart set's power iteration inside a blocked
+// solve: mass is its restart distribution, r and next the score pair.
+type rwrWalk struct {
+	set           []graph.NodeID
+	share         float64
+	mass, r, next []float64
+}
+
+// rwrBlocked is the one power-iteration body behind RWRSet and RWRMulti:
+// one walk per restart set, all advanced by the same pass over the
+// adjacency. Within a pass the walks are applied to each row in set order
+// and every walk sees exactly the floating-point operations, in exactly
+// the order, of a solve run alone; a walk that converges is frozen at that
+// iteration and drops out of the later passes.
+func rwrBlocked(c graph.Adjacency, sets [][]graph.NodeID, opts RWROptions) ([][]float64, error) {
 	opts, err := opts.Normalize()
 	if err != nil {
 		return nil, err
 	}
 	n := c.N()
-	if len(sources) == 0 {
-		return nil, fmt.Errorf("extract: RWR needs at least one source")
-	}
-	for _, s := range sources {
-		if s < 0 || int(s) >= n {
-			return nil, fmt.Errorf("extract: source %d out of range (n=%d)", s, n)
+	for _, set := range sets {
+		if len(set) == 0 {
+			return nil, fmt.Errorf("extract: RWR needs at least one source")
+		}
+		for _, s := range set {
+			if s < 0 || int(s) >= n {
+				return nil, fmt.Errorf("extract: source %d out of range (n=%d)", s, n)
+			}
 		}
 	}
-	restartMass := make([]float64, n)
-	share := 1.0 / float64(len(sources))
-	for _, s := range sources {
-		restartMass[s] += share
+	walks := make([]*rwrWalk, len(sets))
+	for j, set := range sets {
+		w := &rwrWalk{set: set, share: 1.0 / float64(len(set)),
+			mass: make([]float64, n), r: make([]float64, n), next: make([]float64, n)}
+		for _, s := range set {
+			w.mass[s] += w.share
+		}
+		copy(w.r, w.mass)
+		walks[j] = w
 	}
 	wdeg := c.WeightedDegrees()
-	r := make([]float64, n)
-	next := make([]float64, n)
-	copy(r, restartMass)
 	cc := opts.Restart
 	// Edge-centric fast path: a backend that can sweep its own storage in
 	// layout order (both of ours can) pushes each pass page run by page
@@ -128,35 +169,57 @@ func RWRSet(c graph.Adjacency, sources []graph.NodeID, opts RWROptions) ([]float
 	// NeighborsInto in the same ascending-u order, so both paths produce
 	// the same floating-point vector.
 	sweeper, _ := c.(graph.EdgeSweeper)
-	// Sharded fast path: range-shard each pass across goroutines, logging
-	// contributions into a private accumulator whose ordered merge replays
-	// the exact serial fold (see graph.PushAcc) — bit-identical, all cores.
-	// The seed vector cc·restartMass is precomputed once; the serial loop
-	// recomputes the same products every pass, so seeding the merge from
-	// the table is bit-identical.
+	// Sharded fast path, one-walk solves only: range-shard each pass across
+	// goroutines, logging contributions into a private accumulator whose
+	// ordered merge replays the exact serial fold (see graph.PushAcc) —
+	// bit-identical, all cores. Two or more walks always share one serial
+	// sweep: splitting that pass k ways would split a paged query's pool
+	// quota with it. The seed vector cc·mass is precomputed once; the
+	// serial loop recomputes the same products every pass, so seeding the
+	// merge from the table is bit-identical.
 	var (
-		acc     *graph.PushAcc
-		views   []graph.EdgeSweeper
-		ranges  []graph.ShardRange
-		release func()
-		seed    []float64
+		acc    *graph.PushAcc
+		views  []graph.EdgeSweeper
+		ranges []graph.ShardRange
+		seed   []float64
 	)
-	if sv, ok := c.(graph.SweepShardViewer); ok {
+	if sv, ok := c.(graph.SweepShardViewer); ok && len(walks) == 1 {
 		if k := graph.EffectiveSweepShards(c, opts.Shards); k > 1 {
 			if sr := graph.ShardRanges(c, k); len(sr) > 1 {
-				if v, rel, verr := sv.SweepShardViews(len(sr)); verr == nil {
-					views, ranges, release = v, sr, rel
+				if v, release, verr := sv.SweepShardViews(len(sr)); verr == nil {
+					defer release()
+					views, ranges = v, sr
 					acc = graph.NewPushAcc(n, len(sr))
 					seed = make([]float64, n)
 					for i := range seed {
-						seed[i] = cc * restartMass[i]
+						seed[i] = cc * walks[0].mass[i]
 					}
 				}
 			}
 		}
 	}
-	if release != nil {
-		defer release()
+	// live holds the walks still iterating, in set order.
+	live := append([]*rwrWalk(nil), walks...)
+	push := func(u graph.NodeID, nbrs []graph.NodeID, ws []float64) bool {
+		for _, w := range live {
+			ru := w.r[u]
+			if ru == 0 {
+				continue
+			}
+			if wdeg[u] == 0 {
+				// Dangling walker restarts entirely.
+				for _, s := range w.set {
+					w.next[s] += (1 - cc) * ru * w.share
+				}
+				continue
+			}
+			scale := (1 - cc) * ru / wdeg[u]
+			next := w.next
+			for i, v := range nbrs {
+				next[v] += scale * ws[i]
+			}
+		}
+		return true
 	}
 	// One buffer pair for the whole solve (this goroutine only): the paged
 	// backend decodes into it instead of allocating per Neighbors call
@@ -172,7 +235,7 @@ func RWRSet(c graph.Adjacency, sources []graph.NodeID, opts RWROptions) ([]float
 	if opts.Ctx != nil {
 		done = opts.Ctx.Done()
 	}
-	for iter := 0; iter < opts.MaxIter; iter++ {
+	for iter := 0; iter < opts.MaxIter && len(live) > 0; iter++ {
 		if done != nil {
 			select {
 			case <-done:
@@ -181,46 +244,31 @@ func RWRSet(c graph.Adjacency, sources []graph.NodeID, opts RWROptions) ([]float
 			}
 		}
 		if acc != nil {
+			w := walks[0]
 			acc.Reset()
 			err := graph.ParallelSweepEdges(views, ranges, func(shard int, u graph.NodeID, nbrs []graph.NodeID, ws []float64) bool {
-				if r[u] == 0 {
+				if w.r[u] == 0 {
 					return true
 				}
 				if wdeg[u] == 0 {
-					// Dangling walker restarts entirely; Add preserves the
-					// serial source order.
-					for _, s := range sources {
-						acc.Add(shard, s, (1-cc)*r[u]*share)
+					// Add preserves the serial source order.
+					for _, s := range w.set {
+						acc.Add(shard, s, (1-cc)*w.r[u]*w.share)
 					}
 					return true
 				}
-				acc.AddRow(shard, nbrs, ws, (1-cc)*r[u]/wdeg[u])
+				acc.AddRow(shard, nbrs, ws, (1-cc)*w.r[u]/wdeg[u])
 				return true
 			})
 			if err != nil {
 				return nil, err
 			}
-			acc.Merge(next, seed, 0)
+			acc.Merge(w.next, seed, 0)
 		} else {
-			for i := range next {
-				next[i] = cc * restartMass[i]
-			}
-			push := func(u graph.NodeID, nbrs []graph.NodeID, ws []float64) bool {
-				if r[u] == 0 {
-					return true
+			for _, w := range live {
+				for i := range w.next {
+					w.next[i] = cc * w.mass[i]
 				}
-				if wdeg[u] == 0 {
-					// Dangling walker restarts entirely.
-					for _, s := range sources {
-						next[s] += (1 - cc) * r[u] * share
-					}
-					return true
-				}
-				scale := (1 - cc) * r[u] / wdeg[u]
-				for i, v := range nbrs {
-					next[v] += scale * ws[i]
-				}
-				return true
 			}
 			if sweeper != nil {
 				if err := sweeper.SweepEdges(0, graph.NodeID(n), push); err != nil {
@@ -228,142 +276,47 @@ func RWRSet(c graph.Adjacency, sources []graph.NodeID, opts RWROptions) ([]float
 				}
 			} else {
 				for u := 0; u < n; u++ {
-					if r[u] == 0 || wdeg[u] == 0 {
+					switch {
+					case wdeg[u] == 0:
 						push(graph.NodeID(u), nil, nil)
-						continue
+					case anyMass(live, u): // a row nobody has mass on is never read
+						nbrs, ws = c.NeighborsInto(graph.NodeID(u), nbrs[:0], ws[:0])
+						push(graph.NodeID(u), nbrs, ws)
 					}
-					nbrs, ws = c.NeighborsInto(graph.NodeID(u), nbrs[:0], ws[:0])
-					push(graph.NodeID(u), nbrs, ws)
 				}
 			}
 		}
-		var delta float64
-		for i := range r {
-			d := next[i] - r[i]
-			if d < 0 {
-				d = -d
-			}
-			delta += d
-		}
-		r, next = next, r
-		if delta < opts.Epsilon {
-			break
-		}
-	}
-	return r, nil
-}
-
-// RWRMulti runs an independent RWR per source, returning one score vector
-// per source — the inputs to the goodness score. Sources fan out over a
-// bounded worker pool of opts.Parallel goroutines (default GOMAXPROCS);
-// every walk is independent and deterministic, so the output is
-// bit-identical to the serial order for any pool size.
-func RWRMulti(c graph.Adjacency, sources []graph.NodeID, opts RWROptions) ([][]float64, error) {
-	opts, err := opts.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	// Validate every source up front so the parallel path reports the same
-	// (first-in-order) error the serial path would.
-	for _, s := range sources {
-		if s < 0 || int(s) >= c.N() {
-			return nil, fmt.Errorf("extract: source %d out of range (n=%d)", s, c.N())
-		}
-	}
-	out := make([][]float64, len(sources))
-	workers := opts.Parallel
-	if workers > len(sources) {
-		workers = len(sources)
-	}
-	if workers <= 1 {
-		for i, s := range sources {
-			r, err := RWR(c, s, opts)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-		}
-		return out, nil
-	}
-	// The multi-source fan-out already keeps every core on its own
-	// independent solve; sharding inside each worker's sweep on top of
-	// that would oversubscribe the cores and (on the paged backend)
-	// fragment each worker's pool quota k ways for no extra parallelism.
-	// One axis at a time: many sources → parallel across sources, serial
-	// within; single source → sharded within (the workers <= 1 path above
-	// keeps opts.Shards).
-	opts.Shards = 1
-	// Force the weighted-degree table once before the fan-out: sync.Once
-	// would serialize the first concurrent callers anyway, and a warm table
-	// keeps the workers purely read-only on the CSR.
-	c.WeightedDegrees()
-	var (
-		wg         sync.WaitGroup
-		errMu      sync.Mutex
-		firstErr   error
-		firstPanic any
-	)
-	failed := func() bool {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return firstErr != nil || firstPanic != nil
-	}
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				// A worker panic must not kill the process from a bare
-				// goroutine; capture it and re-raise on the caller so the
-				// parallel path panics exactly like the serial one (where
-				// a server's request-level recovery can handle it).
-				if r := recover(); r != nil {
-					errMu.Lock()
-					if firstPanic == nil {
-						firstPanic = r
-					}
-					errMu.Unlock()
-					for range jobs { // drain so the feeder never blocks
-					}
+		still := live[:0]
+		for _, w := range live {
+			var delta float64
+			for i := range w.r {
+				d := w.next[i] - w.r[i]
+				if d < 0 {
+					d = -d
 				}
-			}()
-			for i := range jobs {
-				// Once any worker failed the batch's outcome is decided;
-				// drain remaining jobs instead of burning full solves on a
-				// result that will be discarded.
-				if failed() {
-					continue
-				}
-				r, err := RWR(c, sources[i], opts)
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					continue
-				}
-				out[i] = r
+				delta += d
 			}
-		}()
-	}
-	for i := range sources {
-		// Stop feeding as soon as the batch is doomed — with an unbuffered
-		// channel at most `workers` solves are ever in flight past the
-		// first error, instead of the whole remaining source set.
-		if failed() {
-			break
+			w.r, w.next = w.next, w.r
+			if delta < opts.Epsilon {
+				continue // converged: frozen at this iteration
+			}
+			still = append(still, w)
 		}
-		jobs <- i
+		live = still
 	}
-	close(jobs)
-	wg.Wait()
-	if firstPanic != nil {
-		panic(firstPanic)
-	}
-	if firstErr != nil {
-		return nil, firstErr
+	out := make([][]float64, len(walks))
+	for j, w := range walks {
+		out[j] = w.r
 	}
 	return out, nil
+}
+
+// anyMass reports whether any of the walks has mass on u this pass.
+func anyMass(walks []*rwrWalk, u int) bool {
+	for _, w := range walks {
+		if w.r[u] != 0 {
+			return true
+		}
+	}
+	return false
 }

@@ -8,71 +8,9 @@ import (
 	"repro/internal/graph"
 )
 
-// TestRWRMultiParallelBitIdentical is the property test for the parallel
-// fan-out: across random graphs, source-set sizes and pool widths, the
-// parallel output must be exactly equal — bit-for-bit, not ε-close — to
-// the serial implementation, because each source's walk is independent and
-// deterministic regardless of scheduling.
-func TestRWRMultiParallelBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 25; trial++ {
-		n := 10 + rng.Intn(120)
-		g := randomConnected(rng, n, rng.Intn(3*n))
-		c := graph.ToCSR(g)
-		m := 1 + rng.Intn(8)
-		sources := make([]graph.NodeID, 0, m)
-		seen := map[int]bool{}
-		for len(sources) < m {
-			s := rng.Intn(n)
-			if !seen[s] {
-				seen[s] = true
-				sources = append(sources, graph.NodeID(s))
-			}
-		}
-		opts := RWROptions{Restart: 0.05 + 0.9*rng.Float64(), MaxIter: 50}
-		serial, err := RWRMulti(c, sources, optsWithParallel(opts, 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, par := range []int{2, 3, 8, 64} {
-			got, err := RWRMulti(c, sources, optsWithParallel(opts, par))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(serial) {
-				t.Fatalf("trial %d parallel=%d: %d vectors, want %d", trial, par, len(got), len(serial))
-			}
-			for i := range serial {
-				for v := range serial[i] {
-					if got[i][v] != serial[i][v] { // exact equality, intentionally
-						t.Fatalf("trial %d parallel=%d source %d node %d: %v != %v",
-							trial, par, i, v, got[i][v], serial[i][v])
-					}
-				}
-			}
-		}
-	}
-}
-
 func optsWithParallel(o RWROptions, p int) RWROptions {
 	o.Parallel = p
 	return o
-}
-
-// TestRWRMultiParallelErrors checks the pool reports the same error the
-// serial path would, for every pool width.
-func TestRWRMultiParallelErrors(t *testing.T) {
-	g := pathGraph(10)
-	c := graph.ToCSR(g)
-	for _, par := range []int{1, 2, 8} {
-		if _, err := RWRMulti(c, []graph.NodeID{2, 99}, RWROptions{Parallel: par}); err == nil {
-			t.Fatalf("parallel=%d accepted out-of-range source", par)
-		}
-	}
-	out, err := RWRMulti(c, nil, RWROptions{Parallel: 4})
-	if err != nil || len(out) != 0 {
-		t.Fatalf("empty source set: out=%v err=%v", out, err)
-	}
 }
 
 func TestRWROptionsNormalizeRejectsOutOfRange(t *testing.T) {
@@ -162,29 +100,5 @@ func TestConnectionSubgraphCSRMatchesAdjacency(t *testing.T) {
 				t.Fatalf("node %d: %d vs %d", j, got.Nodes[j], want.Nodes[j])
 			}
 		}
-	}
-}
-
-func BenchmarkRWRMultiSerialVsParallel(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	g := randomConnected(rng, 4000, 16000)
-	c := graph.ToCSR(g)
-	sources := make([]graph.NodeID, 8)
-	for i := range sources {
-		sources[i] = graph.NodeID(i * 450)
-	}
-	for _, par := range []int{1, 2, 4, 0} { // 0 = GOMAXPROCS
-		name := "parallel=gomaxprocs"
-		if par > 0 {
-			name = "parallel=" + string(rune('0'+par))
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := RWRMulti(c, sources, RWROptions{Parallel: par}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -90,39 +90,6 @@ func TestRWRSetSweepBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRWRMultiSweepParallelBitIdentical: the sweep path composes with the
-// worker-pool fan-out — concurrent sweeps on the shared paged view stay
-// bit-identical to the serial node-centric solve for every pool width.
-func TestRWRMultiSweepParallelBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	g := randomConnected(rng, 200, 700)
-	csr := graph.ToCSR(g)
-	paged := pagedFixture(t, g, 16)
-	sources := []graph.NodeID{3, 42, 77, 120, 199}
-	opts := RWROptions{MaxIter: 50}
-
-	want, err := RWRMulti(nodeCentricOnly{csr}, sources, optsWithParallel(opts, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range []int{1, 2, 4, 8} {
-		for name, adj := range map[string]graph.Adjacency{"csr": csr, "paged": paged} {
-			got, err := RWRMulti(adj, sources, optsWithParallel(opts, par))
-			if err != nil {
-				t.Fatalf("%s parallel=%d: %v", name, par, err)
-			}
-			for i := range want {
-				for v := range want[i] {
-					if got[i][v] != want[i][v] {
-						t.Fatalf("%s parallel=%d source %d node %d: %v != %v",
-							name, par, i, v, got[i][v], want[i][v])
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestConnectionSubgraphSweepBitIdentical: the full extraction pipeline
 // (RWR + goodness + key paths) lands on the same subgraph whether the
 // solves sweep or walk node by node, memory or paged.

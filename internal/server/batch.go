@@ -117,7 +117,7 @@ func (s *Server) handleExtractBatch(w http.ResponseWriter, r *http.Request) {
 		go func() {
 			defer wg.Done()
 			for idx := range jobs {
-				resp.Results[idx] = s.safeBatchItem(ctx, sess, req.Requests[idx], idx, workers, parentID)
+				resp.Results[idx] = s.safeBatchItem(ctx, sess, req.Requests[idx], idx, parentID)
 			}
 		}()
 	}
@@ -159,7 +159,7 @@ dispatch:
 // safeBatchItem contains a panicking build to its own item. Batch items
 // run on pool goroutines, outside net/http's per-request recovery — an
 // unrecovered panic there would kill the whole server, not one request.
-func (s *Server) safeBatchItem(ctx context.Context, sess *Session, req ExtractRequest, idx, workers int, parentID string) (item BatchExtractItem) {
+func (s *Server) safeBatchItem(ctx context.Context, sess *Session, req ExtractRequest, idx int, parentID string) (item BatchExtractItem) {
 	defer func() {
 		if r := recover(); r != nil {
 			item = BatchExtractItem{
@@ -169,13 +169,13 @@ func (s *Server) safeBatchItem(ctx context.Context, sess *Session, req ExtractRe
 			}
 		}
 	}()
-	return s.runBatchItem(ctx, sess, req, idx, workers, parentID)
+	return s.runBatchItem(ctx, sess, req, idx, parentID)
 }
 
 // runBatchItem plans and executes one batch item through the shared result
 // cache and singleflight, so items identical to cached or in-flight queries
 // (even duplicates within the same batch) cost nothing extra.
-func (s *Server) runBatchItem(ctx context.Context, sess *Session, req ExtractRequest, idx, workers int, parentID string) BatchExtractItem {
+func (s *Server) runBatchItem(ctx context.Context, sess *Session, req ExtractRequest, idx int, parentID string) BatchExtractItem {
 	item := BatchExtractItem{Index: idx}
 	var tr *obs.Trace
 	if parentID != "" {
@@ -187,18 +187,6 @@ func (s *Server) runBatchItem(ctx context.Context, sess *Session, req ExtractReq
 		item.Status = http.StatusBadRequest
 		item.Error = fmt.Sprintf("batch items must use format \"json\" (got %q)", req.Format)
 		return item
-	}
-	// Items already run concurrently; give each item its share of the
-	// cores instead of letting every item's RWR pool claim all of
-	// GOMAXPROCS (an explicit per-item "parallel" is clamped to the share
-	// too, or total concurrency would multiply to workers x GOMAXPROCS).
-	// Safe to vary per request: Parallel never changes results or keys.
-	share := runtime.GOMAXPROCS(0) / workers
-	if share < 1 {
-		share = 1
-	}
-	if req.Parallel <= 0 || req.Parallel > share {
-		req.Parallel = share
 	}
 	p, status, err := s.planExtract(sess, req)
 	if err != nil {

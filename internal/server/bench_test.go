@@ -52,14 +52,11 @@ func BenchmarkServeExtract(b *testing.B) {
 	})
 }
 
-// BenchmarkServeExtractThroughput contrasts three ways of answering the
-// same 8 distinct multi-source extractions through the HTTP layer, cold
-// cache every iteration: "sequentialSerial" issues 8 single requests with
-// the RWR pool pinned to 1 (the pre-PR2 behavior), "sequentialParallel"
-// issues 8 single requests with the default GOMAXPROCS RWR pool, and
-// "batch" issues one extract/batch call that fans the items out over the
-// server-side worker pool. The spread is what cached-CSR + parallel
-// compute buys a dashboard.
+// BenchmarkServeExtractThroughput contrasts two ways of answering the same
+// 8 distinct multi-source extractions through the HTTP layer, cold cache
+// every iteration: "sequential" issues 8 single requests and "batch" one
+// extract/batch call that fans the items out over the server-side worker
+// pool. The spread is what batching buys a dashboard.
 func BenchmarkServeExtractThroughput(b *testing.B) {
 	s := New(Config{CacheEntries: 256})
 	if _, err := s.Preload(CreateSessionRequest{
@@ -87,16 +84,7 @@ func BenchmarkServeExtractThroughput(b *testing.B) {
 			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 		}
 	}
-	b.Run("sequentialSerial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s.cache.reset()
-			for _, r := range reqs {
-				r.Parallel = 1
-				do(b, http.MethodPost, "/sessions/bench/extract", r)
-			}
-		}
-	})
-	b.Run("sequentialParallel", func(b *testing.B) {
+	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s.cache.reset()
 			for _, r := range reqs {

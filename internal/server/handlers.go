@@ -299,10 +299,10 @@ type CreateSessionRequest struct {
 	// queries cannot evict (0 = a quarter of the pool, < 0 = disabled).
 	PoolQuota int `json:"poolQuota"`
 	// SweepShards is the session's shard count for whole-graph sweeps
-	// (PageRank, RWR, structure reports): 0 = auto (one shard per core on
-	// large graphs), 1 = serial, >= 2 = exact. Sharded results are
-	// bit-identical to serial — an execution knob like extract's parallel,
-	// excluded from result cache keys for the same reason.
+	// (PageRank, one-source RWR, structure reports): 0 = auto (one shard
+	// per core on large graphs), 1 = serial, >= 2 = exact. Sharded results
+	// are bit-identical to serial — an execution knob, excluded from
+	// result cache keys for that reason.
 	SweepShards int `json:"sweepShards"`
 	// TierBudget caps the bytes of hot page runs a "gtree" session may
 	// promote into pinned in-memory CSR fragments (0 = tiering off). Like
@@ -717,9 +717,10 @@ type ExtractRequest struct {
 	// Size is the SVG canvas (default 800); Seed drives the SVG layout.
 	Size float64 `json:"size"`
 	Seed int64   `json:"seed"`
-	// Parallel bounds the worker pool the per-source RWR solves fan out
-	// over (default GOMAXPROCS). Purely an execution knob — results are
-	// bit-identical for any value — so it never enters the cache key.
+	// Parallel is accepted and ignored by the solver: the per-source RWR
+	// solves used to fan out over a worker pool of this size and now share
+	// one sweep per iteration. It never changed results and never entered
+	// the cache key; in a batch it still bounds concurrent items.
 	Parallel int `json:"parallel"`
 }
 
@@ -850,20 +851,13 @@ func (s *Server) planExtract(sess *Session, req ExtractRequest) (extractPlan, in
 	}
 	p.sources = dedup
 
-	// Clamp client-supplied parallelism to the cores actually available —
-	// otherwise one request could ask for thousands of concurrent solver
-	// goroutines, each with O(n) scratch space.
-	parallel := req.Parallel
-	if parallel > runtime.GOMAXPROCS(0) {
-		parallel = runtime.GOMAXPROCS(0)
-	}
 	// Normalize before building the key, so "budget omitted" and "budget
 	// 30" share a cache entry, and explicitly out-of-range RWR parameters
 	// (restart 1.5, negative epsilon) are rejected up front instead of
 	// silently remapped.
 	p.opts, err = extract.Options{
 		Budget:     req.Budget,
-		RWR:        extract.RWROptions{Restart: req.Restart, Parallel: parallel},
+		RWR:        extract.RWROptions{Restart: req.Restart},
 		Mode:       mode,
 		K:          req.K,
 		MaxPathLen: req.MaxPathLen,
@@ -873,8 +867,7 @@ func (s *Server) planExtract(sess *Session, req ExtractRequest) (extractPlan, in
 	}
 	// Size and layout seed only shape the SVG rendering; keep them out of
 	// JSON keys so render-only parameters never duplicate JSON entries.
-	// Parallel stays out of the key entirely: results are bit-identical
-	// for any pool size.
+	// Parallel stays out of the key entirely: the solver ignores it.
 	keySize, keySeed := p.size, p.seed
 	if p.format == "json" {
 		keySize, keySeed = 0, 0
