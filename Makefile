@@ -4,7 +4,7 @@ GO ?= go
 # how long each runs. 1s gives stable ns/op; drop to e.g. 5x for a quick
 # local look.
 BENCHTIME ?= 1s
-BENCH_JSON_PATTERN ?= 'BenchmarkExtractMemoryVsPaged|BenchmarkExtractPagedViaNeighbors|BenchmarkPageRankMemoryVsPaged|BenchmarkRWRMultiFused|BenchmarkRWRPushVsPower|BenchmarkRWRSetSweepVsNeighbors|BenchmarkPageRankSweepVsNeighbors|BenchmarkPageRankShards|BenchmarkRWRSetShards|BenchmarkExtractTieredSkewed|BenchmarkKeyPathPagedCursor|BenchmarkPoolMiss|BenchmarkE1_GTreeBuild|BenchmarkPartition/Multilevel|BenchmarkGTreeBuildScale'
+BENCH_JSON_PATTERN ?= 'BenchmarkExtractMemoryVsPaged|BenchmarkPageRankMemoryVsPaged|BenchmarkRWRMultiFused|BenchmarkRWRPushVsPower|BenchmarkRWRSetSweepVsNeighbors|BenchmarkPageRankSweepVsNeighbors|BenchmarkExtractTieredSkewed|BenchmarkKeyPathPagedCursor|BenchmarkPoolMiss|BenchmarkE1_GTreeBuild|BenchmarkPartition/Multilevel|BenchmarkGTreeBuildScale'
 
 .PHONY: all build vet lint test race check bench bench-json fmt fuzz-smoke
 
@@ -42,7 +42,7 @@ bench:
 	$(GO) test -bench . -benchmem -run xxx ./...
 
 # Runs the key extraction/PageRank benchmarks (ns/op + allocs/op, memory
-# vs paged vs the allocating Neighbors path) and the hierarchy-build
+# vs paged vs tiered) and the hierarchy-build
 # benchmarks (ns/op, allocs/op, nodes/s) and writes BENCH_extract.json
 # for the CI artifact, so the perf trajectory of the hot paths gets
 # recorded run over run.

@@ -15,7 +15,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -393,9 +392,7 @@ func BenchmarkRWRPushVsPower(b *testing.B) {
 	})
 }
 
-// sweepCountBench counts the whole-graph passes a solve makes. Embedding
-// the Adjacency interface value hides the backend's shard views, so the
-// one-source rows below are the serial sweep like the rest.
+// sweepCountBench counts the whole-graph passes a solve makes.
 type sweepCountBench struct {
 	gmine.Adjacency
 	sweeps int
@@ -403,7 +400,7 @@ type sweepCountBench struct {
 
 func (c *sweepCountBench) SweepEdges(lo, hi gmine.NodeID, fn func(u gmine.NodeID, nbrs []gmine.NodeID, w []float64) bool) error {
 	c.sweeps++
-	return c.Adjacency.(gmine.EdgeSweeper).SweepEdges(lo, hi, fn)
+	return c.Adjacency.SweepEdges(lo, hi, fn)
 }
 
 // BenchmarkRWRMultiFused measures the multi-source RWR solve — the first
@@ -500,22 +497,9 @@ func BenchmarkExtractMemoryVsPaged(b *testing.B) {
 	}
 }
 
-// viaNeighborsBench forces every NeighborsInto through the copying
-// Neighbors path — the pre-fast-path behavior — so the benchmarks can
-// show what the zero-alloc conversion buys on the paged backend.
-type viaNeighborsBench struct{ gmine.Adjacency }
-
-func (v viaNeighborsBench) NeighborsInto(u gmine.NodeID, nbrBuf []gmine.NodeID, wBuf []float64) ([]gmine.NodeID, []float64) {
-	nbrs, ws := v.Adjacency.Neighbors(u)
-	return append(nbrBuf, nbrs...), append(wBuf, ws...)
-}
-
 // BenchmarkPageRankMemoryVsPaged contrasts whole-graph PageRank — the
 // workload behind GET /sessions/{id}/analysis/graph — on the in-memory
-// CSR against the out-of-core paged CSR, plus the paged run forced
-// through the allocating Neighbors path. Watch allocs/op: the
-// NeighborsInto runs page the same data with O(1) garbage per node visit
-// where the Neighbors path allocates two O(degree) slices.
+// CSR against the out-of-core paged CSR at two pool sizes.
 func BenchmarkPageRankMemoryVsPaged(b *testing.B) {
 	setup(b)
 	opts := gmine.PageRankOptions{}
@@ -546,41 +530,15 @@ func BenchmarkPageRankMemoryVsPaged(b *testing.B) {
 			b.ReportMetric(float64(st.Evictions)/float64(b.N), "evictions/op")
 		})
 	}
-	b.Run("PagedViaNeighbors/pool=4096", func(b *testing.B) {
-		disk, err := gmine.Open(benchTree, 4096)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer disk.Close()
-		adj, err := disk.Adj()
-		if err != nil {
-			b.Fatal(err)
-		}
-		slow := viaNeighborsBench{adj}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if pr := gmine.PageRankAdj(slow, opts); len(pr) == 0 {
-				b.Fatal("empty pagerank")
-			}
-		}
-	})
 }
 
-// noSweepBench hides the optional EdgeSweeper/NeighborIDSweeper
-// interfaces by embedding the Adjacency interface value, forcing kernels
-// down the node-centric NeighborsInto path — the PR 4 behavior the
-// edge-centric sweep replaces. (Unlike viaNeighborsBench it keeps the
-// zero-alloc NeighborsInto, so the delta it shows is pool round-trips,
-// not allocation.)
-type noSweepBench struct{ gmine.Adjacency }
-
-// BenchmarkRWRSetSweepVsNeighbors contrasts one whole-graph RWR solve —
-// the extraction hot loop — under the edge-centric blocked sweep against
-// the node-centric NeighborsInto loop, in memory and paged at several
-// pool sizes. The sweep pays O(filePages) buffer-pool round-trips per
-// power iteration where the node-centric loop pays O(n); pins/op reports
-// the measured pool traffic (hits+misses per solve).
+// BenchmarkRWRSetSweepVsNeighbors measures one whole-graph RWR solve — the
+// extraction hot loop — in memory and paged at several pool sizes. The
+// sweep pays O(filePages) buffer-pool round-trips per power iteration;
+// pins/op reports the measured pool traffic (hits+misses per solve). The
+// node-centric rows it was once contrasted with are gone with that path;
+// the name and the Sweep rows stay so benchjson -compare keeps pairing
+// them with the committed trajectory.
 func BenchmarkRWRSetSweepVsNeighbors(b *testing.B) {
 	setup(b)
 	csr := gmine.ToCSR(benchDS.Graph)
@@ -600,41 +558,32 @@ func BenchmarkRWRSetSweepVsNeighbors(b *testing.B) {
 		}
 	}
 	b.Run("Memory/Sweep", func(b *testing.B) { run(b, csr) })
-	b.Run("Memory/NodeCentric", func(b *testing.B) { run(b, noSweepBench{csr}) })
 	for _, pool := range []int{16, 256, 4096} {
-		for _, mode := range []string{"Sweep", "NodeCentric"} {
-			b.Run(fmt.Sprintf("Paged/%s/pool=%d", mode, pool), func(b *testing.B) {
-				disk, err := gmine.Open(benchTree, pool)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer disk.Close()
-				adj, err := disk.Adj()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if mode == "NodeCentric" {
-					adj = noSweepBench{adj}
-				}
-				adj.WeightedDegrees() // comparable warm start
-				disk.Store().ResetPoolStats()
-				b.ReportAllocs()
-				b.ResetTimer()
-				run(b, adj)
-				b.StopTimer()
-				st := disk.Store().PoolStats()
-				b.ReportMetric(float64(st.Hits+st.Misses)/float64(b.N), "pins/op")
-			})
-		}
+		b.Run(fmt.Sprintf("Paged/Sweep/pool=%d", pool), func(b *testing.B) {
+			disk, err := gmine.Open(benchTree, pool)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer disk.Close()
+			adj, err := disk.Adj()
+			if err != nil {
+				b.Fatal(err)
+			}
+			adj.WeightedDegrees() // comparable warm start
+			disk.Store().ResetPoolStats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			run(b, adj)
+			b.StopTimer()
+			st := disk.Store().PoolStats()
+			b.ReportMetric(float64(st.Hits+st.Misses)/float64(b.N), "pins/op")
+		})
 	}
 }
 
-// BenchmarkPageRankSweepVsNeighbors is the PageRank-side contrast — the
-// GET /sessions/{id}/analysis/graph workload — sweep vs node-centric on
-// both backends. This pair is the trajectory point for the sweep
-// conversion: diff Paged/Sweep/pool=256 against Paged/NodeCentric/pool=256
-// in BENCH_extract.json to see what the blocked iteration buys when the
-// pool is much smaller than the CSR section.
+// BenchmarkPageRankSweepVsNeighbors is the PageRank-side trajectory point
+// — the GET /sessions/{id}/analysis/graph workload — on both backends,
+// named like BenchmarkRWRSetSweepVsNeighbors for the same reason.
 func BenchmarkPageRankSweepVsNeighbors(b *testing.B) {
 	setup(b)
 	csr := gmine.ToCSR(benchDS.Graph)
@@ -649,69 +598,9 @@ func BenchmarkPageRankSweepVsNeighbors(b *testing.B) {
 		}
 	}
 	b.Run("Memory/Sweep", func(b *testing.B) { run(b, csr) })
-	b.Run("Memory/NodeCentric", func(b *testing.B) { run(b, noSweepBench{csr}) })
 	for _, pool := range []int{16, 256, 4096} {
-		for _, mode := range []string{"Sweep", "NodeCentric"} {
-			b.Run(fmt.Sprintf("Paged/%s/pool=%d", mode, pool), func(b *testing.B) {
-				disk, err := gmine.Open(benchTree, pool)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer disk.Close()
-				adj, err := disk.Adj()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if mode == "NodeCentric" {
-					adj = noSweepBench{adj}
-				}
-				adj.WeightedDegrees()
-				disk.Store().ResetPoolStats()
-				b.ReportAllocs()
-				b.ResetTimer()
-				run(b, adj)
-				b.StopTimer()
-				st := disk.Store().PoolStats()
-				b.ReportMetric(float64(st.Hits+st.Misses)/float64(b.N), "pins/op")
-			})
-		}
-	}
-}
-
-// shardCounts are the shard-axis points of the sharded-sweep benchmarks:
-// serial, two-way, and one shard per core. On a multi-core runner the
-// GOMAXPROCS point is the headline (ns/op should drop roughly with the
-// core count on the memory backend); on a single core all three land on
-// the same serial-ish time, which is itself the claim — the fan-out costs
-// nothing when it cannot help. Results are bit-identical at every point.
-func shardCounts() []int {
-	counts := []int{1, 2}
-	if p := runtime.GOMAXPROCS(0); p > 2 {
-		counts = append(counts, p)
-	}
-	return counts
-}
-
-// BenchmarkPageRankShards is the trajectory point for the sharded
-// whole-graph sweeps: one PageRank solve at shards=1/2/GOMAXPROCS on both
-// backends. pins/op on the paged runs shows the cost of carving per-shard
-// pool partitions (boundary pages pinned once per adjacent shard) — the
-// acceptance bound keeps it within 1.3x of the serial sweep.
-func BenchmarkPageRankShards(b *testing.B) {
-	setup(b)
-	csr := gmine.ToCSR(benchDS.Graph)
-	for _, shards := range shardCounts() {
-		opts := gmine.PageRankOptions{Shards: shards}
-		b.Run(fmt.Sprintf("Memory/shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if pr := gmine.PageRankAdj(csr, opts); len(pr) == 0 {
-					b.Fatal("empty pagerank")
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("Paged/shards=%d", shards), func(b *testing.B) {
-			disk, err := gmine.Open(benchTree, 4096)
+		b.Run(fmt.Sprintf("Paged/Sweep/pool=%d", pool), func(b *testing.B) {
+			disk, err := gmine.Open(benchTree, pool)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -724,93 +613,11 @@ func BenchmarkPageRankShards(b *testing.B) {
 			disk.Store().ResetPoolStats()
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if pr := gmine.PageRankAdj(adj, opts); len(pr) == 0 {
-					b.Fatal("empty pagerank")
-				}
-			}
+			run(b, adj)
 			b.StopTimer()
 			st := disk.Store().PoolStats()
 			b.ReportMetric(float64(st.Hits+st.Misses)/float64(b.N), "pins/op")
 		})
-	}
-}
-
-// BenchmarkRWRSetShards is the RWR-side shard trajectory point — the
-// extraction solve at shards=1/2/GOMAXPROCS on both backends, pins/op on
-// the paged runs.
-func BenchmarkRWRSetShards(b *testing.B) {
-	setup(b)
-	csr := gmine.ToCSR(benchDS.Graph)
-	sources := []gmine.NodeID{
-		benchDS.Notables[gmine.NamePhilipYu],
-		benchDS.Notables[gmine.NameFlipKorn],
-		benchDS.Notables[gmine.NameGarofalakis],
-	}
-	for _, shards := range shardCounts() {
-		opts := gmine.RWROptions{Shards: shards}
-		b.Run(fmt.Sprintf("Memory/shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := gmine.RWRSet(csr, sources, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("Paged/shards=%d", shards), func(b *testing.B) {
-			disk, err := gmine.Open(benchTree, 4096)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer disk.Close()
-			adj, err := disk.Adj()
-			if err != nil {
-				b.Fatal(err)
-			}
-			adj.WeightedDegrees()
-			disk.Store().ResetPoolStats()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := gmine.RWRSet(adj, sources, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			st := disk.Store().PoolStats()
-			b.ReportMetric(float64(st.Hits+st.Misses)/float64(b.N), "pins/op")
-		})
-	}
-}
-
-// BenchmarkExtractPagedViaNeighbors is the extraction-side contrast for
-// BenchmarkExtractMemoryVsPaged: the same paged multi-source extraction
-// forced through the copying Neighbors path. Diff its allocs/op against
-// Paged/pool=4096 above to see what NeighborsInto removed.
-func BenchmarkExtractPagedViaNeighbors(b *testing.B) {
-	setup(b)
-	sources := []gmine.NodeID{
-		benchDS.Notables[gmine.NamePhilipYu],
-		benchDS.Notables[gmine.NameFlipKorn],
-		benchDS.Notables[gmine.NameGarofalakis],
-	}
-	opts := gmine.ExtractOptions{Budget: 30}
-	disk, err := gmine.Open(benchTree, 4096)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer disk.Close()
-	adj, err := disk.Adj()
-	if err != nil {
-		b.Fatal(err)
-	}
-	slow := viaNeighborsBench{adj}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := gmine.ConnectionSubgraphAdj(slow, false, nil, sources, opts); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

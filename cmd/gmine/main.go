@@ -61,10 +61,6 @@ func main() {
 		err = cmdRepro(os.Args[2:])
 	case "serve":
 		err = cmdServe(os.Args[2:])
-	case "bench":
-		// Hidden: contributor sanity check for the sweep fast path; see
-		// cmdBench in bench.go. Not listed in usage().
-		err = cmdBench(os.Args[2:])
 	case "help", "-h", "--help":
 		usage()
 	default:

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -204,5 +206,32 @@ func TestLoadGraphErrors(t *testing.T) {
 	}
 	if _, err := loadGraph(bad); err == nil {
 		t.Fatal("malformed file accepted")
+	}
+}
+
+// TestRemovedCommandAndFlagFailLoudly runs the binary's main in a child
+// process: the deleted hidden `bench` subcommand is now an unknown command
+// (usage, exit 2), and the deleted `serve -sweepshards` flag stops serve
+// at flag parsing (exit 2) before any session is built or port opened.
+func TestRemovedCommandAndFlagFailLoudly(t *testing.T) {
+	if args := os.Getenv("GMINE_TEST_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"gmine"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	for _, tc := range []struct{ args, want string }{
+		{"bench", `unknown command "bench"`},
+		{"serve -addr 127.0.0.1:0 -sweepshards 1", "flag provided but not defined: -sweepshards"},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestRemovedCommandAndFlagFailLoudly$")
+		cmd.Env = append(os.Environ(), "GMINE_TEST_MAIN_ARGS="+tc.args)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("gmine %s: err %v, want exit status 2\n%s", tc.args, err, out)
+		}
+		if !strings.Contains(string(out), tc.want) {
+			t.Fatalf("gmine %s: output lacks %q:\n%s", tc.args, tc.want, out)
+		}
 	}
 }

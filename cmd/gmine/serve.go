@@ -33,7 +33,6 @@ func cmdServe(args []string) error {
 	tree := fs.String("tree", "", "preload a disk-backed session from this G-Tree file")
 	pool := fs.Int("pool", 0, "buffer-pool pages for the preloaded -tree session (0 = default); bounds resident paged-graph memory")
 	poolQuota := fs.Int("poolquota", 0, "buffer-pool frames each whole-graph query on the preloaded -tree session reserves against eviction by concurrent queries (0 = a quarter of -pool, negative = disabled)")
-	sweepShards := fs.Int("sweepshards", 1, "sweep shards per one-source whole-graph solve on the preloaded session (1 = serial, the default: sharding loses to the serial sweep in every committed benchmark; 0 = one per core on large graphs; >= 2 = exactly that many); results are bit-identical for any value")
 	tierBudget := fs.Int64("tierbudget", 0, "byte budget for hot page runs the preloaded -tree session may promote into pinned in-memory CSR fragments (0 = tiering off); results are bit-identical either way")
 	seed := fs.Int64("seed", 1, "seed for the preloaded session")
 	k := fs.Int("k", 5, "hierarchy fanout for preloaded memory sessions")
@@ -73,17 +72,17 @@ func cmdServe(args []string) error {
 	case *synthetic > 0:
 		preload = &server.CreateSessionRequest{
 			Name: *name, Source: "synthetic", Scale: *synthetic,
-			Seed: *seed, K: *k, Levels: *levels, SweepShards: *sweepShards,
+			Seed: *seed, K: *k, Levels: *levels,
 		}
 	case *in != "":
 		preload = &server.CreateSessionRequest{
 			Name: *name, Source: "edges", Path: *in,
-			Seed: *seed, K: *k, Levels: *levels, SweepShards: *sweepShards,
+			Seed: *seed, K: *k, Levels: *levels,
 		}
 	case *tree != "":
 		preload = &server.CreateSessionRequest{
 			Name: *name, Source: "gtree", Path: *tree, PoolPages: *pool,
-			PoolQuota: *poolQuota, SweepShards: *sweepShards, TierBudget: *tierBudget,
+			PoolQuota: *poolQuota, TierBudget: *tierBudget,
 		}
 	}
 	if preload != nil {

@@ -1,7 +1,7 @@
 // Command gminevet is the repo's contract multichecker: it runs the
 // internal/lint analyzer suite over the given packages and fails the
 // build on any violation, the way `go vet` would. The suite encodes the
-// invariants the hot paths rest on — the sweep/NeighborsInto
+// invariants the hot paths rest on — the sweep and row-cursor
 // buffer-aliasing contract, the buffer-pool pin discipline, errors.Is
 // instead of sentinel identity, and zero-alloc //gmine:hotpath kernels —
 // so a new call site that breaks one fails `make lint` instead of

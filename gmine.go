@@ -48,13 +48,12 @@ type RowCursor = graph.RowCursor
 // section, reading neighbor ranges through the buffer pool.
 type PagedCSR = gtree.PagedCSR
 
-// EdgeSweeper is the optional edge-centric fast path next to Adjacency:
-// backends that can walk their own storage in layout order emit every
-// node's edge list in one blocked pass, which on a paged CSR costs the
-// buffer pool O(filePages) round-trips per sweep instead of the
-// node-centric loop's O(n). Both *CSR and *PagedCSR implement it; the
-// whole-graph kernels (RWR, PageRank, structure reports) use it
-// automatically. NeighborIDSweeper is its ids-only companion.
+// EdgeSweeper is the whole-graph read path every Adjacency embeds: the
+// backend walks its own storage in layout order and emits every node's
+// edge list in one blocked pass, which on a paged CSR costs the buffer
+// pool O(filePages) round-trips per sweep instead of O(n). The
+// whole-graph kernels (RWR, PageRank, structure reports) read through it.
+// NeighborIDSweeper is its ids-only companion.
 type (
 	EdgeSweeper       = graph.EdgeSweeper
 	NeighborIDSweeper = graph.NeighborIDSweeper
@@ -215,14 +214,14 @@ var (
 
 // RWRSet computes RWR with the restart mass spread over a source set —
 // the per-source building block of extraction, exported for benchmarks
-// and direct kernel use. Sweeps edge-centrically when the Adjacency
-// implements EdgeSweeper.
+// and direct kernel use. One edge sweep of the Adjacency per power
+// iteration.
 var RWRSet = extract.RWRSet
 
 // RWRMulti runs one independent RWR per source, all advanced by the same
 // sweep per power iteration (k sources cost the slowest one's sweeps, not
 // the sum). Each vector is bit-identical to RWRPower on that source alone;
-// RWROptions.Parallel is accepted and ignored.
+// RWROptions.Parallel and RWROptions.Shards are accepted and ignored.
 var RWRMulti = extract.RWRMulti
 
 // PairwiseOptions configures the KDD'04 electrical baseline.
@@ -245,13 +244,11 @@ func AnalysisReport(g *Graph, hopSamples int, seed int64) SubgraphReport {
 }
 
 // PageRank, components, hops and degree helpers. PageRankAdj runs on any
-// prebuilt Adjacency instead of converting per call; PageRankCSR is its
-// historical concrete-CSR name. For disk-backed engines prefer
-// Engine.PageRank, which adds the paged-fault epoch check around the
-// iteration.
+// prebuilt Adjacency instead of converting per call. For disk-backed
+// engines prefer Engine.PageRank, which adds the paged-fault epoch check
+// around the iteration.
 var (
 	PageRank           = analysis.PageRank
-	PageRankCSR        = analysis.PageRankCSR
 	PageRankAdj        = analysis.PageRankAdj
 	WeakComponents     = analysis.WeakComponents
 	StrongComponents   = analysis.StrongComponents

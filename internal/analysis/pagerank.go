@@ -16,10 +16,9 @@ type PageRankOptions struct {
 	Epsilon float64
 	// MaxIter caps the iterations (default 100).
 	MaxIter int
-	// Shards is the sweep shard count per iteration: 0 = auto (GOMAXPROCS
-	// when the graph clears graph.MinAutoShardEdges), 1 = serial, >= 2 =
-	// exactly that many shards. Sharding is an execution knob only — the
-	// ordered merge keeps the result bit-identical to the serial sweep.
+	// Shards is accepted and ignored: every iteration is one serial sweep.
+	// The field stays because bench/layers sets it; deleting it is a
+	// [benchmark] change first.
 	Shards int
 	// Ctx optionally carries the caller's cancellation: the power iteration
 	// polls it at every iteration boundary and stops early. PageRankAdj has
@@ -50,12 +49,6 @@ func PageRank(g *graph.Graph, opts PageRankOptions) []float64 {
 	return PageRankAdj(graph.ToCSR(g), opts)
 }
 
-// PageRankCSR is PageRankAdj under its historical name, kept for callers
-// holding a concrete *graph.CSR.
-func PageRankCSR(c *graph.CSR, opts PageRankOptions) []float64 {
-	return PageRankAdj(c, opts)
-}
-
 // PageRankAdj is PageRank over any prebuilt Adjacency — the engine's cached
 // in-memory CSR or a disk-backed paged CSR — so repeated analysis queries
 // against one graph share a single immutable compute representation instead
@@ -76,41 +69,20 @@ func PageRankAdj(c graph.Adjacency, opts PageRankOptions) []float64 {
 		rank[i] = inv
 	}
 	wdeg := c.WeightedDegrees()
-	// Edge-centric fast path (see extract.RWRSet): sweep the adjacency in
-	// storage layout order when the backend supports it — O(filePages)
-	// buffer-pool round-trips per iteration on a paged CSR instead of the
-	// node-centric O(n). Emission order and rows are bit-identical to the
-	// NeighborsInto loop, so both paths converge to the same bits.
-	sweeper, _ := c.(graph.EdgeSweeper)
-	// Sharded fast path: range-shard each iteration's sweep across
-	// goroutines, logging contributions into a private accumulator whose
-	// ordered merge replays the exact serial fold (see graph.PushAcc) —
-	// bit-identical results, all cores. Views and the accumulator are set
-	// up once and reused across every iteration of the solve.
-	var (
-		acc     *graph.PushAcc
-		views   []graph.EdgeSweeper
-		ranges  []graph.ShardRange
-		release func()
-	)
-	if sv, ok := c.(graph.SweepShardViewer); ok {
-		if k := graph.EffectiveSweepShards(c, opts.Shards); k > 1 {
-			if r := graph.ShardRanges(c, k); len(r) > 1 {
-				if v, rel, err := sv.SweepShardViews(len(r)); err == nil {
-					views, ranges, release = v, r, rel
-					acc = graph.NewPushAcc(n, len(r))
-				}
-			}
+	// Each iteration is one sweep of the adjacency in storage layout order:
+	// O(filePages) buffer-pool round-trips per iteration on a paged CSR.
+	// Rows arrive in ascending u on every backend, so every backend folds
+	// the same products in the same order and converges to the same bits.
+	push := func(u graph.NodeID, nbrs []graph.NodeID, ws []float64) bool {
+		if wdeg[u] == 0 {
+			return true
 		}
+		share := opts.Damping * rank[u] / wdeg[u]
+		for i, v := range nbrs {
+			next[v] += share * ws[i]
+		}
+		return true
 	}
-	if release != nil {
-		defer release()
-	}
-	// One buffer pair for the whole iteration (this goroutine only): the
-	// paged backend decodes into it instead of allocating per node sweep
-	// (node-centric fallback only).
-	var nbrs []graph.NodeID
-	var ws []float64
 	var done <-chan struct{}
 	if opts.Ctx != nil {
 		done = opts.Ctx.Done()
@@ -130,52 +102,15 @@ func PageRankAdj(c graph.Adjacency, opts PageRankOptions) []float64 {
 			}
 		}
 		base := (1-opts.Damping)*1.0/float64(n) + opts.Damping*dangling/float64(n)
-		if acc != nil {
-			acc.Reset()
-			err := graph.ParallelSweepEdges(views, ranges, func(shard int, u graph.NodeID, nbrs []graph.NodeID, ws []float64) bool {
-				if wdeg[u] == 0 {
-					return true
-				}
-				acc.AddRow(shard, nbrs, ws, opts.Damping*rank[u]/wdeg[u])
-				return true
-			})
-			if err != nil {
-				// Same contract as the serial sweep below: the backend has
-				// latched the fault; stop iterating.
-				break
-			}
-			acc.Merge(next, nil, base)
-		} else {
-			for i := range next {
-				next[i] = base
-			}
-			push := func(u graph.NodeID, nbrs []graph.NodeID, ws []float64) bool {
-				if wdeg[u] == 0 {
-					return true
-				}
-				share := opts.Damping * rank[u] / wdeg[u]
-				for i, v := range nbrs {
-					next[v] += share * ws[i]
-				}
-				return true
-			}
-			if sweeper != nil {
-				if err := sweeper.SweepEdges(0, graph.NodeID(n), push); err != nil {
-					// The Adjacency contract has no error surface here; a paged
-					// backend has latched the fault on its epoch, which the
-					// engine-level bracket turns into ErrPagedIO. Stop iterating
-					// rather than keep grinding a doomed solve.
-					break
-				}
-			} else {
-				for u := 0; u < n; u++ {
-					if wdeg[u] == 0 {
-						continue
-					}
-					nbrs, ws = c.NeighborsInto(graph.NodeID(u), nbrs[:0], ws[:0])
-					push(graph.NodeID(u), nbrs, ws)
-				}
-			}
+		for i := range next {
+			next[i] = base
+		}
+		if err := c.SweepEdges(0, graph.NodeID(n), push); err != nil {
+			// The Adjacency contract has no error surface here; a paged
+			// backend has latched the fault on its epoch, which the
+			// engine-level bracket turns into ErrPagedIO. Stop iterating
+			// rather than keep grinding a doomed solve.
+			break
 		}
 		var delta float64
 		for i := range rank {

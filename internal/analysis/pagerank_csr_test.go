@@ -7,9 +7,9 @@ import (
 	"repro/internal/graph"
 )
 
-// TestPageRankCSRMatchesAdjacency checks the CSR kernel is exactly the
-// adjacency implementation (PageRank delegates to it, so reuse of a cached
-// CSR can never change analysis results).
+// TestPageRankCSRMatchesAdjacency checks PageRankAdj on a prebuilt CSR is
+// exactly PageRank on the graph (PageRank converts and delegates), so
+// reuse of a cached CSR can never change analysis results.
 func TestPageRankCSRMatchesAdjacency(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 5; trial++ {
@@ -24,10 +24,10 @@ func TestPageRankCSRMatchesAdjacency(t *testing.T) {
 		g.Dedup()
 		c := graph.ToCSR(g)
 		viaGraph := PageRank(g, PageRankOptions{})
-		viaCSR := PageRankCSR(c, PageRankOptions{})
+		viaCSR := PageRankAdj(c, PageRankOptions{})
 		// And again on the same (now warm) CSR: the cached weighted-degree
 		// table must not drift results.
-		again := PageRankCSR(c, PageRankOptions{})
+		again := PageRankAdj(c, PageRankOptions{})
 		for i := range viaGraph {
 			if viaGraph[i] != viaCSR[i] || viaCSR[i] != again[i] {
 				t.Fatalf("trial %d node %d: graph %v csr %v warm %v",
@@ -38,7 +38,7 @@ func TestPageRankCSRMatchesAdjacency(t *testing.T) {
 }
 
 func TestPageRankCSREmpty(t *testing.T) {
-	if PageRankCSR(graph.ToCSR(graph.New(false)), PageRankOptions{}) != nil {
+	if PageRankAdj(graph.ToCSR(graph.New(false)), PageRankOptions{}) != nil {
 		t.Fatal("empty graph should give nil")
 	}
 }

@@ -11,10 +11,6 @@ import (
 	"repro/internal/gtree"
 )
 
-// nodeCentricOnly hides the optional sweeper interfaces by embedding the
-// Adjacency interface value, forcing the node-centric path.
-type nodeCentricOnly struct{ graph.Adjacency }
-
 func analysisFixture(t *testing.T, seed int64, n, m int) (*graph.CSR, *gtree.PagedCSR, *graph.Graph) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -43,28 +39,39 @@ func analysisFixture(t *testing.T, seed int64, n, m int) (*graph.CSR, *gtree.Pag
 	return graph.ToCSR(g), paged, g
 }
 
-// TestPageRankAdjSweepBitIdentical: the edge-centric PageRank sweep must
-// converge to exactly the node-centric bits on both backends.
+// requireRanks fails unless got equals want bit for bit.
+func requireRanks(t *testing.T, tag string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d ranks, want %d", tag, len(got), len(want))
+	}
+	for v := range want {
+		if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+			t.Fatalf("%s node %d: %v != %v", tag, v, got[v], want[v])
+		}
+	}
+}
+
+// requireReport fails unless got equals want structurally, with the float
+// power-law fit compared by bits (NaN-safe).
+func requireReport(t *testing.T, tag string, got, want AdjacencyReport) {
+	t.Helper()
+	if a, b := math.Float64bits(got.Degree.PowerLawExponent), math.Float64bits(want.Degree.PowerLawExponent); a != b {
+		t.Fatalf("%s: power-law fit bits %x != %x", tag, a, b)
+	}
+	got.Degree.PowerLawExponent, want.Degree.PowerLawExponent = 0, 0
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: report diverged:\n got %+v\nwant %+v", tag, got, want)
+	}
+}
+
+// TestPageRankAdjSweepBitIdentical: the PageRank sweep converges to the
+// same bits on the in-memory CSR and on a paged CSR through a small pool.
 func TestPageRankAdjSweepBitIdentical(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		csr, paged, _ := analysisFixture(t, seed, 150+int(seed)*40, 600)
 		opts := PageRankOptions{MaxIter: 60}
-		want := PageRankAdj(nodeCentricOnly{csr}, opts)
-		for name, adj := range map[string]graph.Adjacency{
-			"csr-sweep":   csr,
-			"paged-sweep": paged,
-			"paged-node":  nodeCentricOnly{paged},
-		} {
-			got := PageRankAdj(adj, opts)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d %s: %d ranks, want %d", seed, name, len(got), len(want))
-			}
-			for v := range want {
-				if got[v] != want[v] { // exact bits, intentionally
-					t.Fatalf("seed %d %s node %d: %v != %v", seed, name, v, got[v], want[v])
-				}
-			}
-		}
+		requireRanks(t, "paged", PageRankAdj(paged, opts), PageRankAdj(csr, opts))
 		if err := paged.Err(); err != nil {
 			t.Fatalf("seed %d: paged fault: %v", seed, err)
 		}
@@ -72,29 +79,39 @@ func TestPageRankAdjSweepBitIdentical(t *testing.T) {
 }
 
 // TestReportAdjSweepBitIdentical: the one-pass structure report is
-// identical (histograms, components, self-loops, power-law fit) whether
-// it sweeps page runs or walks nodes, memory or paged.
+// identical (histograms, components, self-loops, power-law fit) on the
+// in-memory CSR and on a paged CSR.
 func TestReportAdjSweepBitIdentical(t *testing.T) {
 	for _, seed := range []int64{4, 5} {
 		csr, paged, g := analysisFixture(t, seed, 200, 800)
-		want := ReportAdj(nodeCentricOnly{csr}, g.Directed())
-		wantFit := math.Float64bits(want.Degree.PowerLawExponent)
-		want.Degree.PowerLawExponent = 0
-		for name, adj := range map[string]graph.Adjacency{
-			"csr-sweep":   csr,
-			"paged-sweep": paged,
-			"paged-node":  nodeCentricOnly{paged},
-		} {
-			got := ReportAdj(adj, g.Directed())
-			// Compare the float fit by bits (NaN-safe, deterministic), the
-			// rest structurally.
-			if math.Float64bits(got.Degree.PowerLawExponent) != wantFit {
-				t.Fatalf("seed %d %s: power-law fit bits %x != %x", seed, name,
-					math.Float64bits(got.Degree.PowerLawExponent), wantFit)
+		requireReport(t, "paged", ReportAdj(paged, g.Directed()), ReportAdj(csr, g.Directed()))
+	}
+}
+
+// TestPageRankAdjShardedBitIdentical: PageRankOptions.Shards is accepted
+// and ignored, so a solve asking for any shard count lands on exactly the
+// bits of the default solve, on both backends.
+func TestPageRankAdjShardedBitIdentical(t *testing.T) {
+	for _, seed := range []int64{11, 12, 13} {
+		csr, paged, _ := analysisFixture(t, seed, 150+int(seed)*30, 700)
+		want := PageRankAdj(csr, PageRankOptions{MaxIter: 60})
+		for _, shards := range []int{-1, 1, 2, 8} {
+			for name, adj := range map[string]graph.Adjacency{"csr": csr, "paged": paged} {
+				requireRanks(t, name, PageRankAdj(adj, PageRankOptions{MaxIter: 60, Shards: shards}), want)
 			}
-			got.Degree.PowerLawExponent = 0
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d %s: report diverged:\n got %+v\nwant %+v", seed, name, got, want)
+		}
+	}
+}
+
+// TestReportAdjShardedBitIdentical: ReportAdjSharded ignores its shard
+// count and returns exactly ReportAdj's report.
+func TestReportAdjShardedBitIdentical(t *testing.T) {
+	for _, seed := range []int64{14, 15} {
+		csr, paged, g := analysisFixture(t, seed, 220, 900)
+		want := ReportAdj(csr, g.Directed())
+		for _, shards := range []int{0, 1, 2, 8} {
+			for name, adj := range map[string]graph.Adjacency{"csr": csr, "paged": paged} {
+				requireReport(t, name, ReportAdjSharded(adj, g.Directed(), shards), want)
 			}
 		}
 	}

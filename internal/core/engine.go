@@ -72,12 +72,6 @@ type Engine struct {
 	// SetPoolQuota.
 	poolQuota int
 
-	// sweepShards is the session default shard count of whole-graph sweeps
-	// (PageRank, RWR, structure reports): 0 = auto (GOMAXPROCS, gated by
-	// graph.MinAutoShardEdges), 1 = serial, >= 2 = exact. Per-query kernel
-	// options override it. See SetSweepShards.
-	sweepShards int
-
 	// tierBudget is the hot/cold tiering byte budget of disk-backed
 	// engines: > 0 wraps every whole-graph query's adjacency in a
 	// gtree.TieredCSR whose pinned in-memory fragments stay within the
@@ -199,22 +193,10 @@ func (e *Engine) Adj() (graph.Adjacency, error) {
 // queries; set it right after OpenEngine.
 func (e *Engine) SetPoolQuota(frames int) { e.poolQuota = frames }
 
-// SetSweepShards sets the session default shard count for whole-graph
-// sweeps: 0 = auto (one shard per core once the graph clears
-// graph.MinAutoShardEdges), 1 = serial, >= 2 = exactly that many shards.
-// Sharding is an execution knob only — the ordered merge keeps every
-// sharded kernel bit-identical to its serial sweep — so
-// it never participates in result cache keys. Kernel options with an
-// explicit non-zero Shards win over the session default. Propagated to
-// the store of disk-backed engines (its WeightedDegrees build shards
-// too). Not safe to call concurrently with queries; set it right after
-// engine construction.
-func (e *Engine) SetSweepShards(k int) {
-	e.sweepShards = k
-	if e.store != nil {
-		e.store.SetSweepShards(k)
-	}
-}
+// SetSweepShards does nothing: whole-graph sweeps are always serial. The
+// method stays because bench/layers calls it; deleting it is a
+// [benchmark] change first.
+func (e *Engine) SetSweepShards(int) {}
 
 // SetTierBudget sets the hot/cold tiering byte budget of disk-backed
 // engines (0 = off, the default). With a budget, every whole-graph query
@@ -274,9 +256,8 @@ func (e *Engine) queryAdj(ctx context.Context, tr *obs.Trace) (graph.Adjacency, 
 		if err != nil {
 			return nil, nil, err
 		}
-		// The context rides the view (and every shard view split from it),
-		// so sharded sweeps observe sibling cancellation through the same
-		// early-stop machinery that handles faults.
+		// The context rides the view, so its sweeps stop at the next chunk
+		// boundary once the query is cancelled.
 		view = view.WithContext(ctx)
 		// With a tier budget, the query solves on the tiered view: reads
 		// covered by a resident fragment skip the pool entirely, the rest
@@ -314,14 +295,6 @@ func (e *Engine) queryAdj(ctx context.Context, tr *obs.Trace) (graph.Adjacency, 
 				retry1 := e.store.RetryStats()
 				tr.Count("pool.retries", int64(retry1.Retries-retry0.Retries))
 				tr.Count("pool.healed", int64(retry1.Healed-retry0.Healed))
-				// Sharded sweeps carved shard partitions out of this query's
-				// quota (Partition.Split); their folded snapshots are the
-				// query's per-shard pin distribution. Distinct names per shard:
-				// Trace.Count merges duplicates by summing, and the totals are
-				// already whole (the fold added shard activity back into st).
-				for i, ss := range part.ShardStats() {
-					tr.Count(fmt.Sprintf("pool.shard.%d.pins", i), int64(ss.Hits+ss.Misses))
-				}
 				if tiered != nil {
 					th, tm := tiered.QueryCounts()
 					tr.Count("tier.hits", th)
@@ -682,9 +655,6 @@ func (e *Engine) ExtractTraced(ctx context.Context, tr *obs.Trace, sources []gra
 	if tr != nil {
 		opts.StageHook = tr.ObserveStage
 	}
-	if opts.RWR.Shards == 0 {
-		opts.RWR.Shards = e.sweepShards
-	}
 	if opts.RWR.Ctx == nil {
 		opts.RWR.Ctx = ctx
 	}
@@ -721,9 +691,6 @@ func (e *Engine) PageRankTraced(ctx context.Context, tr *obs.Trace, opts analysi
 		return nil, err
 	}
 	defer release()
-	if opts.Shards == 0 {
-		opts.Shards = e.sweepShards
-	}
 	if opts.Ctx == nil {
 		opts.Ctx = ctx
 	}
@@ -791,16 +758,13 @@ func (e *Engine) AnalyzeGraphTraced(ctx context.Context, tr *obs.Trace, opts ana
 	if err != nil {
 		return nil, err
 	}
-	if opts.Shards == 0 {
-		opts.Shards = e.sweepShards
-	}
 	if opts.Ctx == nil {
 		opts.Ctx = ctx
 	}
 	res = &GraphAnalysis{Directed: e.directed()}
 	sp = tr.StartStage("report")
 	err = e.withFaultCheck(ctx, adj, func() error {
-		res.AdjacencyReport = analysis.ReportAdjSharded(adj, e.directed(), opts.Shards)
+		res.AdjacencyReport = analysis.ReportAdj(adj, e.directed())
 		return nil
 	})
 	sp.End()

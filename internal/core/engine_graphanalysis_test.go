@@ -80,54 +80,6 @@ func TestAnalyzeGraphMatchesAcrossBackends(t *testing.T) {
 	}
 }
 
-// viaNeighborsAdj forces every NeighborsInto through the plain Neighbors
-// path, for pinning the zero-alloc fast path against the reference
-// behavior on the paged backend.
-type viaNeighborsAdj struct{ graph.Adjacency }
-
-func (v viaNeighborsAdj) NeighborsInto(u graph.NodeID, nbrBuf []graph.NodeID, wBuf []float64) ([]graph.NodeID, []float64) {
-	nbrs, ws := v.Adjacency.Neighbors(u)
-	return append(nbrBuf, nbrs...), append(wBuf, ws...)
-}
-
-// TestPagedKernelsNeighborsIntoBitIdentical runs PageRank and the full
-// extraction (Parallel > 1 included) over the paged CSR twice — once
-// through NeighborsInto, once forced through the copying Neighbors path —
-// and requires bit-identical results. Together with the in-memory variant
-// in internal/extract this is the property behind the zero-alloc
-// conversion: a pure execution optimization, never a semantic one.
-func TestPagedKernelsNeighborsIntoBitIdentical(t *testing.T) {
-	_, disk, _ := buildMemAndDisk(t, 32)
-	adj, err := disk.Adj()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := viaNeighborsAdj{adj}
-
-	fast := analysis.PageRankAdj(adj, analysis.PageRankOptions{})
-	slow := analysis.PageRankAdj(ref, analysis.PageRankOptions{})
-	for i := range fast {
-		if math.Float64bits(fast[i]) != math.Float64bits(slow[i]) {
-			t.Fatalf("pagerank[%d]: %v vs %v", i, fast[i], slow[i])
-		}
-	}
-
-	if err := disk.Store().PreloadLabels(); err != nil {
-		t.Fatal(err)
-	}
-	sources := []graph.NodeID{0, 7, 19}
-	opts := extract.Options{Budget: 20, RWR: extract.RWROptions{Parallel: 4}}
-	want, err := extract.ConnectionSubgraphAdj(ref, disk.Store().Directed(), disk.Store().LabelOf, sources, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := extract.ConnectionSubgraphAdj(adj, disk.Store().Directed(), disk.Store().LabelOf, sources, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalResults(t, "pagedViaNeighbors", want, got)
-}
-
 // TestAnalyzeGraphV1FileErrNoCSR: whole-graph analysis needs the CSR
 // section, so v1 files report the same actionable error extraction does.
 func TestAnalyzeGraphV1FileErrNoCSR(t *testing.T) {

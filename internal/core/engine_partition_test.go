@@ -114,7 +114,9 @@ func TestConcurrentFaultDoesNotReclassifyValidationError(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				paged.Neighbors(graph.NodeID(-1)) // bumps the shared fault epoch
+				cur := paged.Cursor()
+				cur.NeighborIDs(graph.NodeID(-1), nil) // bumps the shared fault epoch
+				cur.Close()
 			}
 		}
 	}()

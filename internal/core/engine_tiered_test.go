@@ -99,8 +99,8 @@ func TestTieredExtractionPropertyIdentity(t *testing.T) {
 }
 
 // TestTieredPageRankAndAnalysisIdentity: whole-graph PageRank and the
-// structure report — the sharded sweep paths — are bit-identical across
-// memory, paged and tiered backends, before and after promotion.
+// structure report are bit-identical across memory, paged and tiered
+// backends, before and after promotion.
 func TestTieredPageRankAndAnalysisIdentity(t *testing.T) {
 	mem, paged, tiered := tieredTrio(t, 1<<20)
 	for round := 0; round < 3; round++ {

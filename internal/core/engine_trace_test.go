@@ -122,7 +122,7 @@ func TestExtractTraceLoadWaits(t *testing.T) {
 	var waits, pins int64
 	for _, tr := range traces {
 		reported := false
-		for _, c := range tr.Counts() {
+		for _, c := range tr.Snapshot().Counts {
 			reported = reported || c.Name == "pool.load_waits"
 		}
 		if !reported {
@@ -261,11 +261,10 @@ func (c *sweepCounter) SweepEdges(lo, hi graph.NodeID, fn func(u graph.NodeID, n
 // extractions added up.
 func TestExtractFusedWorkCounts(t *testing.T) {
 	eng := tracedDiskEngine(t)
-	eng.SetSweepShards(1) // a one-source solve would otherwise be free to shard
 	csr := graph.ToCSR(dblp.SmallFixture().Graph)
 	iterations := func(s graph.NodeID) int64 {
 		c := &sweepCounter{CSR: csr}
-		if _, err := extract.RWR(c, s, extract.RWROptions{Shards: 1}); err != nil {
+		if _, err := extract.RWR(c, s, extract.RWROptions{}); err != nil {
 			t.Fatal(err)
 		}
 		return c.sweeps

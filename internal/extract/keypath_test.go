@@ -51,7 +51,9 @@ func naiveKeyPath(adj graph.Adjacency, src, dst graph.NodeID, logGood []float64,
 			if score[l-1][u] == negInf {
 				continue
 			}
-			nbrs, _ := adj.Neighbors(graph.NodeID(u))
+			cur := adj.Cursor()
+			nbrs := cur.NeighborIDs(graph.NodeID(u), nil)
+			cur.Close()
 			for _, v := range nbrs {
 				if c := score[l-1][u] + logGood[v]; logGood[v] != negInf && c > score[l][v] {
 					score[l][v], parent[l][v] = c, graph.NodeID(u)
@@ -171,7 +173,9 @@ func TestKeyPathPinsPerDP(t *testing.T) {
 	s.ResetPoolStats()
 	var nbrs []graph.NodeID
 	for u := 0; u < n; u++ {
-		nbrs = paged.NeighborIDsInto(graph.NodeID(u), nbrs[:0])
+		cur := paged.Cursor()
+		nbrs = cur.NeighborIDs(graph.NodeID(u), nbrs[:0])
+		cur.Close()
 	}
 	if oneShot := gets(); oneShot < 2*n {
 		t.Fatalf("one-shot pass pinned %d pages for %d rows — contrast premise broken", oneShot, n)

@@ -35,22 +35,17 @@ type RWROptions struct {
 	// [benchmark] change first). It never affected results and stays out
 	// of server cache keys.
 	Parallel int
-	// Shards is the per-iteration sweep shard count of a solve with one
-	// restart set (RWR, RWRSet, a one-source RWRMulti): 0 = auto
-	// (GOMAXPROCS when the graph clears graph.MinAutoShardEdges),
-	// 1 = serial, >= 2 = exactly that many shards. An execution knob only
-	// — the ordered merge keeps the sharded solve bit-identical to the
-	// serial sweep — and excluded from server cache keys. RWRMulti over
-	// two or more sources never shards: its one pass per iteration already
-	// serves all of them.
+	// Shards is accepted and ignored like Parallel: every power iteration
+	// is one serial sweep. The field stays because bench/layers sets it;
+	// deleting it is a [benchmark] change first.
 	Shards int
 	// Ctx optionally carries the caller's cancellation into the solve:
 	// RWRSet polls it at every power-iteration boundary and aborts with
 	// ctx.Err() — so a server timeout or client disconnect stops a
 	// whole-graph walk within one pass instead of grinding the remaining
-	// iterations. Like Parallel and Shards it is an execution knob with no
-	// effect on results that complete, and is excluded from server cache
-	// keys. nil means never cancelled.
+	// iterations. It is an execution knob with no effect on results that
+	// complete, and is excluded from server cache keys. nil means never
+	// cancelled.
 	Ctx context.Context
 }
 
@@ -110,8 +105,7 @@ func RWRSet(c graph.Adjacency, sources []graph.NodeID, opts RWROptions) ([]float
 // together: one pass over the adjacency per power iteration serves every
 // source that has not converged yet, so k sources cost as many sweeps as
 // the slowest of them, not the sum. Each vector is bit-identical to
-// RWR(c, source, opts). opts.Parallel is not read — there is no worker
-// pool left to bound — and opts.Shards applies to one-source solves only.
+// RWR(c, source, opts). opts.Parallel and opts.Shards are not read.
 func RWRMulti(c graph.Adjacency, sources []graph.NodeID, opts RWROptions) ([][]float64, error) {
 	sets := make([][]graph.NodeID, len(sources))
 	for i := range sources {
@@ -162,44 +156,12 @@ func rwrBlocked(c graph.Adjacency, sets [][]graph.NodeID, opts RWROptions) ([][]
 	}
 	wdeg := c.WeightedDegrees()
 	cc := opts.Restart
-	// Edge-centric fast path: a backend that can sweep its own storage in
-	// layout order (both of ours can) pushes each pass page run by page
-	// run — O(filePages) buffer-pool round-trips per iteration instead of
-	// the node-centric loop's O(n). The emitted rows are bit-identical to
-	// NeighborsInto in the same ascending-u order, so both paths produce
-	// the same floating-point vector.
-	sweeper, _ := c.(graph.EdgeSweeper)
-	// Sharded fast path, one-walk solves only: range-shard each pass across
-	// goroutines, logging contributions into a private accumulator whose
-	// ordered merge replays the exact serial fold (see graph.PushAcc) —
-	// bit-identical, all cores. Two or more walks always share one serial
-	// sweep: splitting that pass k ways would split a paged query's pool
-	// quota with it. The seed vector cc·mass is precomputed once; the
-	// serial loop recomputes the same products every pass, so seeding the
-	// merge from the table is bit-identical.
-	var (
-		acc    *graph.PushAcc
-		views  []graph.EdgeSweeper
-		ranges []graph.ShardRange
-		seed   []float64
-	)
-	if sv, ok := c.(graph.SweepShardViewer); ok && len(walks) == 1 {
-		if k := graph.EffectiveSweepShards(c, opts.Shards); k > 1 {
-			if sr := graph.ShardRanges(c, k); len(sr) > 1 {
-				if v, release, verr := sv.SweepShardViews(len(sr)); verr == nil {
-					defer release()
-					views, ranges = v, sr
-					acc = graph.NewPushAcc(n, len(sr))
-					seed = make([]float64, n)
-					for i := range seed {
-						seed[i] = cc * walks[0].mass[i]
-					}
-				}
-			}
-		}
-	}
 	// live holds the walks still iterating, in set order.
 	live := append([]*rwrWalk(nil), walks...)
+	// Each pass is one sweep of the adjacency in storage layout order —
+	// O(filePages) buffer-pool round-trips per iteration on a paged CSR —
+	// and rows arrive in ascending u on every backend, so every backend
+	// produces the same floating-point vectors.
 	push := func(u graph.NodeID, nbrs []graph.NodeID, ws []float64) bool {
 		for _, w := range live {
 			ru := w.r[u]
@@ -221,11 +183,6 @@ func rwrBlocked(c graph.Adjacency, sets [][]graph.NodeID, opts RWROptions) ([][]
 		}
 		return true
 	}
-	// One buffer pair for the whole solve (this goroutine only): the paged
-	// backend decodes into it instead of allocating per Neighbors call
-	// (node-centric fallback only).
-	var nbrs []graph.NodeID
-	var ws []float64
 	// done caches Ctx.Done() so the per-iteration cancellation poll is one
 	// channel read. Paged backends additionally poll between sweep chunks
 	// (gtree.PagedCSR.WithContext); this boundary check is what covers the
@@ -243,48 +200,13 @@ func rwrBlocked(c graph.Adjacency, sets [][]graph.NodeID, opts RWROptions) ([][]
 			default:
 			}
 		}
-		if acc != nil {
-			w := walks[0]
-			acc.Reset()
-			err := graph.ParallelSweepEdges(views, ranges, func(shard int, u graph.NodeID, nbrs []graph.NodeID, ws []float64) bool {
-				if w.r[u] == 0 {
-					return true
-				}
-				if wdeg[u] == 0 {
-					// Add preserves the serial source order.
-					for _, s := range w.set {
-						acc.Add(shard, s, (1-cc)*w.r[u]*w.share)
-					}
-					return true
-				}
-				acc.AddRow(shard, nbrs, ws, (1-cc)*w.r[u]/wdeg[u])
-				return true
-			})
-			if err != nil {
-				return nil, err
+		for _, w := range live {
+			for i := range w.next {
+				w.next[i] = cc * w.mass[i]
 			}
-			acc.Merge(w.next, seed, 0)
-		} else {
-			for _, w := range live {
-				for i := range w.next {
-					w.next[i] = cc * w.mass[i]
-				}
-			}
-			if sweeper != nil {
-				if err := sweeper.SweepEdges(0, graph.NodeID(n), push); err != nil {
-					return nil, err
-				}
-			} else {
-				for u := 0; u < n; u++ {
-					switch {
-					case wdeg[u] == 0:
-						push(graph.NodeID(u), nil, nil)
-					case anyMass(live, u): // a row nobody has mass on is never read
-						nbrs, ws = c.NeighborsInto(graph.NodeID(u), nbrs[:0], ws[:0])
-						push(graph.NodeID(u), nbrs, ws)
-					}
-				}
-			}
+		}
+		if err := c.SweepEdges(0, graph.NodeID(n), push); err != nil {
+			return nil, err
 		}
 		still := live[:0]
 		for _, w := range live {
@@ -309,14 +231,4 @@ func rwrBlocked(c graph.Adjacency, sets [][]graph.NodeID, opts RWROptions) ([][]
 		out[j] = w.r
 	}
 	return out, nil
-}
-
-// anyMass reports whether any of the walks has mass on u this pass.
-func anyMass(walks []*rwrWalk, u int) bool {
-	for _, w := range walks {
-		if w.r[u] != 0 {
-			return true
-		}
-	}
-	return false
 }

@@ -10,24 +10,24 @@ import (
 	"repro/internal/graph"
 )
 
-// probeAdj counts the whole-graph passes a solve makes over an adjacency
-// and lets a test act on the i-th one. Embedding the Adjacency interface
-// value hides the backend's SweepShardViewer, so a probed solve is always
-// the serial sweep.
+// probeAdj counts the whole-graph passes a solve makes over an adjacency,
+// records the node range of each, and lets a test act on the i-th one.
 type probeAdj struct {
 	graph.Adjacency
 	sweeps  int
+	ranges  [][2]graph.NodeID
 	onSweep func(call int) error // non-nil error is returned in place of the pass
 }
 
 func (p *probeAdj) SweepEdges(lo, hi graph.NodeID, fn func(u graph.NodeID, nbrs []graph.NodeID, w []float64) bool) error {
 	p.sweeps++
+	p.ranges = append(p.ranges, [2]graph.NodeID{lo, hi})
 	if p.onSweep != nil {
 		if err := p.onSweep(p.sweeps); err != nil {
 			return err
 		}
 	}
-	return p.Adjacency.(graph.EdgeSweeper).SweepEdges(lo, hi, fn)
+	return p.Adjacency.SweepEdges(lo, hi, fn)
 }
 
 // fusedFixture is a directed random graph with the two rows a blocked
@@ -166,38 +166,26 @@ func TestRWRMultiFusedStopsAsOne(t *testing.T) {
 	}
 }
 
-// shardCountingCSR counts the shard-view requests a solve makes.
-type shardCountingCSR struct {
-	*graph.CSR
-	viewCalls int
-}
-
-func (c *shardCountingCSR) SweepShardViews(k int) ([]graph.EdgeSweeper, func(), error) {
-	c.viewCalls++
-	return c.CSR.SweepShardViews(k)
-}
-
-// TestRWRMultiNeverShards pins what the worker pool used to hide: RWRMulti
-// at Parallel 1 left Shards on auto and pushed every source through the
-// sharded sweep, several times slower than the serial one. A solve of two
-// or more sources opens no shard views whatever Shards says; one source
-// still does.
+// TestRWRMultiNeverShards: whatever Parallel and Shards say, and for one
+// source or several, every power iteration of RWRMulti is exactly one
+// sweep over the whole node range — nothing splits a pass.
 func TestRWRMultiNeverShards(t *testing.T) {
 	g := randomConnected(rand.New(rand.NewSource(26)), 400, 1600)
+	n := graph.NodeID(g.NumNodes())
 	for _, par := range []int{0, 1, 4} {
-		c := &shardCountingCSR{CSR: graph.ToCSR(g)}
-		opts := RWROptions{Parallel: par, Shards: 4}
-		if _, err := RWRMulti(c, []graph.NodeID{3, 200, 399}, opts); err != nil {
-			t.Fatal(err)
-		}
-		if c.viewCalls != 0 {
-			t.Fatalf("parallel %d: a three-source solve opened shard views %d times", par, c.viewCalls)
-		}
-		if _, err := RWRMulti(c, []graph.NodeID{3}, opts); err != nil {
-			t.Fatal(err)
-		}
-		if c.viewCalls != 1 {
-			t.Fatalf("parallel %d: a one-source solve at Shards 4 opened shard views %d times, want 1", par, c.viewCalls)
+		for _, sources := range [][]graph.NodeID{{3}, {3, 200, 399}} {
+			probe := &probeAdj{Adjacency: graph.ToCSR(g)}
+			if _, err := RWRMulti(probe, sources, RWROptions{Parallel: par, Shards: 4}); err != nil {
+				t.Fatal(err)
+			}
+			if probe.sweeps == 0 {
+				t.Fatalf("parallel %d, %d sources: no sweep", par, len(sources))
+			}
+			for i, r := range probe.ranges {
+				if r != [2]graph.NodeID{0, n} {
+					t.Fatalf("parallel %d, %d sources: pass %d swept [%d,%d), want [0,%d)", par, len(sources), i, r[0], r[1], n)
+				}
+			}
 		}
 	}
 }

@@ -8,11 +8,6 @@ import (
 	"repro/internal/graph"
 )
 
-func optsWithParallel(o RWROptions, p int) RWROptions {
-	o.Parallel = p
-	return o
-}
-
 func TestRWROptionsNormalizeRejectsOutOfRange(t *testing.T) {
 	cases := []RWROptions{
 		{Restart: 1.5},

@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"math"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -8,11 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/gtree"
 )
-
-// nodeCentricOnly hides the optional EdgeSweeper/NeighborIDSweeper
-// interfaces by embedding the Adjacency interface value, forcing kernels
-// down the node-centric NeighborsInto path — the pre-sweep behavior.
-type nodeCentricOnly struct{ graph.Adjacency }
 
 // pagedFixture persists g and opens it as a PagedCSR over a small-page
 // file (multi-page runs) with the given pool size.
@@ -46,16 +42,27 @@ func pagedStoreFixture(t *testing.T, g *graph.Graph, poolPages int) (*gtree.Stor
 	return s, c
 }
 
-// TestRWRSetSweepBitIdentical is the tentpole property test: across
-// random graphs and source sets, the edge-centric sweep solve must equal
-// the node-centric solve bit for bit — on the in-memory CSR and on the
-// paged CSR, which in turn must equal each other.
+// requireVector fails unless got equals want bit for bit.
+func requireVector(t *testing.T, tag string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d entries, want %d", tag, len(got), len(want))
+	}
+	for v := range want {
+		if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+			t.Fatalf("%s node %d: %v != %v", tag, v, got[v], want[v])
+		}
+	}
+}
+
+// TestRWRSetSweepBitIdentical: across random graphs, source sets and pool
+// sizes, the RWR sweep solve on a paged CSR equals the in-memory solve bit
+// for bit.
 func TestRWRSetSweepBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 8; trial++ {
 		n := 30 + rng.Intn(150)
 		g := randomConnected(rng, n, rng.Intn(4*n))
-		csr := graph.ToCSR(g)
 		paged := pagedFixture(t, g, 8+rng.Intn(64))
 		m := 1 + rng.Intn(4)
 		sources := make([]graph.NodeID, m)
@@ -63,27 +70,15 @@ func TestRWRSetSweepBitIdentical(t *testing.T) {
 			sources[i] = graph.NodeID(rng.Intn(n))
 		}
 		opts := RWROptions{Restart: 0.05 + 0.9*rng.Float64(), MaxIter: 40}
-
-		want, err := RWRSet(nodeCentricOnly{csr}, sources, opts)
+		want, err := RWRSet(graph.ToCSR(g), sources, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, adj := range map[string]graph.Adjacency{
-			"csr-sweep":        csr,
-			"paged-sweep":      paged,
-			"paged-nodewise":   nodeCentricOnly{paged},
-			"csr-nodecentric2": nodeCentricOnly{csr},
-		} {
-			got, err := RWRSet(adj, sources, opts)
-			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, name, err)
-			}
-			for v := range want {
-				if got[v] != want[v] { // exact bits, intentionally
-					t.Fatalf("trial %d %s node %d: %v != %v", trial, name, v, got[v], want[v])
-				}
-			}
+		got, err := RWRSet(paged, sources, opts)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
+		requireVector(t, "paged", got, want)
 		if err := paged.Err(); err != nil {
 			t.Fatalf("trial %d: paged fault: %v", trial, err)
 		}
@@ -91,37 +86,79 @@ func TestRWRSetSweepBitIdentical(t *testing.T) {
 }
 
 // TestConnectionSubgraphSweepBitIdentical: the full extraction pipeline
-// (RWR + goodness + key paths) lands on the same subgraph whether the
-// solves sweep or walk node by node, memory or paged.
+// (RWR + goodness + key paths) lands on the same subgraph in memory and
+// paged.
 func TestConnectionSubgraphSweepBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := randomConnected(rng, 250, 900)
-	csr := graph.ToCSR(g)
-	paged := pagedFixture(t, g, 32)
 	sources := []graph.NodeID{5, 130, 240}
 	opts := Options{Budget: 25}
-
-	want, err := ConnectionSubgraphAdj(nodeCentricOnly{csr}, false, nil, sources, opts)
+	want, err := ConnectionSubgraphAdj(graph.ToCSR(g), false, nil, sources, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, adj := range map[string]graph.Adjacency{"csr": csr, "paged": paged} {
-		got, err := ConnectionSubgraphAdj(adj, false, nil, sources, opts)
+	got, err := ConnectionSubgraphAdj(pagedFixture(t, g, 32), false, nil, sources, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resultDigest(got) != resultDigest(want) {
+		t.Fatalf("paged extraction diverged: %v/%d vs %v/%d",
+			got.TotalGoodness, len(got.Nodes), want.TotalGoodness, len(want.Nodes))
+	}
+}
+
+// TestRWRSetShardedBitIdentical: RWROptions.Shards is accepted and
+// ignored, so a solve asking for any shard count equals the default solve
+// bit for bit, on both backends.
+func TestRWRSetShardedBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 6; trial++ {
+		n := 40 + rng.Intn(160)
+		g := randomConnected(rng, n, rng.Intn(4*n))
+		csr := graph.ToCSR(g)
+		paged := pagedFixture(t, g, 8+rng.Intn(48))
+		sources := []graph.NodeID{graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))}
+		opts := RWROptions{Restart: 0.05 + 0.9*rng.Float64(), MaxIter: 40}
+		want, err := RWRSet(csr, sources, opts)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatal(err)
 		}
-		if got.TotalGoodness != want.TotalGoodness || len(got.Nodes) != len(want.Nodes) {
-			t.Fatalf("%s diverged: %v/%d vs %v/%d", name,
-				got.TotalGoodness, len(got.Nodes), want.TotalGoodness, len(want.Nodes))
-		}
-		for i := range want.Nodes {
-			if got.Nodes[i] != want.Nodes[i] {
-				t.Fatalf("%s node %d: %d vs %d", name, i, got.Nodes[i], want.Nodes[i])
+		for _, shards := range []int{-1, 1, 2, 8} {
+			opts.Shards = shards
+			for name, adj := range map[string]graph.Adjacency{"csr": csr, "paged": paged} {
+				got, err := RWRSet(adj, sources, opts)
+				if err != nil {
+					t.Fatalf("trial %d %s shards=%d: %v", trial, name, shards, err)
+				}
+				requireVector(t, name, got, want)
 			}
 		}
-		for i := range want.Goodness {
-			if got.Goodness[i] != want.Goodness[i] {
-				t.Fatalf("%s goodness %d: %v vs %v", name, i, got.Goodness[i], want.Goodness[i])
+	}
+}
+
+// TestRWRMultiShardedBitIdentical: RWRMulti ignores Parallel and Shards in
+// every combination — each vector equals the default solve's bit for bit.
+func TestRWRMultiShardedBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	g := randomConnected(rng, 180, 650)
+	csr := graph.ToCSR(g)
+	paged := pagedFixture(t, g, 16)
+	sources := []graph.NodeID{2, 40, 90, 140, 179}
+	want, err := RWRMulti(csr, sources, RWROptions{MaxIter: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 4} {
+		for _, shards := range []int{1, 4} {
+			opts := RWROptions{MaxIter: 50, Parallel: par, Shards: shards}
+			for name, adj := range map[string]graph.Adjacency{"csr": csr, "paged": paged} {
+				got, err := RWRMulti(adj, sources, opts)
+				if err != nil {
+					t.Fatalf("%s parallel=%d shards=%d: %v", name, par, shards, err)
+				}
+				for i := range want {
+					requireVector(t, name, got[i], want[i])
+				}
 			}
 		}
 	}

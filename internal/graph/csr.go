@@ -55,31 +55,12 @@ func ToCSR(g *Graph) *CSR {
 	return c
 }
 
-// Neighbors returns the neighbor and weight slices of u.
+// Neighbors returns the neighbor and weight slices of u, aliasing the
+// CSR's storage. It is the partitioner's read path on its own coarse
+// CSRs; Adjacency callers read through a Cursor or a sweep instead.
 func (c *CSR) Neighbors(u NodeID) ([]NodeID, []float64) {
 	lo, hi := c.Xadj[u], c.Xadj[u+1]
 	return c.Adjncy[lo:hi], c.EdgeW[lo:hi]
-}
-
-// NeighborsInto returns u's neighbor row as read-only subslices aliasing
-// the CSR's internal storage — the buffers are ignored, so the call never
-// copies or allocates (Adjacency's zero-alloc contract). Capacities are
-// clamped to the row so an accidental append by a confused caller
-// reallocates instead of scribbling over the next node's row.
-//
-//gmine:hotpath
-func (c *CSR) NeighborsInto(u NodeID, _ []NodeID, _ []float64) ([]NodeID, []float64) {
-	lo, hi := c.Xadj[u], c.Xadj[u+1]
-	return c.Adjncy[lo:hi:hi], c.EdgeW[lo:hi:hi]
-}
-
-// NeighborIDsInto returns u's neighbor ids as a read-only, cap-clamped
-// alias of internal storage (the buffer is ignored).
-//
-//gmine:hotpath
-func (c *CSR) NeighborIDsInto(u NodeID, _ []NodeID) []NodeID {
-	lo, hi := c.Xadj[u], c.Xadj[u+1]
-	return c.Adjncy[lo:hi:hi]
 }
 
 // csrCursor is the CSR seen through RowCursor. It is the same memory under
@@ -88,8 +69,11 @@ func (c *CSR) NeighborIDsInto(u NodeID, _ []NodeID) []NodeID {
 // loop has no second dispatch to pay.
 type csrCursor CSR
 
-// Cursor opens a row cursor (Adjacency). Rows alias internal storage
-// exactly as NeighborsInto's do; there is nothing to release.
+// Cursor opens a row cursor (Adjacency). Rows are read-only subslices of
+// the CSR's own storage — the buffers are ignored, so a read never copies
+// or allocates — with capacities clamped to the row, so an accidental
+// append by a confused caller reallocates instead of scribbling over the
+// next node's row. There is nothing to release.
 func (c *CSR) Cursor() RowCursor { return (*csrCursor)(c) }
 
 //gmine:hotpath
@@ -109,8 +93,7 @@ func (c *csrCursor) Close() {}
 // SweepEdges emits every node in [lo,hi) with its neighbor row
 // (EdgeSweeper). On the in-memory CSR the "blocked sweep" degenerates to
 // a slice walk handing out cap-clamped aliases of internal storage — no
-// copies, no allocations — so kernels can use one code path for both
-// backends.
+// copies, no allocations — so kernels run one code path on every backend.
 //
 //gmine:hotpath
 func (c *CSR) SweepEdges(lo, hi NodeID, fn func(u NodeID, nbrs []NodeID, w []float64) bool) error {
@@ -141,23 +124,6 @@ func (c *CSR) SweepNeighborIDs(lo, hi NodeID, fn func(u NodeID, nbrs []NodeID) b
 		}
 	}
 	return nil
-}
-
-// EdgeOffset returns the half-edge prefix offset Xadj[u]
-// (graph.EdgeOffsetter) — the degree-balanced shard splitter reads it; an
-// in-memory CSR cannot fault.
-func (c *CSR) EdgeOffset(u NodeID) (int, bool) { return int(c.Xadj[u]), true }
-
-// SweepShardViews implements graph.SweepShardViewer: an immutable CSR is
-// already safe for any number of concurrent sweeping goroutines, so every
-// shard view is the CSR itself and release is a no-op (there is no paging
-// economy to partition).
-func (c *CSR) SweepShardViews(k int) ([]EdgeSweeper, func(), error) {
-	views := make([]EdgeSweeper, k)
-	for i := range views {
-		views[i] = c
-	}
-	return views, func() {}, nil
 }
 
 // Degree returns the number of stored half-edges at u.

@@ -33,51 +33,17 @@ func TestToCSRStructure(t *testing.T) {
 	}
 }
 
-// TestCSRNeighborsInto pins the aliasing fast path: same data as
-// Neighbors, zero allocations, buffers ignored, and capacities clamped to
-// the row so a stray append cannot scribble over the next node's row.
-func TestCSRNeighborsInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	g := randomGraph(rng, 30, 90)
-	c := ToCSR(g)
-	var nbrBuf []NodeID
-	var wBuf []float64
-	for u := 0; u < c.N(); u++ {
-		wantN, wantW := c.Neighbors(NodeID(u))
-		gotN, gotW := c.NeighborsInto(NodeID(u), nbrBuf[:0], wBuf[:0])
-		if len(gotN) != len(wantN) || len(gotW) != len(wantW) {
-			t.Fatalf("node %d: %d/%d entries, want %d/%d", u, len(gotN), len(gotW), len(wantN), len(wantW))
-		}
-		for i := range wantN {
-			if gotN[i] != wantN[i] || gotW[i] != wantW[i] {
-				t.Fatalf("node %d entry %d: %d/%g want %d/%g", u, i, gotN[i], gotW[i], wantN[i], wantW[i])
-			}
-		}
-		if len(gotN) != cap(gotN) || len(gotW) != cap(gotW) {
-			t.Fatalf("node %d: capacity not clamped (%d/%d, %d/%d)", u, len(gotN), cap(gotN), len(gotW), cap(gotW))
-		}
-		// The documented reuse pattern: retain the returns as the next
-		// call's buffers (safe — the CSR never appends into them).
-		nbrBuf, wBuf = gotN, gotW
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		nbrBuf, wBuf = c.NeighborsInto(7, nbrBuf[:0], wBuf[:0])
-	})
-	if allocs != 0 {
-		t.Fatalf("CSR NeighborsInto allocates %.1f per call, want 0", allocs)
-	}
-}
-
-// TestCSRCursor: the CSR's row cursor hands out the very rows
-// NeighborsInto does — same backing memory, capacities clamped — and
-// opening, reading and closing one allocates nothing.
+// TestCSRCursor: the CSR's row cursor hands out the CSR's own rows —
+// same backing memory as Neighbors, capacities clamped so a stray append
+// cannot scribble over the next row — and opening, reading and closing one
+// allocates nothing.
 func TestCSRCursor(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	c := ToCSR(randomGraph(rng, 30, 90))
 	var adj Adjacency = c
 	cur := adj.Cursor()
 	for u := 0; u < c.N(); u++ {
-		wantN, wantW := c.NeighborsInto(NodeID(u), nil, nil)
+		wantN, wantW := c.Neighbors(NodeID(u))
 		gotN, gotW := cur.Neighbors(NodeID(u), nil, nil)
 		ids := cur.NeighborIDs(NodeID(u), nil)
 		if len(gotN) != len(wantN) || len(gotW) != len(wantW) || len(ids) != len(wantN) {

@@ -88,7 +88,7 @@ func TestCSRSweepBounds(t *testing.T) {
 	}
 }
 
-// TestCSRSweepNeighborIDs mirrors the ids-only sweep against the lister.
+// TestCSRSweepNeighborIDs mirrors the ids-only sweep against Neighbors.
 func TestCSRSweepNeighborIDs(t *testing.T) {
 	c := sweepTestCSR(t, 90, 300, 4)
 	next := NodeID(0)
@@ -97,7 +97,7 @@ func TestCSRSweepNeighborIDs(t *testing.T) {
 			t.Fatalf("emitted %d, expected %d", u, next)
 		}
 		next++
-		want := c.NeighborIDsInto(u, nil)
+		want, _ := c.Neighbors(u)
 		if len(nbrs) != len(want) {
 			t.Fatalf("node %d: %d ids, want %d", u, len(nbrs), len(want))
 		}

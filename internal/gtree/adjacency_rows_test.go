@@ -1,0 +1,242 @@
+package gtree
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/graph"
+)
+
+// rowBackend is one row of the TestAdjacencyRows table: an Adjacency over
+// the table's graph, the store behind it (nil for the in-memory CSR), and
+// a check of the backend's own premise (that a tier really holds what the
+// row says it does).
+type rowBackend struct {
+	name    string
+	adj     graph.Adjacency
+	store   *Store
+	premise func(t *testing.T)
+}
+
+// warmIDs reads rows ids-only through open-read-close tiered cursors, so
+// the pool's heat lands on the Xadj and Adjncy buckets — the ones the tier
+// promoter ranks — of rows not yet resident, and not on the EdgeW run.
+func warmIDs(c *PagedCSR, rows []graph.NodeID, passes int) {
+	var nbrs []graph.NodeID
+	tc := c.Tiered()
+	for p := 0; p < passes; p++ {
+		for _, u := range rows {
+			cur := tc.Cursor()
+			nbrs = cur.NeighborIDs(u, nbrs[:0])
+			cur.Close()
+		}
+	}
+}
+
+// rowBackends opens every backend of the table over g: the CSR; paged at
+// page sizes 256 and 1024 times pools 4 and 4096; tiered at budget 0, at a
+// budget holding the whole graph, and at one fragment; and a paged view
+// carrying a live (never cancelled) context.
+func rowBackends(t *testing.T, g *graph.Graph) []rowBackend {
+	t.Helper()
+	backends := []rowBackend{{name: "csr", adj: graph.ToCSR(g)}}
+	open := func(pageSize, pool int) (*Store, *PagedCSR) {
+		t.Helper()
+		s, err := OpenFile(buildAndSave(t, g, pageSize), pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		c, err := s.PagedCSR()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, c
+	}
+	for _, pageSize := range []int{256, 1024} {
+		for _, pool := range []int{4, 4096} {
+			s, c := open(pageSize, pool)
+			backends = append(backends, rowBackend{name: fmt.Sprintf("paged/page=%d/pool=%d", pageSize, pool), adj: c, store: s})
+		}
+	}
+
+	n := g.NumNodes()
+	all := make([]graph.NodeID, n)
+	for i := range all {
+		all[i] = graph.NodeID(i)
+	}
+	// Budget 0: the tiered view is a plain delegating wrapper.
+	s, c := open(256, 4096)
+	s.SetTierBudget(0)
+	off := c.Tiered()
+	backends = append(backends, rowBackend{name: "tiered/budget=0", adj: off, store: s, premise: func(t *testing.T) {
+		if hits, _ := off.QueryCounts(); hits != 0 {
+			t.Fatalf("budget 0 served %d rows from fragments", hits)
+		}
+	}})
+	// Whole graph: a budget with room for all of it, and promotion passes
+	// until every row with an edge is resident. Warming through a tiered
+	// cursor heats only the rows still cold, so each pass makes progress.
+	s, c = open(256, 4096)
+	s.SetTierBudget(1 << 30)
+	for pass := 0; pass < 8; pass++ {
+		warmIDs(c, all, 2)
+		if c.Tiered().Promote() == 0 {
+			break
+		}
+	}
+	whole := c.Tiered()
+	backends = append(backends, rowBackend{name: "tiered/whole", adj: whole, store: s, premise: func(t *testing.T) {
+		for u := 0; u < n; u++ {
+			if whole.Degree(graph.NodeID(u)) > 0 && whole.ts.lookup(u) == nil {
+				t.Fatalf("whole-graph tier: row %d is not resident", u)
+			}
+		}
+	}})
+	// One fragment: only one row hot.
+	s, c = open(256, 4096)
+	s.SetTierBudget(1 << 30)
+	warmIDs(c, all[n/2:n/2+1], 8)
+	one := c.Tiered()
+	one.Promote()
+	oneStore := s
+	backends = append(backends, rowBackend{name: "tiered/fragment", adj: one, store: s, premise: func(t *testing.T) {
+		if ti := oneStore.TierInfo(); ti.Fragments != 1 {
+			t.Fatalf("one-fragment tier holds %d fragments", ti.Fragments)
+		}
+		if hits, misses := one.QueryCounts(); hits == 0 || misses == 0 {
+			t.Fatalf("one-fragment tier served %d hits, %d misses; want both", hits, misses)
+		}
+	}})
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	s, c = open(512, 16)
+	backends = append(backends, rowBackend{name: "withContext", adj: c.WithContext(ctx), store: s})
+	return backends
+}
+
+// requireRow fails unless (ids, ws) is want's row u; weights=false skips
+// the weights (ids-only reads).
+func requireRow(t *testing.T, tag string, want *graph.CSR, u graph.NodeID, ids []graph.NodeID, ws []float64, weights bool) {
+	t.Helper()
+	wn, ww := want.Neighbors(u)
+	if len(ids) != len(wn) || (weights && len(ws) != len(ww)) {
+		t.Fatalf("%s node %d: %d ids / %d weights, want %d", tag, u, len(ids), len(ws), len(wn))
+	}
+	for i := range wn {
+		if ids[i] != wn[i] || (weights && math.Float64bits(ws[i]) != math.Float64bits(ww[i])) {
+			t.Fatalf("%s node %d entry %d: %d/%v, want %d/%v", tag, u, i, ids[i], ws, wn[i], ww[i])
+		}
+	}
+}
+
+// checkSweeps runs SweepEdges and SweepNeighborIDs over [lo,hi), stopping
+// after stopAfter rows when positive, and requires the rows emitted in
+// ascending order, zero-degree rows included, each equal to want's.
+func checkSweeps(t *testing.T, tag string, adj graph.Adjacency, want *graph.CSR, lo, hi graph.NodeID, stopAfter int) {
+	t.Helper()
+	wantRows := int(hi - lo)
+	if stopAfter > 0 && stopAfter < wantRows {
+		wantRows = stopAfter
+	}
+	for _, weights := range []bool{true, false} {
+		next, rows := lo, 0
+		visit := func(u graph.NodeID, ids []graph.NodeID, ws []float64) bool {
+			if u != next {
+				t.Fatalf("%s [%d,%d) weights=%v: emitted %d, expected %d", tag, lo, hi, weights, u, next)
+			}
+			next++
+			rows++
+			requireRow(t, tag, want, u, ids, ws, weights)
+			return stopAfter <= 0 || rows < stopAfter
+		}
+		var err error
+		if weights {
+			err = adj.SweepEdges(lo, hi, visit)
+		} else {
+			err = adj.SweepNeighborIDs(lo, hi, func(u graph.NodeID, ids []graph.NodeID) bool { return visit(u, ids, nil) })
+		}
+		if err != nil {
+			t.Fatalf("%s [%d,%d) weights=%v: %v", tag, lo, hi, weights, err)
+		}
+		if rows != wantRows {
+			t.Fatalf("%s [%d,%d) weights=%v: %d rows emitted, want %d", tag, lo, hi, weights, rows, wantRows)
+		}
+	}
+}
+
+// TestAdjacencyRows is the row oracle of every Adjacency backend: whatever
+// the backend and whichever of the two read paths — sweeps over the full
+// range, over sub-ranges and with an early stop; a cursor in ascending,
+// descending and random order with full and ids-only reads on one reused
+// buffer pair — every row equals the source graph's row in ToCSR order:
+// ids, weights and order. Geometry and weighted degrees must match too,
+// and a backend with a store is left holding no frame and no fault.
+func TestAdjacencyRows(t *testing.T) {
+	g := hubGraph(600, 2500, 3, 61) // ~7k half-edges: several sweep windows; hubs straddle many pages
+	want := graph.ToCSR(g)
+	n := graph.NodeID(want.N())
+	zero := 0
+	for u := graph.NodeID(0); u < n; u++ {
+		if want.Degree(u) == 0 {
+			zero++
+		}
+	}
+	if zero == 0 {
+		t.Fatal("fixture has no zero-degree rows")
+	}
+	wdeg := want.WeightedDegrees()
+	for _, b := range rowBackends(t, g) {
+		adj := b.adj
+		if adj.N() != want.N() || adj.HalfEdges() != want.HalfEdges() {
+			t.Fatalf("%s: geometry %d/%d, want %d/%d", b.name, adj.N(), adj.HalfEdges(), want.N(), want.HalfEdges())
+		}
+		for u := graph.NodeID(0); u < n; u++ {
+			if adj.Degree(u) != want.Degree(u) {
+				t.Fatalf("%s: Degree(%d) = %d, want %d", b.name, u, adj.Degree(u), want.Degree(u))
+			}
+		}
+		for u, w := range adj.WeightedDegrees() {
+			if math.Float64bits(w) != math.Float64bits(wdeg[u]) {
+				t.Fatalf("%s: WeightedDegrees[%d] = %v, want %v", b.name, u, w, wdeg[u])
+			}
+		}
+
+		checkSweeps(t, b.name+"/full", adj, want, 0, n, 0)
+		for _, r := range [][2]graph.NodeID{{1, n / 2}, {n / 3, n - 1}, {n - n/5 - 3, n}} {
+			checkSweeps(t, b.name+"/sub", adj, want, r[0], r[1], 0)
+		}
+		checkSweeps(t, b.name+"/stop", adj, want, 5, n, 17)
+
+		for order, us := range visitOrders(int(n), 61) {
+			cur := adj.Cursor()
+			var nbrs []graph.NodeID
+			var ws []float64
+			for i, u := range us {
+				full := i%3 != 0
+				if full {
+					nbrs, ws = cur.Neighbors(u, nbrs[:0], ws[:0])
+				} else {
+					nbrs = cur.NeighborIDs(u, nbrs[:0])
+				}
+				requireRow(t, b.name+"/cursor/"+order, want, u, nbrs, ws, full)
+			}
+			cur.Close()
+		}
+
+		if b.premise != nil {
+			b.premise(t)
+		}
+		if b.store != nil {
+			if pins := b.store.PinnedFrames(); pins != 0 {
+				t.Fatalf("%s: %d frames pinned after the reads", b.name, pins)
+			}
+			csr, _ := b.store.PagedCSR()
+			if err := csr.Err(); err != nil {
+				t.Fatalf("%s: clean reads latched %v", b.name, err)
+			}
+		}
+	}
+}

@@ -96,38 +96,6 @@ func TestSweepContextCancellation(t *testing.T) {
 	}
 }
 
-// TestShardViewsInheritContext: shard views split from a
-// context-carrying view observe the same cancellation, so one cancelled
-// sibling stops a sharded whole-graph sweep.
-func TestShardViewsInheritContext(t *testing.T) {
-	g := hubGraph(600, 2500, 3, 13)
-	path := buildAndSave(t, g, 256)
-	s, err := OpenFile(path, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	c, err := s.PagedCSR()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	v := c.WithContext(ctx)
-	views, release, err := v.SweepShardViews(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
-	ranges := graph.ShardRanges(v, 4)
-	err = graph.ParallelSweepEdges(views, ranges, func(int, graph.NodeID, []graph.NodeID, []float64) bool {
-		return true
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("sharded sweep under cancelled ctx returned %v, want context.Canceled", err)
-	}
-}
-
 // pollCtx reports cancellation from its (after+1)-th Err call on, so a test
 // can cancel a build at an exact poll instead of at a wall-clock moment.
 type pollCtx struct {

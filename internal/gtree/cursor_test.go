@@ -14,31 +14,11 @@ import (
 	"repro/internal/graph"
 )
 
-// intoReader is the one-shot row-read surface all three backends share;
-// the cursor must reproduce it bit for bit.
-type intoReader interface {
-	graph.Adjacency
-	NeighborIDsInto(u graph.NodeID, buf []graph.NodeID) []graph.NodeID
-}
-
-// intoRows reads every row of adj through NeighborsInto and
-// NeighborIDsInto (before any cursor is opened — a goroutine holding a
-// cursor reads the backend no other way).
-func intoRows(t *testing.T, adj intoReader) (ids [][]graph.NodeID, ws [][]float64) {
-	t.Helper()
-	n := adj.N()
-	ids, ws = make([][]graph.NodeID, n), make([][]float64, n)
-	for u := 0; u < n; u++ {
-		ids[u], ws[u] = adj.NeighborsInto(graph.NodeID(u), nil, nil)
-		only := adj.NeighborIDsInto(graph.NodeID(u), nil)
-		if len(only) != len(ids[u]) {
-			t.Fatalf("node %d: NeighborIDsInto %d ids, NeighborsInto %d", u, len(only), len(ids[u]))
-		}
-		for i := range only {
-			if only[i] != ids[u][i] {
-				t.Fatalf("node %d: NeighborIDsInto and NeighborsInto disagree at %d", u, i)
-			}
-		}
+// csrRows copies every row of c, the expected rows of a cursor walk.
+func csrRows(c *graph.CSR) (ids [][]graph.NodeID, ws [][]float64) {
+	ids, ws = make([][]graph.NodeID, c.N()), make([][]float64, c.N())
+	for u := range ids {
+		ids[u], ws[u] = c.Neighbors(graph.NodeID(u))
 	}
 	return ids, ws
 }
@@ -58,7 +38,7 @@ func visitOrders(n int, seed int64) map[string][]graph.NodeID {
 
 // checkCursorMatches walks one cursor over order, alternating full and
 // ids-only reads on one reused buffer pair, and requires every row to
-// equal the NeighborsInto/NeighborIDsInto rows bit for bit.
+// equal the expected rows bit for bit.
 func checkCursorMatches(t *testing.T, name string, adj graph.Adjacency, order []graph.NodeID, ids [][]graph.NodeID, ws [][]float64) {
 	t.Helper()
 	cur := adj.Cursor()
@@ -86,68 +66,6 @@ func checkCursorMatches(t *testing.T, name string, adj graph.Adjacency, order []
 	}
 }
 
-// TestCursorRowsMatchInto is the identity property behind the row
-// cursor: on the memory, paged and tiered backends, over random hub
-// graphs (rows straddling many small pages, a tail of zero-degree nodes),
-// page sizes and pool sizes, a cursor walked in ascending, descending and
-// random order returns exactly the rows NeighborsInto/NeighborIDsInto do
-// — and leaves no frame pinned once closed.
-func TestCursorRowsMatchInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 6; trial++ {
-		n := 150 + rng.Intn(500)
-		g := hubGraph(n, 2*n+rng.Intn(3*n), 1+trial%3, int64(100+trial))
-		pageSize := []int{256, 512, 1024}[trial%3]
-		pool := []int{4, 16, 4096}[trial%3]
-		path := buildAndSave(t, g, pageSize)
-
-		mem := graph.ToCSR(g)
-		ids, ws := intoRows(t, mem)
-		for name, order := range visitOrders(n, int64(trial)) {
-			checkCursorMatches(t, "memory/"+name, mem, order, ids, ws)
-		}
-
-		s, err := OpenFile(path, pool)
-		if err != nil {
-			t.Fatal(err)
-		}
-		paged, err := s.PagedCSR()
-		if err != nil {
-			t.Fatal(err)
-		}
-		pids, pws := intoRows(t, paged)
-		for u := range ids {
-			if len(pids[u]) != len(ids[u]) {
-				t.Fatalf("trial %d: paged NeighborsInto row %d differs from memory", trial, u)
-			}
-		}
-		for name, order := range visitOrders(n, int64(trial)) {
-			checkCursorMatches(t, "paged/"+name, paged, order, pids, pws)
-			if pins := s.PinnedFrames(); pins != 0 {
-				t.Fatalf("trial %d paged/%s: %d frames pinned after Close", trial, name, pins)
-			}
-		}
-
-		// Tiered: promote the hub rows, then walk hits and misses on one
-		// buffer pair.
-		s.SetTierBudget(24 << 10)
-		warmRows(paged, []graph.NodeID{0, 7, 14}, 8)
-		tiered := paged.Tiered()
-		tiered.Promote()
-		tids, tws := intoRows(t, tiered)
-		for name, order := range visitOrders(n, int64(trial)) {
-			checkCursorMatches(t, "tiered/"+name, tiered, order, tids, tws)
-		}
-		if err := paged.Err(); err != nil {
-			t.Fatalf("trial %d: clean walks latched %v", trial, err)
-		}
-		if pins := s.PinnedFrames(); pins != 0 {
-			t.Fatalf("trial %d: %d frames pinned after all cursors closed", trial, pins)
-		}
-		s.Close()
-	}
-}
-
 // TestCursorPromotionRace walks tiered cursors while another goroutine
 // keeps shifting heat and promoting: rows flip between fragment hits and
 // paged misses under the cursor's feet and must stay bit-identical. Run
@@ -159,7 +77,7 @@ func TestCursorPromotionRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, ws := intoRows(t, base)
+	ids, ws := csrRows(graph.ToCSR(g))
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)

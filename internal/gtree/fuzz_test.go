@@ -101,11 +101,15 @@ func FuzzOpenCSRSection(f *testing.F) {
 		if n > 1<<16 {
 			n = 1 << 16 // bound the walk, not the decode
 		}
-		for u := 0; u < n; u++ {
-			c.Neighbors(graph.NodeID(u))
-			if c.Err() != nil {
-				return
-			}
+		cur := c.Cursor()
+		var nbrs []graph.NodeID
+		var ws []float64
+		for u := 0; u < n && c.Err() == nil; u++ {
+			nbrs, ws = cur.Neighbors(graph.NodeID(u), nbrs[:0], ws[:0])
+		}
+		cur.Close()
+		if c.Err() != nil {
+			return
 		}
 		c.WeightedDegrees()
 		for _, leaf := range s.Tree().Leaves() {

@@ -69,12 +69,6 @@ type PagedCSR struct {
 	edgew     *storage.RunReader
 	nodew     *storage.RunReader
 
-	// pool is the PagePool this view pins through (the store's shared
-	// BufferPool for the base view, a storage.Partition for query views).
-	// SweepShardViews splits it further when it is a Partition, so sharded
-	// sweeps get per-shard reservations carved from the query's quota.
-	pool storage.PagePool
-
 	// sh is shared between a base PagedCSR and all its pool-partition
 	// views: the fault-epoch latch, the weighted-degree cache and the
 	// sweep buffers are properties of the underlying file, not of the pool
@@ -82,9 +76,9 @@ type PagedCSR struct {
 	sh *pagedShared
 
 	// cc totals the row reads of every cursor closed on this view and on
-	// the views derived from it (shard views, WithContext): one instance
-	// per query partition view, so the trace's pool.cursor.* counts name
-	// this query's reads.
+	// the views derived from it (WithContext, Tiered): one instance per
+	// query partition view, so the trace's pool.cursor.* counts name this
+	// query's reads.
 	cc *cursorCounts
 
 	// ctx/done carry a query's cooperative cancellation into the blocked
@@ -99,12 +93,6 @@ type pagedShared struct {
 	mu      sync.Mutex
 	faults  uint64 // total faults observed; queries compare epochs
 	lastErr error
-
-	// sweepShards is the store-level SweepShards knob (0 = auto, 1 =
-	// serial, >= 2 = exact) consumed by the one whole-graph sweep the
-	// backend runs on its own behalf, the WeightedDegrees build. Kernel
-	// sweeps get their shard count from kernel options instead.
-	sweepShards atomic.Int32
 
 	wdegMu sync.Mutex
 	wdeg   []float64 // cached only after a fault-free build
@@ -122,15 +110,11 @@ type pagedShared struct {
 }
 
 var _ graph.Adjacency = (*PagedCSR)(nil)
-var _ graph.EdgeSweeper = (*PagedCSR)(nil)
-var _ graph.NeighborIDSweeper = (*PagedCSR)(nil)
-var _ graph.EdgeOffsetter = (*PagedCSR)(nil)
-var _ graph.SweepShardViewer = (*PagedCSR)(nil)
 
 // newPagedCSR wires the four run readers over the store's buffer pool,
 // validating the section's geometry against the file.
 func newPagedCSR(s *Store) (*PagedCSR, error) {
-	c := &PagedCSR{n: s.graphNodes, halfEdges: s.halfEdges, directed: s.directed, sh: &pagedShared{}, pool: s.pool, cc: &cursorCounts{}}
+	c := &PagedCSR{n: s.graphNodes, halfEdges: s.halfEdges, directed: s.directed, sh: &pagedShared{}, cc: &cursorCounts{}}
 	var err error
 	if c.xadj, err = storage.NewRunReader(s.pool, s.csrPages[0], 4, s.graphNodes+1); err != nil {
 		return nil, fmt.Errorf("gtree: CSR xadj: %w", err)
@@ -157,7 +141,7 @@ func newPagedCSR(s *Store) (*PagedCSR, error) {
 // use.
 func (c *PagedCSR) withPool(p storage.PagePool) *PagedCSR {
 	return &PagedCSR{
-		n: c.n, halfEdges: c.halfEdges, directed: c.directed, sh: c.sh, pool: p, cc: c.cc,
+		n: c.n, halfEdges: c.halfEdges, directed: c.directed, sh: c.sh, cc: c.cc,
 		ctx: c.ctx, done: c.done,
 		xadj:   c.xadj.WithPool(p),
 		adjncy: c.adjncy.WithPool(p),
@@ -171,10 +155,8 @@ func (c *PagedCSR) withPool(p storage.PagePool) *PagedCSR {
 // ctx.Err(). The cancellation error is returned as-is — NOT wrapped in
 // ErrPagedRead and NOT latched on the fault epoch, because nothing is
 // wrong with the file; concurrent queries sharing the store must not fail
-// over a neighbor's impatient client. Shard views split from this view
-// (shardViews/withPool) inherit the context, which is how a server-side
-// timeout reaches every sibling of a sharded sweep. A nil or
-// never-cancellable context returns c unchanged.
+// over a neighbor's impatient client. Tiered views over this one inherit
+// the context. A nil or never-cancellable context returns c unchanged.
 func (c *PagedCSR) WithContext(ctx context.Context) *PagedCSR {
 	if ctx == nil || ctx.Done() == nil {
 		return c
@@ -262,10 +244,10 @@ func (c *PagedCSR) sweepFault(err error) error {
 	return err
 }
 
-// EdgeOffset returns the persisted half-edge prefix offset Xadj[u]
-// (graph.EdgeOffsetter), for u in [0, n]. The shard splitter probes it a
-// handful of times per boundary; a paged read fault latches on the epoch
-// and reports ok=false, degrading the splitter to its uniform fallback.
+// EdgeOffset returns the persisted half-edge prefix offset Xadj[u], for u
+// in [0, n]. The tier promoter probes it a handful of times per candidate
+// span to map hot Adjncy pages back to node ranges; a paged read fault
+// latches on the epoch and reports ok=false, abandoning the pass.
 func (c *PagedCSR) EdgeOffset(u graph.NodeID) (int, bool) {
 	if u < 0 || int(u) > c.n {
 		c.setErr(fmt.Errorf("gtree: CSR offset %d out of range (n=%d)", u, c.n))
@@ -284,45 +266,6 @@ func (c *PagedCSR) EdgeOffset(u graph.NodeID) (int, bool) {
 	return off, true
 }
 
-// shardViews returns k sweeping views of c for one range-sharded sweep.
-// When c pins through a storage.Partition (the per-query views the engine
-// opens), the partition is Split so every shard pins through a private
-// reservation carved from the query's quota — shards cannot evict each
-// other's decode windows, and the per-shard pin counters survive release
-// as Partition.ShardStats for the trace. Pinning through the bare shared
-// pool (no quota to carve) hands out c itself: sweeps are already safe
-// concurrently, there is just no per-shard protection to grant.
-func (c *PagedCSR) shardViews(k int) ([]*PagedCSR, func()) {
-	part, ok := c.pool.(*storage.Partition)
-	if !ok || k <= 1 {
-		views := make([]*PagedCSR, k)
-		for i := range views {
-			views[i] = c
-		}
-		return views, func() {}
-	}
-	children := part.Split(k)
-	views := make([]*PagedCSR, k)
-	for i := range views {
-		views[i] = c.withPool(children[i])
-	}
-	return views, func() {
-		for _, ch := range children {
-			ch.Close()
-		}
-	}
-}
-
-// SweepShardViews implements graph.SweepShardViewer over shardViews.
-func (c *PagedCSR) SweepShardViews(k int) ([]graph.EdgeSweeper, func(), error) {
-	cs, release := c.shardViews(k)
-	views := make([]graph.EdgeSweeper, len(cs))
-	for i, v := range cs {
-		views[i] = v
-	}
-	return views, release, nil
-}
-
 // Degree returns the number of stored half-edges at u.
 func (c *PagedCSR) Degree(u graph.NodeID) int {
 	var pc pagedCursor
@@ -330,46 +273,6 @@ func (c *PagedCSR) Degree(u graph.NodeID) int {
 	lo, hi, _ := pc.xrange(u)
 	pc.Close()
 	return hi - lo
-}
-
-// Neighbors returns fresh copies of u's neighbor ids and edge weights,
-// paged in through the buffer pool. Kernel hot loops should open a Cursor
-// (or, for a stray row, use NeighborsInto), which reuse caller buffers.
-func (c *PagedCSR) Neighbors(u graph.NodeID) ([]graph.NodeID, []float64) {
-	nbrs, ws := c.NeighborsInto(u, nil, nil)
-	if len(nbrs) == 0 {
-		return nil, nil
-	}
-	return nbrs, ws
-}
-
-// NeighborsInto decodes u's neighbor range into the caller's buffers
-// (append-into contract, see graph.Adjacency): one row read on a cursor
-// that is opened and closed around it, so every touched page is pinned
-// and unpinned within the call. The buffers grow toward the maximum
-// degree the solve encounters and are then reused verbatim. A fault
-// mid-read is recorded on the epoch counter and nothing is appended.
-//
-//gmine:hotpath
-func (c *PagedCSR) NeighborsInto(u graph.NodeID, nbrBuf []graph.NodeID, wBuf []float64) ([]graph.NodeID, []float64) {
-	var pc pagedCursor
-	pc.open(c)
-	nbrBuf, wBuf = pc.Neighbors(u, nbrBuf, wBuf)
-	pc.Close()
-	return nbrBuf, wBuf
-}
-
-// NeighborIDsInto appends u's neighbor ids to buf, reading only the Xadj
-// and Adjncy runs (see RowCursor.NeighborIDs); open-read-close like
-// NeighborsInto.
-//
-//gmine:hotpath
-func (c *PagedCSR) NeighborIDsInto(u graph.NodeID, buf []graph.NodeID) []graph.NodeID {
-	var pc pagedCursor
-	pc.open(c)
-	buf = pc.NeighborIDs(u, buf)
-	pc.Close()
-	return buf
 }
 
 // --- Row cursor -----------------------------------------------------------
@@ -388,9 +291,9 @@ type cursorCounts struct {
 
 // CursorCounts returns the rows read and the pool pins taken by cursors
 // closed so far on this view and the views derived from it — including
-// the open-read-close cursors behind NeighborsInto, NeighborIDsInto and
-// Degree. pins/rows is how well sticky pins worked: ~3 per row for
-// one-shot reads, pages/rows for an in-order cursor walk.
+// the open-read-close cursor behind Degree. pins/rows is how well sticky
+// pins worked: ~3 per row for one-shot reads, pages/rows for an in-order
+// cursor walk.
 func (c *PagedCSR) CursorCounts() (rows, pins int64) {
 	return c.cc.rows.Load(), c.cc.pins.Load()
 }
@@ -590,12 +493,12 @@ type sweepBufs struct {
 
 // SweepEdges implements graph.EdgeSweeper: it emits every node in [lo,hi)
 // with its full neighbor row, walking the Xadj, Adjncy and EdgeW runs in
-// page order. Where the node-centric NeighborsInto loop costs the buffer
-// pool O(n) pin/unpin round-trips per pass — one per node, even though a
-// page holds hundreds of half-edges — the blocked sweep decodes whole
-// page runs into block buffers and costs O(filePages): each page is
-// pinned once per window that touches it, and an edge list straddling two
-// windows is carried across instead of re-read. The emitted slices alias
+// page order. Where reading node by node costs the buffer pool O(n)
+// pin/unpin round-trips per pass — one per node, even though a page holds
+// hundreds of half-edges — the blocked sweep decodes whole page runs into
+// block buffers and costs O(filePages): each page is pinned once per
+// window that touches it, and an edge list straddling two windows is
+// carried across instead of re-read. The emitted slices alias
 // the sweep's block buffers and are invalid after the callback returns.
 // Faults (bounds, I/O, corrupt offsets) are recorded on the fault epoch
 // and returned; the callback is never invoked with partial data.
@@ -659,10 +562,10 @@ func (c *PagedCSR) sweep(lo, hi int, mode sweepMode, emit func(u int, ids []grap
 		}
 		// The chunk's last offset caps the window read-ahead: reading past
 		// the final node's edges would pin pages this sweep never decodes —
-		// harmless on a full serial pass (the next chunk wants them anyway)
-		// but real waste on a range-sharded sweep, where each shard would
-		// overshoot its range end by up to a whole window and pay the pins
-		// for (and possibly fault on) pages belonging to a sibling's range.
+		// harmless on a full pass (the next chunk wants them anyway) but
+		// real waste on the cold sub-range sweeps of a tiered view, which
+		// would overshoot into the resident fragment that follows and pay
+		// the pins for (and possibly fault on) pages it serves from memory.
 		edgeCap := int(b.xadj[cnt-1])
 		for u := base; u < nodeHi; u++ {
 			elo, ehi := int(b.xadj[u-base]), int(b.xadj[u-base+1])
@@ -706,8 +609,8 @@ func (c *PagedCSR) sweep(lo, hi int, mode sweepMode, emit func(u int, ids []grap
 // and EdgeW page is pinned once per window that touches it. A list larger
 // than sweepEdgeChunk grows the window to hold it whole. edgeCap bounds
 // the read-ahead to the edges the sweep will actually emit (the current
-// node-chunk's end), keeping a range-sharded sweep from pinning pages of
-// a sibling shard's range.
+// node-chunk's end), keeping a sub-range sweep from pinning pages past
+// its range.
 //
 //gmine:hotpath
 func (c *PagedCSR) advanceWindow(b *sweepBufs, winLo, winHi, elo, ehi, edgeCap int, mode sweepMode) (int, int, error) {
@@ -769,19 +672,11 @@ func (c *PagedCSR) advanceWindow(b *sweepBufs, winLo, winHi, elo, ehi, edgeCap i
 	return winLo, target, nil
 }
 
-// SetSweepShards sets the shard count of the backend's own
-// WeightedDegrees build (0 = auto-GOMAXPROCS, 1 = serial, >= 2 = exact).
-// Shared across all pool-partition views of the file.
-func (c *PagedCSR) SetSweepShards(k int) { c.sh.sweepShards.Store(int32(k)) }
-
 // WeightedDegrees returns the per-node weighted degree table, computed on
-// first use by a blocked sweep over the Xadj and EdgeW runs — sharded
-// across cores when the store's SweepShards knob allows — and cached for
-// the store's lifetime (the table is O(N), which is resident anyway for
-// every RWR/PageRank solve; it is the O(E) adjacency that stays on disk).
-// Each shard folds weights of its own node range into disjoint wdeg
-// entries, so the sharded build is trivially bit-identical to the serial
-// one. A build that hits an I/O fault latches the error and is NOT
+// first use by one blocked sweep over the Xadj and EdgeW runs and cached
+// for the store's lifetime (the table is O(N), which is resident anyway
+// for every RWR/PageRank solve; it is the O(E) adjacency that stays on
+// disk). A build that hits an I/O fault latches the error and is NOT
 // cached, so the next query retries from the pages instead of serving a
 // half-built table forever. Safe for concurrent use; callers must not
 // mutate the result. Pool-partition views share one cache.
@@ -793,61 +688,17 @@ func (c *PagedCSR) WeightedDegrees() []float64 {
 		return sh.wdeg
 	}
 	wdeg := make([]float64, c.n)
-	if c.n == 0 {
-		sh.wdeg = wdeg
-		return wdeg
-	}
-	if err := c.weightedDegreesInto(wdeg); err != nil {
+	err := c.sweep(0, c.n, sweepW, func(u int, _ []graph.NodeID, ws []float64) bool {
+		var s float64
+		for _, w := range ws {
+			s += w
+		}
+		wdeg[u] = s
+		return true
+	})
+	if err != nil {
 		return wdeg // fault latched by the sweep; not cached
 	}
 	sh.wdeg = wdeg
 	return wdeg
-}
-
-// weightedDegreesInto runs the weighted-degree build, one weights-only
-// sweep per shard writing its disjoint slice of wdeg. First-shard-error
-// wins: a failing shard flips the stop flag, siblings cancel via the
-// callback-false path without faulting, and the lowest-indexed error is
-// returned (faults were already latched by the failing sweep itself).
-func (c *PagedCSR) weightedDegreesInto(wdeg []float64) error {
-	k := graph.EffectiveSweepShards(c, int(c.sh.sweepShards.Load()))
-	ranges := graph.ShardRanges(c, k)
-	sum := func(view *PagedCSR, lo, hi int, stop *atomic.Bool) error {
-		return view.sweep(lo, hi, sweepW, func(u int, _ []graph.NodeID, ws []float64) bool {
-			if stop != nil && stop.Load() {
-				return false
-			}
-			var s float64
-			for _, w := range ws {
-				s += w
-			}
-			wdeg[u] = s
-			return true
-		})
-	}
-	if len(ranges) <= 1 {
-		return sum(c, 0, c.n, nil)
-	}
-	views, release := c.shardViews(len(ranges))
-	defer release()
-	var stop atomic.Bool
-	errs := make([]error, len(ranges))
-	var wg sync.WaitGroup
-	for s := range ranges {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			errs[s] = sum(views[s], int(ranges[s].Lo), int(ranges[s].Hi), &stop)
-			if errs[s] != nil {
-				stop.Store(true)
-			}
-		}(s)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -67,17 +67,25 @@ func TestPagedCSRRoundTrip(t *testing.T) {
 	if c.Directed() != g.Directed() {
 		t.Fatal("directedness lost")
 	}
+	cur := c.Cursor()
 	for u := 0; u < want.N(); u++ {
 		id := graph.NodeID(u)
 		wn, ww := want.Neighbors(id)
-		gn, gw := c.Neighbors(id)
-		if len(gn) != len(wn) || c.Degree(id) != want.Degree(id) {
+		gn, gw := cur.Neighbors(id, nil, nil)
+		if len(gn) != len(wn) {
 			t.Fatalf("node %d: degree %d want %d", u, len(gn), len(wn))
 		}
 		for i := range wn {
 			if gn[i] != wn[i] || math.Float64bits(gw[i]) != math.Float64bits(ww[i]) {
 				t.Fatalf("node %d edge %d: %d/%g want %d/%g", u, i, gn[i], gw[i], wn[i], ww[i])
 			}
+		}
+	}
+	cur.Close()
+	for u := 0; u < want.N(); u++ {
+		id := graph.NodeID(u)
+		if c.Degree(id) != want.Degree(id) {
+			t.Fatalf("node %d: Degree %d want %d", u, c.Degree(id), want.Degree(id))
 		}
 		if c.NodeWeight(id) != want.NodeW[u] {
 			t.Fatalf("node %d weight %d want %d", u, c.NodeWeight(id), want.NodeW[u])
@@ -97,77 +105,6 @@ func TestPagedCSRRoundTrip(t *testing.T) {
 		if got := s.LabelOf(graph.NodeID(u)); got != g.Label(graph.NodeID(u)) {
 			t.Fatalf("label of %d = %q want %q", u, got, g.Label(graph.NodeID(u)))
 		}
-	}
-}
-
-// TestPagedCSRNeighborsInto pins the decode-into-caller-buffers fast
-// path: identical data to Neighbors, buffers growing once toward the
-// maximum degree and then reused, and O(degree) garbage gone from the
-// warm path (only the pooled scratch's constant-size bookkeeping
-// remains).
-func TestPagedCSRNeighborsInto(t *testing.T) {
-	g := randomGraph(120, 600, 7)
-	want := graph.ToCSR(g)
-	path := buildAndSave(t, g, 256)
-	s, err := OpenFile(path, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	c, err := s.PagedCSR()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var nbrs []graph.NodeID
-	var ws []float64
-	for u := 0; u < c.N(); u++ {
-		id := graph.NodeID(u)
-		nbrs, ws = c.NeighborsInto(id, nbrs[:0], ws[:0])
-		wn, ww := want.Neighbors(id)
-		if len(nbrs) != len(wn) || len(ws) != len(ww) {
-			t.Fatalf("node %d: %d/%d entries, want %d/%d", u, len(nbrs), len(ws), len(wn), len(ww))
-		}
-		for i := range wn {
-			if nbrs[i] != wn[i] || math.Float64bits(ws[i]) != math.Float64bits(ww[i]) {
-				t.Fatalf("node %d entry %d: %d/%g want %d/%g", u, i, nbrs[i], ws[i], wn[i], ww[i])
-			}
-		}
-	}
-	if err := c.Err(); err != nil {
-		t.Fatalf("latched error after clean sweep: %v", err)
-	}
-	// Append semantics: existing buffer content is preserved, new entries
-	// land behind it.
-	sentinel := []graph.NodeID{1234}
-	var deg0 graph.NodeID
-	for u := 0; u < c.N(); u++ {
-		if want.Degree(graph.NodeID(u)) > 0 {
-			deg0 = graph.NodeID(u)
-			break
-		}
-	}
-	appended, _ := c.NeighborsInto(deg0, sentinel, nil)
-	if len(appended) != 1+want.Degree(deg0) || appended[0] != 1234 {
-		t.Fatalf("append contract broken: len=%d first=%d", len(appended), appended[0])
-	}
-	// Warm path: buffers at max degree, pages resident. The old Neighbors
-	// path allocated two O(degree) slices per call plus pool bookkeeping;
-	// the fast path is allocation-free (the 0.5 headroom only covers a GC
-	// clearing the sync.Pool scratch mid-measurement).
-	allocs := testing.AllocsPerRun(200, func() {
-		nbrs, ws = c.NeighborsInto(deg0, nbrs[:0], ws[:0])
-	})
-	if allocs > 0.5 {
-		t.Fatalf("paged NeighborsInto allocates %.2f per warm call, want 0", allocs)
-	}
-	// Out-of-range faults behave like Neighbors: nothing appended, epoch
-	// bumped.
-	epoch := c.Faults()
-	if n2, _ := c.NeighborsInto(graph.NodeID(-1), nbrs[:0], ws[:0]); len(n2) != 0 {
-		t.Fatal("fault appended data")
-	}
-	if c.ErrSince(epoch) == nil {
-		t.Fatal("fault not recorded")
 	}
 }
 
@@ -197,11 +134,16 @@ func TestPagedCSRPoolBounded(t *testing.T) {
 		t.Fatalf("test graph too small: CSR spans %d pages, pool holds %d", csrPages, poolPages)
 	}
 	s.ResetPoolStats()
-	// Full adjacency sweep (what an RWR iteration does).
+	// Full adjacency pass: the weighted-degree sweep, then every row
+	// through a cursor.
 	c.WeightedDegrees()
+	cur := c.Cursor()
+	var nbrs []graph.NodeID
+	var ws []float64
 	for u := 0; u < c.N(); u++ {
-		c.Neighbors(graph.NodeID(u))
+		nbrs, ws = cur.Neighbors(graph.NodeID(u), nbrs[:0], ws[:0])
 	}
+	cur.Close()
 	pi := s.PoolInfo()
 	if pi.Resident > pi.Capacity {
 		t.Fatalf("resident %d exceeds pool capacity %d", pi.Resident, pi.Capacity)
@@ -264,9 +206,11 @@ func TestPagedCSRFaultEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cur := c.Cursor()
+	defer cur.Close()
 	epochA := c.Faults() // query A starts
 	epochB := c.Faults() // concurrent query B starts
-	if nbrs, _ := c.Neighbors(graph.NodeID(-1)); nbrs != nil {
+	if nbrs, _ := cur.Neighbors(graph.NodeID(-1), nil, nil); nbrs != nil {
 		t.Fatal("out-of-range read returned data")
 	}
 	// Both in-flight queries observe the fault — no stealing, no
@@ -280,7 +224,7 @@ func TestPagedCSRFaultEpochs(t *testing.T) {
 	// A query starting after the fault recovers: fresh epoch, clean reads.
 	epochC := c.Faults()
 	want := graph.ToCSR(g)
-	gn, _ := c.Neighbors(0)
+	gn := cur.NeighborIDs(0, nil)
 	wn, _ := want.Neighbors(0)
 	if len(gn) != len(wn) {
 		t.Fatalf("post-fault read broken: %d vs %d nbrs", len(gn), len(wn))

@@ -583,16 +583,6 @@ func (s *Store) PagedCSR() (*PagedCSR, error) {
 	return s.csr, s.csrErr
 }
 
-// SetSweepShards sets the shard count for the store's own whole-graph
-// sweeps (the WeightedDegrees build): 0 = auto-GOMAXPROCS, 1 = serial,
-// >= 2 = exact. Safe before or after the first PagedCSR call; a v1 file
-// (no CSR section) ignores the knob.
-func (s *Store) SetSweepShards(k int) {
-	if csr, err := s.PagedCSR(); err == nil {
-		csr.SetSweepShards(k)
-	}
-}
-
 // SetTierBudget sets the hot/cold tiering byte budget of the store's
 // paged CSR: with a positive budget, TieredCSR views promote hot page
 // runs into pinned in-memory CSR fragments whose resident bytes never

@@ -140,8 +140,8 @@ func poolGets(s *Store) uint64 {
 }
 
 // TestPagedSweepPinsPerIteration pins the perf claim behind the sweep:
-// one full-adjacency pass costs the pool O(filePages) pins, not the
-// node-centric loop's O(n) — asserted via the hit/miss counters, not
+// one full-adjacency pass costs the pool O(filePages) pins, not the O(n)
+// of reading row by row — asserted via the hit/miss counters, not
 // eyeballed from benchmarks.
 func TestPagedSweepPinsPerIteration(t *testing.T) {
 	g := hubGraph(3000, 5000, 2, 13)
@@ -177,12 +177,30 @@ func TestPagedSweepPinsPerIteration(t *testing.T) {
 		t.Fatalf("sweep pinned %d pages for %d nodes — not O(filePages)", sweepGets, n)
 	}
 
-	// Contrast: the node-centric loop pays per node, not per page.
+	// A sub-range sweep (a tiered view's cold stretch between fragments)
+	// reads no further ahead than its last row: the pages of its own rows,
+	// plus at most one page per run at either edge.
+	lo, hi := n/2, n/2+40
+	s.ResetPoolStats()
+	if err := c.SweepEdges(graph.NodeID(lo), graph.NodeID(hi), func(graph.NodeID, []graph.NodeID, []float64) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	want := graph.ToCSR(g)
+	elo, ehi := int(want.Xadj[lo]), int(want.Xadj[hi])
+	subBound := storage.RunPages(hi-lo+1, 4, payload) + storage.RunPages(ehi-elo, 4, payload) +
+		storage.RunPages(ehi-elo, 8, payload) + 6
+	if got := poolGets(s); got > uint64(subBound) {
+		t.Fatalf("sweep of [%d,%d) (%d half-edges) pinned %d pages, want <= %d — read ahead past its range", lo, hi, ehi-elo, got, subBound)
+	}
+
+	// Contrast: one-shot row reads pay per node, not per page.
 	s.ResetPoolStats()
 	var nbrs []graph.NodeID
 	var ws []float64
 	for u := 0; u < n; u++ {
-		nbrs, ws = c.NeighborsInto(graph.NodeID(u), nbrs[:0], ws[:0])
+		cur := c.Cursor()
+		nbrs, ws = cur.Neighbors(graph.NodeID(u), nbrs[:0], ws[:0])
+		cur.Close()
 	}
 	if nodeGets := poolGets(s); nodeGets < uint64(n) {
 		t.Fatalf("node-centric pass pinned %d pages for %d nodes — contrast premise broken", nodeGets, n)
@@ -302,9 +320,11 @@ func TestPagedCSRPartitionProtection(t *testing.T) {
 	warm := func() {
 		// Low-degree nodes (the hubs sit at 0 and 7): a few rows spanning a
 		// handful of pages, comfortably inside B's 10-frame reservation.
+		cur := viewB.Cursor()
 		for u := 100; u < 103; u++ {
-			viewB.Neighbors(graph.NodeID(u))
+			cur.Neighbors(graph.NodeID(u), nil, nil)
 		}
+		cur.Close()
 	}
 	warm()
 	parts := s.PoolInfo().Partitions
@@ -370,7 +390,9 @@ func TestPagedCSRPartitionSharesFaultsAndWdeg(t *testing.T) {
 	}
 	// A fault through the view is visible on the base epoch and vice versa.
 	epoch := base.Faults()
-	view.Neighbors(graph.NodeID(-1))
+	cur := view.Cursor()
+	cur.NeighborIDs(graph.NodeID(-1), nil)
+	cur.Close()
 	if base.ErrSince(epoch) == nil {
 		t.Fatal("view fault invisible on the base epoch")
 	}

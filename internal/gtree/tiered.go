@@ -182,9 +182,8 @@ func (ts *tierState) info() TierInfo {
 }
 
 // tierQueryCounters is the per-query slice of the tier counters: one
-// instance per engine query, shared by the query's shard views, so the
-// trace's tier.hits/tier.misses name this query's routing, not the
-// session's.
+// instance per engine query, so the trace's tier.hits/tier.misses name
+// this query's routing, not the session's.
 type tierQueryCounters struct {
 	hits, misses atomic.Int64
 }
@@ -197,14 +196,13 @@ type tierQueryCounters struct {
 // Adjacency contract the PagedCSR does — including the fault epoch,
 // which it shares (and exposes) unchanged.
 //
-// NeighborsInto/NeighborIDsInto keep the paged view's append-into-caller
-// semantics on fragment hits too (elements are copied out, never
-// aliased): one query alternates between fragment hits and paged misses
-// on the same buffer pair, and handing out an aliased fragment row that
-// a later paged append would grow in place could scribble over the
-// fragment. Sweep callbacks, whose rows are only valid during the
-// callback, do alias fragment storage — same contract as every other
-// EdgeSweeper.
+// Cursor reads keep the paged cursor's append-into-caller semantics on
+// fragment hits too (elements are copied out, never aliased): one cursor
+// alternates between fragment hits and paged misses on the same buffer
+// pair, and handing out an aliased fragment row that a later paged append
+// would grow in place could scribble over the fragment. Sweep callbacks,
+// whose rows are only valid during the callback, do alias fragment
+// storage — same contract as every other EdgeSweeper.
 type TieredCSR struct {
 	paged *PagedCSR
 	ts    *tierState
@@ -212,10 +210,6 @@ type TieredCSR struct {
 }
 
 var _ graph.Adjacency = (*TieredCSR)(nil)
-var _ graph.EdgeSweeper = (*TieredCSR)(nil)
-var _ graph.NeighborIDSweeper = (*TieredCSR)(nil)
-var _ graph.EdgeOffsetter = (*TieredCSR)(nil)
-var _ graph.SweepShardViewer = (*TieredCSR)(nil)
 
 // Tiered returns a tiered view over c sharing the store's fragment set
 // and carrying fresh per-query tier counters. The fragment set routes
@@ -226,7 +220,7 @@ func (c *PagedCSR) Tiered() *TieredCSR {
 }
 
 // QueryCounts returns the fragment hit/miss row counts of this view's
-// query (shared with shard views handed out by SweepShardViews).
+// query.
 func (t *TieredCSR) QueryCounts() (hits, misses int64) {
 	return t.qc.hits.Load(), t.qc.misses.Load()
 }
@@ -258,27 +252,6 @@ func (t *TieredCSR) Degree(u graph.NodeID) int {
 		return int(f.xadj[i+1] - f.xadj[i])
 	}
 	return t.paged.Degree(u)
-}
-
-// EdgeOffset returns the half-edge prefix offset Xadj[u]
-// (graph.EdgeOffsetter): straight from the fragment's xadj when u is
-// resident — no page probe at all — and through the paged single-probe
-// path otherwise, so ShardRanges keeps degree-balanced shards on tiered
-// sessions at fragment-hit cost.
-func (t *TieredCSR) EdgeOffset(u graph.NodeID) (int, bool) {
-	if f := t.ts.lookup(int(u)); f != nil {
-		return int(f.xadj[int(u)-f.lo]), true
-	}
-	return t.paged.EdgeOffset(u)
-}
-
-// Neighbors returns fresh copies of u's neighbor ids and edge weights.
-func (t *TieredCSR) Neighbors(u graph.NodeID) ([]graph.NodeID, []float64) {
-	nbrs, ws := t.NeighborsInto(u, nil, nil)
-	if len(nbrs) == 0 {
-		return nil, nil
-	}
-	return nbrs, ws
 }
 
 // fragNeighbors serves u's row from a resident fragment: one lookup, the
@@ -321,39 +294,11 @@ func (t *TieredCSR) miss() {
 	t.qc.misses.Add(1)
 }
 
-// NeighborsInto appends u's neighbors into the caller's buffers
-// (append-into contract, identical on hits and misses). A fragment hit
-// touches no pages and allocates nothing once the buffers have grown.
-//
-//gmine:hotpath
-func (t *TieredCSR) NeighborsInto(u graph.NodeID, nbrBuf []graph.NodeID, wBuf []float64) ([]graph.NodeID, []float64) {
-	nbrBuf, wBuf, hit := t.fragNeighbors(u, sweepIDs|sweepW, nbrBuf, wBuf)
-	if hit {
-		return nbrBuf, wBuf
-	}
-	t.miss()
-	return t.paged.NeighborsInto(u, nbrBuf, wBuf)
-}
-
-// NeighborIDsInto appends u's neighbor ids to buf, copying from the
-// fragment when resident.
-//
-//gmine:hotpath
-func (t *TieredCSR) NeighborIDsInto(u graph.NodeID, buf []graph.NodeID) []graph.NodeID {
-	buf, _, hit := t.fragNeighbors(u, sweepIDs, buf, nil)
-	if hit {
-		return buf
-	}
-	t.miss()
-	return t.paged.NeighborIDsInto(u, buf)
-}
-
-// tieredCursor is the graph.RowCursor of a TieredCSR: fragment hits take
-// exactly the NeighborsInto hit path — they still copy, because the
-// caller's next read may be a paged miss appending into the same buffers
-// and a fragment can be demoted while the cursor is open — and misses go
-// to a paged cursor, whose sticky pins then cover the cold stretches
-// between fragments.
+// tieredCursor is the graph.RowCursor of a TieredCSR: fragment hits copy
+// the row out (fragNeighbors), because the caller's next read may be a
+// paged miss appending into the same buffers and a fragment can be
+// demoted while the cursor is open, and misses go to a paged cursor,
+// whose sticky pins then cover the cold stretches between fragments.
 type tieredCursor struct {
 	t  *TieredCSR
 	pc pagedCursor
@@ -508,20 +453,6 @@ func sweepFrag(f *tierFrag, lo, hi int, mode sweepMode, emit func(u int, ids []g
 		}
 	}
 	return rows, true
-}
-
-// SweepShardViews implements graph.SweepShardViewer: the underlying
-// paged view hands out its per-shard pool partitions and each is wrapped
-// back into a tiered view sharing this query's tier counters, so sharded
-// whole-graph sweeps route through fragments too and the trace totals
-// stay whole.
-func (t *TieredCSR) SweepShardViews(k int) ([]graph.EdgeSweeper, func(), error) {
-	cs, release := t.paged.shardViews(k)
-	views := make([]graph.EdgeSweeper, len(cs))
-	for i, v := range cs {
-		views[i] = &TieredCSR{paged: v, ts: t.ts, qc: t.qc}
-	}
-	return views, release, nil
 }
 
 // --- Promotion ------------------------------------------------------------

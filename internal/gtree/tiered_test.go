@@ -9,14 +9,16 @@ import (
 	"repro/internal/graph"
 )
 
-// warmRows drives node-centric reads through c so the buffer pool's heat
+// warmRows drives one-shot row reads through c so the buffer pool's heat
 // counters mark the touched page buckets hot — the promotion signal.
 func warmRows(c *PagedCSR, rows []graph.NodeID, passes int) {
 	var nbrs []graph.NodeID
 	var ws []float64
 	for p := 0; p < passes; p++ {
 		for _, u := range rows {
-			nbrs, ws = c.NeighborsInto(u, nbrs[:0], ws[:0])
+			cur := c.Cursor()
+			nbrs, ws = cur.Neighbors(u, nbrs[:0], ws[:0])
+			cur.Close()
 		}
 	}
 }
@@ -52,9 +54,8 @@ func openTiered(t *testing.T, g *graph.Graph, budget int64) (*Store, *TieredCSR)
 	return s, tiered
 }
 
-// checkTieredMatches requires every read path of the tiered view — sweep,
-// ids-only sweep, NeighborsInto, Degree, EdgeOffset — to be bit-identical
-// to the in-memory ground truth.
+// checkTieredMatches requires the tiered view's sweep, cursor and Degree
+// reads to be bit-identical to the in-memory ground truth.
 func checkTieredMatches(t *testing.T, tc *TieredCSR, want *graph.CSR) {
 	t.Helper()
 	next := 0
@@ -79,29 +80,15 @@ func checkTieredMatches(t *testing.T, tc *TieredCSR, want *graph.CSR) {
 	if next != tc.N() {
 		t.Fatalf("sweep emitted %d of %d nodes", next, tc.N())
 	}
-	// Node-centric reads reuse one buffer pair across hit and miss rows —
-	// the aliasing hazard the copy-on-hit contract exists for.
-	var nbrs []graph.NodeID
-	var ws []float64
-	off := 0
 	for u := 0; u < want.N(); u++ {
-		id := graph.NodeID(u)
-		nbrs, ws = tc.NeighborsInto(id, nbrs[:0], ws[:0])
-		wn, ww := want.Neighbors(id)
-		if len(nbrs) != len(wn) || tc.Degree(id) != want.Degree(id) {
-			t.Fatalf("node %d: degree %d want %d", u, len(nbrs), len(wn))
+		if id := graph.NodeID(u); tc.Degree(id) != want.Degree(id) {
+			t.Fatalf("node %d: Degree %d want %d", u, tc.Degree(id), want.Degree(id))
 		}
-		for i := range wn {
-			if nbrs[i] != wn[i] || math.Float64bits(ws[i]) != math.Float64bits(ww[i]) {
-				t.Fatalf("node %d entry %d differs", u, i)
-			}
-		}
-		got, ok := tc.EdgeOffset(id)
-		if !ok || got != off {
-			t.Fatalf("EdgeOffset(%d) = %d,%v want %d", u, got, ok, off)
-		}
-		off += want.Degree(id)
 	}
+	// Cursor reads reuse one buffer pair across hit and miss rows — the
+	// aliasing hazard the copy-on-hit contract exists for.
+	ids, ws := csrRows(want)
+	checkCursorMatches(t, "tiered", tc, visitOrders(want.N(), 1)["ascending"], ids, ws)
 }
 
 // TestTieredMatchesPagedAndMemory: with hot hub rows promoted into
@@ -129,52 +116,6 @@ func TestTieredMatchesPagedAndMemory(t *testing.T) {
 	checkSweepMatches(t, base, want)
 	if err := tiered.Err(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestTieredShardViewsMatch: SweepShardViews hands out tiered shard views
-// whose concatenated sweeps reproduce the ground truth and share the
-// query's hit/miss counters.
-func TestTieredShardViewsMatch(t *testing.T) {
-	g := hubGraph(600, 2500, 3, 22)
-	want := graph.ToCSR(g)
-	_, tiered := openTiered(t, g, 1<<20)
-	views, release, err := tiered.SweepShardViews(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
-	ranges := graph.ShardRanges(tiered, len(views))
-	if len(ranges) != len(views) {
-		t.Fatalf("%d shard ranges for %d views", len(ranges), len(views))
-	}
-	next := 0
-	for i, v := range views {
-		lo, hi := ranges[i].Lo, ranges[i].Hi
-		if err := v.SweepEdges(lo, hi, func(u graph.NodeID, nbrs []graph.NodeID, ws []float64) bool {
-			if int(u) != next {
-				t.Fatalf("shard %d emitted %d, expected %d", i, u, next)
-			}
-			next++
-			wn, ww := want.Neighbors(u)
-			if len(nbrs) != len(wn) {
-				t.Fatalf("node %d: %d entries, want %d", u, len(nbrs), len(wn))
-			}
-			for j := range wn {
-				if nbrs[j] != wn[j] || math.Float64bits(ws[j]) != math.Float64bits(ww[j]) {
-					t.Fatalf("node %d entry %d differs", u, j)
-				}
-			}
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if next != tiered.N() {
-		t.Fatalf("shard sweeps emitted %d of %d nodes", next, tiered.N())
-	}
-	if hits, _ := tiered.QueryCounts(); hits == 0 {
-		t.Fatal("shard views shared no fragment hits with the query counters")
 	}
 }
 

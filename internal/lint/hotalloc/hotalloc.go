@@ -1,6 +1,6 @@
 // Package hotalloc guards the zero-alloc kernels. Functions annotated
 // with a //gmine:hotpath directive — the paged/in-memory sweep cores, the
-// NeighborsInto implementations, the warm BufferPool Get/Release path —
+// row-cursor reads, the warm BufferPool Get/Release path —
 // are the ones the testing.AllocsPerRun guards pin at zero allocations
 // per warm call; this analyzer rejects allocation-inducing constructs in
 // their bodies at compile time, so a regression is caught at the call

@@ -3,7 +3,7 @@
 // build time. See cmd/gminevet for the multichecker driver and the
 // individual analyzer packages for the contracts:
 //
-//   - sweepalias: SweepEdges/NeighborsInto buffer-aliasing discipline
+//   - sweepalias: sweep-callback and row-cursor buffer-aliasing discipline
 //     (internal/graph/adjacency.go)
 //   - pinpair: BufferPool Get/Release pin pairing and Partition Close
 //     (internal/storage/bufferpool.go)

@@ -1,5 +1,5 @@
-// Package sweepalias enforces the buffer-aliasing contract of the
-// edge-centric sweeps and the append-into-caller-buffer neighbor reads
+// Package sweepalias enforces the buffer-aliasing contract of the two ways
+// to read a graph.Adjacency, the edge-centric sweeps and the row cursors
 // (internal/graph/adjacency.go).
 //
 // SweepEdges / SweepNeighborIDs emit each node's row as slices that alias
@@ -13,11 +13,11 @@
 // crash. Copying the *elements* out (append(dst, nbrs...), copy, reading
 // values) is always fine; it is retaining the slice header that is not.
 //
-// NeighborsInto / NeighborIDsInto results and the rows a graph.RowCursor
-// reads (cur.Neighbors, cur.NeighborIDs) follow the same discipline per
-// the per-goroutine scratch contract: they may alias backend storage and
-// are valid only until the next read, so the analyzer flags callers that
-// store the returned slices anywhere longer-lived than a local variable.
+// The rows a graph.RowCursor reads (cur.Neighbors, cur.NeighborIDs)
+// follow the same discipline per the per-goroutine scratch contract: they
+// may alias backend storage and are valid only until the next read, so
+// the analyzer flags callers that store the returned slices anywhere
+// longer-lived than a local variable.
 package sweepalias
 
 import (
@@ -29,13 +29,13 @@ import (
 	"repro/internal/lint/astq"
 )
 
-// Analyzer flags sweep-callback and NeighborsInto buffer escapes.
+// Analyzer flags sweep-callback and row-cursor buffer escapes.
 var Analyzer = &analysis.Analyzer{
 	Name: "sweepalias",
 	Doc: "flags SweepEdges/SweepNeighborIDs callbacks that let the emitted nbrs/w " +
 		"row slices escape the callback (captured-variable assignment, append of " +
-		"the slice header, channel send, struct-field storage), and NeighborsInto/" +
-		"row-cursor callers that store the returned slices outside local variables. " +
+		"the slice header, channel send, struct-field storage), and row-cursor " +
+		"callers that store the returned slices outside local variables. " +
 		"Rows alias block buffers valid only during the callback.",
 	Run: run,
 }
@@ -47,16 +47,9 @@ var sweepMethods = map[string]int{
 	"SweepNeighborIDs": 2,
 }
 
-// intoCalls are the append-into-caller-buffer reads whose results must
-// stay in locals.
-var intoCalls = map[string]bool{
-	"NeighborsInto":   true,
-	"NeighborIDsInto": true,
-}
-
 // cursorReads are the row reads of a graph.RowCursor, matched on
-// receivers whose type is named *Cursor (Adjacency.Neighbors, the
-// allocating one-argument read, is a different method).
+// receivers whose type is named *Cursor (CSR.Neighbors, the one-argument
+// read of the concrete CSR, is a different method).
 var cursorReads = map[string]bool{
 	"Neighbors":   true,
 	"NeighborIDs": true,
@@ -82,8 +75,8 @@ func run(pass *analysis.Pass) error {
 					checkCallback(pass, name, lit)
 				}
 			}
-			if name, ok := intoCallName(pass, call); ok {
-				checkIntoUse(pass, name, call, stack)
+			if name, ok := cursorReadName(pass, call); ok {
+				checkRowUse(pass, name, call, stack)
 			}
 			return true
 		})
@@ -105,15 +98,11 @@ func sweepCallbackArg(call *ast.CallExpr) (string, ast.Expr) {
 	return sel.Sel.Name, call.Args[idx]
 }
 
-// intoCallName matches NeighborsInto-family method calls and row-cursor
-// reads.
-func intoCallName(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
+// cursorReadName matches row-cursor reads.
+func cursorReadName(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 	sel, recv, ok := astq.MethodCall(call)
 	if !ok {
 		return "", false
-	}
-	if intoCalls[sel.Sel.Name] {
-		return sel.Sel.Name, true
 	}
 	if cursorReads[sel.Sel.Name] && strings.HasSuffix(astq.NamedTypeName(pass.TypesInfo.TypeOf(recv)), "Cursor") {
 		return "cursor " + sel.Sel.Name, true
@@ -271,9 +260,9 @@ func checkCallback(pass *analysis.Pass, sweepName string, lit *ast.FuncLit) {
 	})
 }
 
-// checkIntoUse flags NeighborsInto-family results stored anywhere other
-// than local variables.
-func checkIntoUse(pass *analysis.Pass, name string, call *ast.CallExpr, stack []ast.Node) {
+// checkRowUse flags cursor rows stored anywhere other than local
+// variables.
+func checkRowUse(pass *analysis.Pass, name string, call *ast.CallExpr, stack []ast.Node) {
 	if len(stack) < 2 {
 		return
 	}

@@ -2,8 +2,8 @@ package sweepalias
 
 // Row cursors (graph.RowCursor): a read returns a row that aliases CSR
 // storage or the caller's reused buffers and is valid only until the next
-// read on the same cursor, so the header must stay in a local — the same
-// rule as the NeighborsInto family, matched on *Cursor receiver types.
+// read on the same cursor, so the header must stay in a local — matched
+// on *Cursor receiver types.
 
 type RowCursor interface {
 	Neighbors(u NodeID, nbrBuf []NodeID, wBuf []float64) ([]NodeID, []float64)
@@ -13,7 +13,7 @@ type RowCursor interface {
 
 func (c *csr) Cursor() RowCursor { return nil }
 
-// Neighbors is the allocating one-argument Adjacency read: not a cursor
+// Neighbors is the one-argument read of the concrete CSR: not a cursor
 // read, never flagged.
 func (c *csr) Neighbors(u NodeID) ([]NodeID, []float64) { return nil, nil }
 
@@ -30,7 +30,7 @@ func cursorViolations(c *csr, d *pathDP, ch chan []NodeID) {
 	d.frontier, c.lastW = cur.Neighbors(3, nil, nil) // want `cursor Neighbors result stored through d\.frontier` `cursor Neighbors result stored through c\.lastW`
 	ch <- cur.NeighborIDs(4, nil)                    // want `cursor NeighborIDs result sent on a channel`
 	d.rows = append(d.rows, cur.NeighborIDs(5, nil)) // want `cursor NeighborIDs result appended as a slice header`
-	d.rows[0], _ = c.Neighbors(6)                    // fresh copies from the allocating read: quiet
+	d.rows[0], _ = c.Neighbors(6)                    // not a cursor read: quiet
 }
 
 func cursorCompliant(c *csr, score []float64) {

@@ -26,10 +26,6 @@ func (t *tiered) SweepEdges(lo, hi NodeID, fn func(u NodeID, nbrs []NodeID, w []
 	return nil
 }
 
-func (t *tiered) NeighborsInto(u NodeID, nbrBuf []NodeID, wBuf []float64) ([]NodeID, []float64) {
-	return nbrBuf, wBuf
-}
-
 // fragmentViolations: retaining fragment-backed rows is flagged exactly
 // like block-buffer rows — the analyzer keys on the sweep contract, not
 // on where the backing array happens to live.
@@ -45,9 +41,7 @@ func fragmentViolations(t *tiered, ch chan []NodeID) {
 }
 
 // fragmentCompliant: the copy-out patterns every kernel uses stay quiet on
-// fragment-backed rows too — element copies, scalar accumulation, and the
-// append-into-caller-buffer read (which the tiered backend serves by
-// copying fragment elements, never by aliasing them).
+// fragment-backed rows too — element copies and scalar accumulation.
 func fragmentCompliant(t *tiered, next []float64) {
 	var sum float64
 	dst := make([]NodeID, 0, 64)
@@ -59,10 +53,5 @@ func fragmentCompliant(t *tiered, next []float64) {
 		dst = append(dst, nbrs...) // element copy: safe
 		return true
 	})
-	var nbrs []NodeID
-	var ws []float64
-	nbrs, ws = t.NeighborsInto(3, nbrs[:0], ws[:0]) // locals: compliant
-	_ = nbrs
-	_ = ws
 	_ = sum
 }

@@ -207,15 +207,3 @@ func (t *Trace) Stages() []StageData {
 	defer t.mu.Unlock()
 	return append([]StageData(nil), t.stages...)
 }
-
-// Counts returns a copy of the resource counts recorded so far — for
-// consumers that iterate name families (e.g. the per-shard pool.shard.N.*
-// counts) instead of looking up fixed names with CountValue.
-func (t *Trace) Counts() []CountData {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]CountData(nil), t.counts...)
-}

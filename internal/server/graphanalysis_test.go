@@ -201,3 +201,54 @@ func TestGraphAnalysisFaultMapsTo500(t *testing.T) {
 		t.Fatalf("graph analysis over corrupted file: status %d, want 500 (%s)", resp.StatusCode, b)
 	}
 }
+
+// TestCreateSessionIgnoresSweepShards: POST /sessions still decodes a body
+// carrying the deleted "sweepShards" knob (the decoder rejects unknown
+// fields) and ignores it — the session answers whole-graph analysis with
+// exactly the bytes a session created without it does, memory and paged.
+func TestCreateSessionIgnoresSweepShards(t *testing.T) {
+	_, ts := newTestServer(t)
+	gtreePath, edgesPath := saveFixtureTree(t, 256)
+	for _, src := range []string{
+		`"source":"edges","path":` + jsonQuote(edgesPath) + `,"k":3,"levels":3,"seed":1`,
+		`"source":"gtree","path":` + jsonQuote(gtreePath) + `,"poolPages":16`,
+	} {
+		var bodies [2][]byte
+		for i, extra := range []string{"", `,"sweepShards":4`} {
+			name := []string{"plain", "sharded"}[i]
+			resp, err := http.Post(ts.URL+"/sessions", "application/json",
+				strings.NewReader(`{"name":"`+name+`",`+src+extra+`}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusCreated {
+				t.Fatalf("create %s {%s%s}: status %d (%s)", name, src, extra, resp.StatusCode, b)
+			}
+			resp = mustGet(t, ts.URL+"/sessions/"+name+"/analysis/graph")
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			bodies[i] = bytes.Replace(body, []byte(`"session": "`+name+`"`), []byte(`"session": "s"`), 1)
+		}
+		if !bytes.Equal(bodies[0], bodies[1]) {
+			t.Fatalf("{%s}: sweepShards changed the analysis:\nplain:   %s\nsharded: %s", src, bodies[0], bodies[1])
+		}
+		for _, name := range []string{"plain", "sharded"} {
+			req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/sessions/"+name, nil)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+		}
+	}
+}
+
+func jsonQuote(s string) string {
+	b, _ := json.Marshal(s)
+	return string(b)
+}

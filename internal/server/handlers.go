@@ -298,16 +298,15 @@ type CreateSessionRequest struct {
 	// each whole-graph query reserves this many frames that concurrent
 	// queries cannot evict (0 = a quarter of the pool, < 0 = disabled).
 	PoolQuota int `json:"poolQuota"`
-	// SweepShards is the session's shard count for whole-graph sweeps
-	// (PageRank, one-source RWR, structure reports): 0 = auto (one shard
-	// per core on large graphs), 1 = serial, >= 2 = exact. Sharded results
-	// are bit-identical to serial — an execution knob, excluded from
-	// result cache keys for that reason.
+	// SweepShards is accepted and ignored: whole-graph sweeps are always
+	// serial. The field stays so bodies that still send it decode (the body
+	// decoder rejects unknown fields), the same treatment "parallel" gets
+	// in extract bodies.
 	SweepShards int `json:"sweepShards"`
 	// TierBudget caps the bytes of hot page runs a "gtree" session may
-	// promote into pinned in-memory CSR fragments (0 = tiering off). Like
-	// SweepShards it is an execution knob: tiered reads are bit-identical
-	// to paged ones, only faster on skewed workloads.
+	// promote into pinned in-memory CSR fragments (0 = tiering off). It is
+	// an execution knob: tiered reads are bit-identical to paged ones, only
+	// faster on skewed workloads.
 	TierBudget int64 `json:"tierBudget"`
 }
 
@@ -440,12 +439,7 @@ func buildEngine(ctx context.Context, req CreateSessionRequest, method partition
 	switch req.Source {
 	case "synthetic":
 		ds := dblp.Generate(dblp.Config{Scale: req.Scale, Seed: req.Seed})
-		eng, err := core.BuildEngine(ds.Graph, cfg)
-		if err != nil {
-			return nil, err
-		}
-		eng.SetSweepShards(req.SweepShards)
-		return eng, nil
+		return core.BuildEngine(ds.Graph, cfg)
 	case "edges":
 		f, err := os.Open(req.Path)
 		if err != nil {
@@ -457,19 +451,13 @@ func buildEngine(ctx context.Context, req CreateSessionRequest, method partition
 			return nil, err
 		}
 		g.Dedup()
-		eng, err := core.BuildEngine(g, cfg)
-		if err != nil {
-			return nil, err
-		}
-		eng.SetSweepShards(req.SweepShards)
-		return eng, nil
+		return core.BuildEngine(g, cfg)
 	case "gtree":
 		eng, err := core.OpenEngineWrapped(req.Path, req.PoolPages, wrap)
 		if err != nil {
 			return nil, err
 		}
 		eng.SetPoolQuota(req.PoolQuota)
-		eng.SetSweepShards(req.SweepShards)
 		eng.SetTierBudget(req.TierBudget)
 		return eng, nil
 	}

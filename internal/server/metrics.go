@@ -2,7 +2,6 @@ package server
 
 import (
 	"net/http"
-	"strings"
 	"time"
 
 	"repro/internal/gtree"
@@ -22,19 +21,18 @@ import (
 //     reports the same underlying numbers, making it a thin view over the
 //     registry rather than a second bookkeeping system.
 type serverMetrics struct {
-	reg       *obs.Registry
-	requests  *obs.CounterVec   // gmine_http_requests_total{route,code}
-	latency   *obs.HistogramVec // gmine_http_request_seconds{route}
-	inFlight  *obs.Gauge        // gmine_http_requests_in_flight
-	panics    *obs.Counter      // gmine_http_panics_total
-	stage     *obs.HistogramVec // gmine_query_stage_seconds{stage}
-	pins      *obs.Histogram    // gmine_query_pool_pins
-	shardPins *obs.Histogram    // gmine_query_shard_pins
-	faults    *obs.Counter      // gmine_query_pool_faults_total
-	batchOK   *obs.Counter      // gmine_batch_items_total{outcome}
-	batchErr  *obs.Counter
-	overload  *obs.CounterVec // gmine_http_overload_total{kind}
-	cancels   *obs.Counter    // gmine_query_cancelled_total
+	reg      *obs.Registry
+	requests *obs.CounterVec   // gmine_http_requests_total{route,code}
+	latency  *obs.HistogramVec // gmine_http_request_seconds{route}
+	inFlight *obs.Gauge        // gmine_http_requests_in_flight
+	panics   *obs.Counter      // gmine_http_panics_total
+	stage    *obs.HistogramVec // gmine_query_stage_seconds{stage}
+	pins     *obs.Histogram    // gmine_query_pool_pins
+	faults   *obs.Counter      // gmine_query_pool_faults_total
+	batchOK  *obs.Counter      // gmine_batch_items_total{outcome}
+	batchErr *obs.Counter
+	overload *obs.CounterVec // gmine_http_overload_total{kind}
+	cancels  *obs.Counter    // gmine_query_cancelled_total
 }
 
 func newServerMetrics(s *Server) *serverMetrics {
@@ -56,9 +54,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 			obs.DefBuckets, "stage"),
 		pins: reg.Histogram("gmine_query_pool_pins",
 			"Buffer-pool page pins per traced query (hits+misses through its partition).",
-			obs.PinBuckets),
-		shardPins: reg.Histogram("gmine_query_shard_pins",
-			"Buffer-pool page pins per sweep shard of sharded whole-graph queries (one observation per shard partition).",
 			obs.PinBuckets),
 		faults: reg.Counter("gmine_query_pool_faults_total",
 			"Paged-read fault epochs observed by traced queries."),
@@ -251,14 +246,6 @@ func (m *serverMetrics) observeTrace(tr *obs.Trace) {
 	}
 	if pins := tr.CountValue("pool.pins"); pins > 0 {
 		m.pins.Observe(float64(pins))
-	}
-	// Per-shard pin counts (pool.shard.N.pins) land as one observation per
-	// shard partition, so the histogram is the distribution of paging
-	// across shards — a skewed split shows up as a wide spread here.
-	for _, ct := range tr.Counts() {
-		if strings.HasPrefix(ct.Name, "pool.shard.") && strings.HasSuffix(ct.Name, ".pins") {
-			m.shardPins.Observe(float64(ct.Value))
-		}
 	}
 	if f := tr.CountValue("pool.faults"); f > 0 {
 		m.faults.Add(uint64(f))

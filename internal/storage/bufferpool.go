@@ -16,14 +16,6 @@ type Stats struct {
 	LoadWaits uint64
 }
 
-// add folds o into s.
-func (s *Stats) add(o Stats) {
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Evictions += o.Evictions
-	s.LoadWaits += o.LoadWaits
-}
-
 // Heat tracking: every Get — hit or miss — bumps a decayed access counter
 // for the page's bucket (runs of 1<<heatShift consecutive pages, so the
 // counters cover node ranges of the fixed-stride CSR runs, not individual
@@ -567,12 +559,6 @@ type Partition struct {
 	// per-query share of the pool-wide heat the tiering promoter reads.
 	heat   float64
 	closed bool
-	// parent is set on shard partitions carved by Split: closing a child
-	// folds its counters into the parent (and appends a snapshot to the
-	// parent's shardStats), so the parent's totals keep describing the
-	// whole query after its shards finish.
-	parent     *Partition
-	shardStats []PartitionStats
 }
 
 // Partition reserves up to frames frames for a new view. The request is
@@ -617,50 +603,6 @@ func (p *Partition) TryGet(id PageID) ([]byte, bool, error) {
 //gmine:hotpath
 func (p *Partition) Release(id PageID) { p.bp.Release(id) }
 
-// Split carves k shard partitions out of p's remaining quota, each
-// receiving quota/k frames (p keeps the remainder), so the goroutines of
-// one sharded whole-graph sweep pin through private reservations: a shard
-// churning its slice of the file cannot evict a sibling shard's decode
-// windows, which is the same protection Partition gives concurrent
-// queries, one level down. The children are full partitions — their
-// frames are protected by their own quotas, they appear in Partitions()
-// — but closing one returns its quota to the POOL while folding its
-// counters into p and appending a per-shard snapshot to p.ShardStats, so
-// p's totals still describe the whole query and the per-shard pin
-// distribution survives for the trace. Close the children before p; a
-// k < 1 request and a closed p both yield usable quota-0 children.
-func (p *Partition) Split(k int) []*Partition {
-	if k < 1 {
-		k = 1
-	}
-	bp := p.bp
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	share := 0
-	if !p.closed {
-		share = p.quota / k
-	}
-	children := make([]*Partition, k)
-	for i := range children {
-		c := &Partition{bp: bp, quota: share, parent: p}
-		children[i] = c
-		bp.parts = append(bp.parts, c)
-	}
-	// The reservation moves from p to its children; bp.reserved is
-	// unchanged, so the invariant reserved <= cap-1 keeps holding without
-	// re-clamping.
-	p.quota -= share * k
-	return children
-}
-
-// ShardStats returns the folded per-shard counter snapshots of children
-// carved by Split and since closed, in close order.
-func (p *Partition) ShardStats() []PartitionStats {
-	p.bp.mu.Lock()
-	defer p.bp.mu.Unlock()
-	return append([]PartitionStats(nil), p.shardStats...)
-}
-
 // Close returns the reservation to the pool and demotes the partition's
 // frames to the shared remainder (they stay resident and LRU-ordered, just
 // unprotected). Idempotent.
@@ -672,19 +614,7 @@ func (p *Partition) Close() {
 		return
 	}
 	p.closed = true
-	if p.parent != nil && !p.parent.closed {
-		// A shard partition hands its reservation BACK to the query
-		// partition it was carved from (bp.reserved is unchanged), so the
-		// next sharded solve of the same query re-splits the full quota,
-		// and folds its activity into the parent's totals plus a per-shard
-		// snapshot for the trace's pin distribution.
-		p.parent.quota += p.quota
-		p.parent.shardStats = append(p.parent.shardStats, PartitionStats{Quota: p.quota, Held: p.held, Heat: p.heat, Stats: p.stats})
-		p.parent.stats.add(p.stats)
-		p.parent.heat += p.heat
-	} else {
-		bp.reserved -= p.quota
-	}
+	bp.reserved -= p.quota
 	p.quota = 0
 	for _, fr := range bp.frames {
 		if fr.owner == p {
@@ -703,8 +633,7 @@ func (p *Partition) Close() {
 }
 
 // PartitionStats snapshots one partition's reservation and counters.
-// Heat is the partition's decayed access counter (see Partition.heat),
-// folded into the parent's snapshot list when a Split child closes.
+// Heat is the partition's decayed access counter (see Partition.heat).
 type PartitionStats struct {
 	Quota int
 	Held  int // resident frames the partition currently owns

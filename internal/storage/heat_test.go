@@ -70,9 +70,8 @@ func TestHeatDecay(t *testing.T) {
 }
 
 // TestPartitionHeat: accesses through a partition view are charged to the
-// partition's own heat counter, shard children fold theirs into the parent
-// on Close, and the pool-wide buckets see every access regardless of which
-// view made it.
+// partition's own heat counter, and the pool-wide buckets see every access
+// regardless of which view made it.
 func TestPartitionHeat(t *testing.T) {
 	pool, ids := partitionFile(t, 64, 8)
 	p := pool.Partition(4)
@@ -87,22 +86,19 @@ func TestPartitionHeat(t *testing.T) {
 		t.Fatalf("Partitions() heat: %+v", parts)
 	}
 
-	shards := p.Split(2)
-	for i := 0; i < 3; i++ {
-		touch(t, shards[0], ids[8])
+	q := pool.Partition(2)
+	for i := 0; i < 4; i++ {
+		touch(t, q, ids[8])
 	}
-	touch(t, shards[1], ids[16])
-	shards[0].Close()
-	shards[1].Close()
-	if st := p.Stats(); st.Heat != 14 {
-		t.Fatalf("parent heat after shard close = %v, want 14", st.Heat)
+	if st := q.Stats(); st.Heat != 4 {
+		t.Fatalf("second partition heat = %v, want 4", st.Heat)
 	}
-	ss := p.ShardStats()
-	if len(ss) != 2 || ss[0].Heat != 3 || ss[1].Heat != 1 {
-		t.Fatalf("shard heat snapshots: %+v", ss)
+	q.Close()
+	if st := p.Stats(); st.Heat != 10 {
+		t.Fatalf("partition heat moved to %v after another view's accesses", st.Heat)
 	}
 
-	// The pool buckets saw all 14 accesses too (plus the initial loads).
+	// The pool buckets saw all 14 accesses (plus the initial loads).
 	var total float64
 	for _, hr := range pool.HotRanges(10) {
 		total += hr.Score

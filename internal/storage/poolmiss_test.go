@@ -243,9 +243,8 @@ func TestReadPageIntoMatchesReadPage(t *testing.T) {
 func TestPoolLoadSingleFlight(t *testing.T) {
 	const getters = 16
 	m := newMissFixture(t, 4, 4)
-	parent := m.pool.Partition(2)
-	defer parent.Close()
-	part := parent.Split(1)[0] // half the getters pin through a shard partition
+	part := m.pool.Partition(2) // half the getters pin through a partition
+	defer part.Close()
 	want := m.want(t, 1)
 	reads0 := m.gate.readsAt(m.off(1))
 	release := m.gate.hold(m.off(1))
@@ -299,10 +298,6 @@ func TestPoolLoadSingleFlight(t *testing.T) {
 	}
 	if ps.Hits+ps.Misses != getters/2 || ps.LoadWaits+ps.Misses != getters/2 {
 		t.Fatalf("partition stats %+v, want its 8 getters as one load's miss/waits", ps)
-	}
-	part.Close() // folds the shard's counters, load waits included, into its parent
-	if folded := parent.Stats(); folded.Stats != ps.Stats {
-		t.Fatalf("parent stats %+v after the shard closed, want %+v", folded.Stats, ps.Stats)
 	}
 	for g := 0; g < getters; g++ {
 		m.pool.Release(m.ids[1])
