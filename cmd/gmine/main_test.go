@@ -211,8 +211,9 @@ func TestLoadGraphErrors(t *testing.T) {
 
 // TestRemovedCommandAndFlagFailLoudly runs the binary's main in a child
 // process: the deleted hidden `bench` subcommand is now an unknown command
-// (usage, exit 2), and the deleted `serve -sweepshards` flag stops serve
-// at flag parsing (exit 2) before any session is built or port opened.
+// (usage, exit 2), and the deleted `serve -sweepshards` and `serve
+// -poolquota` flags stop serve at flag parsing (exit 2) before any session
+// is built or port opened.
 func TestRemovedCommandAndFlagFailLoudly(t *testing.T) {
 	if args := os.Getenv("GMINE_TEST_MAIN_ARGS"); args != "" {
 		os.Args = append([]string{"gmine"}, strings.Fields(args)...)
@@ -222,6 +223,7 @@ func TestRemovedCommandAndFlagFailLoudly(t *testing.T) {
 	for _, tc := range []struct{ args, want string }{
 		{"bench", `unknown command "bench"`},
 		{"serve -addr 127.0.0.1:0 -sweepshards 1", "flag provided but not defined: -sweepshards"},
+		{"serve -addr 127.0.0.1:0 -poolquota 4", "flag provided but not defined: -poolquota"},
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestRemovedCommandAndFlagFailLoudly$")
 		cmd.Env = append(os.Environ(), "GMINE_TEST_MAIN_ARGS="+tc.args)

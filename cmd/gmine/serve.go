@@ -32,7 +32,6 @@ func cmdServe(args []string) error {
 	in := fs.String("in", "", "preload a session from this edge list")
 	tree := fs.String("tree", "", "preload a disk-backed session from this G-Tree file")
 	pool := fs.Int("pool", 0, "buffer-pool pages for the preloaded -tree session (0 = default); bounds resident paged-graph memory")
-	poolQuota := fs.Int("poolquota", 0, "buffer-pool frames each whole-graph query on the preloaded -tree session reserves against eviction by concurrent queries (0 = a quarter of -pool, negative = disabled)")
 	tierBudget := fs.Int64("tierbudget", 0, "byte budget for hot page runs the preloaded -tree session may promote into pinned in-memory CSR fragments (0 = tiering off); results are bit-identical either way")
 	seed := fs.Int64("seed", 1, "seed for the preloaded session")
 	k := fs.Int("k", 5, "hierarchy fanout for preloaded memory sessions")
@@ -82,7 +81,7 @@ func cmdServe(args []string) error {
 	case *tree != "":
 		preload = &server.CreateSessionRequest{
 			Name: *name, Source: "gtree", Path: *tree, PoolPages: *pool,
-			PoolQuota: *poolQuota, TierBudget: *tierBudget,
+			TierBudget: *tierBudget,
 		}
 	}
 	if preload != nil {

@@ -44,7 +44,7 @@ type Adjacency = graph.Adjacency
 // between reads. Close it on every path.
 type RowCursor = graph.RowCursor
 
-// PagedCSR is the disk-backed Adjacency over a v2 G-Tree file's CSR
+// PagedCSR is the disk-backed Adjacency over a G-Tree file's CSR
 // section, reading neighbor ranges through the buffer pool.
 type PagedCSR = gtree.PagedCSR
 
@@ -58,10 +58,6 @@ type (
 	EdgeSweeper       = graph.EdgeSweeper
 	NeighborIDSweeper = graph.NeighborIDSweeper
 )
-
-// ErrNoCSR reports a disk-backed engine opened from a v1 G-Tree file,
-// which has no CSR section: re-save the tree to enable extraction.
-var ErrNoCSR = core.ErrNoCSR
 
 // ToCSR converts a graph to CSR form.
 func ToCSR(g *Graph) *CSR { return graph.ToCSR(g) }

@@ -66,18 +66,6 @@ type Engine struct {
 	csrOnce sync.Once
 	csr     *graph.CSR
 
-	// poolQuota is the buffer-pool partition each whole-graph query on a
-	// disk-backed engine reserves for itself: 0 = auto (a quarter of the
-	// pool), < 0 = disabled (queries share the pool unpartitioned). See
-	// SetPoolQuota.
-	poolQuota int
-
-	// tierBudget is the hot/cold tiering byte budget of disk-backed
-	// engines: > 0 wraps every whole-graph query's adjacency in a
-	// gtree.TieredCSR whose pinned in-memory fragments stay within the
-	// budget; 0 disables tiering. See SetTierBudget.
-	tierBudget int64
-
 	focus   gtree.TreeID
 	history []gtree.TreeID
 }
@@ -103,7 +91,7 @@ func BuildEngine(g *graph.Graph, cfg BuildConfig) (*Engine, error) {
 }
 
 // SaveTree persists the engine's G-Tree (leaf subgraphs, label index and
-// the graph's paged CSR section, format v2) into a single page file. Only
+// the graph's paged CSR section) into a single page file. Only
 // memory-backed engines can save.
 func (e *Engine) SaveTree(path string, pageSize int) error {
 	if e.g == nil {
@@ -147,13 +135,6 @@ func (e *Engine) Tree() *gtree.Tree { return e.tree }
 // engines.
 func (e *Engine) Graph() *graph.Graph { return e.g }
 
-// ErrNoCSR reports a disk-backed engine whose G-Tree file predates format
-// v2 and therefore has no paged CSR section: navigation, leaf loading and
-// label queries work, but whole-graph queries (extraction) cannot until
-// the tree is re-saved with the current version. (Alias of gtree.ErrNoCSR
-// so errors.Is matches across layers.)
-var ErrNoCSR = gtree.ErrNoCSR
-
 // ErrPagedIO wraps an I/O or corruption fault hit while a query paged the
 // graph from disk. It marks a backend (5xx-class) failure: the request
 // was well-formed, the store misbehaved.
@@ -165,8 +146,7 @@ var ErrPagedIO = errors.New("core: paged graph read failed")
 // (sync.Once-guarded, so concurrent query readers share one build);
 // disk-backed engines return the store's paged CSR, which pages neighbor
 // ranges through the buffer pool so resident adjacency memory is bounded
-// by the pool, not the graph. Returns ErrNoCSR for disk-backed engines
-// opened from a v1 file.
+// by the pool, not the graph.
 func (e *Engine) Adj() (graph.Adjacency, error) {
 	if e.g != nil {
 		e.csrOnce.Do(func() {
@@ -180,18 +160,10 @@ func (e *Engine) Adj() (graph.Adjacency, error) {
 	return e.store.PagedCSR()
 }
 
-// SetPoolQuota tunes the per-query buffer-pool partition of disk-backed
-// engines. Every whole-graph query (extraction, PageRank, graph analysis)
-// pins its pages through a partition of `frames` frames: while the query
-// holds no more than its reservation, those frames cannot be evicted by
-// concurrent queries, so one cold sweep can no longer flush another
-// session's hot working set. frames = 0 restores the default (a quarter
-// of the pool, at least one frame); frames < 0 disables partitioning.
-// Reservations beyond the pool's free reservation capacity are clamped,
-// so oversubscription degrades to smaller quotas, never to errors.
-// No-op for memory-backed engines. Not safe to call concurrently with
-// queries; set it right after OpenEngine.
-func (e *Engine) SetPoolQuota(frames int) { e.poolQuota = frames }
+// SetPoolQuota does nothing: the buffer pool has one policy, plain LRU,
+// and reserves no frames for any query. The method stays because
+// bench/layers calls it; deleting it is a [benchmark] change first.
+func (e *Engine) SetPoolQuota(int) {}
 
 // SetSweepShards does nothing: whole-graph sweeps are always serial. The
 // method stays because bench/layers calls it; deleting it is a
@@ -202,8 +174,8 @@ func (e *Engine) SetSweepShards(int) {}
 // engines (0 = off, the default). With a budget, every whole-graph query
 // solves on a gtree.TieredCSR: node reads and sweep sub-ranges covered
 // by a pinned in-memory CSR fragment are served from memory, the rest
-// pages through the query's pool partition as before — bit-identical
-// results either way. After each query the engine runs one amortized
+// pages through the buffer pool as before — bit-identical results either
+// way. After each query the engine runs one amortized
 // promotion pass, so a skewed workload converges toward memory speed on
 // its working set while resident fragment bytes never exceed the budget.
 // No-op for memory-backed engines (the whole graph is already resident).
@@ -213,106 +185,69 @@ func (e *Engine) SetTierBudget(bytes int64) {
 	if bytes < 0 {
 		bytes = 0
 	}
-	e.tierBudget = bytes
 	if e.store != nil {
 		e.store.SetTierBudget(bytes)
 	}
 }
 
-// TierBudget returns the configured tiering byte budget (0 = off).
-func (e *Engine) TierBudget() int64 { return e.tierBudget }
-
 // queryAdj returns the adjacency a whole-graph query should solve on and
 // a release function to call when done. Memory-backed engines hand out
-// the shared CSR; disk-backed ones wrap the paged CSR in a per-query
-// buffer-pool partition (see SetPoolQuota) so the query's paging is
-// bounded and accounted separately from concurrent queries'.
-//
-// ctx threads the query's cancellation into the paged view's blocked
-// sweeps (gtree.PagedCSR.WithContext): a server timeout or client
-// disconnect aborts the sweep at the next chunk boundary, and the release
-// function then unwinds pins and the partition through the normal defer
-// path — cancellation never orphans a reservation.
+// the shared CSR; disk-backed ones open the query's own gtree.QueryView,
+// which pins through a counted view of the buffer pool, carries ctx into
+// the blocked sweeps (a server timeout or client disconnect aborts the
+// sweep at the next chunk boundary) and is tiered while a tier budget is
+// set.
 //
 // When tr is non-nil the acquisition is recorded as the "open" stage, and
 // the release function charges the query's pool activity — pins (buffer
-// pool Gets = hits + misses), private hits/misses, evictions, reservation
-// quota/held, the partition's fault-epoch delta and the row cursors'
-// rows/pins — to the trace before closing the partition. This is the
-// engine's "report what this query cost" seam: the counters come from the
-// partition the query pinned through, so they name this query's paging,
-// not the session's.
+// pool Gets = hits + misses), hits/misses, evictions, load waits, the
+// fault-epoch delta, the row cursors' rows/pins, retries and tier routing
+// — to the trace. This is the engine's "report what this query cost"
+// seam: the counters come from the view the query pinned through, so they
+// name this query's paging, not the session's.
 func (e *Engine) queryAdj(ctx context.Context, tr *obs.Trace) (graph.Adjacency, func(), error) {
 	sp := tr.StartStage("open")
 	defer sp.End()
-	if e.g == nil && e.store.HasCSR() && e.poolQuota >= 0 {
-		frames := e.poolQuota
-		if frames == 0 {
-			if frames = e.store.PoolCapacity() / 4; frames < 1 {
-				frames = 1
-			}
-		}
-		view, part, err := e.store.PagedCSRPartitionView(frames)
-		if err != nil {
-			return nil, nil, err
-		}
-		// The context rides the view, so its sweeps stop at the next chunk
-		// boundary once the query is cancelled.
-		view = view.WithContext(ctx)
-		// With a tier budget, the query solves on the tiered view: reads
-		// covered by a resident fragment skip the pool entirely, the rest
-		// page through this query's partition as before.
-		var adj graph.Adjacency = view
-		var tiered *gtree.TieredCSR
-		if e.tierBudget > 0 {
-			tiered = view.Tiered()
-			adj = tiered
-		}
-		faults0 := view.Faults()
-		retry0 := e.store.RetryStats()
-		release := func() {
-			if tr != nil {
-				st := part.Stats()
-				tr.Count("pool.pins", int64(st.Hits+st.Misses))
-				tr.Count("pool.hits", int64(st.Hits))
-				tr.Count("pool.misses", int64(st.Misses))
-				tr.Count("pool.evictions", int64(st.Evictions))
-				tr.Count("pool.load_waits", int64(st.LoadWaits))
-				tr.Count("pool.quota", int64(st.Quota))
-				tr.Count("pool.held", int64(st.Held))
-				tr.Count("pool.faults", int64(view.Faults()-faults0))
-				// Row reads of the local kernels (key paths, push, induce):
-				// pins/rows near the page count over the row count means
-				// the cursors' sticky pins held; near 3 means every row
-				// paid the pool on its own.
-				rows, pins := view.CursorCounts()
-				tr.Count("pool.cursor.rows", rows)
-				tr.Count("pool.cursor.pins", pins)
-				// Transient-read recovery across this query's window. The
-				// pager counters are store-wide, so under concurrent queries
-				// the delta attributes overlapping retries to each of them —
-				// approximate by design, zero when the store read clean.
-				retry1 := e.store.RetryStats()
-				tr.Count("pool.retries", int64(retry1.Retries-retry0.Retries))
-				tr.Count("pool.healed", int64(retry1.Healed-retry0.Healed))
-				if tiered != nil {
-					th, tm := tiered.QueryCounts()
-					tr.Count("tier.hits", th)
-					tr.Count("tier.misses", tm)
-				}
-			}
-			part.Close()
-			// Query-amortized promotion: rank what just got hot and pin it.
-			// Runs after the partition closes — the promoter decodes through
-			// the store's shared pool, never a dead reservation.
-			if tiered != nil {
-				tiered.Promote()
-			}
-		}
-		return adj, release, nil
+	if e.g != nil {
+		adj, err := e.Adj()
+		return adj, func() {}, err
 	}
-	adj, err := e.Adj()
-	return adj, func() {}, err
+	view, err := e.store.QueryView(ctx)
+	if err != nil {
+		// The CSR section's geometry does not match the file: the request
+		// is fine, the store is not.
+		return nil, nil, fmt.Errorf("%w: %v", ErrPagedIO, err)
+	}
+	release := func() {
+		if tr != nil {
+			qc := view.Counts()
+			tr.Count("pool.pins", int64(qc.Pool.Hits+qc.Pool.Misses))
+			tr.Count("pool.hits", int64(qc.Pool.Hits))
+			tr.Count("pool.misses", int64(qc.Pool.Misses))
+			tr.Count("pool.evictions", int64(qc.Pool.Evictions))
+			tr.Count("pool.load_waits", int64(qc.Pool.LoadWaits))
+			tr.Count("pool.faults", int64(qc.Faults))
+			// Row reads of the local kernels (key paths, push, induce):
+			// pins/rows near the page count over the row count means the
+			// cursors' sticky pins held; near 3 means every row paid the
+			// pool on its own.
+			tr.Count("pool.cursor.rows", qc.CursorRows)
+			tr.Count("pool.cursor.pins", qc.CursorPins)
+			// Transient-read recovery across this query's window. The pager
+			// counters are store-wide, so under concurrent queries the delta
+			// attributes overlapping retries to each of them — approximate
+			// by design, zero when the store read clean.
+			tr.Count("pool.retries", int64(qc.Retry.Retries))
+			tr.Count("pool.healed", int64(qc.Retry.Healed))
+			if qc.Tiered {
+				tr.Count("tier.hits", qc.TierHits)
+				tr.Count("tier.misses", qc.TierMisses)
+			}
+		}
+		// Query-amortized promotion: rank what just got hot and pin it.
+		view.Promote()
+	}
+	return view.Adj, release, nil
 }
 
 // memStatsBracket returns a closure charging runtime.ReadMemStats deltas
@@ -619,9 +554,8 @@ func (e *Engine) preloadLabelsIfPaged() error {
 // Extract runs the multi-source connection subgraph extraction (§IV) over
 // the engine's shared adjacency. Memory-backed engines solve on the
 // resident CSR; disk-backed engines solve out of core on the paged CSR,
-// with bit-identical results over the same graph. Disk-backed engines
-// opened from a v1 file (no CSR section) return ErrNoCSR; any paged read
-// fault during the solve fails it with ErrPagedIO.
+// with bit-identical results over the same graph. Any paged read fault
+// during the solve fails it with ErrPagedIO.
 func (e *Engine) Extract(sources []graph.NodeID, opts extract.Options) (*extract.Result, error) {
 	return e.ExtractTraced(context.Background(), nil, sources, opts)
 }
@@ -634,8 +568,8 @@ func (e *Engine) Extract(sources []graph.NodeID, opts extract.Options) (*extract
 //
 // ctx cancels the solve cooperatively: the RWR power iterations poll it
 // per pass and the paged sweeps per chunk, so a server timeout or client
-// disconnect stops the work promptly, releases the query's pins and
-// partition, and surfaces ctx's error (never ErrPagedIO — see
+// disconnect stops the work promptly, releases the query's pins, and
+// surfaces ctx's error (never ErrPagedIO — see
 // withFaultCheck).
 func (e *Engine) ExtractTraced(ctx context.Context, tr *obs.Trace, sources []graph.NodeID, opts extract.Options) (res *extract.Result, err error) {
 	defer func() { err = tagTrace(tr, err) }()
@@ -744,9 +678,8 @@ func (e *Engine) AnalyzeGraphTraced(ctx context.Context, tr *obs.Trace, opts ana
 	if topK <= 0 {
 		topK = 10
 	}
-	// One per-query pool partition covers both sweeps: the structure
-	// report warms the pages PageRank is about to walk, and both charge
-	// the same reservation.
+	// One query view covers both sweeps: the structure report warms the
+	// pages PageRank is about to walk, and both charge the same counters.
 	adj, release, err := e.queryAdj(ctx, tr)
 	if err != nil {
 		return nil, err

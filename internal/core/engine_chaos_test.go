@@ -50,7 +50,7 @@ func chaosEngines(t *testing.T, poolPages int, seed int64) (*Engine, *Engine, *s
 // extraction, PageRank and whole-graph analysis must produce results
 // bit-identical to the clean in-memory engine — the retry layer heals
 // every fault below the epoch protocol — and once the soak drains, the
-// pool must hold zero pinned frames and zero partitions.
+// pool must hold zero pinned frames.
 func TestChaosSoakBitIdentityUnderTransientFaults(t *testing.T) {
 	mem, disk, inj := chaosEngines(t, 16, 7)
 	inj.SetRate(0.02, storage.FaultFlip, storage.FaultErr, storage.FaultShort)
@@ -155,9 +155,6 @@ func TestChaosSoakBitIdentityUnderTransientFaults(t *testing.T) {
 	if pins := disk.Store().PinnedFrames(); pins != 0 {
 		t.Errorf("%d frames still pinned after soak", pins)
 	}
-	if parts := disk.Store().PoolInfo().Partitions; len(parts) != 0 {
-		t.Errorf("%d partitions still open after soak", len(parts))
-	}
 }
 
 // TestChaosRetryExhaustionFailsQueryOnce: when a read's transient faults
@@ -201,7 +198,7 @@ func TestChaosRetryExhaustionFailsQueryOnce(t *testing.T) {
 // TestChaosCancellationReleasesEverything: cancelled queries (both
 // pre-cancelled and cancelled mid-flight under concurrency) return the
 // context error unwrapped, never latch a fault epoch, and leave zero
-// pinned frames and zero pool partitions behind.
+// pinned frames behind.
 func TestChaosCancellationReleasesEverything(t *testing.T) {
 	_, disk, _ := chaosEngines(t, 16, 5)
 	view, err := disk.Store().PagedCSR()
@@ -230,7 +227,7 @@ func TestChaosCancellationReleasesEverything(t *testing.T) {
 	// Mid-expand: the cancel fires as the "rwr" stage completes, so the
 	// key-path rounds start under a dead context with their row cursor
 	// open; the extraction must stop there, and the cursor's sticky pins
-	// and the query's partition must unwind with it.
+	// must unwind with it.
 	ectx, ecancel := context.WithCancel(context.Background())
 	stages := map[string]bool{}
 	mid := opts
@@ -250,9 +247,6 @@ func TestChaosCancellationReleasesEverything(t *testing.T) {
 	}
 	if pins := disk.Store().PinnedFrames(); pins != 0 {
 		t.Fatalf("%d frames still pinned after a mid-expand cancel", pins)
-	}
-	if parts := disk.Store().PoolInfo().Partitions; len(parts) != 0 {
-		t.Fatalf("%d partitions still open after a mid-expand cancel", len(parts))
 	}
 
 	// Racy: concurrent queries cancelled at random points mid-solve.
@@ -276,8 +270,5 @@ func TestChaosCancellationReleasesEverything(t *testing.T) {
 	}
 	if pins := disk.Store().PinnedFrames(); pins != 0 {
 		t.Errorf("%d frames still pinned after cancellations", pins)
-	}
-	if parts := disk.Store().PoolInfo().Partitions; len(parts) != 0 {
-		t.Errorf("%d partitions still open after cancellations", len(parts))
 	}
 }

@@ -12,11 +12,10 @@ import (
 	"repro/internal/dblp"
 	"repro/internal/extract"
 	"repro/internal/graph"
-	"repro/internal/gtree"
 )
 
 // buildMemAndDisk returns a memory engine over the small fixture and a
-// disk engine paging the same graph from a freshly saved v2 file.
+// disk engine paging the same graph from a freshly saved file.
 func buildMemAndDisk(t *testing.T, poolPages int) (*Engine, *Engine, string) {
 	t.Helper()
 	ds := dblp.SmallFixture()
@@ -77,28 +76,6 @@ func TestAnalyzeGraphMatchesAcrossBackends(t *testing.T) {
 	}
 	if want.WeakComponents < 1 || want.LargestComponent < 1 {
 		t.Fatalf("degenerate connectivity: %d comps, largest %d", want.WeakComponents, want.LargestComponent)
-	}
-}
-
-// TestAnalyzeGraphV1FileErrNoCSR: whole-graph analysis needs the CSR
-// section, so v1 files report the same actionable error extraction does.
-func TestAnalyzeGraphV1FileErrNoCSR(t *testing.T) {
-	ds := dblp.SmallFixture()
-	mem, err := BuildEngine(ds.Graph, BuildConfig{K: 3, Levels: 3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "v1.gtree")
-	if err := gtree.SaveLegacy(mem.Tree(), ds.Graph, path, 0); err != nil {
-		t.Fatal(err)
-	}
-	disk, err := OpenEngine(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disk.Close()
-	if _, err := disk.AnalyzeGraph(analysis.PageRankOptions{}, 5); !errors.Is(err, ErrNoCSR) {
-		t.Fatalf("AnalyzeGraph on v1 engine: %v, want ErrNoCSR", err)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"repro/internal/dblp"
 	"repro/internal/extract"
 	"repro/internal/graph"
-	"repro/internal/gtree"
 )
 
 // equalResults requires two extraction results to be bit-identical:
@@ -61,7 +60,7 @@ func equalResults(t *testing.T, tag string, a, b *extract.Result) {
 // TestPagedExtractionPropertyIdentity is the acceptance property: random
 // source sets, combine modes and parallelism over the same graph must
 // produce bit-identical extractions on a memory-backed engine and a
-// disk-backed engine paging a v2 file through a small buffer pool.
+// disk-backed engine paging a file through a small buffer pool.
 func TestPagedExtractionPropertyIdentity(t *testing.T) {
 	ds := dblp.SmallFixture()
 	mem, err := BuildEngine(ds.Graph, BuildConfig{K: 3, Levels: 3, Seed: 1})
@@ -127,31 +126,6 @@ func TestPagedExtractionPropertyIdentity(t *testing.T) {
 	}
 	if pi.Resident > pi.Capacity {
 		t.Fatalf("resident %d exceeds capacity %d", pi.Resident, pi.Capacity)
-	}
-}
-
-// TestV1EngineExtractErrNoCSR pins the engine-level contract behind the
-// server's 409: v1 files open but extraction reports ErrNoCSR.
-func TestV1EngineExtractErrNoCSR(t *testing.T) {
-	ds := dblp.SmallFixture()
-	mem, err := BuildEngine(ds.Graph, BuildConfig{K: 3, Levels: 3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "v1.gtree")
-	if err := gtree.SaveLegacy(mem.Tree(), ds.Graph, path, 0); err != nil {
-		t.Fatal(err)
-	}
-	disk, err := OpenEngine(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disk.Close()
-	if _, err := disk.Adj(); err != ErrNoCSR {
-		t.Fatalf("Adj on v1 engine: %v, want ErrNoCSR", err)
-	}
-	if _, err := disk.Extract([]graph.NodeID{0, 1}, extract.Options{Budget: 5}); err != ErrNoCSR {
-		t.Fatalf("Extract on v1 engine: %v, want ErrNoCSR", err)
 	}
 }
 

@@ -13,12 +13,11 @@ import (
 )
 
 // TestWholeGraphQueriesReleasePartitions: every whole-graph query path on
-// a disk engine opens a per-query pool partition and must return its
-// reservation on exit — success or failure — so a long session never
-// leaks protected frames.
+// a disk engine pins pages through its own counted view of the pool and
+// must release every pin on exit — success or failure — so a long session
+// never leaks a pinned (unevictable) frame.
 func TestWholeGraphQueriesReleasePartitions(t *testing.T) {
-	mem, disk, _ := buildMemAndDisk(t, 16)
-	_ = mem
+	_, disk, _ := buildMemAndDisk(t, 16)
 	if _, err := disk.PageRank(analysis.PageRankOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -32,20 +31,18 @@ func TestWholeGraphQueriesReleasePartitions(t *testing.T) {
 	if _, err := disk.Extract([]graph.NodeID{-5}, extract.Options{Budget: 10}); err == nil {
 		t.Fatal("out-of-range source accepted")
 	}
-	pi := disk.Store().PoolInfo()
-	if pi.Reserved != 0 || len(pi.Partitions) != 0 {
-		t.Fatalf("reservations leaked after queries: reserved=%d partitions=%d", pi.Reserved, len(pi.Partitions))
+	if pins := disk.Store().PinnedFrames(); pins != 0 {
+		t.Fatalf("%d frames left pinned after queries", pins)
 	}
 }
 
 // TestConcurrentPartitionedQueriesBitIdentical runs whole-graph queries
-// concurrently on one disk engine with a small pool (each inside its own
-// partition, reservations oversubscribed so clamping kicks in) and
-// requires every result to match the serial memory-backed answer exactly.
-// Run under -race in CI; also guards against partition-related deadlock.
+// concurrently on one disk engine with a 12-frame pool (each through its
+// own counted view, evicting each other's pages) and requires every result
+// to match the serial memory-backed answer exactly. Run under -race in CI;
+// also guards against pool deadlock.
 func TestConcurrentPartitionedQueriesBitIdentical(t *testing.T) {
 	mem, disk, _ := buildMemAndDisk(t, 12)
-	disk.SetPoolQuota(8) // 3 concurrent queries want 24 of 12 frames: clamped
 	wantPR, err := mem.PageRank(analysis.PageRankOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -85,8 +82,8 @@ func TestConcurrentPartitionedQueriesBitIdentical(t *testing.T) {
 	}
 	wg.Wait()
 	pi := disk.Store().PoolInfo()
-	if pi.Reserved != 0 || len(pi.Partitions) != 0 {
-		t.Fatalf("reservations leaked: reserved=%d partitions=%d", pi.Reserved, len(pi.Partitions))
+	if pins := disk.Store().PinnedFrames(); pins != 0 {
+		t.Fatalf("%d frames left pinned", pins)
 	}
 	if pi.Resident > pi.Capacity {
 		t.Fatalf("resident %d exceeds capacity %d", pi.Resident, pi.Capacity)
@@ -131,27 +128,4 @@ func TestConcurrentFaultDoesNotReclassifyValidationError(t *testing.T) {
 	}
 	close(stop)
 	<-done
-}
-
-// TestSetPoolQuotaDisabled: a negative quota turns partitioning off —
-// queries run on the shared pool and still answer correctly.
-func TestSetPoolQuotaDisabled(t *testing.T) {
-	mem, disk, _ := buildMemAndDisk(t, 16)
-	disk.SetPoolQuota(-1)
-	want, err := mem.PageRank(analysis.PageRankOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := disk.PageRank(analysis.PageRankOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range want {
-		if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
-			t.Fatalf("pagerank[%d]: %v vs %v", v, got[v], want[v])
-		}
-	}
-	if pi := disk.Store().PoolInfo(); pi.Reserved != 0 {
-		t.Fatalf("disabled quota still reserved %d frames", pi.Reserved)
-	}
 }

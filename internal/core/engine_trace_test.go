@@ -49,8 +49,8 @@ func stageNames(tr *obs.Trace) map[string]bool {
 // the buffer pool's own Gets (hits+misses) for that query — asserted
 // against the pool counter delta, not eyeballed. The first extraction
 // warms the label index and weighted-degree cache (both pin through the
-// shared pool, outside the query's partition); from the second query on,
-// every pin goes through the per-query partition, so trace and pool must
+// shared pool, outside the query's counted view); from the second query
+// on, every pin goes through the query's counted view, so trace and pool must
 // agree exactly.
 func TestExtractTracePinsMatchPoolCounters(t *testing.T) {
 	eng := tracedDiskEngine(t)
@@ -93,9 +93,10 @@ func TestExtractTracePinsMatchPoolCounters(t *testing.T) {
 
 // TestExtractTraceLoadWaits: a trace says how often its query waited on
 // another query's in-flight load of a page (pool.load_waits, read once at
-// release beside pool.pins). Four concurrent extractions over the same
-// pages may wait on each other any number of times, but warm-up aside
-// every pin goes through a query partition, so the traces' counts add up
+// release beside pool.pins). Four concurrent extractions, a PageRank and
+// a whole-graph analysis over the same pages may wait on and evict each
+// other any number of times, but warm-up aside every pin goes through
+// some query's counted view, so each of the traces' pool counts adds up
 // to the pool's own counter exactly.
 func TestExtractTraceLoadWaits(t *testing.T) {
 	eng := tracedDiskEngine(t)
@@ -105,21 +106,37 @@ func TestExtractTraceLoadWaits(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := eng.Store().PoolInfo()
-	traces := make([]*obs.Trace, 4)
+	queries := []func(tr *obs.Trace) error{
+		func(tr *obs.Trace) error {
+			_, err := eng.PageRankTraced(context.Background(), tr, analysis.PageRankOptions{})
+			return err
+		},
+		func(tr *obs.Trace) error {
+			_, err := eng.AnalyzeGraphTraced(context.Background(), tr, analysis.PageRankOptions{}, 5)
+			return err
+		},
+	}
+	for range 4 {
+		queries = append(queries, func(tr *obs.Trace) error {
+			_, err := eng.ExtractTraced(context.Background(), tr, sources, opts)
+			return err
+		})
+	}
+	traces := make([]*obs.Trace, len(queries))
 	var wg sync.WaitGroup
-	for i := range traces {
+	for i, q := range queries {
 		traces[i] = obs.NewTrace("test-req")
 		wg.Add(1)
 		go func(tr *obs.Trace) {
 			defer wg.Done()
-			if _, err := eng.ExtractTraced(context.Background(), tr, sources, opts); err != nil {
+			if err := q(tr); err != nil {
 				t.Error(err)
 			}
 		}(traces[i])
 	}
 	wg.Wait()
 	after := eng.Store().PoolInfo()
-	var waits, pins int64
+	var hits, misses, evictions, waits, pins int64
 	for _, tr := range traces {
 		reported := false
 		for _, c := range tr.Snapshot().Counts {
@@ -131,21 +148,36 @@ func TestExtractTraceLoadWaits(t *testing.T) {
 		if w, h := tr.CountValue("pool.load_waits"), tr.CountValue("pool.hits"); w > h {
 			t.Errorf("%d load waits among %d hits: every wait is a hit", w, h)
 		}
+		hits += tr.CountValue("pool.hits")
+		misses += tr.CountValue("pool.misses")
+		evictions += tr.CountValue("pool.evictions")
 		waits += tr.CountValue("pool.load_waits")
 		pins += tr.CountValue("pool.pins")
 	}
-	if want := int64(after.LoadWaits - before.LoadWaits); waits != want {
-		t.Errorf("traces report %d load waits, pool counter moved %d", waits, want)
+	for _, c := range []struct {
+		name        string
+		got, before uint64
+		traced      int64
+	}{
+		{"hits", after.Hits, before.Hits, hits},
+		{"misses", after.Misses, before.Misses, misses},
+		{"evictions", after.Evictions, before.Evictions, evictions},
+		{"load waits", after.LoadWaits, before.LoadWaits, waits},
+		{"pins", after.Hits + after.Misses, before.Hits + before.Misses, pins},
+	} {
+		if want := int64(c.got - c.before); c.traced != want {
+			t.Errorf("traces report %d %s, pool counter moved %d", c.traced, c.name, want)
+		}
 	}
-	if want := int64((after.Hits + after.Misses) - (before.Hits + before.Misses)); pins != want {
-		t.Errorf("traces report %d pins, pool counter moved %d", pins, want)
+	if evictions == 0 {
+		t.Error("no query evicted a page: the 32-frame pool proves nothing")
 	}
 }
 
 // TestExtractTraceCursorCounts: the trace names what the extraction's row
 // cursors did — rows read and pool pins taken — and the sticky pins show
 // in the numbers: the key-path rounds read many rows per pin, and every
-// cursor pin is one of the partition's pins. A query without row reads
+// cursor pin is one of the query's pins. A query without row reads
 // (whole-graph analysis sweeps) reports zero cursor rows.
 func TestExtractTraceCursorCounts(t *testing.T) {
 	eng := tracedDiskEngine(t)
@@ -287,7 +319,7 @@ func TestExtractFusedWorkCounts(t *testing.T) {
 		}
 		return tr.CountValue("pool.pins") - tr.CountValue("pool.cursor.pins"), tr.CountValue("pool.cursor.rows")
 	}
-	work(a, b) // warm labels + wdeg, which pin outside the query's partition
+	work(a, b) // warm labels + wdeg, which pin outside the query's counted view
 	pinsA, rowsA := work(a)
 	pinsB, rowsB := work(b)
 	pinsAB, rowsAB := work(a, b)

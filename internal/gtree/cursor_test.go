@@ -1,6 +1,7 @@
 package gtree
 
 import (
+	"context"
 	"encoding/binary"
 	"hash/crc32"
 	"math"
@@ -291,17 +292,16 @@ func TestCursorLivenessTinyPools(t *testing.T) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				// Half the cursors pin through private partitions, as
-				// engine queries do; half through the shared pool.
-				view := base
+				// Half the cursors pin through query views, as engine
+				// queries do; half through the shared pool.
+				var view graph.Adjacency = base
 				if w%2 == 0 {
-					v, release, err := s.PagedCSRPartition(1)
+					qv, err := s.QueryView(context.Background())
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					defer release()
-					view = v
+					view = qv.Adj
 				}
 				order := visitOrders(view.N(), int64(w))[[]string{"ascending", "descending", "random"}[w%3]]
 				cur := view.Cursor()
@@ -333,9 +333,6 @@ func TestCursorLivenessTinyPools(t *testing.T) {
 		}
 		if pins := s.PinnedFrames(); pins != 0 {
 			t.Fatalf("pool=%d: %d frames still pinned", capacity, pins)
-		}
-		if parts := s.PoolInfo().Partitions; len(parts) != 0 {
-			t.Fatalf("pool=%d: %d partitions still open", capacity, len(parts))
 		}
 		s.Close()
 	}

@@ -55,11 +55,10 @@ var ErrPagedRead = errors.New("gtree: paged read fault")
 // does this); the epoch protocol stays correct under concurrent queries
 // sharing one view.
 //
-// A PagedCSR may be a pool-partition view of another (see
-// Store.PagedCSRPartition): views share the fault epoch and the cached
-// weighted-degree table but pin pages through their own
-// storage.Partition, so one query's paging is accounted — and it's
-// resident set bounded — separately from concurrent queries'.
+// A PagedCSR may be one query's view of another (see Store.QueryView):
+// views share the fault epoch and the cached weighted-degree table but pin
+// pages through their own storage.CountedPool, so one query's paging is
+// accounted separately from concurrent queries'.
 type PagedCSR struct {
 	n         int
 	halfEdges int
@@ -69,16 +68,16 @@ type PagedCSR struct {
 	edgew     *storage.RunReader
 	nodew     *storage.RunReader
 
-	// sh is shared between a base PagedCSR and all its pool-partition
-	// views: the fault-epoch latch, the weighted-degree cache and the
-	// sweep buffers are properties of the underlying file, not of the pool
-	// a particular query pins pages through.
+	// sh is shared between a base PagedCSR and all its query views: the
+	// fault-epoch latch, the weighted-degree cache and the sweep buffers are
+	// properties of the underlying file, not of the pool view a particular
+	// query pins pages through.
 	sh *pagedShared
 
 	// cc totals the row reads of every cursor closed on this view and on
 	// the views derived from it (WithContext, Tiered): one instance per
-	// query partition view, so the trace's pool.cursor.* counts name this
-	// query's reads.
+	// query view, so the trace's pool.cursor.* counts name this query's
+	// reads.
 	cc *cursorCounts
 
 	// ctx/done carry a query's cooperative cancellation into the blocked
@@ -105,7 +104,7 @@ type pagedShared struct {
 	// tier is the hot/cold tiering state (fragment set, budget, promotion
 	// counters) shared by every TieredCSR view of the file — like the
 	// fault epoch, it is a property of the file, not of one query's pool
-	// partition. Dormant (budget 0) until Store.SetTierBudget.
+	// view. Dormant (budget 0) until Store.SetTierBudget.
 	tier tierState
 }
 
@@ -135,13 +134,13 @@ func newPagedCSR(s *Store) (*PagedCSR, error) {
 	return c, nil
 }
 
-// withPool returns a view of c that pins pages through p (normally a
-// storage.Partition), sharing the fault epoch, weighted-degree cache,
-// sweep buffers and cursor counters with c. Both stay safe for concurrent
-// use.
+// withPool returns a view of c that pins pages through p (a query's
+// storage.CountedPool), sharing the fault epoch, weighted-degree cache and
+// sweep buffers with c and counting its cursors' reads afresh. Both stay
+// safe for concurrent use.
 func (c *PagedCSR) withPool(p storage.PagePool) *PagedCSR {
 	return &PagedCSR{
-		n: c.n, halfEdges: c.halfEdges, directed: c.directed, sh: c.sh, cc: c.cc,
+		n: c.n, halfEdges: c.halfEdges, directed: c.directed, sh: c.sh, cc: &cursorCounts{},
 		ctx: c.ctx, done: c.done,
 		xadj:   c.xadj.WithPool(p),
 		adjncy: c.adjncy.WithPool(p),
@@ -209,7 +208,7 @@ func (c *PagedCSR) Err() error {
 // query B's check, and a clean query that overlapped a faulted one fails
 // closed instead of returning garbage. Transient faults still recover:
 // the next query snapshots the new epoch and re-reads the pages. The
-// epoch is shared across pool-partition views of one file.
+// epoch is shared across the query views of one file.
 func (c *PagedCSR) Faults() uint64 {
 	c.sh.mu.Lock()
 	defer c.sh.mu.Unlock()
@@ -679,7 +678,7 @@ func (c *PagedCSR) advanceWindow(b *sweepBufs, winLo, winHi, elo, ehi, edgeCap i
 // disk). A build that hits an I/O fault latches the error and is NOT
 // cached, so the next query retries from the pages instead of serving a
 // half-built table forever. Safe for concurrent use; callers must not
-// mutate the result. Pool-partition views share one cache.
+// mutate the result. Query views share one cache.
 func (c *PagedCSR) WeightedDegrees() []float64 {
 	sh := c.sh
 	sh.wdegMu.Lock()

@@ -4,9 +4,11 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/storage"
 )
 
 // randomGraph builds a labeled weighted undirected graph for round-trip
@@ -54,9 +56,6 @@ func TestPagedCSRRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if !s.HasCSR() {
-		t.Fatal("v2 file reports no CSR section")
-	}
 	c, err := s.PagedCSR()
 	if err != nil {
 		t.Fatal(err)
@@ -156,37 +155,35 @@ func TestPagedCSRPoolBounded(t *testing.T) {
 	}
 }
 
-// TestSaveLegacyOpensWithoutCSR checks v1 files keep working end to end
-// and report ErrNoCSR for paged-graph queries.
-func TestSaveLegacyOpensWithoutCSR(t *testing.T) {
-	g := randomGraph(80, 240, 3)
-	tree, err := Build(g, BuildOptions{K: 3, Levels: 3})
+// TestOpenRejectsV1File: a version 1 file, written before the CSR section
+// existed, fails at open with an error that says how to rebuild it.
+func TestOpenRejectsV1File(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v1.gtree")
+	p, err := storage.Create(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "legacy.gtree")
-	if err := SaveLegacy(tree, g, path, 0); err != nil {
+	// The whole v1 superblock: magic, version, then k, levels, numNodes,
+	// the topology, connectivity and label pages and graphNodes.
+	var meta encoder
+	meta.u32(fileMagic)
+	meta.u32(1)
+	for range 7 {
+		meta.u32(0)
+	}
+	if err := p.SetMeta(meta.b); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
 	s, err := OpenFile(path, 16)
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		s.Close()
+		t.Fatal("version 1 file opened")
 	}
-	defer s.Close()
-	if s.HasCSR() {
-		t.Fatal("legacy file claims a CSR section")
-	}
-	if _, err := s.PagedCSR(); err != ErrNoCSR {
-		t.Fatalf("PagedCSR on v1 file: %v, want ErrNoCSR", err)
-	}
-	// Navigation and leaves still work.
-	if s.Tree().NumCommunities() != tree.NumCommunities() {
-		t.Fatal("community count changed across legacy save/open")
-	}
-	for _, leaf := range s.Tree().Leaves()[:3] {
-		if _, _, err := s.LoadLeaf(leaf); err != nil {
-			t.Fatal(err)
-		}
+	if !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "gmine build") {
+		t.Fatalf("error %q does not name the version and `gmine build`", err)
 	}
 }
 
@@ -234,7 +231,7 @@ func TestPagedCSRFaultEpochs(t *testing.T) {
 	}
 }
 
-// TestDirectedLeafRoundTrip checks v2 files rebuild directed leaf
+// TestDirectedLeafRoundTrip checks saved files rebuild directed leaf
 // subgraphs as directed: the persisted directedness flag reaches
 // LoadLeaf, matching what a memory-backed tree would induce.
 func TestDirectedLeafRoundTrip(t *testing.T) {

@@ -1,8 +1,8 @@
 package gtree
 
 import (
+	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -26,51 +26,31 @@ import (
 //	                 (localU, localV, weight) intra-community edges
 //
 // Internal tree nodes and connectivity stay resident (they are small and
-// every interaction needs them); leaf blobs, the label index and — since
-// format v2 — the full graph's CSR section are read on demand through the
-// buffer pool, the paper's "nodes are transferred to main memory only when
-// necessary".
+// every interaction needs them); leaf blobs, the label index and the full
+// graph's CSR section are read on demand through the buffer pool, the
+// paper's "nodes are transferred to main memory only when necessary".
 //
-// Format v2 appends a paged CSR section: the source graph's Xadj, Adjncy,
-// EdgeW and NodeW arrays written as fixed-stride page runs (see
-// storage.WriteRun), plus six extra superblock fields (flags, half-edge
-// count, four run page ids). A v2 store can therefore answer whole-graph
+// The paged CSR section holds the source graph's Xadj, Adjncy, EdgeW and
+// NodeW arrays written as fixed-stride page runs (see storage.WriteRun),
+// located by six superblock fields after graphNodes (flags, half-edge
+// count, four run page ids). A store can therefore answer whole-graph
 // queries — connection-subgraph extraction, PageRank — out of core through
 // gtree.PagedCSR, with resident adjacency bounded by the buffer pool.
-// Version 1 files still open fine; they simply have no CSR section and
-// report ErrNoCSR for paged-graph queries.
+// Version 1 files, written before the CSR section existed, are refused at
+// open with a pointer to `gmine build`.
 
 const (
-	fileMagic     = 0x47545245 // "GTRE"
-	fileVersionV1 = 1          // leaf blobs + topology + connectivity + labels
-	fileVersion   = 2          // v1 plus the paged CSR section
+	fileMagic   = 0x47545245 // "GTRE"
+	fileVersion = 2
 
 	csrFlagDirected = 1 << 0
 )
 
-// ErrNoCSR reports a G-Tree file that predates format v2 and therefore
-// carries no graph CSR section: tree navigation, leaf loading and label
-// queries all work, but whole-graph queries (extraction, PageRank) cannot.
-// Re-save the tree with the current version to enable them.
-var ErrNoCSR = errors.New("gtree: file has no CSR section (format v1); re-save the tree with the current version to enable whole-graph queries")
-
 // Save writes the tree, its source graph's leaf subgraphs and the graph's
-// paged CSR section (format v2) to a single page file at path. The tree
-// must have been produced by Build on g (it needs leaf membership).
-// pageSize 0 selects the storage default.
+// paged CSR section to a single page file at path. The tree must have been
+// produced by Build on g (it needs leaf membership). pageSize 0 selects
+// the storage default.
 func Save(t *Tree, g *graph.Graph, path string, pageSize int) error {
-	return save(t, g, path, pageSize, true)
-}
-
-// SaveLegacy writes the pre-CSR v1 format (no paged graph section), kept
-// for compatibility testing and for tooling that must produce files older
-// deployments can read. Files written this way open fine but report
-// ErrNoCSR for extraction.
-func SaveLegacy(t *Tree, g *graph.Graph, path string, pageSize int) error {
-	return save(t, g, path, pageSize, false)
-}
-
-func save(t *Tree, g *graph.Graph, path string, pageSize int, withCSR bool) error {
 	if t.leafOf == nil {
 		return fmt.Errorf("gtree: Save needs a tree with leaf membership (built in memory)")
 	}
@@ -134,21 +114,14 @@ func save(t *Tree, g *graph.Graph, path string, pageSize int, withCSR bool) erro
 		return fmt.Errorf("gtree: writing label index: %w", err)
 	}
 
-	version := uint32(fileVersion)
-	var flags uint32
-	var halfEdges int
-	var csrPages [4]storage.PageID
-	if withCSR {
-		if csrPages, halfEdges, flags, err = writeCSRSection(p, g); err != nil {
-			return fmt.Errorf("gtree: writing CSR section: %w", err)
-		}
-	} else {
-		version = fileVersionV1
+	csrPages, halfEdges, flags, err := writeCSRSection(p, g)
+	if err != nil {
+		return fmt.Errorf("gtree: writing CSR section: %w", err)
 	}
 
 	var meta encoder
 	meta.u32(fileMagic)
-	meta.u32(version)
+	meta.u32(fileVersion)
 	meta.u32(uint32(t.K))
 	meta.u32(uint32(t.Levels))
 	meta.u32(uint32(len(t.nodes)))
@@ -156,12 +129,10 @@ func save(t *Tree, g *graph.Graph, path string, pageSize int, withCSR bool) erro
 	meta.u32(uint32(connPage))
 	meta.u32(uint32(labelPage))
 	meta.u32(uint32(g.NumNodes()))
-	if withCSR {
-		meta.u32(flags)
-		meta.u32(uint32(halfEdges))
-		for _, pg := range csrPages {
-			meta.u32(uint32(pg))
-		}
+	meta.u32(flags)
+	meta.u32(uint32(halfEdges))
+	for _, pg := range csrPages {
+		meta.u32(uint32(pg))
 	}
 	return p.SetMeta(meta.b)
 }
@@ -340,8 +311,7 @@ type Store struct {
 	labelPage  storage.PageID
 	graphNodes int
 
-	// CSR section (format v2; hasCSR false for v1 files).
-	hasCSR    bool
+	// CSR section.
 	directed  bool
 	halfEdges int
 	csrPages  [4]storage.PageID // xadj, adjncy, edgew, nodew
@@ -379,8 +349,12 @@ func OpenFileWrapped(path string, poolPages int, wrap func(storage.File) storage
 		p.Close()
 		return nil, fmt.Errorf("gtree: not a G-Tree file")
 	}
-	version := d.u32()
-	if version != fileVersionV1 && version != fileVersion {
+	switch version := d.u32(); version {
+	case fileVersion:
+	case 1:
+		p.Close()
+		return nil, fmt.Errorf("gtree: %s is a version 1 G-Tree file, which has no graph CSR section and is no longer supported; rebuild it with `gmine build`", path)
+	default:
 		p.Close()
 		return nil, fmt.Errorf("gtree: unsupported version %d", version)
 	}
@@ -391,14 +365,10 @@ func OpenFileWrapped(path string, poolPages int, wrap func(storage.File) storage
 	connPage := storage.PageID(d.u32())
 	s.labelPage = storage.PageID(d.u32())
 	s.graphNodes = int(d.u32())
-	if version >= fileVersion {
-		flags := d.u32()
-		s.directed = flags&csrFlagDirected != 0
-		s.halfEdges = int(d.u32())
-		for i := range s.csrPages {
-			s.csrPages[i] = storage.PageID(d.u32())
-		}
-		s.hasCSR = d.err == nil
+	s.directed = d.u32()&csrFlagDirected != 0
+	s.halfEdges = int(d.u32())
+	for i := range s.csrPages {
+		s.csrPages[i] = storage.PageID(d.u32())
 	}
 	if d.err != nil {
 		p.Close()
@@ -483,8 +453,6 @@ func (s *Store) LoadLeaf(id TreeID) (*graph.Graph, []graph.NodeID, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("gtree: reading leaf %d: %w", id, err)
 	}
-	// v2 files persist the graph's directedness; v1 files default to
-	// undirected (their historical decoding).
 	return decodeLeaf(blob, s.directed)
 }
 
@@ -560,23 +528,15 @@ func (s *Store) ensureLabels() error {
 	return nil
 }
 
-// HasCSR reports whether the file carries a v2 CSR section, i.e. whether
-// whole-graph queries (extraction, PageRank) can run out of core.
-func (s *Store) HasCSR() bool { return s.hasCSR }
-
-// Directed reports the persisted graph's edge semantics (v2 files; v1
-// files always report false, matching their undirected leaf decoding).
+// Directed reports the persisted graph's edge semantics.
 func (s *Store) Directed() bool { return s.directed }
 
 // PagedCSR returns the store's shared disk-backed adjacency, creating it
 // on first use (sync.Once-guarded, like the memory engine's cached CSR).
-// Every query against the store reads through this one view and therefore
-// shares the store's buffer pool working set. Returns ErrNoCSR for v1
-// files.
+// Every view of the store's graph derives from this one and therefore
+// shares the store's buffer pool working set. It fails only when the CSR
+// section's geometry does not match the file.
 func (s *Store) PagedCSR() (*PagedCSR, error) {
-	if !s.hasCSR {
-		return nil, ErrNoCSR
-	}
 	s.csrOnce.Do(func() {
 		s.csr, s.csrErr = newPagedCSR(s)
 	})
@@ -587,16 +547,16 @@ func (s *Store) PagedCSR() (*PagedCSR, error) {
 // paged CSR: with a positive budget, TieredCSR views promote hot page
 // runs into pinned in-memory CSR fragments whose resident bytes never
 // exceed it; 0 demotes every fragment and disables tiering. Safe before
-// or after the first PagedCSR call; a v1 file (no CSR section) ignores
-// the knob.
+// or after the first PagedCSR call; a store whose CSR section cannot be
+// opened ignores the knob.
 func (s *Store) SetTierBudget(bytes int64) {
 	if csr, err := s.PagedCSR(); err == nil {
 		csr.sh.tier.setBudget(bytes)
 	}
 }
 
-// TierInfo snapshots the tiering state (nil when the store has no CSR
-// section or tiering was never configured).
+// TierInfo snapshots the tiering state (nil when the CSR section cannot be
+// opened or tiering was never configured).
 func (s *Store) TierInfo() *TierInfo {
 	csr, err := s.PagedCSR()
 	if err != nil {
@@ -609,38 +569,91 @@ func (s *Store) TierInfo() *TierInfo {
 	return &ti
 }
 
-// PagedCSRPartition returns a view of the store's paged CSR whose page
-// pins go through a dedicated buffer-pool partition of up to frames
-// frames (clamped to the pool's unreserved capacity), plus a release
-// function that MUST be called when the query finishes. While the view
-// holds no more frames than its reservation, those frames cannot be
-// evicted by other queries — so one cold whole-graph sweep can no longer
-// flush a concurrent session's hot working set. The view shares the base
-// CSR's fault epoch and weighted-degree cache; releasing it demotes its
-// frames to the shared remainder (they stay resident, just unprotected).
-// Returns ErrNoCSR for v1 files.
-func (s *Store) PagedCSRPartition(frames int) (*PagedCSR, func(), error) {
-	view, part, err := s.PagedCSRPartitionView(frames)
-	if err != nil {
-		return nil, nil, err
-	}
-	return view, part.Close, nil
+// QueryView is one query's read of the store's graph, opened with
+// Store.QueryView: Adj is what the query solves on, and Counts reports what
+// the query has cost so far.
+type QueryView struct {
+	// Adj is the paged CSR pinning through the query's counted pool view,
+	// with the query's context attached, and wrapped in a TieredCSR while
+	// the store has a tier budget.
+	Adj graph.Adjacency
+
+	pager   *storage.Pager
+	paged   *PagedCSR
+	pool    *storage.CountedPool
+	tiered  *TieredCSR // nil while tiering is off
+	faults0 uint64
+	retry0  storage.RetryStats
 }
 
-// PagedCSRPartitionView is PagedCSRPartition exposing the partition
-// handle itself instead of just its Close: callers that account a query's
-// cost (core.Engine's stage traces) read the partition's pin/eviction
-// counters right before closing it. The same contract applies — Close the
-// partition when the query finishes.
-func (s *Store) PagedCSRPartitionView(frames int) (*PagedCSR, *storage.Partition, error) {
+// QueryCounts is what one query cost the store (see QueryView.Counts).
+type QueryCounts struct {
+	// Pool is the query's own pins: hits, misses, evictions, load waits.
+	Pool storage.Stats
+	// Faults is the fault-epoch delta over the query's window. The epoch is
+	// shared by the store, so a concurrent query's fault counts here too.
+	Faults uint64
+	// CursorRows and CursorPins are the rows the query's row cursors read
+	// and the pins they took.
+	CursorRows, CursorPins int64
+	// Retry is the pager's transient-read recovery delta over the query's
+	// window: store-wide, so overlapping queries each see the other's.
+	Retry storage.RetryStats
+	// Tiered reports whether the query solved on a tiered view; TierHits
+	// and TierMisses are then its rows served from fragments and from pages.
+	Tiered               bool
+	TierHits, TierMisses int64
+}
+
+// QueryView opens one query's view of the store's graph. Every page the
+// query pins goes through a fresh storage.CountedPool, so its counters name
+// this query's paging alone; the view shares the store's pool, fault epoch,
+// weighted-degree cache and tier fragments with every other view. ctx
+// rides the view's sweeps (see PagedCSR.WithContext). Nothing needs
+// closing; call Promote once the query is done.
+func (s *Store) QueryView(ctx context.Context) (*QueryView, error) {
 	base, err := s.PagedCSR()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	part := s.pool.Partition(frames)
-	view := base.withPool(part)
-	view.cc = &cursorCounts{} // this query's row reads, not the file's
-	return view, part, nil
+	pool := s.pool.Counted()
+	paged := base.withPool(pool).WithContext(ctx)
+	v := &QueryView{Adj: paged, pager: s.pager, paged: paged, pool: pool, faults0: paged.Faults(), retry0: s.pager.RetryStats()}
+	if base.sh.tier.budget.Load() > 0 {
+		v.tiered = paged.Tiered()
+		v.Adj = v.tiered
+	}
+	return v, nil
+}
+
+// Counts snapshots what the query has cost so far.
+func (v *QueryView) Counts() QueryCounts {
+	rows, pins := v.paged.CursorCounts()
+	retry := v.pager.RetryStats()
+	qc := QueryCounts{
+		Pool:       v.pool.Stats(),
+		Faults:     v.paged.Faults() - v.faults0,
+		CursorRows: rows,
+		CursorPins: pins,
+		Retry: storage.RetryStats{
+			Retries: retry.Retries - v.retry0.Retries,
+			Healed:  retry.Healed - v.retry0.Healed,
+			Failed:  retry.Failed - v.retry0.Failed,
+		},
+	}
+	if v.tiered != nil {
+		qc.Tiered = true
+		qc.TierHits, qc.TierMisses = v.tiered.QueryCounts()
+	}
+	return qc
+}
+
+// Promote runs the tier promoter once the query is done: it ranks what
+// just got hot and pins it within the budget. A no-op for untiered views.
+func (v *QueryView) Promote() {
+	if v.tiered != nil {
+		v.tiered.Promote()
+	}
 }
 
 // PreloadLabels loads the label index and builds its node-indexed view,
@@ -678,19 +691,15 @@ func (s *Store) LabelOf(u graph.NodeID) string {
 
 // PoolInfo bundles the buffer-pool counters with its configuration — the
 // observability surface for out-of-core behavior (served on /healthz and
-// in per-session info by the HTTP server). Partitions lists the
-// reservations of queries currently in flight (empty when the store is
-// idle); Reserved is the frames they hold back from the shared remainder.
+// in per-session info by the HTTP server).
 type PoolInfo struct {
-	Hits       uint64
-	Misses     uint64
-	Evictions  uint64
-	LoadWaits  uint64 // Gets that waited on another goroutine's load of their page
-	Capacity   int
-	Resident   int
-	Reserved   int
-	FilePages  uint32
-	Partitions []storage.PartitionStats
+	Hits      uint64
+	Misses    uint64
+	Evictions uint64
+	LoadWaits uint64 // Gets that waited on another goroutine's load of their page
+	Capacity  int
+	Resident  int
+	FilePages uint32
 	// Retry is the pager's transient-read recovery ledger: re-read
 	// attempts, reads healed by retry, and reads that exhausted the budget
 	// and surfaced as permanent faults.
@@ -704,17 +713,15 @@ type PoolInfo struct {
 func (s *Store) PoolInfo() PoolInfo {
 	st := s.pool.Stats()
 	return PoolInfo{
-		Hits:       st.Hits,
-		Misses:     st.Misses,
-		Evictions:  st.Evictions,
-		LoadWaits:  st.LoadWaits,
-		Capacity:   s.pool.Capacity(),
-		Resident:   s.pool.Resident(),
-		Reserved:   s.pool.Reserved(),
-		FilePages:  s.pager.NumPages(),
-		Partitions: s.pool.Partitions(),
-		Retry:      s.pager.RetryStats(),
-		Tier:       s.TierInfo(),
+		Hits:      st.Hits,
+		Misses:    st.Misses,
+		Evictions: st.Evictions,
+		LoadWaits: st.LoadWaits,
+		Capacity:  s.pool.Capacity(),
+		Resident:  s.pool.Resident(),
+		FilePages: s.pager.NumPages(),
+		Retry:     s.pager.RetryStats(),
+		Tier:      s.TierInfo(),
 	}
 }
 
@@ -724,9 +731,6 @@ func (s *Store) RetryStats() storage.RetryStats { return s.pager.RetryStats() }
 // PinnedFrames reports resident buffer-pool frames with live pins (0 when
 // every query released cleanly — the cancellation tests' invariant).
 func (s *Store) PinnedFrames() int { return s.pool.PinnedFrames() }
-
-// PoolCapacity returns the buffer pool's frame capacity.
-func (s *Store) PoolCapacity() int { return s.pool.Capacity() }
 
 // PoolStats returns buffer pool counters (experiment E10).
 func (s *Store) PoolStats() storage.Stats { return s.pool.Stats() }

@@ -1,6 +1,7 @@
 package gtree
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"os"
@@ -296,76 +297,10 @@ func TestPagedSweepFaultMidSweep(t *testing.T) {
 	}
 }
 
-// TestPagedCSRPartitionProtection is the acceptance criterion at the
-// store level: a whole-graph sweep through query A's pool partition must
-// not evict query B's working set while B holds no more frames than its
-// reservation.
-func TestPagedCSRPartitionProtection(t *testing.T) {
-	g := hubGraph(2000, 6000, 2, 16)
-	path := buildAndSave(t, g, 256)
-	const poolPages = 24
-	s, err := OpenFile(path, poolPages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	// Query B warms a small working set through its partition: one node's
-	// neighbor row touches a handful of Xadj/Adjncy/EdgeW pages.
-	viewB, releaseB, err := s.PagedCSRPartition(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer releaseB()
-	warm := func() {
-		// Low-degree nodes (the hubs sit at 0 and 7): a few rows spanning a
-		// handful of pages, comfortably inside B's 10-frame reservation.
-		cur := viewB.Cursor()
-		for u := 100; u < 103; u++ {
-			cur.Neighbors(graph.NodeID(u), nil, nil)
-		}
-		cur.Close()
-	}
-	warm()
-	parts := s.PoolInfo().Partitions
-	if len(parts) != 1 {
-		t.Fatalf("expected 1 open partition, got %d", len(parts))
-	}
-	if parts[0].Held > parts[0].Quota {
-		t.Fatalf("B's working set (%d frames) exceeds its quota (%d); fix the test geometry", parts[0].Held, parts[0].Quota)
-	}
-
-	// Query A: a cold whole-graph sweep through its own partition — the
-	// workload that used to flush every other session's pages.
-	viewA, releaseA, err := s.PagedCSRPartition(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer releaseA()
-	for pass := 0; pass < 2; pass++ {
-		if err := viewA.SweepEdges(0, graph.NodeID(viewA.N()), func(graph.NodeID, []graph.NodeID, []float64) bool { return true }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.PoolInfo().Evictions == 0 {
-		t.Fatal("A's sweep evicted nothing; the pool is not under pressure and the test proves nothing")
-	}
-
-	// B's reserved frames survived A's sweep: re-reading is all hits.
-	before := s.PoolInfo()
-	warm()
-	after := s.PoolInfo()
-	if after.Misses != before.Misses {
-		t.Fatalf("A's sweep evicted B's reserved working set: %d new misses", after.Misses-before.Misses)
-	}
-	if err := viewB.Err(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPagedCSRPartitionSharesFaultsAndWdeg: partition views are views —
-// one fault epoch, one weighted-degree cache.
-func TestPagedCSRPartitionSharesFaultsAndWdeg(t *testing.T) {
+// TestQueryViewSharesFaultsAndWdeg: query views are views — one fault
+// epoch, one weighted-degree cache — whose counters see only the query's
+// own reads, and which turn tiered once the store has a tier budget.
+func TestQueryViewSharesFaultsAndWdeg(t *testing.T) {
 	g := hubGraph(300, 900, 1, 17)
 	path := buildAndSave(t, g, 256)
 	s, err := OpenFile(path, 64)
@@ -377,24 +312,45 @@ func TestPagedCSRPartitionSharesFaultsAndWdeg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view, release, err := s.PagedCSRPartition(8)
+	view, err := s.QueryView(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer release()
+	if _, ok := view.Adj.(*PagedCSR); !ok {
+		t.Fatalf("untiered store opened a %T view", view.Adj)
+	}
 	// wdeg built through the view is served from the shared cache.
-	w1 := view.WeightedDegrees()
+	w1 := view.Adj.WeightedDegrees()
 	w2 := base.WeightedDegrees()
 	if &w1[0] != &w2[0] {
-		t.Fatal("partition view built a second weighted-degree table")
+		t.Fatal("query view built a second weighted-degree table")
 	}
 	// A fault through the view is visible on the base epoch and vice versa.
 	epoch := base.Faults()
-	cur := view.Cursor()
+	cur := view.Adj.Cursor()
 	cur.NeighborIDs(graph.NodeID(-1), nil)
+	cur.NeighborIDs(0, nil)
 	cur.Close()
 	if base.ErrSince(epoch) == nil {
 		t.Fatal("view fault invisible on the base epoch")
+	}
+	// The view counted its own sweep and cursor pins, and nothing else.
+	base.Cursor().Close()
+	qc := view.Counts()
+	if qc.Faults != 1 || qc.Pool.Hits+qc.Pool.Misses == 0 || qc.CursorRows != 2 || qc.Tiered {
+		t.Fatalf("query counts %+v, want one fault, some pins and 2 cursor rows, untiered", qc)
+	}
+	if st := s.PoolStats(); st.Hits+st.Misses != qc.Pool.Hits+qc.Pool.Misses {
+		t.Fatalf("pool counted %d pins, the only query %d", st.Hits+st.Misses, qc.Pool.Hits+qc.Pool.Misses)
+	}
+
+	s.SetTierBudget(1 << 20)
+	tv, err := s.QueryView(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := tv.Adj.(*TieredCSR); !ok || !tv.Counts().Tiered {
+		t.Fatalf("store with a tier budget opened a %T view", tv.Adj)
 	}
 }
 

@@ -9,8 +9,8 @@ package gtree
 // file bytes the paged path would read, so promotion and demotion are
 // pure execution decisions, invisible to every kernel.
 //
-// The promoter is query-amortized: after a query releases its pool
-// partition, the engine calls Promote, which ranks the buffer pool's
+// The promoter is query-amortized: after a query finishes, the engine
+// calls Promote (QueryView.Promote), which ranks the buffer pool's
 // decayed per-page-bucket heat counters (storage.BufferPool.HotRanges),
 // maps the hottest Adjncy page runs back to node ranges, decodes them
 // into fragments, and publishes a new immutable fragment snapshot via an
@@ -106,8 +106,8 @@ type tierState struct {
 	mu sync.Mutex
 
 	// base is the store's shared-pool PagedCSR view; the promoter decodes
-	// fragments through it so promotion I/O never pins through a query's
-	// closing partition. pool is the store's buffer pool, the heat source.
+	// fragments through it so promotion I/O is never charged to a query's
+	// counted view. pool is the store's buffer pool, the heat source.
 	base *PagedCSR
 	pool *storage.BufferPool
 
@@ -188,8 +188,8 @@ type tierQueryCounters struct {
 	hits, misses atomic.Int64
 }
 
-// TieredCSR is the tiered graph.Adjacency: a PagedCSR (normally a
-// per-query pool-partition view) plus the store's shared fragment set.
+// TieredCSR is the tiered graph.Adjacency: a PagedCSR (normally one
+// query's view, see Store.QueryView) plus the store's shared fragment set.
 // Node reads and sweep sub-ranges covered by a resident fragment are
 // served from memory; everything else falls through to the paged path.
 // Both paths return bit-identical data, so TieredCSR satisfies every

@@ -31,7 +31,7 @@ func ImplementsError(t types.Type) bool {
 
 // NamedTypeName returns the name of t's (pointer-dereferenced) named or
 // interface type, or "" when t is anonymous. It is how the analyzers
-// recognize contract-bearing types (BufferPool, Partition, PagePool)
+// recognize contract-bearing types (BufferPool, CountedPool, PagePool)
 // structurally, so the analysistest fixtures can declare their own stand-ins
 // instead of importing the real storage package.
 func NamedTypeName(t types.Type) string {

@@ -5,7 +5,7 @@
 //
 //   - sweepalias: sweep-callback and row-cursor buffer-aliasing discipline
 //     (internal/graph/adjacency.go)
-//   - pinpair: BufferPool Get/Release pin pairing and Partition Close
+//   - pinpair: BufferPool Get/Release pin pairing and row-cursor Close
 //     (internal/storage/bufferpool.go)
 //   - sentinelerr: errors.Is instead of sentinel identity comparison
 //   - hotalloc: zero-alloc //gmine:hotpath kernel bodies

@@ -1,9 +1,8 @@
 // Package pinpair enforces the buffer-pool pin discipline
-// (internal/storage/bufferpool.go): every BufferPool/Partition/PagePool
+// (internal/storage/bufferpool.go): every BufferPool/CountedPool/PagePool
 // Get or TryGet must be paired with a Release on every path out of the
-// function, every Partition handle must be Closed, and every opened
-// cursor — a row cursor keeps pages pinned between reads — must reach
-// Close. A leaked pin permanently removes a frame from the pool's economy
+// function, and every opened cursor — a row cursor keeps pages pinned
+// between reads — must reach Close. A leaked pin permanently removes a frame from the pool's economy
 // — under a small pool the symptom is every later query blocking in Get's
 // wait loop, which is the class of bug previously only hand-audited in
 // ReadBlob-style readers.
@@ -26,13 +25,11 @@
 //     (adj.Cursor()) or by an open/Open method on a local of such a type
 //     (the stack cursors behind one-shot row reads), and closed by Close
 //     on the same variable.
-//   - Partition and cursor handles that escape — returned, captured by a
-//     closure, stored in a field — transfer Close responsibility to the
-//     new owner and are skipped; the engine's release-closure seam stays
-//     legal. Passing a Partition to another call transfers it too (it is
-//     being wrapped in a view); passing a cursor only lends it.
+//   - Cursors that escape — returned, captured by a closure, stored in a
+//     field — transfer Close responsibility to the new owner and are
+//     skipped. Passing a cursor to another call only lends it.
 //
-// Matching is structural by type name (BufferPool, Partition, PagePool,
+// Matching is structural by type name (BufferPool, CountedPool, PagePool,
 // *Cursor), so fixtures and future pool views are covered without
 // importing the storage package.
 package pinpair
@@ -46,42 +43,34 @@ import (
 	"repro/internal/lint/astq"
 )
 
-// Analyzer flags pool pins and partition handles that can exit their
-// function unreleased.
+// Analyzer flags pool pins and cursors that can exit their function
+// unreleased.
 var Analyzer = &analysis.Analyzer{
 	Name: "pinpair",
 	Doc: "flags BufferPool/PagePool Get calls whose Release is not reachable on " +
 		"every path out of the function (early returns before Release, or no " +
-		"Release at all), and Partition handles and opened cursors that can exit " +
-		"without Close. Escaping handles (returned/captured/stored) transfer ownership and are skipped.",
+		"Release at all), and opened cursors that can exit without Close. " +
+		"Escaping cursors (returned/captured/stored) transfer ownership and are skipped.",
 	Run: run,
 }
 
 // poolTypeNames are the named types whose Get/Release carry the pin
 // contract.
 var poolTypeNames = map[string]bool{
-	"BufferPool": true,
-	"Partition":  true,
-	"PagePool":   true,
+	"BufferPool":  true,
+	"CountedPool": true,
+	"PagePool":    true,
 }
 
-// handleKind classifies the Close-bearing handle types by name:
-// "partition", "cursor", or "" for anything else.
-func handleKind(t types.Type) string {
-	switch name := astq.NamedTypeName(t); {
-	case name == "Partition":
-		return "partition"
-	case strings.HasSuffix(name, "Cursor"):
-		return "cursor"
-	}
-	return ""
+// isCursor reports whether t is a Close-bearing cursor type, by name.
+func isCursor(t types.Type) bool {
+	return strings.HasSuffix(astq.NamedTypeName(t), "Cursor")
 }
 
-// pin is one outstanding obligation: a pinned page, an open partition or
-// an open cursor.
+// pin is one outstanding obligation: a pinned page or an open cursor.
 type pin struct {
 	pos      ast.Node
-	kind     string       // "page", "partition" or "cursor"
+	kind     string       // "page" or "cursor"
 	recv     string       // receiver spelling, e.g. "bp" or "r.pool" (page pins)
 	arg      string       // page-id argument spelling (page pins)
 	obj      types.Object // the handle; for page pins, the payload variable
@@ -115,14 +104,13 @@ type walker struct {
 	// function.
 	escaped map[types.Object]bool
 	// anyRelease/anyClose: the function contains at least one matching
-	// Release/Close (per handle kind). When it contains none, per-return
-	// diagnostics defer to the single "never Released/Closed" report.
-	anyRelease bool
-	anyClose   map[string]bool
+	// Release/cursor Close. When it contains none, per-return diagnostics
+	// defer to the single "never Released/Closed" report.
+	anyRelease, anyClose bool
 }
 
 func checkFunc(pass *analysis.Pass, name string, body *ast.BlockStmt) {
-	w := &walker{pass: pass, escaped: escapedHandles(pass, body), anyClose: make(map[string]bool)}
+	w := &walker{pass: pass, escaped: escapedHandles(pass, body)}
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -135,8 +123,8 @@ func checkFunc(pass *analysis.Pass, name string, body *ast.BlockStmt) {
 					w.anyRelease = true
 				}
 			case "Close":
-				if kind := handleKind(pass.TypesInfo.TypeOf(recv)); kind != "" {
-					w.anyClose[kind] = true
+				if isCursor(pass.TypesInfo.TypeOf(recv)) {
+					w.anyClose = true
 				}
 			}
 		}
@@ -150,8 +138,6 @@ func checkFunc(pass *analysis.Pass, name string, body *ast.BlockStmt) {
 		switch p.kind {
 		case "page":
 			pass.Reportf(p.pos.Pos(), "page pinned by %s.Get(%s) is never Released in %s; the frame stays pinned and unevictable forever", p.recv, p.arg, name)
-		case "partition":
-			pass.Reportf(p.pos.Pos(), "Partition acquired here is never Closed in %s; its reservation is never returned to the pool", name)
 		case "cursor":
 			pass.Reportf(p.pos.Pos(), "cursor opened here is never Closed in %s; the pages it holds stay pinned and unevictable", name)
 		}
@@ -279,7 +265,7 @@ func (w *walker) acquire(at ast.Node, rhs []ast.Expr, lhs []ast.Expr, open []*pi
 				recv: astq.ExprString(w.pass.Fset, recv),
 				arg:  astq.ExprString(w.pass.Fset, call.Args[0]),
 			}
-		case strings.EqualFold(sel.Sel.Name, "open") && handleKind(w.pass.TypesInfo.TypeOf(recv)) == "cursor":
+		case strings.EqualFold(sel.Sel.Name, "open") && isCursor(w.pass.TypesInfo.TypeOf(recv)):
 			// A stack cursor opened in place: x.open(...). Only a plain
 			// local is tracked; opening a field is the owner's business.
 			id, ok := recv.(*ast.Ident)
@@ -288,11 +274,10 @@ func (w *walker) acquire(at ast.Node, rhs []ast.Expr, lhs []ast.Expr, open []*pi
 			}
 			p = &pin{pos: call, kind: "cursor", obj: astq.ObjectOf(w.pass.TypesInfo, id)}
 		default:
-			kind := acquiredHandle(w.pass, sel, call)
-			if kind == "" {
+			if !opensCursor(w.pass, call) {
 				continue
 			}
-			p = &pin{pos: call, kind: kind}
+			p = &pin{pos: call, kind: "cursor"}
 		}
 		// Bind the result objects: the handle (for page pins the payload
 		// variable) and any err var assigned alongside (for the err-guard
@@ -309,7 +294,7 @@ func (w *walker) acquire(at ast.Node, rhs []ast.Expr, lhs []ast.Expr, open []*pi
 				}
 				if astq.IsErrorType(obj.Type()) {
 					p.errVar = obj
-				} else if (p.kind == "page" && j == 0) || (p.kind != "page" && handleKind(obj.Type()) == p.kind) {
+				} else if (p.kind == "page" && j == 0) || (p.kind == "cursor" && isCursor(obj.Type())) {
 					p.obj = obj
 				}
 			}
@@ -380,7 +365,7 @@ func (w *walker) applyReleaseCall(call *ast.CallExpr, open []*pin) {
 		if id, ok := recv.(*ast.Ident); ok {
 			obj := astq.ObjectOf(w.pass.TypesInfo, id)
 			for _, p := range open {
-				if p.kind != "page" && !p.released && p.obj != nil && p.obj == obj {
+				if p.kind == "cursor" && !p.released && p.obj != nil && p.obj == obj {
 					p.released = true
 				}
 			}
@@ -396,15 +381,13 @@ func (w *walker) reportOpenAt(ret *ast.ReturnStmt, open []*pin) {
 		}
 		// No Release/Close anywhere in the function: the end-of-function
 		// "never Released/Closed" report covers it better than one line.
-		if (p.kind == "page" && !w.anyRelease) || (p.kind != "page" && !w.anyClose[p.kind]) {
+		if (p.kind == "page" && !w.anyRelease) || (p.kind == "cursor" && !w.anyClose) {
 			continue
 		}
 		pos := w.pass.Fset.Position(ret.Pos())
 		switch p.kind {
 		case "page":
 			w.pass.Reportf(p.pos.Pos(), "page pinned by %s.Get(%s) can reach the return at line %d without Release; add a Release on this path or defer it", p.recv, p.arg, pos.Line)
-		case "partition":
-			w.pass.Reportf(p.pos.Pos(), "Partition acquired here can reach the return at line %d without Close; its reservation would never be returned", pos.Line)
 		case "cursor":
 			w.pass.Reportf(p.pos.Pos(), "cursor opened here can reach the return at line %d without Close; defer the Close right after opening", pos.Line)
 		}
@@ -434,46 +417,40 @@ func errGuard(pass *analysis.Pass, cond ast.Expr) types.Object {
 	return obj
 }
 
-// acquiredHandle returns the kind of handle a call mints: a Partition(...)
-// method on a pool-typed receiver, or any call returning a Partition or a
-// cursor among its results ("" when it mints none).
-func acquiredHandle(pass *analysis.Pass, sel *ast.SelectorExpr, call *ast.CallExpr) string {
-	if sel.Sel.Name == "Partition" && poolTypeNames[astq.ReceiverTypeName(pass.TypesInfo, call)] {
-		return "partition"
-	}
+// opensCursor reports whether call returns a cursor among its results.
+func opensCursor(pass *analysis.Pass, call *ast.CallExpr) bool {
 	sig, ok := pass.TypesInfo.TypeOf(call.Fun).(*types.Signature)
 	if !ok {
-		return ""
+		return false
 	}
 	res := sig.Results()
 	for i := 0; i < res.Len(); i++ {
-		if kind := handleKind(res.At(i).Type()); kind != "" {
-			return kind
+		if isCursor(res.At(i).Type()) {
+			return true
 		}
 	}
-	return ""
+	return false
 }
 
 // escapedHandles finds locals whose ownership leaves the function: a
-// handle that is returned, captured by a func literal or stored into a
-// field/index; a Partition passed as a bare argument to another call (a
-// cursor passed along is only lent); and any variable stored into a
-// field — which is how a pinned page's payload is handed to the cursor
-// slot that will release it.
+// cursor that is returned, captured by a func literal or stored into a
+// field/index, and any variable stored into a field — which is how a
+// pinned page's payload is handed to the cursor slot that will release
+// it. A cursor passed to another call is only lent.
 func escapedHandles(pass *analysis.Pass, body *ast.BlockStmt) map[types.Object]bool {
 	escaped := make(map[types.Object]bool)
 	// mark records every handle named in e — every variable at all when e
 	// is being stored into a field. skipCalls leaves out handles that only
 	// appear as the receiver of a method CALL: `return cur.NeighborIDs(u,
 	// nil)` hands out a row, not the cursor, while the method VALUE in
-	// `return part.Close` does carry the handle away.
+	// `return cur.Close` does carry the handle away.
 	var mark func(e ast.Node, stored, skipCalls bool)
 	mark = func(e ast.Node, stored, skipCalls bool) {
 		ast.Inspect(e, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.CallExpr:
 				if _, recv, ok := astq.MethodCall(x); ok && skipCalls {
-					if _, isIdent := recv.(*ast.Ident); isIdent && handleKind(pass.TypesInfo.TypeOf(recv)) != "" {
+					if _, isIdent := recv.(*ast.Ident); isIdent && isCursor(pass.TypesInfo.TypeOf(recv)) {
 						for _, a := range x.Args {
 							mark(a, stored, skipCalls)
 						}
@@ -481,7 +458,7 @@ func escapedHandles(pass *analysis.Pass, body *ast.BlockStmt) map[types.Object]b
 					}
 				}
 			case *ast.Ident:
-				if obj := astq.ObjectOf(pass.TypesInfo, x); obj != nil && (stored || handleKind(obj.Type()) != "") {
+				if obj := astq.ObjectOf(pass.TypesInfo, x); obj != nil && (stored || isCursor(obj.Type())) {
 					escaped[obj] = true
 				}
 			}
@@ -504,16 +481,6 @@ func escapedHandles(pass *analysis.Pass, body *ast.BlockStmt) map[types.Object]b
 						mark(x.Rhs[i], true, false)
 					} else if len(x.Rhs) == 1 {
 						mark(x.Rhs[0], true, false)
-					}
-				}
-			}
-		case *ast.CallExpr:
-			// Passing a Partition itself to another function transfers
-			// responsibility (e.g. wrapping it in a view).
-			for _, a := range x.Args {
-				if id, ok := ast.Unparen(a).(*ast.Ident); ok {
-					if obj := astq.ObjectOf(pass.TypesInfo, id); obj != nil && handleKind(obj.Type()) == "partition" {
-						escaped[obj] = true
 					}
 				}
 			}

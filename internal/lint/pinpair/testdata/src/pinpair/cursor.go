@@ -1,7 +1,7 @@
 package pinpair
 
 // Row cursors keep pages pinned between reads, so an opened cursor is an
-// obligation like a Partition: Close on every path. Stand-ins for
+// obligation like a pinned page: Close on every path. Stand-ins for
 // graph.RowCursor / graph.Adjacency and for the stack cursors behind the
 // one-shot row reads.
 
@@ -49,7 +49,7 @@ func walk(cur RowCursor, n int) {
 }
 
 // cursorLent: passing a cursor to a callee lends it, it does not hand
-// over the Close (unlike a Partition being wrapped in a view).
+// over the Close.
 func cursorLent(a *adjacency) {
 	cur := a.Cursor() // want `cursor opened here is never Closed in cursorLent`
 	walk(cur, 4)

@@ -1,7 +1,6 @@
 // Package pinpair exercises the pinpair analyzer against a local
 // stand-in for the storage.BufferPool surface: every Get needs a Release
-// on every path, every Partition needs a Close, escapes transfer
-// ownership.
+// on every path, through the pool or a counted view of it.
 package pinpair
 
 import "errors"
@@ -12,15 +11,12 @@ type BufferPool struct{}
 
 func (bp *BufferPool) Get(id PageID) ([]byte, error) { return nil, nil }
 func (bp *BufferPool) Release(id PageID)             {}
-func (bp *BufferPool) Partition(frames int) *Partition {
-	return &Partition{}
-}
+func (bp *BufferPool) Counted() *CountedPool         { return &CountedPool{} }
 
-type Partition struct{}
+type CountedPool struct{}
 
-func (p *Partition) Get(id PageID) ([]byte, error) { return nil, nil }
-func (p *Partition) Release(id PageID)             {}
-func (p *Partition) Close()                        {}
+func (c *CountedPool) Get(id PageID) ([]byte, error) { return nil, nil }
+func (c *CountedPool) Release(id PageID)             {}
 
 var errBoom = errors.New("boom")
 
@@ -83,39 +79,20 @@ func compliantLoop(bp *BufferPool, ids []PageID) (int, error) {
 	return total, nil
 }
 
-func partitionNeverClosed(bp *BufferPool) error {
-	part := bp.Partition(8) // want `Partition acquired here is never Closed`
-	if _, err := part.Get(1); err != nil {
+func countedNeverReleased(bp *BufferPool) error {
+	view := bp.Counted()
+	if _, err := view.Get(1); err != nil { // want `page pinned by view\.Get\(1\) is never Released`
 		return err
 	}
-	part.Release(1)
 	return nil
 }
 
-func partitionCompliant(bp *BufferPool) {
-	part := bp.Partition(8)
-	defer part.Close()
-	if data, err := part.Get(1); err == nil {
+func countedCompliant(bp *BufferPool) {
+	view := bp.Counted()
+	if data, err := view.Get(1); err == nil {
 		_ = data
-		part.Release(1)
+		view.Release(1)
 	}
-}
-
-// partitionEscapes returns the handle's Close to its caller: ownership
-// transfers, no diagnostic.
-func partitionEscapes(bp *BufferPool) func() {
-	part := bp.Partition(8)
-	return part.Close
-}
-
-// partitionCapturedByClosure hands the handle to a release closure (the
-// engine's queryAdj seam): ownership transfers.
-func partitionCapturedByClosure(bp *BufferPool) func() {
-	part := bp.Partition(8)
-	release := func() {
-		part.Close()
-	}
-	return release
 }
 
 func (bp *BufferPool) TryGet(id PageID) ([]byte, bool, error) { return nil, false, nil }

@@ -13,10 +13,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/dblp"
 	"repro/internal/graph"
-	"repro/internal/gtree"
 )
 
-// saveFixtureTree persists the small fixture as a v2 G-Tree and as an
+// saveFixtureTree persists the small fixture as a G-Tree and as an
 // edge list, so one graph can be served memory-backed and disk-backed.
 func saveFixtureTree(t *testing.T, pageSize int) (gtreePath, edgesPath string) {
 	t.Helper()
@@ -45,7 +44,7 @@ func saveFixtureTree(t *testing.T, pageSize int) (gtreePath, edgesPath string) {
 // TestGraphAnalysisEndpointMatchesAcrossBackends is the endpoint's
 // acceptance criterion: GET /sessions/{id}/analysis/graph must return
 // identical PageRank, degree and component results for the same graph
-// loaded as an in-memory session and as a v2 gtree session — and the
+// loaded as an in-memory session and as a gtree session — and the
 // gtree run must actually have paged (visible in the pool counters).
 func TestGraphAnalysisEndpointMatchesAcrossBackends(t *testing.T) {
 	_, ts := newTestServer(t)
@@ -129,35 +128,6 @@ func TestGraphAnalysisEndpointMatchesAcrossBackends(t *testing.T) {
 	}
 }
 
-// TestGraphAnalysisV1Conflict: sessions opened from v1 files answer
-// whole-graph analysis with 409 and re-save guidance, like extraction.
-func TestGraphAnalysisV1Conflict(t *testing.T) {
-	_, ts := newTestServer(t)
-	ds := dblp.SmallFixture()
-	eng, err := core.BuildEngine(ds.Graph, core.BuildConfig{K: 3, Levels: 3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "legacy.gtree")
-	if err := gtree.SaveLegacy(eng.Tree(), ds.Graph, path, 0); err != nil {
-		t.Fatal(err)
-	}
-	resp := postJSON(t, ts.URL+"/sessions", CreateSessionRequest{Name: "v1", Source: "gtree", Path: path})
-	resp.Body.Close()
-	resp, err = http.Get(ts.URL + "/sessions/v1/analysis/graph")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("v1 graph analysis: status %d, want 409 (%s)", resp.StatusCode, b)
-	}
-	if !strings.Contains(string(b), "re-save") {
-		t.Fatalf("v1 graph analysis error not actionable: %s", b)
-	}
-}
-
 // TestGraphAnalysisFaultMapsTo500 corrupts the G-Tree file underneath a
 // live session: the paged whole-graph sweep must fail closed as a 500
 // (backend fault), never serve a silently wrong report.
@@ -203,9 +173,10 @@ func TestGraphAnalysisFaultMapsTo500(t *testing.T) {
 }
 
 // TestCreateSessionIgnoresSweepShards: POST /sessions still decodes a body
-// carrying the deleted "sweepShards" knob (the decoder rejects unknown
-// fields) and ignores it — the session answers whole-graph analysis with
-// exactly the bytes a session created without it does, memory and paged.
+// carrying the deleted "sweepShards" or "poolQuota" knob (the decoder
+// rejects unknown fields) and ignores it — the session answers whole-graph
+// analysis with exactly the bytes a session created without it does,
+// memory and paged.
 func TestCreateSessionIgnoresSweepShards(t *testing.T) {
 	_, ts := newTestServer(t)
 	gtreePath, edgesPath := saveFixtureTree(t, 256)
@@ -213,9 +184,10 @@ func TestCreateSessionIgnoresSweepShards(t *testing.T) {
 		`"source":"edges","path":` + jsonQuote(edgesPath) + `,"k":3,"levels":3,"seed":1`,
 		`"source":"gtree","path":` + jsonQuote(gtreePath) + `,"poolPages":16`,
 	} {
-		var bodies [2][]byte
-		for i, extra := range []string{"", `,"sweepShards":4`} {
-			name := []string{"plain", "sharded"}[i]
+		names := []string{"plain", "sharded", "quota"}
+		var bodies [3][]byte
+		for i, extra := range []string{"", `,"sweepShards":4`, `,"poolQuota":8`} {
+			name := names[i]
 			resp, err := http.Post(ts.URL+"/sessions", "application/json",
 				strings.NewReader(`{"name":"`+name+`",`+src+extra+`}`))
 			if err != nil {
@@ -234,10 +206,12 @@ func TestCreateSessionIgnoresSweepShards(t *testing.T) {
 			}
 			bodies[i] = bytes.Replace(body, []byte(`"session": "`+name+`"`), []byte(`"session": "s"`), 1)
 		}
-		if !bytes.Equal(bodies[0], bodies[1]) {
-			t.Fatalf("{%s}: sweepShards changed the analysis:\nplain:   %s\nsharded: %s", src, bodies[0], bodies[1])
+		for i := 1; i < len(bodies); i++ {
+			if !bytes.Equal(bodies[0], bodies[i]) {
+				t.Fatalf("{%s}: %s changed the analysis:\nplain: %s\n%s: %s", src, names[i], bodies[0], names[i], bodies[i])
+			}
 		}
-		for _, name := range []string{"plain", "sharded"} {
+		for _, name := range names {
 			req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/sessions/"+name, nil)
 			resp, err := http.DefaultClient.Do(req)
 			if err != nil {

@@ -174,10 +174,8 @@ type healthResponse struct {
 }
 
 // PoolInfo is the wire form of a disk-backed session's buffer-pool state.
-// Partitions lists the per-query reservations currently in flight (one
-// per running whole-graph query; empty when the session is idle), so an
-// operator can see which query holds how many protected frames and how
-// its private hit rate is doing.
+// What one query cost the pool is in that query's trace (?trace=1), not
+// here.
 type PoolInfo struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
@@ -187,9 +185,7 @@ type PoolInfo struct {
 	LoadWaits uint64 `json:"loadWaits"`
 	Capacity  int    `json:"capacity"`
 	Resident  int    `json:"resident"`
-	Reserved  int    `json:"reserved"`
 	FilePages uint32 `json:"filePages"`
-	HasCSR    bool   `json:"hasCSR"`
 	// PinnedFrames counts resident frames currently pinned by in-flight
 	// queries; a non-zero value on an idle session means a query leaked
 	// pins (the cancellation soak asserts it returns to zero).
@@ -199,8 +195,7 @@ type PoolInfo struct {
 	Retry storage.RetryStats `json:"retry"`
 	// Stale marks a last-known snapshot served while the session was
 	// write-locked (building or deleting); fresh reads omit it.
-	Stale      bool            `json:"stale,omitempty"`
-	Partitions []PartitionInfo `json:"partitions,omitempty"`
+	Stale bool `json:"stale,omitempty"`
 	// Tier reports the hot-tier state of sessions with a fragment budget
 	// set (nil while tiering is off): how many pinned CSR fragments are
 	// resident, the bytes they hold against the budget, and the cumulative
@@ -208,41 +203,21 @@ type PoolInfo struct {
 	Tier *gtree.TierInfo `json:"tier,omitempty"`
 }
 
-// PartitionInfo is the wire form of one in-flight query's buffer-pool
-// partition.
-type PartitionInfo struct {
-	Quota     int    `json:"quota"`
-	Held      int    `json:"held"`
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	LoadWaits uint64 `json:"loadWaits"`
-}
-
 // poolInfoFrom converts a store's pool snapshot to the wire form.
 func poolInfoFrom(st *gtree.Store) *PoolInfo {
 	pi := st.PoolInfo()
-	out := &PoolInfo{
+	return &PoolInfo{
 		Hits:         pi.Hits,
 		Misses:       pi.Misses,
 		Evictions:    pi.Evictions,
 		LoadWaits:    pi.LoadWaits,
 		Capacity:     pi.Capacity,
 		Resident:     pi.Resident,
-		Reserved:     pi.Reserved,
 		FilePages:    pi.FilePages,
-		HasCSR:       st.HasCSR(),
 		PinnedFrames: st.PinnedFrames(),
 		Retry:        pi.Retry,
 		Tier:         pi.Tier,
 	}
-	for _, p := range pi.Partitions {
-		out.Partitions = append(out.Partitions, PartitionInfo{
-			Quota: p.Quota, Held: p.Held,
-			Hits: p.Hits, Misses: p.Misses, Evictions: p.Evictions, LoadWaits: p.LoadWaits,
-		})
-	}
-	return out
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -294,20 +269,24 @@ type CreateSessionRequest struct {
 	Method       string `json:"method"` // "multilevel" (default), "bfs", "random"
 	// PoolPages bounds the buffer pool of "gtree" sources (0 = default).
 	PoolPages int `json:"poolPages"`
-	// PoolQuota is the per-query buffer-pool partition of "gtree" sources:
-	// each whole-graph query reserves this many frames that concurrent
-	// queries cannot evict (0 = a quarter of the pool, < 0 = disabled).
-	PoolQuota int `json:"poolQuota"`
-	// SweepShards is accepted and ignored: whole-graph sweeps are always
-	// serial. The field stays so bodies that still send it decode (the body
-	// decoder rejects unknown fields), the same treatment "parallel" gets
-	// in extract bodies.
-	SweepShards int `json:"sweepShards"`
 	// TierBudget caps the bytes of hot page runs a "gtree" session may
 	// promote into pinned in-memory CSR fragments (0 = tiering off). It is
 	// an execution knob: tiered reads are bit-identical to paged ones, only
 	// faster on skewed workloads.
 	TierBudget int64 `json:"tierBudget"`
+
+	IgnoredSessionFields
+}
+
+// IgnoredSessionFields are session-body fields of knobs that no longer
+// exist. They are accepted so bodies that still send them decode (the body
+// decoder rejects unknown fields), and the server reads none of them.
+type IgnoredSessionFields struct {
+	// SweepShards: whole-graph sweeps are always serial.
+	SweepShards int `json:"sweepShards,omitempty"`
+	// PoolQuota: the buffer pool is one LRU and reserves no frames for any
+	// query.
+	PoolQuota int `json:"poolQuota,omitempty"`
 }
 
 func validName(s string) bool {
@@ -457,7 +436,6 @@ func buildEngine(ctx context.Context, req CreateSessionRequest, method partition
 		if err != nil {
 			return nil, err
 		}
-		eng.SetPoolQuota(req.PoolQuota)
 		eng.SetTierBudget(req.TierBudget)
 		return eng, nil
 	}
@@ -791,19 +769,8 @@ func (s *Server) planExtract(sess *Session, req ExtractRequest) (extractPlan, in
 
 	// Resolve labels to ids under the read lock, then canonicalize the
 	// source set (sorted, deduped) so query order does not defeat caching.
-	// Disk-backed sessions extract too (out of core, over the paged CSR);
-	// forcing the adjacency here surfaces "v1 file, no CSR section" as an
-	// actionable 409 before any solve work is queued.
 	sources := append([]graph.NodeID(nil), req.Sources...)
 	err = sess.withRead(func(eng *core.Engine) error {
-		if _, err := eng.Adj(); err != nil {
-			if errors.Is(err, core.ErrNoCSR) {
-				return err
-			}
-			// Corrupt CSR-section geometry and the like: the request is
-			// fine, the store is not.
-			return fmt.Errorf("%w: %v", errBackendFault, err)
-		}
 		for _, l := range req.Labels {
 			hits, err := eng.FindLabel(l)
 			if err != nil {
@@ -822,9 +789,6 @@ func (s *Server) planExtract(sess *Session, req ExtractRequest) (extractPlan, in
 		switch {
 		case errors.Is(err, errSessionGone):
 			status = http.StatusNotFound
-		case errors.Is(err, core.ErrNoCSR):
-			status = http.StatusConflict
-			err = errNoCSRConflict(sess.name, "extraction", err)
 		case errors.Is(err, errBackendFault):
 			status = http.StatusInternalServerError
 		}
@@ -1124,26 +1088,13 @@ func (s *Server) handleGraphAnalysis(w http.ResponseWriter, r *http.Request) {
 		})
 		if err != nil {
 			// The request itself was validated before the build, so any
-			// error here is the session (404), a v1 file (409), or the
-			// storage backend — including corrupt CSR-section geometry
-			// surfacing raw from Adj() — which must be a 500, never a 400.
-			status := statusOf(err, http.StatusInternalServerError)
-			if errors.Is(err, core.ErrNoCSR) {
-				status = http.StatusConflict
-				err = errNoCSRConflict(sess.name, "whole-graph analysis", err)
-			}
-			return nil, "", status, err
+			// error here is the session (404) or the storage backend —
+			// including corrupt CSR-section geometry — which must be a 500,
+			// never a 400.
+			return nil, "", statusOf(err, http.StatusInternalServerError), err
 		}
 		return body, jsonContentType, 0, nil
 	})
-}
-
-// errNoCSRConflict is the actionable 409 body for sessions opened from a
-// v1 G-Tree file (no CSR section): navigation works, whole-graph queries
-// need a re-save.
-func errNoCSRConflict(session, op string, err error) error {
-	return fmt.Errorf("session %q was opened from a v1 G-Tree file without a CSR section; "+
-		"re-save the tree with the current gmine (build + save) to enable %s: %w", session, op, err)
 }
 
 // sanitizeFloat maps NaN/Inf (degenerate power-law fits) to 0 so the

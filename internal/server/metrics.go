@@ -53,7 +53,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Per-stage query timings (open, labels, solve, rwr, expand, induce, ...).",
 			obs.DefBuckets, "stage"),
 		pins: reg.Histogram("gmine_query_pool_pins",
-			"Buffer-pool page pins per traced query (hits+misses through its partition).",
+			"Buffer-pool page pins per traced query (hits+misses through its counted pool view).",
 			obs.PinBuckets),
 		faults: reg.Counter("gmine_query_pool_faults_total",
 			"Paged-read fault epochs observed by traced queries."),
@@ -133,19 +133,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"gauge", poolLabels, func(emit func(v float64, labelVals ...string)) {
 			eachPool(emit, func(pi *PoolInfo) float64 { return float64(pi.Resident) })
 		})
-	reg.Collect("gmine_pool_reserved_frames",
-		"Frames reserved by in-flight query partitions, by session.",
-		"gauge", poolLabels, func(emit func(v float64, labelVals ...string)) {
-			eachPool(emit, func(pi *PoolInfo) float64 { return float64(pi.Reserved) })
-		})
 	reg.Collect("gmine_pool_capacity_frames", "Buffer-pool frame capacity by session.",
 		"gauge", poolLabels, func(emit func(v float64, labelVals ...string)) {
 			eachPool(emit, func(pi *PoolInfo) float64 { return float64(pi.Capacity) })
-		})
-	reg.Collect("gmine_pool_partitions",
-		"Per-query buffer-pool partitions currently in flight, by session.",
-		"gauge", poolLabels, func(emit func(v float64, labelVals ...string)) {
-			eachPool(emit, func(pi *PoolInfo) float64 { return float64(len(pi.Partitions)) })
 		})
 	reg.Collect("gmine_pool_pinned_frames",
 		"Resident frames currently pinned by in-flight queries, by session "+

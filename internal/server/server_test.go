@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dblp"
 	"repro/internal/graph"
-	"repro/internal/gtree"
 )
 
 // newTestServer returns a server plus an httptest frontend over its
@@ -412,7 +411,7 @@ func TestDiskBackedSession(t *testing.T) {
 
 	// Per-session info and /healthz expose the buffer-pool counters.
 	info = decodeBody[SessionInfo](t, mustGet(t, ts.URL+"/sessions/disk"))
-	if info.Pool == nil || !info.Pool.HasCSR || info.Pool.FilePages == 0 {
+	if info.Pool == nil || info.Pool.FilePages == 0 {
 		t.Fatalf("disk session info misses pool stats: %+v", info.Pool)
 	}
 	if info.Pool.Hits+info.Pool.Misses == 0 {
@@ -439,7 +438,7 @@ func mustGet(t *testing.T, url string) *http.Response {
 }
 
 // TestDiskBackedExtractMatchesMemory opens the same graph as a memory
-// session and a v2 gtree session and requires identical extraction
+// session and a gtree session and requires identical extraction
 // responses (modulo the session name), single and batch, serial and
 // parallel.
 func TestDiskBackedExtractMatchesMemory(t *testing.T) {
@@ -509,63 +508,6 @@ func TestDiskBackedExtractMatchesMemory(t *testing.T) {
 	br := decodeBody[BatchExtractResponse](t, resp)
 	if br.Succeeded != 2 || br.Failed != 0 {
 		t.Fatalf("disk batch: %d ok / %d failed: %+v", br.Succeeded, br.Failed, br.Results)
-	}
-}
-
-// TestV1FileExtractConflict pins the 409 contract: a session opened from a
-// legacy v1 file (no CSR section) serves navigation and labels but answers
-// extraction with StatusConflict and an actionable message.
-func TestV1FileExtractConflict(t *testing.T) {
-	_, ts := newTestServer(t)
-
-	ds := dblp.SmallFixture()
-	eng, err := core.BuildEngine(ds.Graph, core.BuildConfig{K: 3, Levels: 3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "legacy.gtree")
-	if err := gtree.SaveLegacy(eng.Tree(), ds.Graph, path, 0); err != nil {
-		t.Fatal(err)
-	}
-	resp := postJSON(t, ts.URL+"/sessions", CreateSessionRequest{Name: "v1", Source: "gtree", Path: path})
-	if resp.StatusCode != http.StatusCreated {
-		b, _ := io.ReadAll(resp.Body)
-		t.Fatalf("open v1 file: status %d (%s)", resp.StatusCode, b)
-	}
-	resp.Body.Close()
-
-	// Tree, scene and labels still work.
-	mustGet(t, ts.URL+"/sessions/v1/tree").Body.Close()
-	mustGet(t, ts.URL+"/sessions/v1/scene").Body.Close()
-	mustGet(t, ts.URL+"/sessions/v1/labels?prefix=A").Body.Close()
-
-	// Extraction: 409 with re-save guidance, for ids and labels alike.
-	for _, req := range []ExtractRequest{
-		{Sources: []int32{0, 1}},
-		{Labels: []string{dblp.NamePhilipYu}},
-	} {
-		resp := postJSON(t, ts.URL+"/sessions/v1/extract", req)
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusConflict {
-			t.Fatalf("v1 extract: status %d, want 409 (%s)", resp.StatusCode, b)
-		}
-		if !strings.Contains(string(b), "re-save") {
-			t.Fatalf("v1 extract error not actionable: %s", b)
-		}
-	}
-	// Batch items report the same conflict per item.
-	resp = postJSON(t, ts.URL+"/sessions/v1/extract/batch", BatchExtractRequest{
-		Requests: []ExtractRequest{{Sources: []int32{0, 1}}},
-	})
-	br := decodeBody[BatchExtractResponse](t, resp)
-	if br.Failed != 1 || br.Results[0].Status != http.StatusConflict {
-		t.Fatalf("v1 batch item: %+v", br.Results)
-	}
-	// Session info reports the missing CSR section.
-	info := decodeBody[SessionInfo](t, mustGet(t, ts.URL+"/sessions/v1"))
-	if info.Pool == nil || info.Pool.HasCSR {
-		t.Fatalf("v1 session pool info should report hasCSR=false: %+v", info.Pool)
 	}
 }
 

@@ -39,8 +39,8 @@ type HotRange struct {
 }
 
 // PagePool is the page-pinning interface readers (blob, run, leaf) go
-// through: the shared BufferPool itself, or a Partition view of it whose
-// pins are accounted against a per-query reservation.
+// through: the shared BufferPool itself, or a CountedPool view of it that
+// also charges its pins to one query's counters.
 type PagePool interface {
 	// Get returns the payload of page id, pinned until Release. It may
 	// wait for a frame or for another goroutine's load of the same page,
@@ -73,12 +73,6 @@ type frame struct {
 	// load's failure, handed to those waiters.
 	loading bool
 	err     error
-	// owner is the Partition whose Get loaded (or adopted) this frame, nil
-	// for frames belonging to the shared remainder. While owner's resident
-	// frame count is within its quota, other requesters may not evict this
-	// frame — that reservation is what keeps one query's cold sweep from
-	// flushing another's working set.
-	owner *Partition
 	// Intrusive LRU links, valid only while inLRU (the frame is unpinned
 	// and evictable); next also chains the free list. Intrusive rather
 	// than container/list so the hottest pool operations — hit, pin,
@@ -102,17 +96,17 @@ func (fr *frame) payload() []byte { return fr.page[:len(fr.page)-crcSize] }
 //
 // Two contracts here are machine-checked by `make lint` (cmd/gminevet):
 // every Get/TryGet must have a Release reachable on all paths (or hand
-// the pin to a cursor struct that owns it), every Partition a Close and
-// every opened cursor a Close (the pinpair analyzer), and the warm
-// Get/Release path itself is annotated //gmine:hotpath, so the hotalloc
-// analyzer rejects new allocation in it — the intrusive LRU exists
-// precisely to keep that path at zero allocations. The miss path is held
-// to the same rule once the pool has grown to capacity: a load reuses the
-// evicted frame and its buffer.
+// the pin to a cursor struct that owns it) and every opened cursor a
+// Close (the pinpair analyzer), and the warm Get/Release path itself is
+// annotated //gmine:hotpath, so the hotalloc analyzer rejects new
+// allocation in it — the intrusive LRU exists precisely to keep that path
+// at zero allocations. The miss path is held to the same rule once the
+// pool has grown to capacity: a load reuses the evicted frame and its
+// buffer.
 type BufferPool struct {
 	mu sync.Mutex
-	// cond is signaled when a frame becomes unpinned or free, protection
-	// lapses, or a page load finishes.
+	// cond is signaled when a frame becomes unpinned or free, or a page
+	// load finishes.
 	cond   *sync.Cond
 	pager  *Pager
 	cap    int
@@ -127,10 +121,6 @@ type BufferPool struct {
 	// victim.
 	head, tail *frame
 	stats      Stats
-	// reserved sums the quotas of open partitions (always ≤ cap-1, so at
-	// least one frame stays up for grabs and no requester can starve).
-	reserved int
-	parts    []*Partition // open partitions, creation order
 
 	// heat holds one decayed access counter per run of 1<<heatShift
 	// consecutive pages, sized once at construction from the pager's page
@@ -155,13 +145,13 @@ func NewBufferPool(pager *Pager, capacity int) *BufferPool {
 	return bp
 }
 
-// recordHeat charges one access to page id's heat bucket (and the
-// requesting partition's counter), halving all buckets when the decay
-// period rolls over. Caller holds bp.mu. The halving is amortized: O(1)
-// per access, one O(buckets) pass every heatDecayEvery accesses.
+// recordHeat charges one access to page id's heat bucket, halving all
+// buckets when the decay period rolls over. Caller holds bp.mu. The
+// halving is amortized: O(1) per access, one O(buckets) pass every
+// heatDecayEvery accesses.
 //
 //gmine:hotpath
-func (bp *BufferPool) recordHeat(id PageID, requester *Partition) {
+func (bp *BufferPool) recordHeat(id PageID) {
 	b := int(id) >> heatShift
 	if b >= len(bp.heat) {
 		b = len(bp.heat) - 1
@@ -170,17 +160,11 @@ func (bp *BufferPool) recordHeat(id PageID, requester *Partition) {
 		return
 	}
 	bp.heat[b]++
-	if requester != nil {
-		requester.heat++
-	}
 	bp.heatOps++
 	if bp.heatOps >= heatDecayEvery {
 		bp.heatOps = 0
 		for i := range bp.heat {
 			bp.heat[i] /= 2
-		}
-		for _, p := range bp.parts {
-			p.heat /= 2
 		}
 	}
 }
@@ -254,15 +238,6 @@ func (bp *BufferPool) lruRemove(fr *frame) {
 	fr.inLRU = false
 }
 
-// evictableBy reports whether requester may evict fr. Caller holds bp.mu;
-// fr is unpinned (it is in the LRU). Shared frames and the requester's own
-// frames are always fair game; frames of another partition only once that
-// partition has spilled past its quota.
-func evictableBy(fr *frame, requester *Partition) bool {
-	o := fr.owner
-	return o == nil || o == requester || o.held > o.quota
-}
-
 // Get returns the payload of page id, pinning it. The returned slice is the
 // pool's frame buffer itself: read-only, and dead at Release. Frames are
 // recycled — the next page loaded into the frame is read straight over
@@ -277,8 +252,8 @@ func evictableBy(fr *frame, requester *Partition) bool {
 // loaded waits for that one load and shares its outcome — bytes or error —
 // rather than reading the page a second time.
 //
-// When every frame is pinned or reserved by concurrent readers, Get waits
-// for a Release instead of failing, so a pool smaller than the momentary
+// When every frame is pinned by concurrent readers, Get waits for a
+// Release instead of failing, so a pool smaller than the momentary
 // reader count degrades to serialized paging rather than spurious I/O
 // errors (e.g. a tiny -pool with a wide extraction worker fan-out). The
 // waiting is deadlock-free under one rule: never WAIT while pinned. A
@@ -286,10 +261,8 @@ func evictableBy(fr *frame, requester *Partition) bool {
 // pages pinned across reads (RunCursor) takes further pins with TryGet,
 // and when that reports it would have to wait, releases everything it
 // holds before calling Get. The copy-out readers (blob, run, leaf) pin
-// one page at a time and release it before the next Get. (Partition
-// reservations cannot starve a waiter either: reserved ≤ cap-1, so once
-// the pin holders move on at least one frame is evictable by anyone. And
-// a loader never waits: it holds the loading frame across I/O only.)
+// one page at a time and release it before the next Get. (A loader never
+// waits: it holds the loading frame across I/O only.)
 //
 //gmine:hotpath
 func (bp *BufferPool) Get(id PageID) ([]byte, error) {
@@ -298,27 +271,23 @@ func (bp *BufferPool) Get(id PageID) ([]byte, error) {
 }
 
 // TryGet pins page id like Get but never waits: when the page is not
-// resident and every frame is pinned or protected, or the page is still
-// being loaded by another goroutine, it returns ok=false with nothing
-// pinned and no counter touched.
+// resident and every frame is pinned, or the page is still being loaded
+// by another goroutine, it returns ok=false with nothing pinned and no
+// counter touched.
 //
 //gmine:hotpath
 func (bp *BufferPool) TryGet(id PageID) ([]byte, bool, error) {
 	return bp.get(id, nil, false)
 }
 
-// get is Get (wait) or TryGet (!wait) on behalf of requester (nil = the
-// shared remainder). Hits and loads are attributed to the requester's
-// counters and reservation.
+// get is Get (wait) or TryGet (!wait). Every hit, miss, eviction and
+// load wait is charged to the pool's counters and, when q is non-nil, to
+// q too: a CountedPool's per-query counters, kept under bp.mu beside the
+// pool's own.
 //
 //gmine:hotpath
-func (bp *BufferPool) get(id PageID, requester *Partition, wait bool) ([]byte, bool, error) {
+func (bp *BufferPool) get(id PageID, q *Stats, wait bool) ([]byte, bool, error) {
 	bp.mu.Lock()
-	if requester != nil && requester.closed {
-		// Defensive: a straggler read after Close must not re-attribute
-		// frames to a dead reservation; serve it from the shared remainder.
-		requester = nil
-	}
 	var fr *frame
 	for {
 		if hit, ok := bp.frames[id]; ok {
@@ -326,29 +295,27 @@ func (bp *BufferPool) get(id PageID, requester *Partition, wait bool) ([]byte, b
 				bp.mu.Unlock()
 				return nil, false, nil
 			}
-			data, err := bp.pinResident(hit, requester)
+			data, err := bp.pinResident(hit, q)
 			bp.mu.Unlock()
 			return data, err == nil, err
 		}
-		if fr = bp.takeFrame(requester); fr != nil {
+		if fr = bp.takeFrame(q); fr != nil {
 			break
 		}
 		if !wait {
 			bp.mu.Unlock()
 			return nil, false, nil
 		}
-		// Every frame is pinned or protected: wait for a Release (or a
-		// Partition.Close lifting protection), then re-check from scratch
-		// (the wanted page may have been loaded meanwhile).
+		// Every frame is pinned: wait for a Release, then re-check from
+		// scratch (the wanted page may have been loaded meanwhile).
 		bp.cond.Wait()
 	}
-	bp.recordHeat(id, requester)
+	bp.recordHeat(id)
 	bp.stats.Misses++
-	if requester != nil {
-		requester.stats.Misses++
-		requester.held++
+	if q != nil {
+		q.Misses++
 	}
-	fr.id, fr.owner, fr.pins, fr.loading = id, requester, 1, true
+	fr.id, fr.pins, fr.loading = id, 1, true
 	bp.frames[id] = fr
 	bp.mu.Unlock()
 
@@ -357,15 +324,8 @@ func (bp *BufferPool) get(id PageID, requester *Partition, wait bool) ([]byte, b
 	bp.mu.Lock()
 	fr.loading = false
 	if err != nil {
-		// Unpublish, so the next Get of the page starts a fresh load. The
-		// reservation goes back through fr.owner, not requester: a
-		// Partition.Close that raced the load has already disowned the
-		// frame and zeroed held.
+		// Unpublish, so the next Get of the page starts a fresh load.
 		delete(bp.frames, id)
-		if fr.owner != nil {
-			fr.owner.held--
-			fr.owner = nil
-		}
 		fr.err = err
 		bp.dropFailed(fr)
 		bp.mu.Unlock()
@@ -378,29 +338,22 @@ func (bp *BufferPool) get(id PageID, requester *Partition, wait bool) ([]byte, b
 	return fr.payload(), true, nil
 }
 
-// pinResident pins fr, which the caller found in bp.frames, for requester,
-// waiting out an in-flight load first. Caller holds bp.mu.
+// pinResident pins fr, which the caller found in bp.frames, waiting out an
+// in-flight load first. Caller holds bp.mu.
 //
 //gmine:hotpath
-func (bp *BufferPool) pinResident(fr *frame, requester *Partition) ([]byte, error) {
-	bp.recordHeat(fr.id, requester)
+func (bp *BufferPool) pinResident(fr *frame, q *Stats) ([]byte, error) {
+	bp.recordHeat(fr.id)
 	bp.stats.Hits++
-	if requester != nil {
-		requester.stats.Hits++
-		// Re-adopt shared frames into the requester's working set
-		// while it has reservation to spare: a warm page a query
-		// keeps coming back to deserves the query's protection.
-		if fr.owner == nil && requester.held < requester.quota {
-			fr.owner = requester
-			requester.held++
-		}
+	if q != nil {
+		q.Hits++
 	}
 	fr.pins++
 	bp.lruRemove(fr)
 	if fr.loading {
 		bp.stats.LoadWaits++
-		if requester != nil {
-			requester.stats.LoadWaits++
+		if q != nil {
+			q.LoadWaits++
 		}
 		// The pin keeps fr from being recycled, so it is still this load's
 		// frame when the loader's broadcast arrives.
@@ -415,13 +368,12 @@ func (bp *BufferPool) pinResident(fr *frame, requester *Partition) ([]byte, erro
 	return fr.payload(), nil
 }
 
-// takeFrame returns a frame for requester to load a page into — off the
-// free list, newly allocated while the pool is below capacity, else the
-// LRU-most victim requester may evict — or nil when every frame is pinned
-// or protected. Caller holds bp.mu.
+// takeFrame returns a frame to load a page into — off the free list, newly
+// allocated while the pool is below capacity, else the LRU victim — or nil
+// when every frame is pinned. Caller holds bp.mu.
 //
 //gmine:hotpath
-func (bp *BufferPool) takeFrame(requester *Partition) *frame {
+func (bp *BufferPool) takeFrame(q *Stats) *frame {
 	if fr := bp.free; fr != nil {
 		bp.free, fr.next = fr.next, nil
 		return fr
@@ -430,24 +382,17 @@ func (bp *BufferPool) takeFrame(requester *Partition) *frame {
 		bp.nframes++
 		return newFrame(bp.pager.PageSize())
 	}
-	// Walk victims LRU-first, skipping frames protected by another
-	// partition's reservation.
-	for victim := bp.tail; victim != nil; victim = victim.prev {
-		if !evictableBy(victim, requester) {
-			continue
-		}
-		bp.lruRemove(victim)
-		delete(bp.frames, victim.id)
-		if victim.owner != nil {
-			victim.owner.held--
-		}
-		bp.stats.Evictions++
-		if requester != nil {
-			requester.stats.Evictions++
-		}
-		return victim
+	victim := bp.tail
+	if victim == nil {
+		return nil
 	}
-	return nil
+	bp.lruRemove(victim)
+	delete(bp.frames, victim.id)
+	bp.stats.Evictions++
+	if q != nil {
+		q.Evictions++
+	}
+	return victim
 }
 
 // newFrame allocates a frame and its page buffer: the pool's growth step,
@@ -512,13 +457,6 @@ func (bp *BufferPool) Resident() int {
 // Capacity returns the configured frame capacity.
 func (bp *BufferPool) Capacity() int { return bp.cap }
 
-// Reserved returns the frames currently reserved by open partitions.
-func (bp *BufferPool) Reserved() int {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	return bp.reserved
-}
-
 // PinnedFrames returns the number of resident frames with a nonzero pin
 // count. A quiescent pool reports 0; the chaos/cancellation tests assert
 // exactly that after every aborted query, since a cancelled sweep that
@@ -535,127 +473,45 @@ func (bp *BufferPool) PinnedFrames() int {
 	return n
 }
 
-// --- Partitions -----------------------------------------------------------
+// --- Per-query counting ---------------------------------------------------
 
-// Partition is a PagePool view of the pool with its own frame reservation:
-// pages loaded (or re-hit) through the view are owned by it, and while the
-// view owns no more frames than its quota those frames cannot be evicted
-// by other requesters — only by the view itself. Frames beyond the quota
-// spill into the shared remainder's economy and are fair game for anyone.
-//
-// The engine opens one partition per whole-graph query, so a cold
-// PageRank sweeping the entire file can no longer flush a concurrent
-// session's hot extraction working set: the sweep churns its own quota
-// plus the unreserved remainder, and the other query's reserved frames
-// survive. Close returns the reservation and demotes owned frames to
-// shared; a Partition must not be used after Close.
-type Partition struct {
+// CountedPool is a PagePool view of the pool that charges every hit,
+// miss, eviction and load wait of its pins to its own counters as well as
+// to the pool's. The engine opens one per query, so a trace names what
+// that query cost the pool even while other queries page concurrently.
+// It changes nothing about what the pool caches or evicts, and it holds
+// nothing to release beyond the pins themselves.
+type CountedPool struct {
 	bp    *BufferPool
-	quota int
-	held  int // resident frames currently owned by this partition
-	stats Stats
-	// heat is the partition's decayed access counter: one increment per
-	// Get through the view, halved on the pool's global decay ticks — the
-	// per-query share of the pool-wide heat the tiering promoter reads.
-	heat   float64
-	closed bool
+	stats Stats // guarded by bp.mu
 }
 
-// Partition reserves up to frames frames for a new view. The request is
-// clamped to what is still unreserved (keeping one frame always shared, so
-// reservations can never starve other readers); a fully reserved pool
-// yields a quota-0 view that still tracks per-query stats but enjoys no
-// protection. frames <= 0 also yields a quota-0 view.
-func (bp *BufferPool) Partition(frames int) *Partition {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	avail := bp.cap - 1 - bp.reserved
-	if frames > avail {
-		frames = avail
-	}
-	if frames < 0 {
-		frames = 0
-	}
-	p := &Partition{bp: bp, quota: frames}
-	bp.reserved += frames
-	bp.parts = append(bp.parts, p)
-	return p
-}
+// Counted returns a new counting view of the pool with zeroed counters.
+func (bp *BufferPool) Counted() *CountedPool { return &CountedPool{bp: bp} }
 
-// Get pins page id through the partition (PagePool). After Close the view
-// degrades to the shared remainder (checked under the pool lock).
+// Get pins page id through the view (PagePool).
 //
 //gmine:hotpath
-func (p *Partition) Get(id PageID) ([]byte, error) {
-	data, _, err := p.bp.get(id, p, true)
+func (c *CountedPool) Get(id PageID) ([]byte, error) {
+	data, _, err := c.bp.get(id, &c.stats, true)
 	return data, err
 }
 
-// TryGet is the non-waiting Get through the partition (PagePool).
+// TryGet is the non-waiting Get through the view (PagePool).
 //
 //gmine:hotpath
-func (p *Partition) TryGet(id PageID) ([]byte, bool, error) {
-	return p.bp.get(id, p, false)
+func (c *CountedPool) TryGet(id PageID) ([]byte, bool, error) {
+	return c.bp.get(id, &c.stats, false)
 }
 
 // Release unpins page id (PagePool).
 //
 //gmine:hotpath
-func (p *Partition) Release(id PageID) { p.bp.Release(id) }
+func (c *CountedPool) Release(id PageID) { c.bp.Release(id) }
 
-// Close returns the reservation to the pool and demotes the partition's
-// frames to the shared remainder (they stay resident and LRU-ordered, just
-// unprotected). Idempotent.
-func (p *Partition) Close() {
-	bp := p.bp
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	if p.closed {
-		return
-	}
-	p.closed = true
-	bp.reserved -= p.quota
-	p.quota = 0
-	for _, fr := range bp.frames {
-		if fr.owner == p {
-			fr.owner = nil
-		}
-	}
-	p.held = 0
-	for i, q := range bp.parts {
-		if q == p {
-			bp.parts = append(bp.parts[:i], bp.parts[i+1:]...)
-			break
-		}
-	}
-	// Frames protected by this partition are now evictable; wake waiters.
-	bp.cond.Broadcast()
-}
-
-// PartitionStats snapshots one partition's reservation and counters.
-// Heat is the partition's decayed access counter (see Partition.heat).
-type PartitionStats struct {
-	Quota int
-	Held  int // resident frames the partition currently owns
-	Heat  float64
-	Stats
-}
-
-// Stats returns a snapshot of the partition's counters.
-func (p *Partition) Stats() PartitionStats {
-	p.bp.mu.Lock()
-	defer p.bp.mu.Unlock()
-	return PartitionStats{Quota: p.quota, Held: p.held, Heat: p.heat, Stats: p.stats}
-}
-
-// Partitions snapshots the open partitions in creation order — the
-// observability hook behind the per-partition /healthz stats.
-func (bp *BufferPool) Partitions() []PartitionStats {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	out := make([]PartitionStats, len(bp.parts))
-	for i, p := range bp.parts {
-		out[i] = PartitionStats{Quota: p.quota, Held: p.held, Heat: p.heat, Stats: p.stats}
-	}
-	return out
+// Stats returns a snapshot of the view's counters.
+func (c *CountedPool) Stats() Stats {
+	c.bp.mu.Lock()
+	defer c.bp.mu.Unlock()
+	return c.stats
 }

@@ -4,9 +4,9 @@ import "testing"
 
 // TestBufferPoolWarmPathAllocationFree guards the pin hot path the paged
 // sweep kernels sit on: once a page is resident, Get/Release must not
-// allocate — directly on the pool and through a query Partition (the
+// allocate — directly on the pool and through a query's CountedPool (the
 // per-query accounting the trace instrumentation reads is plain counter
-// arithmetic, so routing pins through a partition must stay free too).
+// arithmetic, so routing pins through a counted view must stay free too).
 // Observability reads these counters at scrape/release time; this test
 // pins that the instrumented path itself added no per-pin work.
 func TestBufferPoolWarmPathAllocationFree(t *testing.T) {
@@ -27,9 +27,7 @@ func TestBufferPoolWarmPathAllocationFree(t *testing.T) {
 		t.Errorf("warm BufferPool Get/Release allocates %.2f per op, want 0", allocs)
 	}
 
-	part := bp.Partition(2)
-	defer part.Close()
-	touch(t, part, id) // adopt the frame into the partition's accounting
+	part := bp.Counted()
 	if allocs := testing.AllocsPerRun(200, func() {
 		buf, err := part.Get(id)
 		if err != nil {
@@ -38,11 +36,11 @@ func TestBufferPoolWarmPathAllocationFree(t *testing.T) {
 		_ = buf
 		part.Release(id)
 	}); allocs > 0 {
-		t.Errorf("warm Partition Get/Release allocates %.2f per op, want 0", allocs)
+		t.Errorf("warm CountedPool Get/Release allocates %.2f per op, want 0", allocs)
 	}
 
 	st := part.Stats()
 	if st.Hits == 0 {
-		t.Fatal("partition recorded no hits — warm path not exercised")
+		t.Fatal("counted view recorded no hits — warm path not exercised")
 	}
 }

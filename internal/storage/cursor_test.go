@@ -49,25 +49,6 @@ func TestTryGetNeverWaits(t *testing.T) {
 		t.Fatalf("%d frames still pinned", pins)
 	}
 
-	// Through a partition: another partition's protected frames are not
-	// evictable, so TryGet refuses where Get would wait for a Close.
-	bp2, ids2 := partitionFile(t, 4, 2)
-	owner, guest := bp2.Partition(1), bp2.Partition(0)
-	touch(t, owner, ids2[0]) // owner holds its one reserved frame, unpinned
-	if _, err := guest.Get(ids2[1]); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _ := guest.TryGet(ids2[2]); ok {
-		t.Fatal("TryGet evicted a frame protected by another partition's quota")
-	}
-	owner.Close() // protection lapses
-	if _, ok, _ := guest.TryGet(ids2[2]); !ok {
-		t.Fatal("TryGet refused after the protecting partition closed")
-	}
-	guest.Release(ids2[1])
-	guest.Release(ids2[2])
-	guest.Close()
-
 	// A page another goroutine is still loading: waiting for that load
 	// would be waiting, so TryGet refuses it the same way — while a hit on
 	// a resident page and a miss on a third page go through beside the

@@ -68,42 +68,3 @@ func TestHeatDecay(t *testing.T) {
 		t.Fatalf("abandoned bucket score %v after decay, want <= %v", cooled, before[0].Score/2+1)
 	}
 }
-
-// TestPartitionHeat: accesses through a partition view are charged to the
-// partition's own heat counter, and the pool-wide buckets see every access
-// regardless of which view made it.
-func TestPartitionHeat(t *testing.T) {
-	pool, ids := partitionFile(t, 64, 8)
-	p := pool.Partition(4)
-	defer p.Close()
-	for i := 0; i < 10; i++ {
-		touch(t, p, ids[0])
-	}
-	if st := p.Stats(); st.Heat != 10 {
-		t.Fatalf("partition heat = %v, want 10", st.Heat)
-	}
-	if parts := pool.Partitions(); len(parts) != 1 || parts[0].Heat != 10 {
-		t.Fatalf("Partitions() heat: %+v", parts)
-	}
-
-	q := pool.Partition(2)
-	for i := 0; i < 4; i++ {
-		touch(t, q, ids[8])
-	}
-	if st := q.Stats(); st.Heat != 4 {
-		t.Fatalf("second partition heat = %v, want 4", st.Heat)
-	}
-	q.Close()
-	if st := p.Stats(); st.Heat != 10 {
-		t.Fatalf("partition heat moved to %v after another view's accesses", st.Heat)
-	}
-
-	// The pool buckets saw all 14 accesses (plus the initial loads).
-	var total float64
-	for _, hr := range pool.HotRanges(10) {
-		total += hr.Score
-	}
-	if total < 14 {
-		t.Fatalf("pool-wide heat %v, want >= 14", total)
-	}
-}

@@ -39,157 +39,22 @@ func touch(t *testing.T, pp PagePool, id PageID) {
 	pp.Release(id)
 }
 
-// TestPartitionProtectsWorkingSet is the acceptance criterion: with two
-// concurrent "sessions" on a small pool, a whole-file cold sweep through
-// partition A must not evict partition B's working set while B holds no
-// more frames than its reservation.
-func TestPartitionProtectsWorkingSet(t *testing.T) {
-	pool, ids := partitionFile(t, 64, 8)
-	b := pool.Partition(4)
-	defer b.Close()
-	// Session B warms its working set: 4 pages, exactly its quota.
-	working := ids[:4]
-	for _, id := range working {
-		touch(t, b, id)
-	}
-	if st := b.Stats(); st.Held != 4 || st.Misses != 4 {
-		t.Fatalf("B after warmup: %+v", st)
-	}
-
-	// Session A sweeps every page of the file, several times over, cold.
-	a := pool.Partition(3)
-	defer a.Close()
-	for pass := 0; pass < 3; pass++ {
-		for _, id := range ids[4:] {
-			touch(t, a, id)
-		}
-	}
-	if st := a.Stats(); st.Evictions == 0 {
-		t.Fatalf("A's sweep (60 pages through an 8-frame pool) evicted nothing: %+v", st)
-	}
-
-	// B's reserved frames survived: re-reading the working set is all hits.
-	before := b.Stats()
-	for _, id := range working {
-		touch(t, b, id)
-	}
-	after := b.Stats()
-	if after.Misses != before.Misses {
-		t.Fatalf("A's sweep evicted B's reserved working set: %d new misses", after.Misses-before.Misses)
-	}
-	if after.Hits != before.Hits+4 {
-		t.Fatalf("B's re-read: hits %d -> %d, want +4", before.Hits, after.Hits)
-	}
-	if after.Held < 4 {
-		t.Fatalf("B holds %d frames, reserved 4", after.Held)
-	}
-}
-
-// TestPartitionSpillIsEvictable: frames a partition holds beyond its
-// quota live in the shared economy — other requesters may evict them, and
-// the partition's protected core stays intact.
-func TestPartitionSpillIsEvictable(t *testing.T) {
-	pool, ids := partitionFile(t, 16, 6)
-	a := pool.Partition(2)
-	defer a.Close()
-	// A loads 5 pages: 2 within quota, 3 spilled.
-	for _, id := range ids[:5] {
-		touch(t, a, id)
-	}
-	if st := a.Stats(); st.Held != 5 {
-		t.Fatalf("A holds %d, want 5", st.Held)
-	}
-	// A shared reader churns through the rest of the file; it must succeed
-	// (spill + shared frames are evictable) without ever touching A's
-	// 2-frame protected core.
-	for _, id := range ids[5:] {
-		touch(t, pool, id)
-	}
-	st := a.Stats()
-	if st.Held < 2 {
-		t.Fatalf("shared churn ate into A's reservation: held %d", st.Held)
-	}
-	if st.Held > 2 {
-		t.Fatalf("A still holds %d spilled frames after full churn through a 6-frame pool", st.Held)
-	}
-}
-
-// TestPartitionClamp: reservations are clamped so at least one frame
-// always remains shared, and further partitions degrade to quota 0
-// instead of failing.
-func TestPartitionClamp(t *testing.T) {
-	pool, _ := partitionFile(t, 4, 4)
-	a := pool.Partition(100)
-	if got := a.Stats().Quota; got != 3 {
-		t.Fatalf("first partition quota %d, want cap-1=3", got)
-	}
-	b := pool.Partition(2)
-	if got := b.Stats().Quota; got != 0 {
-		t.Fatalf("second partition quota %d, want 0 (pool fully reserved)", got)
-	}
-	if pool.Reserved() != 3 {
-		t.Fatalf("reserved %d, want 3", pool.Reserved())
-	}
-	a.Close()
-	if pool.Reserved() != 0 {
-		t.Fatalf("reserved %d after close, want 0", pool.Reserved())
-	}
-	c := pool.Partition(-5)
-	if got := c.Stats().Quota; got != 0 {
-		t.Fatalf("negative request quota %d, want 0", got)
-	}
-	b.Close()
-	c.Close()
-}
-
-// TestPartitionCloseDemotes: Close returns the reservation, demotes owned
-// frames to shared (still resident), and is idempotent; Gets after Close
-// fall back to the shared remainder without corrupting accounting.
-func TestPartitionCloseDemotes(t *testing.T) {
-	pool, ids := partitionFile(t, 8, 4)
-	a := pool.Partition(3)
-	for _, id := range ids[:3] {
-		touch(t, a, id)
-	}
-	a.Close()
-	a.Close() // idempotent
-	if pool.Reserved() != 0 {
-		t.Fatalf("reserved %d after close", pool.Reserved())
-	}
-	if len(pool.Partitions()) != 0 {
-		t.Fatal("closed partition still listed")
-	}
-	// The frames stayed resident as shared...
-	st0 := pool.Stats()
-	touch(t, pool, ids[0])
-	if st := pool.Stats(); st.Hits != st0.Hits+1 {
-		t.Fatal("demoted frame was dropped instead of shared")
-	}
-	// ...and are evictable by anyone now.
-	for _, id := range ids[3:] {
-		touch(t, pool, id)
-	}
-	if st := pool.Stats(); st.Evictions == 0 {
-		t.Fatal("no evictions although demoted frames filled the pool")
-	}
-	// A straggler Get through the closed partition works and owns nothing.
-	touch(t, a, ids[7])
-	if st := a.Stats(); st.Held != 0 || st.Quota != 0 {
-		t.Fatalf("closed partition re-acquired frames: %+v", st)
-	}
-}
-
-// TestPartitionConcurrentSweeps: many partitioned sweeps over one small
-// pool must stay deadlock-free and serve correct data (run with -race).
+// TestPartitionConcurrentSweeps: many concurrent sweeps, each pinning
+// through its own counted view, over one small pool stay deadlock-free,
+// serve correct data (run with -race), and between them account for every
+// pin the pool counted.
 func TestPartitionConcurrentSweeps(t *testing.T) {
 	pool, ids := partitionFile(t, 32, 4)
+	views := make([]*CountedPool, 8)
+	for w := range views {
+		views[w] = pool.Counted()
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := range views {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			p := pool.Partition(2)
-			defer p.Close()
+			p := views[w]
 			for pass := 0; pass < 5; pass++ {
 				for i, id := range ids {
 					data, err := p.Get(id)
@@ -211,7 +76,21 @@ func TestPartitionConcurrentSweeps(t *testing.T) {
 	if res := pool.Resident(); res > pool.Capacity() {
 		t.Fatalf("resident %d exceeds capacity %d", res, pool.Capacity())
 	}
-	if pool.Reserved() != 0 {
-		t.Fatalf("reserved %d after all partitions closed", pool.Reserved())
+	var sum Stats
+	for _, v := range views {
+		st := v.Stats()
+		if st.Hits+st.Misses != 5*uint64(len(ids)) {
+			t.Fatalf("view counted %d pins, want %d", st.Hits+st.Misses, 5*len(ids))
+		}
+		sum.Hits += st.Hits
+		sum.Misses += st.Misses
+		sum.Evictions += st.Evictions
+		sum.LoadWaits += st.LoadWaits
+	}
+	if st := pool.Stats(); sum != st {
+		t.Fatalf("views counted %+v, pool %+v", sum, st)
+	}
+	if pins := pool.PinnedFrames(); pins != 0 {
+		t.Fatalf("%d frames still pinned", pins)
 	}
 }

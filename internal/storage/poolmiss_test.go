@@ -129,17 +129,13 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // TestPoolMissSteadyStateAllocFree: once the pool has grown to capacity a
 // miss recycles the victim's frame and buffer, so an evict-and-load cycle
-// allocates nothing — on the bare pool and through a partition.
+// allocates nothing — on the bare pool and through a counted view.
 func TestPoolMissSteadyStateAllocFree(t *testing.T) {
 	m := newMissFixture(t, 6, 2)
 	for i := range m.ids {
 		touch(t, m.pool, m.ids[i]) // grow to capacity, every later Get evicts
 	}
-	part := m.pool.Partition(1)
-	defer part.Close()
-	// Pool first: once the partition owns a frame the bare pool may not
-	// evict it, and would hit on whatever page it holds.
-	for _, pp := range []PagePool{m.pool, part} {
+	for _, pp := range []PagePool{m.pool, m.pool.Counted()} {
 		i := 0
 		allocs := testing.AllocsPerRun(300, func() {
 			id := m.ids[i%len(m.ids)]
@@ -243,8 +239,7 @@ func TestReadPageIntoMatchesReadPage(t *testing.T) {
 func TestPoolLoadSingleFlight(t *testing.T) {
 	const getters = 16
 	m := newMissFixture(t, 4, 4)
-	part := m.pool.Partition(2) // half the getters pin through a partition
-	defer part.Close()
+	part := m.pool.Counted() // half the getters pin through a counted view
 	want := m.want(t, 1)
 	reads0 := m.gate.readsAt(m.off(1))
 	release := m.gate.hold(m.off(1))
@@ -297,7 +292,7 @@ func TestPoolLoadSingleFlight(t *testing.T) {
 		t.Fatalf("pool stats %+v, want 1 miss and 15 waited hits", st)
 	}
 	if ps.Hits+ps.Misses != getters/2 || ps.LoadWaits+ps.Misses != getters/2 {
-		t.Fatalf("partition stats %+v, want its 8 getters as one load's miss/waits", ps)
+		t.Fatalf("view stats %+v, want its 8 getters as one load's miss/waits", ps)
 	}
 	for g := 0; g < getters; g++ {
 		m.pool.Release(m.ids[1])
@@ -313,10 +308,9 @@ func TestPoolLoadSingleFlight(t *testing.T) {
 func TestPoolLoadFailureFailsEveryWaiter(t *testing.T) {
 	const waiters = 3
 	m := newMissFixture(t, 4, 4)
-	part := m.pool.Partition(2)
-	defer part.Close()
+	part := m.pool.Counted()
 	touch(t, part, m.ids[0])
-	held0, frames0, resident0 := part.Stats().Held, m.pool.nframes, m.pool.Resident()
+	frames0, resident0 := m.pool.nframes, m.pool.Resident()
 	want := m.want(t, 1)
 	reads0 := m.gate.readsAt(m.off(1))
 
@@ -329,9 +323,6 @@ func TestPoolLoadFailureFailsEveryWaiter(t *testing.T) {
 	}
 	go get()
 	<-m.gate.in
-	if held := part.Stats().Held; held != held0+1 {
-		t.Fatalf("held %d during the load, want %d", held, held0+1)
-	}
 	for w := 0; w < waiters; w++ {
 		go get()
 	}
@@ -358,8 +349,8 @@ func TestPoolLoadFailureFailsEveryWaiter(t *testing.T) {
 	if pins := m.pool.PinnedFrames(); pins != 0 {
 		t.Fatalf("%d frames pinned after the failed load", pins)
 	}
-	if held := part.Stats().Held; held != held0 {
-		t.Fatalf("held %d after the failed load, want %d", held, held0)
+	if st := part.Stats(); st.Misses != 2 || st.LoadWaits != waiters {
+		t.Fatalf("view stats %+v after the failed load, want 2 misses and %d waits", st, waiters)
 	}
 
 	data, err := part.Get(m.ids[1]) // script spent: a fresh load, and it succeeds
@@ -372,77 +363,6 @@ func TestPoolLoadFailureFailsEveryWaiter(t *testing.T) {
 	}
 	if n := m.gate.readsAt(m.off(1)) - reads0; n != readAttempts+1 {
 		t.Fatalf("%d reads of the page, want %d failed attempts + 1", n, readAttempts)
-	}
-}
-
-// TestPoolLoadPartitionCloseRace: a partition closed while its load is in
-// flight is disowned cleanly whether the load then succeeds or fails —
-// nothing panics, held never goes negative, and the reservation is back.
-func TestPoolLoadPartitionCloseRace(t *testing.T) {
-	for _, fail := range []bool{false, true} {
-		m := newMissFixture(t, 4, 4)
-		part := m.pool.Partition(2)
-		release := m.gate.hold(m.off(1))
-		if fail {
-			m.inj.Script(FaultErr, FaultErr, FaultErr, FaultErr)
-		}
-		done := make(chan error, 1)
-		go func() {
-			_, err := part.Get(m.ids[1])
-			done <- err
-		}()
-		<-m.gate.in
-		part.Close()
-		release()
-		if err := <-done; (err != nil) != fail {
-			t.Fatalf("fail=%v: load returned %v", fail, err)
-		}
-		if !fail {
-			m.pool.Release(m.ids[1])
-		}
-		m.pool.mu.Lock()
-		held, reserved := part.held, m.pool.reserved
-		m.pool.mu.Unlock()
-		if held != 0 || reserved != 0 {
-			t.Fatalf("fail=%v: held=%d reserved=%d after Close raced the load", fail, held, reserved)
-		}
-		if pins := m.pool.PinnedFrames(); pins != 0 {
-			t.Fatalf("fail=%v: %d frames pinned", fail, pins)
-		}
-		touch(t, m.pool, m.ids[1])
-	}
-
-	// The same race unscripted, for the race detector: partitions opened,
-	// read through and closed while other goroutines churn the same pages.
-	m := newMissFixture(t, 8, 3)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for k := 0; k < 200; k++ {
-				part := m.pool.Partition(1)
-				id := m.ids[(g+k)%len(m.ids)]
-				closed := make(chan struct{})
-				go func() {
-					part.Close()
-					close(closed)
-				}()
-				if data, err := part.Get(id); err != nil {
-					t.Error(err)
-				} else {
-					if data[0] != byte(int(id-m.ids[0])*31) {
-						t.Errorf("page %d: first byte %d", id, data[0])
-					}
-					part.Release(id)
-				}
-				<-closed
-			}
-		}(g)
-	}
-	wg.Wait()
-	if pins, parts := m.pool.PinnedFrames(), len(m.pool.Partitions()); pins != 0 || parts != 0 {
-		t.Fatalf("%d pins, %d partitions left", pins, parts)
 	}
 }
 

@@ -157,9 +157,9 @@ func (r *RunReader) ElementRange(first, last PageID) (lo, hi int, ok bool) {
 
 // WithPool returns a reader over the same run whose page pins go through
 // p instead of the pool the reader was built with — the hook that lets a
-// query read the shared on-disk structure through its own buffer-pool
-// Partition, so its paging is accounted (and bounded) separately. The
-// receiver is unchanged and both readers stay safe for concurrent use.
+// query read the shared on-disk structure through its own CountedPool, so
+// its paging is accounted separately. The receiver is unchanged and both
+// readers stay safe for concurrent use.
 func (r *RunReader) WithPool(p PagePool) *RunReader {
 	nr := *r
 	nr.pool = p
