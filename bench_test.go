@@ -743,13 +743,13 @@ func zipfSources(n int) func() []gmine.NodeID {
 
 // BenchmarkExtractTieredSkewed is the tiering trajectory point: a
 // Zipf-skewed multi-source extraction stream on the in-memory engine, the
-// plain paged engine, and the tiered engine cold (promoter starts from an
-// empty fragment set) and warmed (32 queries of the same stream ran
-// first, so the hot page runs are already pinned as fragments). pins/op
-// is the buffer-pool traffic per query; frag-hit-ratio is the fraction of
-// row reads served from fragments during the timed loop. The acceptance
-// bound: Tiered/warmed within 2x of MemoryCSR, resident fragment bytes
-// never above the budget.
+// plain paged engine, and the tiered engine cold (nothing resident: the
+// first query pages and its promotion step loads the whole graph) and
+// warmed (32 queries of the same stream ran first, so the graph is
+// already resident). pins/op is the buffer-pool traffic per query;
+// frag-hit-ratio is the fraction of row reads served from memory during
+// the timed loop. The acceptance bound: Tiered/warmed within 2x of
+// MemoryCSR, resident tier bytes never above the budget.
 func BenchmarkExtractTieredSkewed(b *testing.B) {
 	setup(b)
 	n := benchDS.Graph.NumNodes()
@@ -807,7 +807,7 @@ func BenchmarkExtractTieredSkewed(b *testing.B) {
 			b.ReportMetric(float64(st.Hits+st.Misses)/float64(b.N), "pins/op")
 			if ti := disk.Store().TierInfo(); ti != nil {
 				if ti.Bytes > tierBudget {
-					b.Fatalf("resident fragment bytes %d exceed budget %d", ti.Bytes, tierBudget)
+					b.Fatalf("resident tier bytes %d exceed budget %d", ti.Bytes, tierBudget)
 				}
 				hits, misses := ti.Hits-hits0, ti.Misses-misses0
 				if hits+misses > 0 {

@@ -32,7 +32,7 @@ func cmdServe(args []string) error {
 	in := fs.String("in", "", "preload a session from this edge list")
 	tree := fs.String("tree", "", "preload a disk-backed session from this G-Tree file")
 	pool := fs.Int("pool", 0, "buffer-pool pages for the preloaded -tree session (0 = default); bounds resident paged-graph memory")
-	tierBudget := fs.Int64("tierbudget", 0, "byte budget for hot page runs the preloaded -tree session may promote into pinned in-memory CSR fragments (0 = tiering off); results are bit-identical either way")
+	tierBudget := fs.Int64("tierbudget", 0, "byte budget of the preloaded -tree session's hot tier: while it covers the decoded CSR, the whole graph is promoted into memory after the first query (0 = tiering off); results are bit-identical either way")
 	seed := fs.Int64("seed", 1, "seed for the preloaded session")
 	k := fs.Int("k", 5, "hierarchy fanout for preloaded memory sessions")
 	levels := fs.Int("levels", 5, "hierarchy levels for preloaded memory sessions")

@@ -45,11 +45,11 @@
 //	        Name: "dblp", Source: "synthetic", Scale: 0.1, Seed: 1})
 //	srv.ListenAndServe()
 //
-// Disk-backed sessions can additionally tier: SetTierBudget (or
-// `-tierbudget` / the tierBudget session field) lets the engine promote
-// its hottest page runs into pinned in-memory CSR fragments, serving
-// skewed read traffic at memory speed while staying bit-identical to
-// the paged path. See README "Hot/cold tiering".
+// Disk-backed sessions can additionally tier: while SetTierBudget (or
+// `-tierbudget` / the tierBudget session field) covers the decoded CSR,
+// the engine promotes the whole graph into memory after its first query
+// and serves later reads from there, bit-identical to the paged path.
+// Below that budget every read pages. See README "Hot/cold tiering".
 //
 // The package is a thin facade over the internal implementation packages;
 // everything needed to reproduce the paper's figures is reachable from

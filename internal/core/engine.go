@@ -172,13 +172,12 @@ func (e *Engine) SetSweepShards(int) {}
 
 // SetTierBudget sets the hot/cold tiering byte budget of disk-backed
 // engines (0 = off, the default). With a budget, every whole-graph query
-// solves on a gtree.TieredCSR: node reads and sweep sub-ranges covered
-// by a pinned in-memory CSR fragment are served from memory, the rest
-// pages through the buffer pool as before — bit-identical results either
-// way. After each query the engine runs one amortized
-// promotion pass, so a skewed workload converges toward memory speed on
-// its working set while resident fragment bytes never exceed the budget.
-// No-op for memory-backed engines (the whole graph is already resident).
+// solves on a gtree.TieredCSR. After each query the engine runs one
+// promotion step: while the budget covers the decoded CSR, the first one
+// loads the whole graph into memory and later queries read it from there;
+// below that every read pages through the buffer pool — bit-identical
+// results either way. No-op for memory-backed engines (the whole graph
+// is already resident).
 // Not safe to call concurrently with queries; set it right after
 // OpenEngine.
 func (e *Engine) SetTierBudget(bytes int64) {
@@ -244,7 +243,8 @@ func (e *Engine) queryAdj(ctx context.Context, tr *obs.Trace) (graph.Adjacency, 
 				tr.Count("tier.misses", qc.TierMisses)
 			}
 		}
-		// Query-amortized promotion: rank what just got hot and pin it.
+		// Query-amortized promotion: load the whole graph once the budget
+		// covers it.
 		view.Promote()
 	}
 	return view.Adj, release, nil

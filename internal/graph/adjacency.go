@@ -6,7 +6,8 @@ package graph
 // disk-backed gtree.PagedCSR, which reads neighbor ranges through the
 // storage buffer pool so the resident adjacency memory is bounded by the
 // pool size instead of the graph size, and gtree.TieredCSR, a PagedCSR
-// with hot node ranges pinned in memory.
+// that reads a decoded in-memory copy of the whole graph while its tier
+// budget covers one.
 //
 // There are two ways to read rows, by access pattern: whole-graph kernels
 // sweep (EdgeSweeper and NeighborIDSweeper below, both required); local
@@ -18,8 +19,6 @@ package graph
 type Adjacency interface {
 	// N returns the number of nodes.
 	N() int
-	// Degree returns the number of stored half-edges at u.
-	Degree(u NodeID) int
 	// WeightedDegrees returns the per-node weighted degree table (cached
 	// after the first call).
 	WeightedDegrees() []float64
@@ -54,12 +53,9 @@ type Adjacency interface {
 //     (the paged backends decode pages into the buffers, growing them
 //     toward the maximum degree and then reusing them) or ignores them and
 //     returns read-only, cap-clamped subslices of its own storage (the
-//     in-memory CSR). So a buffer pair must only ever be reused on the SAME
+//     in-memory CSR, and a tiered cursor opened while the graph is
+//     resident). So a buffer pair must only ever be reused on the SAME
 //     cursor, and never appended to or mutated by the caller.
-//   - A tiered cursor mixes both regimes: a row resident in a pinned
-//     fragment is COPIED into the caller's buffers, never aliased, because
-//     the next read may be a paged miss appending into whatever came back,
-//     and a fragment can be demoted while the cursor is open.
 //   - The returned rows are read-only and valid only until the next read
 //     on the same cursor. The sweepalias analyzer flags rows stored
 //     anywhere longer-lived than a local.
@@ -97,9 +93,9 @@ type RowCursor interface {
 //     INCLUDING zero-degree nodes (with empty slices) — kernels rely on
 //     seeing dangling nodes.
 //   - nbrs and w are parallel, read-only, and valid only for the duration
-//     of the callback: they alias the sweep's block buffers (or the CSR's
-//     or a tiered fragment's storage, cap-clamped) and are overwritten or
-//     recycled as soon as fn returns. Callers must copy anything they keep.
+//     of the callback: they alias the sweep's block buffers (or an in-memory
+//     CSR's storage, cap-clamped) and are overwritten or recycled as soon
+//     as fn returns. Callers must copy anything they keep.
 //     The sweepalias analyzer (`make lint`) flags callbacks that let the
 //     slices escape.
 //   - fn returning false stops the sweep early; SweepEdges then returns

@@ -20,24 +20,9 @@ type rowBackend struct {
 	premise func(t *testing.T)
 }
 
-// warmIDs reads rows ids-only through open-read-close tiered cursors, so
-// the pool's heat lands on the Xadj and Adjncy buckets — the ones the tier
-// promoter ranks — of rows not yet resident, and not on the EdgeW run.
-func warmIDs(c *PagedCSR, rows []graph.NodeID, passes int) {
-	var nbrs []graph.NodeID
-	tc := c.Tiered()
-	for p := 0; p < passes; p++ {
-		for _, u := range rows {
-			cur := tc.Cursor()
-			nbrs = cur.NeighborIDs(u, nbrs[:0])
-			cur.Close()
-		}
-	}
-}
-
 // rowBackends opens every backend of the table over g: the CSR; paged at
 // page sizes 256 and 1024 times pools 4 and 4096; tiered at budget 0, at a
-// budget holding the whole graph, and at one fragment; and a paged view
+// budget holding the whole graph, and one byte below it; and a paged view
 // carrying a live (never cancelled) context.
 func rowBackends(t *testing.T, g *graph.Graph) []rowBackend {
 	t.Helper()
@@ -62,52 +47,41 @@ func rowBackends(t *testing.T, g *graph.Graph) []rowBackend {
 		}
 	}
 
-	n := g.NumNodes()
-	all := make([]graph.NodeID, n)
-	for i := range all {
-		all[i] = graph.NodeID(i)
-	}
 	// Budget 0: the tiered view is a plain delegating wrapper.
 	s, c := open(256, 4096)
 	s.SetTierBudget(0)
 	off := c.Tiered()
 	backends = append(backends, rowBackend{name: "tiered/budget=0", adj: off, store: s, premise: func(t *testing.T) {
 		if hits, _ := off.QueryCounts(); hits != 0 {
-			t.Fatalf("budget 0 served %d rows from fragments", hits)
+			t.Fatalf("budget 0 served %d rows from memory", hits)
 		}
 	}})
-	// Whole graph: a budget with room for all of it, and promotion passes
-	// until every row with an edge is resident. Warming through a tiered
-	// cursor heats only the rows still cold, so each pass makes progress.
+	// Whole graph: a budget with room for all of it, and one promotion.
 	s, c = open(256, 4096)
 	s.SetTierBudget(1 << 30)
-	for pass := 0; pass < 8; pass++ {
-		warmIDs(c, all, 2)
-		if c.Tiered().Promote() == 0 {
-			break
-		}
-	}
-	whole := c.Tiered()
+	c.Tiered().Promote()
+	whole, wholeStore := c.Tiered(), s
 	backends = append(backends, rowBackend{name: "tiered/whole", adj: whole, store: s, premise: func(t *testing.T) {
-		for u := 0; u < n; u++ {
-			if whole.Degree(graph.NodeID(u)) > 0 && whole.ts.lookup(u) == nil {
-				t.Fatalf("whole-graph tier: row %d is not resident", u)
-			}
+		ti := wholeStore.TierInfo()
+		if ti == nil || ti.Fragments == 0 || ti.Bytes < tierEdgeBytes*int64(whole.HalfEdges()) || ti.Bytes > ti.Budget {
+			t.Fatalf("whole-graph tier does not hold every half-edge within budget: %+v", ti)
+		}
+		if hits, _ := whole.QueryCounts(); hits == 0 {
+			t.Fatal("whole-graph tier served no rows from memory")
 		}
 	}})
-	// One fragment: only one row hot.
+	// Below budget: one byte short of the decoded CSR, so nothing is
+	// promoted and every row read pages.
 	s, c = open(256, 4096)
-	s.SetTierBudget(1 << 30)
-	warmIDs(c, all[n/2:n/2+1], 8)
-	one := c.Tiered()
-	one.Promote()
-	oneStore := s
-	backends = append(backends, rowBackend{name: "tiered/fragment", adj: one, store: s, premise: func(t *testing.T) {
-		if ti := oneStore.TierInfo(); ti.Fragments != 1 {
-			t.Fatalf("one-fragment tier holds %d fragments", ti.Fragments)
+	s.SetTierBudget(tierCost(c) - 1)
+	below, belowStore := c.Tiered(), s
+	promoted := below.Promote()
+	backends = append(backends, rowBackend{name: "tiered/below-budget", adj: below, store: s, premise: func(t *testing.T) {
+		if ti := belowStore.TierInfo(); promoted != 0 || ti == nil || ti.Fragments != 0 {
+			t.Fatalf("below-budget tier promoted %d: %+v", promoted, ti)
 		}
-		if hits, misses := one.QueryCounts(); hits == 0 || misses == 0 {
-			t.Fatalf("one-fragment tier served %d hits, %d misses; want both", hits, misses)
+		if hits, misses := below.QueryCounts(); hits != 0 || misses == 0 {
+			t.Fatalf("below-budget tier served %d hits, %d misses; want only misses", hits, misses)
 		}
 	}})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -193,11 +167,13 @@ func TestAdjacencyRows(t *testing.T) {
 		if adj.N() != want.N() || adj.HalfEdges() != want.HalfEdges() {
 			t.Fatalf("%s: geometry %d/%d, want %d/%d", b.name, adj.N(), adj.HalfEdges(), want.N(), want.HalfEdges())
 		}
+		cur := adj.Cursor()
 		for u := graph.NodeID(0); u < n; u++ {
-			if adj.Degree(u) != want.Degree(u) {
-				t.Fatalf("%s: Degree(%d) = %d, want %d", b.name, u, adj.Degree(u), want.Degree(u))
+			if got := len(cur.NeighborIDs(u, nil)); got != want.Degree(u) {
+				t.Fatalf("%s: row %d has %d ids, want %d", b.name, u, got, want.Degree(u))
 			}
 		}
+		cur.Close()
 		for u, w := range adj.WeightedDegrees() {
 			if math.Float64bits(w) != math.Float64bits(wdeg[u]) {
 				t.Fatalf("%s: WeightedDegrees[%d] = %v, want %v", b.name, u, w, wdeg[u])

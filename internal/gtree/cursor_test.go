@@ -67,31 +67,50 @@ func checkCursorMatches(t *testing.T, name string, adj graph.Adjacency, order []
 	}
 }
 
-// TestCursorPromotionRace walks tiered cursors while another goroutine
-// keeps shifting heat and promoting: rows flip between fragment hits and
-// paged misses under the cursor's feet and must stay bit-identical. Run
-// with -race.
+// TestCursorPromotionRace: a tiered cursor picks its backend when it
+// opens. One opened before promotion keeps paging and one opened after
+// aliases the resident CSR, both bit-identical; then cursors walk while
+// another goroutine promotes and demotes. Run with -race.
 func TestCursorPromotionRace(t *testing.T) {
 	g := hubGraph(600, 2500, 3, 43)
-	s, tiered := openTiered(t, g, 1<<17)
-	base, err := s.PagedCSR()
-	if err != nil {
-		t.Fatal(err)
+	want := graph.ToCSR(g)
+	cost := csrCost(want)
+	s, tiered := openTiered(t, g, cost)
+	ids, ws := csrRows(want)
+	before := tiered.Cursor()
+	if tiered.Promote() != 1 {
+		t.Fatal("Promote at budget = cost published nothing")
 	}
-	ids, ws := csrRows(graph.ToCSR(g))
+	after := tiered.Cursor()
+	mem := tiered.ts.csr.Load()
+	for u := graph.NodeID(0); int(u) < want.N(); u++ {
+		bn, bw := before.Neighbors(u, nil, nil)
+		an, aw := after.Neighbors(u, nil, nil)
+		requireRow(t, "opened before promotion", want, u, bn, bw, true)
+		requireRow(t, "opened after promotion", want, u, an, aw, true)
+		if len(an) > 0 && &an[0] != &mem.Adjncy[mem.Xadj[u]] {
+			t.Fatalf("row %d of a cursor opened after promotion does not alias the resident CSR", u)
+		}
+	}
+	before.Close()
+	after.Close()
+	if hits, misses := tiered.QueryCounts(); hits != int64(want.N()) || misses != int64(want.N()) {
+		t.Fatalf("%d hits, %d misses; want %d of each", hits, misses, want.N())
+	}
+
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		rows := []graph.NodeID{0, 7, 14, 100, 200, 300}
-		for i := 0; ; i++ {
+		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			warmRows(base, rows[i%len(rows):i%len(rows)+1], 2)
+			s.SetTierBudget(0)
+			s.SetTierBudget(cost)
 			tiered.Promote()
 		}
 	}()

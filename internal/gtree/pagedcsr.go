@@ -37,10 +37,10 @@ var ErrPagedRead = errors.New("gtree: paged read fault")
 // No frame byte outlives its pin. The pool recycles frames in place (see
 // storage.BufferPool.Get: the next page loaded into a frame overwrites
 // the buffer), so every read path here either copies out under the pin —
-// storage.RunReader.Read for sweep windows, EdgeOffset, NodeWeight and
-// tiered promotion; storage.ReadBlob for leaves and labels — or, in the
-// row cursor, decodes into the caller's buffers before the cursor moves
-// the pin. Nothing a caller receives aliases the pool.
+// storage.RunReader.Read for sweep windows; storage.ReadBlob for leaves
+// and labels — or, in the row cursor, decodes into the caller's buffers
+// before the cursor moves the pin. Nothing a caller receives aliases the
+// pool.
 //
 // Values round-trip the file verbatim (same int32 ids, same float64
 // bits, same neighbor order as the in-memory CSR the file was saved
@@ -66,7 +66,6 @@ type PagedCSR struct {
 	xadj      *storage.RunReader
 	adjncy    *storage.RunReader
 	edgew     *storage.RunReader
-	nodew     *storage.RunReader
 
 	// sh is shared between a base PagedCSR and all its query views: the
 	// fault-epoch latch, the weighted-degree cache and the sweep buffers are
@@ -101,7 +100,7 @@ type pagedShared struct {
 	// reused across the O(iterations) sweeps of a power-iteration solve.
 	sweeps sync.Pool
 
-	// tier is the hot/cold tiering state (fragment set, budget, promotion
+	// tier is the hot/cold tiering state (resident CSR, budget, promotion
 	// counters) shared by every TieredCSR view of the file — like the
 	// fault epoch, it is a property of the file, not of one query's pool
 	// view. Dormant (budget 0) until Store.SetTierBudget.
@@ -110,8 +109,9 @@ type pagedShared struct {
 
 var _ graph.Adjacency = (*PagedCSR)(nil)
 
-// newPagedCSR wires the four run readers over the store's buffer pool,
-// validating the section's geometry against the file.
+// newPagedCSR wires the Xadj, Adjncy and EdgeW run readers over the
+// store's buffer pool, validating the section's geometry — the NodeW run's
+// too — against the file.
 func newPagedCSR(s *Store) (*PagedCSR, error) {
 	c := &PagedCSR{n: s.graphNodes, halfEdges: s.halfEdges, directed: s.directed, sh: &pagedShared{}, cc: &cursorCounts{}}
 	var err error
@@ -124,13 +124,11 @@ func newPagedCSR(s *Store) (*PagedCSR, error) {
 	if c.edgew, err = storage.NewRunReader(s.pool, s.csrPages[2], 8, s.halfEdges); err != nil {
 		return nil, fmt.Errorf("gtree: CSR edgew: %w", err)
 	}
-	if c.nodew, err = storage.NewRunReader(s.pool, s.csrPages[3], 4, s.graphNodes); err != nil {
+	if _, err = storage.NewRunReader(s.pool, s.csrPages[3], 4, s.graphNodes); err != nil {
 		return nil, fmt.Errorf("gtree: CSR nodew: %w", err)
 	}
-	// The tiering promoter decodes fragments through the base view (the
-	// shared pool) and ranks the pool's heat counters.
+	// The tier promoter decodes through the base view (the shared pool).
 	c.sh.tier.base = c
-	c.sh.tier.pool = s.pool
 	return c, nil
 }
 
@@ -145,7 +143,6 @@ func (c *PagedCSR) withPool(p storage.PagePool) *PagedCSR {
 		xadj:   c.xadj.WithPool(p),
 		adjncy: c.adjncy.WithPool(p),
 		edgew:  c.edgew.WithPool(p),
-		nodew:  c.nodew.WithPool(p),
 	}
 }
 
@@ -243,37 +240,6 @@ func (c *PagedCSR) sweepFault(err error) error {
 	return err
 }
 
-// EdgeOffset returns the persisted half-edge prefix offset Xadj[u], for u
-// in [0, n]. The tier promoter probes it a handful of times per candidate
-// span to map hot Adjncy pages back to node ranges; a paged read fault
-// latches on the epoch and reports ok=false, abandoning the pass.
-func (c *PagedCSR) EdgeOffset(u graph.NodeID) (int, bool) {
-	if u < 0 || int(u) > c.n {
-		c.setErr(fmt.Errorf("gtree: CSR offset %d out of range (n=%d)", u, c.n))
-		return 0, false
-	}
-	var buf [4]byte
-	if err := c.xadj.Read(int(u), int(u)+1, buf[:]); err != nil {
-		c.setErr(err)
-		return 0, false
-	}
-	off := int(int32(binary.LittleEndian.Uint32(buf[:])))
-	if off < 0 || off > c.halfEdges {
-		c.setErr(fmt.Errorf("gtree: corrupt CSR xadj offset at %d: %d of %d half-edges", u, off, c.halfEdges))
-		return 0, false
-	}
-	return off, true
-}
-
-// Degree returns the number of stored half-edges at u.
-func (c *PagedCSR) Degree(u graph.NodeID) int {
-	var pc pagedCursor
-	pc.open(c)
-	lo, hi, _ := pc.xrange(u)
-	pc.Close()
-	return hi - lo
-}
-
 // --- Row cursor -----------------------------------------------------------
 
 // Run positions inside a pagedCursor's storage.RunCursor.
@@ -289,10 +255,9 @@ type cursorCounts struct {
 }
 
 // CursorCounts returns the rows read and the pool pins taken by cursors
-// closed so far on this view and the views derived from it — including
-// the open-read-close cursor behind Degree. pins/rows is how well sticky
-// pins worked: ~3 per row for one-shot reads, pages/rows for an in-order
-// cursor walk.
+// closed so far on this view and the views derived from it. pins/rows is
+// how well sticky pins worked: ~3 per row for one-shot reads, pages/rows
+// for an in-order cursor walk.
 func (c *PagedCSR) CursorCounts() (rows, pins int64) {
 	return c.cc.rows.Load(), c.cc.pins.Load()
 }
@@ -448,20 +413,6 @@ func (pc *pagedCursor) Neighbors(u graph.NodeID, nbrBuf []graph.NodeID, wBuf []f
 	return nbrBuf, wBuf
 }
 
-// NodeWeight returns the persisted partitioner node weight of u.
-func (c *PagedCSR) NodeWeight(u graph.NodeID) int32 {
-	if u < 0 || int(u) >= c.n {
-		c.setErr(fmt.Errorf("gtree: CSR node %d out of range (n=%d)", u, c.n))
-		return 0
-	}
-	var buf [4]byte
-	if err := c.nodew.Read(int(u), int(u)+1, buf[:]); err != nil {
-		c.setErr(err)
-		return 0
-	}
-	return int32(binary.LittleEndian.Uint32(buf[:]))
-}
-
 // --- Edge-centric blocked sweep -------------------------------------------
 
 // Sweep block sizes, in elements. One Xadj window of node offsets and one
@@ -559,13 +510,6 @@ func (c *PagedCSR) sweep(lo, hi int, mode sweepMode, emit func(u int, ids []grap
 		for i := 0; i < cnt; i++ {
 			b.xadj[i] = int32(binary.LittleEndian.Uint32(b.raw[4*i:]))
 		}
-		// The chunk's last offset caps the window read-ahead: reading past
-		// the final node's edges would pin pages this sweep never decodes —
-		// harmless on a full pass (the next chunk wants them anyway) but
-		// real waste on the cold sub-range sweeps of a tiered view, which
-		// would overshoot into the resident fragment that follows and pay
-		// the pins for (and possibly fault on) pages it serves from memory.
-		edgeCap := int(b.xadj[cnt-1])
 		for u := base; u < nodeHi; u++ {
 			elo, ehi := int(b.xadj[u-base]), int(b.xadj[u-base+1])
 			if elo < 0 || ehi < elo || ehi > c.halfEdges {
@@ -581,7 +525,7 @@ func (c *PagedCSR) sweep(lo, hi int, mode sweepMode, emit func(u int, ids []grap
 			}
 			if elo < winLo || ehi > winHi {
 				var err error
-				if winLo, winHi, err = c.advanceWindow(b, winLo, winHi, elo, ehi, edgeCap, mode); err != nil {
+				if winLo, winHi, err = c.advanceWindow(b, winLo, winHi, elo, ehi, mode); err != nil {
 					return err
 				}
 			}
@@ -606,13 +550,10 @@ func (c *PagedCSR) sweep(lo, hi int, mode sweepMode, emit func(u int, ids []grap
 // block buffers (the page-straddling case: a node's list begins in the
 // previous window) and only the missing suffix is read, so every Adjncy
 // and EdgeW page is pinned once per window that touches it. A list larger
-// than sweepEdgeChunk grows the window to hold it whole. edgeCap bounds
-// the read-ahead to the edges the sweep will actually emit (the current
-// node-chunk's end), keeping a sub-range sweep from pinning pages past
-// its range.
+// than sweepEdgeChunk grows the window to hold it whole.
 //
 //gmine:hotpath
-func (c *PagedCSR) advanceWindow(b *sweepBufs, winLo, winHi, elo, ehi, edgeCap int, mode sweepMode) (int, int, error) {
+func (c *PagedCSR) advanceWindow(b *sweepBufs, winLo, winHi, elo, ehi int, mode sweepMode) (int, int, error) {
 	if elo >= winLo && elo < winHi {
 		keep := winHi - elo
 		if mode&sweepIDs != 0 {
@@ -628,9 +569,6 @@ func (c *PagedCSR) advanceWindow(b *sweepBufs, winLo, winHi, elo, ehi, edgeCap i
 	target := winLo + sweepEdgeChunk
 	if target < ehi {
 		target = ehi
-	}
-	if target > edgeCap && edgeCap >= ehi {
-		target = edgeCap
 	}
 	if target > c.halfEdges {
 		target = c.halfEdges

@@ -544,11 +544,11 @@ func (s *Store) PagedCSR() (*PagedCSR, error) {
 }
 
 // SetTierBudget sets the hot/cold tiering byte budget of the store's
-// paged CSR: with a positive budget, TieredCSR views promote hot page
-// runs into pinned in-memory CSR fragments whose resident bytes never
-// exceed it; 0 demotes every fragment and disables tiering. Safe before
-// or after the first PagedCSR call; a store whose CSR section cannot be
-// opened ignores the knob.
+// paged CSR: while it covers the decoded CSR (4·(n+1) + 12·halfEdges
+// bytes), TieredCSR.Promote loads the whole graph into memory; a budget
+// below that, or 0, demotes a resident CSR at once. Safe before or after
+// the first PagedCSR call and concurrently with queries; a store whose
+// CSR section cannot be opened ignores the knob.
 func (s *Store) SetTierBudget(bytes int64) {
 	if csr, err := s.PagedCSR(); err == nil {
 		csr.sh.tier.setBudget(bytes)
@@ -600,7 +600,7 @@ type QueryCounts struct {
 	// window: store-wide, so overlapping queries each see the other's.
 	Retry storage.RetryStats
 	// Tiered reports whether the query solved on a tiered view; TierHits
-	// and TierMisses are then its rows served from fragments and from pages.
+	// and TierMisses are then its rows read from memory and from pages.
 	Tiered               bool
 	TierHits, TierMisses int64
 }
@@ -608,7 +608,7 @@ type QueryCounts struct {
 // QueryView opens one query's view of the store's graph. Every page the
 // query pins goes through a fresh storage.CountedPool, so its counters name
 // this query's paging alone; the view shares the store's pool, fault epoch,
-// weighted-degree cache and tier fragments with every other view. ctx
+// weighted-degree cache and resident tier with every other view. ctx
 // rides the view's sweeps (see PagedCSR.WithContext). Nothing needs
 // closing; call Promote once the query is done.
 func (s *Store) QueryView(ctx context.Context) (*QueryView, error) {
@@ -648,8 +648,9 @@ func (v *QueryView) Counts() QueryCounts {
 	return qc
 }
 
-// Promote runs the tier promoter once the query is done: it ranks what
-// just got hot and pins it within the budget. A no-op for untiered views.
+// Promote runs the tier promoter once the query is done: it loads the
+// whole graph into memory when the budget covers it and it is not
+// resident yet. A no-op for untiered views.
 func (v *QueryView) Promote() {
 	if v.tiered != nil {
 		v.tiered.Promote()
@@ -704,8 +705,9 @@ type PoolInfo struct {
 	// attempts, reads healed by retry, and reads that exhausted the budget
 	// and surfaced as permanent faults.
 	Retry storage.RetryStats
-	// Tier is the hot/cold tiering state, nil while tiering is off (no
-	// budget ever set and nothing ever promoted).
+	// Tier is the hot/cold tiering state — whether the decoded CSR is
+	// resident, its bytes against the budget, and the tier counters — nil
+	// while tiering is off (no budget ever set and nothing ever promoted).
 	Tier *TierInfo
 }
 

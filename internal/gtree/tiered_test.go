@@ -1,7 +1,6 @@
 package gtree
 
 import (
-	"math"
 	"os"
 	"sync"
 	"testing"
@@ -9,27 +8,16 @@ import (
 	"repro/internal/graph"
 )
 
-// warmRows drives one-shot row reads through c so the buffer pool's heat
-// counters mark the touched page buckets hot — the promotion signal.
-func warmRows(c *PagedCSR, rows []graph.NodeID, passes int) {
-	var nbrs []graph.NodeID
-	var ws []float64
-	for p := 0; p < passes; p++ {
-		for _, u := range rows {
-			cur := c.Cursor()
-			nbrs, ws = cur.Neighbors(u, nbrs[:0], ws[:0])
-			cur.Close()
-		}
-	}
+// csrCost is the resident size of want decoded: 4·(n+1) + 12·halfEdges.
+func csrCost(want *graph.CSR) int64 {
+	return 4*int64(want.N()+1) + tierEdgeBytes*int64(want.HalfEdges())
 }
 
-// openTiered saves g, opens it with a tier budget set, warms the hub rows
-// and runs one promotion pass, requiring it to promote at least one
-// fragment.
+// openTiered saves g and opens it with a tier budget set, returning the
+// store and a tiered view over its paged CSR. Nothing is promoted yet.
 func openTiered(t *testing.T, g *graph.Graph, budget int64) (*Store, *TieredCSR) {
 	t.Helper()
-	path := buildAndSave(t, g, 256)
-	s, err := OpenFile(path, 4096)
+	s, err := OpenFile(buildAndSave(t, g, 256), 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,76 +27,44 @@ func openTiered(t *testing.T, g *graph.Graph, budget int64) (*Store, *TieredCSR)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmRows(base, []graph.NodeID{0, 7, 14}, 8)
-	tiered := base.Tiered()
-	if tiered.Promote() == 0 {
-		t.Fatal("promotion pass over hot hub rows promoted nothing")
-	}
-	ti := s.TierInfo()
-	if ti == nil || ti.Fragments == 0 || ti.Bytes == 0 {
-		t.Fatalf("tier info after promotion: %+v", ti)
-	}
-	if ti.Bytes > budget {
-		t.Fatalf("resident fragment bytes %d exceed budget %d", ti.Bytes, budget)
-	}
-	return s, tiered
+	return s, base.Tiered()
 }
 
-// checkTieredMatches requires the tiered view's sweep, cursor and Degree
-// reads to be bit-identical to the in-memory ground truth.
+// checkTieredMatches requires the tiered view's sweeps and cursor reads to
+// be bit-identical to the in-memory ground truth.
 func checkTieredMatches(t *testing.T, tc *TieredCSR, want *graph.CSR) {
 	t.Helper()
-	next := 0
-	if err := tc.SweepEdges(0, graph.NodeID(tc.N()), func(u graph.NodeID, nbrs []graph.NodeID, ws []float64) bool {
-		if int(u) != next {
-			t.Fatalf("emitted %d, expected %d", u, next)
-		}
-		next++
-		wn, ww := want.Neighbors(u)
-		if len(nbrs) != len(wn) || len(ws) != len(ww) {
-			t.Fatalf("node %d: %d/%d entries, want %d", u, len(nbrs), len(ws), len(wn))
-		}
-		for i := range wn {
-			if nbrs[i] != wn[i] || math.Float64bits(ws[i]) != math.Float64bits(ww[i]) {
-				t.Fatalf("node %d entry %d: %d/%g want %d/%g", u, i, nbrs[i], ws[i], wn[i], ww[i])
-			}
-		}
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if next != tc.N() {
-		t.Fatalf("sweep emitted %d of %d nodes", next, tc.N())
-	}
-	for u := 0; u < want.N(); u++ {
-		if id := graph.NodeID(u); tc.Degree(id) != want.Degree(id) {
-			t.Fatalf("node %d: Degree %d want %d", u, tc.Degree(id), want.Degree(id))
-		}
-	}
-	// Cursor reads reuse one buffer pair across hit and miss rows — the
-	// aliasing hazard the copy-on-hit contract exists for.
+	checkSweeps(t, "tiered", tc, want, 0, graph.NodeID(want.N()), 0)
 	ids, ws := csrRows(want)
 	checkCursorMatches(t, "tiered", tc, visitOrders(want.N(), 1)["ascending"], ids, ws)
 }
 
-// TestTieredMatchesPagedAndMemory: with hot hub rows promoted into
-// fragments, every tiered read path must reproduce the in-memory ground
-// truth bit for bit, and fragment hits must actually be served (the tiered
-// view is not allowed to quietly fall through to paged for everything).
+// TestTieredMatchesPagedAndMemory: at a budget of exactly the decoded
+// CSR's cost, one Promote publishes the whole graph; every tiered read is
+// then bit-identical to memory, served from memory, and takes no pool pin.
 func TestTieredMatchesPagedAndMemory(t *testing.T) {
 	g := hubGraph(600, 2500, 3, 21)
 	want := graph.ToCSR(g)
-	s, tiered := openTiered(t, g, 1<<20)
+	cost := csrCost(want)
+	s, tiered := openTiered(t, g, cost)
+	if n := tiered.Promote(); n != 1 {
+		t.Fatalf("Promote at budget = cost published %d", n)
+	}
+	if ti := s.TierInfo(); ti.Fragments != 1 || ti.Bytes != cost || ti.Bytes > ti.Budget || ti.Promotions != 1 {
+		t.Fatalf("tier after promotion: %+v, want the whole CSR (%d bytes)", ti, cost)
+	}
+	if tiered.Promote() != 0 {
+		t.Fatal("second Promote republished a resident CSR")
+	}
+	s.ResetPoolStats()
 	checkTieredMatches(t, tiered, want)
-	if hits, _ := tiered.QueryCounts(); hits == 0 {
-		t.Fatal("no rows served from fragments despite resident hot ranges")
+	if gets := poolGets(s); gets != 0 {
+		t.Fatalf("warm tiered sweeps and cursor took %d pool pins, want 0", gets)
 	}
-	ti := s.TierInfo()
-	if ti.Hits == 0 {
-		t.Fatalf("session tier counters saw no fragment hits: %+v", ti)
+	if hits, misses := tiered.QueryCounts(); hits == 0 || misses != 0 {
+		t.Fatalf("resident tier served %d hits, %d misses; want only hits", hits, misses)
 	}
-	// The paged base stays bit-identical too (fragments are views, not a
-	// second source of truth).
+	// The paged base stays bit-identical too.
 	base, err := s.PagedCSR()
 	if err != nil {
 		t.Fatal(err)
@@ -119,32 +75,63 @@ func TestTieredMatchesPagedAndMemory(t *testing.T) {
 	}
 }
 
-// TestTieredPromotionRacesSweep runs promotion passes (with ongoing heat
-// churn) concurrently with full tiered sweeps: every sweep must stay
-// bit-identical — the immutable-snapshot publish means a mid-sweep
-// promotion is invisible to the pass that already started. Run with -race.
+// TestTieredBudgetBound: one byte below the cost nothing is promoted and
+// every read pages, bit-identically; a cut below the cost, or to 0, demotes
+// a resident CSR at once, after which Promote is a no-op.
+func TestTieredBudgetBound(t *testing.T) {
+	g := hubGraph(600, 2500, 3, 24)
+	want := graph.ToCSR(g)
+	cost := csrCost(want)
+	s, tiered := openTiered(t, g, cost-1)
+	if n := tiered.Promote(); n != 0 {
+		t.Fatalf("Promote below the cost published %d", n)
+	}
+	if ti := s.TierInfo(); ti.Fragments != 0 || ti.Bytes != 0 {
+		t.Fatalf("tier below the cost: %+v", ti)
+	}
+	checkTieredMatches(t, tiered, want)
+	if hits, misses := tiered.QueryCounts(); hits != 0 || misses == 0 {
+		t.Fatalf("below-budget tier served %d hits, %d misses; want only misses", hits, misses)
+	}
+	for _, cut := range []int64{cost - 1, 0} {
+		s.SetTierBudget(cost)
+		if tiered.Promote() != 1 {
+			t.Fatal("Promote at budget = cost published nothing")
+		}
+		before := s.TierInfo()
+		s.SetTierBudget(cut)
+		if after := s.TierInfo(); after.Fragments != 0 || after.Bytes != 0 || after.Demotions != before.Demotions+1 {
+			t.Fatalf("budget cut to %d: %+v -> %+v, want one demotion and nothing resident", cut, before, after)
+		}
+		if tiered.Promote() != 0 {
+			t.Fatalf("Promote published after a cut to %d", cut)
+		}
+	}
+	checkTieredMatches(t, tiered, want)
+}
+
+// TestTieredPromotionRacesSweep runs promotions and demotions concurrently
+// with full tiered sweeps and cursor walks: each picks its backend once,
+// at its start, so every pass must stay bit-identical. Run with -race.
 func TestTieredPromotionRacesSweep(t *testing.T) {
 	g := hubGraph(600, 2500, 3, 23)
 	want := graph.ToCSR(g)
-	s, tiered := openTiered(t, g, 1<<18)
-	base, err := s.PagedCSR()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cost := csrCost(want)
+	s, tiered := openTiered(t, g, cost)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		rows := []graph.NodeID{0, 7, 14, 100, 200, 300}
-		for i := 0; ; i++ {
+		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			warmRows(base, rows[i%len(rows):i%len(rows)+1], 2)
 			tiered.Promote()
+			s.SetTierBudget(0)
+			s.SetTierBudget(cost)
 		}
 	}()
 	for pass := 0; pass < 8; pass++ {
@@ -157,48 +144,10 @@ func TestTieredPromotionRacesSweep(t *testing.T) {
 	}
 }
 
-// TestTieredBudgetBound: resident fragment bytes never exceed the budget,
-// across repeated promotion passes with shifting heat; shrinking the
-// budget to 0 demotes everything immediately and disables routing.
-func TestTieredBudgetBound(t *testing.T) {
-	g := hubGraph(600, 2500, 3, 24)
-	const budget = 16 << 10 // far smaller than the CSR: promotion must select
-	s, tiered := openTiered(t, g, budget)
-	base, err := s.PagedCSR()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 6; round++ {
-		warmRows(base, []graph.NodeID{graph.NodeID(50 * round), graph.NodeID(50*round + 25)}, 6)
-		tiered.Promote()
-		if ti := s.TierInfo(); ti.Bytes > budget {
-			t.Fatalf("round %d: resident %d bytes exceed budget %d", round, ti.Bytes, budget)
-		}
-	}
-	before := s.TierInfo()
-	if before.Fragments == 0 {
-		t.Fatal("no fragments resident before the budget cut")
-	}
-	s.SetTierBudget(0)
-	after := s.TierInfo()
-	if after.Fragments != 0 || after.Bytes != 0 {
-		t.Fatalf("budget 0 left fragments resident: %+v", after)
-	}
-	if after.Demotions < before.Demotions+uint64(before.Fragments) {
-		t.Fatalf("demotions %d do not account for the %d evicted fragments", after.Demotions, before.Fragments)
-	}
-	// With tiering off the view is a plain delegating wrapper; Promote is a
-	// no-op.
-	if tiered.Promote() != 0 {
-		t.Fatal("Promote promoted with budget 0")
-	}
-}
-
 // TestTieredPromotionFaultNoTornFragment corrupts the file underneath a
 // live store, then promotes: the decode fault must latch on the shared
-// epoch protocol and the torn fragment must never be published — reads
-// keep failing closed through the paged path instead of silently serving
-// garbage from a half-decoded fragment.
+// epoch protocol and nothing may be published — reads keep failing closed
+// through the paged path instead of serving a half-decoded CSR.
 func TestTieredPromotionFaultNoTornFragment(t *testing.T) {
 	g := hubGraph(500, 2000, 2, 25)
 	path := buildAndSave(t, g, 256)
@@ -212,7 +161,6 @@ func TestTieredPromotionFaultNoTornFragment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmRows(base, []graph.NodeID{0, 7}, 8)
 
 	// Flip the checksum byte of every data page under the live store.
 	raw, err := os.ReadFile(path)
@@ -230,13 +178,12 @@ func TestTieredPromotionFaultNoTornFragment(t *testing.T) {
 	tiered := base.Tiered()
 	epoch := tiered.Faults()
 	if n := tiered.Promote(); n != 0 {
-		t.Fatalf("promotion over a corrupt file published %d fragments", n)
+		t.Fatalf("promotion over a corrupt file published %d", n)
 	}
 	if tiered.ErrSince(epoch) == nil {
 		t.Fatal("promotion decode fault not recorded on the epoch protocol")
 	}
-	ti := s.TierInfo()
-	if ti != nil && ti.Fragments != 0 {
-		t.Fatalf("torn fragments resident after faulted promotion: %+v", ti)
+	if ti := s.TierInfo(); ti.Fragments != 0 || ti.Promotions != 0 {
+		t.Fatalf("torn CSR resident after faulted promotion: %+v", ti)
 	}
 }

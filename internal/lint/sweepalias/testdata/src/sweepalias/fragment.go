@@ -1,14 +1,12 @@
 package sweepalias
 
-// Fragment-backed sweeps (the hot/cold tiering idiom): a tiered adjacency
-// serves resident node ranges from pinned in-memory CSR fragments, so its
-// sweep callbacks receive rows that are cap-clamped subslices of
-// long-lived fragment arrays instead of recycled block buffers. The
+// Memory-backed sweeps (the hot/cold tiering idiom): a tiered adjacency
+// with the graph resident serves rows as cap-clamped subslices of a
+// long-lived in-memory CSR instead of recycled block buffers. The
 // aliasing contract is deliberately unchanged — rows are valid only
-// during the callback, because a promotion pass can demote the fragment
-// (and the same callback sees paged block-buffer rows for cold ranges
-// anyway) — so retaining a fragment-backed row header is the same bug and
-// must be flagged the same way.
+// during the callback, because a budget cut can demote the CSR (and the
+// next sweep pages into block buffers) — so retaining a memory-backed
+// row header is the same bug and must be flagged the same way.
 type tiered struct {
 	fragIDs []NodeID
 	fragWS  []float64
@@ -17,8 +15,8 @@ type tiered struct {
 
 func (t *tiered) SweepEdges(lo, hi NodeID, fn func(u NodeID, nbrs []NodeID, w []float64) bool) error {
 	for u := lo; u < hi; u++ {
-		// Cap-clamped fragment subslices: callees cannot append in place,
-		// but the header still windows the fragment array.
+		// Cap-clamped subslices: callees cannot append in place, but the
+		// header still windows the resident array.
 		if !fn(u, t.fragIDs[0:2:2], t.fragWS[0:2:2]) {
 			return nil
 		}

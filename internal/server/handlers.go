@@ -196,10 +196,10 @@ type PoolInfo struct {
 	// Stale marks a last-known snapshot served while the session was
 	// write-locked (building or deleting); fresh reads omit it.
 	Stale bool `json:"stale,omitempty"`
-	// Tier reports the hot-tier state of sessions with a fragment budget
-	// set (nil while tiering is off): how many pinned CSR fragments are
-	// resident, the bytes they hold against the budget, and the cumulative
-	// promotion/demotion/hit/miss counters.
+	// Tier reports the hot-tier state of sessions with a tier budget set
+	// (nil while tiering is off): whether the decoded graph is resident
+	// (fragments 0 or 1), the bytes it holds against the budget, and the
+	// cumulative promotion/demotion/hit/miss counters.
 	Tier *gtree.TierInfo `json:"tier,omitempty"`
 }
 
@@ -269,10 +269,10 @@ type CreateSessionRequest struct {
 	Method       string `json:"method"` // "multilevel" (default), "bfs", "random"
 	// PoolPages bounds the buffer pool of "gtree" sources (0 = default).
 	PoolPages int `json:"poolPages"`
-	// TierBudget caps the bytes of hot page runs a "gtree" session may
-	// promote into pinned in-memory CSR fragments (0 = tiering off). It is
-	// an execution knob: tiered reads are bit-identical to paged ones, only
-	// faster on skewed workloads.
+	// TierBudget is the byte budget of a "gtree" session's hot tier (0 =
+	// tiering off): while it covers the decoded CSR, the session promotes
+	// the whole graph into memory after its first query. It is an execution
+	// knob: tiered reads are bit-identical to paged ones.
 	TierBudget int64 `json:"tierBudget"`
 
 	IgnoredSessionFields

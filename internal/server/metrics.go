@@ -186,7 +186,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			eachBreaker(func(name string, _ int, opens uint64) { emit(float64(opens), name) })
 		})
 
-	// Hot-tier families only emit rows for sessions with a fragment budget
+	// Hot-tier families only emit rows for sessions with a tier budget
 	// set — the Tier pointer is nil while tiering is off, so idle servers
 	// scrape no extra series.
 	eachTier := func(each func(name string, ti *gtree.TierInfo)) {
@@ -201,17 +201,17 @@ func newServerMetrics(s *Server) *serverMetrics {
 		}
 	}
 	reg.Collect("gmine_tier_resident_bytes",
-		"Bytes of hot page runs pinned as in-memory CSR fragments, by session (budget in gmine_tier_budget_bytes).",
+		"Bytes of the decoded CSR held in memory by the hot tier, 0 while nothing is promoted, by session (budget in gmine_tier_budget_bytes).",
 		"gauge", poolLabels, func(emit func(v float64, labelVals ...string)) {
 			eachTier(func(name string, ti *gtree.TierInfo) { emit(float64(ti.Bytes), name) })
 		})
 	reg.Collect("gmine_tier_budget_bytes",
-		"Configured hot-tier fragment byte budget, by session.",
+		"Configured hot-tier byte budget, by session.",
 		"gauge", poolLabels, func(emit func(v float64, labelVals ...string)) {
 			eachTier(func(name string, ti *gtree.TierInfo) { emit(float64(ti.Budget), name) })
 		})
 	reg.Collect("gmine_tier_ops_total",
-		"Hot-tier operations by session: fragment promotions and demotions, and row reads served from fragments (hit) vs the paged store (miss).",
+		"Hot-tier operations by session: whole-graph promotions and demotions, and row reads served from memory (hit) vs the paged store (miss).",
 		"counter", []string{"session", "op"}, func(emit func(v float64, labelVals ...string)) {
 			eachTier(func(name string, ti *gtree.TierInfo) {
 				emit(float64(ti.Promotions), name, "promotion")

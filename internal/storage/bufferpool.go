@@ -1,9 +1,6 @@
 package storage
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // Stats counts buffer pool activity; read with BufferPool.Stats.
 type Stats struct {
@@ -14,28 +11,6 @@ type Stats struct {
 	// another goroutine and waited for that load instead of reading the
 	// page again. Each is also a Hit (the page was found in the pool).
 	LoadWaits uint64
-}
-
-// Heat tracking: every Get — hit or miss — bumps a decayed access counter
-// for the page's bucket (runs of 1<<heatShift consecutive pages, so the
-// counters cover node ranges of the fixed-stride CSR runs, not individual
-// pages). Every heatDecayEvery recorded accesses all buckets are halved,
-// so the scores track the recent access mix instead of growing without
-// bound: a region the workload has moved away from cools down within a
-// few decay periods no matter how hot it once was. HotRanges exposes the
-// top-k buckets; the gtree tiering promoter uses them to decide which
-// page runs deserve pinned in-memory CSR fragments.
-const (
-	heatShift      = 3    // pages per heat bucket (8)
-	heatDecayEvery = 8192 // recorded accesses between halvings
-)
-
-// HotRange is one hot page-bucket: Pages consecutive pages starting at
-// First, with the bucket's current decayed access score.
-type HotRange struct {
-	First PageID
-	Pages int
-	Score float64
 }
 
 // PagePool is the page-pinning interface readers (blob, run, leaf) go
@@ -121,13 +96,6 @@ type BufferPool struct {
 	// victim.
 	head, tail *frame
 	stats      Stats
-
-	// heat holds one decayed access counter per run of 1<<heatShift
-	// consecutive pages, sized once at construction from the pager's page
-	// count so the hot Get path never allocates. heatOps counts recorded
-	// accesses toward the next halving.
-	heat    []float64
-	heatOps int
 }
 
 // NewBufferPool wraps pager with a pool holding up to capacity pages.
@@ -139,66 +107,9 @@ func NewBufferPool(pager *Pager, capacity int) *BufferPool {
 		pager:  pager,
 		cap:    capacity,
 		frames: make(map[PageID]*frame, capacity),
-		heat:   make([]float64, int(pager.NumPages())>>heatShift+1),
 	}
 	bp.cond = sync.NewCond(&bp.mu)
 	return bp
-}
-
-// recordHeat charges one access to page id's heat bucket, halving all
-// buckets when the decay period rolls over. Caller holds bp.mu. The
-// halving is amortized: O(1) per access, one O(buckets) pass every
-// heatDecayEvery accesses.
-//
-//gmine:hotpath
-func (bp *BufferPool) recordHeat(id PageID) {
-	b := int(id) >> heatShift
-	if b >= len(bp.heat) {
-		b = len(bp.heat) - 1
-	}
-	if b < 0 {
-		return
-	}
-	bp.heat[b]++
-	bp.heatOps++
-	if bp.heatOps >= heatDecayEvery {
-		bp.heatOps = 0
-		for i := range bp.heat {
-			bp.heat[i] /= 2
-		}
-	}
-}
-
-// HotRanges returns the k hottest page buckets by decayed access score,
-// hottest first (ties by page id; buckets with zero score are never
-// returned). The result describes recent access frequency per page run —
-// the signal the tiering promoter ranks candidate CSR fragments by.
-func (bp *BufferPool) HotRanges(k int) []HotRange {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	if k <= 0 {
-		return nil
-	}
-	idx := make([]int, 0, len(bp.heat))
-	for i, s := range bp.heat {
-		if s > 0 {
-			idx = append(idx, i)
-		}
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if bp.heat[idx[a]] != bp.heat[idx[b]] {
-			return bp.heat[idx[a]] > bp.heat[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
-	if len(idx) > k {
-		idx = idx[:k]
-	}
-	out := make([]HotRange, len(idx))
-	for i, b := range idx {
-		out[i] = HotRange{First: PageID(b << heatShift), Pages: 1 << heatShift, Score: bp.heat[b]}
-	}
-	return out
 }
 
 // lruPushFront marks fr most recently used. Caller holds bp.mu.
@@ -310,7 +221,6 @@ func (bp *BufferPool) get(id PageID, q *Stats, wait bool) ([]byte, bool, error) 
 		// scratch (the wanted page may have been loaded meanwhile).
 		bp.cond.Wait()
 	}
-	bp.recordHeat(id)
 	bp.stats.Misses++
 	if q != nil {
 		q.Misses++
@@ -343,7 +253,6 @@ func (bp *BufferPool) get(id PageID, q *Stats, wait bool) ([]byte, bool, error) 
 //
 //gmine:hotpath
 func (bp *BufferPool) pinResident(fr *frame, q *Stats) ([]byte, error) {
-	bp.recordHeat(fr.id)
 	bp.stats.Hits++
 	if q != nil {
 		q.Hits++

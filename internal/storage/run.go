@@ -128,33 +128,6 @@ func (r *RunReader) Pages() int {
 	return (r.count + r.perPage - 1) / r.perPage
 }
 
-// ElementRange maps the page range [first,last] (inclusive, in file page
-// ids) to the run elements stored on those pages, clamped to the run;
-// ok=false when the pages and the run do not intersect. This is the
-// inverse of the run's page arithmetic, used by the tiering promoter to
-// turn hot pages back into element ranges.
-func (r *RunReader) ElementRange(first, last PageID) (lo, hi int, ok bool) {
-	if r.count <= 0 || r.perPage <= 0 || last < r.first {
-		return 0, 0, false
-	}
-	end := r.first + PageID(r.Pages()) // one past the run's last page
-	if first >= end {
-		return 0, 0, false
-	}
-	if first < r.first {
-		first = r.first
-	}
-	if last >= end {
-		last = end - 1
-	}
-	lo = int(first-r.first) * r.perPage
-	hi = int(last-r.first+1) * r.perPage
-	if hi > r.count {
-		hi = r.count
-	}
-	return lo, hi, lo < hi
-}
-
 // WithPool returns a reader over the same run whose page pins go through
 // p instead of the pool the reader was built with — the hook that lets a
 // query read the shared on-disk structure through its own CountedPool, so
