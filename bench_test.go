@@ -747,8 +747,8 @@ func zipfSources(n int) func() []gmine.NodeID {
 // first query pages and its promotion step loads the whole graph) and
 // warmed (32 queries of the same stream ran first, so the graph is
 // already resident). pins/op is the buffer-pool traffic per query;
-// frag-hit-ratio is the fraction of row reads served from memory during
-// the timed loop. The acceptance bound: Tiered/warmed within 2x of
+// frag-hit-ratio is the fraction of queries in the timed loop that read
+// the resident graph (each picks memory or pages once, when it opens). The acceptance bound: Tiered/warmed within 2x of
 // MemoryCSR, resident tier bytes never above the budget.
 func BenchmarkExtractTieredSkewed(b *testing.B) {
 	setup(b)

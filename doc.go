@@ -47,9 +47,12 @@
 //
 // Disk-backed sessions can additionally tier: while SetTierBudget (or
 // `-tierbudget` / the tierBudget session field) covers the decoded CSR,
-// the engine promotes the whole graph into memory after its first query
-// and serves later reads from there, bit-identical to the paged path.
-// Below that budget every read pages. See README "Hot/cold tiering".
+// the engine promotes the whole graph into memory after its first query,
+// and each later query that opens while it is resident reads it from
+// there, bit-identical to the paged path. Below that budget every query
+// pages. Every paged query reads through its own view, which latches its
+// own faults, so one query's bad read never fails another. See README
+// "Hot/cold tiering" and "Resilience".
 //
 // The package is a thin facade over the internal implementation packages;
 // everything needed to reproduce the paper's figures is reachable from

@@ -53,11 +53,7 @@ type PagedCSR = gtree.PagedCSR
 // edge list in one blocked pass, which on a paged CSR costs the buffer
 // pool O(filePages) round-trips per sweep instead of O(n). The
 // whole-graph kernels (RWR, PageRank, structure reports) read through it.
-// NeighborIDSweeper is its ids-only companion.
-type (
-	EdgeSweeper       = graph.EdgeSweeper
-	NeighborIDSweeper = graph.NeighborIDSweeper
-)
+type EdgeSweeper = graph.EdgeSweeper
 
 // ToCSR converts a graph to CSR form.
 func ToCSR(g *Graph) *CSR { return graph.ToCSR(g) }
@@ -241,8 +237,8 @@ func AnalysisReport(g *Graph, hopSamples int, seed int64) SubgraphReport {
 
 // PageRank, components, hops and degree helpers. PageRankAdj runs on any
 // prebuilt Adjacency instead of converting per call. For disk-backed
-// engines prefer Engine.PageRank, which adds the paged-fault epoch check
-// around the iteration.
+// engines prefer Engine.PageRank, which solves on the query's own view
+// and fails the call if any of its reads faulted.
 var (
 	PageRank           = analysis.PageRank
 	PageRankAdj        = analysis.PageRankAdj

@@ -30,7 +30,7 @@ type AdjacencyReport struct {
 
 // ReportAdj computes the whole-graph metric suite in ONE adjacency sweep:
 // degree histogram, self-loop count and union-find connectivity all come
-// from the same ids-only neighbor pass, so a disk-backed graph is paged
+// from the same neighbor pass, so a disk-backed graph is paged
 // through the buffer pool once, not once per metric. Results are
 // deterministic and identical across Adjacency implementations of the
 // same graph.
@@ -60,10 +60,9 @@ func ReportAdj(adj graph.Adjacency, directed bool) AdjacencyReport {
 
 	rep.Degree.Min = math.MaxInt
 	total := 0
-	// The structure sweep needs only the neighbor ids; the ids-only sweep
-	// keeps a paged backend from reading (and evicting id pages for) the
-	// EdgeW run it would never look at.
-	visit := func(u graph.NodeID, nbrs []graph.NodeID) bool {
+	// The structure sweep looks at the neighbor ids only; the weights ride
+	// along in the one sweep every whole-graph kernel uses.
+	visit := func(u graph.NodeID, nbrs []graph.NodeID, _ []float64) bool {
 		d := len(nbrs)
 		rep.Degree.Histogram[d]++
 		total += d
@@ -84,9 +83,9 @@ func ReportAdj(adj graph.Adjacency, directed bool) AdjacencyReport {
 		return true
 	}
 	// A sweep error means a paged backend faulted; it has latched the
-	// fault on its epoch, which the engine-level bracket fails the query
-	// on — the partial report never escapes.
-	_ = adj.SweepNeighborIDs(0, graph.NodeID(n), visit)
+	// fault on the query's view, which the engine-level bracket fails the
+	// query on — the partial report never escapes.
+	_ = adj.SweepEdges(0, graph.NodeID(n), visit)
 	rep.Degree.Mean = float64(total) / float64(n)
 	rep.Degree.PowerLawExponent = fitPowerLaw(rep.Degree.Histogram)
 

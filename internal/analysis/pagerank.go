@@ -54,8 +54,9 @@ func PageRank(g *graph.Graph, opts PageRankOptions) []float64 {
 // against one graph share a single immutable compute representation instead
 // of re-deriving it per call. A paged adjacency cannot surface I/O faults
 // through the Adjacency methods; callers running directly over one must
-// bracket the call with its Faults/ErrSince epoch check (core.Engine's
-// PageRank does this — prefer it for disk-backed engines).
+// check its fault latch (gtree.PagedCSR.Err) after the call, on a view
+// no other reader shares (core.Engine's PageRank solves on the query's
+// own view and does this — prefer it for disk-backed engines).
 func PageRankAdj(c graph.Adjacency, opts PageRankOptions) []float64 {
 	opts = opts.withDefaults()
 	n := c.N()
@@ -107,7 +108,7 @@ func PageRankAdj(c graph.Adjacency, opts PageRankOptions) []float64 {
 		}
 		if err := c.SweepEdges(0, graph.NodeID(n), push); err != nil {
 			// The Adjacency contract has no error surface here; a paged
-			// backend has latched the fault on its epoch, which the
+			// backend has latched the fault on the query's view, which the
 			// engine-level bracket turns into ErrPagedIO. Stop iterating
 			// rather than keep grinding a doomed solve.
 			break

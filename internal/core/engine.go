@@ -108,7 +108,7 @@ func OpenEngine(path string, poolPages int) (*Engine, error) {
 
 // OpenEngineWrapped is OpenEngine with an optional wrapper interposed over
 // the store's backing file — the chaos-serving seam (a
-// storage.FaultInjector slid in here puts the whole retry → fault-epoch →
+// storage.FaultInjector slid in here puts the whole retry → fault latch →
 // circuit-breaker stack under test against a live engine). nil wrap is
 // OpenEngine.
 func OpenEngineWrapped(path string, poolPages int, wrap func(storage.File) storage.File) (*Engine, error) {
@@ -177,9 +177,8 @@ func (e *Engine) SetSweepShards(int) {}
 // loads the whole graph into memory and later queries read it from there;
 // below that every read pages through the buffer pool — bit-identical
 // results either way. No-op for memory-backed engines (the whole graph
-// is already resident).
-// Not safe to call concurrently with queries; set it right after
-// OpenEngine.
+// is already resident). Safe to call concurrently with queries: each
+// query picks memory or pages once, when it opens, and keeps its pick.
 func (e *Engine) SetTierBudget(bytes int64) {
 	if bytes < 0 {
 		bytes = 0
@@ -189,33 +188,35 @@ func (e *Engine) SetTierBudget(bytes int64) {
 	}
 }
 
-// queryAdj returns the adjacency a whole-graph query should solve on and
-// a release function to call when done. Memory-backed engines hand out
-// the shared CSR; disk-backed ones open the query's own gtree.QueryView,
-// which pins through a counted view of the buffer pool, carries ctx into
-// the blocked sweeps (a server timeout or client disconnect aborts the
-// sweep at the next chunk boundary) and is tiered while a tier budget is
-// set.
+// queryAdj returns the adjacency a whole-graph query should solve on, the
+// query's gtree.QueryView behind it (nil on memory-backed engines) and a
+// release function to call when done. Memory-backed engines hand out the
+// shared CSR; disk-backed ones open the query's own view, which pins
+// through a counted view of the buffer pool, latches the query's own
+// faults, carries ctx into the blocked sweeps (a server timeout or client
+// disconnect aborts the sweep at the next chunk boundary) and, while a
+// tier budget is set, reads the resident graph if one was published as it
+// opened.
 //
 // When tr is non-nil the acquisition is recorded as the "open" stage, and
 // the release function charges the query's pool activity — pins (buffer
 // pool Gets = hits + misses), hits/misses, evictions, load waits, the
-// fault-epoch delta, the row cursors' rows/pins, retries and tier routing
-// — to the trace. This is the engine's "report what this query cost"
-// seam: the counters come from the view the query pinned through, so they
-// name this query's paging, not the session's.
-func (e *Engine) queryAdj(ctx context.Context, tr *obs.Trace) (graph.Adjacency, func(), error) {
+// view's own faults, the row cursors' rows/pins, retries and whether the
+// query read the resident tier — to the trace. This is the engine's
+// "report what this query cost" seam: the counters come from the view the
+// query read through, so they name this query's work, not the session's.
+func (e *Engine) queryAdj(ctx context.Context, tr *obs.Trace) (graph.Adjacency, *gtree.QueryView, func(), error) {
 	sp := tr.StartStage("open")
 	defer sp.End()
 	if e.g != nil {
 		adj, err := e.Adj()
-		return adj, func() {}, err
+		return adj, nil, func() {}, err
 	}
 	view, err := e.store.QueryView(ctx)
 	if err != nil {
 		// The CSR section's geometry does not match the file: the request
 		// is fine, the store is not.
-		return nil, nil, fmt.Errorf("%w: %v", ErrPagedIO, err)
+		return nil, nil, nil, fmt.Errorf("%w: %v", ErrPagedIO, err)
 	}
 	release := func() {
 		if tr != nil {
@@ -239,15 +240,18 @@ func (e *Engine) queryAdj(ctx context.Context, tr *obs.Trace) (graph.Adjacency, 
 			tr.Count("pool.retries", int64(qc.Retry.Retries))
 			tr.Count("pool.healed", int64(qc.Retry.Healed))
 			if qc.Tiered {
-				tr.Count("tier.hits", qc.TierHits)
-				tr.Count("tier.misses", qc.TierMisses)
+				resident := int64(0)
+				if qc.Resident {
+					resident = 1
+				}
+				tr.Count("tier.resident", resident)
 			}
 		}
 		// Query-amortized promotion: load the whole graph once the budget
 		// covers it.
 		view.Promote()
 	}
-	return view.Adj, release, nil
+	return view.Adj, view, release, nil
 }
 
 // memStatsBracket returns a closure charging runtime.ReadMemStats deltas
@@ -466,67 +470,40 @@ func (e *Engine) SearchLabelPrefix(prefix string, limit int) ([]LabelHit, error)
 
 // --- Extraction --------------------------------------------------------------
 
-// faultEpocher is the fault-epoch surface of a disk-backed adjacency
-// (gtree.PagedCSR and gtree.TieredCSR both expose it; the tiered view
-// delegates to the paged epoch it shares). withFaultCheck asserts this
-// interface instead of a concrete backend so every current and future
-// paged-flavored adjacency gets the same discipline.
-type faultEpocher interface {
-	Faults() uint64
-	ErrSince(epoch uint64) error
-}
-
-// withFaultCheck runs fn under the paged fault-epoch protocol: a paged
-// adjacency cannot surface I/O faults through the Adjacency methods, it
-// counts them instead, so the bracket snapshots the fault epoch, runs the
-// solve, and fails it if any fault landed in between. The protocol is
-// per-query — concurrent solves on the shared view cannot steal each
-// other's faults, and a transient fault fails only the queries that
-// overlapped it, not the session. For in-memory adjacencies fn runs bare
-// except for the cancellation check. This helper is the single home of
-// the protocol; every whole-graph query path (Extract, PageRank,
-// AnalyzeGraph) must go through it.
+// withFaultCheck runs fn, one solve of a whole-graph query, and classifies
+// its outcome. A paged adjacency cannot surface I/O faults through the
+// Adjacency methods; the query's own view latches them instead (view is
+// nil on memory-backed engines). Three checks, in order:
 //
-// Cancellation is classified before faults: a cancelled solve returns
-// ctx's error untouched (kernels without an error surface, like
-// PageRankAdj, stop early and return a partial vector — the check here is
-// what discards it), it is never wrapped in ErrPagedIO, and it never
-// counts against the session's circuit breaker upstream. Nothing is wrong
-// with the store when a client hangs up.
-func (e *Engine) withFaultCheck(ctx context.Context, adj graph.Adjacency, fn func() error) error {
-	paged, isPaged := adj.(faultEpocher)
-	if !isPaged {
-		if err := fn(); err != nil {
-			return err
-		}
-		return ctxErr(ctx)
+//  1. A cancelled solve returns ctx's error unwrapped. Kernels without an
+//     error surface, like PageRankAdj, stop early and return a partial
+//     vector — the check here is what discards it. It is never ErrPagedIO
+//     and never counts against the session's circuit breaker upstream:
+//     nothing is wrong with the store when a client hangs up.
+//  2. If the query's own view latched a fault, the solve read bad or
+//     missing rows: ErrPagedIO, a backend (5xx-class) failure.
+//  3. Otherwise the solve's own error (a validation error stays a client
+//     error), or nil.
+//
+// The latch is per view and every query opens its own, so a fault on
+// another view — a concurrent query's or the tier promoter's — fails
+// neither a clean query nor a validation error's classification. This
+// helper is the single home of the discipline; every whole-graph query
+// path (Extract, PageRank, AnalyzeGraph) must go through it.
+func withFaultCheck(ctx context.Context, view *gtree.QueryView, fn func() error) error {
+	err := fn()
+	if err == nil {
+		err = ctxErr(ctx)
 	}
-	epoch := paged.Faults()
-	if err := fn(); err != nil {
-		// A sweep aborted by its context returns ctx.Err() directly (no
-		// ErrPagedRead mark, no epoch latch) — pass it through unwrapped.
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return err
-		}
-		// The edge-centric sweep kernels return paged read faults directly
-		// (as well as latching them on the epoch); classify those as
-		// backend failures too, so a mid-sweep checksum mismatch is a 500
-		// upstream, never mistaken for a bad request. The check is on the
-		// error's own ErrPagedRead mark, NOT on the shared fault epoch: a
-		// concurrent query faulting while this one returns a plain
-		// validation error must not turn that 400 into a 500.
-		if errors.Is(err, gtree.ErrPagedRead) {
-			return fmt.Errorf("%w: %v", ErrPagedIO, err)
-		}
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return err
 	}
-	if err := ctxErr(ctx); err != nil {
-		return err
+	if view != nil {
+		if ferr := view.Err(); ferr != nil {
+			return fmt.Errorf("%w: %v", ErrPagedIO, ferr)
+		}
 	}
-	if perr := paged.ErrSince(epoch); perr != nil {
-		return fmt.Errorf("%w: %v", ErrPagedIO, perr)
-	}
-	return nil
+	return err
 }
 
 // ctxErr is a nil-safe ctx.Err().
@@ -575,7 +552,7 @@ func (e *Engine) ExtractTraced(ctx context.Context, tr *obs.Trace, sources []gra
 	defer func() { err = tagTrace(tr, err) }()
 	memDone := memStatsBracket(tr)
 	defer memDone()
-	adj, release, err := e.queryAdj(ctx, tr)
+	adj, view, release, err := e.queryAdj(ctx, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -593,7 +570,7 @@ func (e *Engine) ExtractTraced(ctx context.Context, tr *obs.Trace, sources []gra
 		opts.RWR.Ctx = ctx
 	}
 	sp = tr.StartStage("solve")
-	err = e.withFaultCheck(ctx, adj, func() error {
+	err = withFaultCheck(ctx, view, func() error {
 		var err error
 		res, err = extract.ConnectionSubgraphAdj(adj, e.directed(), e.labelOf(), sources, opts)
 		return err
@@ -620,7 +597,7 @@ func (e *Engine) PageRankTraced(ctx context.Context, tr *obs.Trace, opts analysi
 	defer func() { err = tagTrace(tr, err) }()
 	memDone := memStatsBracket(tr)
 	defer memDone()
-	adj, release, err := e.queryAdj(ctx, tr)
+	adj, view, release, err := e.queryAdj(ctx, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -629,7 +606,7 @@ func (e *Engine) PageRankTraced(ctx context.Context, tr *obs.Trace, opts analysi
 		opts.Ctx = ctx
 	}
 	sp := tr.StartStage("solve")
-	err = e.withFaultCheck(ctx, adj, func() error {
+	err = withFaultCheck(ctx, view, func() error {
 		ranks = analysis.PageRankAdj(adj, opts)
 		return nil
 	})
@@ -680,7 +657,7 @@ func (e *Engine) AnalyzeGraphTraced(ctx context.Context, tr *obs.Trace, opts ana
 	}
 	// One query view covers both sweeps: the structure report warms the
 	// pages PageRank is about to walk, and both charge the same counters.
-	adj, release, err := e.queryAdj(ctx, tr)
+	adj, view, release, err := e.queryAdj(ctx, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -696,7 +673,7 @@ func (e *Engine) AnalyzeGraphTraced(ctx context.Context, tr *obs.Trace, opts ana
 	}
 	res = &GraphAnalysis{Directed: e.directed()}
 	sp = tr.StartStage("report")
-	err = e.withFaultCheck(ctx, adj, func() error {
+	err = withFaultCheck(ctx, view, func() error {
 		res.AdjacencyReport = analysis.ReportAdj(adj, e.directed())
 		return nil
 	})
@@ -704,9 +681,9 @@ func (e *Engine) AnalyzeGraphTraced(ctx context.Context, tr *obs.Trace, opts ana
 	if err != nil {
 		return nil, err
 	}
-	// PageRank brackets the iteration with its own epoch check.
+	// The iteration gets the same check on the same view.
 	sp = tr.StartStage("pagerank")
-	err = e.withFaultCheck(ctx, adj, func() error {
+	err = withFaultCheck(ctx, view, func() error {
 		res.PageRank = analysis.PageRankAdj(adj, opts)
 		return nil
 	})

@@ -14,6 +14,7 @@ import (
 	"repro/internal/dblp"
 	"repro/internal/extract"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -49,8 +50,8 @@ func chaosEngines(t *testing.T, poolPages int, seed int64) (*Engine, *Engine, *s
 // that heal on re-read, transient errors, short reads), concurrent
 // extraction, PageRank and whole-graph analysis must produce results
 // bit-identical to the clean in-memory engine — the retry layer heals
-// every fault below the epoch protocol — and once the soak drains, the
-// pool must hold zero pinned frames.
+// every fault below the queries' fault latches — and once the soak
+// drains, the pool must hold zero pinned frames.
 func TestChaosSoakBitIdentityUnderTransientFaults(t *testing.T) {
 	mem, disk, inj := chaosEngines(t, 16, 7)
 	inj.SetRate(0.02, storage.FaultFlip, storage.FaultErr, storage.FaultShort)
@@ -158,54 +159,52 @@ func TestChaosSoakBitIdentityUnderTransientFaults(t *testing.T) {
 }
 
 // TestChaosRetryExhaustionFailsQueryOnce: when a read's transient faults
-// outlast the retry budget, exactly one fault epoch latches, the query
-// fails with ErrPagedIO, and the next query (clean reads) succeeds — the
-// session survives the fault.
+// outlast the retry budget, the query's own view latches exactly one
+// fault, the query fails with ErrPagedIO, and the next query (clean reads)
+// succeeds — the session survives the fault.
 func TestChaosRetryExhaustionFailsQueryOnce(t *testing.T) {
 	_, disk, inj := chaosEngines(t, 4, 3)
-	view, err := disk.Store().PagedCSR()
-	if err != nil {
-		t.Fatal(err)
-	}
-	faults0 := view.Faults()
 
 	// Four consecutive scripted transient errors exhaust readAttempts on
 	// the first page read of the next query.
 	inj.Script(storage.FaultErr, storage.FaultErr, storage.FaultErr, storage.FaultErr)
-	_, err = disk.PageRank(analysis.PageRankOptions{})
+	tr := obs.NewTrace("exhausted")
+	_, err := disk.PageRankTraced(context.Background(), tr, analysis.PageRankOptions{})
 	if err == nil {
 		t.Fatal("query succeeded through retry exhaustion")
 	}
 	if !errors.Is(err, ErrPagedIO) {
 		t.Fatalf("exhausted retries surfaced as %v, want ErrPagedIO", err)
 	}
-	if d := view.Faults() - faults0; d != 1 {
-		t.Fatalf("fault epoch bumped %d times, want exactly 1", d)
+	if f := tr.CountValue("pool.faults"); f != 1 {
+		t.Fatalf("query latched %d faults, want exactly 1", f)
 	}
 	if pins := disk.Store().PinnedFrames(); pins != 0 {
 		t.Fatalf("%d frames still pinned after failed query", pins)
 	}
 
 	// Script drained: the same query now reads clean.
-	if _, err := disk.PageRank(analysis.PageRankOptions{}); err != nil {
+	tr = obs.NewTrace("clean")
+	if _, err := disk.PageRankTraced(context.Background(), tr, analysis.PageRankOptions{}); err != nil {
 		t.Fatalf("clean query after fault failed: %v", err)
 	}
-	if d := view.Faults() - faults0; d != 1 {
-		t.Fatalf("clean query moved the fault epoch (delta %d)", d)
+	if f := tr.CountValue("pool.faults"); f != 0 {
+		t.Fatalf("clean query latched %d faults", f)
 	}
 }
 
 // TestChaosCancellationReleasesEverything: cancelled queries (both
 // pre-cancelled and cancelled mid-flight under concurrency) return the
-// context error unwrapped, never latch a fault epoch, and leave zero
-// pinned frames behind.
+// context error unwrapped, never latch a fault on their views, and leave
+// zero pinned frames behind.
 func TestChaosCancellationReleasesEverything(t *testing.T) {
 	_, disk, _ := chaosEngines(t, 16, 5)
-	view, err := disk.Store().PagedCSR()
-	if err != nil {
-		t.Fatal(err)
+	var traces []*obs.Trace
+	trace := func() *obs.Trace {
+		tr := obs.NewTrace("cancelled")
+		traces = append(traces, tr)
+		return tr
 	}
-	faults0 := view.Faults()
 	sources := []graph.NodeID{0, 1, 2}
 	opts := extract.Options{Budget: 20}
 
@@ -213,14 +212,14 @@ func TestChaosCancellationReleasesEverything(t *testing.T) {
 	// cooperative checkpoint.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = disk.ExtractTraced(ctx, nil, sources, opts)
+	_, err := disk.ExtractTraced(ctx, trace(), sources, opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled extract: %v, want context.Canceled", err)
 	}
 	if errors.Is(err, ErrPagedIO) {
 		t.Fatalf("cancellation misclassified as paged fault: %v", err)
 	}
-	if _, err := disk.AnalyzeGraphTraced(ctx, nil, analysis.PageRankOptions{}, 5); !errors.Is(err, context.Canceled) {
+	if _, err := disk.AnalyzeGraphTraced(ctx, trace(), analysis.PageRankOptions{}, 5); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled analysis: %v, want context.Canceled", err)
 	}
 
@@ -237,7 +236,7 @@ func TestChaosCancellationReleasesEverything(t *testing.T) {
 			ecancel()
 		}
 	}
-	_, err = disk.ExtractTraced(ectx, nil, sources, mid)
+	_, err = disk.ExtractTraced(ectx, nil, sources, mid) // a trace would replace the hook
 	ecancel()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("extract cancelled mid-expand: %v, want context.Canceled", err)
@@ -253,11 +252,12 @@ func TestChaosCancellationReleasesEverything(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
+		tr := trace()
 		go func(w int) {
 			defer wg.Done()
 			cctx, ccancel := context.WithTimeout(context.Background(), time.Duration(w)*200*time.Microsecond)
 			defer ccancel()
-			_, err := disk.ExtractTraced(cctx, nil, sources, opts)
+			_, err := disk.ExtractTraced(cctx, tr, sources, opts)
 			if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 				t.Errorf("worker %d: cancelled extract returned %v", w, err)
 			}
@@ -265,8 +265,10 @@ func TestChaosCancellationReleasesEverything(t *testing.T) {
 	}
 	wg.Wait()
 
-	if d := view.Faults() - faults0; d != 0 {
-		t.Errorf("cancellations latched %d fault epochs", d)
+	for _, tr := range traces {
+		if f := tr.CountValue("pool.faults"); f != 0 {
+			t.Errorf("a cancelled query latched %d faults", f)
+		}
 	}
 	if pins := disk.Store().PinnedFrames(); pins != 0 {
 		t.Errorf("%d frames still pinned after cancellations", pins)

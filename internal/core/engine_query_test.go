@@ -90,11 +90,11 @@ func TestConcurrentPartitionedQueriesBitIdentical(t *testing.T) {
 	}
 }
 
-// TestConcurrentFaultDoesNotReclassifyValidationError: the fault epoch
-// is shared across every view of one file, so query A returning a plain
-// validation error while query B happens to fault must keep A's error a
-// client error (400 upstream), not ErrPagedIO (500). The engine brackets
-// classify on the sweep's ErrPagedRead mark, not on the shared epoch.
+// TestConcurrentFaultDoesNotReclassifyValidationError: query A returning a
+// plain validation error while another reader of the same file faults must
+// keep A's error a client error (400 upstream), not ErrPagedIO (500). The
+// engine classifies on the fault latch of A's own query view, which no
+// other reader touches.
 func TestConcurrentFaultDoesNotReclassifyValidationError(t *testing.T) {
 	_, disk, _ := buildMemAndDisk(t, 16)
 	adj, err := disk.Adj()
@@ -112,7 +112,7 @@ func TestConcurrentFaultDoesNotReclassifyValidationError(t *testing.T) {
 				return
 			default:
 				cur := paged.Cursor()
-				cur.NeighborIDs(graph.NodeID(-1), nil) // bumps the shared fault epoch
+				cur.NeighborIDs(graph.NodeID(-1), nil) // latches on the store's base view
 				cur.Close()
 			}
 		}

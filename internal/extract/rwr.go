@@ -185,7 +185,7 @@ func rwrBlocked(c graph.Adjacency, sets [][]graph.NodeID, opts RWROptions) ([][]
 	}
 	// done caches Ctx.Done() so the per-iteration cancellation poll is one
 	// channel read. Paged backends additionally poll between sweep chunks
-	// (gtree.PagedCSR.WithContext); this boundary check is what covers the
+	// (gtree.Store.QueryView); this boundary check is what covers the
 	// in-memory CSR, whose sweeps never block on I/O but still cost a full
 	// edge pass per iteration.
 	var done <-chan struct{}

@@ -5,13 +5,13 @@ package graph
 // consume. Three implementations exist: the in-memory *CSR, the
 // disk-backed gtree.PagedCSR, which reads neighbor ranges through the
 // storage buffer pool so the resident adjacency memory is bounded by the
-// pool size instead of the graph size, and gtree.TieredCSR, a PagedCSR
-// that reads a decoded in-memory copy of the whole graph while its tier
-// budget covers one.
+// pool size instead of the graph size, and gtree.TieredCSR, which is one
+// of the other two: a query picks the store's decoded in-memory copy of
+// the graph when its tier budget holds one, and its paged view otherwise.
 //
 // There are two ways to read rows, by access pattern: whole-graph kernels
-// sweep (EdgeSweeper and NeighborIDSweeper below, both required); local
-// kernels that read rows in their own order open a Cursor.
+// sweep (EdgeSweeper below); local kernels that read rows in their own
+// order open a Cursor.
 //
 // Implementations must be safe for concurrent readers: concurrent queries
 // read one instance from several goroutines at once (each with its own
@@ -28,7 +28,6 @@ type Adjacency interface {
 	// Cursor opens a row cursor for the calling goroutine (see RowCursor).
 	Cursor() RowCursor
 	EdgeSweeper
-	NeighborIDSweeper
 }
 
 // RowCursor is the random-access primitive of the local kernels — key-path
@@ -53,7 +52,7 @@ type Adjacency interface {
 //     (the paged backends decode pages into the buffers, growing them
 //     toward the maximum degree and then reusing them) or ignores them and
 //     returns read-only, cap-clamped subslices of its own storage (the
-//     in-memory CSR, and a tiered cursor opened while the graph is
+//     in-memory CSR, which a tiered view reads while the graph is
 //     resident). So a buffer pair must only ever be reused on the SAME
 //     cursor, and never appended to or mutated by the caller.
 //   - The returned rows are read-only and valid only until the next read
@@ -61,8 +60,9 @@ type Adjacency interface {
 //     anywhere longer-lived than a local.
 //   - NeighborIDs skips the weights; a paged backend then never touches
 //     the EdgeW run (8 of the 12 bytes per half-edge).
-//   - A paged read fault appends nothing and latches the backend's fault
-//     epoch once (Faults/ErrSince on the paged types).
+//   - A paged read fault appends nothing and latches one fault on the
+//     view the cursor was opened on (gtree.PagedCSR.Err; one view per
+//     query, so another query's fault never reaches this one).
 //   - While a cursor is open its goroutine must not read the same backend
 //     any other way (sweeps, label or leaf loads): the cursor may be
 //     holding pool frames, and the pool's rule is never to wait for a
@@ -105,22 +105,12 @@ type RowCursor interface {
 //     kernel produces the same floating-point result on every backend.
 //   - Bounds faults (lo<0, hi<lo, hi>N) and, on a paged implementation,
 //     I/O or corruption faults mid-sweep return a non-nil error. A paged
-//     implementation additionally records the fault on its Faults/ErrSince
-//     epoch, so the engine-level fault discipline keeps working unchanged.
+//     implementation additionally latches the fault on the view swept, the
+//     one place the engine checks after a solve.
 //   - Safe for concurrent sweeps on one instance; each call uses its own
 //     block buffers.
 type EdgeSweeper interface {
 	SweepEdges(lo, hi NodeID, fn func(u NodeID, nbrs []NodeID, w []float64) bool) error
-}
-
-// NeighborIDSweeper is the ids-only companion of EdgeSweeper, for sweeps
-// that never look at weights (connectivity, degree reports). A paged
-// implementation skips the EdgeW run entirely — weights are 8 of the 12
-// bytes per half-edge — so the structure sweep reads a third of the bytes
-// SweepEdges would. Same contract as EdgeSweeper with the weight slice
-// dropped.
-type NeighborIDSweeper interface {
-	SweepNeighborIDs(lo, hi NodeID, fn func(u NodeID, nbrs []NodeID) bool) error
 }
 
 var _ Adjacency = (*CSR)(nil)

@@ -109,23 +109,6 @@ func (c *CSR) SweepEdges(lo, hi NodeID, fn func(u NodeID, nbrs []NodeID, w []flo
 	return nil
 }
 
-// SweepNeighborIDs is the ids-only sweep (NeighborIDSweeper); same slice
-// walk as SweepEdges without the weight row.
-//
-//gmine:hotpath
-func (c *CSR) SweepNeighborIDs(lo, hi NodeID, fn func(u NodeID, nbrs []NodeID) bool) error {
-	if lo < 0 || hi < lo || int(hi) > c.NumNodes {
-		return fmt.Errorf("graph: sweep range [%d,%d) out of bounds (n=%d)", lo, hi, c.NumNodes)
-	}
-	for u := lo; u < hi; u++ {
-		a, b := c.Xadj[u], c.Xadj[u+1]
-		if !fn(u, c.Adjncy[a:b:b]) {
-			return nil
-		}
-	}
-	return nil
-}
-
 // Degree returns the number of stored half-edges at u.
 func (c *CSR) Degree(u NodeID) int { return int(c.Xadj[u+1] - c.Xadj[u]) }
 

@@ -58,14 +58,6 @@ func TestCSRSweepEarlyStop(t *testing.T) {
 	if err != nil || seen != 7 {
 		t.Fatalf("early stop: err=%v seen=%d", err, seen)
 	}
-	seen = 0
-	err = c.SweepNeighborIDs(0, NodeID(c.N()), func(NodeID, []NodeID) bool {
-		seen++
-		return false
-	})
-	if err != nil || seen != 1 {
-		t.Fatalf("ids early stop: err=%v seen=%d", err, seen)
-	}
 }
 
 // TestCSRSweepBounds: out-of-range sweeps fail before any emission.
@@ -82,36 +74,5 @@ func TestCSRSweepBounds(t *testing.T) {
 		if called {
 			t.Fatalf("sweep [%d,%d) emitted before failing", r[0], r[1])
 		}
-		if err := c.SweepNeighborIDs(r[0], r[1], func(NodeID, []NodeID) bool { return true }); err == nil {
-			t.Fatalf("ids sweep [%d,%d) did not error", r[0], r[1])
-		}
-	}
-}
-
-// TestCSRSweepNeighborIDs mirrors the ids-only sweep against Neighbors.
-func TestCSRSweepNeighborIDs(t *testing.T) {
-	c := sweepTestCSR(t, 90, 300, 4)
-	next := NodeID(0)
-	err := c.SweepNeighborIDs(0, NodeID(c.N()), func(u NodeID, nbrs []NodeID) bool {
-		if u != next {
-			t.Fatalf("emitted %d, expected %d", u, next)
-		}
-		next++
-		want, _ := c.Neighbors(u)
-		if len(nbrs) != len(want) {
-			t.Fatalf("node %d: %d ids, want %d", u, len(nbrs), len(want))
-		}
-		for i := range want {
-			if nbrs[i] != want[i] {
-				t.Fatalf("node %d id %d differs", u, i)
-			}
-		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int(next) != c.N() {
-		t.Fatalf("sweep stopped at %d of %d", next, c.N())
 	}
 }

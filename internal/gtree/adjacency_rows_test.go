@@ -22,7 +22,7 @@ type rowBackend struct {
 
 // rowBackends opens every backend of the table over g: the CSR; paged at
 // page sizes 256 and 1024 times pools 4 and 4096; tiered at budget 0, at a
-// budget holding the whole graph, and one byte below it; and a paged view
+// budget holding the whole graph, and one byte below it; and a query view
 // carrying a live (never cancelled) context.
 func rowBackends(t *testing.T, g *graph.Graph) []rowBackend {
 	t.Helper()
@@ -47,13 +47,13 @@ func rowBackends(t *testing.T, g *graph.Graph) []rowBackend {
 		}
 	}
 
-	// Budget 0: the tiered view is a plain delegating wrapper.
+	// Budget 0: the tiered view reads the paged view it was opened on.
 	s, c := open(256, 4096)
 	s.SetTierBudget(0)
 	off := c.Tiered()
 	backends = append(backends, rowBackend{name: "tiered/budget=0", adj: off, store: s, premise: func(t *testing.T) {
-		if hits, _ := off.QueryCounts(); hits != 0 {
-			t.Fatalf("budget 0 served %d rows from memory", hits)
+		if off.resident() {
+			t.Fatal("budget 0 view reads memory")
 		}
 	}})
 	// Whole graph: a budget with room for all of it, and one promotion.
@@ -66,8 +66,8 @@ func rowBackends(t *testing.T, g *graph.Graph) []rowBackend {
 		if ti == nil || ti.Fragments == 0 || ti.Bytes < tierEdgeBytes*int64(whole.HalfEdges()) || ti.Bytes > ti.Budget {
 			t.Fatalf("whole-graph tier does not hold every half-edge within budget: %+v", ti)
 		}
-		if hits, _ := whole.QueryCounts(); hits == 0 {
-			t.Fatal("whole-graph tier served no rows from memory")
+		if !whole.resident() || ti.Hits == 0 {
+			t.Fatalf("view opened after promotion does not read memory: %+v", ti)
 		}
 	}})
 	// Below budget: one byte short of the decoded CSR, so nothing is
@@ -77,17 +77,24 @@ func rowBackends(t *testing.T, g *graph.Graph) []rowBackend {
 	below, belowStore := c.Tiered(), s
 	promoted := below.Promote()
 	backends = append(backends, rowBackend{name: "tiered/below-budget", adj: below, store: s, premise: func(t *testing.T) {
-		if ti := belowStore.TierInfo(); promoted != 0 || ti == nil || ti.Fragments != 0 {
+		if ti := belowStore.TierInfo(); promoted != 0 || ti == nil || ti.Fragments != 0 || below.resident() {
 			t.Fatalf("below-budget tier promoted %d: %+v", promoted, ti)
 		}
-		if hits, misses := below.QueryCounts(); hits != 0 || misses == 0 {
-			t.Fatalf("below-budget tier served %d hits, %d misses; want only misses", hits, misses)
-		}
 	}})
+	// A query view: its own counted pool view and a live (never cancelled)
+	// context.
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	s, c = open(512, 16)
-	backends = append(backends, rowBackend{name: "withContext", adj: c.WithContext(ctx), store: s})
+	s, _ = open(512, 16)
+	qv, err := s.QueryView(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backends = append(backends, rowBackend{name: "queryView", adj: qv.Adj, store: s, premise: func(t *testing.T) {
+		if err := qv.Err(); err != nil {
+			t.Fatalf("clean reads latched %v on the query view", err)
+		}
+	}})
 	return backends
 }
 
@@ -106,38 +113,30 @@ func requireRow(t *testing.T, tag string, want *graph.CSR, u graph.NodeID, ids [
 	}
 }
 
-// checkSweeps runs SweepEdges and SweepNeighborIDs over [lo,hi), stopping
-// after stopAfter rows when positive, and requires the rows emitted in
-// ascending order, zero-degree rows included, each equal to want's.
+// checkSweeps runs SweepEdges over [lo,hi), stopping after stopAfter rows
+// when positive, and requires the rows emitted in ascending order,
+// zero-degree rows included, each equal to want's.
 func checkSweeps(t *testing.T, tag string, adj graph.Adjacency, want *graph.CSR, lo, hi graph.NodeID, stopAfter int) {
 	t.Helper()
 	wantRows := int(hi - lo)
 	if stopAfter > 0 && stopAfter < wantRows {
 		wantRows = stopAfter
 	}
-	for _, weights := range []bool{true, false} {
-		next, rows := lo, 0
-		visit := func(u graph.NodeID, ids []graph.NodeID, ws []float64) bool {
-			if u != next {
-				t.Fatalf("%s [%d,%d) weights=%v: emitted %d, expected %d", tag, lo, hi, weights, u, next)
-			}
-			next++
-			rows++
-			requireRow(t, tag, want, u, ids, ws, weights)
-			return stopAfter <= 0 || rows < stopAfter
+	next, rows := lo, 0
+	err := adj.SweepEdges(lo, hi, func(u graph.NodeID, ids []graph.NodeID, ws []float64) bool {
+		if u != next {
+			t.Fatalf("%s [%d,%d): emitted %d, expected %d", tag, lo, hi, u, next)
 		}
-		var err error
-		if weights {
-			err = adj.SweepEdges(lo, hi, visit)
-		} else {
-			err = adj.SweepNeighborIDs(lo, hi, func(u graph.NodeID, ids []graph.NodeID) bool { return visit(u, ids, nil) })
-		}
-		if err != nil {
-			t.Fatalf("%s [%d,%d) weights=%v: %v", tag, lo, hi, weights, err)
-		}
-		if rows != wantRows {
-			t.Fatalf("%s [%d,%d) weights=%v: %d rows emitted, want %d", tag, lo, hi, weights, rows, wantRows)
-		}
+		next++
+		rows++
+		requireRow(t, tag, want, u, ids, ws, true)
+		return stopAfter <= 0 || rows < stopAfter
+	})
+	if err != nil {
+		t.Fatalf("%s [%d,%d): %v", tag, lo, hi, err)
+	}
+	if rows != wantRows {
+		t.Fatalf("%s [%d,%d): %d rows emitted, want %d", tag, lo, hi, rows, wantRows)
 	}
 }
 

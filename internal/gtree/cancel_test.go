@@ -9,10 +9,10 @@ import (
 	"repro/internal/graph"
 )
 
-// TestSweepContextCancellation: a cancelled context aborts SweepEdges at a
-// chunk boundary with the bare context error — no ErrPagedRead wrap, no
-// fault-epoch latch — while a non-cancellable or nil context costs nothing
-// and sweeps to completion.
+// TestSweepContextCancellation: a cancelled context aborts a query view's
+// SweepEdges at a chunk boundary with the bare context error and latches
+// no fault, while a non-cancellable or nil context costs nothing and
+// sweeps to completion.
 func TestSweepContextCancellation(t *testing.T) {
 	// >2 sweep chunks (4096 nodes each), so a mid-sweep cancel has a chunk
 	// boundary left to observe it.
@@ -27,22 +27,28 @@ func TestSweepContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// WithContext on a context that can never cancel returns the view
-	// itself: no per-sweep overhead for untimed queries.
-	if v := c.WithContext(context.Background()); v != c {
-		t.Error("WithContext(Background) allocated a new view")
+	open := func(ctx context.Context) (*QueryView, *PagedCSR) {
+		t.Helper()
+		qv, err := s.QueryView(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return qv, qv.Adj.(*PagedCSR)
 	}
-	if v := c.WithContext(nil); v != c {
-		t.Error("WithContext(nil) allocated a new view")
+
+	// A context that can never cancel leaves the view nothing to poll: no
+	// per-sweep overhead for untimed queries.
+	for _, ctx := range []context.Context{context.Background(), nil} {
+		if _, v := open(ctx); v.done != nil {
+			t.Errorf("view over a never-cancelled context (%v) polls it", ctx)
+		}
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	v := c.WithContext(ctx)
-	if v == c {
-		t.Fatal("WithContext(cancellable) did not copy the view")
+	qv, v := open(ctx)
+	if v.done == nil {
+		t.Fatal("view over a cancellable context does not poll it")
 	}
-	faults0 := v.Faults()
 
 	// Pre-cancelled: the sweep stops at the first chunk boundary, before
 	// emitting anything.
@@ -55,21 +61,18 @@ func TestSweepContextCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled sweep returned %v, want context.Canceled", err)
 	}
-	if errors.Is(err, ErrPagedRead) {
-		t.Fatalf("cancellation wrapped as paged read fault: %v", err)
-	}
 	if emitted != 0 {
 		t.Fatalf("pre-cancelled sweep emitted %d nodes", emitted)
 	}
-	if d := v.Faults() - faults0; d != 0 {
-		t.Fatalf("cancellation latched %d fault epochs", d)
+	if qc := qv.Counts(); qc.Faults != 0 || qv.Err() != nil {
+		t.Fatalf("cancellation latched %d faults (%v)", qc.Faults, qv.Err())
 	}
 
 	// Mid-sweep: cancel from inside the callback; the sweep finishes the
 	// current chunk (cancellation is cooperative at chunk boundaries) and
 	// stops strictly short of a full pass.
 	ctx2, cancel2 := context.WithCancel(context.Background())
-	v2 := c.WithContext(ctx2)
+	qv2, v2 := open(ctx2)
 	emitted = 0
 	err = v2.SweepEdges(0, graph.NodeID(v2.N()), func(graph.NodeID, []graph.NodeID, []float64) bool {
 		emitted++
@@ -81,6 +84,9 @@ func TestSweepContextCancellation(t *testing.T) {
 	}
 	if emitted == 0 || emitted >= v2.N() {
 		t.Fatalf("mid-sweep cancel emitted %d of %d nodes; want a strict partial pass", emitted, v2.N())
+	}
+	if qv2.Err() != nil {
+		t.Fatalf("mid-sweep cancellation latched %v", qv2.Err())
 	}
 
 	// The shared view is untouched: a clean full sweep still works.

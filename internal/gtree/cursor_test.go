@@ -67,35 +67,47 @@ func checkCursorMatches(t *testing.T, name string, adj graph.Adjacency, order []
 	}
 }
 
-// TestCursorPromotionRace: a tiered cursor picks its backend when it
-// opens. One opened before promotion keeps paging and one opened after
-// aliases the resident CSR, both bit-identical; then cursors walk while
-// another goroutine promotes and demotes. Run with -race.
+// TestCursorPromotionRace: a query picks its tier once, when its view
+// opens. A view opened before promotion keeps paging and one opened after
+// it aliases the resident CSR's Adjncy, both bit-identical; then views
+// open and walk cursors while another goroutine promotes and demotes. Run
+// with -race.
 func TestCursorPromotionRace(t *testing.T) {
 	g := hubGraph(600, 2500, 3, 43)
 	want := graph.ToCSR(g)
 	cost := csrCost(want)
-	s, tiered := openTiered(t, g, cost)
+	s, base := openTiered(t, g, cost)
 	ids, ws := csrRows(want)
-	before := tiered.Cursor()
-	if tiered.Promote() != 1 {
+	before, err := s.QueryView(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Tiered().Promote() != 1 {
 		t.Fatal("Promote at budget = cost published nothing")
 	}
-	after := tiered.Cursor()
-	mem := tiered.ts.csr.Load()
+	after, err := s.QueryView(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, a := before.Counts(), after.Counts(); b.Resident || !a.Resident {
+		t.Fatalf("view opened before promotion resident=%v, after resident=%v; want paged, then memory", b.Resident, a.Resident)
+	}
+	mem := base.sh.tier.csr.Load()
+	bc, ac := before.Adj.Cursor(), after.Adj.Cursor()
 	for u := graph.NodeID(0); int(u) < want.N(); u++ {
-		bn, bw := before.Neighbors(u, nil, nil)
-		an, aw := after.Neighbors(u, nil, nil)
+		bn, bw := bc.Neighbors(u, nil, nil)
+		an, aw := ac.Neighbors(u, nil, nil)
 		requireRow(t, "opened before promotion", want, u, bn, bw, true)
 		requireRow(t, "opened after promotion", want, u, an, aw, true)
 		if len(an) > 0 && &an[0] != &mem.Adjncy[mem.Xadj[u]] {
-			t.Fatalf("row %d of a cursor opened after promotion does not alias the resident CSR", u)
+			t.Fatalf("row %d of a view opened after promotion does not alias the resident CSR", u)
 		}
 	}
-	before.Close()
-	after.Close()
-	if hits, misses := tiered.QueryCounts(); hits != int64(want.N()) || misses != int64(want.N()) {
-		t.Fatalf("%d hits, %d misses; want %d of each", hits, misses, want.N())
+	bc.Close()
+	ac.Close()
+	if b, a := before.Counts(), after.Counts(); b.CursorRows != int64(want.N()) || a.Pool.Hits+a.Pool.Misses != 0 {
+		t.Fatalf("paged view read %d cursor rows (want %d); resident view took %d pins (want 0)",
+			b.CursorRows, want.N(), a.Pool.Hits+a.Pool.Misses)
 	}
 
 	var wg sync.WaitGroup
@@ -111,17 +123,24 @@ func TestCursorPromotionRace(t *testing.T) {
 			}
 			s.SetTierBudget(0)
 			s.SetTierBudget(cost)
-			tiered.Promote()
+			base.Tiered().Promote()
 		}
 	}()
 	for pass := 0; pass < 6; pass++ {
-		for name, order := range visitOrders(tiered.N(), int64(pass)) {
-			checkCursorMatches(t, "tiered-race/"+name, tiered, order, ids, ws)
+		for name, order := range visitOrders(want.N(), int64(pass)) {
+			qv, err := s.QueryView(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkCursorMatches(t, "tiered-race/"+name, qv.Adj, order, ids, ws)
+			if err := qv.Err(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	close(stop)
 	wg.Wait()
-	if err := tiered.Err(); err != nil {
+	if err := base.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if pins := s.PinnedFrames(); pins != 0 {
@@ -139,8 +158,9 @@ func resealPage(raw []byte, pageSize, id int) {
 // TestCursorFaults: an out-of-range node, Xadj bounds that point past the
 // half-edge run (behind a valid checksum) and a checksum flip each make
 // the cursor read append nothing — whatever the buffers already held
-// stays — and bump the fault epoch exactly once; the cursor keeps working
-// for clean rows and closes with no frame pinned.
+// stays — and latch exactly one fault on the query view that read; the
+// cursor keeps working for clean rows and closes with no frame pinned,
+// and no fault leaks onto the store's base view.
 func TestCursorFaults(t *testing.T) {
 	const pageSize = 256
 	g := hubGraph(400, 1500, 2, 47)
@@ -200,8 +220,18 @@ func TestCursorFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, adj := range map[string]graph.Adjacency{"paged": paged, "tiered": paged.Tiered()} {
-		cur := adj.Cursor()
+	for _, name := range []string{"paged", "tiered"} {
+		if name == "tiered" {
+			s.SetTierBudget(1) // tiered views, never anything resident
+		}
+		qv, err := s.QueryView(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if qc := qv.Counts(); qc.Tiered != (name == "tiered") || qc.Resident {
+			t.Fatalf("%s: opened %+v", name, qc)
+		}
+		cur := qv.Adj.Cursor()
 		// Sentinel content the failed reads must leave untouched.
 		nbrs, ws := []graph.NodeID{-7, -8}, []float64{1.5}
 		for _, c := range []struct {
@@ -214,7 +244,7 @@ func TestCursorFaults(t *testing.T) {
 			{"checksum flip", badSum},
 		} {
 			for _, idsOnly := range []bool{false, true} {
-				epoch := paged.Faults()
+				before := qv.Counts().Faults
 				if idsOnly {
 					nbrs = cur.NeighborIDs(c.u, nbrs)
 				} else {
@@ -223,26 +253,29 @@ func TestCursorFaults(t *testing.T) {
 				if len(nbrs) != 2 || nbrs[0] != -7 || nbrs[1] != -8 || len(ws) != 1 || ws[0] != 1.5 {
 					t.Fatalf("%s %s (idsOnly=%v): failed read changed the buffers: %v %v", name, c.what, idsOnly, nbrs, ws)
 				}
-				if d := paged.Faults() - epoch; d != 1 {
-					t.Fatalf("%s %s (idsOnly=%v): fault epoch moved by %d, want exactly 1", name, c.what, idsOnly, d)
+				if d := qv.Counts().Faults - before; d != 1 {
+					t.Fatalf("%s %s (idsOnly=%v): view latched %d faults, want exactly 1", name, c.what, idsOnly, d)
 				}
 			}
 		}
 		// The cursor survives its faults: a clean row still reads right.
-		epoch := paged.Faults()
+		before := qv.Counts().Faults
 		got, gw := cur.Neighbors(2, nil, nil)
 		wn, ww := want.Neighbors(2)
 		if len(got) != len(wn) || len(gw) != len(ww) {
 			t.Fatalf("%s: clean row after faults: %d ids, want %d", name, len(got), len(wn))
 		}
-		if paged.ErrSince(epoch) != nil {
-			t.Fatalf("%s: clean row after faults latched %v", name, paged.ErrSince(epoch))
+		if d := qv.Counts().Faults - before; d != 0 {
+			t.Fatalf("%s: clean row after faults latched %d more", name, d)
 		}
 		cur.Close()
 		cur.Close() // idempotent
 		if pins := s.PinnedFrames(); pins != 0 {
 			t.Fatalf("%s: %d frames pinned after Close", name, pins)
 		}
+	}
+	if err := paged.Err(); err != nil {
+		t.Fatalf("query views' faults leaked onto the base view: %v", err)
 	}
 }
 
@@ -321,6 +354,11 @@ func TestCursorLivenessTinyPools(t *testing.T) {
 						return
 					}
 					view = qv.Adj
+					defer func() {
+						if err := qv.Err(); err != nil {
+							t.Errorf("pool=%d worker %d: %v", capacity, w, err)
+						}
+					}()
 				}
 				order := visitOrders(view.N(), int64(w))[[]string{"ascending", "descending", "random"}[w%3]]
 				cur := view.Cursor()
@@ -359,9 +397,9 @@ func TestCursorLivenessTinyPools(t *testing.T) {
 
 // FuzzCursorRows drives a row cursor over randomly shaped graphs, page
 // sizes, visiting orders and byte corruptions: every read either
-// reproduces the in-memory row exactly or appends nothing AND surfaces
-// through the Faults/ErrSince epoch — never a partial or silently wrong
-// row — and the closed cursor leaves nothing pinned.
+// reproduces the in-memory row exactly or appends nothing AND latches a
+// fault on the view — never a partial or silently wrong row — and the
+// closed cursor leaves nothing pinned.
 func FuzzCursorRows(f *testing.F) {
 	f.Add(int64(1), uint16(50), uint16(200), uint8(0), uint8(0), uint32(0))
 	f.Add(int64(2), uint16(300), uint16(1200), uint8(1), uint8(1), uint32(0))
@@ -407,13 +445,13 @@ func FuzzCursorRows(f *testing.F) {
 		var nbrs []graph.NodeID
 		var ws []float64
 		for i, u := range order {
-			epoch := c.Faults()
+			before := c.faultCount()
 			if i%2 == 0 {
 				nbrs, ws = cur.Neighbors(u, nbrs[:0], ws[:0])
 			} else {
 				nbrs, ws = cur.NeighborIDs(u, nbrs[:0]), ws[:0]
 			}
-			if c.ErrSince(epoch) != nil {
+			if c.faultCount() != before {
 				if len(nbrs) != 0 || len(ws) != 0 {
 					t.Fatalf("node %d: faulted read appended %d/%d entries", u, len(nbrs), len(ws))
 				}

@@ -3,7 +3,6 @@ package gtree
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -13,14 +12,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/storage"
 )
-
-// ErrPagedRead marks errors returned directly by the blocked sweeps
-// (SweepEdges/SweepNeighborIDs): bounds, I/O and corruption faults hit
-// while paging the CSR section. Kernels propagate these unchanged, and
-// core.Engine uses the mark (errors.Is) to classify a failed solve as a
-// backend fault — a concurrent query's fault bumping the shared epoch
-// must not be enough to reclassify an unrelated validation error.
-var ErrPagedRead = errors.New("gtree: paged read fault")
 
 // PagedCSR is the disk-backed implementation of graph.Adjacency: the
 // persisted CSR section of a v2 G-Tree file read on demand through the
@@ -48,17 +39,17 @@ var ErrPagedRead = errors.New("gtree: paged read fault")
 // backend.
 //
 // I/O failures (truncated file, CRC mismatch) cannot surface through the
-// Adjacency method set, so they are recorded on a fault counter: the
-// failing call returns empty data and bumps the epoch. Callers running a
-// kernel over a PagedCSR snapshot Faults() before the solve and consult
-// ErrSince afterwards, discarding the result on any fault (core.Engine
-// does this); the epoch protocol stays correct under concurrent queries
-// sharing one view.
+// Adjacency method set, so every view latches its own: the failing call
+// returns empty data, the view counts the fault and keeps the first one's
+// error (Err). Each query reads through its own view (Store.QueryView),
+// so the latch answers "did this query read bad data?" — core.Engine
+// discards a solve whose view latched — and a fault on another view, a
+// concurrent query's or the tier promoter's, never touches it.
 //
-// A PagedCSR may be one query's view of another (see Store.QueryView):
-// views share the fault epoch and the cached weighted-degree table but pin
-// pages through their own storage.CountedPool, so one query's paging is
-// accounted separately from concurrent queries'.
+// Views share the store's buffer pool, the cached weighted-degree table,
+// the sweep buffers and the tier, and pin pages through their own
+// storage.CountedPool, so one query's paging is accounted separately from
+// concurrent queries'.
 type PagedCSR struct {
 	n         int
 	halfEdges int
@@ -68,30 +59,24 @@ type PagedCSR struct {
 	edgew     *storage.RunReader
 
 	// sh is shared between a base PagedCSR and all its query views: the
-	// fault-epoch latch, the weighted-degree cache and the sweep buffers are
-	// properties of the underlying file, not of the pool view a particular
-	// query pins pages through.
+	// weighted-degree cache, the sweep buffers and the tier are properties
+	// of the underlying file, not of the pool view a query pins through.
 	sh *pagedShared
 
-	// cc totals the row reads of every cursor closed on this view and on
-	// the views derived from it (WithContext, Tiered): one instance per
-	// query view, so the trace's pool.cursor.* counts name this query's
-	// reads.
-	cc *cursorCounts
+	// faults is this view's fault latch and cc the row reads of the cursors
+	// closed on it: one view per query, so both name this query's reads.
+	faults faultLatch
+	cc     cursorCounts
 
 	// ctx/done carry a query's cooperative cancellation into the blocked
-	// sweeps (see WithContext). done caches ctx.Done() so the per-chunk
-	// check is one channel poll, never an interface call. nil on the base
-	// view and on views whose context cannot be cancelled.
+	// sweeps (see view). done caches ctx.Done() so the per-chunk check is
+	// one channel poll, never an interface call. nil on the base view and on
+	// views whose context cannot be cancelled.
 	ctx  context.Context
 	done <-chan struct{}
 }
 
 type pagedShared struct {
-	mu      sync.Mutex
-	faults  uint64 // total faults observed; queries compare epochs
-	lastErr error
-
 	wdegMu sync.Mutex
 	wdeg   []float64 // cached only after a fault-free build
 
@@ -101,10 +86,17 @@ type pagedShared struct {
 	sweeps sync.Pool
 
 	// tier is the hot/cold tiering state (resident CSR, budget, promotion
-	// counters) shared by every TieredCSR view of the file — like the
-	// fault epoch, it is a property of the file, not of one query's pool
-	// view. Dormant (budget 0) until Store.SetTierBudget.
+	// counters) shared by every view of the file. Dormant (budget 0) until
+	// Store.SetTierBudget.
 	tier tierState
+}
+
+// faultLatch is one view's fault record: how many reads faulted, and the
+// first fault's error.
+type faultLatch struct {
+	mu    sync.Mutex
+	count uint64
+	first error
 }
 
 var _ graph.Adjacency = (*PagedCSR)(nil)
@@ -113,7 +105,7 @@ var _ graph.Adjacency = (*PagedCSR)(nil)
 // store's buffer pool, validating the section's geometry — the NodeW run's
 // too — against the file.
 func newPagedCSR(s *Store) (*PagedCSR, error) {
-	c := &PagedCSR{n: s.graphNodes, halfEdges: s.halfEdges, directed: s.directed, sh: &pagedShared{}, cc: &cursorCounts{}}
+	c := &PagedCSR{n: s.graphNodes, halfEdges: s.halfEdges, directed: s.directed, sh: &pagedShared{}}
 	var err error
 	if c.xadj, err = storage.NewRunReader(s.pool, s.csrPages[0], 4, s.graphNodes+1); err != nil {
 		return nil, fmt.Errorf("gtree: CSR xadj: %w", err)
@@ -132,35 +124,24 @@ func newPagedCSR(s *Store) (*PagedCSR, error) {
 	return c, nil
 }
 
-// withPool returns a view of c that pins pages through p (a query's
-// storage.CountedPool), sharing the fault epoch, weighted-degree cache and
-// sweep buffers with c and counting its cursors' reads afresh. Both stay
-// safe for concurrent use.
-func (c *PagedCSR) withPool(p storage.PagePool) *PagedCSR {
-	return &PagedCSR{
-		n: c.n, halfEdges: c.halfEdges, directed: c.directed, sh: c.sh, cc: &cursorCounts{},
-		ctx: c.ctx, done: c.done,
+// view returns one query's view of c: it pins pages through p (a query's
+// storage.CountedPool), latches and counts its own faults and cursor
+// reads, and its blocked sweeps observe ctx — every node-chunk boundary
+// polls for cancellation and aborts the sweep with the bare ctx.Err(),
+// which is not latched: nothing is wrong with the file. A nil or
+// never-cancellable ctx costs nothing. The view shares c's weighted-degree
+// cache, sweep buffers and tier; both stay safe for concurrent use.
+func (c *PagedCSR) view(p storage.PagePool, ctx context.Context) *PagedCSR {
+	v := &PagedCSR{
+		n: c.n, halfEdges: c.halfEdges, directed: c.directed, sh: c.sh,
 		xadj:   c.xadj.WithPool(p),
 		adjncy: c.adjncy.WithPool(p),
 		edgew:  c.edgew.WithPool(p),
 	}
-}
-
-// WithContext returns a view of c whose blocked sweeps observe ctx: every
-// node-chunk boundary polls for cancellation and aborts the sweep with
-// ctx.Err(). The cancellation error is returned as-is — NOT wrapped in
-// ErrPagedRead and NOT latched on the fault epoch, because nothing is
-// wrong with the file; concurrent queries sharing the store must not fail
-// over a neighbor's impatient client. Tiered views over this one inherit
-// the context. A nil or never-cancellable context returns c unchanged.
-func (c *PagedCSR) WithContext(ctx context.Context) *PagedCSR {
-	if ctx == nil || ctx.Done() == nil {
-		return c
+	if ctx != nil && ctx.Done() != nil {
+		v.ctx, v.done = ctx, ctx.Done()
 	}
-	v := *c
-	v.ctx = ctx
-	v.done = ctx.Done()
-	return &v
+	return v
 }
 
 // canceled polls the view's context, returning its error once done.
@@ -188,55 +169,31 @@ func (c *PagedCSR) HalfEdges() int { return c.halfEdges }
 // Directed reports the persisted graph's edge semantics.
 func (c *PagedCSR) Directed() bool { return c.directed }
 
-// Err returns the most recent I/O or corruption fault hit by an accessor,
-// or nil if none ever occurred. For query-scoped checking use
-// Faults/ErrSince.
+// Err returns the first I/O or corruption fault this view latched, or nil
+// if none of its reads ever faulted. A transient fault fails only the
+// views that read through it: the next query opens a fresh view and
+// re-reads the pages.
 func (c *PagedCSR) Err() error {
-	c.sh.mu.Lock()
-	defer c.sh.mu.Unlock()
-	return c.sh.lastErr
+	c.faults.mu.Lock()
+	defer c.faults.mu.Unlock()
+	return c.faults.first
 }
 
-// Faults returns the fault epoch: the count of faults observed so far.
-// A caller about to run a kernel snapshots it, and after the solve asks
-// ErrSince whether any fault happened in between. The counter-based
-// protocol is what keeps concurrent queries on the shared view honest —
-// an error is never "consumed", so query A's fault cannot be stolen by
-// query B's check, and a clean query that overlapped a faulted one fails
-// closed instead of returning garbage. Transient faults still recover:
-// the next query snapshots the new epoch and re-reads the pages. The
-// epoch is shared across the query views of one file.
-func (c *PagedCSR) Faults() uint64 {
-	c.sh.mu.Lock()
-	defer c.sh.mu.Unlock()
-	return c.sh.faults
+// faultCount returns how many of this view's reads faulted.
+func (c *PagedCSR) faultCount() uint64 {
+	c.faults.mu.Lock()
+	defer c.faults.mu.Unlock()
+	return c.faults.count
 }
 
-// ErrSince reports the latest fault if any accessor faulted after the
-// given epoch snapshot, else nil.
-func (c *PagedCSR) ErrSince(epoch uint64) error {
-	c.sh.mu.Lock()
-	defer c.sh.mu.Unlock()
-	if c.sh.faults != epoch {
-		return c.sh.lastErr
+// fault latches err on the view and returns it.
+func (c *PagedCSR) fault(err error) error {
+	c.faults.mu.Lock()
+	c.faults.count++
+	if c.faults.first == nil {
+		c.faults.first = err
 	}
-	return nil
-}
-
-func (c *PagedCSR) setErr(err error) {
-	c.sh.mu.Lock()
-	c.sh.faults++
-	c.sh.lastErr = err
-	c.sh.mu.Unlock()
-}
-
-// sweepFault marks err with ErrPagedRead, latches it on the fault epoch
-// and returns it — every error a sweep hands back goes through here, so
-// callers can tell "this solve's sweep failed" apart from "someone
-// else's query faulted meanwhile".
-func (c *PagedCSR) sweepFault(err error) error {
-	err = fmt.Errorf("%w: %w", ErrPagedRead, err)
-	c.setErr(err)
+	c.faults.mu.Unlock()
 	return err
 }
 
@@ -249,13 +206,13 @@ const (
 	curEdgeW
 )
 
-// cursorCounts accumulates, per query view, what closed cursors read.
+// cursorCounts accumulates, per view, what its closed cursors read.
 type cursorCounts struct {
 	rows, pins atomic.Int64
 }
 
 // CursorCounts returns the rows read and the pool pins taken by cursors
-// closed so far on this view and the views derived from it. pins/rows is
+// closed so far on this view. pins/rows is
 // how well sticky pins worked: ~3 per row for one-shot reads, pages/rows
 // for an in-order cursor walk.
 func (c *PagedCSR) CursorCounts() (rows, pins int64) {
@@ -269,7 +226,7 @@ func (c *PagedCSR) CursorCounts() (rows, pins int64) {
 // decoded straight from the pinned frames into the caller's buffers.
 // Every read keeps the checks of the one-shot path it replaces: node
 // range, Xadj bounds against the half-edge count, run ranges, page
-// checksums (inside the pool's page read), and one fault-epoch bump per
+// checksums (inside the pool's page read), and one latched fault per
 // failed read with nothing appended.
 type pagedCursor struct {
 	c    *PagedCSR
@@ -310,12 +267,12 @@ func (pc *pagedCursor) xrange(u graph.NodeID) (lo, hi int, ok bool) {
 	c := pc.c
 	pc.rows++
 	if u < 0 || int(u) >= c.n {
-		c.setErr(fmt.Errorf("gtree: CSR node %d out of range (n=%d)", u, c.n))
+		c.fault(fmt.Errorf("gtree: CSR node %d out of range (n=%d)", u, c.n))
 		return 0, 0, false
 	}
 	b, n, err := pc.runs.Span(curXadj, int(u), int(u)+2)
 	if err != nil {
-		c.setErr(err)
+		c.fault(err)
 		return 0, 0, false
 	}
 	lo = int(int32(binary.LittleEndian.Uint32(b)))
@@ -324,13 +281,13 @@ func (pc *pagedCursor) xrange(u graph.NodeID) (lo, hi int, ok bool) {
 	} else {
 		// u is the last offset on its page; Xadj[u+1] opens the next one.
 		if b, _, err = pc.runs.Span(curXadj, int(u)+1, int(u)+2); err != nil {
-			c.setErr(err)
+			c.fault(err)
 			return 0, 0, false
 		}
 		hi = int(int32(binary.LittleEndian.Uint32(b)))
 	}
 	if lo < 0 || hi < lo || hi > c.halfEdges {
-		c.setErr(fmt.Errorf("gtree: corrupt CSR xadj at node %d: [%d,%d) of %d half-edges", u, lo, hi, c.halfEdges))
+		c.fault(fmt.Errorf("gtree: corrupt CSR xadj at node %d: [%d,%d) of %d half-edges", u, lo, hi, c.halfEdges))
 		return 0, 0, false
 	}
 	return lo, hi, true
@@ -387,7 +344,7 @@ func (pc *pagedCursor) NeighborIDs(u graph.NodeID, nbrBuf []graph.NodeID) []grap
 	nb := len(nbrBuf)
 	nbrBuf, err := pc.ids(lo, hi, nbrBuf)
 	if err != nil {
-		pc.c.setErr(err)
+		pc.c.fault(err)
 		return nbrBuf[:nb]
 	}
 	return nbrBuf
@@ -407,7 +364,7 @@ func (pc *pagedCursor) Neighbors(u graph.NodeID, nbrBuf []graph.NodeID, wBuf []f
 		wBuf, err = pc.weights(lo, hi, wBuf)
 	}
 	if err != nil {
-		pc.c.setErr(err)
+		pc.c.fault(err)
 		return nbrBuf[:nb], wBuf[:wb]
 	}
 	return nbrBuf, wBuf
@@ -450,32 +407,23 @@ type sweepBufs struct {
 // window that touches it, and an edge list straddling two windows is
 // carried across instead of re-read. The emitted slices alias
 // the sweep's block buffers and are invalid after the callback returns.
-// Faults (bounds, I/O, corrupt offsets) are recorded on the fault epoch
-// and returned; the callback is never invoked with partial data.
+// Faults (bounds, I/O, corrupt offsets) are latched on the view and
+// returned; the callback is never invoked with partial data.
 func (c *PagedCSR) SweepEdges(lo, hi graph.NodeID, fn func(u graph.NodeID, nbrs []graph.NodeID, w []float64) bool) error {
 	return c.sweep(int(lo), int(hi), sweepIDs|sweepW, func(u int, ids []graph.NodeID, ws []float64) bool {
 		return fn(graph.NodeID(u), ids, ws)
 	})
 }
 
-// SweepNeighborIDs implements graph.NeighborIDSweeper: SweepEdges without
-// the EdgeW run — weights are 8 of the 12 bytes per half-edge, so the
-// blocked structure sweep reads a third of the bytes.
-func (c *PagedCSR) SweepNeighborIDs(lo, hi graph.NodeID, fn func(u graph.NodeID, nbrs []graph.NodeID) bool) error {
-	return c.sweep(int(lo), int(hi), sweepIDs, func(u int, ids []graph.NodeID, _ []float64) bool {
-		return fn(graph.NodeID(u), ids)
-	})
-}
-
 // sweep is the shared blocked-iteration core behind SweepEdges,
-// SweepNeighborIDs and WeightedDegrees. mode selects which runs are
-// decoded; emit receives block-buffer subslices for exactly the selected
-// runs (nil otherwise), valid only for the duration of the call.
+// WeightedDegrees (weights only) and the tier decode. mode selects which
+// runs are decoded; emit receives block-buffer subslices for exactly the
+// selected runs (nil otherwise), valid only for the duration of the call.
 //
 //gmine:hotpath
 func (c *PagedCSR) sweep(lo, hi int, mode sweepMode, emit func(u int, ids []graph.NodeID, ws []float64) bool) error {
 	if lo < 0 || hi < lo || hi > c.n {
-		return c.sweepFault(fmt.Errorf("gtree: sweep range [%d,%d) out of bounds (n=%d)", lo, hi, c.n))
+		return c.fault(fmt.Errorf("gtree: sweep range [%d,%d) out of bounds (n=%d)", lo, hi, c.n))
 	}
 	if lo == hi {
 		return nil
@@ -505,7 +453,7 @@ func (c *PagedCSR) sweep(lo, hi int, mode sweepMode, emit func(u int, ids []grap
 		}
 		cnt := nodeHi - base + 1 // offsets for [base,nodeHi] inclusive
 		if err := c.xadj.Read(base, base+cnt, b.raw[:cnt*4]); err != nil {
-			return c.sweepFault(err)
+			return c.fault(err)
 		}
 		for i := 0; i < cnt; i++ {
 			b.xadj[i] = int32(binary.LittleEndian.Uint32(b.raw[4*i:]))
@@ -513,7 +461,7 @@ func (c *PagedCSR) sweep(lo, hi int, mode sweepMode, emit func(u int, ids []grap
 		for u := base; u < nodeHi; u++ {
 			elo, ehi := int(b.xadj[u-base]), int(b.xadj[u-base+1])
 			if elo < 0 || ehi < elo || ehi > c.halfEdges {
-				return c.sweepFault(fmt.Errorf("gtree: corrupt CSR xadj at node %d: [%d,%d) of %d half-edges", u, elo, ehi, c.halfEdges))
+				return c.fault(fmt.Errorf("gtree: corrupt CSR xadj at node %d: [%d,%d) of %d half-edges", u, elo, ehi, c.halfEdges))
 			}
 			if elo == ehi {
 				// Zero-degree node: emitted (kernels need the dangling
@@ -590,7 +538,7 @@ func (c *PagedCSR) advanceWindow(b *sweepBufs, winLo, winHi, elo, ehi int, mode 
 	}
 	if mode&sweepIDs != 0 {
 		if err := c.adjncy.Read(winHi, target, b.raw[:m*4]); err != nil {
-			return winLo, winHi, c.sweepFault(err)
+			return winLo, winHi, c.fault(err)
 		}
 		at := winHi - winLo
 		for i := 0; i < m; i++ {
@@ -599,7 +547,7 @@ func (c *PagedCSR) advanceWindow(b *sweepBufs, winLo, winHi, elo, ehi int, mode 
 	}
 	if mode&sweepW != 0 {
 		if err := c.edgew.Read(winHi, target, b.raw[:m*8]); err != nil {
-			return winLo, winHi, c.sweepFault(err)
+			return winLo, winHi, c.fault(err)
 		}
 		at := winHi - winLo
 		for i := 0; i < m; i++ {

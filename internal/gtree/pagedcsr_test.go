@@ -1,6 +1,7 @@
 package gtree
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -178,10 +179,10 @@ func TestOpenRejectsV1File(t *testing.T) {
 	}
 }
 
-// TestPagedCSRFaultEpochs pins the fault model: faults bump a counter
-// that queries compare epochs against, so a fault fails exactly the
-// queries that overlapped it — it cannot be stolen by a concurrent
-// query's check, and later queries recover.
+// TestPagedCSRFaultEpochs pins the fault model: every query view owns its
+// fault latch, so a fault fails exactly the query whose reads hit it. A
+// concurrent query's view stays clean, the faulted view keeps its first
+// fault however many follow, and a query opened afterwards recovers.
 func TestPagedCSRFaultEpochs(t *testing.T) {
 	g := randomGraph(40, 120, 4)
 	path := buildAndSave(t, g, 256)
@@ -190,34 +191,43 @@ func TestPagedCSRFaultEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	c, err := s.PagedCSR()
-	if err != nil {
-		t.Fatal(err)
+	open := func() *QueryView {
+		t.Helper()
+		qv, err := s.QueryView(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return qv
 	}
-	cur := c.Cursor()
+	a, b := open(), open() // two queries in flight
+	cur := a.Adj.Cursor()
 	defer cur.Close()
-	epochA := c.Faults() // query A starts
-	epochB := c.Faults() // concurrent query B starts
 	if nbrs, _ := cur.Neighbors(graph.NodeID(-1), nil, nil); nbrs != nil {
 		t.Fatal("out-of-range read returned data")
 	}
-	// Both in-flight queries observe the fault — no stealing, no
-	// garbage-as-success.
-	if c.ErrSince(epochA) == nil || c.ErrSince(epochB) == nil {
-		t.Fatal("overlapping queries missed the fault")
+	first := a.Err()
+	if first == nil || a.Counts().Faults != 1 {
+		t.Fatalf("faulting query latched %d faults (%v), want 1", a.Counts().Faults, first)
 	}
-	if c.Err() == nil {
-		t.Fatal("Err() lost the fault record")
+	if b.Err() != nil || b.Counts().Faults != 0 {
+		t.Fatalf("concurrent query caught another view's fault: %v", b.Err())
 	}
-	// A query starting after the fault recovers: fresh epoch, clean reads.
-	epochC := c.Faults()
+	// A second fault counts, but the first one is what the view reports.
+	cur.NeighborIDs(graph.NodeID(1<<20), nil)
+	if a.Counts().Faults != 2 || a.Err() != first {
+		t.Fatalf("second fault: %d faults, err %v; want 2 and the first kept", a.Counts().Faults, a.Err())
+	}
+	// A query opened after the fault reads clean.
+	c := open()
 	want := graph.ToCSR(g)
-	gn := cur.NeighborIDs(0, nil)
+	cc := c.Adj.Cursor()
+	defer cc.Close()
+	gn := cc.NeighborIDs(0, nil)
 	wn, _ := want.Neighbors(0)
 	if len(gn) != len(wn) {
 		t.Fatalf("post-fault read broken: %d vs %d nbrs", len(gn), len(wn))
 	}
-	if err := c.ErrSince(epochC); err != nil {
+	if err := c.Err(); err != nil {
 		t.Fatalf("clean query after fault reported error: %v", err)
 	}
 }

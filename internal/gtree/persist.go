@@ -333,7 +333,7 @@ func OpenFile(path string, poolPages int) (*Store, error) {
 
 // OpenFileWrapped is OpenFile with an optional wrapper interposed over the
 // pager's backing file — the chaos-serving seam: a storage.FaultInjector
-// slid in here exercises the whole retry/fault-epoch/breaker stack against
+// slid in here exercises the whole retry/fault-latch/breaker stack against
 // a live store. nil wrap is OpenFile.
 func OpenFileWrapped(path string, poolPages int, wrap func(storage.File) storage.File) (*Store, error) {
 	p, err := storage.OpenWrapped(path, true, wrap)
@@ -547,8 +547,9 @@ func (s *Store) PagedCSR() (*PagedCSR, error) {
 // paged CSR: while it covers the decoded CSR (4·(n+1) + 12·halfEdges
 // bytes), TieredCSR.Promote loads the whole graph into memory; a budget
 // below that, or 0, demotes a resident CSR at once. Safe before or after
-// the first PagedCSR call and concurrently with queries; a store whose
-// CSR section cannot be opened ignores the knob.
+// the first PagedCSR call and concurrently with queries: each query picks
+// its tier once, when it opens, and keeps it. A store whose CSR section
+// cannot be opened ignores the knob.
 func (s *Store) SetTierBudget(bytes int64) {
 	if csr, err := s.PagedCSR(); err == nil {
 		csr.sh.tier.setBudget(bytes)
@@ -570,28 +571,26 @@ func (s *Store) TierInfo() *TierInfo {
 }
 
 // QueryView is one query's read of the store's graph, opened with
-// Store.QueryView: Adj is what the query solves on, and Counts reports what
-// the query has cost so far.
+// Store.QueryView: Adj is what the query solves on, Err reports whether
+// any of its reads faulted, and Counts what the query has cost so far.
 type QueryView struct {
-	// Adj is the paged CSR pinning through the query's counted pool view,
-	// with the query's context attached, and wrapped in a TieredCSR while
-	// the store has a tier budget.
+	// Adj is the query's paged view — pinning through the query's counted
+	// pool view, with the query's context attached — or, while the store
+	// has a tier budget, the TieredCSR picked over it.
 	Adj graph.Adjacency
 
-	pager   *storage.Pager
-	paged   *PagedCSR
-	pool    *storage.CountedPool
-	tiered  *TieredCSR // nil while tiering is off
-	faults0 uint64
-	retry0  storage.RetryStats
+	pager  *storage.Pager
+	paged  *PagedCSR
+	pool   *storage.CountedPool
+	tiered *TieredCSR // nil while tiering is off
+	retry0 storage.RetryStats
 }
 
 // QueryCounts is what one query cost the store (see QueryView.Counts).
 type QueryCounts struct {
 	// Pool is the query's own pins: hits, misses, evictions, load waits.
 	Pool storage.Stats
-	// Faults is the fault-epoch delta over the query's window. The epoch is
-	// shared by the store, so a concurrent query's fault counts here too.
+	// Faults is how many of the query's own reads faulted.
 	Faults uint64
 	// CursorRows and CursorPins are the rows the query's row cursors read
 	// and the pins they took.
@@ -599,26 +598,26 @@ type QueryCounts struct {
 	// Retry is the pager's transient-read recovery delta over the query's
 	// window: store-wide, so overlapping queries each see the other's.
 	Retry storage.RetryStats
-	// Tiered reports whether the query solved on a tiered view; TierHits
-	// and TierMisses are then its rows read from memory and from pages.
-	Tiered               bool
-	TierHits, TierMisses int64
+	// Tiered reports whether the query opened a tiered view, and Resident
+	// whether that view read the resident CSR instead of pages.
+	Tiered, Resident bool
 }
 
 // QueryView opens one query's view of the store's graph. Every page the
 // query pins goes through a fresh storage.CountedPool, so its counters name
-// this query's paging alone; the view shares the store's pool, fault epoch,
-// weighted-degree cache and resident tier with every other view. ctx
-// rides the view's sweeps (see PagedCSR.WithContext). Nothing needs
-// closing; call Promote once the query is done.
+// this query's paging alone, and the view latches its own faults, so
+// another query's fault never fails this one. The view shares the store's
+// pool, weighted-degree cache and resident tier with every other view. ctx
+// rides the view's sweeps (see PagedCSR.view). Nothing needs closing; call
+// Promote once the query is done.
 func (s *Store) QueryView(ctx context.Context) (*QueryView, error) {
 	base, err := s.PagedCSR()
 	if err != nil {
 		return nil, err
 	}
 	pool := s.pool.Counted()
-	paged := base.withPool(pool).WithContext(ctx)
-	v := &QueryView{Adj: paged, pager: s.pager, paged: paged, pool: pool, faults0: paged.Faults(), retry0: s.pager.RetryStats()}
+	paged := base.view(pool, ctx)
+	v := &QueryView{Adj: paged, pager: s.pager, paged: paged, pool: pool, retry0: s.pager.RetryStats()}
 	if base.sh.tier.budget.Load() > 0 {
 		v.tiered = paged.Tiered()
 		v.Adj = v.tiered
@@ -626,13 +625,16 @@ func (s *Store) QueryView(ctx context.Context) (*QueryView, error) {
 	return v, nil
 }
 
+// Err returns the first fault the query's reads latched, or nil.
+func (v *QueryView) Err() error { return v.paged.Err() }
+
 // Counts snapshots what the query has cost so far.
 func (v *QueryView) Counts() QueryCounts {
 	rows, pins := v.paged.CursorCounts()
 	retry := v.pager.RetryStats()
-	qc := QueryCounts{
+	return QueryCounts{
 		Pool:       v.pool.Stats(),
-		Faults:     v.paged.Faults() - v.faults0,
+		Faults:     v.paged.faultCount(),
 		CursorRows: rows,
 		CursorPins: pins,
 		Retry: storage.RetryStats{
@@ -640,12 +642,9 @@ func (v *QueryView) Counts() QueryCounts {
 			Healed:  retry.Healed - v.retry0.Healed,
 			Failed:  retry.Failed - v.retry0.Failed,
 		},
+		Tiered:   v.tiered != nil,
+		Resident: v.tiered != nil && v.tiered.resident(),
 	}
-	if v.tiered != nil {
-		qc.Tiered = true
-		qc.TierHits, qc.TierMisses = v.tiered.QueryCounts()
-	}
-	return qc
 }
 
 // Promote runs the tier promoter once the query is done: it loads the
@@ -706,7 +705,8 @@ type PoolInfo struct {
 	// and surfaced as permanent faults.
 	Retry storage.RetryStats
 	// Tier is the hot/cold tiering state — whether the decoded CSR is
-	// resident, its bytes against the budget, and the tier counters — nil
+	// resident, its bytes against the budget, promotions and demotions, and
+	// the queries served from memory (hits) and from pages (misses) — nil
 	// while tiering is off (no budget ever set and nothing ever promoted).
 	Tier *TierInfo
 }

@@ -90,51 +90,6 @@ func TestPagedSweepMatchesNeighbors(t *testing.T) {
 	}
 }
 
-// TestPagedSweepNeighborIDs: the ids-only sweep matches and leaves the
-// EdgeW run untouched (strictly fewer pool reads than the full sweep).
-func TestPagedSweepNeighborIDs(t *testing.T) {
-	g := hubGraph(400, 1500, 2, 12)
-	want := graph.ToCSR(g)
-	path := buildAndSave(t, g, 256)
-	s, err := OpenFile(path, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	c, err := s.PagedCSR()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.ResetPoolStats()
-	next := 0
-	if err := c.SweepNeighborIDs(0, graph.NodeID(c.N()), func(u graph.NodeID, nbrs []graph.NodeID) bool {
-		if int(u) != next {
-			t.Fatalf("emitted %d, expected %d", u, next)
-		}
-		next++
-		wn, _ := want.Neighbors(u)
-		if len(nbrs) != len(wn) {
-			t.Fatalf("node %d: %d ids, want %d", u, len(nbrs), len(wn))
-		}
-		for i := range wn {
-			if nbrs[i] != wn[i] {
-				t.Fatalf("node %d id %d differs", u, i)
-			}
-		}
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	idsGets := poolGets(s)
-	s.ResetPoolStats()
-	if err := c.SweepEdges(0, graph.NodeID(c.N()), func(graph.NodeID, []graph.NodeID, []float64) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
-	if full := poolGets(s); idsGets >= full {
-		t.Fatalf("ids-only sweep pinned %d pages, full sweep %d — EdgeW not skipped", idsGets, full)
-	}
-}
-
 func poolGets(s *Store) uint64 {
 	st := s.PoolStats()
 	return st.Hits + st.Misses
@@ -195,7 +150,7 @@ func TestPagedSweepPinsPerIteration(t *testing.T) {
 }
 
 // TestPagedSweepEarlyStopAndBounds: fn returning false ends the sweep
-// cleanly; malformed ranges error and bump the fault epoch before any
+// cleanly; malformed ranges error and latch one fault before any
 // emission.
 func TestPagedSweepEarlyStopAndBounds(t *testing.T) {
 	g := hubGraph(200, 600, 1, 14)
@@ -217,7 +172,7 @@ func TestPagedSweepEarlyStopAndBounds(t *testing.T) {
 		t.Fatalf("early stop: err=%v seen=%d", err, seen)
 	}
 	for _, r := range [][2]graph.NodeID{{-1, 5}, {5, 4}, {0, graph.NodeID(c.N()) + 1}} {
-		epoch := c.Faults()
+		before := c.faultCount()
 		called := false
 		err := c.SweepEdges(r[0], r[1], func(graph.NodeID, []graph.NodeID, []float64) bool {
 			called = true
@@ -226,16 +181,16 @@ func TestPagedSweepEarlyStopAndBounds(t *testing.T) {
 		if err == nil || called {
 			t.Fatalf("sweep [%d,%d): err=%v called=%v", r[0], r[1], err, called)
 		}
-		if c.ErrSince(epoch) == nil {
-			t.Fatalf("sweep [%d,%d) did not bump the fault epoch", r[0], r[1])
+		if d := c.faultCount() - before; d != 1 {
+			t.Fatalf("sweep [%d,%d) latched %d faults, want 1", r[0], r[1], d)
 		}
 	}
 }
 
 // TestPagedSweepFaultMidSweep corrupts the file underneath a live store:
-// the sweep must return the fault AND record it on the epoch protocol —
-// an overlapping query checking ErrSince fails closed, never consuming a
-// partial silent result.
+// the sweep must return the fault AND latch exactly one on the query view
+// that swept — never a partial silent result — while a view that read
+// nothing stays clean.
 func TestPagedSweepFaultMidSweep(t *testing.T) {
 	g := hubGraph(500, 2000, 2, 15)
 	path := buildAndSave(t, g, 256)
@@ -264,27 +219,37 @@ func TestPagedSweepFaultMidSweep(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	epoch := c.Faults()
+	swept, err := s.QueryView(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle, err := s.QueryView(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	emitted := 0
-	err = c.SweepEdges(0, graph.NodeID(c.N()), func(graph.NodeID, []graph.NodeID, []float64) bool {
+	err = swept.Adj.SweepEdges(0, graph.NodeID(c.N()), func(graph.NodeID, []graph.NodeID, []float64) bool {
 		emitted++
 		return true
 	})
 	if err == nil {
 		t.Fatalf("sweep over corrupted file succeeded after %d emissions", emitted)
 	}
-	if c.ErrSince(epoch) == nil {
-		t.Fatal("mid-sweep fault not recorded on the epoch protocol")
+	if qc := swept.Counts(); qc.Faults != 1 || swept.Err() == nil {
+		t.Fatalf("mid-sweep fault: view latched %d faults (err %v), want exactly 1", qc.Faults, swept.Err())
 	}
 	if emitted >= c.N() {
 		t.Fatal("sweep claimed to emit every node despite the fault")
 	}
+	if idle.Counts().Faults != 0 || idle.Err() != nil || c.Err() != nil {
+		t.Fatalf("fault leaked off the view that swept: idle %v, base %v", idle.Err(), c.Err())
+	}
 }
 
-// TestQueryViewSharesFaultsAndWdeg: query views are views — one fault
-// epoch, one weighted-degree cache — whose counters see only the query's
-// own reads, and which turn tiered once the store has a tier budget.
-func TestQueryViewSharesFaultsAndWdeg(t *testing.T) {
+// TestQueryViewOwnsFaultsSharesWdeg: query views share one weighted-degree
+// cache, but each owns its fault latch and counters, which see only the
+// query's own reads; views turn tiered once the store has a tier budget.
+func TestQueryViewOwnsFaultsSharesWdeg(t *testing.T) {
 	g := hubGraph(300, 900, 1, 17)
 	path := buildAndSave(t, g, 256)
 	s, err := OpenFile(path, 64)
@@ -300,6 +265,10 @@ func TestQueryViewSharesFaultsAndWdeg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	other, err := s.QueryView(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, ok := view.Adj.(*PagedCSR); !ok {
 		t.Fatalf("untiered store opened a %T view", view.Adj)
 	}
@@ -309,14 +278,18 @@ func TestQueryViewSharesFaultsAndWdeg(t *testing.T) {
 	if &w1[0] != &w2[0] {
 		t.Fatal("query view built a second weighted-degree table")
 	}
-	// A fault through the view is visible on the base epoch and vice versa.
-	epoch := base.Faults()
+	// A fault through the view latches on the view alone; the first fault
+	// is the one kept.
 	cur := view.Adj.Cursor()
 	cur.NeighborIDs(graph.NodeID(-1), nil)
+	first := view.Err()
 	cur.NeighborIDs(0, nil)
 	cur.Close()
-	if base.ErrSince(epoch) == nil {
-		t.Fatal("view fault invisible on the base epoch")
+	if first == nil || view.Err() != first {
+		t.Fatalf("view latched %v, then %v; want its first fault kept", first, view.Err())
+	}
+	if base.Err() != nil || other.Err() != nil || other.Counts().Faults != 0 {
+		t.Fatalf("view fault leaked: base %v, other view %v", base.Err(), other.Err())
 	}
 	// The view counted its own sweep and cursor pins, and nothing else.
 	base.Cursor().Close()
@@ -333,15 +306,18 @@ func TestQueryViewSharesFaultsAndWdeg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := tv.Adj.(*TieredCSR); !ok || !tv.Counts().Tiered {
+	if qc := tv.Counts(); qc.Resident || !qc.Tiered {
+		t.Fatalf("store with a tier budget and nothing resident opened %+v", qc)
+	}
+	if _, ok := tv.Adj.(*TieredCSR); !ok {
 		t.Fatalf("store with a tier budget opened a %T view", tv.Adj)
 	}
 }
 
 // FuzzSweepEdges drives the blocked sweep over randomly shaped graphs,
 // page sizes and byte corruptions: a sweep either reproduces the
-// in-memory ground truth exactly or fails AND surfaces the fault through
-// the Faults/ErrSince epoch protocol — never a partial silent result.
+// in-memory ground truth exactly or fails AND latches the fault on the
+// view swept — never a partial silent result.
 func FuzzSweepEdges(f *testing.F) {
 	f.Add(int64(1), uint16(50), uint16(200), uint8(0), uint32(0))
 	f.Add(int64(2), uint16(300), uint16(1200), uint8(1), uint32(0))
@@ -384,7 +360,7 @@ func FuzzSweepEdges(f *testing.F) {
 		if err != nil {
 			return
 		}
-		epoch := c.Faults()
+		before := c.faultCount()
 		next := 0
 		clean := true
 		err = c.SweepEdges(0, graph.NodeID(c.N()), func(u graph.NodeID, nbrs []graph.NodeID, ws []float64) bool {
@@ -405,9 +381,9 @@ func FuzzSweepEdges(f *testing.F) {
 			return true
 		})
 		if err != nil {
-			// Failed sweeps must surface through the epoch protocol too.
-			if c.ErrSince(epoch) == nil {
-				t.Fatal("sweep error not recorded on the fault epoch")
+			// Failed sweeps must latch on the view too.
+			if c.faultCount() == before || c.Err() == nil {
+				t.Fatal("sweep error not latched on the view")
 			}
 			return
 		}

@@ -2,14 +2,13 @@
 // to read a graph.Adjacency, the edge-centric sweeps and the row cursors
 // (internal/graph/adjacency.go).
 //
-// SweepEdges / SweepNeighborIDs emit each node's row as slices that alias
-// the sweep's block buffers (or the in-memory CSR's internal storage):
-// they are valid only for the duration of the callback and are
-// overwritten as soon as it returns. A callback that lets a row slice
-// escape — assigning it to a captured variable, appending the slice
-// header into a retained slice, sending it on a channel, storing it in a
-// struct field or composite literal — keeps a window into recycled
-// memory, and the corruption shows up as silently wrong results, not a
+// SweepEdges emits each node's row as slices that alias the sweep's block
+// buffers (or the in-memory CSR's internal storage): they are valid only
+// for the duration of the callback and are overwritten as soon as it
+// returns. A callback that lets a row slice escape — assigning it to a
+// captured variable, appending the slice header into a retained slice,
+// sending it on a channel, storing it in a struct field or composite
+// literal — keeps a window into recycled memory, and the corruption shows up as silently wrong results, not a
 // crash. Copying the *elements* out (append(dst, nbrs...), copy, reading
 // values) is always fine; it is retaining the slice header that is not.
 //
@@ -32,7 +31,7 @@ import (
 // Analyzer flags sweep-callback and row-cursor buffer escapes.
 var Analyzer = &analysis.Analyzer{
 	Name: "sweepalias",
-	Doc: "flags SweepEdges/SweepNeighborIDs callbacks that let the emitted nbrs/w " +
+	Doc: "flags SweepEdges callbacks that let the emitted nbrs/w " +
 		"row slices escape the callback (captured-variable assignment, append of " +
 		"the slice header, channel send, struct-field storage), and row-cursor " +
 		"callers that store the returned slices outside local variables. " +
@@ -43,8 +42,7 @@ var Analyzer = &analysis.Analyzer{
 // sweepMethods maps callback-taking sweep methods to the index of their
 // callback argument.
 var sweepMethods = map[string]int{
-	"SweepEdges":       2,
-	"SweepNeighborIDs": 2,
+	"SweepEdges": 2,
 }
 
 // cursorReads are the row reads of a graph.RowCursor, matched on
@@ -84,8 +82,8 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// sweepCallbackArg returns the callback argument of a SweepEdges /
-// SweepNeighborIDs method call.
+// sweepCallbackArg returns the callback argument of a SweepEdges method
+// call.
 func sweepCallbackArg(call *ast.CallExpr) (string, ast.Expr) {
 	sel, _, ok := astq.MethodCall(call)
 	if !ok {

@@ -16,10 +16,6 @@ func (c *csr) SweepEdges(lo, hi NodeID, fn func(u NodeID, nbrs []NodeID, w []flo
 	return nil
 }
 
-func (c *csr) SweepNeighborIDs(lo, hi NodeID, fn func(u NodeID, nbrs []NodeID) bool) error {
-	return nil
-}
-
 var globalRow []NodeID
 
 func violations(c *csr, ch chan []NodeID) {
@@ -43,11 +39,11 @@ func violations(c *csr, ch chan []NodeID) {
 // through the variable.
 func namedCallback(c *csr) {
 	var sticky []NodeID
-	push := func(u NodeID, nbrs []NodeID) bool {
+	push := func(u NodeID, nbrs []NodeID, w []float64) bool {
 		sticky = nbrs[1:] // want `row slice assigned to captured variable sticky`
 		return true
 	}
-	_ = c.SweepNeighborIDs(0, 10, push)
+	_ = c.SweepEdges(0, 10, push)
 	_ = sticky
 }
 

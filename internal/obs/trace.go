@@ -9,7 +9,7 @@ import (
 // whole-graph query (extract, PageRank, graph analysis) opens spans around
 // its stages (adjacency open, label preload, solve, induce, render) and
 // accumulates resource counts (buffer-pool pins, hits, misses, evictions
-// and load waits, fault epochs, debug-mode allocation deltas). The HTTP server creates one
+// and load waits, view faults, debug-mode allocation deltas). The HTTP server creates one
 // per request, keyed by the request ID it also returns in the
 // X-Gmine-Trace-Id header, feeds the completed trace into the metrics
 // registry, and — with ?trace=1 — returns the snapshot as a JSON sidecar.

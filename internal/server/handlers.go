@@ -198,8 +198,9 @@ type PoolInfo struct {
 	Stale bool `json:"stale,omitempty"`
 	// Tier reports the hot-tier state of sessions with a tier budget set
 	// (nil while tiering is off): whether the decoded graph is resident
-	// (fragments 0 or 1), the bytes it holds against the budget, and the
-	// cumulative promotion/demotion/hit/miss counters.
+	// (fragments 0 or 1), the bytes it holds against the budget, the
+	// cumulative promotions and demotions, and the queries served from
+	// memory (hits) and from pages (misses).
 	Tier *gtree.TierInfo `json:"tier,omitempty"`
 }
 

@@ -56,7 +56,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Buffer-pool page pins per traced query (hits+misses through its counted pool view).",
 			obs.PinBuckets),
 		faults: reg.Counter("gmine_query_pool_faults_total",
-			"Paged-read fault epochs observed by traced queries."),
+			"Paged-read faults latched on traced queries' own views."),
 		overload: reg.CounterVec("gmine_http_overload_total",
 			"Transient 503 rejections by kind: shed (admission limit), "+
 				"timeout (request deadline), breaker_open (session circuit breaker).",
@@ -211,7 +211,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			eachTier(func(name string, ti *gtree.TierInfo) { emit(float64(ti.Budget), name) })
 		})
 	reg.Collect("gmine_tier_ops_total",
-		"Hot-tier operations by session: whole-graph promotions and demotions, and row reads served from memory (hit) vs the paged store (miss).",
+		"Hot-tier operations by session: whole-graph promotions and demotions, and queries served from memory (hit) vs the paged store (miss).",
 		"counter", []string{"session", "op"}, func(emit func(v float64, labelVals ...string)) {
 			eachTier(func(name string, ti *gtree.TierInfo) {
 				emit(float64(ti.Promotions), name, "promotion")
@@ -225,7 +225,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 
 // observeTrace flushes one completed query trace into the registry: stage
 // durations into the per-stage histograms, pool pins into the pin
-// distribution, fault epochs into the fault counter. Requests that never
+// distribution, view faults into the fault counter. Requests that never
 // reached the engine (404s, cache hits) carry no stages and cost nothing.
 func (m *serverMetrics) observeTrace(tr *obs.Trace) {
 	if tr == nil {

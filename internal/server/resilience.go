@@ -141,8 +141,8 @@ func (e *breakerOpenError) Unwrap() error { return errBreakerOpen }
 
 // breaker is a per-session circuit breaker over permanent paged-read
 // faults. A session whose backing file has gone bad fails every paged query
-// the hard way — a full solve that grinds the pool until the fault epoch
-// latches. After threshold consecutive paged faults the breaker opens and
+// the hard way — a full solve that grinds the pool until its view latches
+// a fault. After threshold consecutive paged faults the breaker opens and
 // queries fail in microseconds with 503 + Retry-After instead. After the
 // cooldown one probe query is let through (half-open): if the store reads
 // clean again (say the file was re-saved), the breaker closes and traffic

@@ -311,8 +311,8 @@ func TestBatchCancelledClient(t *testing.T) {
 
 // TestChaosWrappedServer: Config.FaultWrap (the -chaos serve flag) injects
 // seeded transient faults under every disk-backed session the server
-// opens; queries still answer 200 — the retry layer heals below the fault
-// epoch — and the healing shows up in the session pool stats and the
+// opens; queries still answer 200 — the retry layer heals below the
+// queries' fault latches — and the healing shows up in the session pool stats and the
 // retry metrics family.
 func TestChaosWrappedServer(t *testing.T) {
 	// 2% rate over ~12k eligible reads per extract (100-odd power

@@ -8,7 +8,7 @@ import (
 // File is the pager's backing-store abstraction: the exact subset of
 // *os.File the pager uses. Production code always runs over a real file
 // (osFile below); tests and the chaos-serving mode interpose a
-// FaultInjector to exercise the transient-read retry and fault-epoch
+// FaultInjector to exercise the transient-read retry and fault-latch
 // machinery without touching the disk underneath.
 type File interface {
 	ReadAt(p []byte, off int64) (int, error)

@@ -63,7 +63,7 @@ type Pager struct {
 // the number of re-read attempts made, Healed the reads that succeeded
 // after at least one retry, Failed the reads that exhausted the retry
 // budget (or failed permanently outright) and surfaced an error — the only
-// failures the fault-epoch layer above ever sees.
+// failures the query views' fault latches above ever see.
 type RetryStats struct {
 	Retries uint64
 	Healed  uint64
@@ -298,7 +298,7 @@ func (p *Pager) ReadPage(id PageID) ([]byte, error) {
 // checksum mismatches that heal on re-read (a torn buffer or in-flight
 // bit-flip over an intact disk copy) — are retried with jittered backoff
 // up to readAttempts times before being classified permanent. Callers
-// (the buffer pool, and through it the paged-CSR fault epoch) therefore
+// (the buffer pool, and through it the paged-CSR fault latches) therefore
 // only ever see post-classification permanent failures; a transient blip
 // never latches a query-visible fault.
 //
