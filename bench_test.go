@@ -403,13 +403,24 @@ func (c *sweepCountBench) SweepEdges(lo, hi gmine.NodeID, fn func(u gmine.NodeID
 	return c.Adjacency.SweepEdges(lo, hi, fn)
 }
 
+// sweepReads returns the file reads a paged adjacency's sweeps have made
+// so far (gtree.PagedCSR.SweepCounts); 0 for other backends.
+func sweepReads(adj gmine.Adjacency) int64 {
+	if c, ok := adj.(interface{ SweepCounts() (reads, pages int64) }); ok {
+		reads, _ := c.SweepCounts()
+		return reads
+	}
+	return 0
+}
+
 // BenchmarkRWRMultiFused measures the multi-source RWR solve — the first
 // stage of every extraction — for 1, 2 and 8 sources, in memory and paged
 // at a pool far smaller than the CSR section. All the sources advance in
 // one sweep per power iteration, so sweeps/op is the iteration count of the
-// slowest source and barely moves with k, and pins/op (pool hits+misses
-// per solve) follows it; ns/op grows with k only by the per-row
-// arithmetic.
+// slowest source and barely moves with k, and reads/op (the sweeps' file
+// reads per solve, a window of pages each) follows it; pins/op (pool
+// hits+misses per solve) is 0, since sweeps read the file without
+// pinning. ns/op grows with k only by the per-row arithmetic.
 func BenchmarkRWRMultiFused(b *testing.B) {
 	setup(b)
 	n := benchDS.Graph.NumNodes()
@@ -448,9 +459,11 @@ func BenchmarkRWRMultiFused(b *testing.B) {
 			}
 			adj.WeightedDegrees() // comparable warm start
 			disk.Store().ResetPoolStats()
+			reads0 := sweepReads(adj)
 			run(b, adj, k)
 			st := disk.Store().PoolStats()
 			b.ReportMetric(float64(st.Hits+st.Misses)/float64(b.N), "pins/op")
+			b.ReportMetric(float64(sweepReads(adj)-reads0)/float64(b.N), "reads/op")
 		})
 	}
 }
@@ -460,6 +473,8 @@ func BenchmarkRWRMultiFused(b *testing.B) {
 // pool sizes. The paged runs trade speed for bounded resident adjacency:
 // a pool far smaller than the CSR section still answers the query, just
 // with more page churn (watch evictions grow as the pool shrinks).
+// pins/op is the row cursors' pool traffic and reads/op the sweeps' file
+// reads, both from each query's trace.
 func BenchmarkExtractMemoryVsPaged(b *testing.B) {
 	setup(b)
 	sources := []gmine.NodeID{
@@ -483,16 +498,22 @@ func BenchmarkExtractMemoryVsPaged(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer disk.Close()
+			var pins, reads int64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := disk.Extract(sources, opts); err != nil {
+				tr := obs.NewTrace("bench")
+				if _, err := disk.ExtractTraced(context.Background(), tr, sources, opts); err != nil {
 					b.Fatal(err)
 				}
+				pins += tr.CountValue("pool.pins")
+				reads += tr.CountValue("sweep.reads")
 			}
 			b.StopTimer()
 			st := disk.Store().PoolInfo()
 			b.ReportMetric(float64(st.Evictions)/float64(b.N), "evictions/op")
+			b.ReportMetric(float64(pins)/float64(b.N), "pins/op")
+			b.ReportMetric(float64(reads)/float64(b.N), "reads/op")
 		})
 	}
 }
@@ -534,8 +555,9 @@ func BenchmarkPageRankMemoryVsPaged(b *testing.B) {
 
 // BenchmarkRWRSetSweepVsNeighbors measures one whole-graph RWR solve — the
 // extraction hot loop — in memory and paged at several pool sizes. The
-// sweep pays O(filePages) buffer-pool round-trips per power iteration;
-// pins/op reports the measured pool traffic (hits+misses per solve). The
+// sweep reads O(filePages) pages per power iteration straight from the
+// file, a window per read; reads/op reports those reads per solve and
+// pins/op the pool traffic (hits+misses per solve), which is 0. The
 // node-centric rows it was once contrasted with are gone with that path;
 // the name and the Sweep rows stay so benchjson -compare keeps pairing
 // them with the committed trajectory.
@@ -571,12 +593,14 @@ func BenchmarkRWRSetSweepVsNeighbors(b *testing.B) {
 			}
 			adj.WeightedDegrees() // comparable warm start
 			disk.Store().ResetPoolStats()
+			reads0 := sweepReads(adj)
 			b.ReportAllocs()
 			b.ResetTimer()
 			run(b, adj)
 			b.StopTimer()
 			st := disk.Store().PoolStats()
 			b.ReportMetric(float64(st.Hits+st.Misses)/float64(b.N), "pins/op")
+			b.ReportMetric(float64(sweepReads(adj)-reads0)/float64(b.N), "reads/op")
 		})
 	}
 }
@@ -611,12 +635,14 @@ func BenchmarkPageRankSweepVsNeighbors(b *testing.B) {
 			}
 			adj.WeightedDegrees()
 			disk.Store().ResetPoolStats()
+			reads0 := sweepReads(adj)
 			b.ReportAllocs()
 			b.ResetTimer()
 			run(b, adj)
 			b.StopTimer()
 			st := disk.Store().PoolStats()
 			b.ReportMetric(float64(st.Hits+st.Misses)/float64(b.N), "pins/op")
+			b.ReportMetric(float64(sweepReads(adj)-reads0)/float64(b.N), "reads/op")
 		})
 	}
 }

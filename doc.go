@@ -50,9 +50,13 @@
 // the engine promotes the whole graph into memory after its first query,
 // and each later query that opens while it is resident reads it from
 // there, bit-identical to the paged path. Below that budget every query
-// pages. Every paged query reads through its own view, which latches its
-// own faults, so one query's bad read never fails another. See README
-// "Hot/cold tiering" and "Resilience".
+// pages: its whole-graph sweeps read the file a window of pages at a time
+// without touching the buffer pool, and only its row cursors pin pages
+// through the pool, with row bounds from an offset table read once per
+// store. Every paged query reads through its own view, which latches its
+// own faults and counts its own reads, so one query's bad read never
+// fails another. See README "Blocked sweeps", "Hot/cold tiering" and
+// "Resilience".
 //
 // The package is a thin facade over the internal implementation packages;
 // everything needed to reproduce the paper's figures is reachable from

@@ -71,7 +71,7 @@ func PageRankAdj(c graph.Adjacency, opts PageRankOptions) []float64 {
 	}
 	wdeg := c.WeightedDegrees()
 	// Each iteration is one sweep of the adjacency in storage layout order:
-	// O(filePages) buffer-pool round-trips per iteration on a paged CSR.
+	// O(filePages) page reads per iteration on a paged CSR.
 	// Rows arrive in ascending u on every backend, so every backend folds
 	// the same products in the same order and converges to the same bits.
 	push := func(u graph.NodeID, nbrs []graph.NodeID, ws []float64) bool {

@@ -199,10 +199,10 @@ func (e *Engine) SetTierBudget(bytes int64) {
 // opened.
 //
 // When tr is non-nil the acquisition is recorded as the "open" stage, and
-// the release function charges the query's pool activity — pins (buffer
-// pool Gets = hits + misses), hits/misses, evictions, load waits, the
-// view's own faults, the row cursors' rows/pins, retries and whether the
-// query read the resident tier — to the trace. This is the engine's
+// the release function charges the query's I/O — pins (buffer pool Gets =
+// hits + misses), hits/misses, evictions, load waits, the view's own
+// faults, the row cursors' rows/pins, the sweeps' file reads and pages,
+// retries and whether the query read the resident tier — to the trace. This is the engine's
 // "report what this query cost" seam: the counters come from the view the
 // query read through, so they name this query's work, not the session's.
 func (e *Engine) queryAdj(ctx context.Context, tr *obs.Trace) (graph.Adjacency, *gtree.QueryView, func(), error) {
@@ -233,6 +233,10 @@ func (e *Engine) queryAdj(ctx context.Context, tr *obs.Trace) (graph.Adjacency, 
 			// pool on its own.
 			tr.Count("pool.cursor.rows", qc.CursorRows)
 			tr.Count("pool.cursor.pins", qc.CursorPins)
+			// Whole-graph sweeps read the file directly, a window of pages
+			// per read, and pin nothing: pool.* above is cursors and blobs.
+			tr.Count("sweep.reads", qc.SweepReads)
+			tr.Count("sweep.pages", qc.SweepPages)
 			// Transient-read recovery across this query's window. The pager
 			// counters are store-wide, so under concurrent queries the delta
 			// attributes overlapping retries to each of them — approximate

@@ -166,7 +166,9 @@ func TestChaosRetryExhaustionFailsQueryOnce(t *testing.T) {
 	_, disk, inj := chaosEngines(t, 4, 3)
 
 	// Four consecutive scripted transient errors exhaust readAttempts on
-	// the first page read of the next query.
+	// the next query's first file read — the store's offset-table build,
+	// one window re-read whole on every attempt, and never cached after
+	// the fault.
 	inj.Script(storage.FaultErr, storage.FaultErr, storage.FaultErr, storage.FaultErr)
 	tr := obs.NewTrace("exhausted")
 	_, err := disk.PageRankTraced(context.Background(), tr, analysis.PageRankOptions{})

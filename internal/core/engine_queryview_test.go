@@ -79,7 +79,7 @@ func TestFaultLatchPromoteSparesInFlightQuery(t *testing.T) {
 	promoted := -1
 	got, err := disk.Extract(sources, afterRWR(opts, func() {
 		// Four consecutive errors exhaust the retries of the decode's first
-		// pool miss; nothing else reads the file meanwhile.
+		// window read; nothing else reads the file meanwhile.
 		inj.Script(storage.FaultErr, storage.FaultErr, storage.FaultErr, storage.FaultErr)
 		promoted = base.Tiered().Promote()
 	}))

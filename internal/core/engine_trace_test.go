@@ -48,16 +48,15 @@ func stageNames(tr *obs.Trace) map[string]bool {
 // pool-pin count a paged extraction reports in its stage trace must equal
 // the buffer pool's own Gets (hits+misses) for that query — asserted
 // against the pool counter delta, not eyeballed. The first extraction
-// warms the label index and weighted-degree cache (both pin through the
-// shared pool, outside the query's counted view); from the second query
-// on, every pin goes through the query's counted view, so trace and pool must
-// agree exactly.
+// warms the label index (pinned through the shared pool, outside the
+// query's counted view); from the second query on, every pin goes through
+// the query's counted view, so trace and pool must agree exactly.
 func TestExtractTracePinsMatchPoolCounters(t *testing.T) {
 	eng := tracedDiskEngine(t)
 	sources := []graph.NodeID{1, 5}
 	opts := extract.Options{Budget: 10}
 
-	if _, err := eng.Extract(sources, opts); err != nil { // warm labels + wdeg
+	if _, err := eng.Extract(sources, opts); err != nil { // warm labels
 		t.Fatal(err)
 	}
 
@@ -91,16 +90,36 @@ func TestExtractTracePinsMatchPoolCounters(t *testing.T) {
 	}
 }
 
+// twoHopSources returns two fixture nodes two hops apart, so the goodness
+// is positive somewhere and an extraction's key-path rounds actually read
+// rows through cursors.
+func twoHopSources(t *testing.T) []graph.NodeID {
+	t.Helper()
+	g := dblp.SmallFixture().Graph
+	for u := 0; u < g.NumNodes(); u++ {
+		for _, e := range g.Neighbors(graph.NodeID(u)) {
+			for _, e2 := range g.Neighbors(e.To) {
+				if e2.To != graph.NodeID(u) && !g.HasEdge(graph.NodeID(u), e2.To) {
+					return []graph.NodeID{graph.NodeID(u), e2.To}
+				}
+			}
+		}
+	}
+	t.Fatal("fixture has no two nodes two hops apart")
+	return nil
+}
+
 // TestExtractTraceLoadWaits: a trace says how often its query waited on
 // another query's in-flight load of a page (pool.load_waits, read once at
-// release beside pool.pins). Four concurrent extractions, a PageRank and
-// a whole-graph analysis over the same pages may wait on and evict each
-// other any number of times, but warm-up aside every pin goes through
-// some query's counted view, so each of the traces' pool counts adds up
-// to the pool's own counter exactly.
+// release beside pool.pins). Four concurrent extractions may wait on and
+// evict each other's cursor pages any number of times, but warm-up aside
+// every pin goes through some query's counted view, so each of the
+// traces' pool counts adds up to the pool's own counter exactly. The
+// PageRank and the whole-graph analysis running beside them sweep the
+// file and add file reads, not pins.
 func TestExtractTraceLoadWaits(t *testing.T) {
 	eng := tracedDiskEngine(t)
-	sources := []graph.NodeID{1, 5}
+	sources := twoHopSources(t)
 	opts := extract.Options{Budget: 10}
 	if _, err := eng.Extract(sources, opts); err != nil { // warm labels + wdeg
 		t.Fatal(err)
@@ -136,6 +155,12 @@ func TestExtractTraceLoadWaits(t *testing.T) {
 	}
 	wg.Wait()
 	after := eng.Store().PoolInfo()
+	for i, tr := range traces[:2] {
+		if tr.CountValue("pool.pins") != 0 || tr.CountValue("sweep.reads") == 0 {
+			t.Errorf("whole-graph query %d: %d pins and %d sweep reads, want none and some",
+				i, tr.CountValue("pool.pins"), tr.CountValue("sweep.reads"))
+		}
+	}
 	var hits, misses, evictions, waits, pins int64
 	for _, tr := range traces {
 		reported := false
@@ -181,19 +206,7 @@ func TestExtractTraceLoadWaits(t *testing.T) {
 // (whole-graph analysis sweeps) reports zero cursor rows.
 func TestExtractTraceCursorCounts(t *testing.T) {
 	eng := tracedDiskEngine(t)
-	// Two sources two hops apart, so the goodness is positive somewhere
-	// and the key-path rounds actually run.
-	g := dblp.SmallFixture().Graph
-	var sources []graph.NodeID
-	for u := 0; u < g.NumNodes() && sources == nil; u++ {
-		for _, e := range g.Neighbors(graph.NodeID(u)) {
-			for _, e2 := range g.Neighbors(e.To) {
-				if e2.To != graph.NodeID(u) && !g.HasEdge(graph.NodeID(u), e2.To) {
-					sources = []graph.NodeID{graph.NodeID(u), e2.To}
-				}
-			}
-		}
-	}
+	sources := twoHopSources(t)
 	tr := obs.NewTrace("cursor-req")
 	res, err := eng.ExtractTraced(context.Background(), tr, sources, extract.Options{Budget: 10})
 	if err != nil {
@@ -223,8 +236,8 @@ func TestExtractTraceCursorCounts(t *testing.T) {
 }
 
 // TestAnalyzeGraphTracedStages: the whole-graph analysis path records its
-// stage breakdown and pool accounting too, and a debug trace carries
-// ReadMemStats deltas.
+// stage breakdown and I/O accounting too — its sweeps' file reads and
+// pages, and no pool pin — and a debug trace carries ReadMemStats deltas.
 func TestAnalyzeGraphTracedStages(t *testing.T) {
 	eng := tracedDiskEngine(t)
 	tr := obs.NewTrace("analyze-req")
@@ -238,8 +251,11 @@ func TestAnalyzeGraphTracedStages(t *testing.T) {
 			t.Errorf("trace missing stage %q (have %v)", want, names)
 		}
 	}
-	if tr.CountValue("pool.pins") == 0 {
-		t.Error("paged analysis recorded zero pool pins")
+	if tr.CountValue("sweep.reads") == 0 || tr.CountValue("sweep.pages") < tr.CountValue("sweep.reads") {
+		t.Errorf("paged analysis recorded %d sweep reads of %d pages", tr.CountValue("sweep.reads"), tr.CountValue("sweep.pages"))
+	}
+	if pins := tr.CountValue("pool.pins"); pins != 0 {
+		t.Errorf("sweep-only analysis pinned %d pages", pins)
 	}
 	if tr.CountValue("mem.mallocs") == 0 {
 		t.Error("debug trace recorded zero mallocs")
@@ -286,8 +302,8 @@ func (c *sweepCounter) SweepEdges(lo, hi graph.NodeID, fn func(u graph.NodeID, n
 // TestExtractFusedWorkCounts pins the work a multi-source extraction does
 // on a paged engine, in counts that repeat exactly. The RWR stage sweeps
 // the page run once per power iteration for all sources together, so its
-// pins are those of the slower source's solve alone — the max, not the sum,
-// of the per-source iteration counts — and the key-path stage reads a
+// file reads are those of the slower source's solve alone — the max, not
+// the sum, of the per-source iteration counts — and the key-path stage reads a
 // frontier row once for every source that needs it, so the cursor rows of a
 // two-source extraction stay strictly below those of the two one-source
 // extractions added up.
@@ -310,27 +326,30 @@ func TestExtractFusedWorkCounts(t *testing.T) {
 	}
 	itA, itB := iterations(a), iterations(b)
 
-	// sweepPins is what the RWR stage cost the pool: everything the query
-	// pinned that was not a row cursor's (key paths and induce).
-	work := func(sources ...graph.NodeID) (sweepPins, cursorRows int64) {
+	// sweepReads is what the RWR stage cost the file: the window reads of
+	// its sweeps, which pin nothing.
+	work := func(sources ...graph.NodeID) (sweepReads, cursorRows int64) {
 		tr := obs.NewTrace("work-req")
 		if _, err := eng.ExtractTraced(context.Background(), tr, sources, extract.Options{Budget: 12}); err != nil {
 			t.Fatal(err)
 		}
-		return tr.CountValue("pool.pins") - tr.CountValue("pool.cursor.pins"), tr.CountValue("pool.cursor.rows")
+		if pins := tr.CountValue("pool.pins"); pins != tr.CountValue("pool.cursor.pins") {
+			t.Fatalf("%d of the extraction's %d pins were not a row cursor's", pins-tr.CountValue("pool.cursor.pins"), pins)
+		}
+		return tr.CountValue("sweep.reads"), tr.CountValue("pool.cursor.rows")
 	}
-	work(a, b) // warm labels + wdeg, which pin outside the query's counted view
-	pinsA, rowsA := work(a)
-	pinsB, rowsB := work(b)
-	pinsAB, rowsAB := work(a, b)
+	work(a, b) // warm the offset and weighted-degree tables, read once per store
+	readsA, rowsA := work(a)
+	readsB, rowsB := work(b)
+	readsAB, rowsAB := work(a, b)
 
-	perSweep := pinsA / itA
-	if perSweep == 0 || pinsA != itA*perSweep || pinsB != itB*perSweep {
-		t.Fatalf("sweep pins %d and %d are not %d and %d iterations of one per-sweep cost", pinsA, pinsB, itA, itB)
+	perSweep := readsA / itA
+	if perSweep == 0 || readsA != itA*perSweep || readsB != itB*perSweep {
+		t.Fatalf("sweep reads %d and %d are not %d and %d iterations of one per-sweep cost", readsA, readsB, itA, itB)
 	}
-	if want := max(itA, itB) * perSweep; pinsAB != want {
-		t.Errorf("two-source extraction: %d sweep pins = %d sweeps, want max(%d, %d) = %d sweeps (the sum would be %d)",
-			pinsAB, pinsAB/perSweep, itA, itB, want/perSweep, itA+itB)
+	if want := max(itA, itB) * perSweep; readsAB != want {
+		t.Errorf("two-source extraction: %d sweep reads = %d sweeps, want max(%d, %d) = %d sweeps (the sum would be %d)",
+			readsAB, readsAB/perSweep, itA, itB, want/perSweep, itA+itB)
 	}
 	if rowsAB == 0 || rowsAB >= rowsA+rowsB {
 		t.Errorf("two-source extraction read %d cursor rows, want fewer than the one-source extractions' %d + %d", rowsAB, rowsA, rowsB)

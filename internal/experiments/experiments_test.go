@@ -160,6 +160,36 @@ func TestRunE7Metrics(t *testing.T) {
 	}
 }
 
+// TestRunE8MultiResolution pins E8's shape, not its timings (which would
+// flake): four scales of strictly increasing size, each of whose focus
+// changes paged something in. A focus pages in one leaf, about n/9 nodes
+// at K=3 and Levels=3, so at a fixed depth the pages per focus grow with
+// n; per node they read 0.00225–0.00281 on seeds 1–3, and the bound below
+// leaves room for that spread.
+func TestRunE8MultiResolution(t *testing.T) {
+	cfg := smallCfg(t)
+	res, err := RunE8(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 4 {
+		t.Fatalf("rows=%d want 4", len(res.Rows))
+	}
+	for i, r := range res.Rows {
+		if i > 0 && r.Nodes <= res.Rows[i-1].Nodes {
+			t.Fatalf("row %d: %d nodes, not above the previous scale's %d", i, r.Nodes, res.Rows[i-1].Nodes)
+		}
+		if r.PagesPerFocus <= 0 {
+			t.Fatalf("row %d (%d nodes): %.2f pages per focus, want > 0", i, r.Nodes, r.PagesPerFocus)
+		}
+		perNode := r.PagesPerFocus / float64(r.Nodes)
+		t.Logf("%d nodes: %.2f pages per focus, %.5f per node", r.Nodes, r.PagesPerFocus, perNode)
+		if perNode > 0.004 {
+			t.Fatalf("row %d (%d nodes): %.5f pages per focus per node, want <= 0.004", i, r.Nodes, perNode)
+		}
+	}
+}
+
 func TestRunE9MultiSourceWins(t *testing.T) {
 	cfg := smallCfg(t)
 	res, err := RunE9(cfg)

@@ -129,12 +129,13 @@ func TestKeyPathDPReuseIsInvisible(t *testing.T) {
 }
 
 // TestKeyPathPinsPerDP pins the perf claim behind the row cursor, in the
-// style of gtree's TestPagedSweepPinsPerIteration: one key-path DP reads
+// style of gtree's TestPagedSweepReadsPerIteration: one key-path DP reads
 // rows in ascending node order at every level, so through a cursor it
-// costs the pool at most one pin per Xadj and Adjncy page per level (plus
-// a constant) and never touches EdgeW — where the one-shot reads it
-// replaces paid two or more pins per row. Asserted on the pool's own
-// hit/miss counters.
+// costs the pool at most one pin per Adjncy page per level (plus a
+// constant) and never touches EdgeW — row bounds come from the store's
+// offset table, which pins nothing — where the one-shot reads it replaces
+// paid a pin or more per row. Asserted on the pool's own hit/miss
+// counters.
 func TestKeyPathPinsPerDP(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	const n, maxLen = 3000, 10
@@ -142,7 +143,6 @@ func TestKeyPathPinsPerDP(t *testing.T) {
 	s, paged := pagedStoreFixture(t, g, 4096)
 	logGood := positiveLogGood(rng, n)
 	const payload = 252 // 256-byte pages minus CRC
-	xadjPages := storage.RunPages(n+1, 4, payload)
 	adjncyPages := storage.RunPages(paged.HalfEdges(), 4, payload)
 
 	gets := func() uint64 { st := s.PoolStats(); return st.Hits + st.Misses }
@@ -155,18 +155,18 @@ func TestKeyPathPinsPerDP(t *testing.T) {
 	if err := paged.Err(); err != nil {
 		t.Fatal(err)
 	}
-	bound := uint64(maxLen*(xadjPages+adjncyPages) + 8)
+	bound := uint64(maxLen*adjncyPages + 8)
 	if dpGets > bound {
-		t.Fatalf("one key-path DP pinned %d pages, want <= %d (%d levels x (%d xadj + %d adjncy pages))",
-			dpGets, bound, maxLen, xadjPages, adjncyPages)
+		t.Fatalf("one key-path DP pinned %d pages, want <= %d (%d levels x %d adjncy pages)",
+			dpGets, bound, maxLen, adjncyPages)
 	}
 	rows, pins := paged.CursorCounts()
 	if uint64(pins) != dpGets {
 		t.Fatalf("cursor counted %d pins, the pool %d", pins, dpGets)
 	}
 	// The premise: the DP read several rows per pinned page (a 252-byte
-	// page holds 63 offsets but only a handful of these rows' ids), and
-	// would have paid at least two pins per row without the cursor.
+	// page holds only a handful of these rows' ids), and would have paid
+	// at least one pin per row without the cursor.
 	if rows < 4*n || uint64(rows) < 3*dpGets {
 		t.Fatalf("DP read %d rows for %d pins — contrast premise broken", rows, dpGets)
 	}
@@ -177,7 +177,7 @@ func TestKeyPathPinsPerDP(t *testing.T) {
 		nbrs = cur.NeighborIDs(graph.NodeID(u), nbrs[:0])
 		cur.Close()
 	}
-	if oneShot := gets(); oneShot < 2*n {
+	if oneShot := gets(); oneShot < n {
 		t.Fatalf("one-shot pass pinned %d pages for %d rows — contrast premise broken", oneShot, n)
 	}
 	if pinsHeld := s.PinnedFrames(); pinsHeld != 0 {

@@ -159,7 +159,7 @@ func rwrBlocked(c graph.Adjacency, sets [][]graph.NodeID, opts RWROptions) ([][]
 	// live holds the walks still iterating, in set order.
 	live := append([]*rwrWalk(nil), walks...)
 	// Each pass is one sweep of the adjacency in storage layout order —
-	// O(filePages) buffer-pool round-trips per iteration on a paged CSR —
+	// O(filePages) page reads per iteration on a paged CSR —
 	// and rows arrive in ascending u on every backend, so every backend
 	// produces the same floating-point vectors.
 	push := func(u graph.NodeID, nbrs []graph.NodeID, ws []float64) bool {

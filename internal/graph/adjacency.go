@@ -39,7 +39,7 @@ type Adjacency interface {
 // Why a cursor and not a one-shot row read: a paged backend's cursor
 // keeps the page it last read in each run pinned until a read lands on a
 // different page, so a kernel that visits nodes roughly in id order pays
-// the buffer pool one pin per page instead of two per node.
+// the buffer pool one pin per page instead of one or two per node.
 //
 // Contract:
 //
@@ -84,8 +84,8 @@ type RowCursor interface {
 // list per pass. The backend walks its own storage in layout order (page
 // run by page run for a paged CSR, a plain slice walk for the in-memory
 // one) and emits each node's full edge list to the callback, so one pass
-// costs a paged backend O(filePages) buffer-pool round-trips instead of
-// O(n).
+// costs a paged backend O(filePages) page reads — a window of pages per
+// file read, no buffer-pool round-trip at all — instead of O(n) row reads.
 //
 // Contract:
 //

@@ -14,42 +14,50 @@ import (
 )
 
 // PagedCSR is the disk-backed implementation of graph.Adjacency: the
-// persisted CSR section of a v2 G-Tree file read on demand through the
-// store's buffer pool. Neighbor ranges are located arithmetically in the
-// fixed-stride page runs and decoded straight from the pinned frames (a
-// row cursor keeps its last page per run pinned between reads, everything
-// else unpins as soon as a row or window is decoded), and the pool's LRU
-// keeps the query's working set resident — so the memory an extraction or
-// PageRank holds for the adjacency is bounded by the pool capacity, not
-// the graph size. This is
-// the paper's single-file claim carried to whole-graph mining: the engine
-// pages the graph, it never loads it.
+// persisted CSR section of a v2 G-Tree file read on demand. The row
+// offsets (Xadj, 4·(n+1) bytes) are decoded once per store into a
+// validated table, the O(N) part that every kernel needs resident anyway;
+// the O(E) neighbor ids and weights stay on disk and are read two ways:
+//
+//   - Whole-graph sweeps (SweepEdges, WeightedDegrees, the tier decode)
+//     read the Adjncy and EdgeW runs in file order, a window of pages at a
+//     time, straight from the file with one checksummed read per window
+//     (storage.RunReader.Read) into the sweep's own buffers. A sequential
+//     scan is what an LRU pool cannot help with, so sweeps pin nothing and
+//     leave the pool to the reads that revisit pages.
+//   - Row cursors pin the pages they read through the store's buffer pool
+//     (a cursor keeps its last page per run pinned between reads), and the
+//     pool's LRU keeps a query's working set of rows resident.
+//
+// So the memory an extraction or PageRank holds for the adjacency is the
+// offset table, a few sweep windows and the pool capacity, never the
+// graph. This is the paper's single-file claim carried to whole-graph
+// mining: the engine pages the graph, it never loads it.
 //
 // No frame byte outlives its pin. The pool recycles frames in place (see
 // storage.BufferPool.Get: the next page loaded into a frame overwrites
-// the buffer), so every read path here either copies out under the pin —
-// storage.RunReader.Read for sweep windows; storage.ReadBlob for leaves
-// and labels — or, in the row cursor, decodes into the caller's buffers
-// before the cursor moves the pin. Nothing a caller receives aliases the
-// pool.
+// the buffer), so the row cursor decodes into the caller's buffers before
+// it moves a pin, and leaves and labels are copied out (storage.ReadBlob).
+// Nothing a caller receives aliases the pool.
 //
 // Values round-trip the file verbatim (same int32 ids, same float64
 // bits, same neighbor order as the in-memory CSR the file was saved
 // from), so every kernel produces bit-identical results on either
 // backend.
 //
-// I/O failures (truncated file, CRC mismatch) cannot surface through the
-// Adjacency method set, so every view latches its own: the failing call
-// returns empty data, the view counts the fault and keeps the first one's
-// error (Err). Each query reads through its own view (Store.QueryView),
-// so the latch answers "did this query read bad data?" — core.Engine
-// discards a solve whose view latched — and a fault on another view, a
-// concurrent query's or the tier promoter's, never touches it.
+// I/O failures (truncated file, CRC mismatch, corrupt offsets) cannot
+// surface through the Adjacency method set, so every view latches its
+// own: the failing call returns empty data, the view counts the fault and
+// keeps the first one's error (Err). Each query reads through its own view
+// (Store.QueryView), so the latch answers "did this query read bad
+// data?" — core.Engine discards a solve whose view latched — and a fault
+// on another view, a concurrent query's or the tier promoter's, never
+// touches it.
 //
-// Views share the store's buffer pool, the cached weighted-degree table,
-// the sweep buffers and the tier, and pin pages through their own
-// storage.CountedPool, so one query's paging is accounted separately from
-// concurrent queries'.
+// Views share the store's offset table, weighted-degree table, sweep
+// buffers and tier. Each counts its own sweep reads and pins pages through
+// its own storage.CountedPool, so one query's I/O is accounted separately
+// from concurrent queries'.
 type PagedCSR struct {
 	n         int
 	halfEdges int
@@ -59,14 +67,17 @@ type PagedCSR struct {
 	edgew     *storage.RunReader
 
 	// sh is shared between a base PagedCSR and all its query views: the
-	// weighted-degree cache, the sweep buffers and the tier are properties
-	// of the underlying file, not of the pool view a query pins through.
+	// offset and weighted-degree tables, the sweep buffers and the tier
+	// are properties of the underlying file, not of the pool view a query
+	// pins through.
 	sh *pagedShared
 
-	// faults is this view's fault latch and cc the row reads of the cursors
-	// closed on it: one view per query, so both name this query's reads.
+	// faults is this view's fault latch, cc the row reads of the cursors
+	// closed on it and sc the file reads of its sweeps: one view per query,
+	// so all three name this query's reads.
 	faults faultLatch
 	cc     cursorCounts
+	sc     sweepCounts
 
 	// ctx/done carry a query's cooperative cancellation into the blocked
 	// sweeps (see view). done caches ctx.Done() so the per-chunk check is
@@ -77,6 +88,11 @@ type PagedCSR struct {
 }
 
 type pagedShared struct {
+	// xadj is the decoded, validated row-offset table, built on first use
+	// and cached only after a fault-free build (see offsets).
+	xadjMu sync.Mutex
+	xadj   []int32
+
 	wdegMu sync.Mutex
 	wdeg   []float64 // cached only after a fault-free build
 
@@ -102,7 +118,7 @@ type faultLatch struct {
 var _ graph.Adjacency = (*PagedCSR)(nil)
 
 // newPagedCSR wires the Xadj, Adjncy and EdgeW run readers over the
-// store's buffer pool, validating the section's geometry — the NodeW run's
+// store's pager and buffer pool, validating the section's geometry — the NodeW run's
 // too — against the file.
 func newPagedCSR(s *Store) (*PagedCSR, error) {
 	c := &PagedCSR{n: s.graphNodes, halfEdges: s.halfEdges, directed: s.directed, sh: &pagedShared{}}
@@ -119,22 +135,24 @@ func newPagedCSR(s *Store) (*PagedCSR, error) {
 	if _, err = storage.NewRunReader(s.pool, s.csrPages[3], 4, s.graphNodes); err != nil {
 		return nil, fmt.Errorf("gtree: CSR nodew: %w", err)
 	}
-	// The tier promoter decodes through the base view (the shared pool).
+	// The tier promoter decodes through the base view, which counts its
+	// reads and latches its faults.
 	c.sh.tier.base = c
 	return c, nil
 }
 
-// view returns one query's view of c: it pins pages through p (a query's
-// storage.CountedPool), latches and counts its own faults and cursor
-// reads, and its blocked sweeps observe ctx — every node-chunk boundary
-// polls for cancellation and aborts the sweep with the bare ctx.Err(),
-// which is not latched: nothing is wrong with the file. A nil or
-// never-cancellable ctx costs nothing. The view shares c's weighted-degree
-// cache, sweep buffers and tier; both stay safe for concurrent use.
+// view returns one query's view of c: its cursors pin pages through p (a
+// query's storage.CountedPool), it latches and counts its own faults,
+// cursor rows and sweep reads, and its blocked sweeps observe ctx — every
+// node-chunk boundary polls for cancellation and aborts the sweep with the
+// bare ctx.Err(), which is not latched: nothing is wrong with the file. A
+// nil or never-cancellable ctx costs nothing. The view shares c's offset
+// and weighted-degree tables, sweep buffers and tier; both stay safe for
+// concurrent use.
 func (c *PagedCSR) view(p storage.PagePool, ctx context.Context) *PagedCSR {
 	v := &PagedCSR{
 		n: c.n, halfEdges: c.halfEdges, directed: c.directed, sh: c.sh,
-		xadj:   c.xadj.WithPool(p),
+		xadj:   c.xadj,
 		adjncy: c.adjncy.WithPool(p),
 		edgew:  c.edgew.WithPool(p),
 	}
@@ -197,12 +215,92 @@ func (c *PagedCSR) fault(err error) error {
 	return err
 }
 
+// --- Row offsets -----------------------------------------------------------
+
+// offsets returns the store's row-offset table Xadj, building it on first
+// use with one pool-free read of the Xadj run, charged to c. The table is
+// validated once — Xadj[0] == 0, monotone, Xadj[n] == halfEdges — so every
+// row range read from it lies inside the half-edge runs and no reader
+// checks a row's bounds again. A build that faults (I/O or a table that
+// fails validation) latches the error on c and is NOT cached: the next
+// reader retries from the file instead of trusting a half-read table.
+// Safe for concurrent use; callers must not mutate the result.
+func (c *PagedCSR) offsets() ([]int32, error) {
+	sh := c.sh
+	sh.xadjMu.Lock()
+	defer sh.xadjMu.Unlock()
+	if sh.xadj != nil {
+		return sh.xadj, nil
+	}
+	raw := make([]byte, 4*(c.n+1))
+	var scratch []byte
+	pages, err := c.xadj.Read(0, c.n+1, raw, &scratch)
+	c.sc.add(pages)
+	if err != nil {
+		return nil, c.fault(err)
+	}
+	xadj := make([]int32, c.n+1)
+	for i := range xadj {
+		xadj[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
+	}
+	if err := validOffsets(xadj, c.halfEdges); err != nil {
+		return nil, c.fault(err)
+	}
+	sh.xadj = xadj
+	return xadj, nil
+}
+
+// validOffsets checks that xadj is a CSR offset table over halfEdges
+// half-edges: it starts at 0, never decreases and ends at halfEdges.
+func validOffsets(xadj []int32, halfEdges int) error {
+	n := len(xadj) - 1
+	if xadj[0] != 0 || int(xadj[n]) != halfEdges {
+		return fmt.Errorf("gtree: corrupt CSR xadj: offsets run [%d,%d], want [0,%d]", xadj[0], xadj[n], halfEdges)
+	}
+	for u := 0; u < n; u++ {
+		if xadj[u+1] < xadj[u] {
+			return fmt.Errorf("gtree: corrupt CSR xadj at node %d: [%d,%d) of %d half-edges", u, xadj[u], xadj[u+1], halfEdges)
+		}
+	}
+	return nil
+}
+
+// decodeIDs decodes len(dst) little-endian int32 node ids from b into
+// dst: the Adjncy element decoder of the sweeps and cursors. Callers size
+// b for dst; the length test in the loop is what lets the compiler drop
+// every bounds check inside it.
+//
+//gmine:hotpath
+func decodeIDs(dst []graph.NodeID, b []byte) {
+	for i := range dst {
+		if len(b) < 4 {
+			return
+		}
+		dst[i] = graph.NodeID(int32(binary.LittleEndian.Uint32(b)))
+		b = b[4:]
+	}
+}
+
+// decodeF64 decodes len(dst) little-endian float64 bit patterns from b
+// into dst: the EdgeW element decoder of the sweeps and cursors, shaped
+// like decodeIDs.
+//
+//gmine:hotpath
+func decodeF64(dst []float64, b []byte) {
+	for i := range dst {
+		if len(b) < 8 {
+			return
+		}
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b))
+		b = b[8:]
+	}
+}
+
 // --- Row cursor -----------------------------------------------------------
 
 // Run positions inside a pagedCursor's storage.RunCursor.
 const (
-	curXadj = iota
-	curAdjncy
+	curAdjncy = iota
 	curEdgeW
 )
 
@@ -213,23 +311,23 @@ type cursorCounts struct {
 
 // CursorCounts returns the rows read and the pool pins taken by cursors
 // closed so far on this view. pins/rows is
-// how well sticky pins worked: ~3 per row for one-shot reads, pages/rows
+// how well sticky pins worked: ~2 per row for one-shot reads, pages/rows
 // for an in-order cursor walk.
 func (c *PagedCSR) CursorCounts() (rows, pins int64) {
 	return c.cc.rows.Load(), c.cc.pins.Load()
 }
 
-// pagedCursor is the graph.RowCursor of a PagedCSR view: a
-// storage.RunCursor over the Xadj, Adjncy and EdgeW runs, which keeps the
-// last page of each run pinned between reads (EdgeW only once a read asks
-// for weights) and never waits for a frame while holding one. Rows are
-// decoded straight from the pinned frames into the caller's buffers.
-// Every read keeps the checks of the one-shot path it replaces: node
-// range, Xadj bounds against the half-edge count, run ranges, page
-// checksums (inside the pool's page read), and one latched fault per
-// failed read with nothing appended.
+// pagedCursor is the graph.RowCursor of a PagedCSR view: the store's
+// offset table for row bounds, and a storage.RunCursor over the Adjncy and
+// EdgeW runs, which keeps the last page of each run pinned between reads
+// (EdgeW only once a read asks for weights) and never waits for a frame
+// while holding one. Rows are decoded straight from the pinned frames into
+// the caller's buffers. Every read keeps the checks of the one-shot path
+// it replaces: node range, run ranges, page checksums (inside the pool's
+// page read), and one latched fault per failed read with nothing appended.
 type pagedCursor struct {
 	c    *PagedCSR
+	xadj []int32 // the store's offset table; nil until the first row
 	runs storage.RunCursor
 	rows int64
 }
@@ -245,7 +343,7 @@ func (c *PagedCSR) Cursor() graph.RowCursor {
 // open binds a zero pagedCursor to c.
 func (pc *pagedCursor) open(c *PagedCSR) {
 	pc.c = c
-	pc.runs.Open(c.xadj, c.adjncy, c.edgew)
+	pc.runs.Open(c.adjncy, c.edgew)
 }
 
 // Close unpins the cursor's pages and folds its counts into the view's.
@@ -260,7 +358,8 @@ func (pc *pagedCursor) Close() {
 	}
 }
 
-// xrange reads Xadj[u] and Xadj[u+1], the bounds of u's neighbor range.
+// xrange returns the bounds of u's neighbor range from the offset table,
+// fetching the table on the cursor's first row.
 //
 //gmine:hotpath
 func (pc *pagedCursor) xrange(u graph.NodeID) (lo, hi int, ok bool) {
@@ -270,27 +369,14 @@ func (pc *pagedCursor) xrange(u graph.NodeID) (lo, hi int, ok bool) {
 		c.fault(fmt.Errorf("gtree: CSR node %d out of range (n=%d)", u, c.n))
 		return 0, 0, false
 	}
-	b, n, err := pc.runs.Span(curXadj, int(u), int(u)+2)
-	if err != nil {
-		c.fault(err)
-		return 0, 0, false
-	}
-	lo = int(int32(binary.LittleEndian.Uint32(b)))
-	if n == 2 {
-		hi = int(int32(binary.LittleEndian.Uint32(b[4:])))
-	} else {
-		// u is the last offset on its page; Xadj[u+1] opens the next one.
-		if b, _, err = pc.runs.Span(curXadj, int(u)+1, int(u)+2); err != nil {
-			c.fault(err)
-			return 0, 0, false
+	if pc.xadj == nil {
+		xadj, err := c.offsets()
+		if err != nil {
+			return 0, 0, false // latched by offsets
 		}
-		hi = int(int32(binary.LittleEndian.Uint32(b)))
+		pc.xadj = xadj
 	}
-	if lo < 0 || hi < lo || hi > c.halfEdges {
-		c.fault(fmt.Errorf("gtree: corrupt CSR xadj at node %d: [%d,%d) of %d half-edges", u, lo, hi, c.halfEdges))
-		return 0, 0, false
-	}
-	return lo, hi, true
+	return int(pc.xadj[u]), int(pc.xadj[u+1]), true
 }
 
 // ids appends the Adjncy elements [lo,hi) to buf, page span by page span.
@@ -304,9 +390,7 @@ func (pc *pagedCursor) ids(lo, hi int, buf []graph.NodeID) ([]graph.NodeID, erro
 		if err != nil {
 			return buf, err
 		}
-		for i := 0; i < n; i++ {
-			buf[at+i] = graph.NodeID(int32(binary.LittleEndian.Uint32(b[4*i:])))
-		}
+		decodeIDs(buf[at:at+n], b)
 		at += n
 		lo += n
 	}
@@ -324,9 +408,7 @@ func (pc *pagedCursor) weights(lo, hi int, buf []float64) ([]float64, error) {
 		if err != nil {
 			return buf, err
 		}
-		for i := 0; i < n; i++ {
-			buf[at+i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-		}
+		decodeF64(buf[at:at+n], b)
 		at += n
 		lo += n
 	}
@@ -372,13 +454,13 @@ func (pc *pagedCursor) Neighbors(u graph.NodeID, nbrBuf []graph.NodeID, wBuf []f
 
 // --- Edge-centric blocked sweep -------------------------------------------
 
-// Sweep block sizes, in elements. One Xadj window of node offsets and one
-// Adjncy/EdgeW window of half-edges are decoded at a time; at the default
-// 4KiB page size a window spans a handful of pages, each pinned exactly
-// once per window by the underlying RunReader.Read.
+// Sweep block size, in half-edges: each window reads this many new
+// half-edges of the Adjncy and EdgeW runs — at the default 4KiB page size
+// a handful of pages — with one file read per run. Cancellation is polled
+// every sweepNodeChunk nodes.
 const (
-	sweepNodeChunk = 4096 // node offsets per Xadj window
-	sweepEdgeChunk = 4096 // half-edges per Adjncy/EdgeW window
+	sweepNodeChunk = 4096 // nodes between cancellation polls
+	sweepEdgeChunk = 4096 // new half-edges per Adjncy/EdgeW window read
 )
 
 // sweepMode selects which runs a sweep decodes.
@@ -389,26 +471,51 @@ const (
 	sweepW                         // decode the EdgeW run
 )
 
-// sweepBufs is one sweep's reusable block state: the raw page-copy
-// scratch, the decoded Xadj window and the decoded edge window.
+// sweepBufs is one sweep's reusable block state: the page scratch the
+// window reads land in, the window's element bytes copied out of it, and
+// the decoded edge window.
 type sweepBufs struct {
-	raw  []byte
-	xadj []int32
-	ids  []graph.NodeID
-	ws   []float64
+	pages []byte
+	raw   []byte
+	ids   []graph.NodeID
+	ws    []float64
+}
+
+// sweepCounts accumulates, per view, the file reads its sweeps and its
+// offset-table build made and the pages they read.
+type sweepCounts struct {
+	reads, pages atomic.Int64
+}
+
+// add counts one file read of pages pages (none when a range was
+// rejected before reading).
+//
+//gmine:hotpath
+func (sc *sweepCounts) add(pages int) {
+	if pages > 0 {
+		sc.reads.Add(1)
+		sc.pages.Add(int64(pages))
+	}
+}
+
+// SweepCounts returns the file reads this view's sweeps and offset-table
+// build made, and the pages they read. None of them pins the buffer pool.
+func (c *PagedCSR) SweepCounts() (reads, pages int64) {
+	return c.sc.reads.Load(), c.sc.pages.Load()
 }
 
 // SweepEdges implements graph.EdgeSweeper: it emits every node in [lo,hi)
-// with its full neighbor row, walking the Xadj, Adjncy and EdgeW runs in
-// page order. Where reading node by node costs the buffer pool O(n)
+// with its full neighbor row, walking the Adjncy and EdgeW runs in page
+// order. Where reading node by node costs the buffer pool O(n)
 // pin/unpin round-trips per pass — one per node, even though a page holds
-// hundreds of half-edges — the blocked sweep decodes whole page runs into
-// block buffers and costs O(filePages): each page is pinned once per
-// window that touches it, and an edge list straddling two windows is
-// carried across instead of re-read. The emitted slices alias
-// the sweep's block buffers and are invalid after the callback returns.
-// Faults (bounds, I/O, corrupt offsets) are latched on the view and
-// returned; the callback is never invoked with partial data.
+// hundreds of half-edges — the blocked sweep reads whole page windows
+// straight from the file and costs O(filePages) page reads in
+// O(halfEdges/sweepEdgeChunk) file reads, and no pool pins at all: an
+// edge list straddling two windows is carried across instead of re-read.
+// The emitted slices alias the sweep's block buffers and are invalid after
+// the callback returns. Faults (bounds, I/O, corrupt offsets) are latched
+// on the view and returned; the callback is never invoked with partial
+// data.
 func (c *PagedCSR) SweepEdges(lo, hi graph.NodeID, fn func(u graph.NodeID, nbrs []graph.NodeID, w []float64) bool) error {
 	return c.sweep(int(lo), int(hi), sweepIDs|sweepW, func(u int, ids []graph.NodeID, ws []float64) bool {
 		return fn(graph.NodeID(u), ids, ws)
@@ -428,41 +535,32 @@ func (c *PagedCSR) sweep(lo, hi int, mode sweepMode, emit func(u int, ids []grap
 	if lo == hi {
 		return nil
 	}
+	xadj, err := c.offsets()
+	if err != nil {
+		return err // latched by offsets
+	}
 	b, _ := c.sh.sweeps.Get().(*sweepBufs)
 	if b == nil {
 		b = &sweepBufs{
-			raw:  make([]byte, sweepEdgeChunk*8),
-			xadj: make([]int32, sweepNodeChunk+1),
-			ids:  make([]graph.NodeID, sweepEdgeChunk),
-			ws:   make([]float64, sweepEdgeChunk),
+			raw: make([]byte, sweepEdgeChunk*8),
+			ids: make([]graph.NodeID, sweepEdgeChunk),
+			ws:  make([]float64, sweepEdgeChunk),
 		}
 	}
 	defer c.sh.sweeps.Put(b)
 
-	winLo, winHi := 0, 0 // decoded half-edge range resident in b.ids/b.ws
+	// The decoded half-edge range resident in b.ids/b.ws. Windows never
+	// read past the range's last half-edge.
+	winLo, winHi, end := 0, 0, int(xadj[hi])
 	for base := lo; base < hi; base += sweepNodeChunk {
 		// Cooperative cancellation between chunks: a timed-out or
-		// disconnected query stops paging here, releases its pins through
-		// the normal defer path, and surfaces ctx.Err() unlatched.
+		// disconnected query stops reading here and surfaces ctx.Err()
+		// unlatched.
 		if err := c.canceled(); err != nil {
 			return err
 		}
-		nodeHi := base + sweepNodeChunk
-		if nodeHi > hi {
-			nodeHi = hi
-		}
-		cnt := nodeHi - base + 1 // offsets for [base,nodeHi] inclusive
-		if err := c.xadj.Read(base, base+cnt, b.raw[:cnt*4]); err != nil {
-			return c.fault(err)
-		}
-		for i := 0; i < cnt; i++ {
-			b.xadj[i] = int32(binary.LittleEndian.Uint32(b.raw[4*i:]))
-		}
-		for u := base; u < nodeHi; u++ {
-			elo, ehi := int(b.xadj[u-base]), int(b.xadj[u-base+1])
-			if elo < 0 || ehi < elo || ehi > c.halfEdges {
-				return c.fault(fmt.Errorf("gtree: corrupt CSR xadj at node %d: [%d,%d) of %d half-edges", u, elo, ehi, c.halfEdges))
-			}
+		for u := base; u < min(base+sweepNodeChunk, hi); u++ {
+			elo, ehi := int(xadj[u]), int(xadj[u+1])
 			if elo == ehi {
 				// Zero-degree node: emitted (kernels need the dangling
 				// branch) without touching the edge runs.
@@ -471,9 +569,10 @@ func (c *PagedCSR) sweep(lo, hi int, mode sweepMode, emit func(u int, ids []grap
 				}
 				continue
 			}
-			if elo < winLo || ehi > winHi {
-				var err error
-				if winLo, winHi, err = c.advanceWindow(b, winLo, winHi, elo, ehi, mode); err != nil {
+			// Rows are contiguous and ascending, so elo >= winLo always: a
+			// row outside the window ends past it.
+			if ehi > winHi {
+				if winLo, winHi, err = c.advanceWindow(b, winLo, winHi, elo, ehi, end, mode); err != nil {
 					return err
 				}
 			}
@@ -493,16 +592,17 @@ func (c *PagedCSR) sweep(lo, hi int, mode sweepMode, emit func(u int, ids []grap
 	return nil
 }
 
-// advanceWindow slides the decoded edge window so it covers [elo,ehi).
-// The already-decoded tail [elo,winHi) is carried to the front of the
-// block buffers (the page-straddling case: a node's list begins in the
-// previous window) and only the missing suffix is read, so every Adjncy
-// and EdgeW page is pinned once per window that touches it. A list larger
-// than sweepEdgeChunk grows the window to hold it whole.
+// advanceWindow slides the decoded edge window so it covers [elo,ehi),
+// reading up to end. The already-decoded tail [elo,winHi) is carried to
+// the front of the block buffers (the page-straddling case: a node's list
+// begins in the previous window) and the window reads sweepEdgeChunk new
+// half-edges past winHi — more when one list is longer — with one file
+// read per decoded run. So a pass over h half-edges takes at most
+// ⌈h/sweepEdgeChunk⌉ reads per run, whatever the row lengths.
 //
 //gmine:hotpath
-func (c *PagedCSR) advanceWindow(b *sweepBufs, winLo, winHi, elo, ehi int, mode sweepMode) (int, int, error) {
-	if elo >= winLo && elo < winHi {
+func (c *PagedCSR) advanceWindow(b *sweepBufs, winLo, winHi, elo, ehi, end int, mode sweepMode) (int, int, error) {
+	if elo < winHi {
 		keep := winHi - elo
 		if mode&sweepIDs != 0 {
 			copy(b.ids, b.ids[elo-winLo:elo-winLo+keep])
@@ -514,13 +614,7 @@ func (c *PagedCSR) advanceWindow(b *sweepBufs, winLo, winHi, elo, ehi int, mode 
 	} else {
 		winLo, winHi = elo, elo
 	}
-	target := winLo + sweepEdgeChunk
-	if target < ehi {
-		target = ehi
-	}
-	if target > c.halfEdges {
-		target = c.halfEdges
-	}
+	target := min(max(winHi+sweepEdgeChunk, ehi), end)
 	need := target - winLo
 	if len(b.ids) < need && mode&sweepIDs != 0 {
 		nb := make([]graph.NodeID, need)
@@ -532,39 +626,37 @@ func (c *PagedCSR) advanceWindow(b *sweepBufs, winLo, winHi, elo, ehi int, mode 
 		copy(nw, b.ws)
 		b.ws = nw
 	}
-	m := target - winHi
+	m, at := target-winHi, winHi-winLo
 	if len(b.raw) < m*8 {
 		b.raw = make([]byte, m*8)
 	}
 	if mode&sweepIDs != 0 {
-		if err := c.adjncy.Read(winHi, target, b.raw[:m*4]); err != nil {
+		pages, err := c.adjncy.Read(winHi, target, b.raw[:m*4], &b.pages)
+		c.sc.add(pages)
+		if err != nil {
 			return winLo, winHi, c.fault(err)
 		}
-		at := winHi - winLo
-		for i := 0; i < m; i++ {
-			b.ids[at+i] = graph.NodeID(int32(binary.LittleEndian.Uint32(b.raw[4*i:])))
-		}
+		decodeIDs(b.ids[at:at+m], b.raw)
 	}
 	if mode&sweepW != 0 {
-		if err := c.edgew.Read(winHi, target, b.raw[:m*8]); err != nil {
+		pages, err := c.edgew.Read(winHi, target, b.raw[:m*8], &b.pages)
+		c.sc.add(pages)
+		if err != nil {
 			return winLo, winHi, c.fault(err)
 		}
-		at := winHi - winLo
-		for i := 0; i < m; i++ {
-			b.ws[at+i] = math.Float64frombits(binary.LittleEndian.Uint64(b.raw[8*i:]))
-		}
+		decodeF64(b.ws[at:at+m], b.raw)
 	}
 	return winLo, target, nil
 }
 
 // WeightedDegrees returns the per-node weighted degree table, computed on
-// first use by one blocked sweep over the Xadj and EdgeW runs and cached
-// for the store's lifetime (the table is O(N), which is resident anyway
-// for every RWR/PageRank solve; it is the O(E) adjacency that stays on
-// disk). A build that hits an I/O fault latches the error and is NOT
-// cached, so the next query retries from the pages instead of serving a
-// half-built table forever. Safe for concurrent use; callers must not
-// mutate the result. Query views share one cache.
+// first use by one blocked sweep over the EdgeW run and cached for the
+// store's lifetime (the table is O(N), which is resident anyway for every
+// RWR/PageRank solve; it is the O(E) adjacency that stays on disk). A
+// build that hits an I/O fault latches the error and is NOT cached, so the
+// next query retries from the pages instead of serving a half-built table
+// forever. Safe for concurrent use; callers must not mutate the result.
+// Query views share one cache.
 func (c *PagedCSR) WeightedDegrees() []float64 {
 	sh := c.sh
 	sh.wdegMu.Lock()

@@ -99,10 +99,12 @@ func TestPagedCSRRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPagedCSRPoolBounded pins the acceptance criterion: sweeping the
-// whole adjacency through a pool much smaller than the CSR section keeps
-// the resident page count within the pool capacity and forces evictions —
-// the engine pages the graph, it never loads it.
+// TestPagedCSRPoolBounded pins the acceptance criterion: reading the whole
+// adjacency with a pool much smaller than the CSR section keeps the
+// resident page count within the pool capacity — the engine pages the
+// graph, it never loads it. The weighted-degree sweep reads the file
+// without pinning a frame; the row cursor's pass pins every page through
+// the pool and forces evictions.
 func TestPagedCSRPoolBounded(t *testing.T) {
 	g := randomGraph(300, 3000, 2)
 	path := buildAndSave(t, g, 256)
@@ -128,6 +130,9 @@ func TestPagedCSRPoolBounded(t *testing.T) {
 	// Full adjacency pass: the weighted-degree sweep, then every row
 	// through a cursor.
 	c.WeightedDegrees()
+	if reads, _ := c.SweepCounts(); reads == 0 || poolGets(s) != 0 {
+		t.Fatalf("weighted-degree sweep made %d file reads and %d pool pins, want some and 0", reads, poolGets(s))
+	}
 	cur := c.Cursor()
 	var nbrs []graph.NodeID
 	var ws []float64

@@ -589,12 +589,18 @@ type QueryView struct {
 // QueryCounts is what one query cost the store (see QueryView.Counts).
 type QueryCounts struct {
 	// Pool is the query's own pins: hits, misses, evictions, load waits.
+	// Only row cursors pin through the query's view; whole-graph sweeps
+	// read the file directly and show up in SweepReads/SweepPages instead.
 	Pool storage.Stats
 	// Faults is how many of the query's own reads faulted.
 	Faults uint64
 	// CursorRows and CursorPins are the rows the query's row cursors read
 	// and the pins they took.
 	CursorRows, CursorPins int64
+	// SweepReads and SweepPages are the file reads the query's sweeps —
+	// and its build of the store's row-offset table, when it was the first
+	// reader — made, and the pages they read, bypassing the pool.
+	SweepReads, SweepPages int64
 	// Retry is the pager's transient-read recovery delta over the query's
 	// window: store-wide, so overlapping queries each see the other's.
 	Retry storage.RetryStats
@@ -604,10 +610,11 @@ type QueryCounts struct {
 }
 
 // QueryView opens one query's view of the store's graph. Every page the
-// query pins goes through a fresh storage.CountedPool, so its counters name
-// this query's paging alone, and the view latches its own faults, so
-// another query's fault never fails this one. The view shares the store's
-// pool, weighted-degree cache and resident tier with every other view. ctx
+// query pins goes through a fresh storage.CountedPool and every file read
+// of its sweeps is counted on the view, so its counters name this query's
+// I/O alone, and the view latches its own faults, so another query's
+// fault never fails this one. The view shares the store's pool, offset and
+// weighted-degree tables and resident tier with every other view. ctx
 // rides the view's sweeps (see PagedCSR.view). Nothing needs closing; call
 // Promote once the query is done.
 func (s *Store) QueryView(ctx context.Context) (*QueryView, error) {
@@ -631,12 +638,15 @@ func (v *QueryView) Err() error { return v.paged.Err() }
 // Counts snapshots what the query has cost so far.
 func (v *QueryView) Counts() QueryCounts {
 	rows, pins := v.paged.CursorCounts()
+	reads, pages := v.paged.SweepCounts()
 	retry := v.pager.RetryStats()
 	return QueryCounts{
 		Pool:       v.pool.Stats(),
 		Faults:     v.paged.faultCount(),
 		CursorRows: rows,
 		CursorPins: pins,
+		SweepReads: reads,
+		SweepPages: pages,
 		Retry: storage.RetryStats{
 			Retries: retry.Retries - v.retry0.Retries,
 			Healed:  retry.Healed - v.retry0.Healed,

@@ -2,10 +2,12 @@ package gtree
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -95,11 +97,27 @@ func poolGets(s *Store) uint64 {
 	return st.Hits + st.Misses
 }
 
-// TestPagedSweepPinsPerIteration pins the perf claim behind the sweep:
-// one full-adjacency pass costs the pool O(filePages) pins, not the O(n)
-// of reading row by row — asserted via the hit/miss counters, not
-// eyeballed from benchmarks.
-func TestPagedSweepPinsPerIteration(t *testing.T) {
+// queryView opens a query view of s or fails the test.
+func queryView(t *testing.T, s *Store) *QueryView {
+	t.Helper()
+	qv, err := s.QueryView(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return qv
+}
+
+// sweepAll sweeps every node of adj, discarding the rows.
+func sweepAll(adj graph.Adjacency) error {
+	return adj.SweepEdges(0, graph.NodeID(adj.N()), func(graph.NodeID, []graph.NodeID, []float64) bool { return true })
+}
+
+// TestPagedSweepReadsPerIteration pins the perf claim behind the sweep:
+// one full-adjacency pass reads O(filePages) pages in a few window reads
+// and pins nothing, where reading row by row costs the pool O(n) pins —
+// asserted via the view's and the pool's counters, not eyeballed from
+// benchmarks.
+func TestPagedSweepReadsPerIteration(t *testing.T) {
 	g := hubGraph(3000, 5000, 2, 13)
 	path := buildAndSave(t, g, 256)
 	s, err := OpenFile(path, 4096)
@@ -113,27 +131,27 @@ func TestPagedSweepPinsPerIteration(t *testing.T) {
 	}
 	n, half := c.N(), c.HalfEdges()
 	const payload = 252 // 256-byte pages minus CRC
-	csrPages := storage.RunPages(n+1, 4, payload) +
-		storage.RunPages(half, 4, payload) +
-		storage.RunPages(half, 8, payload)
-	windows := half/sweepEdgeChunk + 1
+	edgePages := storage.RunPages(half, 4, payload) + storage.RunPages(half, 8, payload)
+	windows := (half + sweepEdgeChunk - 1) / sweepEdgeChunk
 
-	s.ResetPoolStats()
-	if err := c.SweepEdges(0, graph.NodeID(n), func(graph.NodeID, []graph.NodeID, []float64) bool { return true }); err != nil {
+	if _, err := c.offsets(); err != nil { // the table is read once per store
 		t.Fatal(err)
 	}
-	sweepGets := poolGets(s)
-	// Each CSR page is pinned once per window that touches it; only the
-	// pages at window and node-chunk boundaries are touched twice.
-	bound := uint64(csrPages + 4*windows + 2*(n/sweepNodeChunk+1))
-	if sweepGets > bound {
-		t.Fatalf("sweep pinned %d pages, want <= %d (csrPages=%d)", sweepGets, bound, csrPages)
+	qv := queryView(t, s)
+	if err := sweepAll(qv.Adj); err != nil {
+		t.Fatal(err)
 	}
-	if sweepGets >= uint64(n) {
-		t.Fatalf("sweep pinned %d pages for %d nodes — not O(filePages)", sweepGets, n)
+	qc := qv.Counts()
+	// Each edge page is read once per window that touches it; only the
+	// pages at window boundaries are read twice.
+	if bound := int64(edgePages + 2*windows); qc.SweepPages > bound {
+		t.Fatalf("sweep read %d pages, want <= %d (%d edge pages)", qc.SweepPages, bound, edgePages)
+	}
+	if qc.SweepReads > int64(2*windows) || qc.SweepPages >= int64(n) {
+		t.Fatalf("sweep made %d reads of %d pages for %d nodes — not O(filePages)", qc.SweepReads, qc.SweepPages, n)
 	}
 
-	// Contrast: one-shot row reads pay per node, not per page.
+	// Contrast: one-shot row reads pay the pool per node, not per page.
 	s.ResetPoolStats()
 	var nbrs []graph.NodeID
 	var ws []float64
@@ -144,8 +162,200 @@ func TestPagedSweepPinsPerIteration(t *testing.T) {
 	}
 	if nodeGets := poolGets(s); nodeGets < uint64(n) {
 		t.Fatalf("node-centric pass pinned %d pages for %d nodes — contrast premise broken", nodeGets, n)
-	} else if sweepGets*3 > nodeGets {
-		t.Fatalf("sweep (%d pins) not clearly cheaper than node-centric (%d pins)", sweepGets, nodeGets)
+	} else if uint64(qc.SweepPages)*3 > nodeGets {
+		t.Fatalf("sweep (%d pages) not clearly cheaper than node-centric (%d pins)", qc.SweepPages, nodeGets)
+	}
+}
+
+// TestPagedSweepWorkCounts pins what a whole-graph sweep costs, in counts
+// that repeat exactly: no pool pin at all, at most two file reads per
+// sweepEdgeChunk half-edges (one per decoded run) plus the offset table,
+// which only the store's first reader builds — a second query reads no
+// Xadj page. The tier promoter's decode is charged to the store's base
+// view, never to a query's.
+func TestPagedSweepWorkCounts(t *testing.T) {
+	g := hubGraph(3000, 20000, 2, 19)
+	path := buildAndSave(t, g, 256)
+	s, err := OpenFile(path, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	base, err := s.PagedCSR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, half := base.N(), base.HalfEdges()
+	windows := (half + sweepEdgeChunk - 1) / sweepEdgeChunk
+	if windows < 4 {
+		t.Fatalf("fixture spans %d sweep windows; the bound proves nothing", windows)
+	}
+	xadjPages := int64(storage.RunPages(n+1, 4, 252))
+
+	first, second := queryView(t, s), queryView(t, s)
+	for _, qv := range []*QueryView{first, second} {
+		if err := sweepAll(qv.Adj); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := first.Counts(), second.Counts()
+	for name, qc := range map[string]QueryCounts{"first": a, "second": b} {
+		if pins := qc.Pool.Hits + qc.Pool.Misses; pins != 0 {
+			t.Errorf("%s query: a full sweep took %d pool pins, want 0", name, pins)
+		}
+		if bound := int64(2*windows + 2); qc.SweepReads > bound {
+			t.Errorf("%s query: %d file reads per sweep, want <= %d", name, qc.SweepReads, bound)
+		}
+	}
+	if st := s.PoolStats(); st.Hits+st.Misses != 0 {
+		t.Errorf("sweeps pinned %d pages through the shared pool", st.Hits+st.Misses)
+	}
+	// No row is longer than a window, so every read but a run's last takes
+	// exactly sweepEdgeChunk new half-edges: the count repeats exactly.
+	if b.SweepReads != int64(2*windows) {
+		t.Errorf("second query: %d file reads, want one per window per run (%d)", b.SweepReads, 2*windows)
+	}
+	if b.SweepReads != a.SweepReads-1 || b.SweepPages != a.SweepPages-xadjPages {
+		t.Errorf("second query read %d windows of %d pages, first %d of %d: want exactly the offset table's one read of %d pages fewer",
+			b.SweepReads, b.SweepPages, a.SweepReads, a.SweepPages, xadjPages)
+	}
+
+	s.SetTierBudget(1 << 30)
+	before, _ := base.SweepCounts()
+	if base.Tiered().Promote() != 1 {
+		t.Fatal("promotion published nothing")
+	}
+	if after, _ := base.SweepCounts(); after == before || after-before > int64(2*windows) {
+		t.Errorf("promoter's decode charged %d reads to the base view, want 1 to %d", after-before, 2*windows)
+	}
+	if a2, b2 := first.Counts(), second.Counts(); a2.SweepReads != a.SweepReads || b2.SweepReads != b.SweepReads {
+		t.Error("promoter's decode was charged to a query view")
+	}
+}
+
+// TestOffsetTableFault: the row-offset table is validated once and never
+// cached after a fault. Offsets that are wrong behind a valid checksum
+// latch one fault on the calling view alone and leave nothing cached, so
+// the store reads clean once the file is repaired; readAttempts scripted
+// faults on one window read latch exactly one fault; a single scripted
+// fault heals.
+func TestOffsetTableFault(t *testing.T) {
+	const pageSize = 256
+	g := hubGraph(400, 1500, 2, 29)
+	want := graph.ToCSR(g)
+	path := buildAndSave(t, g, pageSize)
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe, err := OpenFile(path, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xadjFirst := int(probe.csrPages[0])
+	probe.Close()
+
+	t.Run("corrupt", func(t *testing.T) {
+		// Xadj[30] := Xadj[31]+1 breaks monotonicity behind a valid
+		// checksum.
+		raw := append([]byte(nil), clean...)
+		perPage := (pageSize - 4) / 4
+		xpage := xadjFirst + 30/perPage
+		binary.LittleEndian.PutUint32(raw[xpage*pageSize+(30%perPage)*4:], uint32(want.Xadj[31]+1))
+		resealPage(raw, pageSize, xpage)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenFile(path, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		base, err := s.PagedCSR()
+		if err != nil {
+			t.Fatal(err)
+		}
+		swept, read, idle := queryView(t, s), queryView(t, s), queryView(t, s)
+		if err := sweepAll(swept.Adj); err == nil {
+			t.Fatal("sweep over a non-monotone offset table succeeded")
+		}
+		cur := read.Adj.Cursor()
+		nbrs := cur.NeighborIDs(5, []graph.NodeID{-7})
+		cur.Close()
+		if len(nbrs) != 1 || nbrs[0] != -7 {
+			t.Fatalf("row read over a corrupt offset table appended %v", nbrs[1:])
+		}
+		for name, qv := range map[string]*QueryView{"sweep": swept, "cursor": read} {
+			if qc := qv.Counts(); qc.Faults != 1 || qv.Err() == nil || !strings.Contains(qv.Err().Error(), "corrupt CSR xadj") {
+				t.Fatalf("%s view latched %d faults (%v), want exactly the offset table's", name, qc.Faults, qv.Err())
+			}
+		}
+		if idle.Err() != nil || base.Err() != nil {
+			t.Fatalf("offset-table fault leaked off the reading views: idle %v, base %v", idle.Err(), base.Err())
+		}
+		if base.sh.xadj != nil {
+			t.Fatal("a table that failed validation was cached")
+		}
+		// Repair the file under the live store: nothing was cached, so the
+		// next query builds the table from the file and reads clean.
+		if err := os.WriteFile(path, clean, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		healed := queryView(t, s)
+		if err := sweepAll(healed.Adj); err != nil || healed.Err() != nil {
+			t.Fatalf("sweep after repair: %v (view %v)", err, healed.Err())
+		}
+		checkSweepMatches(t, base, want)
+	})
+
+	for _, warm := range []bool{false, true} {
+		name := "table-read"
+		if warm {
+			name = "window-read" // the table is built: faults hit a sweep window
+		}
+		t.Run(name, func(t *testing.T) {
+			if err := os.WriteFile(path, clean, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var inj *storage.FaultInjector
+			s, err := OpenFileWrapped(path, 8, func(f storage.File) storage.File {
+				inj = storage.NewFaultInjector(f, 1)
+				return inj
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if warm {
+				if err := sweepAll(queryView(t, s).Adj); err != nil {
+					t.Fatal(err)
+				}
+			}
+			inj.Script(storage.FaultErr, storage.FaultErr, storage.FaultErr, storage.FaultErr)
+			r0 := inj.Stats().Reads
+			failed := queryView(t, s)
+			if err := sweepAll(failed.Adj); err == nil {
+				t.Fatal("sweep through exhausted retries succeeded")
+			}
+			if qc := failed.Counts(); qc.Faults != 1 || qc.SweepReads != 1 {
+				t.Fatalf("exhausted window: %d faults over %d window reads, want exactly 1 and 1", qc.Faults, qc.SweepReads)
+			}
+			if reads := inj.Stats().Reads - r0; reads != 4 {
+				t.Fatalf("exhausted window reached the file %d times, want one ReadAt per attempt (4)", reads)
+			}
+			inj.Script(storage.FaultFlip)
+			rs0 := s.RetryStats()
+			healed := queryView(t, s)
+			if err := sweepAll(healed.Adj); err != nil || healed.Counts().Faults != 0 {
+				t.Fatalf("one transient fault did not heal: %v, %d faults", err, healed.Counts().Faults)
+			}
+			if rs := s.RetryStats(); rs.Healed != rs0.Healed+1 {
+				t.Fatalf("retry stats %+v after %+v, want one healed read", rs, rs0)
+			}
+			if pins := s.PinnedFrames(); pins != 0 {
+				t.Fatalf("%d frames pinned after the faulted sweeps", pins)
+			}
+		})
 	}
 }
 
@@ -291,11 +501,19 @@ func TestQueryViewOwnsFaultsSharesWdeg(t *testing.T) {
 	if base.Err() != nil || other.Err() != nil || other.Counts().Faults != 0 {
 		t.Fatalf("view fault leaked: base %v, other view %v", base.Err(), other.Err())
 	}
-	// The view counted its own sweep and cursor pins, and nothing else.
+	// The view counted its own sweep reads and cursor pins, and nothing
+	// else: the weighted-degree build (and the offset table under it) read
+	// the file through the view without pinning.
 	base.Cursor().Close()
 	qc := view.Counts()
 	if qc.Faults != 1 || qc.Pool.Hits+qc.Pool.Misses == 0 || qc.CursorRows != 2 || qc.Tiered {
 		t.Fatalf("query counts %+v, want one fault, some pins and 2 cursor rows, untiered", qc)
+	}
+	if qc.SweepReads == 0 || qc.Pool.Hits+qc.Pool.Misses != uint64(qc.CursorPins) {
+		t.Fatalf("query counts %+v, want the sweep's file reads and only the cursor's pins", qc)
+	}
+	if oc := other.Counts(); oc.SweepReads != 0 || oc.Pool.Hits+oc.Pool.Misses != 0 {
+		t.Fatalf("idle view counted reads %+v", oc)
 	}
 	if st := s.PoolStats(); st.Hits+st.Misses != qc.Pool.Hits+qc.Pool.Misses {
 		t.Fatalf("pool counted %d pins, the only query %d", st.Hits+st.Misses, qc.Pool.Hits+qc.Pool.Misses)

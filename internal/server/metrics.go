@@ -53,7 +53,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Per-stage query timings (open, labels, solve, rwr, expand, induce, ...).",
 			obs.DefBuckets, "stage"),
 		pins: reg.Histogram("gmine_query_pool_pins",
-			"Buffer-pool page pins per traced query (hits+misses through its counted pool view).",
+			"Buffer-pool page pins per traced query (hits+misses through its counted pool view): "+
+				"row cursors and blobs only; whole-graph sweeps read the file without pinning.",
 			obs.PinBuckets),
 		faults: reg.Counter("gmine_query_pool_faults_total",
 			"Paged-read faults latched on traced queries' own views."),

@@ -13,8 +13,8 @@ type Stats struct {
 	LoadWaits uint64
 }
 
-// PagePool is the page-pinning interface readers (blob, run, leaf) go
-// through: the shared BufferPool itself, or a CountedPool view of it that
+// PagePool is the page-pinning interface readers (blob, run cursor, leaf)
+// go through: the shared BufferPool itself, or a CountedPool view of it that
 // also charges its pins to one query's counters.
 type PagePool interface {
 	// Get returns the payload of page id, pinned until Release. It may
@@ -67,7 +67,10 @@ func (fr *frame) payload() []byte { return fr.page[:len(fr.page)-crcSize] }
 //
 // GMine's interactive navigation reads the same sibling communities
 // repeatedly; the pool is what makes a focus change touch the disk only for
-// pages outside the current working set (experiment E10).
+// pages outside the current working set (experiment E10). It serves the
+// reads that revisit pages — row cursors, leaves, labels and other blobs.
+// Whole-graph sweeps are sequential scans that LRU cannot help, so they
+// read the file directly (RunReader.Read) and never pass through here.
 //
 // Two contracts here are machine-checked by `make lint` (cmd/gminevet):
 // every Get/TryGet must have a Release reachable on all paths (or hand
@@ -171,8 +174,8 @@ func (bp *BufferPool) lruRemove(fr *frame) {
 // goroutine may call Get only while it holds no pin; a reader that keeps
 // pages pinned across reads (RunCursor) takes further pins with TryGet,
 // and when that reports it would have to wait, releases everything it
-// holds before calling Get. The copy-out readers (blob, run, leaf) pin
-// one page at a time and release it before the next Get. (A loader never
+// holds before calling Get. The copy-out readers (blob, leaf) pin one
+// page at a time and release it before the next Get. (A loader never
 // waits: it holds the loading frame across I/O only.)
 //
 //gmine:hotpath

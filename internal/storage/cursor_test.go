@@ -94,9 +94,10 @@ func TestTryGetNeverWaits(t *testing.T) {
 	}
 }
 
-// cursorRunsFile writes three runs shaped like a small CSR (4-byte
-// offsets, 4-byte ids, 8-byte weights) and returns readers over them.
-func cursorRunsFile(t *testing.T, capacity int) (*BufferPool, [3]*RunReader, [3][]byte) {
+// cursorRunsFile writes two runs shaped like the row-read half of a
+// small CSR (4-byte ids, 8-byte weights; different lengths, so range
+// errors name the run) and returns readers over them.
+func cursorRunsFile(t *testing.T, capacity int) (*BufferPool, [cursorRuns]*RunReader, [cursorRuns][]byte) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "cur.gmine")
 	p, err := Create(path, 256)
@@ -104,27 +105,30 @@ func cursorRunsFile(t *testing.T, capacity int) (*BufferPool, [3]*RunReader, [3]
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { p.Close() })
-	shapes := [3][2]int{{4, 301}, {4, 900}, {8, 900}}
-	var firsts [3]PageID
-	var data [3][]byte
-	for i, sh := range shapes {
-		data[i] = make([]byte, sh[0]*sh[1])
+	var firsts [cursorRuns]PageID
+	var data [cursorRuns][]byte
+	for i := range cursorShapes {
+		stride, count := cursorShapes[i].stride, cursorShapes[i].count
+		data[i] = make([]byte, stride*count)
 		for j := range data[i] {
 			data[i][j] = byte(i*53 + j*7)
 		}
-		if firsts[i], err = WriteRun(p, data[i], sh[0]); err != nil {
+		if firsts[i], err = WriteRun(p, data[i], stride); err != nil {
 			t.Fatal(err)
 		}
 	}
 	pool := NewBufferPool(p, capacity)
-	var runs [3]*RunReader
-	for i, sh := range shapes {
-		if runs[i], err = NewRunReader(pool, firsts[i], sh[0], sh[1]); err != nil {
+	var runs [cursorRuns]*RunReader
+	for i, sh := range cursorShapes {
+		if runs[i], err = NewRunReader(pool, firsts[i], sh.stride, sh.count); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return pool, runs, data
 }
+
+// cursorShapes are the stride and length of cursorRunsFile's runs.
+var cursorShapes = [cursorRuns]struct{ stride, count int }{{4, 301}, {8, 900}}
 
 // readSpan reads elements [lo,hi) of run k through the cursor, span by
 // span, the way a row decoder does.
@@ -152,40 +156,34 @@ func readSpan(t *testing.T, c *RunCursor, k, stride, lo, hi int) []byte {
 func TestRunCursorSpansAndStickyPins(t *testing.T) {
 	pool, runs, data := cursorRunsFile(t, 64)
 	var c RunCursor
-	c.Open(runs[0], runs[1], runs[2])
-	strides := [3]int{4, 4, 8}
-	counts := [3]int{301, 900, 900}
-	for k := range runs {
-		for lo := 0; lo < counts[k]; lo += 37 {
-			hi := lo + 1 + (lo*13)%150
-			if hi > counts[k] {
-				hi = counts[k]
-			}
-			got := readSpan(t, &c, k, strides[k], lo, hi)
-			if !bytes.Equal(got, data[k][lo*strides[k]:hi*strides[k]]) {
+	c.Open(runs[0], runs[1])
+	for k, sh := range cursorShapes {
+		for lo := 0; lo < sh.count; lo += 37 {
+			hi := min(lo+1+(lo*13)%150, sh.count)
+			got := readSpan(t, &c, k, sh.stride, lo, hi)
+			if !bytes.Equal(got, data[k][lo*sh.stride:hi*sh.stride]) {
 				t.Fatalf("run %d [%d,%d): bytes differ", k, lo, hi)
 			}
 		}
 	}
-	if held := pool.PinnedFrames(); held != 3 {
+	if held := pool.PinnedFrames(); held != cursorRuns {
 		t.Fatalf("cursor holds %d pins mid-walk, want one per run", held)
 	}
 	c.Close()
 
-	// Ascending single-element reads over all three runs: one pin per page.
+	// Ascending single-element reads over both runs: one pin per page.
 	pool.ResetStats()
-	c.Open(runs[0], runs[1], runs[2])
+	c.Open(runs[0], runs[1])
 	reads := 0
 	for i := 0; i < 900; i++ {
-		if i < 301 {
-			readSpan(t, &c, 0, 4, i, i+1)
-			reads++
+		for k, sh := range cursorShapes {
+			if i < sh.count {
+				readSpan(t, &c, k, sh.stride, i, i+1)
+				reads++
+			}
 		}
-		readSpan(t, &c, 1, 4, i, i+1)
-		readSpan(t, &c, 2, 8, i, i+1)
-		reads += 2
 	}
-	pages := runs[0].Pages() + runs[1].Pages() + runs[2].Pages()
+	pages := runs[0].Pages() + runs[1].Pages()
 	st := pool.Stats()
 	if gets := int(st.Hits + st.Misses); gets != pages {
 		t.Fatalf("%d reads cost %d pool pins, want one per page (%d)", reads, gets, pages)
@@ -215,8 +213,8 @@ func TestRunCursorSpansAndStickyPins(t *testing.T) {
 }
 
 // TestRunCursorsNeverWaitWhilePinned: more cursors than frames. Each
-// cursor wants three pages pinned at once and the pool has one or two
-// frames, so every other pin would have to wait; the cursors drop what
+// cursor wants a page of each run pinned at once and the pool has one or
+// two frames, so every other pin would have to wait; the cursors drop what
 // they hold first and the walks serialize instead of deadlocking.
 func TestRunCursorsNeverWaitWhilePinned(t *testing.T) {
 	for _, capacity := range []int{1, 2} {
@@ -228,20 +226,17 @@ func TestRunCursorsNeverWaitWhilePinned(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				var c RunCursor
-				c.Open(runs[0], runs[1], runs[2])
+				c.Open(runs[0], runs[1])
 				defer c.Close()
 				for i := w; i < 900; i += 3 {
-					for k, stride := range [3]int{4, 4, 8} {
-						j := i
-						if k == 0 {
-							j = i % 301
-						}
+					for k, sh := range cursorShapes {
+						j := i % sh.count
 						b, _, err := c.Span(k, j, j+1)
 						if err != nil {
 							t.Error(err)
 							return
 						}
-						if !bytes.Equal(b, data[k][j*stride:(j+1)*stride]) {
+						if !bytes.Equal(b, data[k][j*sh.stride:(j+1)*sh.stride]) {
 							t.Errorf("capacity %d worker %d: run %d element %d differs", capacity, w, k, j)
 							return
 						}

@@ -290,52 +290,59 @@ func (p *Pager) ReadPage(id PageID) ([]byte, error) {
 
 // ReadPageInto reads page id into page, which must be PageSize bytes long
 // (the checksum trailer lands in it too), and verifies the checksum; on
-// success page[:PayloadSize()] is the payload. On failure the contents of
-// page are unspecified. It holds no lock, so any number of loads — and
-// their retry back-offs — run concurrently.
-//
-// Transient failures — errors marked ErrTransient, short reads, and
-// checksum mismatches that heal on re-read (a torn buffer or in-flight
-// bit-flip over an intact disk copy) — are retried with jittered backoff
-// up to readAttempts times before being classified permanent. Callers
-// (the buffer pool, and through it the paged-CSR fault latches) therefore
-// only ever see post-classification permanent failures; a transient blip
-// never latches a query-visible fault.
+// success page[:PayloadSize()] is the payload. It is ReadPagesInto's
+// one-page case: the buffer pool's page load.
 //
 //gmine:hotpath
 func (p *Pager) ReadPageInto(id PageID, page []byte) error {
-	if n := p.numPages.Load(); id >= PageID(n) {
-		return fmt.Errorf("storage: read of unallocated page %d (have %d)", id, n)
+	return p.ReadPagesInto(id, 1, page)
+}
+
+// ReadPagesInto reads the k consecutive pages first, first+1, ... into
+// buf, which must be k·PageSize bytes long, with one ReadAt, and verifies
+// every page's checksum; on success page first+i's payload is
+// buf[i·PageSize:][:PayloadSize()]. On failure the contents of buf are
+// unspecified. It holds no lock, so any number of reads — and their retry
+// back-offs — run concurrently.
+//
+// Transient failures — errors marked ErrTransient, short reads, and
+// checksum mismatches that heal on re-read (a torn buffer or in-flight
+// bit-flip over an intact disk copy) — re-read all k pages with jittered
+// backoff, up to readAttempts reads in all, before being classified
+// permanent. Callers (the buffer pool, the sweeps, and through both the
+// paged-CSR fault latches) therefore only ever see post-classification
+// permanent failures; a transient blip never latches a query-visible
+// fault.
+//
+//gmine:hotpath
+func (p *Pager) ReadPagesInto(first PageID, k int, buf []byte) error {
+	if n := p.numPages.Load(); k < 1 || int64(first)+int64(k) > int64(n) {
+		return fmt.Errorf("storage: read of unallocated page %d (have %d)", int64(first)+int64(k)-1, n)
 	}
-	if len(page) != p.pageSize {
-		return fmt.Errorf("storage: page buffer %d bytes, want page size %d", len(page), p.pageSize)
+	if len(buf) != k*p.pageSize {
+		return fmt.Errorf("storage: page buffer %d bytes, want %d pages of %d", len(buf), k, p.pageSize)
 	}
-	off := int64(id) * int64(p.pageSize)
+	off := int64(first) * int64(p.pageSize)
 	var lastErr error
 	for attempt := 0; attempt < readAttempts; attempt++ {
 		if attempt > 0 {
 			p.retries.Add(1)
 			retryBackoff(attempt)
 		}
-		n, err := p.f.ReadAt(page, off)
+		n, err := p.f.ReadAt(buf, off)
 		if err != nil && err != io.EOF {
 			if !IsTransientRead(err) {
 				p.failed.Add(1)
 				return err
 			}
-			lastErr = fmt.Errorf("storage: page %d: %w", id, err)
+			lastErr = fmt.Errorf("storage: page %d: %w", first, err)
 			continue
 		}
-		if n < p.pageSize {
-			// EOF short of a full page: the tail bytes are unspecified, so
-			// zero them before the CRC check rather than trust leftovers
-			// from a previous attempt (or the buffer's previous page).
-			for i := n; i < p.pageSize; i++ {
-				page[i] = 0
-			}
-		}
-		if err := verifyCRC(page); err != nil {
-			lastErr = fmt.Errorf("storage: page %d: %w", id, err)
+		// EOF short of the last page: the tail bytes are unspecified, so
+		// zero them before the CRC check rather than trust leftovers from a
+		// previous attempt (or the buffer's previous pages).
+		clear(buf[n:])
+		if lastErr = p.verifyPages(first, buf); lastErr != nil {
 			continue
 		}
 		if attempt > 0 {
@@ -345,6 +352,19 @@ func (p *Pager) ReadPageInto(id PageID, page []byte) error {
 	}
 	p.failed.Add(1)
 	return lastErr
+}
+
+// verifyPages checks the checksum of every page in buf, the pages read
+// from first on.
+//
+//gmine:hotpath
+func (p *Pager) verifyPages(first PageID, buf []byte) error {
+	for i := 0; i < len(buf); i += p.pageSize {
+		if err := verifyCRC(buf[i : i+p.pageSize]); err != nil {
+			return fmt.Errorf("storage: page %d: %w", first+PageID(i/p.pageSize), err)
+		}
+	}
+	return nil
 }
 
 // RetryStats snapshots the pager's transient-read recovery counters.

@@ -233,6 +233,66 @@ func TestReadPageIntoMatchesReadPage(t *testing.T) {
 	wg.Wait()
 }
 
+// TestReadPagesIntoWindow: a window of k pages is one ReadAt, every page
+// of it matches ReadPage, a transient fault re-reads the whole window
+// (healing), readAttempts faults fail it once, and the range and buffer
+// gates reject bad requests without counting a failed read.
+func TestReadPagesIntoWindow(t *testing.T) {
+	m := newMissFixture(t, 5, 1)
+	size, payload := m.pager.PageSize(), m.pager.PayloadSize()
+	want := make([][]byte, len(m.ids))
+	for i := range m.ids {
+		want[i] = m.want(t, i)
+	}
+	buf := bytes.Repeat([]byte{0xAB}, 3*size)
+	read := func() (reads uint64, err error) {
+		r0 := m.inj.Stats().Reads
+		err = m.pager.ReadPagesInto(m.ids[1], 3, buf)
+		return m.inj.Stats().Reads - r0, err
+	}
+	if reads, err := read(); err != nil || reads != 1 {
+		t.Fatalf("window read: %d ReadAt calls, err %v; want 1 and nil", reads, err)
+	}
+	for i := 0; i < 3; i++ {
+		if !bytes.Equal(buf[i*size:i*size+payload], want[1+i]) {
+			t.Fatalf("window page %d differs from ReadPage", i)
+		}
+	}
+
+	m.inj.Script(FaultFlip)
+	if reads, err := read(); err != nil || reads != 2 {
+		t.Fatalf("flipped window: %d ReadAt calls, err %v; want a healing re-read", reads, err)
+	}
+	if rs := m.pager.RetryStats(); rs.Retries != 1 || rs.Healed != 1 || rs.Failed != 0 {
+		t.Fatalf("retry stats %+v, want 1 retry healing 1 read", rs)
+	}
+	m.inj.Script(FaultErr, FaultErr, FaultErr, FaultErr)
+	if reads, err := read(); err == nil || reads != readAttempts {
+		t.Fatalf("exhausted window: %d ReadAt calls, err %v; want %d and a failure", reads, err, readAttempts)
+	}
+	if rs := m.pager.RetryStats(); rs.Failed != 1 {
+		t.Fatalf("retry stats %+v, want the exhausted window failed once", rs)
+	}
+
+	for _, c := range []struct {
+		what  string
+		first PageID
+		k     int
+		buf   []byte
+	}{
+		{"empty window", m.ids[1], 0, buf[:0]},
+		{"window past the file", m.ids[3], 3, buf},
+		{"short buffer", m.ids[1], 3, buf[:3*size-1]},
+	} {
+		if err := m.pager.ReadPagesInto(c.first, c.k, c.buf); err == nil {
+			t.Fatalf("%s accepted", c.what)
+		}
+	}
+	if rs := m.pager.RetryStats(); rs.Failed != 1 {
+		t.Fatalf("rejected requests counted as failed reads: %+v", rs)
+	}
+}
+
 // TestPoolLoadSingleFlight: sixteen goroutines Get one cold page; the file
 // sees one read, everyone gets the same pinned frame, fifteen of them are
 // counted as having waited on the load.

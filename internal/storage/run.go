@@ -78,13 +78,16 @@ func (e *RangeError) Error() string {
 	return fmt.Sprintf("storage: run range [%d,%d) out of bounds (count %d)", e.Lo, e.Hi, e.Count)
 }
 
-// RunReader reads element ranges of a fixed-stride page run through a
-// buffer pool. Pages are pinned only while their elements are copied out —
-// dst never aliases a frame, which the pool recycles after Release — so a
-// reader's resident footprint is always bounded by the pool. Safe for
-// concurrent use (the pool serializes page access).
+// RunReader reads element ranges of a fixed-stride page run two ways.
+// Read copies a range straight from the file with one Pager.ReadPagesInto,
+// bypassing the buffer pool: a whole-graph sweep is a sequential scan that
+// LRU cannot help, and pinning it through the pool would only evict the
+// pages the row cursors reread. A RunCursor pins pages through the
+// reader's pool instead, for row reads that revisit them. Safe for
+// concurrent use: Read keeps no state and the pool serializes page access.
 type RunReader struct {
 	pool    PagePool
+	pager   *Pager
 	first   PageID
 	stride  int
 	perPage int
@@ -107,7 +110,7 @@ func NewRunReader(pool *BufferPool, first PageID, stride, count int) (*RunReader
 		return nil, fmt.Errorf("storage: run of %d pages at %d exceeds file (%d pages)",
 			pages, first, pool.pager.NumPages())
 	}
-	return &RunReader{pool: pool, first: first, stride: stride, perPage: RunPerPage(stride, payload), count: count}, nil
+	return &RunReader{pool: pool, pager: pool.pager, first: first, stride: stride, perPage: RunPerPage(stride, payload), count: count}, nil
 }
 
 // Count returns the number of elements in the run.
@@ -128,11 +131,11 @@ func (r *RunReader) Pages() int {
 	return (r.count + r.perPage - 1) / r.perPage
 }
 
-// WithPool returns a reader over the same run whose page pins go through
-// p instead of the pool the reader was built with — the hook that lets a
-// query read the shared on-disk structure through its own CountedPool, so
-// its paging is accounted separately. The receiver is unchanged and both
-// readers stay safe for concurrent use.
+// WithPool returns a reader over the same run whose cursor pins go
+// through p instead of the pool the reader was built with — the hook that
+// lets a query read the shared on-disk structure through its own
+// CountedPool, so its paging is accounted separately. The receiver is
+// unchanged and both readers stay safe for concurrent use.
 func (r *RunReader) WithPool(p PagePool) *RunReader {
 	nr := *r
 	nr.pool = p
@@ -140,51 +143,61 @@ func (r *RunReader) WithPool(p PagePool) *RunReader {
 }
 
 // Read copies elements [lo,hi) into dst, which must hold (hi-lo)*stride
-// bytes. Each underlying page is pinned once for the copy and released
-// before the next page is touched. A range outside the run fails with a
-// *RangeError before any page is touched: lo/hi come from callers doing
-// offset arithmetic over persisted (possibly corrupt) geometry, and the
-// explicit gate means a negative lo, an inverted range or an hi past the
-// run can never reach the page math below, where lo<0 would index pages
-// before the run and hi>count would read whatever follows it in the file.
+// bytes, and returns how many pages it read for them. The pages come
+// straight from the file with one Pager.ReadPagesInto into *scratch, the
+// caller's page buffer (grown here when too small, so one buffer serves a
+// whole sweep), every checksum verified and no pool frame touched. A range
+// outside the run fails with a *RangeError before any page is read: lo/hi
+// come from callers doing offset arithmetic over persisted (possibly
+// corrupt) geometry, and the explicit gate means a negative lo, an
+// inverted range or an hi past the run can never reach the page math
+// below, where lo<0 would index pages before the run and hi>count would
+// read whatever follows it in the file.
 //
 //gmine:hotpath
-func (r *RunReader) Read(lo, hi int, dst []byte) error {
+func (r *RunReader) Read(lo, hi int, dst []byte, scratch *[]byte) (pages int, err error) {
 	if lo < 0 || hi < lo || hi > r.count {
-		return &RangeError{Lo: lo, Hi: hi, Count: r.count}
+		return 0, &RangeError{Lo: lo, Hi: hi, Count: r.count}
 	}
 	if len(dst) < (hi-lo)*r.stride {
-		return fmt.Errorf("storage: run dst %d bytes, need %d", len(dst), (hi-lo)*r.stride)
+		return 0, fmt.Errorf("storage: run dst %d bytes, need %d", len(dst), (hi-lo)*r.stride)
+	}
+	if lo == hi {
+		return 0, nil
+	}
+	first := lo / r.perPage
+	pages = (hi-1)/r.perPage - first + 1
+	size := r.pager.PageSize()
+	if cap(*scratch) < pages*size {
+		*scratch = make([]byte, pages*size)
+	}
+	buf := (*scratch)[:pages*size]
+	if err := r.pager.ReadPagesInto(r.first+PageID(first), pages, buf); err != nil {
+		return pages, err
 	}
 	out := 0
 	for i := lo; i < hi; {
-		pg := r.first + PageID(i/r.perPage)
-		data, err := r.pool.Get(pg)
-		if err != nil {
-			return err
-		}
-		j := i - i%r.perPage + r.perPage // first element of the next page
-		if j > hi {
-			j = hi
-		}
-		off := (i % r.perPage) * r.stride
-		out += copy(dst[out:], data[off:off+(j-i)*r.stride])
-		r.pool.Release(pg)
+		pg := i / r.perPage
+		j := min((pg+1)*r.perPage, hi) // first element past this page's part
+		off := (pg-first)*size + (i-pg*r.perPage)*r.stride
+		out += copy(dst[out:], buf[off:off+(j-i)*r.stride])
 		i = j
 	}
-	return nil
+	return pages, nil
 }
 
-// cursorRuns is how many runs one RunCursor spans: the three arrays of a
-// persisted CSR (offsets, ids, weights) are the only runs read row by row.
-const cursorRuns = 3
+// cursorRuns is how many runs one RunCursor spans: the ids and weights of
+// a persisted CSR are the only runs read row by row (its offsets are
+// decoded once per store and read from memory).
+const cursorRuns = 2
 
 // RunCursor reads element spans of up to cursorRuns runs for ONE goroutine
-// and, unlike RunReader.Read, keeps the last page it touched in each run
-// pinned between reads. A caller that walks a run roughly in order — the
-// key-path DP reads node rows in ascending id, and a page holds a hundred
-// of them — then pays the buffer pool one pin per page instead of one per
-// read, and decodes straight from the pinned frame with no copy-out.
+// through the readers' buffer pool, and keeps the last page it touched in
+// each run pinned between reads. A caller that walks a run roughly in
+// order — the key-path DP reads node rows in ascending id, and a page
+// holds a hundred of them — then pays the buffer pool one pin per page
+// instead of one per read, and decodes straight from the pinned frame
+// with no copy-out.
 //
 // Holding pins across reads is only deadlock-free under the pool's rule
 // (BufferPool.Get): never wait while pinned. The cursor takes every pin
@@ -193,7 +206,8 @@ const cursorRuns = 3
 // smaller than the number of open cursors therefore degrades to
 // serialized paging — cursors keep trading frames — never to a deadlock.
 // The same rule binds the caller: between Open and Close the goroutine
-// must not read the pool any other way (sweeps, blobs, RunReader.Read).
+// must not pin through the pool any other way (blobs, leaves, a second
+// cursor). RunReader.Read pins nothing, so a sweep may run meanwhile.
 //
 // The zero value is closed; Open it, and Close it on every path (the
 // pinpair analyzer checks). A RunCursor may live on the stack.
@@ -202,11 +216,14 @@ type RunCursor struct {
 	pins  int
 }
 
-// cursorSlot is one run of a cursor and the page it holds pinned, if any.
+// cursorSlot is one run of a cursor and the page it holds pinned, if any,
+// with that page's element range [lo,hi): a Span inside it needs no
+// division to find its page or offset.
 type cursorSlot struct {
-	r    *RunReader
-	page PageID
-	data []byte // the pinned frame's payload; nil = no pin held
+	r      *RunReader
+	page   PageID
+	lo, hi int
+	data   []byte // the pinned frame's payload; nil = no pin held
 }
 
 // Open binds the cursor to runs (at most cursorRuns; Span addresses them
@@ -233,29 +250,29 @@ func (c *RunCursor) Span(k, lo, hi int) (b []byte, n int, err error) {
 	if lo < 0 || hi <= lo || hi > r.count {
 		return nil, 0, &RangeError{Lo: lo, Hi: hi, Count: r.count}
 	}
-	pg := r.first + PageID(lo/r.perPage)
-	if s.data == nil || s.page != pg {
-		if err := c.pin(s, pg); err != nil {
+	if s.data == nil || lo < s.lo || lo >= s.hi {
+		if err := c.pin(s, lo); err != nil {
 			return nil, 0, err
 		}
 	}
-	off := lo % r.perPage
-	n = r.perPage - off
-	if n > hi-lo {
-		n = hi - lo
-	}
+	off := lo - s.lo
+	n = min(hi, s.hi) - lo
 	return s.data[off*r.stride : (off+n)*r.stride], n, nil
 }
 
-// pin moves slot s to page pg without ever waiting while pinned.
+// pin moves slot s to the page holding element i without ever waiting
+// while pinned.
 //
 //gmine:hotpath
-func (c *RunCursor) pin(s *cursorSlot, pg PageID) error {
-	pool := s.r.pool
+func (c *RunCursor) pin(s *cursorSlot, i int) error {
+	r := s.r
+	pool := r.pool
 	if s.data != nil {
 		pool.Release(s.page)
 		s.data = nil
 	}
+	idx := i / r.perPage
+	pg := r.first + PageID(idx)
 	data, ok, err := pool.TryGet(pg)
 	if err != nil {
 		return err
@@ -268,6 +285,7 @@ func (c *RunCursor) pin(s *cursorSlot, pg PageID) error {
 	}
 	c.pins++
 	s.page, s.data = pg, data
+	s.lo, s.hi = idx*r.perPage, min((idx+1)*r.perPage, r.count)
 	return nil
 }
 

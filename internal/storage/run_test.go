@@ -8,7 +8,9 @@ import (
 )
 
 // TestRunRoundTrip writes runs of several strides and counts and reads
-// every possible range back through a tiny pool.
+// every possible range back straight from the file: one page read per
+// page the range touches, through one reused scratch, and no pool frame
+// ever pinned.
 func TestRunRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.gmine")
 	p, err := Create(path, 256)
@@ -39,20 +41,30 @@ func TestRunRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
+		var scratch []byte
+		per := rd.PerPage()
 		for lo := 0; lo <= r.count; lo += 1 + r.count/7 {
 			for hi := lo; hi <= r.count; hi += 1 + r.count/5 {
 				dst := make([]byte, (hi-lo)*r.stride)
-				if err := rd.Read(lo, hi, dst); err != nil {
+				pages, err := rd.Read(lo, hi, dst, &scratch)
+				if err != nil {
 					t.Fatalf("run %d [%d,%d): %v", i, lo, hi, err)
 				}
 				if !bytes.Equal(dst, r.data[lo*r.stride:hi*r.stride]) {
 					t.Fatalf("run %d [%d,%d): data mismatch", i, lo, hi)
 				}
+				want := 0
+				if hi > lo {
+					want = (hi-1)/per - lo/per + 1
+				}
+				if pages != want {
+					t.Fatalf("run %d [%d,%d): read %d pages, want %d", i, lo, hi, pages, want)
+				}
 			}
 		}
 	}
-	if st := pool.Stats(); st.Evictions == 0 {
-		t.Fatal("expected evictions from a 2-frame pool over multi-page runs")
+	if st := pool.Stats(); st.Hits+st.Misses != 0 {
+		t.Fatalf("run reads pinned through the pool: %+v", st)
 	}
 }
 
@@ -81,10 +93,11 @@ func TestRunReaderBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rd.Read(90, 101, make([]byte, 11*4)); err == nil {
+	var scratch []byte
+	if _, err := rd.Read(90, 101, make([]byte, 11*4), &scratch); err == nil {
 		t.Fatal("out-of-range read accepted")
 	}
-	if err := rd.Read(0, 10, make([]byte, 4)); err == nil {
+	if _, err := rd.Read(0, 10, make([]byte, 4), &scratch); err == nil {
 		t.Fatal("short dst accepted")
 	}
 }
@@ -92,7 +105,7 @@ func TestRunReaderBounds(t *testing.T) {
 // TestRunReadRangeErrorTyped pins the bounds gate of RunReader.Read: each
 // malformed range — negative lo, inverted lo>hi, hi past the run — fails
 // with a *RangeError carrying the offending values, before any page math
-// could turn it into a wild read, and without touching the pool at all.
+// could turn it into a wild read, and without reading a page.
 func TestRunReadRangeErrorTyped(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "re.gmine")
 	p, err := Create(path, 256)
@@ -110,6 +123,7 @@ func TestRunReadRangeErrorTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := make([]byte, 4*200)
+	var scratch []byte
 	cases := []struct {
 		name   string
 		lo, hi int
@@ -121,7 +135,7 @@ func TestRunReadRangeErrorTyped(t *testing.T) {
 		{"negative range", -5, -2},
 	}
 	for _, tc := range cases {
-		err := rd.Read(tc.lo, tc.hi, dst)
+		pages, err := rd.Read(tc.lo, tc.hi, dst, &scratch)
 		if err == nil {
 			t.Fatalf("%s: Read(%d,%d) accepted", tc.name, tc.lo, tc.hi)
 		}
@@ -132,13 +146,13 @@ func TestRunReadRangeErrorTyped(t *testing.T) {
 		if re.Lo != tc.lo || re.Hi != tc.hi || re.Count != 50 {
 			t.Fatalf("%s: RangeError{%d,%d,%d}, want {%d,%d,50}", tc.name, re.Lo, re.Hi, re.Count, tc.lo, tc.hi)
 		}
-	}
-	if st := pool.Stats(); st.Hits+st.Misses != 0 {
-		t.Fatalf("rejected ranges touched the pool: %+v", st)
+		if pages != 0 || scratch != nil {
+			t.Fatalf("%s: rejected range read %d pages", tc.name, pages)
+		}
 	}
 	// A valid range on the same reader still works (the gate is not
 	// latched state).
-	if err := rd.Read(0, 50, dst[:50*4]); err != nil {
+	if _, err := rd.Read(0, 50, dst[:50*4], &scratch); err != nil {
 		t.Fatalf("valid read after rejections: %v", err)
 	}
 }
