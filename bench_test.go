@@ -650,11 +650,15 @@ func BenchmarkPageRankSweepVsNeighbors(b *testing.B) {
 // BenchmarkKeyPathPagedCursor is the trajectory point for the row cursor:
 // one two-source extraction whose time is mostly key-path expansion
 // (restart 0.5 keeps the RWR solve short), in memory and paged with a
-// pool far smaller than (16) and about the size of (256) the CSR section.
-// expand-ns/op is the "expand" stage alone; pins/op is what the
-// extraction's row cursors cost the buffer pool (the trace's
-// pool.cursor.pins) and rows/op how many rows they read for it — before
-// the cursor every row paid its own two or more pins.
+// pool far smaller than (16) and about the size of (256) the CSR section,
+// and one just under the Adjncy run (7/8 of its pages): the regime where
+// the DP's alternating row order lets the pool hit, where repeated
+// ascending scans would miss every page. expand-ns/op is the "expand"
+// stage alone; pins/op is what the extraction's row cursors cost the
+// buffer pool (the trace's pool.cursor.pins), rows/op how many rows they
+// read for it — before the cursor every row paid its own two or more
+// pins — and misses/op how many of the query's pins had to load a page
+// (the trace's pool.misses).
 func BenchmarkKeyPathPagedCursor(b *testing.B) {
 	setup(b)
 	sources := []gmine.NodeID{
@@ -664,7 +668,7 @@ func BenchmarkKeyPathPagedCursor(b *testing.B) {
 	opts := gmine.ExtractOptions{Budget: 30, RWR: gmine.RWROptions{Restart: 0.5}}
 	run := func(b *testing.B, eng *gmine.Engine) {
 		b.Helper()
-		var expandMicros, pins, rows int64
+		var expandMicros, pins, rows, misses int64
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -679,13 +683,26 @@ func BenchmarkKeyPathPagedCursor(b *testing.B) {
 			}
 			pins += tr.CountValue("pool.cursor.pins")
 			rows += tr.CountValue("pool.cursor.rows")
+			misses += tr.CountValue("pool.misses")
 		}
 		b.ReportMetric(float64(expandMicros)*1e3/float64(b.N), "expand-ns/op")
 		b.ReportMetric(float64(pins)/float64(b.N), "pins/op")
 		b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+		b.ReportMetric(float64(misses)/float64(b.N), "misses/op")
 	}
 	b.Run("MemoryCSR", func(b *testing.B) { run(b, benchEng) })
-	for _, pool := range []int{16, 256} {
+	probe, err := gmine.Open(benchTree, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	csr, err := probe.Store().PagedCSR()
+	if err != nil {
+		b.Fatal(err)
+	}
+	// 4-byte ids on pages of the default size, less their 4-byte checksum.
+	adjncyPages := storage.RunPages(csr.HalfEdges(), 4, storage.DefaultPageSize-4)
+	probe.Close()
+	for _, pool := range []int{16, adjncyPages * 7 / 8, 256} {
 		b.Run(fmt.Sprintf("Paged/pool=%d", pool), func(b *testing.B) {
 			disk, err := gmine.Open(benchTree, pool)
 			if err != nil {

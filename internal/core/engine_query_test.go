@@ -112,7 +112,7 @@ func TestConcurrentFaultDoesNotReclassifyValidationError(t *testing.T) {
 				return
 			default:
 				cur := paged.Cursor()
-				cur.NeighborIDs(graph.NodeID(-1), nil) // latches on the store's base view
+				cur.NeighborIDs(graph.NodeID(-1)) // latches on the store's base view
 				cur.Close()
 			}
 		}

@@ -46,7 +46,7 @@ func TestFaultLatchOtherViewSparesCleanQuery(t *testing.T) {
 			return
 		}
 		cur := other.Adj.Cursor()
-		cur.NeighborIDs(graph.NodeID(-1), nil)
+		cur.NeighborIDs(graph.NodeID(-1))
 		cur.Close()
 		faults = other.Counts().Faults
 	}))

@@ -267,10 +267,8 @@ func inducedFromAdj(adj graph.Adjacency, directed bool, labelOf func(graph.NodeI
 	// must not read the backend any other way.
 	cur := adj.Cursor()
 	defer cur.Close()
-	var nbrs []graph.NodeID
-	var ws []float64
 	for nu, ou := range new2old {
-		nbrs, ws = cur.Neighbors(ou, nbrs[:0], ws[:0])
+		nbrs, ws := cur.Neighbors(ou)
 		for i, v := range nbrs {
 			nv, ok := old2new[v]
 			if !ok {
@@ -302,11 +300,18 @@ const maxFusedSources = 4
 // through the cursor and relaxes it into the table of each source whose
 // frontier holds it. The arithmetic is still one full DP per (source,
 // destination); what the group shares is the row reads.
+//
+// desc is the direction of the next level's row pass. It flips after
+// every level and carries from build to build, so consecutive passes of
+// one extraction always run opposite ways: an elevator scan. On a paged
+// cursor a pass then starts on the pages the last pass touched most
+// recently, the ones an LRU pool still holds, where a repeated ascending
+// scan of a run slightly larger than the pool misses every page.
 type keyPathDP struct {
 	n, maxLen int            // what the tables are sized for
 	tabs      []keyPathTable // [j]: group member j
 	live      []*keyPathTable
-	nbrs      []graph.NodeID
+	desc      bool
 	rev, out  []graph.NodeID // walk's parent chain and its result
 }
 
@@ -322,11 +327,23 @@ type keyPathTable struct {
 // build runs the dynamic program from every source of srcs (at most
 // maxFusedSources) to dst: dp[l][v] = best sum of log-goodness over the
 // nodes of a walk of exactly l edges from the source to v, at most maxLen
-// edges. Rows are read through cur in ascending node order per level — the
-// order a paged cursor's sticky pins are made for — once for the whole
-// group, and ids only: the DP never looks at edge weights. walk then
-// returns each source's path.
+// edges, and parents[l][v] the smallest predecessor that achieves it. Rows
+// are read through cur once per level for the whole group, ids only (the
+// DP never looks at edge weights), in ascending node order on one level
+// and descending on the next (see keyPathDP); the tie rule in relax makes
+// the tables independent of the order. walk then returns each source's
+// path.
 func (d *keyPathDP) build(cur graph.RowCursor, srcs []graph.NodeID, dst graph.NodeID, logGood []float64, maxLen int) {
+	d.start(srcs, dst, logGood, maxLen)
+	for l := 1; l <= maxLen && len(d.live) > 0; l++ {
+		d.level(cur, l, dst, logGood, d.desc)
+		d.desc = !d.desc
+	}
+}
+
+// start sizes the tables for maxLen levels and seeds level 0 of every
+// source of srcs that is not dst itself.
+func (d *keyPathDP) start(srcs []graph.NodeID, dst graph.NodeID, logGood []float64, maxLen int) {
 	n := len(logGood)
 	negInf := math.Inf(-1)
 	if d.n != n || d.maxLen != maxLen {
@@ -354,41 +371,49 @@ func (d *keyPathDP) build(cur graph.RowCursor, srcs []graph.NodeID, dst graph.No
 		}
 		prev[src] = logGood[src]
 	}
-	live, nbrs := d.live, d.nbrs
-	for l := 1; l <= maxLen && len(live) > 0; l++ {
-		for _, t := range live {
-			par, next := t.parents[l], t.next
-			for i := range par {
-				par[i] = -1
-			}
-			for i := range next {
-				next[i] = negInf
-			}
-			t.par = par
+}
+
+// level fills level l of every live table from level l-1, visiting rows
+// in descending node order when desc, and keeps the first best length to
+// dst.
+func (d *keyPathDP) level(cur graph.RowCursor, l int, dst graph.NodeID, logGood []float64, desc bool) {
+	negInf := math.Inf(-1)
+	for _, t := range d.live {
+		par, next := t.parents[l], t.next
+		for i := range par {
+			par[i] = -1
 		}
-		nbrs = relaxLevel(cur, live, logGood, nbrs)
-		for _, t := range live {
-			if t.next[dst] > t.bestScore {
-				t.bestScore = t.next[dst]
-				t.best = l
-			}
-			t.prev, t.next = t.next, t.prev
+		for i := range next {
+			next[i] = negInf
 		}
+		t.par = par
 	}
-	d.nbrs = nbrs[:0]
+	relaxLevel(cur, d.live, logGood, desc)
+	for _, t := range d.live {
+		if t.next[dst] > t.bestScore {
+			t.bestScore = t.next[dst]
+			t.best = l
+		}
+		t.prev, t.next = t.next, t.prev
+	}
 }
 
 // relaxLevel runs one level of the dynamic program for every table of
 // live, in order, reading each row some table's frontier holds once
-// through cur. nbrs is the row buffer, handed back for the next level. It
+// through cur: rows in ascending node order, or descending when desc. It
 // is a function of its own to keep the row loop's working set in
-// registers; inside build's frame the compiler spills the loop counters.
-func relaxLevel(cur graph.RowCursor, live []*keyPathTable, logGood []float64, nbrs []graph.NodeID) []graph.NodeID {
+// registers; inside level's frame the compiler spills the loop counters.
+func relaxLevel(cur graph.RowCursor, live []*keyPathTable, logGood []float64, desc bool) {
 	negInf := math.Inf(-1)
 	n := len(logGood)
-	for u := 0; u < n; u++ {
+	for i := 0; i < n; i++ {
+		u := i
+		if desc {
+			u = n - 1 - i
+		}
 		// Row u is read when the first table whose frontier holds it
 		// comes up, and then serves the rest.
+		var nbrs []graph.NodeID
 		read := false
 		for _, t := range live {
 			pu := t.prev[u]
@@ -396,18 +421,20 @@ func relaxLevel(cur graph.RowCursor, live []*keyPathTable, logGood []float64, nb
 				continue
 			}
 			if !read {
-				nbrs, read = cur.NeighborIDs(graph.NodeID(u), nbrs[:0]), true
+				nbrs, read = cur.NeighborIDs(graph.NodeID(u)), true
 			}
 			t.relax(nbrs, logGood, pu, int32(u))
 		}
 	}
-	return nbrs
 }
 
 // relax offers every neighbor v of u the walk that reaches u with score pu
-// and then steps to v. Kept out of line: inlined into build's three-deep
-// loop nest the compiler spills this loop's own counter to the stack, which
-// costs the in-memory DP a fifth of its time.
+// and then steps to v. A tie goes to the smaller predecessor, whichever
+// order the level visits rows in, so par[v] is the smallest u achieving
+// next[v] and the tables do not depend on the pass direction. Kept out of
+// line: inlined into relaxLevel's loop nest the compiler spills this
+// loop's own counter to the stack, which costs the in-memory DP a fifth of
+// its time.
 //
 //go:noinline
 func (t *keyPathTable) relax(nbrs []graph.NodeID, logGood []float64, pu float64, u int32) {
@@ -418,7 +445,9 @@ func (t *keyPathTable) relax(nbrs []graph.NodeID, logGood []float64, pu float64,
 			continue
 		}
 		cand := pu + logGood[v]
-		if cand > next[v] {
+		// cand > next[v] || cand == next[v] && u < par[v], written so the
+		// common case, a candidate below the best, takes one comparison.
+		if cand >= next[v] && (cand > next[v] || u < par[v]) {
 			next[v] = cand
 			par[v] = u
 		}

@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -52,7 +53,7 @@ func naiveKeyPath(adj graph.Adjacency, src, dst graph.NodeID, logGood []float64,
 				continue
 			}
 			cur := adj.Cursor()
-			nbrs := cur.NeighborIDs(graph.NodeID(u), nil)
+			nbrs := cur.NeighborIDs(graph.NodeID(u))
 			cur.Close()
 			for _, v := range nbrs {
 				if c := score[l-1][u] + logGood[v]; logGood[v] != negInf && c > score[l][v] {
@@ -171,10 +172,9 @@ func TestKeyPathPinsPerDP(t *testing.T) {
 		t.Fatalf("DP read %d rows for %d pins — contrast premise broken", rows, dpGets)
 	}
 	s.ResetPoolStats()
-	var nbrs []graph.NodeID
 	for u := 0; u < n; u++ {
 		cur := paged.Cursor()
-		nbrs = cur.NeighborIDs(graph.NodeID(u), nbrs[:0])
+		cur.NeighborIDs(graph.NodeID(u))
 		cur.Close()
 	}
 	if oneShot := gets(); oneShot < n {
@@ -326,5 +326,216 @@ func TestKeyPathFusedReadsEachRowOnce(t *testing.T) {
 	})
 	if fused != union || alone != sum || fused >= alone {
 		t.Fatalf("fused build read %d rows (frontier union %d), per-source solves %d (frontier sum %d)", fused, union, alone, sum)
+	}
+}
+
+// textbookKeyPath is the key-path DP as written in a textbook, the
+// referee of the row order: tables over every level, rows straight from
+// the CSR arrays in ascending order, and the smallest-predecessor rule
+// spelled out. ties counts the relaxations that matched a level's best
+// score from a different predecessor.
+func textbookKeyPath(c *graph.CSR, src graph.NodeID, logGood []float64, maxLen int) (score [][]float64, parent [][]int32, ties int) {
+	n, negInf := c.N(), math.Inf(-1)
+	score, parent = make([][]float64, maxLen+1), make([][]int32, maxLen+1)
+	for l := range score {
+		score[l], parent[l] = make([]float64, n), make([]int32, n)
+		for v := range score[l] {
+			score[l][v], parent[l][v] = negInf, -1
+		}
+	}
+	score[0][src] = logGood[src]
+	for l := 1; l <= maxLen; l++ {
+		for u := 0; u < n; u++ {
+			if score[l-1][u] == negInf {
+				continue
+			}
+			for _, v := range c.Adjncy[c.Xadj[u]:c.Xadj[u+1]] {
+				if logGood[v] == negInf {
+					continue
+				}
+				cand, p := score[l-1][u]+logGood[v], parent[l][v]
+				if cand == score[l][v] && p != int32(u) {
+					ties++
+				}
+				if cand > score[l][v] || cand == score[l][v] && int32(u) < p {
+					score[l][v], parent[l][v] = cand, int32(u)
+				}
+			}
+		}
+	}
+	return score, parent, ties
+}
+
+// textbookWalk is walk over the textbook tables: the first best length to
+// dst, the parent chain back from it, repeated nodes dropped.
+func textbookWalk(score [][]float64, parent [][]int32, src, dst graph.NodeID) []graph.NodeID {
+	if src == dst {
+		return []graph.NodeID{dst}
+	}
+	best := -1
+	for l := 1; l < len(score); l++ {
+		if score[l][dst] > math.Inf(-1) && (best < 0 || score[l][dst] > score[best][dst]) {
+			best = l
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	chain := []graph.NodeID{dst}
+	for l, v := best, dst; l >= 1; l-- {
+		v = graph.NodeID(parent[l][v])
+		chain = append(chain, v)
+	}
+	slices.Reverse(chain)
+	var path []graph.NodeID
+	for _, v := range chain {
+		if !slices.Contains(path, v) {
+			path = append(path, v)
+		}
+	}
+	return path
+}
+
+// TestKeyPathDPOrderIndependent: the DP's tables and walks do not depend
+// on the order a level visits rows in. On tie-heavy fixtures — every
+// goodness drawn from two or three values, so equal-score walks are
+// everywhere — builds whose levels alternate direction (as the extraction
+// runs them, from either starting direction and carried across
+// destinations), run all ascending or all descending, each match the
+// textbook DP: every level's parents, the last level's scores, the best
+// length and score to the destination, and the walk. In memory and paged.
+func TestKeyPathDPOrderIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(89))
+	for trial := 0; trial < 4; trial++ {
+		n := 80 + rng.Intn(200)
+		g := randomConnected(rng, n, 2*n+rng.Intn(2*n))
+		c := graph.ToCSR(g)
+		// Whole numbers add exactly, so walks over the same multiset of
+		// goodness values tie bit for bit.
+		values := []float64{-1, -2, -3}[:2+trial%2]
+		logGood := make([]float64, n)
+		for v := range logGood {
+			logGood[v] = values[rng.Intn(len(values))]
+		}
+		for v := 5; v < n; v += 11 {
+			logGood[v] = math.Inf(-1)
+		}
+		maxLen := 4 + rng.Intn(5)
+		srcs := make([]graph.NodeID, 1+rng.Intn(maxFusedSources))
+		for i := range srcs {
+			srcs[i] = graph.NodeID(rng.Intn(n))
+			logGood[srcs[i]] = values[0] // every source's frontier spreads
+		}
+		type want struct {
+			score  [][]float64
+			parent [][]int32
+		}
+		wants := make([]want, len(srcs))
+		allTies := 0
+		for j, src := range srcs {
+			score, parent, ties := textbookKeyPath(c, src, logGood, maxLen)
+			wants[j], allTies = want{score, parent}, allTies+ties
+		}
+		if allTies < n {
+			t.Fatalf("trial %d: fixture not tie-heavy: %d ties over %d nodes", trial, allTies, n)
+		}
+		dsts := []graph.NodeID{graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)), srcs[0], graph.NodeID(rng.Intn(n))}
+		modes := map[string]func(l int, dp *keyPathDP) bool{
+			"alternating": nil, // the real build: its own direction, carried
+			"ascending":   func(int, *keyPathDP) bool { return false },
+			"descending":  func(int, *keyPathDP) bool { return true },
+		}
+		for name, adj := range map[string]graph.Adjacency{"csr": c, "paged": pagedFixture(t, g, 6+rng.Intn(24))} {
+			for mode, dir := range modes {
+				for _, startDesc := range []bool{false, true} {
+					cur := adj.Cursor()
+					dp := keyPathDP{}
+					for q, dst := range dsts {
+						if dir == nil {
+							if q == 0 {
+								dp.start(srcs, dst, logGood, maxLen)
+								dp.desc = startDesc
+							}
+							dp.build(cur, srcs, dst, logGood, maxLen)
+						} else {
+							dp.start(srcs, dst, logGood, maxLen)
+							for l := 1; l <= maxLen && len(dp.live) > 0; l++ {
+								dp.level(cur, l, dst, logGood, dir(l, &dp) != startDesc)
+							}
+						}
+						tag := func(j int) string {
+							return fmt.Sprintf("trial %d %s %s start-desc=%v dst %d source %d", trial, name, mode, startDesc, dst, srcs[j])
+						}
+						for j, src := range srcs {
+							w, tb := wants[j], &dp.tabs[j]
+							got := dp.walk(j, dst)
+							if wantWalk := textbookWalk(w.score, w.parent, src, dst); !slices.Equal(got, wantWalk) {
+								t.Fatalf("%s: walk %v, textbook %v", tag(j), got, wantWalk)
+							}
+							if src == dst {
+								continue
+							}
+							for l := 1; l <= maxLen; l++ {
+								if !slices.Equal(tb.parents[l], w.parent[l]) {
+									t.Fatalf("%s: level %d parents differ from the textbook DP", tag(j), l)
+								}
+							}
+							for v := range tb.prev {
+								if math.Float64bits(tb.prev[v]) != math.Float64bits(w.score[maxLen][v]) {
+									t.Fatalf("%s: last-level score of %d is %v, textbook %v", tag(j), v, tb.prev[v], w.score[maxLen][v])
+								}
+							}
+							bestLen, bestScore := -1, math.Inf(-1)
+							for l := 1; l <= maxLen; l++ {
+								if w.score[l][dst] > bestScore {
+									bestLen, bestScore = l, w.score[l][dst]
+								}
+							}
+							if tb.best != bestLen || math.Float64bits(tb.bestScore) != math.Float64bits(bestScore) {
+								t.Fatalf("%s: best length %d score %v, textbook %d %v", tag(j), tb.best, tb.bestScore, bestLen, bestScore)
+							}
+						}
+					}
+					cur.Close()
+				}
+			}
+		}
+	}
+}
+
+// TestKeyPathDPPoolHits pins what the elevator order buys a paged
+// extraction. The pool holds about three quarters of the Adjncy run, so a
+// level that scans the run the same way as the last one is LRU's worst
+// case and misses every page; a level that turns around starts on the
+// pages the last one left resident and misses only the pages the pool
+// cannot hold. Across one multi-destination extraction the misses stay
+// within one cold pass plus (adjncyPages − frames) per level, plus the
+// rows the induced subgraph reads.
+func TestKeyPathDPPoolHits(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	const n, maxLen, budget = 3000, 10, 40
+	g := randomConnected(rng, n, 9000)
+	const payload = 252 // 256-byte pages minus CRC
+	adjncyPages := storage.RunPages(2*g.NumEdges(), 4, payload)
+	frames := adjncyPages * 3 / 4
+	s, paged := pagedStoreFixture(t, g, frames)
+	s.ResetPoolStats()
+	res, err := ConnectionSubgraphAdj(paged, false, nil, []graph.NodeID{0, graph.NodeID(n / 2)},
+		Options{Budget: budget, MaxPathLen: maxLen})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := paged.Err(); err != nil {
+		t.Fatal(err)
+	}
+	levels := res.Iterations * maxLen // one source group: at most maxLen levels per round
+	misses := s.PoolStats().Misses
+	bound := uint64(adjncyPages + levels*(adjncyPages-frames) + 4*budget + 8)
+	if res.Iterations < 2 || misses > bound {
+		t.Fatalf("extraction of %d rounds missed %d pages, want <= %d (%d adjncy pages, %d frames, %d levels)",
+			res.Iterations, misses, bound, adjncyPages, frames, levels)
+	}
+	if pins := s.PinnedFrames(); pins != 0 {
+		t.Fatalf("%d frames pinned after the extraction", pins)
 	}
 }

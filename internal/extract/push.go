@@ -67,14 +67,11 @@ func RWRPushCtx(ctx context.Context, c graph.Adjacency, src graph.NodeID, restar
 	// FIFO queue of nodes whose residual exceeds the push threshold.
 	inQ := make([]bool, n)
 	queue := make([]int32, 0, 64)
-	// One cursor and one buffer pair for the whole solve (this goroutine
-	// only), opened after WeightedDegrees above — which may sweep a paged
-	// backend — because a goroutine holding a cursor must not read the
-	// backend any other way.
+	// One cursor for the whole solve (this goroutine only), opened after
+	// WeightedDegrees above — which may sweep a paged backend — because a
+	// goroutine holding a cursor must not read the backend any other way.
 	cur := c.Cursor()
 	defer cur.Close()
-	var nbrs []graph.NodeID
-	var ws []float64
 	pushable := func(u int32) bool {
 		if wdeg[u] == 0 {
 			// Isolated node: all its residual becomes estimate directly.
@@ -125,7 +122,7 @@ func RWRPushCtx(ctx context.Context, c graph.Adjacency, src graph.NodeID, restar
 		}
 		p[u] += restart * ru
 		spread := (1 - restart) * ru / wdeg[u]
-		nbrs, ws = cur.Neighbors(graph.NodeID(u), nbrs[:0], ws[:0])
+		nbrs, ws := cur.Neighbors(graph.NodeID(u))
 		for i, v := range nbrs {
 			r[v] += spread * ws[i]
 			enqueue(int32(v))

@@ -38,30 +38,34 @@ type Adjacency interface {
 //
 // Why a cursor and not a one-shot row read: a paged backend's cursor
 // keeps the page it last read in each run pinned until a read lands on a
-// different page, so a kernel that visits nodes roughly in id order pays
-// the buffer pool one pin per page instead of one or two per node.
+// different page, so a kernel that visits nodes roughly in id order —
+// ascending or descending — pays the buffer pool one pin per page instead
+// of one or two per node, and hands out rows that lie on one page as
+// views of the pinned frame itself, with no decode.
 //
 // Contract:
 //
 //   - Reads return exactly the ids, weights and order a sweep emits for
 //     the same node — kernels stay bit-identical across backends and
 //     across the two read paths.
-//   - Buffer ownership: the caller passes two scratch buffers, normally
-//     the previous read's return values resliced to length zero (nil is
-//     fine to start). An implementation either appends u's row into them
-//     (the paged backends decode pages into the buffers, growing them
-//     toward the maximum degree and then reusing them) or ignores them and
-//     returns read-only, cap-clamped subslices of its own storage (the
-//     in-memory CSR, which a tiered view reads while the graph is
-//     resident). So a buffer pair must only ever be reused on the SAME
-//     cursor, and never appended to or mutated by the caller.
-//   - The returned rows are read-only and valid only until the next read
-//     on the same cursor. The sweepalias analyzer flags rows stored
+//   - Buffer ownership: every returned row belongs to the implementation.
+//     It is a read-only, cap-clamped view of the backend's own memory —
+//     the in-memory CSR's arrays, or a pinned buffer-pool frame, which
+//     the paged cursor's NeighborIDs hands out for a row that lies on one
+//     page — or of a buffer the cursor owns and reuses (a paged row that
+//     straddles pages, every paged Neighbors read). The caller passes no
+//     buffer and must never write through a row: a write into a frame
+//     view would corrupt the pool's copy of the page for every query. The
+//     sweepalias analyzer flags index assignments, copy and sorts whose
+//     target is a row.
+//   - The returned rows are valid only until the next read or Close on
+//     the same cursor (the next read may move the pin, and an unpinned
+//     frame is recycled). The sweepalias analyzer flags rows stored
 //     anywhere longer-lived than a local.
 //   - NeighborIDs skips the weights; a paged backend then never touches
 //     the EdgeW run (8 of the 12 bytes per half-edge).
-//   - A paged read fault appends nothing and latches one fault on the
-//     view the cursor was opened on (gtree.PagedCSR.Err; one view per
+//   - A paged read fault returns an empty row and latches one fault on
+//     the view the cursor was opened on (gtree.PagedCSR.Err; one view per
 //     query, so another query's fault never reaches this one).
 //   - While a cursor is open its goroutine must not read the same backend
 //     any other way (sweeps, label or leaf loads): the cursor may be
@@ -72,9 +76,9 @@ type Adjacency interface {
 // analyzer (`make lint`) rejects unguarded allocation in their bodies.
 type RowCursor interface {
 	// Neighbors reads u's neighbor ids and parallel edge weights.
-	Neighbors(u NodeID, nbrBuf []NodeID, wBuf []float64) ([]NodeID, []float64)
+	Neighbors(u NodeID) ([]NodeID, []float64)
 	// NeighborIDs reads u's neighbor ids only.
-	NeighborIDs(u NodeID, nbrBuf []NodeID) []NodeID
+	NeighborIDs(u NodeID) []NodeID
 	// Close releases whatever the cursor holds. Idempotent.
 	Close()
 }

@@ -70,20 +70,20 @@ func (c *CSR) Neighbors(u NodeID) ([]NodeID, []float64) {
 type csrCursor CSR
 
 // Cursor opens a row cursor (Adjacency). Rows are read-only subslices of
-// the CSR's own storage — the buffers are ignored, so a read never copies
-// or allocates — with capacities clamped to the row, so an accidental
-// append by a confused caller reallocates instead of scribbling over the
-// next node's row. There is nothing to release.
+// the CSR's own storage — a read never copies or allocates — with
+// capacities clamped to the row, so an accidental append by a confused
+// caller reallocates instead of scribbling over the next node's row.
+// There is nothing to release.
 func (c *CSR) Cursor() RowCursor { return (*csrCursor)(c) }
 
 //gmine:hotpath
-func (c *csrCursor) Neighbors(u NodeID, _ []NodeID, _ []float64) ([]NodeID, []float64) {
+func (c *csrCursor) Neighbors(u NodeID) ([]NodeID, []float64) {
 	lo, hi := c.Xadj[u], c.Xadj[u+1]
 	return c.Adjncy[lo:hi:hi], c.EdgeW[lo:hi:hi]
 }
 
 //gmine:hotpath
-func (c *csrCursor) NeighborIDs(u NodeID, _ []NodeID) []NodeID {
+func (c *csrCursor) NeighborIDs(u NodeID) []NodeID {
 	lo, hi := c.Xadj[u], c.Xadj[u+1]
 	return c.Adjncy[lo:hi:hi]
 }

@@ -44,8 +44,8 @@ func TestCSRCursor(t *testing.T) {
 	cur := adj.Cursor()
 	for u := 0; u < c.N(); u++ {
 		wantN, wantW := c.Neighbors(NodeID(u))
-		gotN, gotW := cur.Neighbors(NodeID(u), nil, nil)
-		ids := cur.NeighborIDs(NodeID(u), nil)
+		gotN, gotW := cur.Neighbors(NodeID(u))
+		ids := cur.NeighborIDs(NodeID(u))
 		if len(gotN) != len(wantN) || len(gotW) != len(wantW) || len(ids) != len(wantN) {
 			t.Fatalf("node %d: cursor %d/%d/%d entries, want %d", u, len(gotN), len(gotW), len(ids), len(wantN))
 		}
@@ -57,10 +57,9 @@ func TestCSRCursor(t *testing.T) {
 		}
 	}
 	cur.Close()
-	var n []NodeID
 	if allocs := testing.AllocsPerRun(100, func() {
 		cur := adj.Cursor()
-		n = cur.NeighborIDs(7, n[:0])
+		_ = cur.NeighborIDs(7)
 		cur.Close()
 	}); allocs != 0 {
 		t.Fatalf("CSR cursor open/read/close allocates %.1f per run, want 0", allocs)

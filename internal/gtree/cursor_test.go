@@ -11,8 +11,10 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/graph"
+	"repro/internal/storage"
 )
 
 // csrRows copies every row of c, the expected rows of a cursor walk.
@@ -38,8 +40,8 @@ func visitOrders(n int, seed int64) map[string][]graph.NodeID {
 }
 
 // checkCursorMatches walks one cursor over order, alternating full and
-// ids-only reads on one reused buffer pair, and requires every row to
-// equal the expected rows bit for bit.
+// ids-only reads, and requires every row to equal the expected rows bit
+// for bit.
 func checkCursorMatches(t *testing.T, name string, adj graph.Adjacency, order []graph.NodeID, ids [][]graph.NodeID, ws [][]float64) {
 	t.Helper()
 	cur := adj.Cursor()
@@ -49,9 +51,9 @@ func checkCursorMatches(t *testing.T, name string, adj graph.Adjacency, order []
 	for i, u := range order {
 		full := i%3 != 0
 		if full {
-			nbrs, w = cur.Neighbors(u, nbrs[:0], w[:0])
+			nbrs, w = cur.Neighbors(u)
 		} else {
-			nbrs = cur.NeighborIDs(u, nbrs[:0])
+			nbrs = cur.NeighborIDs(u)
 		}
 		if len(nbrs) != len(ids[u]) || (full && len(w) != len(ws[u])) {
 			t.Fatalf("%s node %d: cursor read %d ids, want %d", name, u, len(nbrs), len(ids[u]))
@@ -95,8 +97,8 @@ func TestCursorPromotionRace(t *testing.T) {
 	mem := base.sh.tier.csr.Load()
 	bc, ac := before.Adj.Cursor(), after.Adj.Cursor()
 	for u := graph.NodeID(0); int(u) < want.N(); u++ {
-		bn, bw := bc.Neighbors(u, nil, nil)
-		an, aw := ac.Neighbors(u, nil, nil)
+		bn, bw := bc.Neighbors(u)
+		an, aw := ac.Neighbors(u)
 		requireRow(t, "opened before promotion", want, u, bn, bw, true)
 		requireRow(t, "opened after promotion", want, u, an, aw, true)
 		if len(an) > 0 && &an[0] != &mem.Adjncy[mem.Xadj[u]] {
@@ -156,9 +158,8 @@ func resealPage(raw []byte, pageSize, id int) {
 }
 
 // TestCursorFaults: an out-of-range node and a checksum flip on an
-// Adjncy page each make the cursor read append nothing — whatever the
-// buffers already held stays — and latch exactly one fault on the query
-// view that read; the cursor keeps working for clean rows and closes with
+// Adjncy page each make the cursor read return an empty row and latch
+// exactly one fault on the query view that read; the cursor keeps working for clean rows and closes with
 // no frame pinned, and no fault leaks onto the store's base view. (A
 // corrupt offset table fails every row; TestOffsetTableFault covers it.)
 func TestCursorFaults(t *testing.T) {
@@ -219,8 +220,6 @@ func TestCursorFaults(t *testing.T) {
 			t.Fatalf("%s: opened %+v", name, qc)
 		}
 		cur := qv.Adj.Cursor()
-		// Sentinel content the failed reads must leave untouched.
-		nbrs, ws := []graph.NodeID{-7, -8}, []float64{1.5}
 		for _, c := range []struct {
 			what string
 			u    graph.NodeID
@@ -231,13 +230,18 @@ func TestCursorFaults(t *testing.T) {
 		} {
 			for _, idsOnly := range []bool{false, true} {
 				before := qv.Counts().Faults
+				// A full read first leaves a row in the cursor's own
+				// buffers; the failed read must not hand it out.
+				cur.Neighbors(2)
+				var nbrs []graph.NodeID
+				var ws []float64
 				if idsOnly {
-					nbrs = cur.NeighborIDs(c.u, nbrs)
+					nbrs = cur.NeighborIDs(c.u)
 				} else {
-					nbrs, ws = cur.Neighbors(c.u, nbrs, ws)
+					nbrs, ws = cur.Neighbors(c.u)
 				}
-				if len(nbrs) != 2 || nbrs[0] != -7 || nbrs[1] != -8 || len(ws) != 1 || ws[0] != 1.5 {
-					t.Fatalf("%s %s (idsOnly=%v): failed read changed the buffers: %v %v", name, c.what, idsOnly, nbrs, ws)
+				if len(nbrs) != 0 || len(ws) != 0 {
+					t.Fatalf("%s %s (idsOnly=%v): failed read returned a row: %v %v", name, c.what, idsOnly, nbrs, ws)
 				}
 				if d := qv.Counts().Faults - before; d != 1 {
 					t.Fatalf("%s %s (idsOnly=%v): view latched %d faults, want exactly 1", name, c.what, idsOnly, d)
@@ -246,7 +250,7 @@ func TestCursorFaults(t *testing.T) {
 		}
 		// The cursor survives its faults: a clean row still reads right.
 		before := qv.Counts().Faults
-		got, gw := cur.Neighbors(2, nil, nil)
+		got, gw := cur.Neighbors(2)
 		wn, ww := want.Neighbors(2)
 		if len(got) != len(wn) || len(gw) != len(ww) {
 			t.Fatalf("%s: clean row after faults: %d ids, want %d", name, len(got), len(wn))
@@ -283,19 +287,17 @@ func TestCursorWarmReadAllocFree(t *testing.T) {
 	far := graph.NodeID(paged.N() * 3 / 5) // other Xadj, Adjncy and EdgeW pages than node 1's
 	cur := paged.Cursor()
 	defer cur.Close()
-	var nbrs []graph.NodeID
-	var ws []float64
 	for _, u := range []graph.NodeID{0, 1, far} { // node 0 is a hub: grows the buffers
-		nbrs, ws = cur.Neighbors(u, nbrs[:0], ws[:0])
+		cur.Neighbors(u)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		nbrs, ws = cur.Neighbors(1, nbrs[:0], ws[:0])
+		cur.Neighbors(1)
 	}); n != 0 {
 		t.Errorf("sticky cursor read allocated %.1f times per run", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		nbrs, ws = cur.Neighbors(1, nbrs[:0], ws[:0])
-		nbrs = cur.NeighborIDs(far, nbrs[:0])
+		cur.Neighbors(1)
+		cur.NeighborIDs(far)
 	}); n != 0 {
 		t.Errorf("pin-moving cursor reads allocated %.1f times per run", n)
 	}
@@ -349,13 +351,12 @@ func TestCursorLivenessTinyPools(t *testing.T) {
 				order := visitOrders(view.N(), int64(w))[[]string{"ascending", "descending", "random"}[w%3]]
 				cur := view.Cursor()
 				defer cur.Close()
-				var nbrs []graph.NodeID
-				var ws []float64
 				for _, u := range order {
+					var nbrs []graph.NodeID
 					if w%4 < 2 {
-						nbrs, ws = cur.Neighbors(u, nbrs[:0], ws[:0])
+						nbrs, _ = cur.Neighbors(u)
 					} else {
-						nbrs = cur.NeighborIDs(u, nbrs[:0])
+						nbrs = cur.NeighborIDs(u)
 					}
 					wn, _ := want.Neighbors(u)
 					if len(nbrs) != len(wn) {
@@ -383,8 +384,8 @@ func TestCursorLivenessTinyPools(t *testing.T) {
 
 // FuzzCursorRows drives a row cursor over randomly shaped graphs, page
 // sizes, visiting orders and byte corruptions: every read either
-// reproduces the in-memory row exactly or appends nothing AND latches a
-// fault on the view — never a partial or silently wrong row — and the
+// reproduces the in-memory row exactly or returns an empty row AND latches
+// a fault on the view — never a partial or silently wrong row — and the
 // closed cursor leaves nothing pinned.
 func FuzzCursorRows(f *testing.F) {
 	f.Add(int64(1), uint16(50), uint16(200), uint8(0), uint8(0), uint32(0))
@@ -433,13 +434,13 @@ func FuzzCursorRows(f *testing.F) {
 		for i, u := range order {
 			before := c.faultCount()
 			if i%2 == 0 {
-				nbrs, ws = cur.Neighbors(u, nbrs[:0], ws[:0])
+				nbrs, ws = cur.Neighbors(u)
 			} else {
-				nbrs, ws = cur.NeighborIDs(u, nbrs[:0]), ws[:0]
+				nbrs, ws = cur.NeighborIDs(u), nil
 			}
 			if c.faultCount() != before {
 				if len(nbrs) != 0 || len(ws) != 0 {
-					t.Fatalf("node %d: faulted read appended %d/%d entries", u, len(nbrs), len(ws))
+					t.Fatalf("node %d: faulted read returned %d/%d entries", u, len(nbrs), len(ws))
 				}
 				continue
 			}
@@ -458,4 +459,103 @@ func FuzzCursorRows(f *testing.F) {
 			t.Fatalf("%d frames pinned after Close", pins)
 		}
 	})
+}
+
+// TestCursorFrameRows: NeighborIDs hands out a row that lies on one page
+// as a cap-clamped view of the pinned frame, so two such rows of one page
+// share its memory, while Neighbors reads come from the cursor's own
+// buffers. Rows that straddle pages — hub rows spanning several among them
+// — read correctly whichever way a walk runs, and a walk over every node
+// pins each page exactly once in either direction: a straddling row is
+// read from the end whose page the cursor already holds.
+func TestCursorFrameRows(t *testing.T) {
+	const pageSize = 256
+	g := hubGraph(600, 2500, 2, 61)
+	want := graph.ToCSR(g)
+	path := buildAndSave(t, g, pageSize)
+	s, err := OpenFile(path, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	paged, err := s.PagedCSR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := pageSize - 4
+	idsPer := int32(storage.RunPerPage(4, payload))
+	a := graph.NodeID(-1)
+	for u := 0; u+2 < len(want.Xadj) && a < 0; u++ {
+		lo, mid, hi := want.Xadj[u], want.Xadj[u+1], want.Xadj[u+2]
+		if lo < mid && mid < hi && lo/idsPer == (hi-1)/idsPer {
+			a = graph.NodeID(u)
+		}
+	}
+	if a < 0 {
+		t.Fatal("fixture has no two non-empty rows on one page")
+	}
+	b := a + 1
+
+	cur := paged.Cursor()
+	ra := cur.NeighborIDs(a)
+	requireRow(t, "frame row", want, a, ra, nil, false)
+	pa, capA := uintptr(unsafe.Pointer(unsafe.SliceData(ra))), cap(ra)
+	rb := cur.NeighborIDs(b)
+	requireRow(t, "frame row", want, b, rb, nil, false)
+	pb := uintptr(unsafe.Pointer(unsafe.SliceData(rb)))
+	if capA != len(ra) || cap(rb) != len(rb) {
+		t.Fatalf("frame rows not cap-clamped: len/cap %d/%d and %d/%d", len(ra), capA, len(rb), cap(rb))
+	}
+	if nativeLE && pb-pa != uintptr(4*(want.Xadj[b]-want.Xadj[a])) {
+		t.Fatalf("rows %d and %d of one page do not share its frame (%#x, %#x)", a, b, pa, pb)
+	}
+	nb, wb := cur.Neighbors(b)
+	requireRow(t, "full row", want, b, nb, wb, true)
+	if uintptr(unsafe.Pointer(unsafe.SliceData(nb))) == pb {
+		t.Fatal("Neighbors handed out a view of the frame")
+	}
+	cur.Close()
+
+	adjncyPages := storage.RunPages(want.HalfEdges(), 4, payload)
+	edgewPages := storage.RunPages(want.HalfEdges(), 8, payload)
+	straddles := 0
+	for u := 0; u < want.N(); u++ {
+		if lo, hi := want.Xadj[u], want.Xadj[u+1]; hi > lo && lo/idsPer != (hi-1)/idsPer {
+			straddles++
+		}
+	}
+	if straddles < 10 {
+		t.Fatalf("fixture has only %d rows straddling pages", straddles)
+	}
+	for _, dir := range []string{"ascending", "descending"} {
+		order := visitOrders(want.N(), 0)[dir]
+		for _, full := range []bool{false, true} {
+			_, pins0 := paged.CursorCounts()
+			cur := paged.Cursor()
+			for _, u := range order {
+				if full {
+					ids, ws := cur.Neighbors(u)
+					requireRow(t, dir+"/full", want, u, ids, ws, true)
+				} else {
+					ids := cur.NeighborIDs(u)
+					requireRow(t, dir+"/ids", want, u, ids, nil, false)
+					if len(ids) != cap(ids) {
+						t.Fatalf("%s: row %d len %d cap %d", dir, u, len(ids), cap(ids))
+					}
+				}
+			}
+			cur.Close()
+			_, pins1 := paged.CursorCounts()
+			wantPins := adjncyPages
+			if full {
+				wantPins += edgewPages
+			}
+			if got := int(pins1 - pins0); got != wantPins {
+				t.Fatalf("%s walk (full=%v) took %d pins, want one per page: %d", dir, full, got, wantPins)
+			}
+		}
+	}
+	if err := paged.Err(); err != nil {
+		t.Fatal(err)
+	}
 }

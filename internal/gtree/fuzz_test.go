@@ -102,10 +102,8 @@ func FuzzOpenCSRSection(f *testing.F) {
 			n = 1 << 16 // bound the walk, not the decode
 		}
 		cur := c.Cursor()
-		var nbrs []graph.NodeID
-		var ws []float64
 		for u := 0; u < n && c.Err() == nil; u++ {
-			nbrs, ws = cur.Neighbors(graph.NodeID(u), nbrs[:0], ws[:0])
+			cur.Neighbors(graph.NodeID(u))
 		}
 		cur.Close()
 		if c.Err() != nil {

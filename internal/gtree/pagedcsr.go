@@ -5,9 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/storage"
@@ -36,9 +36,12 @@ import (
 //
 // No frame byte outlives its pin. The pool recycles frames in place (see
 // storage.BufferPool.Get: the next page loaded into a frame overwrites
-// the buffer), so the row cursor decodes into the caller's buffers before
-// it moves a pin, and leaves and labels are copied out (storage.ReadBlob).
-// Nothing a caller receives aliases the pool.
+// the buffer). The one view of a frame a caller receives is a row cursor's
+// NeighborIDs row that lies on one page: it is valid only until the
+// cursor's next read or Close, exactly the life of the pin behind it, and
+// read-only, since the frame is the pool's shared copy of the page. Every
+// other row is decoded into the cursor's own buffers, and leaves and
+// labels are copied out (storage.ReadBlob).
 //
 // Values round-trip the file verbatim (same int32 ids, same float64
 // bits, same neighbor order as the in-memory CSR the file was saved
@@ -321,15 +324,29 @@ func (c *PagedCSR) CursorCounts() (rows, pins int64) {
 // offset table for row bounds, and a storage.RunCursor over the Adjncy and
 // EdgeW runs, which keeps the last page of each run pinned between reads
 // (EdgeW only once a read asks for weights) and never waits for a frame
-// while holding one. Rows are decoded straight from the pinned frames into
-// the caller's buffers. Every read keeps the checks of the one-shot path
-// it replaces: node range, run ranges, page checksums (inside the pool's
-// page read), and one latched fault per failed read with nothing appended.
+// while holding one.
+//
+// NeighborIDs hands out a row that lies on one page as a view of the
+// pinned frame itself (frameIDs), with no decode; the view is valid until
+// the next read or Close moves the pin. A row that straddles pages, and
+// every Neighbors read, is decoded into buffers the cursor owns —
+// Neighbors never aliases, because pinning the EdgeW page may release the
+// Adjncy page (the RunCursor drops every pin before it waits). A
+// straddling row is read from whichever end's page the cursor already
+// holds, so a walk in descending node order pins each page once, as an
+// ascending walk does. The cursor never writes into memory a caller
+// handed it.
+//
+// Every read keeps the checks of the one-shot path it replaces: node
+// range, run ranges, page checksums (inside the pool's page read), and one
+// latched fault per failed read, which returns an empty row.
 type pagedCursor struct {
 	c    *PagedCSR
 	xadj []int32 // the store's offset table; nil until the first row
 	runs storage.RunCursor
 	rows int64
+	ids  []graph.NodeID // decoded rows, reused from read to read
+	ws   []float64
 }
 
 // Cursor opens a row cursor over c for the calling goroutine
@@ -379,77 +396,127 @@ func (pc *pagedCursor) xrange(u graph.NodeID) (lo, hi int, ok bool) {
 	return int(pc.xadj[u]), int(pc.xadj[u+1]), true
 }
 
-// ids appends the Adjncy elements [lo,hi) to buf, page span by page span.
+// decode reads the elements [lo,hi) of run k (curAdjncy or curEdgeW) into
+// the cursor's buffer for that run, page span by page span. It starts from
+// whichever end's page the cursor already holds: a descending walk leaves
+// the cursor on the last page of a row that straddles pages, and reading
+// that row head first would pin its first page, then its last page again,
+// then the first page once more for the next row down.
 //
 //gmine:hotpath
-func (pc *pagedCursor) ids(lo, hi int, buf []graph.NodeID) ([]graph.NodeID, error) {
-	at := len(buf)
-	buf = slices.Grow(buf, hi-lo)[:at+hi-lo]
-	for lo < hi {
-		b, n, err := pc.runs.Span(curAdjncy, lo, hi)
-		if err != nil {
-			return buf, err
+func (pc *pagedCursor) decode(k, lo, hi int) error {
+	n := hi - lo
+	if k == curAdjncy {
+		if cap(pc.ids) < n {
+			pc.ids = make([]graph.NodeID, n)
 		}
-		decodeIDs(buf[at:at+n], b)
-		at += n
-		lo += n
+		pc.ids = pc.ids[:n]
+	} else {
+		if cap(pc.ws) < n {
+			pc.ws = make([]float64, n)
+		}
+		pc.ws = pc.ws[:n]
 	}
-	return buf, nil
+	back := pc.runs.Holds(k, hi-1) && !pc.runs.Holds(k, lo)
+	per := pc.c.adjncy.PerPage()
+	if k == curEdgeW {
+		per = pc.c.edgew.PerPage()
+	}
+	for at, end := lo, hi; at < end; {
+		s := at
+		if back {
+			s = max(at, (end-1)/per*per) // the first element on end-1's page
+		}
+		b, m, err := pc.runs.Span(k, s, end)
+		if err != nil {
+			return err
+		}
+		if k == curAdjncy {
+			decodeIDs(pc.ids[s-lo:s-lo+m], b)
+		} else {
+			decodeF64(pc.ws[s-lo:s-lo+m], b)
+		}
+		if back {
+			end = s
+		} else {
+			at = s + m
+		}
+	}
+	return nil
 }
 
-// weights appends the EdgeW elements [lo,hi) to buf.
+// NeighborIDs implements graph.RowCursor. A row on one page is the pinned
+// frame's bytes viewed as ids; any other row is decoded.
 //
 //gmine:hotpath
-func (pc *pagedCursor) weights(lo, hi int, buf []float64) ([]float64, error) {
-	at := len(buf)
-	buf = slices.Grow(buf, hi-lo)[:at+hi-lo]
-	for lo < hi {
-		b, n, err := pc.runs.Span(curEdgeW, lo, hi)
-		if err != nil {
-			return buf, err
-		}
-		decodeF64(buf[at:at+n], b)
-		at += n
-		lo += n
-	}
-	return buf, nil
-}
-
-// NeighborIDs implements graph.RowCursor.
-//
-//gmine:hotpath
-func (pc *pagedCursor) NeighborIDs(u graph.NodeID, nbrBuf []graph.NodeID) []graph.NodeID {
+func (pc *pagedCursor) NeighborIDs(u graph.NodeID) []graph.NodeID {
 	lo, hi, ok := pc.xrange(u)
 	if !ok || hi == lo {
-		return nbrBuf
+		return nil
 	}
-	nb := len(nbrBuf)
-	nbrBuf, err := pc.ids(lo, hi, nbrBuf)
-	if err != nil {
+	// A row whose last page is held and first is not straddles pages:
+	// decode it tail first rather than pin its head here.
+	if pc.runs.Holds(curAdjncy, lo) || !pc.runs.Holds(curAdjncy, hi-1) {
+		b, m, err := pc.runs.Span(curAdjncy, lo, hi)
+		if err != nil {
+			pc.c.fault(err)
+			return nil
+		}
+		if m == hi-lo {
+			if ids := frameIDs(b); ids != nil {
+				return ids
+			}
+		}
+	}
+	if err := pc.decode(curAdjncy, lo, hi); err != nil {
 		pc.c.fault(err)
-		return nbrBuf[:nb]
+		return nil
 	}
-	return nbrBuf
+	n := hi - lo
+	return pc.ids[:n:n]
 }
 
-// Neighbors implements graph.RowCursor.
+// Neighbors implements graph.RowCursor. Both slices are the cursor's own
+// decode buffers, never a frame.
 //
 //gmine:hotpath
-func (pc *pagedCursor) Neighbors(u graph.NodeID, nbrBuf []graph.NodeID, wBuf []float64) ([]graph.NodeID, []float64) {
+func (pc *pagedCursor) Neighbors(u graph.NodeID) ([]graph.NodeID, []float64) {
 	lo, hi, ok := pc.xrange(u)
 	if !ok || hi == lo {
-		return nbrBuf, wBuf
+		return nil, nil
 	}
-	nb, wb := len(nbrBuf), len(wBuf)
-	nbrBuf, err := pc.ids(lo, hi, nbrBuf)
+	err := pc.decode(curAdjncy, lo, hi)
 	if err == nil {
-		wBuf, err = pc.weights(lo, hi, wBuf)
+		err = pc.decode(curEdgeW, lo, hi)
 	}
 	if err != nil {
 		pc.c.fault(err)
-		return nbrBuf[:nb], wBuf[:wb]
+		return nil, nil
 	}
-	return nbrBuf, wBuf
+	n := hi - lo
+	return pc.ids[:n:n], pc.ws[:n:n]
+}
+
+// nativeLE reports whether this host lays out an int32 little-endian, as
+// the file does: the precondition for viewing Adjncy bytes as ids.
+var nativeLE = func() bool {
+	x := uint16(1)
+	return *(*byte)(unsafe.Pointer(&x)) == 1
+}()
+
+// frameIDs views b, little-endian int32 ids in a pinned pool frame, as
+// node ids without decoding: the one place a row aliases a frame. The
+// view is cap-clamped (cap == len) and shares the frame, so it is valid
+// exactly as long as the pin. It returns nil, and the caller decodes, on
+// a big-endian host or when b is not 4-byte aligned.
+//
+//gmine:hotpath
+func frameIDs(b []byte) []graph.NodeID {
+	p := unsafe.SliceData(b)
+	if !nativeLE || len(b) < 4 || uintptr(unsafe.Pointer(p))%4 != 0 {
+		return nil
+	}
+	return unsafe.Slice((*graph.NodeID)(unsafe.Pointer(p)), len(b)/4)
 }
 
 // --- Edge-centric blocked sweep -------------------------------------------

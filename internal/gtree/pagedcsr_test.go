@@ -71,7 +71,7 @@ func TestPagedCSRRoundTrip(t *testing.T) {
 	for u := 0; u < want.N(); u++ {
 		id := graph.NodeID(u)
 		wn, ww := want.Neighbors(id)
-		gn, gw := cur.Neighbors(id, nil, nil)
+		gn, gw := cur.Neighbors(id)
 		if len(gn) != len(wn) {
 			t.Fatalf("node %d: degree %d want %d", u, len(gn), len(wn))
 		}
@@ -134,10 +134,8 @@ func TestPagedCSRPoolBounded(t *testing.T) {
 		t.Fatalf("weighted-degree sweep made %d file reads and %d pool pins, want some and 0", reads, poolGets(s))
 	}
 	cur := c.Cursor()
-	var nbrs []graph.NodeID
-	var ws []float64
 	for u := 0; u < c.N(); u++ {
-		nbrs, ws = cur.Neighbors(graph.NodeID(u), nbrs[:0], ws[:0])
+		cur.Neighbors(graph.NodeID(u))
 	}
 	cur.Close()
 	pi := s.PoolInfo()
@@ -207,7 +205,7 @@ func TestPagedCSRFaultEpochs(t *testing.T) {
 	a, b := open(), open() // two queries in flight
 	cur := a.Adj.Cursor()
 	defer cur.Close()
-	if nbrs, _ := cur.Neighbors(graph.NodeID(-1), nil, nil); nbrs != nil {
+	if nbrs, _ := cur.Neighbors(graph.NodeID(-1)); nbrs != nil {
 		t.Fatal("out-of-range read returned data")
 	}
 	first := a.Err()
@@ -218,7 +216,7 @@ func TestPagedCSRFaultEpochs(t *testing.T) {
 		t.Fatalf("concurrent query caught another view's fault: %v", b.Err())
 	}
 	// A second fault counts, but the first one is what the view reports.
-	cur.NeighborIDs(graph.NodeID(1<<20), nil)
+	cur.NeighborIDs(graph.NodeID(1 << 20))
 	if a.Counts().Faults != 2 || a.Err() != first {
 		t.Fatalf("second fault: %d faults, err %v; want 2 and the first kept", a.Counts().Faults, a.Err())
 	}
@@ -227,7 +225,7 @@ func TestPagedCSRFaultEpochs(t *testing.T) {
 	want := graph.ToCSR(g)
 	cc := c.Adj.Cursor()
 	defer cc.Close()
-	gn := cc.NeighborIDs(0, nil)
+	gn := cc.NeighborIDs(0)
 	wn, _ := want.Neighbors(0)
 	if len(gn) != len(wn) {
 		t.Fatalf("post-fault read broken: %d vs %d nbrs", len(gn), len(wn))

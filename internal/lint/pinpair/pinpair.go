@@ -441,8 +441,8 @@ func escapedHandles(pass *analysis.Pass, body *ast.BlockStmt) map[types.Object]b
 	escaped := make(map[types.Object]bool)
 	// mark records every handle named in e — every variable at all when e
 	// is being stored into a field. skipCalls leaves out handles that only
-	// appear as the receiver of a method CALL: `return cur.NeighborIDs(u,
-	// nil)` hands out a row, not the cursor, while the method VALUE in
+	// appear as the receiver of a method CALL: `return cur.NeighborIDs(u)`
+	// hands out a row, not the cursor, while the method VALUE in
 	// `return cur.Close` does carry the handle away.
 	var mark func(e ast.Node, stored, skipCalls bool)
 	mark = func(e ast.Node, stored, skipCalls bool) {

@@ -6,7 +6,7 @@ package pinpair
 // one-shot row reads.
 
 type RowCursor interface {
-	NeighborIDs(u int32, buf []int32) []int32
+	NeighborIDs(u int32) []int32
 	Close()
 }
 
@@ -16,13 +16,13 @@ func (a *adjacency) Cursor() RowCursor { return nil }
 
 func cursorNeverClosed(a *adjacency) int {
 	cur := a.Cursor() // want `cursor opened here is never Closed in cursorNeverClosed`
-	return len(cur.NeighborIDs(0, nil))
+	return len(cur.NeighborIDs(0))
 }
 
 func cursorLeakOnEarlyReturn(a *adjacency, n int) error {
 	cur := a.Cursor() // want `cursor opened here can reach the return at line \d+ without Close`
 	for u := 0; u < n; u++ {
-		if len(cur.NeighborIDs(int32(u), nil)) == 0 {
+		if len(cur.NeighborIDs(int32(u))) == 0 {
 			return errBoom // leak: the cursor's pages stay pinned
 		}
 	}
@@ -34,7 +34,7 @@ func cursorCompliant(a *adjacency, n int) error {
 	cur := a.Cursor()
 	defer cur.Close()
 	for u := 0; u < n; u++ {
-		if len(cur.NeighborIDs(int32(u), nil)) == 0 {
+		if len(cur.NeighborIDs(int32(u))) == 0 {
 			return errBoom
 		}
 	}
@@ -44,7 +44,7 @@ func cursorCompliant(a *adjacency, n int) error {
 // walk borrows the cursor; its caller still owns the Close.
 func walk(cur RowCursor, n int) {
 	for u := 0; u < n; u++ {
-		cur.NeighborIDs(int32(u), nil)
+		cur.NeighborIDs(int32(u))
 	}
 }
 

@@ -13,10 +13,21 @@
 // values) is always fine; it is retaining the slice header that is not.
 //
 // The rows a graph.RowCursor reads (cur.Neighbors, cur.NeighborIDs)
-// follow the same discipline per the per-goroutine scratch contract: they
-// may alias backend storage and are valid only until the next read, so
-// the analyzer flags callers that store the returned slices anywhere
-// longer-lived than a local variable.
+// follow the same discipline: they alias backend storage — the in-memory
+// CSR's arrays, a cursor-owned buffer, or a pinned buffer-pool frame — and
+// are valid only until the next read, so the analyzer flags callers that
+// store the returned slices anywhere longer-lived than a local variable.
+//
+// Both kinds of row are also read-only. A write through a cursor row may
+// land in a pool frame, the shared copy of a page every query reads, and a
+// write through a sweep row lands in the CSR or in block buffers the sweep
+// decodes from. So the analyzer flags writes whose target is a row (a
+// sweep-callback row, a local holding a cursor read result, or a reslice
+// of either): index assignments (row[i] = x, row[i] += x, row[i]++), copy
+// into a row, and in-place sorts and reversals (sort.Slice, sort.Ints,
+// slices.Sort*, slices.Reverse and friends). A local that ever holds a
+// cursor row counts as a row everywhere in its function, whatever else
+// it is later assigned.
 package sweepalias
 
 import (
@@ -28,14 +39,15 @@ import (
 	"repro/internal/lint/astq"
 )
 
-// Analyzer flags sweep-callback and row-cursor buffer escapes.
+// Analyzer flags sweep-callback and row-cursor buffer escapes and writes.
 var Analyzer = &analysis.Analyzer{
 	Name: "sweepalias",
 	Doc: "flags SweepEdges callbacks that let the emitted nbrs/w " +
 		"row slices escape the callback (captured-variable assignment, append of " +
-		"the slice header, channel send, struct-field storage), and row-cursor " +
-		"callers that store the returned slices outside local variables. " +
-		"Rows alias block buffers valid only during the callback.",
+		"the slice header, channel send, struct-field storage), row-cursor " +
+		"callers that store the returned slices outside local variables, and " +
+		"writes into either kind of row (index assignment, copy, in-place sort). " +
+		"Rows alias block buffers or pool frames: valid only briefly, and read-only.",
 	Run: run,
 }
 
@@ -56,6 +68,7 @@ var cursorReads = map[string]bool{
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		checked := make(map[*ast.FuncLit]bool)
+		curRows := make(map[types.Object]bool) // locals holding cursor rows
 		var stack []ast.Node
 		ast.Inspect(f, func(n ast.Node) bool {
 			if n == nil {
@@ -75,11 +88,132 @@ func run(pass *analysis.Pass) error {
 			}
 			if name, ok := cursorReadName(pass, call); ok {
 				checkRowUse(pass, name, call, stack)
+				collectCursorRows(pass, call, stack, curRows)
+			}
+			return true
+		})
+		checkCursorRowWrites(pass, f, curRows)
+	}
+	return nil
+}
+
+// collectCursorRows records the locals a cursor read's result is assigned
+// to: both of Neighbors' results, or NeighborIDs' one.
+func collectCursorRows(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node, rows map[types.Object]bool) {
+	as, ok := stack[len(stack)-2].(*ast.AssignStmt)
+	if !ok || len(as.Rhs) != 1 || as.Rhs[0] != ast.Expr(call) {
+		return
+	}
+	for _, lhs := range as.Lhs {
+		if id, ok := lhs.(*ast.Ident); ok {
+			if obj := astq.ObjectOf(pass.TypesInfo, id); obj != nil {
+				rows[obj] = true
+			}
+		}
+	}
+}
+
+// checkCursorRowWrites flags writes, anywhere in f, whose target is a
+// cursor read result or a local holding one (or a local reslice of one).
+func checkCursorRowWrites(pass *analysis.Pass, f *ast.File, rows map[types.Object]bool) {
+	addReslices(pass, f, rows, func(types.Object) bool { return true })
+	isRow := func(e ast.Expr) bool {
+		if call, ok := ast.Unparen(e).(*ast.CallExpr); ok {
+			if _, ok := cursorReadName(pass, call); ok {
+				return true
+			}
+		}
+		return aliasesRow(pass, e, rows)
+	}
+	checkWrites(pass, f, isRow, func(n ast.Node, what string) {
+		pass.Reportf(n.Pos(), "%s: a cursor row may alias a pinned buffer-pool frame, the page every query reads; copy the elements and write the copy", what)
+	})
+}
+
+// addReslices grows rows to a fixed point with the locals assigned a
+// reslice (or other alias) of a row, where keep admits the local.
+func addReslices(pass *analysis.Pass, body ast.Node, rows map[types.Object]bool, keep func(types.Object) bool) {
+	for changed := true; changed; {
+		changed = false
+		ast.Inspect(body, func(n ast.Node) bool {
+			as, ok := n.(*ast.AssignStmt)
+			if !ok || len(as.Lhs) != len(as.Rhs) {
+				return true
+			}
+			for i, rhs := range as.Rhs {
+				if !aliasesRow(pass, rhs, rows) {
+					continue
+				}
+				if lid, ok := as.Lhs[i].(*ast.Ident); ok {
+					obj := astq.ObjectOf(pass.TypesInfo, lid)
+					if obj != nil && keep(obj) && !rows[obj] {
+						rows[obj] = true
+						changed = true
+					}
+				}
 			}
 			return true
 		})
 	}
-	return nil
+}
+
+// rowWriters are the std-library functions that write into their first
+// argument in place, by package path.
+var rowWriters = map[string]func(name string) bool{
+	"sort": func(name string) bool {
+		switch name {
+		case "Sort", "Stable", "Slice", "SliceStable", "Ints", "Float64s", "Strings":
+			return true
+		}
+		return false
+	},
+	"slices": func(name string) bool { return strings.HasPrefix(name, "Sort") || name == "Reverse" },
+}
+
+// checkWrites reports every write in body whose target isRow accepts:
+// an index assignment or increment, copy into it, or an in-place sort.
+func checkWrites(pass *analysis.Pass, body ast.Node, isRow func(ast.Expr) bool, report func(n ast.Node, what string)) {
+	indexed := func(n ast.Node, e ast.Expr) {
+		if ix, ok := ast.Unparen(e).(*ast.IndexExpr); ok && isRow(ix.X) {
+			report(n, "write into row "+astq.ExprString(pass.Fset, e))
+		}
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range x.Lhs {
+				indexed(x, lhs)
+			}
+		case *ast.IncDecStmt:
+			indexed(x, x.X)
+		case *ast.CallExpr:
+			if len(x.Args) == 0 {
+				return true
+			}
+			var what string
+			switch fn := ast.Unparen(x.Fun).(type) {
+			case *ast.Ident:
+				if b, ok := pass.TypesInfo.Uses[fn].(*types.Builtin); ok && b.Name() == "copy" {
+					what = "copy"
+				}
+			case *ast.SelectorExpr:
+				if id, ok := fn.X.(*ast.Ident); ok {
+					if pn, ok := pass.TypesInfo.Uses[id].(*types.PkgName); ok {
+						if w := rowWriters[pn.Imported().Path()]; w != nil && w(fn.Sel.Name) {
+							what = pn.Imported().Name() + "." + fn.Sel.Name
+						}
+					}
+				}
+			}
+			if what == "" {
+				return true
+			}
+			if isRow(x.Args[0]) {
+				report(x, what+" into row "+astq.ExprString(pass.Fset, x.Args[0]))
+			}
+		}
+		return true
+	})
 }
 
 // sweepCallbackArg returns the callback argument of a SweepEdges method
@@ -186,31 +320,14 @@ func checkCallback(pass *analysis.Pass, sweepName string, lit *ast.FuncLit) {
 		return
 	}
 	// Fixed point: local reslices of a row are rows too.
-	for changed := true; changed; {
-		changed = false
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok {
-				return true
-			}
-			for i, rhs := range as.Rhs {
-				if len(as.Lhs) != len(as.Rhs) || !aliasesRow(pass, rhs, rows) {
-					continue
-				}
-				if lid, ok := as.Lhs[i].(*ast.Ident); ok {
-					obj := astq.ObjectOf(pass.TypesInfo, lid)
-					if obj != nil && declaredWithin(obj, lit) && !rows[obj] {
-						rows[obj] = true
-						changed = true
-					}
-				}
-			}
-			return true
-		})
-	}
+	addReslices(pass, lit.Body, rows, func(obj types.Object) bool { return declaredWithin(obj, lit) })
 	report := func(pos ast.Node, what string) {
 		pass.Reportf(pos.Pos(), "%s: the %s callback's row slices alias the sweep's block buffers, valid only during the callback; copy the elements instead", what, sweepName)
 	}
+	isRow := func(e ast.Expr) bool { return aliasesRow(pass, e, rows) }
+	checkWrites(pass, lit.Body, isRow, func(n ast.Node, what string) {
+		pass.Reportf(n.Pos(), "%s: the %s callback's rows alias the sweep's block buffers or the CSR's own arrays and are read-only; copy the elements and write the copy", what, sweepName)
+	})
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.AssignStmt:

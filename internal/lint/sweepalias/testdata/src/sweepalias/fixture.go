@@ -5,6 +5,8 @@
 // element copies stay quiet.
 package sweepalias
 
+import "sort"
+
 type NodeID int32
 
 type csr struct {
@@ -113,4 +115,21 @@ func rangeWorkerViolations(c *csr) {
 			return true
 		})
 	}()
+}
+
+// callbackWrites: sweep rows alias the sweep's block buffers or the CSR's
+// own arrays; writing through them corrupts what every later sweep reads.
+func callbackWrites(c *csr, scratch []NodeID) {
+	_ = c.SweepEdges(0, 10, func(u NodeID, nbrs []NodeID, w []float64) bool {
+		nbrs[0] = u                                                        // want `write into row nbrs\[0\]: the SweepEdges callback's rows alias`
+		w[1] *= 2                                                          // want `write into row w\[1\]`
+		head := nbrs[:2]                                                   // local reslice
+		head[1]--                                                          // want `write into row head\[1\]`
+		copy(w, []float64{1})                                              // want `copy into row w`
+		sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] }) // want `sort\.Slice into row nbrs`
+		copy(scratch, nbrs)                                                // copy OUT of a row: safe
+		scratch[0] = nbrs[0]                                               // writing the caller's buffer: safe
+		sort.Slice(scratch, func(i, j int) bool { return scratch[i] < scratch[j] })
+		return true
+	})
 }

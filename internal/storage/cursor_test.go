@@ -151,8 +151,9 @@ func readSpan(t *testing.T, c *RunCursor, k, stride, lo, hi int) []byte {
 
 // TestRunCursorSpansAndStickyPins: spans reproduce the run bytes for
 // ranges inside a page and across pages; an in-order walk pins each page
-// once, not once per read; ranges outside the run are RangeErrors that
-// touch no page; Close drops every pin and is idempotent.
+// once, not once per read, and Holds reports exactly the elements of the
+// held page; ranges outside the run are RangeErrors that touch no page;
+// Close drops every pin and is idempotent.
 func TestRunCursorSpansAndStickyPins(t *testing.T) {
 	pool, runs, data := cursorRunsFile(t, 64)
 	var c RunCursor
@@ -178,6 +179,9 @@ func TestRunCursorSpansAndStickyPins(t *testing.T) {
 	for i := 0; i < 900; i++ {
 		for k, sh := range cursorShapes {
 			if i < sh.count {
+				if want := i > 0 && i%runs[k].PerPage() != 0; c.Holds(k, i) != want {
+					t.Fatalf("run %d: Holds(%d) = %v before reading it, want %v", k, i, !want, want)
+				}
 				readSpan(t, &c, k, sh.stride, i, i+1)
 				reads++
 			}
@@ -190,6 +194,9 @@ func TestRunCursorSpansAndStickyPins(t *testing.T) {
 	}
 	if pins := c.Close(); pins != pages {
 		t.Fatalf("Close reported %d pins, want %d", pins, pages)
+	}
+	if c.Holds(0, 300) || c.Holds(1, 0) {
+		t.Fatal("a closed cursor reports a held page")
 	}
 	if pins := c.Close(); pins != 0 {
 		t.Fatalf("second Close reported %d pins", pins)

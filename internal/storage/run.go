@@ -194,10 +194,12 @@ const cursorRuns = 2
 // RunCursor reads element spans of up to cursorRuns runs for ONE goroutine
 // through the readers' buffer pool, and keeps the last page it touched in
 // each run pinned between reads. A caller that walks a run roughly in
-// order — the key-path DP reads node rows in ascending id, and a page
-// holds a hundred of them — then pays the buffer pool one pin per page
-// instead of one per read, and decodes straight from the pinned frame
-// with no copy-out.
+// order, either way — the key-path DP reads node rows in ascending id on
+// one level and descending on the next, and a page holds a hundred of
+// them — then pays the buffer pool one pin per page instead of one per
+// read, and reads straight from the pinned frame with no copy-out. Holds
+// tells such a caller which end of a span that crosses pages to start
+// from, so a descending walk pins each page once too.
 //
 // Holding pins across reads is only deadlock-free under the pool's rule
 // (BufferPool.Get): never wait while pinned. The cursor takes every pin
@@ -258,6 +260,15 @@ func (c *RunCursor) Span(k, lo, hi int) (b []byte, n int, err error) {
 	off := lo - s.lo
 	n = min(hi, s.hi) - lo
 	return s.data[off*r.stride : (off+n)*r.stride], n, nil
+}
+
+// Holds reports whether the cursor holds the page of element i of run k
+// pinned, so a Span starting on that page takes no pin.
+//
+//gmine:hotpath
+func (c *RunCursor) Holds(k, i int) bool {
+	s := &c.slots[k]
+	return s.data != nil && i >= s.lo && i < s.hi
 }
 
 // pin moves slot s to the page holding element i without ever waiting
