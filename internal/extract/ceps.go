@@ -135,11 +135,15 @@ func ConnectionSubgraphAdj(adj graph.Adjacency, directed bool, labelOf func(grap
 	stage("rwr", begin)
 
 	// logGood[v] = log goodness, -Inf for zero; the DP maximizes the sum
-	// of log-goodness over path nodes (product of goodness).
+	// of log-goodness over path nodes (product of goodness). reach holds
+	// the nodes of positive goodness in ascending order, the only ones a
+	// path can pass through and so the only rows the DP visits.
 	logGood := make([]float64, n)
+	reach := make([]graph.NodeID, 0, n)
 	for v := range logGood {
 		if goodness[v] > 0 {
 			logGood[v] = math.Log(goodness[v])
+			reach = append(reach, graph.NodeID(v))
 		} else {
 			logGood[v] = math.Inf(-1)
 		}
@@ -184,7 +188,7 @@ func ConnectionSubgraphAdj(adj graph.Adjacency, directed bool, labelOf func(grap
 			iterations++
 			for g := 0; g < len(sources) && len(chosen) < opts.Budget; g += maxFusedSources {
 				group := sources[g:min(g+maxFusedSources, len(sources))]
-				dp.build(cur, group, pd, logGood, opts.MaxPathLen)
+				dp.build(cur, group, pd, logGood, reach, opts.MaxPathLen)
 				for j := range group {
 					if len(chosen) >= opts.Budget {
 						break
@@ -327,16 +331,18 @@ type keyPathTable struct {
 // build runs the dynamic program from every source of srcs (at most
 // maxFusedSources) to dst: dp[l][v] = best sum of log-goodness over the
 // nodes of a walk of exactly l edges from the source to v, at most maxLen
-// edges, and parents[l][v] the smallest predecessor that achieves it. Rows
+// edges, and parents[l][v] the smallest predecessor that achieves it.
+// reach lists the nodes of positive goodness in ascending order; no walk
+// passes through any other node, so only their rows are candidates. Rows
 // are read through cur once per level for the whole group, ids only (the
-// DP never looks at edge weights), in ascending node order on one level
-// and descending on the next (see keyPathDP); the tie rule in relax makes
-// the tables independent of the order. walk then returns each source's
-// path.
-func (d *keyPathDP) build(cur graph.RowCursor, srcs []graph.NodeID, dst graph.NodeID, logGood []float64, maxLen int) {
+// DP never looks at edge weights), the reachable nodes in ascending order
+// on one level and descending on the next (see keyPathDP); the tie rule
+// in relax makes the tables independent of the order. walk then returns
+// each source's path.
+func (d *keyPathDP) build(cur graph.RowCursor, srcs []graph.NodeID, dst graph.NodeID, logGood []float64, reach []graph.NodeID, maxLen int) {
 	d.start(srcs, dst, logGood, maxLen)
 	for l := 1; l <= maxLen && len(d.live) > 0; l++ {
-		d.level(cur, l, dst, logGood, d.desc)
+		d.level(cur, l, dst, logGood, reach, d.desc)
 		d.desc = !d.desc
 	}
 }
@@ -373,10 +379,11 @@ func (d *keyPathDP) start(srcs []graph.NodeID, dst graph.NodeID, logGood []float
 	}
 }
 
-// level fills level l of every live table from level l-1, visiting rows
-// in descending node order when desc, and keeps the first best length to
-// dst.
-func (d *keyPathDP) level(cur graph.RowCursor, l int, dst graph.NodeID, logGood []float64, desc bool) {
+// level fills level l of every live table from level l-1, visiting the
+// rows of reach in descending node order when desc, and keeps the first
+// best length to dst. Every entry of next and par is reset, not only
+// reach's, so the tables hold -Inf and -1 for every unreachable node.
+func (d *keyPathDP) level(cur graph.RowCursor, l int, dst graph.NodeID, logGood []float64, reach []graph.NodeID, desc bool) {
 	negInf := math.Inf(-1)
 	for _, t := range d.live {
 		par, next := t.parents[l], t.next
@@ -388,7 +395,7 @@ func (d *keyPathDP) level(cur graph.RowCursor, l int, dst graph.NodeID, logGood 
 		}
 		t.par = par
 	}
-	relaxLevel(cur, d.live, logGood, desc)
+	relaxLevel(cur, d.live, logGood, reach, desc)
 	for _, t := range d.live {
 		if t.next[dst] > t.bestScore {
 			t.bestScore = t.next[dst]
@@ -400,17 +407,21 @@ func (d *keyPathDP) level(cur graph.RowCursor, l int, dst graph.NodeID, logGood 
 
 // relaxLevel runs one level of the dynamic program for every table of
 // live, in order, reading each row some table's frontier holds once
-// through cur: rows in ascending node order, or descending when desc. It
-// is a function of its own to keep the row loop's working set in
-// registers; inside level's frame the compiler spills the loop counters.
-func relaxLevel(cur graph.RowCursor, live []*keyPathTable, logGood []float64, desc bool) {
+// through cur: the reachable nodes in ascending order, or descending when
+// desc. A frontier never holds any other node: a score leaves -Inf only
+// at a source of positive goodness or by a relax step onto a node of
+// positive goodness. It is a function of its own to keep the row loop's
+// working set in registers; inside level's frame the compiler spills the
+// loop counters.
+func relaxLevel(cur graph.RowCursor, live []*keyPathTable, logGood []float64, reach []graph.NodeID, desc bool) {
 	negInf := math.Inf(-1)
-	n := len(logGood)
-	for i := 0; i < n; i++ {
-		u := i
+	m := len(reach)
+	for i := 0; i < m; i++ {
+		k := i
 		if desc {
-			u = n - 1 - i
+			k = m - 1 - i
 		}
+		u := reach[k]
 		// Row u is read when the first table whose frontier holds it
 		// comes up, and then serves the rest.
 		var nbrs []graph.NodeID
@@ -421,9 +432,9 @@ func relaxLevel(cur graph.RowCursor, live []*keyPathTable, logGood []float64, de
 				continue
 			}
 			if !read {
-				nbrs, read = cur.NeighborIDs(graph.NodeID(u)), true
+				nbrs, read = cur.NeighborIDs(u), true
 			}
-			t.relax(nbrs, logGood, pu, int32(u))
+			t.relax(nbrs, logGood, pu, u)
 		}
 	}
 }
@@ -431,23 +442,27 @@ func relaxLevel(cur graph.RowCursor, live []*keyPathTable, logGood []float64, de
 // relax offers every neighbor v of u the walk that reaches u with score pu
 // and then steps to v. A tie goes to the smaller predecessor, whichever
 // order the level visits rows in, so par[v] is the smallest u achieving
-// next[v] and the tables do not depend on the pass direction. Kept out of
-// line: inlined into relaxLevel's loop nest the compiler spills this
-// loop's own counter to the stack, which costs the in-memory DP a fifth of
-// its time.
+// next[v] and the tables do not depend on the pass direction.
+//
+// A neighbor of zero goodness needs no test of its own. next and par are
+// reset together to -Inf and -1, and while next[v] is -Inf a write needs
+// cand > -Inf or u < par[v] == -1, which no node id is: so next[v] == -Inf
+// implies par[v] == -1. The -Inf candidate of a zero-goodness neighbor
+// then passes neither cand > next[v] nor u < par[v], and v keeps -Inf and
+// -1.
+//
+// Kept out of line: inlined into relaxLevel's loop nest the compiler
+// spills this loop's own counter to the stack, which costs the in-memory
+// DP a fifth of its time.
 //
 //go:noinline
-func (t *keyPathTable) relax(nbrs []graph.NodeID, logGood []float64, pu float64, u int32) {
-	negInf := math.Inf(-1)
+func (t *keyPathTable) relax(nbrs []graph.NodeID, logGood []float64, pu float64, u graph.NodeID) {
 	next, par := t.next, t.par
 	for _, v := range nbrs {
-		if logGood[v] == negInf {
-			continue
-		}
 		cand := pu + logGood[v]
-		// cand > next[v] || cand == next[v] && u < par[v], written so the
-		// common case, a candidate below the best, takes one comparison.
-		if cand >= next[v] && (cand > next[v] || u < par[v]) {
+		// cand > nv || cand == nv && u < par[v], written so the common
+		// case, a candidate below the best, takes one comparison.
+		if nv := next[v]; cand >= nv && (cand > nv || u < par[v]) {
 			next[v] = cand
 			par[v] = u
 		}

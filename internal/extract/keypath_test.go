@@ -24,8 +24,20 @@ func keyPath(c graph.Adjacency, src, dst graph.NodeID, logGood []float64, maxLen
 // path is one (source, destination) solve: a fused build of width one and
 // its walk-back — the reference the fused builds are checked against.
 func (d *keyPathDP) path(cur graph.RowCursor, src, dst graph.NodeID, logGood []float64, maxLen int) []graph.NodeID {
-	d.build(cur, []graph.NodeID{src}, dst, logGood, maxLen)
+	d.build(cur, []graph.NodeID{src}, dst, logGood, reachOf(logGood), maxLen)
 	return d.walk(0, dst)
+}
+
+// reachOf lists the nodes of finite logGood in ascending order, the reach
+// an extraction hands its DP.
+func reachOf(logGood []float64) []graph.NodeID {
+	var reach []graph.NodeID
+	for v, lg := range logGood {
+		if lg != math.Inf(-1) {
+			reach = append(reach, graph.NodeID(v))
+		}
+	}
+	return reach
 }
 
 // naiveKeyPath is the key-path DP written for clarity — fresh tables per
@@ -220,7 +232,7 @@ func TestKeyPathFusedMatchesPerSource(t *testing.T) {
 					dst = srcs[rng.Intn(len(srcs))]
 				}
 				maxLen := 1 + rng.Intn(6)
-				dp.build(cur, srcs, dst, logGood, maxLen)
+				dp.build(cur, srcs, dst, logGood, reachOf(logGood), maxLen)
 				got := make([][]graph.NodeID, len(srcs))
 				for j := range srcs {
 					got[j] = append([]graph.NodeID(nil), dp.walk(j, dst)...)
@@ -318,7 +330,7 @@ func TestKeyPathFusedReadsEachRowOnce(t *testing.T) {
 		after, _ := paged.CursorCounts()
 		return after - before
 	}
-	fused := rowsOf(func(dp *keyPathDP, cur graph.RowCursor) { dp.build(cur, srcs, dst, logGood, maxLen) })
+	fused := rowsOf(func(dp *keyPathDP, cur graph.RowCursor) { dp.build(cur, srcs, dst, logGood, reachOf(logGood), maxLen) })
 	alone := rowsOf(func(dp *keyPathDP, cur graph.RowCursor) {
 		for _, s := range srcs {
 			dp.path(cur, s, dst, logGood, maxLen)
@@ -397,16 +409,22 @@ func textbookWalk(score [][]float64, parent [][]int32, src, dst graph.NodeID) []
 }
 
 // TestKeyPathDPOrderIndependent: the DP's tables and walks do not depend
-// on the order a level visits rows in. On tie-heavy fixtures — every
-// goodness drawn from two or three values, so equal-score walks are
-// everywhere — builds whose levels alternate direction (as the extraction
-// runs them, from either starting direction and carried across
-// destinations), run all ascending or all descending, each match the
-// textbook DP: every level's parents, the last level's scores, the best
-// length and score to the destination, and the walk. In memory and paged.
+// on the order a level visits rows in, nor on its visiting only the
+// reachable rows. On tie-heavy fixtures — every goodness drawn from two or
+// three values, so equal-score walks are everywhere — builds whose levels
+// alternate direction (as the extraction runs them, from either starting
+// direction and carried across destinations), run all ascending or all
+// descending, each match the textbook DP, which scans every row: every
+// level's parents, the last level's scores (-Inf and -1 included for the
+// nodes no walk reaches), the best length and score to the destination,
+// and the walk. In memory and paged. Zero-goodness blocks at both ends of
+// the id range make reach start after node 0 and end before node n-1;
+// odd trials add a zero-goodness source, which yields no walk; and a
+// counting cursor shows no zero-goodness row is ever read.
 func TestKeyPathDPOrderIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
-	for trial := 0; trial < 4; trial++ {
+	negInf := math.Inf(-1)
+	for trial := 0; trial < 6; trial++ {
 		n := 80 + rng.Intn(200)
 		g := randomConnected(rng, n, 2*n+rng.Intn(2*n))
 		c := graph.ToCSR(g)
@@ -418,13 +436,29 @@ func TestKeyPathDPOrderIndependent(t *testing.T) {
 			logGood[v] = values[rng.Intn(len(values))]
 		}
 		for v := 5; v < n; v += 11 {
-			logGood[v] = math.Inf(-1)
+			logGood[v] = negInf
+		}
+		lead, tail := 1+rng.Intn(n/8), 1+rng.Intn(n/8)
+		for v := range lead {
+			logGood[v] = negInf
+		}
+		for v := n - tail; v < n; v++ {
+			logGood[v] = negInf
 		}
 		maxLen := 4 + rng.Intn(5)
 		srcs := make([]graph.NodeID, 1+rng.Intn(maxFusedSources))
 		for i := range srcs {
-			srcs[i] = graph.NodeID(rng.Intn(n))
+			srcs[i] = graph.NodeID(lead + rng.Intn(n-lead-tail))
 			logGood[srcs[i]] = values[0] // every source's frontier spreads
+		}
+		if trial%2 == 1 {
+			// A source inside the leading zero block, its frontier empty
+			// from level 0 on, in the group's last slot or a new one.
+			srcs = append(srcs[:min(len(srcs), maxFusedSources-1)], graph.NodeID(rng.Intn(lead)))
+		}
+		reach := reachOf(logGood)
+		if reach[0] == 0 || reach[len(reach)-1] == graph.NodeID(n-1) {
+			t.Fatalf("trial %d: reach [%d,%d] spans the id range", trial, reach[0], reach[len(reach)-1])
 		}
 		type want struct {
 			score  [][]float64
@@ -448,7 +482,7 @@ func TestKeyPathDPOrderIndependent(t *testing.T) {
 		for name, adj := range map[string]graph.Adjacency{"csr": c, "paged": pagedFixture(t, g, 6+rng.Intn(24))} {
 			for mode, dir := range modes {
 				for _, startDesc := range []bool{false, true} {
-					cur := adj.Cursor()
+					cur := &guardCursor{RowCursor: adj.Cursor(), logGood: logGood}
 					dp := keyPathDP{}
 					for q, dst := range dsts {
 						if dir == nil {
@@ -456,11 +490,11 @@ func TestKeyPathDPOrderIndependent(t *testing.T) {
 								dp.start(srcs, dst, logGood, maxLen)
 								dp.desc = startDesc
 							}
-							dp.build(cur, srcs, dst, logGood, maxLen)
+							dp.build(cur, srcs, dst, logGood, reach, maxLen)
 						} else {
 							dp.start(srcs, dst, logGood, maxLen)
 							for l := 1; l <= maxLen && len(dp.live) > 0; l++ {
-								dp.level(cur, l, dst, logGood, dir(l, &dp) != startDesc)
+								dp.level(cur, l, dst, logGood, reach, dir(l, &dp) != startDesc)
 							}
 						}
 						tag := func(j int) string {
@@ -475,6 +509,9 @@ func TestKeyPathDPOrderIndependent(t *testing.T) {
 							if src == dst {
 								continue
 							}
+							if logGood[src] == negInf && got != nil {
+								t.Fatalf("%s: zero-goodness source walked %v", tag(j), got)
+							}
 							for l := 1; l <= maxLen; l++ {
 								if !slices.Equal(tb.parents[l], w.parent[l]) {
 									t.Fatalf("%s: level %d parents differ from the textbook DP", tag(j), l)
@@ -485,7 +522,7 @@ func TestKeyPathDPOrderIndependent(t *testing.T) {
 									t.Fatalf("%s: last-level score of %d is %v, textbook %v", tag(j), v, tb.prev[v], w.score[maxLen][v])
 								}
 							}
-							bestLen, bestScore := -1, math.Inf(-1)
+							bestLen, bestScore := -1, negInf
 							for l := 1; l <= maxLen; l++ {
 								if w.score[l][dst] > bestScore {
 									bestLen, bestScore = l, w.score[l][dst]
@@ -497,10 +534,29 @@ func TestKeyPathDPOrderIndependent(t *testing.T) {
 						}
 					}
 					cur.Close()
+					if cur.rows == 0 || cur.zero != 0 {
+						t.Fatalf("trial %d %s %s start-desc=%v: read %d rows, %d of zero goodness", trial, name, mode, startDesc, cur.rows, cur.zero)
+					}
 				}
 			}
 		}
 	}
+}
+
+// guardCursor counts the rows a DP reads through it, and among them the
+// rows of zero-goodness nodes, which no walk can pass through.
+type guardCursor struct {
+	graph.RowCursor
+	logGood    []float64
+	rows, zero int
+}
+
+func (c *guardCursor) NeighborIDs(u graph.NodeID) []graph.NodeID {
+	c.rows++
+	if c.logGood[u] == math.Inf(-1) {
+		c.zero++
+	}
+	return c.RowCursor.NeighborIDs(u)
 }
 
 // TestKeyPathDPPoolHits pins what the elevator order buys a paged

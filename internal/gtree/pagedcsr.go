@@ -22,9 +22,12 @@ import (
 //   - Whole-graph sweeps (SweepEdges, WeightedDegrees, the tier decode)
 //     read the Adjncy and EdgeW runs in file order, a window of pages at a
 //     time, straight from the file with one checksummed read per window
-//     (storage.RunReader.Read) into the sweep's own buffers. A sequential
-//     scan is what an LRU pool cannot help with, so sweeps pin nothing and
-//     leave the pool to the reads that revisit pages.
+//     (storage.RunReader.Read). On a little-endian host, whose layout of
+//     ids and weights is the file's encoding, the window's elements land
+//     straight in the sweep's decoded id and weight buffers; a big-endian
+//     host reads them into a byte buffer and decodes. A sequential scan is what
+//     an LRU pool cannot help with, so sweeps pin nothing and leave the
+//     pool to the reads that revisit pages.
 //   - Row cursors pin the pages they read through the store's buffer pool
 //     (a cursor keeps its last page per run pinned between reads), and the
 //     pool's LRU keeps a query's working set of rows resident.
@@ -498,7 +501,9 @@ func (pc *pagedCursor) Neighbors(u graph.NodeID) ([]graph.NodeID, []float64) {
 }
 
 // nativeLE reports whether this host lays out an int32 little-endian, as
-// the file does: the precondition for viewing Adjncy bytes as ids.
+// the file does: the precondition for viewing Adjncy bytes as ids and for
+// reading a sweep window straight into its decoded buffers. A variable,
+// not a constant, so a test can run the big-endian paths on any host.
 var nativeLE = func() bool {
 	x := uint16(1)
 	return *(*byte)(unsafe.Pointer(&x)) == 1
@@ -517,6 +522,21 @@ func frameIDs(b []byte) []graph.NodeID {
 		return nil
 	}
 	return unsafe.Slice((*graph.NodeID)(unsafe.Pointer(p)), len(b)/4)
+}
+
+// hostBytes views s as its bytes in host order, which on a little-endian
+// host is the file's encoding of the same ids or weights: a run read into
+// the view fills s with no decode. It returns nil on a big-endian host,
+// where the caller reads into a byte buffer and decodes. Alignment is
+// inherent: s is a []NodeID or a []float64.
+//
+//gmine:hotpath
+func hostBytes[E graph.NodeID | float64](s []E) []byte {
+	if !nativeLE {
+		return nil
+	}
+	var e E
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(e)))
 }
 
 // --- Edge-centric blocked sweep -------------------------------------------
@@ -539,11 +559,13 @@ const (
 )
 
 // sweepBufs is one sweep's reusable block state: the page scratch the
-// window reads land in, the window's element bytes copied out of it, and
-// the decoded edge window.
+// window reads land in and the decoded edge window, into which a
+// little-endian host copies each window's elements straight out of the
+// scratch. raw holds a window's element bytes on the way to their decode,
+// and only a big-endian host allocates it.
 type sweepBufs struct {
 	pages []byte
-	raw   []byte
+	raw   []byte // big-endian hosts only
 	ids   []graph.NodeID
 	ws    []float64
 }
@@ -609,7 +631,6 @@ func (c *PagedCSR) sweep(lo, hi int, mode sweepMode, emit func(u int, ids []grap
 	b, _ := c.sh.sweeps.Get().(*sweepBufs)
 	if b == nil {
 		b = &sweepBufs{
-			raw: make([]byte, sweepEdgeChunk*8),
 			ids: make([]graph.NodeID, sweepEdgeChunk),
 			ws:  make([]float64, sweepEdgeChunk),
 		}
@@ -665,7 +686,10 @@ func (c *PagedCSR) sweep(lo, hi int, mode sweepMode, emit func(u int, ids []grap
 // begins in the previous window) and the window reads sweepEdgeChunk new
 // half-edges past winHi — more when one list is longer — with one file
 // read per decoded run. So a pass over h half-edges takes at most
-// ⌈h/sweepEdgeChunk⌉ reads per run, whatever the row lengths.
+// ⌈h/sweepEdgeChunk⌉ reads per run, whatever the row lengths. On a
+// little-endian host each read lands in b.ids or b.ws directly (see
+// hostBytes); RunReader.Read copies there only after every page's
+// checksum has verified, so a faulted read leaves the window as it was.
 //
 //gmine:hotpath
 func (c *PagedCSR) advanceWindow(b *sweepBufs, winLo, winHi, elo, ehi, end int, mode sweepMode) (int, int, error) {
@@ -694,24 +718,38 @@ func (c *PagedCSR) advanceWindow(b *sweepBufs, winLo, winHi, elo, ehi, end int, 
 		b.ws = nw
 	}
 	m, at := target-winHi, winHi-winLo
-	if len(b.raw) < m*8 {
+	if !nativeLE && len(b.raw) < m*8 {
 		b.raw = make([]byte, m*8)
 	}
 	if mode&sweepIDs != 0 {
-		pages, err := c.adjncy.Read(winHi, target, b.raw[:m*4], &b.pages)
+		ids := b.ids[at : at+m]
+		dst := hostBytes(ids)
+		if dst == nil {
+			dst = b.raw[:m*4]
+		}
+		pages, err := c.adjncy.Read(winHi, target, dst, &b.pages)
 		c.sc.add(pages)
 		if err != nil {
 			return winLo, winHi, c.fault(err)
 		}
-		decodeIDs(b.ids[at:at+m], b.raw)
+		if !nativeLE {
+			decodeIDs(ids, dst)
+		}
 	}
 	if mode&sweepW != 0 {
-		pages, err := c.edgew.Read(winHi, target, b.raw[:m*8], &b.pages)
+		ws := b.ws[at : at+m]
+		dst := hostBytes(ws)
+		if dst == nil {
+			dst = b.raw[:m*8]
+		}
+		pages, err := c.edgew.Read(winHi, target, dst, &b.pages)
 		c.sc.add(pages)
 		if err != nil {
 			return winLo, winHi, c.fault(err)
 		}
-		decodeF64(b.ws[at:at+m], b.raw)
+		if !nativeLE {
+			decodeF64(ws, dst)
+		}
 	}
 	return winLo, target, nil
 }
