@@ -21,11 +21,18 @@
 // present on only one side are reported but never fail the gate (the
 // suite grows over time), and improvements are listed for the log.
 //
+// The work counts a benchmark reports (rows/op, pins/op, reads/op,
+// sweeps/op: rows, pool pins, file reads and sweeps per operation) are
+// gated too, on any machine: they count what the code does, not how fast
+// the box is, so a value above old×1.01+1 fails the compare (exit 1)
+// whatever the tolerance. The slack absorbs one-off work (an offset-table
+// read at a store's first query) spread over a different iteration count.
+//
 // Every report carries the environment that produced it (CPU count,
-// GOMAXPROCS, Go version, commit), and -compare refuses — exit code 3,
-// distinct from a regression's 1 — to diff two reports whose machines
-// differ: a 1-core point against a 2-core point says nothing about the
-// code.
+// GOMAXPROCS, Go version, commit), and -compare skips the ns/op gate —
+// exit code 3, distinct from a regression's 1, once the work counts have
+// passed — when the two reports' machines differ: a 1-core point against
+// a 2-core point says nothing about the code's speed.
 package main
 
 import (
@@ -149,8 +156,8 @@ func main() {
 }
 
 // runCompare loads both reports and prints the verdict; returns the
-// process exit code (0 ok, 1 regression, 2 usage/IO error, 3 reports from
-// different machines).
+// process exit code (0 ok, 1 regression, 2 usage/IO error, 3 work counts
+// passed but ns/op skipped, the reports being from different machines).
 func runCompare(oldPath, newPath string, tolerance float64, match string) int {
 	if tolerance <= 0 {
 		fmt.Fprintf(os.Stderr, "benchjson: tolerance %g must be positive\n", tolerance)
@@ -174,11 +181,8 @@ func runCompare(oldPath, newPath string, tolerance float64, match string) int {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		return 2
 	}
-	if diff := machineMismatch(oldRep, newRep); diff != "" {
-		fmt.Printf("benchjson: %s and %s are not comparable: %s\n", oldPath, newPath, diff)
-		return 3
-	}
-	res := compareReports(oldRep, newRep, tolerance, re)
+	diff := machineMismatch(oldRep, newRep)
+	res := compareReports(oldRep, newRep, tolerance, re, diff == "")
 	for _, l := range res.Notes {
 		fmt.Println(l)
 	}
@@ -186,8 +190,13 @@ func runCompare(oldPath, newPath string, tolerance float64, match string) int {
 		for _, l := range res.Regressions {
 			fmt.Println(l)
 		}
-		fmt.Printf("benchjson: %d benchmark(s) regressed beyond %.2fx\n", len(res.Regressions), tolerance)
+		fmt.Printf("benchjson: %d regression(s): ns/op beyond %.2fx or work counts above old×%.2f+1\n", len(res.Regressions), tolerance, workSlack)
 		return 1
+	}
+	fmt.Printf("benchjson: no work count above old×%.2f+1 across %d compared count(s)\n", workSlack, res.WorkCompared)
+	if diff != "" {
+		fmt.Printf("benchjson: ns/op skipped, %s and %s are not comparable: %s\n", oldPath, newPath, diff)
+		return 3
 	}
 	fmt.Printf("benchjson: no ns/op regression beyond %.2fx across %d compared benchmark(s)\n", tolerance, res.Compared)
 	return 0
@@ -207,17 +216,27 @@ func loadReport(path string) (Report, error) {
 
 // CompareResult is the verdict of compareReports: Regressions fail the
 // gate, Notes (improvements, one-sided benchmarks) are informational.
+// Compared counts the benchmarks whose ns/op was compared, WorkCompared
+// the work counts.
 type CompareResult struct {
-	Compared    int
-	Regressions []string
-	Notes       []string
+	Compared     int
+	WorkCompared int
+	Regressions  []string
+	Notes        []string
 }
 
-// compareReports diffs new against old ns/op per benchmark name (the
-// -cpu suffix is already stripped by the parser). A benchmark regresses
-// when newNs > oldNs*tolerance; benchmarks on only one side are noted but
+// workMetrics are the deterministic work counts benchmarks report, gated
+// on any machine; workSlack is their relative slack.
+var workMetrics = []string{"rows/op", "pins/op", "reads/op", "sweeps/op"}
+
+const workSlack = 1.01
+
+// compareReports diffs new against old per benchmark name (the -cpu
+// suffix is already stripped by the parser). Every work count both sides
+// report regresses when new > old*workSlack+1; when timed, ns/op regresses
+// when newNs > oldNs*tolerance. Benchmarks on only one side are noted but
 // never fail, so the gate survives suite growth and renames.
-func compareReports(oldRep, newRep Report, tolerance float64, match *regexp.Regexp) CompareResult {
+func compareReports(oldRep, newRep Report, tolerance float64, match *regexp.Regexp, timed bool) CompareResult {
 	oldBy := make(map[string]Benchmark, len(oldRep.Benchmarks))
 	for _, b := range oldRep.Benchmarks {
 		oldBy[b.Name] = b
@@ -234,7 +253,19 @@ func compareReports(oldRep, newRep Report, tolerance float64, match *regexp.Rege
 			res.Notes = append(res.Notes, fmt.Sprintf("new (no baseline): %s  %.0f ns/op", nb.Name, nb.NsPerOp))
 			continue
 		}
-		if ob.NsPerOp <= 0 || nb.NsPerOp <= 0 {
+		for _, m := range workMetrics {
+			ov, okOld := ob.Metrics[m]
+			nv, okNew := nb.Metrics[m]
+			if !okOld || !okNew {
+				continue
+			}
+			res.WorkCompared++
+			if nv > ov*workSlack+1 {
+				res.Regressions = append(res.Regressions, fmt.Sprintf(
+					"WORK REGRESSION %s: %g -> %g %s (> %g×%.2f+1)", nb.Name, ov, nv, m, ov, workSlack))
+			}
+		}
+		if !timed || ob.NsPerOp <= 0 || nb.NsPerOp <= 0 {
 			continue
 		}
 		res.Compared++

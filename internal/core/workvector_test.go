@@ -39,8 +39,8 @@ func TestExtractWorkVectorPaged(t *testing.T) {
 		k    int
 		want vector
 	}{
-		{"one source", 1, vector{rows: 200983, pins: 56233, misses: 54123, sweepReads: 1534, sweepPages: 148323}},
-		{"two sources", 2, vector{rows: 214850, pins: 58995, misses: 56544, sweepReads: 1526, sweepPages: 147368}},
+		{"one source", 1, vector{rows: 38267, pins: 26212, misses: 24787, sweepReads: 1534, sweepPages: 148323}},
+		{"two sources", 2, vector{rows: 61760, pins: 33794, misses: 31667, sweepReads: 1526, sweepPages: 147368}},
 	} {
 		tr := obs.NewTrace("work-vector")
 		if _, err := eng.ExtractTraced(context.Background(), tr, sources[:c.k], extract.Options{Budget: 20}); err != nil {

@@ -22,7 +22,8 @@ type Options struct {
 	Mode CombineMode
 	// K for CombineKSoftAND.
 	K int
-	// MaxPathLen caps key-path length in the dynamic program (default 10).
+	// MaxPathLen caps key-path length in the dynamic program (default 10,
+	// at most MaxPathLenCap).
 	MaxPathLen int
 	// StageHook, if set, receives the wall-clock timing of each internal
 	// extraction stage ("rwr" solve, "expand" key-path rounds, "induce"
@@ -31,16 +32,27 @@ type Options struct {
 	StageHook func(stage string, start time.Time, d time.Duration)
 }
 
+// MaxPathLenCap is the longest key path an extraction may ask for. The DP
+// holds a parent row of n entries per level and source, so the length is
+// what sizes its memory: (MaxPathLen+1)·4·n bytes per source, 0.4 MB per
+// source on the 3k-node demo graph at the cap, where a length of a million
+// asked for 12.6 GB.
+const MaxPathLenCap = 32
+
 // Normalize validates o and fills zero fields with defaults, rejecting
-// explicitly out-of-range RWR parameters. It is idempotent, and the server
-// uses it to canonicalize requests before building cache keys, so "budget
-// omitted" and "budget 30" share one cache entry.
+// explicitly out-of-range RWR parameters and a MaxPathLen above
+// MaxPathLenCap. It is idempotent, and the server uses it to canonicalize
+// requests before building cache keys, so "budget omitted" and "budget 30"
+// share one cache entry.
 func (o Options) Normalize() (Options, error) {
 	if o.Budget <= 0 {
 		o.Budget = 30
 	}
 	if o.MaxPathLen <= 0 {
 		o.MaxPathLen = 10
+	}
+	if o.MaxPathLen > MaxPathLenCap {
+		return o, fmt.Errorf("extract: maxPathLen %d exceeds the cap of %d", o.MaxPathLen, MaxPathLenCap)
 	}
 	if o.Mode != CombineKSoftAND {
 		// K only participates in k-softAND scoring; zero it elsewhere so
@@ -290,11 +302,12 @@ func inducedFromAdj(adj graph.Adjacency, directed bool, labelOf func(graph.NodeI
 }
 
 // maxFusedSources caps how many sources' key-path tables one row pass
-// fills. Every fused source holds two score rows and maxLen parent rows of
-// n entries — 56 bytes per node at the default maxLen of 10 — so a group
-// of four is 224 bytes per node: 2 MB on the 9.5k-node bench fixture,
-// 70 MB on the papers' 315k-node DBLP. Extractions rarely name more than
-// four sources; one that does runs ceil(k/4) passes per level.
+// fills. Every fused source holds three score rows (prev, next, top) and
+// maxLen parent rows of n entries — 64 bytes per node at the default
+// maxLen of 10 — so a group of four is 256 bytes per node: 2.4 MB on the
+// 9.5k-node bench fixture, 81 MB on the papers' 315k-node DBLP.
+// Extractions rarely name more than four sources; one that does runs
+// ceil(k/4) passes per level.
 const maxFusedSources = 4
 
 // keyPathDP holds the tables of the key-path dynamic program so the ~30
@@ -302,7 +315,9 @@ const maxFusedSources = 4
 // walk-back's buffers. One build fills the tables of a whole group of
 // sources for one destination: every level reads each frontier row once
 // through the cursor and relaxes it into the table of each source whose
-// frontier holds it. The arithmetic is still one full DP per (source,
+// frontier holds it. A source's frontier is improving: it holds the nodes
+// whose score at the last level beats every score they had at an earlier
+// one (see relaxLevel). The arithmetic is still one DP per (source,
 // destination); what the group shares is the row reads.
 //
 // desc is the direction of the next level's row pass. It flips after
@@ -322,6 +337,7 @@ type keyPathDP struct {
 // keyPathTable is one source's share of a build.
 type keyPathTable struct {
 	prev, next []float64 // score rows of the last and the current level
+	top        []float64 // top[u]: u's best score at the levels it was relaxed from
 	parents    [][]int32 // parents[l][v]: predecessor of v on the best l-edge walk
 	par        []int32   // parents[l] of the current level
 	best       int       // length of the best walk to dst; 0 = the source is dst, -1 = none
@@ -332,13 +348,16 @@ type keyPathTable struct {
 // maxFusedSources) to dst: dp[l][v] = best sum of log-goodness over the
 // nodes of a walk of exactly l edges from the source to v, at most maxLen
 // edges, and parents[l][v] the smallest predecessor that achieves it.
-// reach lists the nodes of positive goodness in ascending order; no walk
-// passes through any other node, so only their rows are candidates. Rows
-// are read through cur once per level for the whole group, ids only (the
-// DP never looks at edge weights), the reachable nodes in ascending order
-// on one level and descending on the next (see keyPathDP); the tie rule
-// in relax makes the tables independent of the order. walk then returns
-// each source's path.
+// That holds exactly wherever dp[l][v] beats dp[k][v] for every k < l,
+// which is every entry a best length or a walk reads; the entries of a
+// node that did not improve may hold less (see relaxLevel). reach lists
+// the nodes of positive goodness in ascending order; no walk passes
+// through any other node, so only their rows are candidates. Rows are read
+// through cur once per level for the whole group, ids only (the DP never
+// looks at edge weights), the reachable nodes in ascending order on one
+// level and descending on the next (see keyPathDP); the tie rule in relax
+// makes the tables independent of the order. walk then returns each
+// source's path.
 func (d *keyPathDP) build(cur graph.RowCursor, srcs []graph.NodeID, dst graph.NodeID, logGood []float64, reach []graph.NodeID, maxLen int) {
 	d.start(srcs, dst, logGood, maxLen)
 	for l := 1; l <= maxLen && len(d.live) > 0; l++ {
@@ -348,7 +367,7 @@ func (d *keyPathDP) build(cur graph.RowCursor, srcs []graph.NodeID, dst graph.No
 }
 
 // start sizes the tables for maxLen levels and seeds level 0 of every
-// source of srcs that is not dst itself.
+// source of srcs that is not dst itself; no node has a top score yet.
 func (d *keyPathDP) start(srcs []graph.NodeID, dst graph.NodeID, logGood []float64, maxLen int) {
 	n := len(logGood)
 	negInf := math.Inf(-1)
@@ -356,7 +375,7 @@ func (d *keyPathDP) start(srcs []graph.NodeID, dst graph.NodeID, logGood []float
 		*d = keyPathDP{n: n, maxLen: maxLen}
 	}
 	for len(d.tabs) < len(srcs) {
-		t := keyPathTable{prev: make([]float64, n), next: make([]float64, n), parents: make([][]int32, maxLen+1)}
+		t := keyPathTable{prev: make([]float64, n), next: make([]float64, n), top: make([]float64, n), parents: make([][]int32, maxLen+1)}
 		for l := 1; l <= maxLen; l++ {
 			t.parents[l] = make([]int32, n)
 		}
@@ -371,18 +390,19 @@ func (d *keyPathDP) start(srcs []graph.NodeID, dst graph.NodeID, logGood []float
 			continue
 		}
 		d.live = append(d.live, t)
-		prev := t.prev
+		prev, top := t.prev, t.top
 		for i := range prev {
-			prev[i] = negInf
+			prev[i], top[i] = negInf, negInf
 		}
 		prev[src] = logGood[src]
 	}
 }
 
-// level fills level l of every live table from level l-1, visiting the
-// rows of reach in descending node order when desc, and keeps the first
-// best length to dst. Every entry of next and par is reset, not only
-// reach's, so the tables hold -Inf and -1 for every unreachable node.
+// level fills level l of every live table from the nodes that improved at
+// level l-1, visiting the rows of reach in descending node order when
+// desc, and keeps the first best length to dst. Every entry of next and
+// par is reset, not only reach's, so the tables hold -Inf and -1 for every
+// node no relaxed row reaches.
 func (d *keyPathDP) level(cur graph.RowCursor, l int, dst graph.NodeID, logGood []float64, reach []graph.NodeID, desc bool) {
 	negInf := math.Inf(-1)
 	for _, t := range d.live {
@@ -410,11 +430,22 @@ func (d *keyPathDP) level(cur graph.RowCursor, l int, dst graph.NodeID, logGood 
 // through cur: the reachable nodes in ascending order, or descending when
 // desc. A frontier never holds any other node: a score leaves -Inf only
 // at a source of positive goodness or by a relax step onto a node of
-// positive goodness. It is a function of its own to keep the row loop's
+// positive goodness.
+//
+// A table relaxes u only if its score at the last level, prev[u], is
+// higher than top[u], the best score u had at any earlier level, and then
+// raises top[u] to it. That is exact whatever the sign of logGood: when a
+// shorter walk reaches u with a score at least as high, every extension
+// of the longer walk is matched or beaten, at a shorter length, by the
+// same extension of the shorter one. So the entries that improve on every
+// earlier level are those of the full DP, every predecessor that achieves
+// such an entry improved at its own level, and best, bestScore and every
+// walk — which read only improving entries — are unchanged; an entry no
+// walk reads may stay lower. An unreached node has prev and top both -Inf
+// and is skipped. It is a function of its own to keep the row loop's
 // working set in registers; inside level's frame the compiler spills the
 // loop counters.
 func relaxLevel(cur graph.RowCursor, live []*keyPathTable, logGood []float64, reach []graph.NodeID, desc bool) {
-	negInf := math.Inf(-1)
 	m := len(reach)
 	for i := 0; i < m; i++ {
 		k := i
@@ -428,9 +459,10 @@ func relaxLevel(cur graph.RowCursor, live []*keyPathTable, logGood []float64, re
 		read := false
 		for _, t := range live {
 			pu := t.prev[u]
-			if pu == negInf {
-				continue
+			if pu <= t.top[u] {
+				continue // u did not improve: a shorter walk dominates
 			}
+			t.top[u] = pu
 			if !read {
 				nbrs, read = cur.NeighborIDs(u), true
 			}

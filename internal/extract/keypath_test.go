@@ -177,11 +177,22 @@ func TestKeyPathPinsPerDP(t *testing.T) {
 	if uint64(pins) != dpGets {
 		t.Fatalf("cursor counted %d pins, the pool %d", pins, dpGets)
 	}
-	// The premise: the DP read several rows per pinned page (a 252-byte
-	// page holds only a handful of these rows' ids), and would have paid
-	// at least one pin per row without the cursor.
-	if rows < 4*n || uint64(rows) < 3*dpGets {
-		t.Fatalf("DP read %d rows for %d pins — contrast premise broken", rows, dpGets)
+	// The premise: the DP read the rows of its improving frontier — at
+	// each level the nodes whose score beat every shorter walk to them,
+	// counted on the textbook DP — several per pinned page (a 252-byte page
+	// holds only a handful of these rows' ids), and would have paid at
+	// least one pin per row without the cursor.
+	score, _, _ := textbookKeyPath(graph.ToCSR(g), 0, logGood, maxLen)
+	var frontier int64
+	for l := range maxLen {
+		for v := range graph.NodeID(n) {
+			if improves(score, l, v) {
+				frontier++
+			}
+		}
+	}
+	if rows != frontier || uint64(rows) < 3*dpGets {
+		t.Fatalf("DP read %d rows (improving frontier %d) for %d pins — contrast premise broken", rows, frontier, dpGets)
 	}
 	s.ResetPoolStats()
 	for u := 0; u < n; u++ {
@@ -281,7 +292,10 @@ func TestExtractFusedGroupsMatchPerPair(t *testing.T) {
 // TestKeyPathFusedReadsEachRowOnce pins what fusing buys, as a count: at
 // every level a build reads the union of its sources' frontiers — each row
 // once, however many sources need it — where per-source solves read the
-// frontiers one by one. Counted on the paged cursor's own row counter.
+// frontiers one by one. A source's frontier at level l is its improving
+// set at level l-1, taken from the textbook DP: the nodes whose best
+// (l-1)-edge walk scores higher than every shorter walk to them. Counted
+// on the paged cursor's own row counter.
 func TestKeyPathFusedReadsEachRowOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	const n, maxLen = 400, 5
@@ -293,33 +307,27 @@ func TestKeyPathFusedReadsEachRowOnce(t *testing.T) {
 	}
 	srcs := []graph.NodeID{0, 1, 200, 399}
 	const dst = graph.NodeID(77)
-	// reach[j] is source j's frontier: the nodes some l-edge walk through
-	// positive-goodness nodes ends on. Source 399 has zero goodness itself
-	// and never leaves.
-	reach := make([]map[graph.NodeID]bool, len(srcs))
+	// Source 399 has zero goodness itself: its frontier is empty from level
+	// 0 on.
+	c := graph.ToCSR(g)
+	scores := make([][][]float64, len(srcs))
 	for j, s := range srcs {
-		reach[j] = map[graph.NodeID]bool{}
-		if !math.IsInf(logGood[s], -1) {
-			reach[j][s] = true
-		}
+		scores[j], _, _ = textbookKeyPath(c, s, logGood, maxLen)
 	}
 	var union, sum int64
 	for l := 0; l < maxLen; l++ {
-		all := map[graph.NodeID]bool{}
-		for j := range reach {
-			next := map[graph.NodeID]bool{}
-			for u := range reach[j] {
-				all[u] = true
-				for _, e := range g.Neighbors(u) {
-					if !math.IsInf(logGood[e.To], -1) {
-						next[e.To] = true
-					}
+		for u := range graph.NodeID(n) {
+			in := 0
+			for j := range srcs {
+				if improves(scores[j], l, u) {
+					in++
 				}
 			}
-			sum += int64(len(reach[j]))
-			reach[j] = next
+			sum += int64(in)
+			if in > 0 {
+				union++
+			}
 		}
-		union += int64(len(all))
 	}
 	rowsOf := func(solve func(*keyPathDP, graph.RowCursor)) int64 {
 		before, _ := paged.CursorCounts()
@@ -378,18 +386,39 @@ func textbookKeyPath(c *graph.CSR, src graph.NodeID, logGood []float64, maxLen i
 	return score, parent, ties
 }
 
+// textbookBest is the first length at which the textbook score to dst is
+// highest, and that score: -1 and -Inf when no walk of 1..maxLen edges
+// reaches dst.
+func textbookBest(score [][]float64, dst graph.NodeID) (int, float64) {
+	best, bestScore := -1, math.Inf(-1)
+	for l := 1; l < len(score); l++ {
+		if score[l][dst] > bestScore {
+			best, bestScore = l, score[l][dst]
+		}
+	}
+	return best, bestScore
+}
+
+// improves reports whether the textbook score of v at level l is higher
+// than every score v had at an earlier level. Those are the entries the
+// pruned DP holds exactly, and for l < maxLen the rows it relaxes at level
+// l+1 (its improving frontier).
+func improves(score [][]float64, l int, v graph.NodeID) bool {
+	for k := 0; k < l; k++ {
+		if score[k][v] >= score[l][v] {
+			return false
+		}
+	}
+	return score[l][v] > math.Inf(-1)
+}
+
 // textbookWalk is walk over the textbook tables: the first best length to
 // dst, the parent chain back from it, repeated nodes dropped.
 func textbookWalk(score [][]float64, parent [][]int32, src, dst graph.NodeID) []graph.NodeID {
 	if src == dst {
 		return []graph.NodeID{dst}
 	}
-	best := -1
-	for l := 1; l < len(score); l++ {
-		if score[l][dst] > math.Inf(-1) && (best < 0 || score[l][dst] > score[best][dst]) {
-			best = l
-		}
-	}
+	best, _ := textbookBest(score, dst)
 	if best < 0 {
 		return nil
 	}
@@ -410,17 +439,21 @@ func textbookWalk(score [][]float64, parent [][]int32, src, dst graph.NodeID) []
 
 // TestKeyPathDPOrderIndependent: the DP's tables and walks do not depend
 // on the order a level visits rows in, nor on its visiting only the
-// reachable rows. On tie-heavy fixtures — every goodness drawn from two or
-// three values, so equal-score walks are everywhere — builds whose levels
-// alternate direction (as the extraction runs them, from either starting
-// direction and carried across destinations), run all ascending or all
-// descending, each match the textbook DP, which scans every row: every
-// level's parents, the last level's scores (-Inf and -1 included for the
-// nodes no walk reaches), the best length and score to the destination,
-// and the walk. In memory and paged. Zero-goodness blocks at both ends of
-// the id range make reach start after node 0 and end before node n-1;
-// odd trials add a zero-goodness source, which yields no walk; and a
-// counting cursor shows no zero-goodness row is ever read.
+// reachable rows that improved. On tie-heavy fixtures — every goodness
+// drawn from two or three values, so equal-score walks are everywhere —
+// builds whose levels alternate direction (as the extraction runs them,
+// from either starting direction and carried across destinations), run all
+// ascending or all descending, each match the textbook DP, which relaxes
+// every row at every level, wherever the pruned DP claims to be exact: at
+// every (level, node) whose textbook score is higher than at any earlier
+// level, the parent, and at the last level the score; each node's top (its
+// best score over the levels it was relaxed from); the best length and
+// score to every destination, and the walk. Every other last-level score
+// may only be lower than the textbook's, never higher. In memory and
+// paged. Zero-goodness blocks at both ends of the id range make reach
+// start after node 0 and end before node n-1; odd trials add a
+// zero-goodness source, which yields no walk; and a counting cursor shows
+// no zero-goodness row is ever read.
 func TestKeyPathDPOrderIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	negInf := math.Inf(-1)
@@ -512,22 +545,25 @@ func TestKeyPathDPOrderIndependent(t *testing.T) {
 							if logGood[src] == negInf && got != nil {
 								t.Fatalf("%s: zero-goodness source walked %v", tag(j), got)
 							}
-							for l := 1; l <= maxLen; l++ {
-								if !slices.Equal(tb.parents[l], w.parent[l]) {
-									t.Fatalf("%s: level %d parents differ from the textbook DP", tag(j), l)
+							for v := range graph.NodeID(n) {
+								for l := 1; l <= maxLen; l++ {
+									if improves(w.score, l, v) && tb.parents[l][v] != w.parent[l][v] {
+										t.Fatalf("%s: level %d parent of %d is %d, textbook %d", tag(j), l, v, tb.parents[l][v], w.parent[l][v])
+									}
+								}
+								last, want := tb.prev[v], w.score[maxLen][v]
+								if improves(w.score, maxLen, v) && math.Float64bits(last) != math.Float64bits(want) || last > want {
+									t.Fatalf("%s: last-level score of %d is %v, textbook %v", tag(j), v, last, want)
+								}
+								top := negInf
+								for l := range maxLen {
+									top = max(top, w.score[l][v])
+								}
+								if math.Float64bits(tb.top[v]) != math.Float64bits(top) {
+									t.Fatalf("%s: top of %d is %v, textbook %v", tag(j), v, tb.top[v], top)
 								}
 							}
-							for v := range tb.prev {
-								if math.Float64bits(tb.prev[v]) != math.Float64bits(w.score[maxLen][v]) {
-									t.Fatalf("%s: last-level score of %d is %v, textbook %v", tag(j), v, tb.prev[v], w.score[maxLen][v])
-								}
-							}
-							bestLen, bestScore := -1, negInf
-							for l := 1; l <= maxLen; l++ {
-								if w.score[l][dst] > bestScore {
-									bestLen, bestScore = l, w.score[l][dst]
-								}
-							}
+							bestLen, bestScore := textbookBest(w.score, dst)
 							if tb.best != bestLen || math.Float64bits(tb.bestScore) != math.Float64bits(bestScore) {
 								t.Fatalf("%s: best length %d score %v, textbook %d %v", tag(j), tb.best, tb.bestScore, bestLen, bestScore)
 							}
@@ -541,6 +577,69 @@ func TestKeyPathDPOrderIndependent(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestKeyPathPrunedMatchesTextbook is the referee of the improving-frontier
+// prune. A level relaxes u only when u's score beats every score it had at
+// an earlier level, and that is exact whatever the sign of logGood: a
+// shorter walk that reaches u with a score at least as high matches or
+// beats, at a shorter length, every extension of the longer one. So for
+// every destination the best length, its score and the walk equal the
+// textbook DP's bit for bit — in memory and paged, in groups of one to four
+// fused sources sharing one set of tables across destinations, on tie-heavy
+// goodness drawn from two or three values that include zero and positive
+// log-goodness (where walks around a cycle gain score) and about a tenth of
+// zero-goodness nodes, with maxLen from 2 to 10.
+func TestKeyPathPrunedMatchesTextbook(t *testing.T) {
+	rng := rand.New(rand.NewSource(101))
+	sets := [][]float64{{-1, -2}, {0, -1}, {1, 0, -1}, {0.5, -0.25, -3}}
+	walks := 0
+	for trial := 0; trial < 16; trial++ {
+		values := sets[trial%len(sets)]
+		n := 40 + rng.Intn(120)
+		g := randomConnected(rng, n, n+rng.Intn(2*n))
+		c := graph.ToCSR(g)
+		logGood := make([]float64, n)
+		for v := range logGood {
+			logGood[v] = values[rng.Intn(len(values))]
+			if rng.Intn(10) == 0 {
+				logGood[v] = math.Inf(-1)
+			}
+		}
+		maxLen := 2 + rng.Intn(9)
+		srcs := make([]graph.NodeID, 1+trial%maxFusedSources)
+		scores, parents := make([][][]float64, len(srcs)), make([][][]int32, len(srcs))
+		for j := range srcs {
+			srcs[j] = graph.NodeID(rng.Intn(n))
+			scores[j], parents[j], _ = textbookKeyPath(c, srcs[j], logGood, maxLen)
+		}
+		reach := reachOf(logGood)
+		for name, adj := range map[string]graph.Adjacency{"csr": c, "paged": pagedFixture(t, g, 6+rng.Intn(24))} {
+			cur := adj.Cursor()
+			var dp keyPathDP
+			for dst := range graph.NodeID(n) {
+				dp.build(cur, srcs, dst, logGood, reach, maxLen)
+				for j, src := range srcs {
+					tag := fmt.Sprintf("trial %d %s maxLen %d sources %v -> %d, source %d", trial, name, maxLen, srcs, dst, src)
+					got, want := dp.walk(j, dst), textbookWalk(scores[j], parents[j], src, dst)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s: walk %v, textbook %v", tag, got, want)
+					}
+					walks++
+					if src == dst {
+						continue
+					}
+					tb := &dp.tabs[j]
+					best, bestScore := textbookBest(scores[j], dst)
+					if tb.best != best || math.Float64bits(tb.bestScore) != math.Float64bits(bestScore) {
+						t.Fatalf("%s: best length %d score %v, textbook %d %v", tag, tb.best, tb.bestScore, best, bestScore)
+					}
+				}
+			}
+			cur.Close()
+		}
+	}
+	t.Logf("%d walks equal to the textbook DP's", walks)
 }
 
 // guardCursor counts the rows a DP reads through it, and among them the

@@ -1,8 +1,10 @@
 package extract
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -44,6 +46,30 @@ func TestRWROptionsNormalizeRejectsOutOfRange(t *testing.T) {
 	o2, err := o.Normalize()
 	if err != nil || o2 != o {
 		t.Fatalf("not idempotent: %+v vs %+v (err %v)", o2, o, err)
+	}
+}
+
+// TestOptionsNormalizeCapsMaxPathLen: a key-path length above
+// MaxPathLenCap is rejected with an error that names the cap, before
+// ConnectionSubgraph sizes any table for it (one request for a length of a
+// million used to allocate (maxLen+1)·n parent entries per source and kill
+// the server); the cap itself and the default stay accepted.
+func TestOptionsNormalizeCapsMaxPathLen(t *testing.T) {
+	for _, l := range []int{MaxPathLenCap + 1, 1000000} {
+		_, err := Options{MaxPathLen: l}.Normalize()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(MaxPathLenCap)) {
+			t.Errorf("MaxPathLen %d: err %v, want a rejection naming the cap %d", l, err, MaxPathLenCap)
+		}
+	}
+	for in, want := range map[int]int{0: 10, -3: 10, 1: 1, MaxPathLenCap: MaxPathLenCap} {
+		o, err := Options{MaxPathLen: in}.Normalize()
+		if err != nil || o.MaxPathLen != want {
+			t.Errorf("MaxPathLen %d normalized to %d (err %v), want %d", in, o.MaxPathLen, err, want)
+		}
+	}
+	g := pathGraph(6)
+	if _, err := ConnectionSubgraph(g, []graph.NodeID{0, 3}, Options{MaxPathLen: 1000000}); err == nil {
+		t.Fatal("ConnectionSubgraph accepted maxPathLen 1000000")
 	}
 }
 

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/dblp"
+	"repro/internal/extract"
 	"repro/internal/graph"
 )
 
@@ -197,6 +199,43 @@ func TestExtractRejectsOutOfRangeOptions(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("body %s: status %d (%s), want 400", body, resp.StatusCode, b)
 		}
+	}
+}
+
+// TestExtractRejectsOverlongPathBeforeSolve: a maxPathLen above the
+// extractor's cap — one such body once made the server allocate 12.6 GB of
+// key-path tables on a 3k-node graph and die — is a 400 naming the cap, on
+// the extract route and as a batch item, and no RWR runs for either: the
+// one RWR stage /metrics counts afterwards is the valid extraction's.
+func TestExtractRejectsOverlongPathBeforeSolve(t *testing.T) {
+	_, ts := newTestServer(t)
+	createSynthetic(t, ts, "dblp")
+	limit := fmt.Sprint(extract.MaxPathLenCap)
+	resp, err := http.Post(ts.URL+"/sessions/dblp/extract", "application/json",
+		bytes.NewReader([]byte(`{"sources":[0],"budget":10,"maxPathLen":1000000}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(b, []byte(limit)) {
+		t.Fatalf("extract: status %d (%s), want 400 naming the cap %s", resp.StatusCode, b, limit)
+	}
+	resp = postJSON(t, ts.URL+"/sessions/dblp/extract/batch", BatchExtractRequest{
+		Requests: []ExtractRequest{{Sources: []graph.NodeID{0}, Budget: 10, MaxPathLen: 1000000}},
+	})
+	out := decodeBody[BatchExtractResponse](t, resp)
+	if len(out.Results) != 1 || out.Results[0].Status != http.StatusBadRequest || !strings.Contains(out.Results[0].Error, limit) {
+		t.Fatalf("batch item: %+v, want a 400 naming the cap %s", out.Results, limit)
+	}
+	resp = postJSON(t, ts.URL+"/sessions/dblp/extract", ExtractRequest{Sources: []graph.NodeID{0}, Budget: 10, MaxPathLen: extract.MaxPathLenCap})
+	if resp.StatusCode != http.StatusOK {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("extract at the cap: %d %s", resp.StatusCode, b)
+	}
+	resp.Body.Close()
+	if n := metricValue(t, scrapeMetrics(t, ts), `gmine_query_stage_seconds_count{stage="rwr"}`); n != 1 {
+		t.Fatalf("%v RWR stages ran for two rejected bodies and one valid one, want 1", n)
 	}
 }
 
