@@ -226,7 +226,10 @@ type CompareResult struct {
 }
 
 // workMetrics are the deterministic work counts benchmarks report, gated
-// on any machine; workSlack is their relative slack.
+// on any machine; workSlack is their relative slack. A benchmark reports
+// a count under one of these names only when every op does the same
+// work; a count that moves with b.N (a stream of differing queries, a
+// one-off promotion) goes under another name and is never gated.
 var workMetrics = []string{"rows/op", "pins/op", "reads/op", "sweeps/op"}
 
 const workSlack = 1.01
