@@ -4,7 +4,7 @@ GO ?= go
 # how long each runs. 1s gives stable ns/op; drop to e.g. 5x for a quick
 # local look.
 BENCHTIME ?= 1s
-BENCH_JSON_PATTERN ?= 'BenchmarkExtractMemoryVsPaged|BenchmarkPageRankMemoryVsPaged|BenchmarkRWRMultiFused|BenchmarkRWRPushVsPower|BenchmarkRWRSetSweepVsNeighbors|BenchmarkPageRankSweepVsNeighbors|BenchmarkExtractTieredSkewed|BenchmarkKeyPathPagedCursor|BenchmarkPoolMiss|BenchmarkE1_GTreeBuild|BenchmarkPartition/Multilevel|BenchmarkGTreeBuildScale'
+BENCH_JSON_PATTERN ?= 'BenchmarkExtractMemoryVsPaged|BenchmarkPageRankMemoryVsPaged|BenchmarkRWRMultiFused|BenchmarkRWRPushVsPower|BenchmarkRWRSetSweepVsNeighbors|BenchmarkPageRankSweepVsNeighbors|BenchmarkExtractTieredSkewed|BenchmarkKeyPathPagedCursor|BenchmarkPoolMiss|BenchmarkE1_GTreeBuild|BenchmarkPartition/Multilevel|BenchmarkGTreeBuildScale|BenchmarkE2_SceneKinds|BenchmarkE7_SubgraphMetrics'
 
 .PHONY: all build vet lint test race check bench bench-json fmt fuzz-smoke
 
@@ -42,8 +42,9 @@ bench:
 	$(GO) test -bench . -benchmem -run xxx ./...
 
 # Runs the key extraction/PageRank benchmarks (ns/op + allocs/op, memory
-# vs paged vs tiered) and the hierarchy-build
-# benchmarks (ns/op, allocs/op, nodes/s) and writes BENCH_extract.json
+# vs paged vs tiered), the hierarchy-build
+# benchmarks (ns/op, allocs/op, nodes/s) and navigate's two miss paths
+# (scene SVG rendering, a leaf's metric report) and writes BENCH_extract.json
 # for the CI artifact, so the perf trajectory of the hot paths gets
 # recorded run over run.
 bench-json:

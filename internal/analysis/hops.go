@@ -11,22 +11,32 @@ import (
 func BFSDistances(g *graph.Graph, src graph.NodeID) []int32 {
 	n := g.NumNodes()
 	dist := make([]int32, n)
+	bfsInto(g, src, dist, make([]graph.NodeID, n))
+	return dist
+}
+
+// bfsInto fills dist (length n) with the hop distance from src to every
+// node, -1 for unreachable. queue (length n) is scratch: every node is
+// enqueued at most once, so a fixed array with head and tail indices
+// holds the whole frontier. Callers running many BFSs reuse both buffers.
+//
+//gmine:hotpath
+func bfsInto(g *graph.Graph, src graph.NodeID, dist []int32, queue []graph.NodeID) {
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[src] = 0
-	queue := []graph.NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	queue[0] = src
+	for head, tail := 0, 1; head < tail; head++ {
+		u := queue[head]
 		for _, e := range g.Neighbors(u) {
 			if dist[e.To] < 0 {
 				dist[e.To] = dist[u] + 1
-				queue = append(queue, e.To)
+				queue[tail] = e.To
+				tail++
 			}
 		}
 	}
-	return dist
 }
 
 // HopPlot holds N(h): the number of ordered reachable pairs within h hops,
@@ -59,14 +69,16 @@ func ComputeHopPlot(g *graph.Graph, samples int, rng *rand.Rand) HopPlot {
 			sources[i] = graph.NodeID(i)
 		}
 	} else {
+		sources = make([]graph.NodeID, 0, samples)
 		for _, i := range rng.Perm(n)[:samples] {
 			sources = append(sources, graph.NodeID(i))
 		}
 	}
 	hp.Samples = len(sources)
 	var perHop []float64 // perHop[h] = # sampled pairs at distance exactly h
+	dist, queue := make([]int32, n), make([]graph.NodeID, n)
 	for _, s := range sources {
-		dist := BFSDistances(g, s)
+		bfsInto(g, s, dist, queue)
 		for _, d := range dist {
 			if d < 0 {
 				continue
@@ -105,8 +117,9 @@ func ComputeHopPlot(g *graph.Graph, samples int, rng *rand.Rand) HopPlot {
 func Diameter(g *graph.Graph) int {
 	n := g.NumNodes()
 	max := 0
+	dist, queue := make([]int32, n), make([]graph.NodeID, n)
 	for u := 0; u < n; u++ {
-		dist := BFSDistances(g, graph.NodeID(u))
+		bfsInto(g, graph.NodeID(u), dist, queue)
 		for _, d := range dist {
 			if int(d) > max {
 				max = int(d)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"repro/internal/graph"
 	"repro/internal/gtree"
@@ -18,10 +19,21 @@ var levelFill = []string{"#dbeafe", "#dcfce7", "#fef9c3", "#fee2e2", "#ede9fe", 
 // centers with width ~ log2(count+1).
 func SceneSVG(t *gtree.Tree, s *gtree.Scene, l *layout.SceneLayout, size float64) string {
 	svg := NewSVG(size, size)
-	svg.Comment(fmt.Sprintf("gmine scene focus=%d communities=%d edges=%d", s.Focus, s.Size(), len(s.Edges)))
+	ids := s.Nodes()
+	svg.grow(1 + 2*len(ids) + len(s.Edges))
+	// Appended, not formatted: Sprintf's boxing and Itoa both allocate
+	// for some values and not others, and the document's allocation
+	// count must not depend on the scene.
+	var hdr [80]byte
+	h := append(hdr[:0], "gmine scene focus="...)
+	h = strconv.AppendInt(h, int64(s.Focus), 10)
+	h = append(h, " communities="...)
+	h = strconv.AppendInt(h, int64(s.Size()), 10)
+	h = append(h, " edges="...)
+	h = strconv.AppendInt(h, int64(len(s.Edges)), 10)
+	svg.Comment(string(h))
 	// Draw enclosing discs first (ancestors outermost), then the rest by
 	// level so nesting stays visible.
-	ids := s.Nodes()
 	sort.SliceStable(ids, func(i, j int) bool { return t.Node(ids[i]).Level < t.Node(ids[j]).Level })
 	scale := size / (2 * l.Canvas.R)
 	for _, id := range ids {
@@ -53,11 +65,27 @@ func SceneSVG(t *gtree.Tree, s *gtree.Scene, l *layout.SceneLayout, size float64
 		if !ok {
 			continue
 		}
-		n := t.Node(id)
-		svg.Text(c.C.X*scale, c.C.Y*scale-c.R*scale-2, 10, "#0f172a",
-			fmt.Sprintf("s%03d (%d)", id, n.Size))
+		b := svg.openText(c.C.X*scale, c.C.Y*scale-c.R*scale-2, 10, "#0f172a")
+		svg.body = append(appendLabel(b, id, t.Node(id).Size), "</text>\n"...)
 	}
 	return svg.String()
+}
+
+// appendLabel appends a community's label, "s%03d (%d)" of its
+// (non-negative) id and its size, without formatting a string per label.
+// It needs no escaping.
+func appendLabel(b []byte, id gtree.TreeID, size int) []byte {
+	b = append(b, 's')
+	switch {
+	case id < 10:
+		b = append(b, "00"...)
+	case id < 100:
+		b = append(b, '0')
+	}
+	b = strconv.AppendInt(b, int64(id), 10)
+	b = append(b, " ("...)
+	b = strconv.AppendInt(b, int64(size), 10)
+	return append(b, ')')
 }
 
 // SubgraphSVG renders a leaf subgraph (or an extracted connection
