@@ -32,6 +32,7 @@ import (
 	"repro/internal/extract"
 	"repro/internal/graph"
 	"repro/internal/gtree"
+	"repro/internal/partition"
 )
 
 func main() {
@@ -141,16 +142,18 @@ func cmdBuild(args []string) error {
 		return err
 	}
 	t1 := time.Now()
-	eng, err := core.BuildEngine(g, core.BuildConfig{K: *k, Levels: *levels, Seed: *seed})
+	// The tree goes straight to the file: an engine over it would save it
+	// into memory first and serve nothing.
+	tr, err := gtree.Build(g, gtree.BuildOptions{K: *k, Levels: *levels, Partition: partition.Options{Seed: *seed}})
 	if err != nil {
 		return err
 	}
 	t2 := time.Now()
-	if err := eng.SaveTree(*out, *pageSize); err != nil {
+	if err := gtree.Save(tr, g, *out, *pageSize); err != nil {
 		return err
 	}
 	t3 := time.Now()
-	st := eng.Tree().ComputeStats()
+	st := tr.ComputeStats()
 	fmt.Printf("built G-Tree: %d communities (%d leaves, avg %.1f nodes) in %d levels -> %s (read %s / build %s / save %s)\n",
 		st.Communities, st.Leaves, st.AvgLeafSize, st.Levels, *out,
 		t1.Sub(t0).Round(time.Millisecond), t2.Sub(t1).Round(time.Millisecond), t3.Sub(t2).Round(time.Millisecond))

@@ -45,15 +45,17 @@
 //	        Name: "dblp", Source: "synthetic", Scale: 0.1, Seed: 1})
 //	srv.ListenAndServe()
 //
-// Disk-backed sessions can additionally tier: while SetTierBudget (or
-// `-tierbudget` / the tierBudget session field) covers the decoded CSR,
-// the engine promotes the whole graph into memory after its first query,
-// and each later query that opens while it is resident reads it from
-// there, bit-identical to the paged path. Below that budget every query
-// pages: its whole-graph sweeps read the file a window of pages at a time
-// without touching the buffer pool, and only its row cursors pin pages
-// through the pool, with row bounds from an offset table read once per
-// store. Every paged query reads through its own view, which latches its
+// Every engine reads one G-Tree file through the same store: Open reads
+// it from disk, Build saves its tree into an in-memory file and opens
+// that. Engines can tier: while SetTierBudget (or `-tierbudget` / the
+// tierBudget session field) covers the decoded CSR, the engine promotes
+// the whole graph into memory after its first query — a built engine at
+// open — and each later query that opens while it is resident reads it
+// from there, bit-identical to the paged path. Below that budget every
+// query pages: its whole-graph sweeps read the file a window of pages at
+// a time without touching the buffer pool, and only its row cursors pin
+// pages through the pool, with row bounds from an offset table read once
+// per store. Every paged query reads through its own view, which latches its
 // own faults and counts its own reads, so one query's bad read never
 // fails another. See README "Blocked sweeps", "Hot/cold tiering" and
 // "Resilience".

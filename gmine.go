@@ -35,8 +35,8 @@ func Induced(g *Graph, nodes []NodeID) (*Graph, []NodeID) { return graph.Induced
 type CSR = graph.CSR
 
 // Adjacency is the read-only neighbor-structure interface every kernel
-// consumes; *CSR implements it in memory and disk-backed engines serve a
-// paged implementation bounded by their buffer pool (see Engine.Adj).
+// consumes; *CSR implements it in memory and every engine's store serves
+// a paged implementation bounded by its buffer pool (see Engine.Adj).
 type Adjacency = graph.Adjacency
 
 // RowCursor is the per-goroutine random-access row reader opened with
@@ -86,7 +86,8 @@ type Workspace = core.Workspace
 // information").
 type NodeInfoPopup = core.NodeInfo
 
-// Build constructs a memory-backed engine over g.
+// Build constructs an engine over g: its G-Tree is saved into an
+// in-memory file and served from there, the whole graph resident.
 func Build(g *Graph, cfg BuildConfig) (*Engine, error) { return core.BuildEngine(g, cfg) }
 
 // Open opens a persisted G-Tree file as a disk-backed engine.
@@ -254,8 +255,8 @@ type PageRankOptions = analysis.PageRankOptions
 
 // GraphAnalysis is the whole-graph analysis suite of Engine.AnalyzeGraph:
 // degree distribution, connected components, self-loops and PageRank over
-// the engine's shared adjacency — out of core on disk-backed engines, with
-// bit-identical results across backends.
+// the query's view of the graph — out of core unless the resident tier
+// holds it, with bit-identical results either way.
 type GraphAnalysis = core.GraphAnalysis
 
 // AdjacencyReport is the Adjacency-only half of the whole-graph suite

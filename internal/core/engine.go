@@ -3,6 +3,13 @@
 // persist it to a single file, navigate it interactively with Tomahawk
 // scenes, query labels, compute §III.B mining metrics on focused
 // subgraphs, extract connection subgraphs, and render everything to SVG.
+//
+// Every engine reads its graph from one G-Tree file through a gtree.Store.
+// OpenEngine opens the file on disk. BuildEngine builds the tree, saves it
+// into an in-memory file and opens that, with the whole graph promoted to
+// the store's resident tier. There is no second, memory-only read path:
+// a built engine answers every query the way an opened engine with a
+// covering tier budget does.
 package core
 
 import (
@@ -10,9 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
-	"strings"
-	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/extract"
@@ -50,28 +54,27 @@ type BuildConfig struct {
 	Ctx context.Context
 }
 
-// Engine is a GMine session over one graph. It is either memory-backed
-// (BuildEngine: full graph resident, extraction available) or disk-backed
-// (OpenEngine: only topology+connectivity resident, leaves paged in on
-// demand).
+// Engine is a GMine session over one graph, held as a G-Tree store:
+// topology and connectivity resident, leaves, the label index and the
+// graph's CSR read on demand through the store's buffer pool, or from its
+// resident tier while the tier budget covers the graph. Every query reads
+// through the store, whichever constructor made the engine.
 type Engine struct {
+	// g is BuildEngine's input graph (nil on opened engines). No query
+	// reads it: only SaveTree and Graph do.
 	g     *graph.Graph
 	tree  *gtree.Tree
 	store *gtree.Store
-
-	// csr is the graph's immutable CSR form, built at most once per engine
-	// (lazily, on the first compute query) and shared by every extraction
-	// and analysis kernel thereafter. The sync.Once guard makes CSR() safe
-	// under the server's concurrent read locks.
-	csrOnce sync.Once
-	csr     *graph.CSR
 
 	focus   gtree.TreeID
 	history []gtree.TreeID
 }
 
-// BuildEngine partitions g recursively and returns a memory-backed engine
-// focused at the root.
+// BuildEngine partitions g recursively, saves the G-Tree into an
+// in-memory file at the default page size and opens it as a store with
+// the default pool, promoting the whole graph to the resident tier and
+// loading the label index. The engine is focused at the root; its tree
+// is the built one, so it also knows every node's leaf.
 func BuildEngine(g *graph.Graph, cfg BuildConfig) (*Engine, error) {
 	ctx := cfg.Ctx
 	if ctx == nil {
@@ -87,15 +90,30 @@ func BuildEngine(g *graph.Graph, cfg BuildConfig) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{g: g, tree: t, focus: t.Root()}, nil
+	f := storage.NewMemFile(nil)
+	if err := gtree.SaveTo(t, g, f, 0); err != nil {
+		return nil, err
+	}
+	st, err := gtree.OpenWith(f, 0)
+	if err == nil {
+		err = st.PromoteTier()
+	}
+	if err == nil {
+		err = st.PreloadLabels()
+	}
+	if err != nil {
+		return nil, err // nothing to release: the store's file is memory
+	}
+	return &Engine{g: g, tree: t, store: st, focus: t.Root()}, nil
 }
 
 // SaveTree persists the engine's G-Tree (leaf subgraphs, label index and
-// the graph's paged CSR section) into a single page file. Only
-// memory-backed engines can save.
+// the graph's paged CSR section) into a single page file at path, encoding
+// it again from the build graph at pageSize (0 = default). An engine
+// opened from a file has no build graph and cannot save.
 func (e *Engine) SaveTree(path string, pageSize int) error {
 	if e.g == nil {
-		return fmt.Errorf("core: disk-backed engine cannot re-save")
+		return fmt.Errorf("core: an engine opened from a file cannot re-save")
 	}
 	return gtree.Save(e.tree, e.g, path, pageSize)
 }
@@ -119,20 +137,15 @@ func OpenEngineWrapped(path string, poolPages int, wrap func(storage.File) stora
 	return &Engine{store: st, tree: st.Tree(), focus: st.Tree().Root()}, nil
 }
 
-// Close releases the underlying file of a disk-backed engine (no-op for
-// memory-backed ones).
-func (e *Engine) Close() error {
-	if e.store != nil {
-		return e.store.Close()
-	}
-	return nil
-}
+// Close releases the engine's store and its file.
+func (e *Engine) Close() error { return e.store.Close() }
 
 // Tree returns the engine's G-Tree.
 func (e *Engine) Tree() *gtree.Tree { return e.tree }
 
-// Graph returns the in-memory source graph, or nil for disk-backed
-// engines.
+// Graph returns BuildEngine's input graph, or nil for opened engines. It
+// serves build-side callers (the experiments, bench/layers' probes); no
+// engine query reads it.
 func (e *Engine) Graph() *graph.Graph { return e.g }
 
 // ErrPagedIO wraps an I/O or corruption fault hit while a query paged the
@@ -140,25 +153,12 @@ func (e *Engine) Graph() *graph.Graph { return e.g }
 // was well-formed, the store misbehaved.
 var ErrPagedIO = errors.New("core: paged graph read failed")
 
-// Adj returns the engine's shared adjacency view of the full graph — the
-// single compute representation every extraction and analysis kernel
-// reads. Memory-backed engines lazily build one in-memory CSR
-// (sync.Once-guarded, so concurrent query readers share one build);
-// disk-backed engines return the store's paged CSR, which pages neighbor
-// ranges through the buffer pool so resident adjacency memory is bounded
-// by the pool, not the graph.
-func (e *Engine) Adj() (graph.Adjacency, error) {
-	if e.g != nil {
-		e.csrOnce.Do(func() {
-			e.csr = graph.ToCSR(e.g)
-			// Warm the weighted-degree table too: every RWR solve needs it,
-			// and building it here keeps query-time work purely read-only.
-			e.csr.WeightedDegrees()
-		})
-		return e.csr, nil
-	}
-	return e.store.PagedCSR()
-}
+// Adj returns the engine's shared adjacency of the full graph for use
+// outside a query: the resident tier's CSR while one is promoted (always,
+// on a built engine), else the store's paged CSR, which pages neighbor
+// ranges through the buffer pool. Queries open their own view instead
+// (queryAdj), so their reads and faults are counted apart.
+func (e *Engine) Adj() (graph.Adjacency, error) { return e.store.Adj() }
 
 // SetPoolQuota does nothing: the buffer pool has one policy, plain LRU,
 // and reserves no frames for any query. The method stays because
@@ -170,33 +170,24 @@ func (e *Engine) SetPoolQuota(int) {}
 // [benchmark] change first.
 func (e *Engine) SetSweepShards(int) {}
 
-// SetTierBudget sets the hot/cold tiering byte budget of disk-backed
-// engines (0 = off, the default). With a budget, every whole-graph query
-// solves on a gtree.TieredCSR. After each query the engine runs one
-// promotion step: while the budget covers the decoded CSR, the first one
-// loads the whole graph into memory and later queries read it from there;
-// below that every read pages through the buffer pool — bit-identical
-// results either way. No-op for memory-backed engines (the whole graph
-// is already resident). Safe to call concurrently with queries: each
-// query picks memory or pages once, when it opens, and keeps its pick.
-func (e *Engine) SetTierBudget(bytes int64) {
-	if bytes < 0 {
-		bytes = 0
-	}
-	if e.store != nil {
-		e.store.SetTierBudget(bytes)
-	}
-}
+// SetTierBudget sets the store's hot/cold tiering byte budget (0 = off,
+// the default of opened engines; a built engine starts at the decoded
+// CSR's cost, promoted). With a budget, every whole-graph query solves on
+// a gtree.TieredCSR. After each query the engine runs one promotion step:
+// while the budget covers the decoded CSR, the first one loads the whole
+// graph into memory and later queries read it from there; below that
+// every read pages through the buffer pool — bit-identical results either
+// way. Safe to call concurrently with queries: each query picks memory or
+// pages once, when it opens, and keeps its pick.
+func (e *Engine) SetTierBudget(bytes int64) { e.store.SetTierBudget(max(bytes, 0)) }
 
 // queryAdj returns the adjacency a whole-graph query should solve on, the
-// query's gtree.QueryView behind it (nil on memory-backed engines) and a
-// release function to call when done. Memory-backed engines hand out the
-// shared CSR; disk-backed ones open the query's own view, which pins
-// through a counted view of the buffer pool, latches the query's own
-// faults, carries ctx into the blocked sweeps (a server timeout or client
-// disconnect aborts the sweep at the next chunk boundary) and, while a
-// tier budget is set, reads the resident graph if one was published as it
-// opened.
+// query's gtree.QueryView behind it and a release function to call when
+// done. The view pins through a counted view of the buffer pool, latches
+// the query's own faults, carries ctx into the blocked sweeps (a server
+// timeout or client disconnect aborts the sweep at the next chunk
+// boundary) and, while a tier budget is set, reads the resident graph if
+// one was published as it opened.
 //
 // When tr is non-nil the acquisition is recorded as the "open" stage, and
 // the release function charges the query's I/O — pins (buffer pool Gets =
@@ -208,10 +199,6 @@ func (e *Engine) SetTierBudget(bytes int64) {
 func (e *Engine) queryAdj(ctx context.Context, tr *obs.Trace) (graph.Adjacency, *gtree.QueryView, func(), error) {
 	sp := tr.StartStage("open")
 	defer sp.End()
-	if e.g != nil {
-		adj, err := e.Adj()
-		return adj, nil, func() {}, err
-	}
 	view, err := e.store.QueryView(ctx)
 	if err != nil {
 		// The CSR section's geometry does not match the file: the request
@@ -286,11 +273,8 @@ func tagTrace(tr *obs.Trace, err error) error {
 	return obs.TagRequest(err, tr.ID)
 }
 
-// Store returns the backing store of disk-backed engines (nil otherwise).
+// Store returns the engine's G-Tree store.
 func (e *Engine) Store() *gtree.Store { return e.store }
-
-// DiskBacked reports whether leaves are paged from a file.
-func (e *Engine) DiskBacked() bool { return e.store != nil }
 
 // --- Navigation session -------------------------------------------------
 
@@ -372,21 +356,10 @@ func (e *Engine) RenderSceneAt(id gtree.TreeID, size float64, opts gtree.Tomahaw
 // --- Leaf access ----------------------------------------------------------
 
 // LeafSubgraph returns the induced subgraph of a leaf community (local
-// coordinates, labels carried) and the mapping back to original node ids.
-// Memory-backed engines induce from the resident graph; disk-backed ones
-// page the leaf blob in.
+// coordinates, labels carried) and the mapping back to original node ids,
+// decoded from the leaf's blob in the store.
 func (e *Engine) LeafSubgraph(id gtree.TreeID) (*graph.Graph, []graph.NodeID, error) {
-	if !e.tree.Valid(id) {
-		return nil, nil, fmt.Errorf("core: invalid community %d", id)
-	}
-	if !e.tree.Node(id).IsLeaf() {
-		return nil, nil, fmt.Errorf("core: community %d is not a leaf", id)
-	}
-	if e.store != nil {
-		return e.store.LoadLeaf(id)
-	}
-	sub, members := graph.Induced(e.g, e.tree.Node(id).Members)
-	return sub, members, nil
+	return e.store.LoadLeaf(id)
 }
 
 // RenderLeaf force-lays-out a leaf community's subgraph and renders it,
@@ -425,59 +398,26 @@ func (e *Engine) MetricsReport(id gtree.TreeID, seed int64) (analysis.SubgraphRe
 // LabelHit re-exports gtree's label query result.
 type LabelHit = gtree.LabelHit
 
-// FindLabel locates nodes by exact label. Disk-backed engines use the
-// persisted label index; memory-backed engines scan the resident labels.
+// FindLabel returns every node whose label is exactly label, in node
+// order, from the store's persisted label index. Unlabeled nodes are not
+// in the index, so FindLabel("") finds nothing.
 func (e *Engine) FindLabel(label string) ([]LabelHit, error) {
-	if e.store != nil {
-		return e.store.FindLabel(label)
-	}
-	var hits []LabelHit
-	for u, l := range e.g.Labels() {
-		if l == label {
-			leaf := e.tree.LeafOf(graph.NodeID(u))
-			hits = append(hits, LabelHit{Label: l, Node: graph.NodeID(u), Leaf: leaf, Path: e.tree.Path(leaf)})
-		}
-	}
-	return hits, nil
+	return e.store.FindLabel(label)
 }
 
-// SearchLabelPrefix returns up to limit hits whose label starts with
-// prefix, in label order. Disk-backed engines use the persisted label
-// index; memory-backed engines scan the resident labels.
+// SearchLabelPrefix returns the nodes whose label starts with prefix, in
+// (label, node) order, from the store's persisted label index: the first
+// limit of them, or all of them when limit <= 0.
 func (e *Engine) SearchLabelPrefix(prefix string, limit int) ([]LabelHit, error) {
-	if e.store != nil {
-		return e.store.SearchLabelPrefix(prefix, limit)
-	}
-	if limit <= 0 {
-		limit = 10
-	}
-	// Select the surviving nodes first; leaf lookup and path
-	// materialization only happen for the limit hits actually returned.
-	var matched []graph.NodeID
-	labels := e.g.Labels()
-	for u, l := range labels {
-		if strings.HasPrefix(l, prefix) {
-			matched = append(matched, graph.NodeID(u))
-		}
-	}
-	sort.Slice(matched, func(i, j int) bool { return labels[matched[i]] < labels[matched[j]] })
-	if len(matched) > limit {
-		matched = matched[:limit]
-	}
-	hits := make([]LabelHit, 0, len(matched))
-	for _, u := range matched {
-		leaf := e.tree.LeafOf(u)
-		hits = append(hits, LabelHit{Label: labels[u], Node: u, Leaf: leaf, Path: e.tree.Path(leaf)})
-	}
-	return hits, nil
+	return e.store.SearchLabelPrefix(prefix, limit)
 }
 
 // --- Extraction --------------------------------------------------------------
 
 // withFaultCheck runs fn, one solve of a whole-graph query, and classifies
 // its outcome. A paged adjacency cannot surface I/O faults through the
-// Adjacency methods; the query's own view latches them instead (view is
-// nil on memory-backed engines). Three checks, in order:
+// Adjacency methods; the query's own view latches them instead. Three
+// checks, in order:
 //
 //  1. A cancelled solve returns ctx's error unwrapped. Kernels without an
 //     error surface, like PageRankAdj, stop early and return a partial
@@ -502,10 +442,8 @@ func withFaultCheck(ctx context.Context, view *gtree.QueryView, fn func() error)
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return err
 	}
-	if view != nil {
-		if ferr := view.Err(); ferr != nil {
-			return fmt.Errorf("%w: %v", ErrPagedIO, ferr)
-		}
+	if ferr := view.Err(); ferr != nil {
+		return fmt.Errorf("%w: %v", ErrPagedIO, ferr)
 	}
 	return err
 }
@@ -518,14 +456,10 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// preloadLabelsIfPaged loads the persisted label index up front on
-// disk-backed engines: result labels are annotated through an error-less
-// lookup, so a failed index read must fail the query instead of silently
-// stripping labels.
-func (e *Engine) preloadLabelsIfPaged() error {
-	if e.store == nil {
-		return nil
-	}
+// preloadLabels loads the persisted label index up front: result labels
+// are annotated through an error-less lookup, so a failed index read must
+// fail the query instead of silently stripping labels.
+func (e *Engine) preloadLabels() error {
 	if err := e.store.PreloadLabels(); err != nil {
 		return fmt.Errorf("%w: %v", ErrPagedIO, err)
 	}
@@ -533,10 +467,9 @@ func (e *Engine) preloadLabelsIfPaged() error {
 }
 
 // Extract runs the multi-source connection subgraph extraction (§IV) over
-// the engine's shared adjacency. Memory-backed engines solve on the
-// resident CSR; disk-backed engines solve out of core on the paged CSR,
-// with bit-identical results over the same graph. Any paged read fault
-// during the solve fails it with ErrPagedIO.
+// the query's view of the graph: the resident tier's CSR when promoted,
+// else out of core on the paged CSR, with bit-identical results either
+// way. Any paged read fault during the solve fails it with ErrPagedIO.
 func (e *Engine) Extract(sources []graph.NodeID, opts extract.Options) (*extract.Result, error) {
 	return e.ExtractTraced(context.Background(), nil, sources, opts)
 }
@@ -562,7 +495,7 @@ func (e *Engine) ExtractTraced(ctx context.Context, tr *obs.Trace, sources []gra
 	}
 	defer release()
 	sp := tr.StartStage("labels")
-	err = e.preloadLabelsIfPaged()
+	err = e.preloadLabels()
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -576,7 +509,7 @@ func (e *Engine) ExtractTraced(ctx context.Context, tr *obs.Trace, sources []gra
 	sp = tr.StartStage("solve")
 	err = withFaultCheck(ctx, view, func() error {
 		var err error
-		res, err = extract.ConnectionSubgraphAdj(adj, e.directed(), e.labelOf(), sources, opts)
+		res, err = extract.ConnectionSubgraphAdj(adj, e.store.Directed(), e.store.LabelOf, sources, opts)
 		return err
 	})
 	sp.End()
@@ -587,7 +520,7 @@ func (e *Engine) ExtractTraced(ctx context.Context, tr *obs.Trace, sources []gra
 }
 
 // PageRank runs weighted PageRank over the engine's whole graph through
-// the shared adjacency — out of core on disk-backed engines — with the
+// the query's view — out of core unless the tier is resident — with the
 // same fault discipline as Extract: any paged read fault during the
 // iteration fails the call instead of returning a silently wrong vector.
 func (e *Engine) PageRank(opts analysis.PageRankOptions) ([]float64, error) {
@@ -637,9 +570,9 @@ type GraphAnalysis struct {
 
 // AnalyzeGraph computes the whole-graph analysis suite — degree
 // distribution, connected components, self-loops and PageRank — over the
-// engine's shared adjacency: in memory on the cached CSR, out of core on
-// the paged CSR with resident memory bounded by the buffer pool. Results
-// are bit-identical across backends for the same graph. topK bounds the
+// query's view: in memory on the resident tier, out of core on the paged
+// CSR with resident memory bounded by the buffer pool. Results are
+// bit-identical either way. topK bounds the
 // ranked listing (<=0 means 10). The paged path runs under the same fault
 // discipline as Extract: any I/O or corruption fault during the sweep
 // fails the call with ErrPagedIO instead of returning a silently wrong
@@ -667,7 +600,7 @@ func (e *Engine) AnalyzeGraphTraced(ctx context.Context, tr *obs.Trace, opts ana
 	}
 	defer release()
 	sp := tr.StartStage("labels")
-	err = e.preloadLabelsIfPaged()
+	err = e.preloadLabels()
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -675,10 +608,11 @@ func (e *Engine) AnalyzeGraphTraced(ctx context.Context, tr *obs.Trace, opts ana
 	if opts.Ctx == nil {
 		opts.Ctx = ctx
 	}
-	res = &GraphAnalysis{Directed: e.directed()}
+	directed := e.store.Directed()
+	res = &GraphAnalysis{Directed: directed}
 	sp = tr.StartStage("report")
 	err = withFaultCheck(ctx, view, func() error {
-		res.AdjacencyReport = analysis.ReportAdj(adj, e.directed())
+		res.AdjacencyReport = analysis.ReportAdj(adj, directed)
 		return nil
 	})
 	sp.End()
@@ -697,35 +631,17 @@ func (e *Engine) AnalyzeGraphTraced(ctx context.Context, tr *obs.Trace, opts ana
 	}
 	sp = tr.StartStage("rank")
 	res.TopRanked = analysis.TopKByRank(res.PageRank, topK)
-	labelOf := e.labelOf()
 	res.TopLabels = make([]string, len(res.TopRanked))
 	for i, u := range res.TopRanked {
-		res.TopLabels[i] = labelOf(u)
+		res.TopLabels[i] = e.store.LabelOf(u)
 	}
 	sp.End()
 	return res, nil
 }
 
-// directed reports the edge semantics of the engine's graph.
-func (e *Engine) directed() bool {
-	if e.g != nil {
-		return e.g.Directed()
-	}
-	return e.store.Directed()
-}
-
-// labelOf returns the node-label lookup backing extraction output labels.
-func (e *Engine) labelOf() func(graph.NodeID) string {
-	if e.g != nil {
-		return e.g.Label
-	}
-	return e.store.LabelOf
-}
-
-// ExtractByLabels resolves labels to nodes and extracts their connection
-// subgraph. Works on both backends: memory-backed engines scan the
-// resident labels, disk-backed ones use the persisted label index (both
-// resolve a label to its lowest matching node id).
+// ExtractByLabels resolves labels to nodes through the label index (a
+// label names its lowest matching node id) and extracts their connection
+// subgraph.
 func (e *Engine) ExtractByLabels(labels []string, opts extract.Options) (*extract.Result, error) {
 	var sources []graph.NodeID
 	for _, l := range labels {
@@ -743,7 +659,7 @@ func (e *Engine) ExtractByLabels(labels []string, opts extract.Options) (*extrac
 
 // ExtractAndBuild is the Fig 6 pipeline: extract a subgraph of interest
 // and hierarchically partition it for communities-within-communities
-// visualization, returning a new memory-backed engine over the extracted
+// visualization, returning a new built engine over the extracted
 // subgraph.
 func (e *Engine) ExtractAndBuild(sources []graph.NodeID, eopts extract.Options, bcfg BuildConfig) (*Engine, *extract.Result, error) {
 	res, err := e.Extract(sources, eopts)

@@ -23,8 +23,8 @@ func testEngine(t *testing.T) (*Engine, *dblp.Dataset) {
 
 func TestBuildEngineBasics(t *testing.T) {
 	e, ds := testEngine(t)
-	if e.DiskBacked() {
-		t.Fatal("memory engine reports disk-backed")
+	if ti := e.Store().TierInfo(); ti == nil || ti.Fragments != 1 {
+		t.Fatalf("built engine's graph is not resident: %+v", ti)
 	}
 	if e.Graph() != ds.Graph {
 		t.Fatal("engine lost its graph")
@@ -149,8 +149,8 @@ func TestSaveOpenDiskBackedEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if !d.DiskBacked() {
-		t.Fatal("opened engine not disk-backed")
+	if d.Graph() != nil {
+		t.Fatal("opened engine has a build graph")
 	}
 	if d.Tree().NumCommunities() != e.Tree().NumCommunities() {
 		t.Fatal("community count changed across save/open")

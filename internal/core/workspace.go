@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -14,7 +15,8 @@ import (
 // offers pop up node information, edge expansion and edition of nodes and
 // edges". NodeInfo is the pop-up; Workspace is the editable drawing
 // surface a focused subgraph becomes, with edge expansion pulling in
-// cross-community edges from the full graph.
+// cross-community edges from the full graph. Both read the graph's rows
+// through a query view's cursor, like every other engine query.
 
 // NodeInfo is the pop-up shown when hovering a node (Fig 5's "one can see
 // Prof. H. V. Jagadish data and his edges highlighted").
@@ -38,37 +40,72 @@ type Coauthor struct {
 }
 
 // NodeInfo returns the pop-up information for an original-graph node.
-// Memory-backed engines only (the full adjacency is needed).
+// Leaf and Path are known on engines whose tree carries leaf membership
+// (built engines); on an engine opened from a file Leaf is InvalidTree.
 func (e *Engine) NodeInfo(u graph.NodeID) (*NodeInfo, error) {
-	if e.g == nil {
-		return nil, fmt.Errorf("core: NodeInfo needs a memory-backed engine")
+	if n := e.store.GraphNodes(); u < 0 || int(u) >= n {
+		return nil, fmt.Errorf("%w: %d (n=%d)", graph.ErrNodeRange, u, n)
 	}
-	if err := e.g.CheckNode(u); err != nil {
+	var row []graph.Edge
+	if err := e.readRows(func(cur graph.RowCursor) { row = rowOf(cur, u) }); err != nil {
 		return nil, err
 	}
-	info := &NodeInfo{
-		Node:           u,
-		Label:          e.g.Label(u),
-		Degree:         e.g.Degree(u),
-		WeightedDegree: e.g.WeightedDegree(u),
-		Leaf:           e.tree.LeafOf(u),
+	info := &NodeInfo{Node: u, Label: e.store.LabelOf(u), Degree: len(row), Leaf: e.tree.LeafOf(u)}
+	for _, ed := range row {
+		info.WeightedDegree += ed.Weight
 	}
 	if info.Leaf != gtree.InvalidTree {
 		info.Path = e.tree.Path(info.Leaf)
 	}
-	nbrs := append([]graph.Edge(nil), e.g.Neighbors(u)...)
-	sort.Slice(nbrs, func(i, j int) bool {
-		if nbrs[i].Weight != nbrs[j].Weight {
-			return nbrs[i].Weight > nbrs[j].Weight
-		}
-		return nbrs[i].To < nbrs[j].To
-	})
+	nbrs := heaviestFirst(row)
 	for i := 0; i < len(nbrs) && i < 5; i++ {
 		info.TopCoauthors = append(info.TopCoauthors, Coauthor{
-			Node: nbrs[i].To, Label: e.g.Label(nbrs[i].To), Weight: nbrs[i].Weight,
+			Node: nbrs[i].To, Label: e.store.LabelOf(nbrs[i].To), Weight: nbrs[i].Weight,
 		})
 	}
 	return info, nil
+}
+
+// readRows runs fn with a row cursor on a fresh query view, with the
+// label index loaded, and reports a fault any of its reads latched as
+// ErrPagedIO.
+func (e *Engine) readRows(fn func(cur graph.RowCursor)) error {
+	ctx := context.Background()
+	adj, view, release, err := e.queryAdj(ctx, nil)
+	if err != nil {
+		return err
+	}
+	defer release()
+	if err := e.preloadLabels(); err != nil {
+		return err
+	}
+	return withFaultCheck(ctx, view, func() error {
+		cur := adj.Cursor()
+		defer cur.Close()
+		fn(cur)
+		return nil
+	})
+}
+
+// rowOf copies u's row out of cur.
+func rowOf(cur graph.RowCursor, u graph.NodeID) []graph.Edge {
+	ids, ws := cur.Neighbors(u)
+	row := make([]graph.Edge, len(ids))
+	for i, v := range ids {
+		row[i] = graph.Edge{To: v, Weight: ws[i]}
+	}
+	return row
+}
+
+// heaviestFirst sorts row by weight descending, then id ascending.
+func heaviestFirst(row []graph.Edge) []graph.Edge {
+	sort.Slice(row, func(i, j int) bool {
+		if row[i].Weight != row[j].Weight {
+			return row[i].Weight > row[j].Weight
+		}
+		return row[i].To < row[j].To
+	})
+	return row
 }
 
 // Workspace is an editable working subgraph: the region of the
@@ -214,11 +251,8 @@ func (w *Workspace) RemoveNode(u graph.NodeID) error {
 // ExpandNode performs GMine's edge expansion: it pulls the cross-community
 // neighbors of a node from the full graph into the workspace, together
 // with their connecting edges. Returns the local ids of newly added
-// neighbors. Memory-backed engines only.
+// neighbors.
 func (w *Workspace) ExpandNode(local graph.NodeID, maxNew int) ([]graph.NodeID, error) {
-	if w.eng.g == nil {
-		return nil, fmt.Errorf("core: edge expansion needs a memory-backed engine")
-	}
 	if err := w.sub.CheckNode(local); err != nil {
 		return nil, err
 	}
@@ -229,23 +263,24 @@ func (w *Workspace) ExpandNode(local graph.NodeID, maxNew int) ([]graph.NodeID, 
 	if maxNew <= 0 {
 		maxNew = 10
 	}
-	// Heaviest absent neighbors first.
-	nbrs := append([]graph.Edge(nil), w.eng.g.Neighbors(orig)...)
-	sort.Slice(nbrs, func(i, j int) bool {
-		if nbrs[i].Weight != nbrs[j].Weight {
-			return nbrs[i].Weight > nbrs[j].Weight
+	// Read every row first, so a faulted read leaves the workspace as it
+	// was. Heaviest absent neighbors first.
+	var picked []graph.Edge
+	rows := map[graph.NodeID][]graph.Edge{}
+	err := w.eng.readRows(func(cur graph.RowCursor) {
+		for _, e := range heaviestFirst(rowOf(cur, orig)) {
+			if _, ok := w.local[e.To]; !ok && rows[e.To] == nil && len(picked) < maxNew {
+				rows[e.To] = rowOf(cur, e.To)
+				picked = append(picked, e)
+			}
 		}
-		return nbrs[i].To < nbrs[j].To
 	})
+	if err != nil {
+		return nil, err
+	}
 	var added []graph.NodeID
-	for _, e := range nbrs {
-		if len(added) >= maxNew {
-			break
-		}
-		if _, ok := w.local[e.To]; ok {
-			continue
-		}
-		nl := w.sub.AddNode(w.eng.g.Label(e.To))
+	for _, e := range picked {
+		nl := w.sub.AddNode(w.eng.store.LabelOf(e.To))
 		w.members = append(w.members, e.To)
 		w.local[e.To] = nl
 		w.sub.AddEdge(local, nl, e.Weight)
@@ -254,8 +289,7 @@ func (w *Workspace) ExpandNode(local graph.NodeID, maxNew int) ([]graph.NodeID, 
 	// Wire edges among everything now present (new nodes may connect to
 	// existing workspace nodes beyond the expanded one).
 	for _, nl := range added {
-		o := w.members[nl]
-		for _, e := range w.eng.g.Neighbors(o) {
+		for _, e := range rows[w.members[nl]] {
 			if tl, ok := w.local[e.To]; ok && tl != local && !w.sub.HasEdge(nl, tl) {
 				w.sub.AddEdge(nl, tl, e.Weight)
 			}

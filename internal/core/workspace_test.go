@@ -233,20 +233,3 @@ func TestWorkspaceRender(t *testing.T) {
 		t.Fatal("workspace render empty")
 	}
 }
-
-func TestNodeInfoDiskBackedRefused(t *testing.T) {
-	e, _ := testEngine(t)
-	dir := t.TempDir()
-	path := dir + "/t.gtree"
-	if err := e.SaveTree(path, 0); err != nil {
-		t.Fatal(err)
-	}
-	d, err := OpenEngine(path, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if _, err := d.NodeInfo(0); err == nil {
-		t.Fatal("disk-backed NodeInfo should fail")
-	}
-}

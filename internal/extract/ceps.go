@@ -89,7 +89,7 @@ type Result struct {
 //
 // It converts g to CSR form on every call; interactive callers issuing
 // repeated queries over one graph should build the CSR once and use
-// ConnectionSubgraphCSR (core.Engine does this automatically).
+// ConnectionSubgraphCSR (core.Engine reads its store's resident CSR).
 func ConnectionSubgraph(g *graph.Graph, sources []graph.NodeID, opts Options) (*Result, error) {
 	return ConnectionSubgraphCSR(g, graph.ToCSR(g), sources, opts)
 }

@@ -47,18 +47,34 @@ const (
 )
 
 // Save writes the tree, its source graph's leaf subgraphs and the graph's
-// paged CSR section to a single page file at path. The tree must have been
+// paged CSR section to a single page file at path (see SaveTo), crash-
+// safely: an existing file at path is replaced only by a complete, synced
+// new one (storage.ReplaceFile).
+func Save(t *Tree, g *graph.Graph, path string, pageSize int) error {
+	return storage.ReplaceFile(path, func(f storage.File) error {
+		return SaveTo(t, g, f, pageSize)
+	})
+}
+
+// SaveTo writes the tree, its source graph's leaf subgraphs and the
+// graph's paged CSR section into f, an empty File, then syncs and closes
+// it; any write, sync or close error is returned. The tree must have been
 // produced by Build on g (it needs leaf membership). pageSize 0 selects
 // the storage default.
-func Save(t *Tree, g *graph.Graph, path string, pageSize int) error {
+func SaveTo(t *Tree, g *graph.Graph, f storage.File, pageSize int) (err error) {
 	if t.leafOf == nil {
+		f.Close()
 		return fmt.Errorf("gtree: Save needs a tree with leaf membership (built in memory)")
 	}
-	p, err := storage.Create(path, pageSize)
+	p, err := storage.CreateWith(f, pageSize)
 	if err != nil {
 		return err
 	}
-	defer p.Close()
+	defer func() {
+		if cerr := p.Close(); err == nil {
+			err = cerr
+		}
+	}()
 
 	// Leaf blobs first so topology can reference their pages.
 	memberPages := make(map[TreeID]uint32)
@@ -340,6 +356,22 @@ func OpenFileWrapped(path string, poolPages int, wrap func(storage.File) storage
 	if err != nil {
 		return nil, err
 	}
+	return openStore(p, path, poolPages)
+}
+
+// OpenWith opens a G-Tree held in f — a storage.MemFile, say — taking
+// ownership of it: Store.Close closes f. poolPages is as for OpenFile.
+func OpenWith(f storage.File, poolPages int) (*Store, error) {
+	p, err := storage.OpenWith(f, true)
+	if err != nil {
+		return nil, err
+	}
+	return openStore(p, "the file", poolPages)
+}
+
+// openStore reads the G-Tree meta, topology and connectivity through p,
+// closing p on failure; name identifies the file in errors.
+func openStore(p *storage.Pager, name string, poolPages int) (*Store, error) {
 	if poolPages <= 0 {
 		poolPages = 256
 	}
@@ -353,7 +385,7 @@ func OpenFileWrapped(path string, poolPages int, wrap func(storage.File) storage
 	case fileVersion:
 	case 1:
 		p.Close()
-		return nil, fmt.Errorf("gtree: %s is a version 1 G-Tree file, which has no graph CSR section and is no longer supported; rebuild it with `gmine build`", path)
+		return nil, fmt.Errorf("gtree: %s is a version 1 G-Tree file, which has no graph CSR section and is no longer supported; rebuild it with `gmine build`", name)
 	default:
 		p.Close()
 		return nil, fmt.Errorf("gtree: unsupported version %d", version)
@@ -532,7 +564,7 @@ func (s *Store) ensureLabels() error {
 func (s *Store) Directed() bool { return s.directed }
 
 // PagedCSR returns the store's shared disk-backed adjacency, creating it
-// on first use (sync.Once-guarded, like the memory engine's cached CSR).
+// on first use (sync.Once-guarded).
 // Every view of the store's graph derives from this one and therefore
 // shares the store's buffer pool working set. It fails only when the CSR
 // section's geometry does not match the file.
@@ -541,6 +573,19 @@ func (s *Store) PagedCSR() (*PagedCSR, error) {
 		s.csr, s.csrErr = newPagedCSR(s)
 	})
 	return s.csr, s.csrErr
+}
+
+// Adj returns the store's whole-graph adjacency outside any query: the
+// resident tier's CSR while one is promoted, else the shared PagedCSR.
+func (s *Store) Adj() (graph.Adjacency, error) {
+	csr, err := s.PagedCSR()
+	if err != nil {
+		return nil, err
+	}
+	if mem := csr.sh.tier.csr.Load(); mem != nil {
+		return mem, nil
+	}
+	return csr, nil
 }
 
 // SetTierBudget sets the hot/cold tiering byte budget of the store's
@@ -554,6 +599,22 @@ func (s *Store) SetTierBudget(bytes int64) {
 	if csr, err := s.PagedCSR(); err == nil {
 		csr.sh.tier.setBudget(bytes)
 	}
+}
+
+// PromoteTier sets the tier budget to exactly the decoded CSR's cost and
+// promotes the whole graph now, so the first query already reads it from
+// memory. It fails when the CSR section cannot be opened or decoded.
+func (s *Store) PromoteTier() error {
+	csr, err := s.PagedCSR()
+	if err != nil {
+		return err
+	}
+	ts := &csr.sh.tier
+	ts.setBudget(tierCost(csr))
+	if ts.promote() == 0 && ts.csr.Load() == nil {
+		return fmt.Errorf("gtree: promoting the whole-graph tier: %v", ts.base.Err())
+	}
+	return nil
 }
 
 // TierInfo snapshots the tiering state (nil when the CSR section cannot be

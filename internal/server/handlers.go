@@ -381,12 +381,6 @@ func (s *Server) createSession(ctx context.Context, req CreateSessionRequest) (S
 		return SessionInfo{}, statusOf(err, http.StatusBadRequest), fmt.Errorf("build failed: %w", err)
 	}
 	sess.source = req.Source
-	sess.diskBacked = eng.DiskBacked()
-	if g := eng.Graph(); g != nil {
-		sess.nodes, sess.edges = g.NumNodes(), g.NumEdges()
-	} else {
-		sess.nodes = eng.Store().GraphNodes()
-	}
 	sess.buildMillis = time.Since(begin).Milliseconds()
 	s.reg.commit(sess, eng)
 

@@ -27,9 +27,6 @@ type Session struct {
 
 	// Immutable after the build completes (published before mu unlocks).
 	source      string
-	nodes       int
-	edges       int
-	diskBacked  bool
 	createdAt   time.Time
 	buildMillis int64
 
@@ -91,11 +88,12 @@ func (s *Session) tryRead(fn func(eng *core.Engine) error) error {
 }
 
 // poolSnapshot returns the session's buffer-pool state in wire form, or
-// nil for memory-backed sessions. It is the single snapshot path shared by
-// /healthz, /metrics and session info, so the stat structs cannot drift
-// apart again. With block=false it never waits on the session lock: if the
-// session is write-locked (building, deleting), it returns the last
-// successful snapshot marked Stale=true — previously /healthz silently
+// nil for sessions not opened from a G-Tree file (a built engine's pool
+// reads an in-memory file and is not reported). It is the single snapshot
+// path shared by /healthz, /metrics and session info, so the stat structs
+// cannot drift apart again. With block=false it never waits on the session
+// lock: if the session is write-locked (building, deleting), it returns the
+// last successful snapshot marked Stale=true — previously /healthz silently
 // dropped the row, making a session under load indistinguishable from a
 // memory one.
 func (s *Session) poolSnapshot(block bool) *PoolInfo {
@@ -105,8 +103,8 @@ func (s *Session) poolSnapshot(block bool) *PoolInfo {
 	}
 	var fresh *PoolInfo
 	err := read(func(eng *core.Engine) error {
-		if st := eng.Store(); st != nil {
-			fresh = poolInfoFrom(st)
+		if s.diskBacked() {
+			fresh = poolInfoFrom(eng.Store())
 		}
 		return nil
 	})
@@ -114,7 +112,7 @@ func (s *Session) poolSnapshot(block bool) *PoolInfo {
 	defer s.poolMu.Unlock()
 	if err == nil {
 		if fresh == nil {
-			return nil // memory-backed: no pool, nothing to go stale
+			return nil // not opened from a file: no pool, nothing to go stale
 		}
 		s.lastPool = fresh
 		return fresh
@@ -126,6 +124,10 @@ func (s *Session) poolSnapshot(block bool) *PoolInfo {
 	cp.Stale = true
 	return &cp
 }
+
+// diskBacked reports a session opened from a G-Tree file: only those
+// report a buffer pool. A built session's store reads an in-memory file.
+func (s *Session) diskBacked() bool { return s.source == "gtree" }
 
 // SessionInfo is the wire representation of a session.
 type SessionInfo struct {
@@ -139,9 +141,10 @@ type SessionInfo struct {
 	DiskBacked  bool      `json:"diskBacked"`
 	CreatedAt   time.Time `json:"createdAt"`
 	BuildMillis int64     `json:"buildMillis"`
-	// Pool reports the buffer-pool state of disk-backed sessions (nil for
-	// memory-backed ones): how much of the paged file is resident and how
-	// the working set is behaving under load.
+	// Pool reports the buffer-pool state of disk-backed sessions, the ones
+	// opened from a G-Tree file (nil for built ones, whose store reads an
+	// in-memory file): how much of the paged file is resident and how the
+	// working set is behaving under load.
 	Pool *PoolInfo `json:"pool,omitempty"`
 }
 
@@ -150,15 +153,17 @@ func (s *Session) info() (SessionInfo, error) {
 	var out SessionInfo
 	err := s.withRead(func(eng *core.Engine) error {
 		st := eng.Tree().ComputeStats()
+		// The root community counts every logical edge once.
+		root := eng.Tree().Node(eng.Tree().Root())
 		out = SessionInfo{
 			Name:        s.name,
 			Source:      s.source,
-			Nodes:       s.nodes,
-			Edges:       s.edges,
+			Nodes:       eng.Store().GraphNodes(),
+			Edges:       root.InternalCount,
 			Communities: st.Communities,
 			Leaves:      st.Leaves,
 			Levels:      st.Levels,
-			DiskBacked:  s.diskBacked,
+			DiskBacked:  s.diskBacked(),
 			CreatedAt:   s.createdAt,
 			BuildMillis: s.buildMillis,
 		}

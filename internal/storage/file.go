@@ -3,13 +3,14 @@ package storage
 import (
 	"errors"
 	"os"
+	"path/filepath"
 )
 
 // File is the pager's backing-store abstraction: the exact subset of
-// *os.File the pager uses. Production code always runs over a real file
-// (osFile below); tests and the chaos-serving mode interpose a
-// FaultInjector to exercise the transient-read retry and fault-latch
-// machinery without touching the disk underneath.
+// *os.File the pager uses. A file on disk is an osFile (below), a built
+// engine's file is a MemFile; tests and the chaos-serving mode interpose
+// a FaultInjector to exercise the transient-read retry and fault-latch
+// machinery without touching the bytes underneath.
 type File interface {
 	ReadAt(p []byte, off int64) (int, error)
 	WriteAt(p []byte, off int64) (int, error)
@@ -69,4 +70,40 @@ func openOSFile(path string, readOnly bool) (File, error) {
 		return nil, err
 	}
 	return osFile{f}, nil
+}
+
+// ReplaceFile writes a new file at path without ever exposing a partial
+// one. write fills a temp file in path's directory and must sync and close
+// it (a Pager's Close does both); the temp file is then renamed over path
+// and the directory synced, so after a crash path holds either the old
+// file or the complete new one. If anything fails, path is untouched and
+// the temp file is removed.
+func ReplaceFile(path string, write func(File) error) (err error) {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			f.Close() // write may have closed it already
+			os.Remove(f.Name())
+		}
+	}()
+	// os.Create's mode under the usual umask, not CreateTemp's 0600.
+	if err = f.Chmod(0o644); err != nil {
+		return err
+	}
+	if err = write(osFile{f}); err != nil {
+		return err
+	}
+	if err = os.Rename(f.Name(), path); err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }

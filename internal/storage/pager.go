@@ -70,20 +70,29 @@ type RetryStats struct {
 	Failed  uint64
 }
 
-// Create creates (truncating) a page file at path. pageSize 0 selects
-// DefaultPageSize.
+// Create creates (truncating) a page file at path: CreateWith over the
+// new file. It writes in place; ReplaceFile is the crash-safe way to
+// write a file that may already exist.
 func Create(path string, pageSize int) (*Pager, error) {
-	if pageSize == 0 {
-		pageSize = DefaultPageSize
-	}
-	if pageSize < MinPageSize {
-		return nil, fmt.Errorf("storage: page size %d below minimum %d", pageSize, MinPageSize)
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	p := &Pager{f: osFile{f}, pageSize: pageSize}
+	return CreateWith(osFile{f}, pageSize)
+}
+
+// CreateWith starts a new page file over f, an empty File, taking
+// ownership of it (the pager closes it, also when CreateWith fails).
+// pageSize 0 selects DefaultPageSize.
+func CreateWith(f File, pageSize int) (*Pager, error) {
+	if pageSize == 0 {
+		pageSize = DefaultPageSize
+	}
+	if pageSize < MinPageSize {
+		f.Close()
+		return nil, fmt.Errorf("storage: page size %d below minimum %d", pageSize, MinPageSize)
+	}
+	p := &Pager{f: f, pageSize: pageSize}
 	p.numPages.Store(1)
 	if err := p.writeSuper(); err != nil {
 		f.Close()
