@@ -181,14 +181,6 @@ func ConnectionSubgraph(g *Graph, sources []NodeID, opts ExtractOptions) (*Extra
 	return extract.ConnectionSubgraph(g, sources, opts)
 }
 
-// ConnectionSubgraphCSR is ConnectionSubgraph with a caller-supplied CSR,
-// so repeated interactive queries over one graph reuse a single immutable
-// compute representation (Engine.Extract does this automatically via its
-// shared adjacency).
-func ConnectionSubgraphCSR(g *Graph, c *CSR, sources []NodeID, opts ExtractOptions) (*ExtractResult, error) {
-	return extract.ConnectionSubgraphCSR(g, c, sources, opts)
-}
-
 // ConnectionSubgraphAdj is the extraction core over any Adjacency — in
 // memory or paged from disk — with directedness and an optional label
 // lookup supplied by the caller. Results are bit-identical across

@@ -329,6 +329,12 @@ func TestPageRankDanglingNodes(t *testing.T) {
 	}
 }
 
+func TestPageRankCSREmpty(t *testing.T) {
+	if PageRankAdj(graph.ToCSR(graph.New(false)), PageRankOptions{}) != nil {
+		t.Fatal("empty graph should give nil")
+	}
+}
+
 func TestReportOnCommunity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n := 120

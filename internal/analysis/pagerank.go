@@ -49,10 +49,10 @@ func PageRank(g *graph.Graph, opts PageRankOptions) []float64 {
 	return PageRankAdj(graph.ToCSR(g), opts)
 }
 
-// PageRankAdj is PageRank over any prebuilt Adjacency — the engine's cached
-// in-memory CSR or a disk-backed paged CSR — so repeated analysis queries
-// against one graph share a single immutable compute representation instead
-// of re-deriving it per call. A paged adjacency cannot surface I/O faults
+// PageRankAdj is PageRank over any prebuilt Adjacency — an in-memory CSR,
+// a store's resident tier or its paged CSR — so repeated analysis queries
+// against one graph read one shared representation instead of re-deriving
+// it per call. A paged adjacency cannot surface I/O faults
 // through the Adjacency methods; callers running directly over one must
 // check its fault latch (gtree.PagedCSR.Err) after the call, on a view
 // no other reader shares (core.Engine's PageRank solves on the query's

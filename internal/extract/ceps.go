@@ -88,18 +88,10 @@ type Result struct {
 // discovery via dynamic programming until the node budget is filled.
 //
 // It converts g to CSR form on every call; interactive callers issuing
-// repeated queries over one graph should build the CSR once and use
-// ConnectionSubgraphCSR (core.Engine reads its store's resident CSR).
+// repeated queries over one graph hold an Adjacency and call
+// ConnectionSubgraphAdj (core.Engine solves on its store's query view).
 func ConnectionSubgraph(g *graph.Graph, sources []graph.NodeID, opts Options) (*Result, error) {
-	return ConnectionSubgraphCSR(g, graph.ToCSR(g), sources, opts)
-}
-
-// ConnectionSubgraphCSR is ConnectionSubgraph with a caller-supplied CSR of
-// g, letting the hot query path reuse one immutable CSR across requests
-// instead of rebuilding it per extraction. c must be the CSR form of g
-// (same node ids, both half-edges).
-func ConnectionSubgraphCSR(g *graph.Graph, c *graph.CSR, sources []graph.NodeID, opts Options) (*Result, error) {
-	return ConnectionSubgraphAdj(c, g.Directed(), g.Label, sources, opts)
+	return ConnectionSubgraphAdj(graph.ToCSR(g), g.Directed(), g.Label, sources, opts)
 }
 
 // ConnectionSubgraphAdj is the extraction core over any graph.Adjacency —

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/graph"
+	"repro/internal/graph/graphtest"
 )
 
 func pathGraph(n int) *graph.Graph {
@@ -34,59 +35,6 @@ func randomConnected(rng *rand.Rand, n, extra int) *graph.Graph {
 	return g
 }
 
-// solveRWRDense solves r = (1-c) P^T r + c e exactly by Gaussian
-// elimination, for cross-checking the power iteration on tiny graphs.
-func solveRWRDense(g *graph.Graph, src graph.NodeID, c float64) []float64 {
-	n := g.NumNodes()
-	// A = I - (1-c) P^T ; b = c e_src
-	A := make([][]float64, n)
-	b := make([]float64, n)
-	for i := range A {
-		A[i] = make([]float64, n)
-		A[i][i] = 1
-	}
-	b[src] = c
-	for u := 0; u < n; u++ {
-		wd := g.WeightedDegree(graph.NodeID(u))
-		if wd == 0 {
-			// Dangling: walker restarts, i.e. column u contributes
-			// (1-c) to b-row src.
-			A[src][u] -= (1 - c)
-			continue
-		}
-		for _, e := range g.Neighbors(graph.NodeID(u)) {
-			A[e.To][u] -= (1 - c) * e.Weight / wd
-		}
-	}
-	// Gaussian elimination with partial pivoting.
-	for col := 0; col < n; col++ {
-		p := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(A[r][col]) > math.Abs(A[p][col]) {
-				p = r
-			}
-		}
-		A[col], A[p] = A[p], A[col]
-		b[col], b[p] = b[p], b[col]
-		for r := col + 1; r < n; r++ {
-			f := A[r][col] / A[col][col]
-			for cc := col; cc < n; cc++ {
-				A[r][cc] -= f * A[col][cc]
-			}
-			b[r] -= f * b[col]
-		}
-	}
-	x := make([]float64, n)
-	for r := n - 1; r >= 0; r-- {
-		s := b[r]
-		for cc := r + 1; cc < n; cc++ {
-			s -= A[r][cc] * x[cc]
-		}
-		x[r] = s / A[r][r]
-	}
-	return x
-}
-
 func TestRWRMatchesDenseSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 5; trial++ {
@@ -97,7 +45,7 @@ func TestRWRMatchesDenseSolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := solveRWRDense(g, src, 0.2)
+		want := graphtest.NewOracle(g).RWR(0.2, src)
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > 1e-8 {
 				t.Fatalf("trial %d node %d: power %g dense %g", trial, i, got[i], want[i])

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/graph/graphtest"
 	"repro/internal/storage"
 )
 
@@ -38,61 +39,6 @@ func reachOf(logGood []float64) []graph.NodeID {
 		}
 	}
 	return reach
-}
-
-// naiveKeyPath is the key-path DP written for clarity — fresh tables per
-// call, rows read one-shot, one source — as the oracle for the fused
-// builds: dp[l][v] is the best log-goodness sum of an l-edge walk src..v,
-// ties going to the lowest predecessor and the shortest length.
-func naiveKeyPath(adj graph.Adjacency, src, dst graph.NodeID, logGood []float64, maxLen int) []graph.NodeID {
-	if src == dst {
-		return []graph.NodeID{src}
-	}
-	n, negInf := len(logGood), math.Inf(-1)
-	score := make([][]float64, maxLen+1)
-	parent := make([][]graph.NodeID, maxLen+1)
-	for l := range score {
-		score[l], parent[l] = make([]float64, n), make([]graph.NodeID, n)
-		for v := range score[l] {
-			score[l][v] = negInf
-		}
-	}
-	score[0][src] = logGood[src]
-	bestLen := -1
-	for l := 1; l <= maxLen; l++ {
-		for u := 0; u < n; u++ {
-			if score[l-1][u] == negInf {
-				continue
-			}
-			cur := adj.Cursor()
-			nbrs := cur.NeighborIDs(graph.NodeID(u))
-			cur.Close()
-			for _, v := range nbrs {
-				if c := score[l-1][u] + logGood[v]; logGood[v] != negInf && c > score[l][v] {
-					score[l][v], parent[l][v] = c, graph.NodeID(u)
-				}
-			}
-		}
-		if score[l][dst] > negInf && (bestLen < 0 || score[l][dst] > score[bestLen][dst]) {
-			bestLen = l
-		}
-	}
-	if bestLen < 0 {
-		return nil
-	}
-	chain := []graph.NodeID{dst}
-	for l, v := bestLen, dst; l >= 1; l-- {
-		v = parent[l][v]
-		chain = append(chain, v)
-	}
-	slices.Reverse(chain)
-	var path []graph.NodeID
-	for _, v := range chain {
-		if !slices.Contains(path, v) {
-			path = append(path, v)
-		}
-	}
-	return path
 }
 
 // positiveLogGood gives every node of an n-node graph a finite random
@@ -182,7 +128,7 @@ func TestKeyPathPinsPerDP(t *testing.T) {
 	// counted on the textbook DP — several per pinned page (a 252-byte page
 	// holds only a handful of these rows' ids), and would have paid at
 	// least one pin per row without the cursor.
-	score, _, _ := textbookKeyPath(graph.ToCSR(g), 0, logGood, maxLen)
+	score, _, _ := graphtest.NewOracle(g).KeyPath(0, logGood, maxLen)
 	var frontier int64
 	for l := range maxLen {
 		for v := range graph.NodeID(n) {
@@ -210,7 +156,7 @@ func TestKeyPathPinsPerDP(t *testing.T) {
 
 // TestKeyPathFusedMatchesPerSource is the property test of the fused DP:
 // one build over a group of sources returns, per source, exactly the path
-// the naive one-pair DP finds for that (source, destination) — in memory and
+// the textbook DP finds for that (source, destination) — in memory and
 // paged, across reused tables, with the destination among the sources
 // (src == dst never runs a DP), a destination in another component, nodes
 // of zero goodness (-Inf) to route around or to start from, and path
@@ -230,6 +176,7 @@ func TestKeyPathFusedMatchesPerSource(t *testing.T) {
 		for v := 0; v < n; v += 6 {
 			logGood[v] = math.Inf(-1)
 		}
+		o := graphtest.NewOracle(g)
 		for name, adj := range map[string]graph.Adjacency{"csr": graph.ToCSR(g), "paged": pagedFixture(t, g, 6+rng.Intn(32))} {
 			cur := adj.Cursor()
 			var dp keyPathDP
@@ -248,9 +195,9 @@ func TestKeyPathFusedMatchesPerSource(t *testing.T) {
 				for j := range srcs {
 					got[j] = append([]graph.NodeID(nil), dp.walk(j, dst)...)
 				}
-				cur.Close() // the reference reads the backend on this goroutine
 				for j, src := range srcs {
-					want := naiveKeyPath(adj, src, dst, logGood, maxLen)
+					score, parent, _ := o.KeyPath(src, logGood, maxLen)
+					want := graphtest.Walk(score, parent, src, dst)
 					if !slices.Equal(got[j], want) {
 						t.Fatalf("trial %d %s query %d: sources %v -> %d (maxLen %d): fused found %v for source %d, alone %v",
 							trial, name, q, srcs, dst, maxLen, got[j], src, want)
@@ -258,33 +205,6 @@ func TestKeyPathFusedMatchesPerSource(t *testing.T) {
 				}
 			}
 			cur.Close()
-		}
-	}
-}
-
-// TestExtractFusedGroupsMatchPerPair: with more sources than one build
-// fuses, the extraction walks the groups in source order under the same
-// budget checks, and chooses the node sequence the per-(source,
-// destination) loop does.
-func TestExtractFusedGroupsMatchPerPair(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	for trial := 0; trial < 4; trial++ {
-		n := 80 + rng.Intn(80)
-		g := randomConnected(rng, n, 2*n)
-		var sources []graph.NodeID
-		for _, s := range rng.Perm(n)[:2*maxFusedSources+1] {
-			sources = append(sources, graph.NodeID(s))
-		}
-		// Budgets just above the source count fill mid-round, mid-group.
-		for _, budget := range []int{len(sources) + 2, 40} {
-			opts := Options{Budget: budget, Mode: CombineMode(trial % 3), K: 3, MaxPathLen: 4 + trial}
-			got, err := ConnectionSubgraph(g, sources, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := fullScanExtract(t, g, sources, opts); !slices.Equal(got.Nodes, want) {
-				t.Fatalf("trial %d budget %d: fused groups chose %v, per-pair loop %v", trial, budget, got.Nodes, want)
-			}
 		}
 	}
 }
@@ -309,10 +229,10 @@ func TestKeyPathFusedReadsEachRowOnce(t *testing.T) {
 	const dst = graph.NodeID(77)
 	// Source 399 has zero goodness itself: its frontier is empty from level
 	// 0 on.
-	c := graph.ToCSR(g)
+	o := graphtest.NewOracle(g)
 	scores := make([][][]float64, len(srcs))
 	for j, s := range srcs {
-		scores[j], _, _ = textbookKeyPath(c, s, logGood, maxLen)
+		scores[j], _, _ = o.KeyPath(s, logGood, maxLen)
 	}
 	var union, sum int64
 	for l := 0; l < maxLen; l++ {
@@ -349,56 +269,6 @@ func TestKeyPathFusedReadsEachRowOnce(t *testing.T) {
 	}
 }
 
-// textbookKeyPath is the key-path DP as written in a textbook, the
-// referee of the row order: tables over every level, rows straight from
-// the CSR arrays in ascending order, and the smallest-predecessor rule
-// spelled out. ties counts the relaxations that matched a level's best
-// score from a different predecessor.
-func textbookKeyPath(c *graph.CSR, src graph.NodeID, logGood []float64, maxLen int) (score [][]float64, parent [][]int32, ties int) {
-	n, negInf := c.N(), math.Inf(-1)
-	score, parent = make([][]float64, maxLen+1), make([][]int32, maxLen+1)
-	for l := range score {
-		score[l], parent[l] = make([]float64, n), make([]int32, n)
-		for v := range score[l] {
-			score[l][v], parent[l][v] = negInf, -1
-		}
-	}
-	score[0][src] = logGood[src]
-	for l := 1; l <= maxLen; l++ {
-		for u := 0; u < n; u++ {
-			if score[l-1][u] == negInf {
-				continue
-			}
-			for _, v := range c.Adjncy[c.Xadj[u]:c.Xadj[u+1]] {
-				if logGood[v] == negInf {
-					continue
-				}
-				cand, p := score[l-1][u]+logGood[v], parent[l][v]
-				if cand == score[l][v] && p != int32(u) {
-					ties++
-				}
-				if cand > score[l][v] || cand == score[l][v] && int32(u) < p {
-					score[l][v], parent[l][v] = cand, int32(u)
-				}
-			}
-		}
-	}
-	return score, parent, ties
-}
-
-// textbookBest is the first length at which the textbook score to dst is
-// highest, and that score: -1 and -Inf when no walk of 1..maxLen edges
-// reaches dst.
-func textbookBest(score [][]float64, dst graph.NodeID) (int, float64) {
-	best, bestScore := -1, math.Inf(-1)
-	for l := 1; l < len(score); l++ {
-		if score[l][dst] > bestScore {
-			best, bestScore = l, score[l][dst]
-		}
-	}
-	return best, bestScore
-}
-
 // improves reports whether the textbook score of v at level l is higher
 // than every score v had at an earlier level. Those are the entries the
 // pruned DP holds exactly, and for l < maxLen the rows it relaxes at level
@@ -410,31 +280,6 @@ func improves(score [][]float64, l int, v graph.NodeID) bool {
 		}
 	}
 	return score[l][v] > math.Inf(-1)
-}
-
-// textbookWalk is walk over the textbook tables: the first best length to
-// dst, the parent chain back from it, repeated nodes dropped.
-func textbookWalk(score [][]float64, parent [][]int32, src, dst graph.NodeID) []graph.NodeID {
-	if src == dst {
-		return []graph.NodeID{dst}
-	}
-	best, _ := textbookBest(score, dst)
-	if best < 0 {
-		return nil
-	}
-	chain := []graph.NodeID{dst}
-	for l, v := best, dst; l >= 1; l-- {
-		v = graph.NodeID(parent[l][v])
-		chain = append(chain, v)
-	}
-	slices.Reverse(chain)
-	var path []graph.NodeID
-	for _, v := range chain {
-		if !slices.Contains(path, v) {
-			path = append(path, v)
-		}
-	}
-	return path
 }
 
 // TestKeyPathDPOrderIndependent: the DP's tables and walks do not depend
@@ -500,7 +345,7 @@ func TestKeyPathDPOrderIndependent(t *testing.T) {
 		wants := make([]want, len(srcs))
 		allTies := 0
 		for j, src := range srcs {
-			score, parent, ties := textbookKeyPath(c, src, logGood, maxLen)
+			score, parent, ties := graphtest.NewOracle(g).KeyPath(src, logGood, maxLen)
 			wants[j], allTies = want{score, parent}, allTies+ties
 		}
 		if allTies < n {
@@ -536,7 +381,7 @@ func TestKeyPathDPOrderIndependent(t *testing.T) {
 						for j, src := range srcs {
 							w, tb := wants[j], &dp.tabs[j]
 							got := dp.walk(j, dst)
-							if wantWalk := textbookWalk(w.score, w.parent, src, dst); !slices.Equal(got, wantWalk) {
+							if wantWalk := graphtest.Walk(w.score, w.parent, src, dst); !slices.Equal(got, wantWalk) {
 								t.Fatalf("%s: walk %v, textbook %v", tag(j), got, wantWalk)
 							}
 							if src == dst {
@@ -563,7 +408,7 @@ func TestKeyPathDPOrderIndependent(t *testing.T) {
 									t.Fatalf("%s: top of %d is %v, textbook %v", tag(j), v, tb.top[v], top)
 								}
 							}
-							bestLen, bestScore := textbookBest(w.score, dst)
+							bestLen, bestScore := graphtest.BestLength(w.score, dst)
 							if tb.best != bestLen || math.Float64bits(tb.bestScore) != math.Float64bits(bestScore) {
 								t.Fatalf("%s: best length %d score %v, textbook %d %v", tag(j), tb.best, tb.bestScore, bestLen, bestScore)
 							}
@@ -598,7 +443,7 @@ func TestKeyPathPrunedMatchesTextbook(t *testing.T) {
 		values := sets[trial%len(sets)]
 		n := 40 + rng.Intn(120)
 		g := randomConnected(rng, n, n+rng.Intn(2*n))
-		c := graph.ToCSR(g)
+		c, o := graph.ToCSR(g), graphtest.NewOracle(g)
 		logGood := make([]float64, n)
 		for v := range logGood {
 			logGood[v] = values[rng.Intn(len(values))]
@@ -611,7 +456,7 @@ func TestKeyPathPrunedMatchesTextbook(t *testing.T) {
 		scores, parents := make([][][]float64, len(srcs)), make([][][]int32, len(srcs))
 		for j := range srcs {
 			srcs[j] = graph.NodeID(rng.Intn(n))
-			scores[j], parents[j], _ = textbookKeyPath(c, srcs[j], logGood, maxLen)
+			scores[j], parents[j], _ = o.KeyPath(srcs[j], logGood, maxLen)
 		}
 		reach := reachOf(logGood)
 		for name, adj := range map[string]graph.Adjacency{"csr": c, "paged": pagedFixture(t, g, 6+rng.Intn(24))} {
@@ -621,7 +466,7 @@ func TestKeyPathPrunedMatchesTextbook(t *testing.T) {
 				dp.build(cur, srcs, dst, logGood, reach, maxLen)
 				for j, src := range srcs {
 					tag := fmt.Sprintf("trial %d %s maxLen %d sources %v -> %d, source %d", trial, name, maxLen, srcs, dst, src)
-					got, want := dp.walk(j, dst), textbookWalk(scores[j], parents[j], src, dst)
+					got, want := dp.walk(j, dst), graphtest.Walk(scores[j], parents[j], src, dst)
 					if !slices.Equal(got, want) {
 						t.Fatalf("%s: walk %v, textbook %v", tag, got, want)
 					}
@@ -630,7 +475,7 @@ func TestKeyPathPrunedMatchesTextbook(t *testing.T) {
 						continue
 					}
 					tb := &dp.tabs[j]
-					best, bestScore := textbookBest(scores[j], dst)
+					best, bestScore := graphtest.BestLength(scores[j], dst)
 					if tb.best != best || math.Float64bits(tb.bestScore) != math.Float64bits(bestScore) {
 						t.Fatalf("%s: best length %d score %v, textbook %d %v", tag, tb.best, tb.bestScore, best, bestScore)
 					}

@@ -3,7 +3,6 @@ package extract
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -93,33 +92,5 @@ func TestBadOptionsPropagate(t *testing.T) {
 	}
 	if _, err := ConnectionSubgraph(g, []graph.NodeID{0, 3}, Options{RWR: RWROptions{Epsilon: -1}}); err == nil {
 		t.Fatal("ConnectionSubgraph accepted negative epsilon")
-	}
-}
-
-// TestConnectionSubgraphCSRMatchesAdjacency checks the cached-CSR entry
-// point returns exactly what the per-call conversion does.
-func TestConnectionSubgraphCSRMatchesAdjacency(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := randomConnected(rng, 150, 300)
-	c := graph.ToCSR(g)
-	sources := []graph.NodeID{4, 80, 120}
-	want, err := ConnectionSubgraph(g, sources, Options{Budget: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ { // reuse the same CSR repeatedly
-		got, err := ConnectionSubgraphCSR(g, c, sources, Options{Budget: 25})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.TotalGoodness != want.TotalGoodness || len(got.Nodes) != len(want.Nodes) {
-			t.Fatalf("CSR path diverged: %v/%d vs %v/%d",
-				got.TotalGoodness, len(got.Nodes), want.TotalGoodness, len(want.Nodes))
-		}
-		for j := range want.Nodes {
-			if got.Nodes[j] != want.Nodes[j] {
-				t.Fatalf("node %d: %d vs %d", j, got.Nodes[j], want.Nodes[j])
-			}
-		}
 	}
 }

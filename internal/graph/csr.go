@@ -124,8 +124,8 @@ func (c *CSR) WeightedDegree(u NodeID) float64 {
 
 // WeightedDegrees returns the per-node weighted degree table, computing it
 // on first use and caching it for the CSR's lifetime. The random-walk
-// kernels call this on every query; with the engine's cached CSR the O(E)
-// sweep happens once per graph instead of once per request. Safe for
+// kernels call this on every query; on a store's resident CSR the O(E)
+// pass happens once per promotion instead of once per request. Safe for
 // concurrent use; callers must not mutate the returned slice.
 func (c *CSR) WeightedDegrees() []float64 {
 	c.wdegOnce.Do(func() {

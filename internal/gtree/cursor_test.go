@@ -3,9 +3,9 @@ package gtree
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -14,58 +14,16 @@ import (
 	"unsafe"
 
 	"repro/internal/graph"
+	"repro/internal/graph/graphtest"
 	"repro/internal/storage"
 )
 
-// csrRows copies every row of c, the expected rows of a cursor walk.
-func csrRows(c *graph.CSR) (ids [][]graph.NodeID, ws [][]float64) {
-	ids, ws = make([][]graph.NodeID, c.N()), make([][]float64, c.N())
-	for u := range ids {
-		ids[u], ws[u] = c.Neighbors(graph.NodeID(u))
-	}
-	return ids, ws
-}
-
-// visitOrders returns the ascending, descending and a seeded random order
-// over [0,n).
-func visitOrders(n int, seed int64) map[string][]graph.NodeID {
-	asc, desc := make([]graph.NodeID, n), make([]graph.NodeID, n)
-	for i := range asc {
-		asc[i] = graph.NodeID(i)
-		desc[i] = graph.NodeID(n - 1 - i)
-	}
-	random := append([]graph.NodeID(nil), asc...)
-	rand.New(rand.NewSource(seed)).Shuffle(n, func(i, j int) { random[i], random[j] = random[j], random[i] })
-	return map[string][]graph.NodeID{"ascending": asc, "descending": desc, "random": random}
-}
-
-// checkCursorMatches walks one cursor over order, alternating full and
-// ids-only reads, and requires every row to equal the expected rows bit
-// for bit.
-func checkCursorMatches(t *testing.T, name string, adj graph.Adjacency, order []graph.NodeID, ids [][]graph.NodeID, ws [][]float64) {
+// requireRow fails t unless (ids, ws) is o's row u; weights false skips
+// the weights (an ids-only read).
+func requireRow(t *testing.T, o *graphtest.Oracle, u graph.NodeID, ids []graph.NodeID, ws []float64, weights bool) {
 	t.Helper()
-	cur := adj.Cursor()
-	defer cur.Close()
-	var nbrs []graph.NodeID
-	var w []float64
-	for i, u := range order {
-		full := i%3 != 0
-		if full {
-			nbrs, w = cur.Neighbors(u)
-		} else {
-			nbrs = cur.NeighborIDs(u)
-		}
-		if len(nbrs) != len(ids[u]) || (full && len(w) != len(ws[u])) {
-			t.Fatalf("%s node %d: cursor read %d ids, want %d", name, u, len(nbrs), len(ids[u]))
-		}
-		for j := range nbrs {
-			if nbrs[j] != ids[u][j] {
-				t.Fatalf("%s node %d id %d: %d want %d", name, u, j, nbrs[j], ids[u][j])
-			}
-			if full && math.Float64bits(w[j]) != math.Float64bits(ws[u][j]) {
-				t.Fatalf("%s node %d weight %d: %g want %g", name, u, j, w[j], ws[u][j])
-			}
-		}
+	if err := o.CheckRow(u, ids, ws, weights); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -77,9 +35,9 @@ func checkCursorMatches(t *testing.T, name string, adj graph.Adjacency, order []
 func TestCursorPromotionRace(t *testing.T) {
 	g := hubGraph(600, 2500, 3, 43)
 	want := graph.ToCSR(g)
+	o := graphtest.NewOracle(g)
 	cost := csrCost(want)
 	s, base := openTiered(t, g, cost)
-	ids, ws := csrRows(want)
 	before, err := s.QueryView(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -99,8 +57,8 @@ func TestCursorPromotionRace(t *testing.T) {
 	for u := graph.NodeID(0); int(u) < want.N(); u++ {
 		bn, bw := bc.Neighbors(u)
 		an, aw := ac.Neighbors(u)
-		requireRow(t, "opened before promotion", want, u, bn, bw, true)
-		requireRow(t, "opened after promotion", want, u, an, aw, true)
+		requireRow(t, o, u, bn, bw, true)
+		requireRow(t, o, u, an, aw, true)
 		if len(an) > 0 && &an[0] != &mem.Adjncy[mem.Xadj[u]] {
 			t.Fatalf("row %d of a view opened after promotion does not alias the resident CSR", u)
 		}
@@ -129,14 +87,13 @@ func TestCursorPromotionRace(t *testing.T) {
 		}
 	}()
 	for pass := 0; pass < 6; pass++ {
-		for name, order := range visitOrders(want.N(), int64(pass)) {
+		for name, order := range graphtest.VisitOrders(want.N(), int64(pass)) {
 			qv, err := s.QueryView(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkCursorMatches(t, "tiered-race/"+name, qv.Adj, order, ids, ws)
-			if err := qv.Err(); err != nil {
-				t.Fatal(err)
+			if err := errors.Join(o.CheckCursor(qv.Adj, order), qv.Err()); err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
 		}
 	}
@@ -314,7 +271,7 @@ func TestCursorWarmReadAllocFree(t *testing.T) {
 // -race.
 func TestCursorLivenessTinyPools(t *testing.T) {
 	g := hubGraph(160, 500, 1, 59)
-	want := graph.ToCSR(g)
+	want := graphtest.NewOracle(g)
 	path := buildAndSave(t, g, 256)
 	for _, capacity := range []int{1, 2, 3} {
 		s, err := OpenFile(path, capacity)
@@ -348,21 +305,9 @@ func TestCursorLivenessTinyPools(t *testing.T) {
 						}
 					}()
 				}
-				order := visitOrders(view.N(), int64(w))[[]string{"ascending", "descending", "random"}[w%3]]
-				cur := view.Cursor()
-				defer cur.Close()
-				for _, u := range order {
-					var nbrs []graph.NodeID
-					if w%4 < 2 {
-						nbrs, _ = cur.Neighbors(u)
-					} else {
-						nbrs = cur.NeighborIDs(u)
-					}
-					wn, _ := want.Neighbors(u)
-					if len(nbrs) != len(wn) {
-						t.Errorf("pool=%d worker %d node %d: %d ids, want %d", capacity, w, u, len(nbrs), len(wn))
-						return
-					}
+				order := graphtest.VisitOrders(view.N(), int64(w))[[]string{"ascending", "descending", "random"}[w%3]]
+				if err := want.CheckCursor(view, order); err != nil {
+					t.Errorf("pool=%d worker %d: %v", capacity, w, err)
 				}
 			}(w)
 		}
@@ -427,7 +372,7 @@ func FuzzCursorRows(f *testing.F) {
 		if err != nil {
 			return
 		}
-		order := visitOrders(c.N(), seed)[[]string{"ascending", "descending", "random"}[int(orderSel)%3]]
+		order := graphtest.VisitOrders(c.N(), seed)[[]string{"ascending", "descending", "random"}[int(orderSel)%3]]
 		cur := c.Cursor()
 		var nbrs []graph.NodeID
 		var ws []float64
@@ -471,7 +416,7 @@ func FuzzCursorRows(f *testing.F) {
 func TestCursorFrameRows(t *testing.T) {
 	const pageSize = 256
 	g := hubGraph(600, 2500, 2, 61)
-	want := graph.ToCSR(g)
+	want, o := graph.ToCSR(g), graphtest.NewOracle(g)
 	path := buildAndSave(t, g, pageSize)
 	s, err := OpenFile(path, 4096)
 	if err != nil {
@@ -498,10 +443,10 @@ func TestCursorFrameRows(t *testing.T) {
 
 	cur := paged.Cursor()
 	ra := cur.NeighborIDs(a)
-	requireRow(t, "frame row", want, a, ra, nil, false)
+	requireRow(t, o, a, ra, nil, false)
 	pa, capA := uintptr(unsafe.Pointer(unsafe.SliceData(ra))), cap(ra)
 	rb := cur.NeighborIDs(b)
-	requireRow(t, "frame row", want, b, rb, nil, false)
+	requireRow(t, o, b, rb, nil, false)
 	pb := uintptr(unsafe.Pointer(unsafe.SliceData(rb)))
 	if capA != len(ra) || cap(rb) != len(rb) {
 		t.Fatalf("frame rows not cap-clamped: len/cap %d/%d and %d/%d", len(ra), capA, len(rb), cap(rb))
@@ -510,7 +455,7 @@ func TestCursorFrameRows(t *testing.T) {
 		t.Fatalf("rows %d and %d of one page do not share its frame (%#x, %#x)", a, b, pa, pb)
 	}
 	nb, wb := cur.Neighbors(b)
-	requireRow(t, "full row", want, b, nb, wb, true)
+	requireRow(t, o, b, nb, wb, true)
 	if uintptr(unsafe.Pointer(unsafe.SliceData(nb))) == pb {
 		t.Fatal("Neighbors handed out a view of the frame")
 	}
@@ -528,17 +473,17 @@ func TestCursorFrameRows(t *testing.T) {
 		t.Fatalf("fixture has only %d rows straddling pages", straddles)
 	}
 	for _, dir := range []string{"ascending", "descending"} {
-		order := visitOrders(want.N(), 0)[dir]
+		order := graphtest.VisitOrders(want.N(), 0)[dir]
 		for _, full := range []bool{false, true} {
 			_, pins0 := paged.CursorCounts()
 			cur := paged.Cursor()
 			for _, u := range order {
 				if full {
 					ids, ws := cur.Neighbors(u)
-					requireRow(t, dir+"/full", want, u, ids, ws, true)
+					requireRow(t, o, u, ids, ws, true)
 				} else {
 					ids := cur.NeighborIDs(u)
-					requireRow(t, dir+"/ids", want, u, ids, nil, false)
+					requireRow(t, o, u, ids, nil, false)
 					if len(ids) != cap(ids) {
 						t.Fatalf("%s: row %d len %d cap %d", dir, u, len(ids), cap(ids))
 					}

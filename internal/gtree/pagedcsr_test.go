@@ -44,57 +44,22 @@ func buildAndSave(t *testing.T, g *graph.Graph, pageSize int) string {
 	return path
 }
 
-// TestPagedCSRRoundTrip checks the persisted CSR section reproduces the
-// in-memory CSR bit for bit: every neighbor list, weight, degree and the
-// weighted-degree table.
+// TestPagedCSRRoundTrip checks the persisted graph keeps its edge
+// semantics and every label through the node-indexed label view (its rows
+// are TestBackends').
 func TestPagedCSRRoundTrip(t *testing.T) {
 	g := randomGraph(120, 500, 1)
-	want := graph.ToCSR(g)
-	path := buildAndSave(t, g, 256) // small pages force multi-page runs
-
-	s, err := OpenFile(path, 8)
+	s, err := OpenFile(buildAndSave(t, g, 256), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	c, err := s.PagedCSR()
-	if err != nil {
-		t.Fatal(err)
+	if c, err := s.PagedCSR(); err != nil || c.Directed() != g.Directed() {
+		t.Fatalf("directedness lost (%v)", err)
 	}
-	if c.N() != want.N() || c.HalfEdges() != want.HalfEdges() {
-		t.Fatalf("geometry: n=%d/%d half=%d/%d", c.N(), want.N(), c.HalfEdges(), want.HalfEdges())
-	}
-	if c.Directed() != g.Directed() {
-		t.Fatal("directedness lost")
-	}
-	cur := c.Cursor()
-	for u := 0; u < want.N(); u++ {
-		id := graph.NodeID(u)
-		wn, ww := want.Neighbors(id)
-		gn, gw := cur.Neighbors(id)
-		if len(gn) != len(wn) {
-			t.Fatalf("node %d: degree %d want %d", u, len(gn), len(wn))
-		}
-		for i := range wn {
-			if gn[i] != wn[i] || math.Float64bits(gw[i]) != math.Float64bits(ww[i]) {
-				t.Fatalf("node %d edge %d: %d/%g want %d/%g", u, i, gn[i], gw[i], wn[i], ww[i])
-			}
-		}
-	}
-	cur.Close()
-	ww, gw := want.WeightedDegrees(), c.WeightedDegrees()
-	for u := range ww {
-		if math.Float64bits(gw[u]) != math.Float64bits(ww[u]) {
-			t.Fatalf("wdeg[%d] = %g want %g", u, gw[u], ww[u])
-		}
-	}
-	if err := c.Err(); err != nil {
-		t.Fatalf("latched error after clean reads: %v", err)
-	}
-	// Labels round-trip through the node-indexed label view.
-	for u := 0; u < g.NumNodes(); u++ {
-		if got := s.LabelOf(graph.NodeID(u)); got != g.Label(graph.NodeID(u)) {
-			t.Fatalf("label of %d = %q want %q", u, got, g.Label(graph.NodeID(u)))
+	for u := range graph.NodeID(g.NumNodes()) {
+		if got := s.LabelOf(u); got != g.Label(u) {
+			t.Fatalf("label of %d = %q want %q", u, got, g.Label(u))
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/graph/graphtest"
 	"repro/internal/storage"
 )
 
@@ -36,60 +37,6 @@ func hubGraph(n, m, hubs int, seed int64) *graph.Graph {
 	}
 	g.Dedup()
 	return g
-}
-
-// checkSweepMatches sweeps [0,n) on the paged CSR and requires every
-// emitted row to be bit-identical to the in-memory ground truth, with
-// every node emitted exactly once in order.
-func checkSweepMatches(t *testing.T, c *PagedCSR, want *graph.CSR) {
-	t.Helper()
-	next := 0
-	if err := c.SweepEdges(0, graph.NodeID(c.N()), func(u graph.NodeID, nbrs []graph.NodeID, ws []float64) bool {
-		if int(u) != next {
-			t.Fatalf("emitted %d, expected %d", u, next)
-		}
-		next++
-		wn, ww := want.Neighbors(u)
-		if len(nbrs) != len(wn) || len(ws) != len(ww) {
-			t.Fatalf("node %d: %d/%d entries, want %d", u, len(nbrs), len(ws), len(wn))
-		}
-		for i := range wn {
-			if nbrs[i] != wn[i] || math.Float64bits(ws[i]) != math.Float64bits(ww[i]) {
-				t.Fatalf("node %d entry %d: %d/%g want %d/%g", u, i, nbrs[i], ws[i], wn[i], ww[i])
-			}
-		}
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if next != c.N() {
-		t.Fatalf("sweep emitted %d of %d nodes", next, c.N())
-	}
-}
-
-// TestPagedSweepMatchesNeighbors: the blocked page-run sweep reproduces
-// the node-centric ground truth bit for bit — hub lists straddling many
-// 256-byte pages (and the 4096-half-edge decode window), zero-degree
-// tail runs, tiny and big pools.
-func TestPagedSweepMatchesNeighbors(t *testing.T) {
-	g := hubGraph(600, 2500, 3, 11) // ~10k half-edges: several decode windows
-	want := graph.ToCSR(g)
-	path := buildAndSave(t, g, 256)
-	for _, pool := range []int{4, 64, 4096} {
-		s, err := OpenFile(path, pool)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := s.PagedCSR()
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkSweepMatches(t, c, want)
-		if err := c.Err(); err != nil {
-			t.Fatalf("pool=%d: latched error after clean sweep: %v", pool, err)
-		}
-		s.Close()
-	}
 }
 
 func poolGets(s *Store) uint64 {
@@ -303,7 +250,9 @@ func TestOffsetTableFault(t *testing.T) {
 		if err := sweepAll(healed.Adj); err != nil || healed.Err() != nil {
 			t.Fatalf("sweep after repair: %v (view %v)", err, healed.Err())
 		}
-		checkSweepMatches(t, base, want)
+		if err := graphtest.NewOracle(g).CheckSweep(base, 0, graph.NodeID(base.N())); err != nil {
+			t.Fatal(err)
+		}
 	})
 
 	for _, warm := range []bool{false, true} {
@@ -354,44 +303,6 @@ func TestOffsetTableFault(t *testing.T) {
 				t.Fatalf("%d frames pinned after the faulted sweeps", pins)
 			}
 		})
-	}
-}
-
-// TestPagedSweepEarlyStopAndBounds: fn returning false ends the sweep
-// cleanly; malformed ranges error and latch one fault before any
-// emission.
-func TestPagedSweepEarlyStopAndBounds(t *testing.T) {
-	g := hubGraph(200, 600, 1, 14)
-	path := buildAndSave(t, g, 256)
-	s, err := OpenFile(path, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	c, err := s.PagedCSR()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := 0
-	if err := c.SweepEdges(0, graph.NodeID(c.N()), func(graph.NodeID, []graph.NodeID, []float64) bool {
-		seen++
-		return seen < 5
-	}); err != nil || seen != 5 {
-		t.Fatalf("early stop: err=%v seen=%d", err, seen)
-	}
-	for _, r := range [][2]graph.NodeID{{-1, 5}, {5, 4}, {0, graph.NodeID(c.N()) + 1}} {
-		before := c.faultCount()
-		called := false
-		err := c.SweepEdges(r[0], r[1], func(graph.NodeID, []graph.NodeID, []float64) bool {
-			called = true
-			return true
-		})
-		if err == nil || called {
-			t.Fatalf("sweep [%d,%d): err=%v called=%v", r[0], r[1], err, called)
-		}
-		if d := c.faultCount() - before; d != 1 {
-			t.Fatalf("sweep [%d,%d) latched %d faults, want 1", r[0], r[1], d)
-		}
 	}
 }
 

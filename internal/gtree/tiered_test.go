@@ -3,11 +3,13 @@ package gtree
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"os"
 	"sync"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/graph/graphtest"
 )
 
 // csrCost is the resident size of want decoded: 4·(n+1) + 12·halfEdges.
@@ -32,75 +34,24 @@ func openTiered(t *testing.T, g *graph.Graph, budget int64) (*Store, *PagedCSR) 
 	return s, base
 }
 
-// checkTieredMatches requires the tiered view's sweeps and cursor reads to
-// be bit-identical to the in-memory ground truth.
-func checkTieredMatches(t *testing.T, tc *TieredCSR, want *graph.CSR) {
+// checkTieredMatches requires the tiered view's full sweep and an
+// ascending cursor walk to read o's rows bit for bit.
+func checkTieredMatches(t *testing.T, tc *TieredCSR, o *graphtest.Oracle) {
 	t.Helper()
-	checkSweeps(t, "tiered", tc, want, 0, graph.NodeID(want.N()), 0)
-	ids, ws := csrRows(want)
-	checkCursorMatches(t, "tiered", tc, visitOrders(want.N(), 1)["ascending"], ids, ws)
-}
-
-// TestTieredMatchesPagedAndMemory: at a budget of exactly the decoded
-// CSR's cost, one Promote publishes the whole graph; a view opened after
-// it reads memory, bit-identical to the source, and takes no pool pin.
-func TestTieredMatchesPagedAndMemory(t *testing.T) {
-	g := hubGraph(600, 2500, 3, 21)
-	want := graph.ToCSR(g)
-	cost := csrCost(want)
-	s, base := openTiered(t, g, cost)
-	cold := base.Tiered()
-	if cold.resident() {
-		t.Fatal("view opened before any promotion reads memory")
-	}
-	if n := cold.Promote(); n != 1 {
-		t.Fatalf("Promote at budget = cost published %d", n)
-	}
-	if ti := s.TierInfo(); ti.Fragments != 1 || ti.Bytes != cost || ti.Bytes > ti.Budget || ti.Promotions != 1 {
-		t.Fatalf("tier after promotion: %+v, want the whole CSR (%d bytes)", ti, cost)
-	}
-	if cold.Promote() != 0 {
-		t.Fatal("second Promote republished a resident CSR")
-	}
-	s.ResetPoolStats()
-	tiered := base.Tiered()
-	if !tiered.resident() {
-		t.Fatal("view opened after promotion pages")
-	}
-	checkTieredMatches(t, tiered, want)
-	if gets := poolGets(s); gets != 0 {
-		t.Fatalf("warm tiered sweeps and cursor took %d pool pins, want 0", gets)
-	}
-	if ti := s.TierInfo(); ti.Hits != 1 || ti.Misses != 1 {
-		t.Fatalf("tier counted %d memory and %d paged views, want 1 of each", ti.Hits, ti.Misses)
-	}
-	// The paged view stays bit-identical too.
-	checkTieredMatches(t, cold, want)
-	checkSweepMatches(t, base, want)
-	if err := base.Err(); err != nil {
+	if err := errors.Join(o.CheckSweep(tc, 0, graph.NodeID(o.N())), o.CheckCursor(tc, graphtest.VisitOrders(o.N(), 1)["ascending"])); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestTieredBudgetBound: one byte below the cost nothing is promoted and
-// every view pages, bit-identically; a cut below the cost, or to 0, demotes
-// a resident CSR at once, after which Promote is a no-op.
+// TestTieredBudgetBound: a cut below the cost, or to 0, demotes a
+// resident CSR at once, after which Promote is a no-op, while a view that
+// picked the CSR before the cut keeps reading it. (Below the cost nothing
+// is promoted at all: TestBackends' row "tiered/below-budget".)
 func TestTieredBudgetBound(t *testing.T) {
 	g := hubGraph(600, 2500, 3, 24)
-	want := graph.ToCSR(g)
-	cost := csrCost(want)
-	s, base := openTiered(t, g, cost-1)
-	if n := base.Tiered().Promote(); n != 0 {
-		t.Fatalf("Promote below the cost published %d", n)
-	}
-	if ti := s.TierInfo(); ti.Fragments != 0 || ti.Bytes != 0 {
-		t.Fatalf("tier below the cost: %+v", ti)
-	}
-	below := base.Tiered()
-	if below.resident() {
-		t.Fatal("below-budget view reads memory")
-	}
-	checkTieredMatches(t, below, want)
+	want := graphtest.NewOracle(g)
+	cost := csrCost(graph.ToCSR(g))
+	s, base := openTiered(t, g, 0)
 	for _, cut := range []int64{cost - 1, 0} {
 		s.SetTierBudget(cost)
 		if base.Tiered().Promote() != 1 {
@@ -127,8 +78,8 @@ func TestTieredBudgetBound(t *testing.T) {
 // bit-identical. Run with -race.
 func TestTieredPromotionRacesSweep(t *testing.T) {
 	g := hubGraph(600, 2500, 3, 23)
-	want := graph.ToCSR(g)
-	cost := csrCost(want)
+	want := graphtest.NewOracle(g)
+	cost := csrCost(graph.ToCSR(g))
 	s, base := openTiered(t, g, cost)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

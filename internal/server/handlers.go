@@ -812,6 +812,11 @@ func (s *Server) planExtract(sess *Session, req ExtractRequest) (extractPlan, in
 	if err != nil {
 		return p, http.StatusBadRequest, err
 	}
+	if p.opts.Mode == extract.CombineKSoftAND {
+		// Goodness clamps k to [1, sources]; clamp it here too, so k 0 and
+		// 1, or 9 and 2 with two sources, share one cache entry.
+		p.opts.K = min(max(p.opts.K, 1), len(p.sources))
+	}
 	// Size and layout seed only shape the SVG rendering; keep them out of
 	// JSON keys so render-only parameters never duplicate JSON entries.
 	// Parallel stays out of the key entirely: the solver ignores it.
@@ -826,10 +831,11 @@ func (s *Server) planExtract(sess *Session, req ExtractRequest) (extractPlan, in
 }
 
 // buildExtract executes a plan against the session's engine, which runs the
-// solve on the engine's cached CSR (built once per session, shared by every
-// extraction), and renders the response body. The trace (nil when the
-// caller holds none, or when a different request's build was coalesced
-// into) collects the engine's stage breakdown and pool pins.
+// solve on a query view of its store (the resident CSR while the tier holds
+// the graph, else paged through the buffer pool), and renders the response
+// body. The trace (nil when the caller holds none, or when a different
+// request's build was coalesced into) collects the engine's stage
+// breakdown and pool pins.
 func (s *Server) buildExtract(ctx context.Context, sess *Session, p extractPlan, tr *obs.Trace) ([]byte, string, int, error) {
 	var body []byte
 	var ctyp string

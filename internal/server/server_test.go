@@ -337,6 +337,36 @@ func TestExtractAndCache(t *testing.T) {
 	}
 }
 
+// TestExtractKSoftKeyCanonical: k-softAND clamps k to [1, sources], so
+// the cache key does too — k 0 and 1, and k 9 and 2 over two sources, each
+// compute the same bytes and share one entry.
+func TestExtractKSoftKeyCanonical(t *testing.T) {
+	_, ts := newTestServer(t)
+	createSynthetic(t, ts, "dblp")
+	labels := []string{dblp.NamePhilipYu, dblp.NameFlipKorn}
+	for _, ks := range [][2]int{{0, 1}, {9, 2}, {-3, 1}} {
+		var bodies [2][]byte
+		for i, k := range ks {
+			resp := postJSON(t, ts.URL+"/sessions/dblp/extract", ExtractRequest{Labels: labels, Budget: 12, Mode: "ksoft", K: k})
+			bodies[i], _ = io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("k=%d: status %d: %s", k, resp.StatusCode, bodies[i])
+			}
+			want := "miss"
+			if i == 1 || ks[0] == -3 {
+				want = "hit" // k -3 clamps to the k 1 entry of the first pair
+			}
+			if h := resp.Header.Get("X-Gmine-Cache"); h != want {
+				t.Fatalf("k=%d: cache header %q, want %q", k, h, want)
+			}
+		}
+		if !bytes.Equal(bodies[0], bodies[1]) {
+			t.Fatalf("k %d and %d: bodies differ", ks[0], ks[1])
+		}
+	}
+}
+
 func TestSceneCache(t *testing.T) {
 	_, ts := newTestServer(t)
 	createSynthetic(t, ts, "dblp")
