@@ -36,9 +36,3 @@ func TestPageRankCSRMatchesAdjacency(t *testing.T) {
 		}
 	}
 }
-
-func TestPageRankCSREmpty(t *testing.T) {
-	if PageRankAdj(graph.ToCSR(graph.New(false)), PageRankOptions{}) != nil {
-		t.Fatal("empty graph should give nil")
-	}
-}

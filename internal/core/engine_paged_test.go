@@ -12,51 +12,6 @@ import (
 	"repro/internal/graph"
 )
 
-// equalResults requires two extraction results to be bit-identical:
-// same node order, same goodness bits, same subgraph edges and labels.
-func equalResults(t *testing.T, tag string, a, b *extract.Result) {
-	t.Helper()
-	if len(a.Nodes) != len(b.Nodes) || a.Iterations != b.Iterations ||
-		math.Float64bits(a.TotalGoodness) != math.Float64bits(b.TotalGoodness) {
-		t.Fatalf("%s: shape diverged: %d/%d nodes, %d/%d iters, %v/%v goodness",
-			tag, len(a.Nodes), len(b.Nodes), a.Iterations, b.Iterations, a.TotalGoodness, b.TotalGoodness)
-	}
-	for i := range a.Nodes {
-		if a.Nodes[i] != b.Nodes[i] {
-			t.Fatalf("%s: node %d: %d vs %d", tag, i, a.Nodes[i], b.Nodes[i])
-		}
-		if math.Float64bits(a.Goodness[i]) != math.Float64bits(b.Goodness[i]) {
-			t.Fatalf("%s: goodness %d: %v vs %v", tag, i, a.Goodness[i], b.Goodness[i])
-		}
-		la, lb := a.Subgraph.Label(graph.NodeID(i)), b.Subgraph.Label(graph.NodeID(i))
-		if la != lb {
-			t.Fatalf("%s: label %d: %q vs %q", tag, i, la, lb)
-		}
-	}
-	for i := range a.Sources {
-		if a.Sources[i] != b.Sources[i] {
-			t.Fatalf("%s: source %d: %d vs %d", tag, i, a.Sources[i], b.Sources[i])
-		}
-	}
-	var edgesA, edgesB [][3]float64
-	a.Subgraph.Edges(func(u, v graph.NodeID, w float64) bool {
-		edgesA = append(edgesA, [3]float64{float64(u), float64(v), w})
-		return true
-	})
-	b.Subgraph.Edges(func(u, v graph.NodeID, w float64) bool {
-		edgesB = append(edgesB, [3]float64{float64(u), float64(v), w})
-		return true
-	})
-	if len(edgesA) != len(edgesB) {
-		t.Fatalf("%s: %d vs %d edges", tag, len(edgesA), len(edgesB))
-	}
-	for i := range edgesA {
-		if edgesA[i] != edgesB[i] {
-			t.Fatalf("%s: edge %d: %v vs %v", tag, i, edgesA[i], edgesB[i])
-		}
-	}
-}
-
 // TestPagedExtractionPropertyIdentity is the acceptance property: random
 // source sets, combine modes and parallelism over the same graph must
 // produce bit-identical extractions on a memory-backed engine and a

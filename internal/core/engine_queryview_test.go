@@ -102,7 +102,7 @@ func TestFaultLatchPromoteSparesInFlightQuery(t *testing.T) {
 // calls run, and every result stays bit-identical to the memory engine's.
 // Run with -race.
 func TestTierBudgetFlipsUnderQueries(t *testing.T) {
-	mem, tiered, _ := buildMemAndDisk(t, 64)
+	mem, _, tiered := tieredTrio(t, 0)
 	pc, err := tiered.Store().PagedCSR()
 	if err != nil {
 		t.Fatal(err)

@@ -171,6 +171,20 @@ func TestSaveOpenDiskBackedEngine(t *testing.T) {
 	if _, err := d.MetricsReport(leaf, 1); err != nil {
 		t.Fatal(err)
 	}
+	// Extraction runs out of core on the paged CSR and matches the
+	// memory-backed engine exactly.
+	got, err := d.Extract([]graph.NodeID{0, 1}, extract.Options{Budget: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := e.Extract([]graph.NodeID{0, 1}, extract.Options{Budget: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.TotalGoodness != want.TotalGoodness || len(got.Nodes) != len(want.Nodes) {
+		t.Fatalf("paged extraction diverged: %v/%d vs %v/%d",
+			got.TotalGoodness, len(got.Nodes), want.TotalGoodness, len(want.Nodes))
+	}
 	// Saving again is refused.
 	if err := d.SaveTree(path, 0); err == nil {
 		t.Fatal("disk-backed engine re-saved")

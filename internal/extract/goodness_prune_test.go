@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -79,4 +80,100 @@ func TestDestQueueMatchesNaiveScan(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPrunedExtractionMatchesFullScan pins result-equivalence end to end:
+// the production extraction (pruned queue) against a local reimplementation
+// of the original full-scan loop, over random graphs and option mixes.
+func TestPrunedExtractionMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 20; trial++ {
+		n := 20 + rng.Intn(60)
+		g := graph.NewWithNodes(n, false)
+		for i := 0; i < n*3; i++ {
+			u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+			g.AddEdge(u, v, 1+rng.Float64())
+		}
+		g.Dedup()
+		srcSet := map[graph.NodeID]bool{}
+		for len(srcSet) < 2+rng.Intn(2) {
+			srcSet[graph.NodeID(rng.Intn(n))] = true
+		}
+		var sources []graph.NodeID
+		for s := range srcSet {
+			sources = append(sources, s)
+		}
+		opts := Options{Budget: 5 + rng.Intn(15), Mode: CombineMode(trial % 3), K: 2}
+		got, err := ConnectionSubgraph(g, sources, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fullScanExtract(t, g, sources, opts)
+		if len(got.Nodes) != len(want) {
+			t.Fatalf("trial %d: %d nodes, full scan chose %d", trial, len(got.Nodes), len(want))
+		}
+		for i := range want {
+			if got.Nodes[i] != want[i] {
+				t.Fatalf("trial %d: node %d is %d, full scan chose %d", trial, i, got.Nodes[i], want[i])
+			}
+		}
+	}
+}
+
+// fullScanExtract reruns the extraction loop with the original O(n)
+// destination scan and returns the chosen node sequence.
+func fullScanExtract(t *testing.T, g *graph.Graph, sources []graph.NodeID, opts Options) []graph.NodeID {
+	t.Helper()
+	opts, err := opts.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := graph.ToCSR(g)
+	rwr, err := RWRMulti(c, sources, opts.RWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goodness := Goodness(rwr, opts.Mode, opts.K)
+	logGood := make([]float64, c.N())
+	for v := range logGood {
+		if goodness[v] > 0 {
+			logGood[v] = math.Log(goodness[v])
+		} else {
+			logGood[v] = math.Inf(-1)
+		}
+	}
+	inH := make([]bool, c.N())
+	var chosen []graph.NodeID
+	add := func(u graph.NodeID) {
+		if !inH[u] {
+			inH[u] = true
+			chosen = append(chosen, u)
+		}
+	}
+	for _, s := range sources {
+		add(s)
+	}
+	for len(chosen) < opts.Budget {
+		pd := naiveNextDest(goodness, inH)
+		if pd < 0 {
+			break
+		}
+		for _, s := range sources {
+			if len(chosen) >= opts.Budget {
+				break
+			}
+			for _, u := range keyPath(c, s, pd, logGood, opts.MaxPathLen) {
+				if !inH[u] {
+					if len(chosen) >= opts.Budget {
+						break
+					}
+					add(u)
+				}
+			}
+		}
+		if !inH[pd] && len(chosen) < opts.Budget {
+			add(pd)
+		}
+	}
+	return chosen
 }

@@ -209,6 +209,33 @@ func TestKeyPathFusedMatchesPerSource(t *testing.T) {
 	}
 }
 
+// TestExtractFusedGroupsMatchPerPair: with more sources than one build
+// fuses, the extraction walks the groups in source order under the same
+// budget checks, and chooses the node sequence the per-(source,
+// destination) loop does.
+func TestExtractFusedGroupsMatchPerPair(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	for trial := 0; trial < 4; trial++ {
+		n := 80 + rng.Intn(80)
+		g := randomConnected(rng, n, 2*n)
+		var sources []graph.NodeID
+		for _, s := range rng.Perm(n)[:2*maxFusedSources+1] {
+			sources = append(sources, graph.NodeID(s))
+		}
+		// Budgets just above the source count fill mid-round, mid-group.
+		for _, budget := range []int{len(sources) + 2, 40} {
+			opts := Options{Budget: budget, Mode: CombineMode(trial % 3), K: 3, MaxPathLen: 4 + trial}
+			got, err := ConnectionSubgraph(g, sources, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := fullScanExtract(t, g, sources, opts); !slices.Equal(got.Nodes, want) {
+				t.Fatalf("trial %d budget %d: fused groups chose %v, per-pair loop %v", trial, budget, got.Nodes, want)
+			}
+		}
+	}
+}
+
 // TestKeyPathFusedReadsEachRowOnce pins what fusing buys, as a count: at
 // every level a build reads the union of its sources' frontiers — each row
 // once, however many sources need it — where per-source solves read the

@@ -55,6 +55,58 @@ func requireVector(t *testing.T, tag string, got, want []float64) {
 	}
 }
 
+// TestRWRSetSweepBitIdentical: across random graphs, source sets and pool
+// sizes, the RWR sweep solve on a paged CSR equals the in-memory solve bit
+// for bit.
+func TestRWRSetSweepBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 8; trial++ {
+		n := 30 + rng.Intn(150)
+		g := randomConnected(rng, n, rng.Intn(4*n))
+		paged := pagedFixture(t, g, 8+rng.Intn(64))
+		m := 1 + rng.Intn(4)
+		sources := make([]graph.NodeID, m)
+		for i := range sources {
+			sources[i] = graph.NodeID(rng.Intn(n))
+		}
+		opts := RWROptions{Restart: 0.05 + 0.9*rng.Float64(), MaxIter: 40}
+		want, err := RWRSet(graph.ToCSR(g), sources, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RWRSet(paged, sources, opts)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		requireVector(t, "paged", got, want)
+		if err := paged.Err(); err != nil {
+			t.Fatalf("trial %d: paged fault: %v", trial, err)
+		}
+	}
+}
+
+// TestConnectionSubgraphSweepBitIdentical: the full extraction pipeline
+// (RWR + goodness + key paths) lands on the same subgraph in memory and
+// paged.
+func TestConnectionSubgraphSweepBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	g := randomConnected(rng, 250, 900)
+	sources := []graph.NodeID{5, 130, 240}
+	opts := Options{Budget: 25}
+	want, err := ConnectionSubgraphAdj(graph.ToCSR(g), false, nil, sources, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ConnectionSubgraphAdj(pagedFixture(t, g, 32), false, nil, sources, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resultDigest(got) != resultDigest(want) {
+		t.Fatalf("paged extraction diverged: %v/%d vs %v/%d",
+			got.TotalGoodness, len(got.Nodes), want.TotalGoodness, len(want.Nodes))
+	}
+}
+
 // TestRWRSetShardedBitIdentical: RWROptions.Shards is accepted and
 // ignored, so a solve asking for any shard count equals the default solve
 // bit for bit, on both backends.

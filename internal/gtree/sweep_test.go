@@ -39,6 +39,33 @@ func hubGraph(n, m, hubs int, seed int64) *graph.Graph {
 	return g
 }
 
+// TestPagedSweepMatchesNeighbors: the blocked page-run sweep reproduces
+// the node-centric ground truth bit for bit — hub lists straddling many
+// 256-byte pages (and the 4096-half-edge decode window), zero-degree
+// tail runs, tiny and big pools.
+func TestPagedSweepMatchesNeighbors(t *testing.T) {
+	g := hubGraph(600, 2500, 3, 11) // ~10k half-edges: several decode windows
+	want := graphtest.NewOracle(g)
+	path := buildAndSave(t, g, 256)
+	for _, pool := range []int{4, 64, 4096} {
+		s, err := OpenFile(path, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := s.PagedCSR()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := want.CheckSweep(c, 0, graph.NodeID(c.N())); err != nil {
+			t.Fatalf("pool=%d: %v", pool, err)
+		}
+		if err := c.Err(); err != nil {
+			t.Fatalf("pool=%d: latched error after clean sweep: %v", pool, err)
+		}
+		s.Close()
+	}
+}
+
 func poolGets(s *Store) uint64 {
 	st := s.PoolStats()
 	return st.Hits + st.Misses
@@ -303,6 +330,44 @@ func TestOffsetTableFault(t *testing.T) {
 				t.Fatalf("%d frames pinned after the faulted sweeps", pins)
 			}
 		})
+	}
+}
+
+// TestPagedSweepEarlyStopAndBounds: fn returning false ends the sweep
+// cleanly; malformed ranges error and latch one fault before any
+// emission.
+func TestPagedSweepEarlyStopAndBounds(t *testing.T) {
+	g := hubGraph(200, 600, 1, 14)
+	path := buildAndSave(t, g, 256)
+	s, err := OpenFile(path, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := s.PagedCSR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	if err := c.SweepEdges(0, graph.NodeID(c.N()), func(graph.NodeID, []graph.NodeID, []float64) bool {
+		seen++
+		return seen < 5
+	}); err != nil || seen != 5 {
+		t.Fatalf("early stop: err=%v seen=%d", err, seen)
+	}
+	for _, r := range [][2]graph.NodeID{{-1, 5}, {5, 4}, {0, graph.NodeID(c.N()) + 1}} {
+		before := c.faultCount()
+		called := false
+		err := c.SweepEdges(r[0], r[1], func(graph.NodeID, []graph.NodeID, []float64) bool {
+			called = true
+			return true
+		})
+		if err == nil || called {
+			t.Fatalf("sweep [%d,%d): err=%v called=%v", r[0], r[1], err, called)
+		}
+		if d := c.faultCount() - before; d != 1 {
+			t.Fatalf("sweep [%d,%d) latched %d faults, want 1", r[0], r[1], d)
+		}
 	}
 }
 

@@ -43,6 +43,49 @@ func checkTieredMatches(t *testing.T, tc *TieredCSR, o *graphtest.Oracle) {
 	}
 }
 
+// TestTieredMatchesPagedAndMemory: at a budget of exactly the decoded
+// CSR's cost, one Promote publishes the whole graph; a view opened after
+// it reads memory, bit-identical to the source, and takes no pool pin.
+func TestTieredMatchesPagedAndMemory(t *testing.T) {
+	g := hubGraph(600, 2500, 3, 21)
+	want := graphtest.NewOracle(g)
+	cost := csrCost(graph.ToCSR(g))
+	s, base := openTiered(t, g, cost)
+	cold := base.Tiered()
+	if cold.resident() {
+		t.Fatal("view opened before any promotion reads memory")
+	}
+	if n := cold.Promote(); n != 1 {
+		t.Fatalf("Promote at budget = cost published %d", n)
+	}
+	if ti := s.TierInfo(); ti.Fragments != 1 || ti.Bytes != cost || ti.Bytes > ti.Budget || ti.Promotions != 1 {
+		t.Fatalf("tier after promotion: %+v, want the whole CSR (%d bytes)", ti, cost)
+	}
+	if cold.Promote() != 0 {
+		t.Fatal("second Promote republished a resident CSR")
+	}
+	s.ResetPoolStats()
+	tiered := base.Tiered()
+	if !tiered.resident() {
+		t.Fatal("view opened after promotion pages")
+	}
+	checkTieredMatches(t, tiered, want)
+	if gets := poolGets(s); gets != 0 {
+		t.Fatalf("warm tiered sweeps and cursor took %d pool pins, want 0", gets)
+	}
+	if ti := s.TierInfo(); ti.Hits != 1 || ti.Misses != 1 {
+		t.Fatalf("tier counted %d memory and %d paged views, want 1 of each", ti.Hits, ti.Misses)
+	}
+	// The paged view stays bit-identical too.
+	checkTieredMatches(t, cold, want)
+	if err := want.CheckSweep(base, 0, graph.NodeID(base.N())); err != nil {
+		t.Fatal(err)
+	}
+	if err := base.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestTieredBudgetBound: a cut below the cost, or to 0, demotes a
 // resident CSR at once, after which Promote is a no-op, while a view that
 // picked the CSR before the cut keeps reading it. (Below the cost nothing
