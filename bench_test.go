@@ -348,7 +348,7 @@ func BenchmarkPageRank(b *testing.B) {
 	setup(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if pr := gmine.PageRank(benchDS.Graph, gmine.PageRankOptions{}); len(pr) == 0 {
+		if pr := gmine.PageRankAdj(gmine.ToCSR(benchDS.Graph), gmine.PageRankOptions{}); len(pr) == 0 {
 			b.Fatal("empty pagerank")
 		}
 	}
@@ -870,9 +870,10 @@ func BenchmarkExtractTieredSkewed(b *testing.B) {
 // function against exact all-sources BFS on the bench graph.
 func BenchmarkANFVsExactHopPlot(b *testing.B) {
 	setup(b)
+	adj := gmine.ToCSR(benchDS.Graph)
 	b.Run("ANF", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			gmine.ComputeANF(benchDS.Graph, gmine.ANFOptions{K: 24, Seed: benchSeed})
+			gmine.ComputeANF(adj, benchDS.Graph.Directed(), gmine.ANFOptions{K: 24, Seed: benchSeed})
 		}
 	})
 	b.Run("ExactSampled", func(b *testing.B) {

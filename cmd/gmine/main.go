@@ -400,16 +400,16 @@ func cmdStats(args []string) error {
 	if err != nil {
 		return err
 	}
-	deg := analysis.DegreeDistribution(g)
-	_, wcc := analysis.WeakComponents(g)
-	lc := analysis.LargestComponent(g)
+	adj := graph.ToCSR(g)
+	rep := analysis.ReportAdj(adj, g.Directed())
+	deg := rep.Degree
 	fmt.Printf("graph: %d nodes, %d edges\n", g.NumNodes(), g.NumEdges())
 	fmt.Printf("degree: min %d max %d mean %.2f power-law exp %.2f\n",
 		deg.Min, deg.Max, deg.Mean, deg.PowerLawExponent)
 	fmt.Printf("weak components: %d (giant: %d nodes, %.1f%%)\n",
-		wcc, len(lc), 100*float64(len(lc))/float64(g.NumNodes()))
+		rep.WeakComponents, rep.LargestComponent, 100*float64(rep.LargestComponent)/float64(g.NumNodes()))
 	if *anfK > 0 {
-		anf := analysis.ComputeANF(g, analysis.ANFOptions{K: *anfK, Seed: *seed})
+		anf := analysis.ComputeANF(adj, g.Directed(), analysis.ANFOptions{K: *anfK, Seed: *seed})
 		fmt.Printf("ANF effective diameter: %d (sketch K=%d)\n", anf.EffectiveDiameter, *anfK)
 		fmt.Println("hop plot (h -> reachable pairs):")
 		for h, c := range anf.Counts {

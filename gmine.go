@@ -27,8 +27,10 @@ func NewGraph(directed bool) *Graph { return graph.New(directed) }
 // NewGraphWithNodes returns a graph with n unlabeled nodes.
 func NewGraphWithNodes(n int, directed bool) *Graph { return graph.NewWithNodes(n, directed) }
 
-// Induced returns the subgraph induced by nodes plus the id mapping.
-func Induced(g *Graph, nodes []NodeID) (*Graph, []NodeID) { return graph.Induced(g, nodes) }
+// Induced returns the subgraph of an Adjacency induced by nodes plus the
+// id mapping; labelOf (optional) supplies the non-empty labels to carry.
+// Pass ToCSR(g) for a *Graph.
+var Induced = graph.Induced
 
 // CSR is the in-memory compressed-sparse-row view used by the algorithm
 // kernels.
@@ -228,18 +230,15 @@ func AnalysisReport(g *Graph, hopSamples int, seed int64) SubgraphReport {
 	return analysis.Report(g, hopSamples, seed)
 }
 
-// PageRank, components, hops and degree helpers. PageRankAdj runs on any
-// prebuilt Adjacency instead of converting per call. For disk-backed
-// engines prefer Engine.PageRank, which solves on the query's own view
-// and fails the call if any of its reads faulted.
+// PageRank, components and hops over any Adjacency; pass ToCSR(g) for a
+// *Graph. Degree statistics and weak components come from ReportAdj. For
+// disk-backed engines prefer Engine.PageRank, which solves on the query's
+// own view and fails the call if any of its reads faulted.
 var (
-	PageRank           = analysis.PageRank
-	PageRankAdj        = analysis.PageRankAdj
-	WeakComponents     = analysis.WeakComponents
-	StrongComponents   = analysis.StrongComponents
-	DegreeDistribution = analysis.DegreeDistribution
-	BFSDistances       = analysis.BFSDistances
-	LargestComponent   = analysis.LargestComponent
+	PageRankAdj      = analysis.PageRankAdj
+	StrongComponents = analysis.StrongComponents
+	BFSDistances     = analysis.BFSDistances
+	LargestComponent = analysis.LargestComponent
 )
 
 // PageRankOptions tunes PageRank.

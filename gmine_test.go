@@ -81,10 +81,11 @@ func TestFacadePartitionAndAnalysis(t *testing.T) {
 	if rep.Nodes != ds.Graph.NumNodes() {
 		t.Fatal("analysis report wrong size")
 	}
-	if _, n := gmine.WeakComponents(ds.Graph); n < 1 {
+	adj := gmine.ToCSR(ds.Graph)
+	if n := gmine.ReportAdj(adj, ds.Graph.Directed()).WeakComponents; n < 1 {
 		t.Fatal("no components")
 	}
-	if len(gmine.LargestComponent(ds.Graph)) == 0 {
+	if len(gmine.LargestComponent(adj)) == 0 {
 		t.Fatal("no giant component")
 	}
 }
@@ -111,7 +112,7 @@ func TestFacadeSaveOpen(t *testing.T) {
 
 func TestFacadeBaselines(t *testing.T) {
 	ds := gmine.SmallDBLP()
-	lc := gmine.LargestComponent(ds.Graph)
+	lc := gmine.LargestComponent(gmine.ToCSR(ds.Graph))
 	s, tt := lc[0], lc[len(lc)/2]
 	pw, err := gmine.PairwiseConnection(ds.Graph, s, tt, gmine.PairwiseOptions{Budget: 10})
 	if err != nil {

@@ -124,7 +124,7 @@ func TestIntegrationDirectSubstrates(t *testing.T) {
 		t.Fatal("RWR implementations disagree on the source")
 	}
 	// ANF on a path.
-	anf := gmine.ComputeANF(g, gmine.ANFOptions{K: 16, Seed: 1})
+	anf := gmine.ComputeANF(gmine.ToCSR(g), g.Directed(), gmine.ANFOptions{K: 16, Seed: 1})
 	if anf.EffectiveDiameter < 5 {
 		t.Fatalf("path-of-30 effective diameter %d suspiciously small", anf.EffectiveDiameter)
 	}
@@ -150,13 +150,14 @@ func TestIntegrationDirectSubstrates(t *testing.T) {
 		t.Fatal("facade SubgraphSVG broken")
 	}
 	// Direct analysis helpers.
-	if d := gmine.BFSDistances(g, 0); d[29] != 29 {
+	adj := gmine.ToCSR(g)
+	if d := gmine.BFSDistances(adj, 0); d[29] != 29 {
 		t.Fatalf("BFS distance %d want 29", d[29])
 	}
-	if st := gmine.DegreeDistribution(g); st.Max != 2 {
+	if st := gmine.ReportAdj(adj, g.Directed()).Degree; st.Max != 2 {
 		t.Fatalf("degree max %d want 2", st.Max)
 	}
-	if _, n := gmine.StrongComponents(g); n != 30 && n != 1 {
+	if _, n := gmine.StrongComponents(adj); n != 30 && n != 1 {
 		// undirected stored both ways -> one SCC
 		t.Fatalf("unexpected SCC count %d", n)
 	}

@@ -3,6 +3,7 @@ package analysis
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -26,8 +27,7 @@ func star(leaves int) *graph.Graph {
 }
 
 func TestDegreeDistributionStar(t *testing.T) {
-	g := star(6)
-	st := DegreeDistribution(g)
+	st := ReportAdj(graph.ToCSR(star(6)), false).Degree
 	if st.Max != 6 || st.Min != 1 {
 		t.Fatalf("min/max %d/%d want 1/6", st.Min, st.Max)
 	}
@@ -41,7 +41,7 @@ func TestDegreeDistributionStar(t *testing.T) {
 }
 
 func TestDegreeDistributionEmpty(t *testing.T) {
-	st := DegreeDistribution(graph.New(false))
+	st := ReportAdj(graph.ToCSR(graph.New(false)), false).Degree
 	if len(st.Histogram) != 0 {
 		t.Fatal("empty graph has histogram entries")
 	}
@@ -64,8 +64,7 @@ func TestPowerLawExponentOnSyntheticTail(t *testing.T) {
 }
 
 func TestDegreeHistogramSorted(t *testing.T) {
-	g := star(4)
-	degrees, counts := DegreeHistogramSorted(g)
+	degrees, counts := DegreeHistogramSorted(ReportAdj(graph.ToCSR(star(4)), false).Degree)
 	if len(degrees) != 2 || degrees[0] != 1 || degrees[1] != 4 {
 		t.Fatalf("degrees %v", degrees)
 	}
@@ -75,7 +74,7 @@ func TestDegreeHistogramSorted(t *testing.T) {
 }
 
 func TestTopKByDegree(t *testing.T) {
-	g := star(5)
+	g := graph.ToCSR(star(5))
 	top := TopKByDegree(g, 2)
 	if top[0] != 0 {
 		t.Fatalf("hub not first: %v", top)
@@ -92,24 +91,16 @@ func TestTopKByDegree(t *testing.T) {
 func TestWeakComponentsPathPlusIsolated(t *testing.T) {
 	g := path(5)
 	g.AddNodes(3) // isolated
-	labels, count := WeakComponents(g)
-	if count != 4 {
-		t.Fatalf("components=%d want 4", count)
+	adj := graph.ToCSR(g)
+	rep := ReportAdj(adj, false)
+	if rep.WeakComponents != 4 {
+		t.Fatalf("components=%d want 4", rep.WeakComponents)
 	}
-	for i := 1; i < 5; i++ {
-		if labels[i] != labels[0] {
-			t.Fatal("path split into several components")
-		}
+	if lc := LargestComponent(adj); !reflect.DeepEqual(lc, []graph.NodeID{0, 1, 2, 3, 4}) {
+		t.Fatalf("largest component %v, want the whole path: split into several components", lc)
 	}
-	sizes := ComponentSizes(labels, count)
-	got5 := false
-	for _, s := range sizes {
-		if s == 5 {
-			got5 = true
-		}
-	}
-	if !got5 {
-		t.Fatalf("sizes %v missing the 5-node component", sizes)
+	if rep.LargestComponent != 5 {
+		t.Fatalf("largest component size %d, want the 5-node path", rep.LargestComponent)
 	}
 }
 
@@ -117,7 +108,7 @@ func TestLargestComponent(t *testing.T) {
 	g := path(5)
 	g.AddNodes(2)
 	g.AddEdge(5, 6, 1)
-	lc := LargestComponent(g)
+	lc := LargestComponent(graph.ToCSR(g))
 	if len(lc) != 5 {
 		t.Fatalf("largest=%d want 5", len(lc))
 	}
@@ -130,7 +121,7 @@ func TestStrongComponentsDirectedCycleAndTail(t *testing.T) {
 	g.AddEdge(1, 2, 1)
 	g.AddEdge(2, 0, 1)
 	g.AddEdge(2, 3, 1)
-	labels, count := StrongComponents(g)
+	labels, count := StrongComponents(graph.ToCSR(g))
 	if count != 2 {
 		t.Fatalf("scc count=%d want 2", count)
 	}
@@ -147,7 +138,7 @@ func TestStrongComponentsDAG(t *testing.T) {
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 1)
 	g.AddEdge(0, 3, 1)
-	_, count := StrongComponents(g)
+	_, count := StrongComponents(graph.ToCSR(g))
 	if count != 4 {
 		t.Fatalf("DAG scc count=%d want 4", count)
 	}
@@ -165,9 +156,9 @@ func TestStrongComponentsUndirectedEqualsWeak(t *testing.T) {
 			}
 		}
 		g.Dedup()
-		_, wc := WeakComponents(g)
-		_, sc := StrongComponents(g)
-		return wc == sc
+		adj := graph.ToCSR(g)
+		_, sc := StrongComponents(adj)
+		return ReportAdj(adj, false).WeakComponents == sc
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -181,7 +172,7 @@ func TestStrongComponentsDeepPathNoOverflow(t *testing.T) {
 	for i := 0; i < n-1; i++ {
 		g.AddEdge(graph.NodeID(i), graph.NodeID(i+1), 1)
 	}
-	_, count := StrongComponents(g)
+	_, count := StrongComponents(graph.ToCSR(g))
 	if count != n {
 		t.Fatalf("scc count=%d want %d", count, n)
 	}
@@ -189,34 +180,34 @@ func TestStrongComponentsDeepPathNoOverflow(t *testing.T) {
 
 func TestBFSDistancesPath(t *testing.T) {
 	g := path(5)
-	dist := BFSDistances(g, 0)
+	dist := BFSDistances(graph.ToCSR(g), 0)
 	for i := 0; i < 5; i++ {
 		if dist[i] != int32(i) {
 			t.Fatalf("dist[%d]=%d want %d", i, dist[i], i)
 		}
 	}
 	g.AddNodes(1)
-	dist = BFSDistances(g, 0)
+	dist = BFSDistances(graph.ToCSR(g), 0)
 	if dist[5] != -1 {
 		t.Fatal("unreachable node has distance")
 	}
 }
 
 func TestDiameter(t *testing.T) {
-	if d := Diameter(path(6)); d != 5 {
+	if d := Diameter(graph.ToCSR(path(6))); d != 5 {
 		t.Fatalf("path diameter=%d want 5", d)
 	}
-	if d := Diameter(star(7)); d != 2 {
+	if d := Diameter(graph.ToCSR(star(7))); d != 2 {
 		t.Fatalf("star diameter=%d want 2", d)
 	}
-	if d := Diameter(graph.NewWithNodes(3, false)); d != 0 {
+	if d := Diameter(graph.ToCSR(graph.NewWithNodes(3, false))); d != 0 {
 		t.Fatalf("edgeless diameter=%d want 0", d)
 	}
 }
 
 func TestHopPlotExactPath(t *testing.T) {
 	g := path(4) // pairs by distance: 0:4, 1:6, 2:4, 3:2 (ordered)
-	hp := ComputeHopPlot(g, 0, newRand(1))
+	hp := ComputeHopPlot(graph.ToCSR(g), 0, newRand(1))
 	want := []float64{4, 10, 14, 16}
 	if len(hp.Counts) != len(want) {
 		t.Fatalf("counts %v want %v", hp.Counts, want)
@@ -246,8 +237,9 @@ func TestHopPlotSampledApproximatesExact(t *testing.T) {
 		}
 	}
 	g.Dedup()
-	exact := ComputeHopPlot(g, 0, newRand(1))
-	sampled := ComputeHopPlot(g, 50, newRand(2))
+	adj := graph.ToCSR(g)
+	exact := ComputeHopPlot(adj, 0, newRand(1))
+	sampled := ComputeHopPlot(adj, 50, newRand(2))
 	if sampled.Samples != 50 {
 		t.Fatalf("samples=%d", sampled.Samples)
 	}
@@ -266,7 +258,7 @@ func TestPageRankUniformOnRegularGraph(t *testing.T) {
 	for i := 0; i < n; i++ {
 		g.AddEdge(graph.NodeID(i), graph.NodeID((i+1)%n), 1)
 	}
-	pr := PageRank(g, PageRankOptions{})
+	pr := PageRankAdj(graph.ToCSR(g), PageRankOptions{})
 	for i, r := range pr {
 		if math.Abs(r-0.1) > 1e-6 {
 			t.Fatalf("pr[%d]=%g want 0.1", i, r)
@@ -286,10 +278,17 @@ func TestPageRankSumsToOne(t *testing.T) {
 			}
 		}
 		g.Dedup()
-		pr := PageRank(g, PageRankOptions{})
+		c := graph.ToCSR(g)
+		pr := PageRankAdj(c, PageRankOptions{})
+		// Again on the same, now warm CSR: its cached weighted-degree
+		// table must not drift the result by a bit.
+		again := PageRankAdj(c, PageRankOptions{})
 		var sum float64
-		for _, r := range pr {
+		for i, r := range pr {
 			sum += r
+			if math.Float64bits(r) != math.Float64bits(again[i]) {
+				return false
+			}
 		}
 		return math.Abs(sum-1) < 1e-6
 	}
@@ -299,8 +298,7 @@ func TestPageRankSumsToOne(t *testing.T) {
 }
 
 func TestPageRankHubOutranksLeaves(t *testing.T) {
-	g := star(8)
-	pr := PageRank(g, PageRankOptions{})
+	pr := PageRankAdj(graph.ToCSR(star(8)), PageRankOptions{})
 	for i := 1; i <= 8; i++ {
 		if pr[0] <= pr[i] {
 			t.Fatalf("hub pr %g not above leaf pr %g", pr[0], pr[i])
@@ -316,7 +314,7 @@ func TestPageRankDanglingNodes(t *testing.T) {
 	// Directed: 0->1, 2 isolated. Ranks must still sum to 1.
 	g := graph.NewWithNodes(3, true)
 	g.AddEdge(0, 1, 1)
-	pr := PageRank(g, PageRankOptions{})
+	pr := PageRankAdj(graph.ToCSR(g), PageRankOptions{})
 	var sum float64
 	for _, r := range pr {
 		sum += r

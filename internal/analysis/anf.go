@@ -67,10 +67,13 @@ func lowestZero(x uint64) int {
 	return fmSketchBits
 }
 
-// ComputeANF estimates the neighborhood function of g.
-func ComputeANF(g *graph.Graph, opts ANFOptions) ANFResult {
+// ComputeANF estimates the neighborhood function of adj with edge
+// direction ignored. directed says how adj stores edges: an undirected
+// adjacency holds each edge as two half-edges, and one of them carries
+// the sketches both ways.
+func ComputeANF(adj graph.Adjacency, directed bool, opts ANFOptions) ANFResult {
 	opts = opts.withDefaults()
-	n := g.NumNodes()
+	n := adj.N()
 	res := ANFResult{}
 	if n == 0 {
 		return res
@@ -103,17 +106,22 @@ func ComputeANF(g *graph.Graph, opts ANFOptions) ANFResult {
 	for h := 1; h <= opts.MaxHops; h++ {
 		copy(next, cur)
 		changed := false
-		g.Edges(func(u, v graph.NodeID, w float64) bool {
-			for i := 0; i < k; i++ {
-				nu := next[int(u)*k+i] | cur[int(v)*k+i]
-				if nu != next[int(u)*k+i] {
-					next[int(u)*k+i] = nu
-					changed = true
+		_ = adj.SweepEdges(0, graph.NodeID(n), func(u graph.NodeID, nbrs []graph.NodeID, _ []float64) bool {
+			for _, v := range nbrs {
+				if !directed && v < u {
+					continue
 				}
-				nv := next[int(v)*k+i] | cur[int(u)*k+i]
-				if nv != next[int(v)*k+i] {
-					next[int(v)*k+i] = nv
-					changed = true
+				for i := 0; i < k; i++ {
+					nu := next[int(u)*k+i] | cur[int(v)*k+i]
+					if nu != next[int(u)*k+i] {
+						next[int(u)*k+i] = nu
+						changed = true
+					}
+					nv := next[int(v)*k+i] | cur[int(u)*k+i]
+					if nv != next[int(v)*k+i] {
+						next[int(v)*k+i] = nv
+						changed = true
+					}
 				}
 			}
 			return true

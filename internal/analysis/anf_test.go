@@ -8,12 +8,12 @@ import (
 )
 
 func TestANFEmptyAndTrivial(t *testing.T) {
-	res := ComputeANF(graph.New(false), ANFOptions{Seed: 1})
+	res := ComputeANF(graph.ToCSR(graph.New(false)), false, ANFOptions{Seed: 1})
 	if len(res.Counts) != 0 {
 		t.Fatal("empty graph should give empty counts")
 	}
 	g := graph.NewWithNodes(5, false) // no edges
-	res = ComputeANF(g, ANFOptions{Seed: 1})
+	res = ComputeANF(graph.ToCSR(g), false, ANFOptions{Seed: 1})
 	if res.Counts[0] != 5 {
 		t.Fatalf("h=0 count %g want 5", res.Counts[0])
 	}
@@ -36,7 +36,7 @@ func TestANFMonotone(t *testing.T) {
 		}
 	}
 	g.Dedup()
-	res := ComputeANF(g, ANFOptions{K: 24, Seed: 3})
+	res := ComputeANF(graph.ToCSR(g), false, ANFOptions{K: 24, Seed: 3})
 	for h := 1; h < len(res.Counts); h++ {
 		if res.Counts[h] < res.Counts[h-1] {
 			t.Fatalf("ANF not monotone at h=%d: %v", h, res.Counts)
@@ -61,8 +61,9 @@ func TestANFMatchesExactHopPlot(t *testing.T) {
 		}
 	}
 	g.Dedup()
-	exact := ComputeHopPlot(g, 0, newRand(1))
-	approx := ComputeANF(g, ANFOptions{K: 64, Seed: 5})
+	adj := graph.ToCSR(g)
+	exact := ComputeHopPlot(adj, 0, newRand(1))
+	approx := ComputeANF(adj, false, ANFOptions{K: 64, Seed: 5})
 	pe := exact.Counts[len(exact.Counts)-1]
 	pa := approx.Counts[len(approx.Counts)-1]
 	if pa < 0.6*pe || pa > 1.6*pe {
@@ -78,16 +79,16 @@ func TestANFMatchesExactHopPlot(t *testing.T) {
 func TestANFPathDiameterDetection(t *testing.T) {
 	// A path of 20 nodes: propagation must stop by ~19 hops.
 	g := path(20)
-	res := ComputeANF(g, ANFOptions{K: 16, Seed: 6, MaxHops: 64})
+	res := ComputeANF(graph.ToCSR(g), false, ANFOptions{K: 16, Seed: 6, MaxHops: 64})
 	if len(res.Counts) > 21 {
 		t.Fatalf("propagation ran %d hops on a 20-node path", len(res.Counts))
 	}
 }
 
 func TestANFDeterministicPerSeed(t *testing.T) {
-	g := star(10)
-	a := ComputeANF(g, ANFOptions{Seed: 7})
-	b := ComputeANF(g, ANFOptions{Seed: 7})
+	g := graph.ToCSR(star(10))
+	a := ComputeANF(g, false, ANFOptions{Seed: 7})
+	b := ComputeANF(g, false, ANFOptions{Seed: 7})
 	if len(a.Counts) != len(b.Counts) {
 		t.Fatal("nondeterministic length")
 	}

@@ -4,54 +4,53 @@ import (
 	"repro/internal/graph"
 )
 
-// WeakComponents labels each node with a weakly-connected component id
-// (edge direction ignored) and returns the labels and component count.
-func WeakComponents(g *graph.Graph) ([]int32, int) {
-	n := g.NumNodes()
-	parent := make([]int32, n)
+// unionFind is the weak-component forest over node ids, edge direction
+// ignored, that ReportAdj and LargestComponent build in their sweeps.
+type unionFind []int32
+
+func newUnionFind(n int) unionFind {
+	parent := make(unionFind, n)
 	for i := range parent {
 		parent[i] = int32(i)
 	}
-	var find func(x int32) int32
-	find = func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]] // path halving
-			x = parent[x]
-		}
-		return x
+	return parent
+}
+
+func (p unionFind) find(x int32) int32 {
+	for p[x] != x {
+		p[x] = p[p[x]] // path halving
+		x = p[x]
 	}
-	union := func(a, b int32) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
+	return x
+}
+
+func (p unionFind) union(a, b int32) {
+	if ra, rb := p.find(a), p.find(b); ra != rb {
+		p[ra] = rb
 	}
-	g.Edges(func(u, v graph.NodeID, w float64) bool {
-		union(int32(u), int32(v))
-		return true
-	})
-	labels := make([]int32, n)
-	next := int32(0)
-	remap := map[int32]int32{}
-	for u := 0; u < n; u++ {
-		r := find(int32(u))
-		id, ok := remap[r]
-		if !ok {
-			id = next
-			remap[r] = id
-			next++
+}
+
+// sizes returns each component's node count, indexed by the component's
+// root (0 at every other node), and the number of components.
+func (p unionFind) sizes() ([]int, int) {
+	sizes := make([]int, len(p))
+	count := 0
+	for u := range p {
+		r := p.find(int32(u))
+		if sizes[r] == 0 {
+			count++
 		}
-		labels[u] = id
+		sizes[r]++
 	}
-	return labels, int(next)
+	return sizes, count
 }
 
 // StrongComponents labels each node with a strongly-connected component id
 // using an iterative Tarjan algorithm (safe for deep graphs), returning the
 // labels and the component count. For undirected graphs every stored edge
 // has its reverse, so SCCs coincide with weak components.
-func StrongComponents(g *graph.Graph) ([]int32, int) {
-	n := g.NumNodes()
+func StrongComponents(adj graph.Adjacency) ([]int32, int) {
+	n := adj.N()
 	const unvisited = -1
 	index := make([]int32, n)
 	low := make([]int32, n)
@@ -68,6 +67,8 @@ func StrongComponents(g *graph.Graph) ([]int32, int) {
 		v  int32
 		ei int // next adjacency index to explore
 	}
+	cur := adj.Cursor()
+	defer cur.Close()
 	for start := 0; start < n; start++ {
 		if index[start] != unvisited {
 			continue
@@ -82,9 +83,11 @@ func StrongComponents(g *graph.Graph) ([]int32, int) {
 			f := &call[len(call)-1]
 			v := f.v
 			adv := false
-			nbrs := g.Neighbors(graph.NodeID(v))
+			// Re-read v's row on every resume: a row is valid only until
+			// the cursor's next read.
+			nbrs := cur.NeighborIDs(graph.NodeID(v))
 			for f.ei < len(nbrs) {
-				w := int32(nbrs[f.ei].To)
+				w := int32(nbrs[f.ei])
 				f.ei++
 				if index[w] == unvisited {
 					index[w] = nextIndex
@@ -127,31 +130,30 @@ func StrongComponents(g *graph.Graph) ([]int32, int) {
 	return comp, int(nComp)
 }
 
-// ComponentSizes returns the size of each component given its labels.
-func ComponentSizes(labels []int32, count int) []int {
-	sizes := make([]int, count)
-	for _, l := range labels {
-		sizes[l]++
-	}
-	return sizes
-}
-
-// LargestComponent returns the nodes of the largest weak component.
-func LargestComponent(g *graph.Graph) []graph.NodeID {
-	labels, count := WeakComponents(g)
-	if count == 0 {
-		return nil
-	}
-	sizes := ComponentSizes(labels, count)
-	best := 0
-	for i, s := range sizes {
-		if s > sizes[best] {
-			best = i
+// LargestComponent returns the nodes of the largest weak component, in
+// ascending order; among components of equal size, the one holding the
+// smallest node id.
+func LargestComponent(adj graph.Adjacency) []graph.NodeID {
+	n := adj.N()
+	uf := newUnionFind(n)
+	// A sweep error means a paged backend faulted and latched the fault
+	// on the view swept; callers over a paged view check it (see ReportAdj).
+	_ = adj.SweepEdges(0, graph.NodeID(n), func(u graph.NodeID, nbrs []graph.NodeID, _ []float64) bool {
+		for _, v := range nbrs {
+			uf.union(int32(u), int32(v))
+		}
+		return true
+	})
+	sizes, _ := uf.sizes()
+	best := int32(-1)
+	for u := range int32(n) {
+		if r := uf.find(u); best < 0 || sizes[r] > sizes[best] {
+			best = r
 		}
 	}
 	var out []graph.NodeID
-	for u, l := range labels {
-		if int(l) == best {
+	for u := range int32(n) {
+		if uf.find(u) == best {
 			out = append(out, graph.NodeID(u))
 		}
 	}

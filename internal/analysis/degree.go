@@ -1,11 +1,16 @@
 // Package analysis implements the subgraph mining metrics GMine offers on
-// a focused community (paper §III.B): degree distribution, number of hops
-// (hop plot and effective diameter), weak components, strong components,
-// and PageRank.
+// a focused community (paper §III.B) and on the whole graph: degree
+// distribution, number of hops (hop plot and effective diameter), weak
+// components, strong components, and PageRank. Every metric reads a
+// graph.Adjacency, so one implementation serves a leaf's CSR, the whole
+// graph in memory and a paged store alike; Report is the one entry that
+// takes a *graph.Graph.
 package analysis
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -22,32 +27,6 @@ type DegreeStats struct {
 	// histogram (NaN for degenerate distributions). Heavy-tailed
 	// co-authorship graphs show exponents around 2-3.
 	PowerLawExponent float64
-}
-
-// DegreeDistribution computes degree statistics. Degrees count adjacency
-// entries (out-degree for directed graphs).
-func DegreeDistribution(g *graph.Graph) DegreeStats {
-	n := g.NumNodes()
-	st := DegreeStats{Histogram: map[int]int{}, PowerLawExponent: math.NaN()}
-	if n == 0 {
-		return st
-	}
-	st.Min = math.MaxInt
-	total := 0
-	for u := 0; u < n; u++ {
-		d := g.Degree(graph.NodeID(u))
-		st.Histogram[d]++
-		total += d
-		if d < st.Min {
-			st.Min = d
-		}
-		if d > st.Max {
-			st.Max = d
-		}
-	}
-	st.Mean = float64(total) / float64(n)
-	st.PowerLawExponent = fitPowerLaw(st.Histogram)
-	return st
 }
 
 // fitPowerLaw regresses log(count) on log(degree) over nonzero degrees.
@@ -89,14 +68,11 @@ func fitPowerLaw(hist map[int]int) float64 {
 	return -slope
 }
 
-// DegreeHistogramSorted returns (degree, count) pairs in increasing degree
-// order, convenient for printing the distribution an experiment reports.
-func DegreeHistogramSorted(g *graph.Graph) (degrees []int, counts []int) {
-	st := DegreeDistribution(g)
-	for d := range st.Histogram {
-		degrees = append(degrees, d)
-	}
-	sort.Ints(degrees)
+// DegreeHistogramSorted returns st's (degree, count) pairs in increasing
+// degree order, convenient for printing the distribution an experiment
+// reports.
+func DegreeHistogramSorted(st DegreeStats) (degrees []int, counts []int) {
+	degrees = slices.Sorted(maps.Keys(st.Histogram))
 	counts = make([]int, len(degrees))
 	for i, d := range degrees {
 		counts[i] = st.Histogram[d]
@@ -104,22 +80,13 @@ func DegreeHistogramSorted(g *graph.Graph) (degrees []int, counts []int) {
 	return degrees, counts
 }
 
-// TopKByDegree returns the k highest-degree nodes (ties broken by id).
-func TopKByDegree(g *graph.Graph, k int) []graph.NodeID {
-	n := g.NumNodes()
-	ids := make([]graph.NodeID, n)
-	for i := range ids {
-		ids[i] = graph.NodeID(i)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		di, dj := g.Degree(ids[i]), g.Degree(ids[j])
-		if di != dj {
-			return di > dj
-		}
-		return ids[i] < ids[j]
+// TopKByDegree returns the k nodes with the most stored neighbors (ties
+// broken by id).
+func TopKByDegree(adj graph.Adjacency, k int) []graph.NodeID {
+	degree := make([]float64, adj.N())
+	_ = adj.SweepEdges(0, graph.NodeID(len(degree)), func(u graph.NodeID, nbrs []graph.NodeID, _ []float64) bool {
+		degree[u] = float64(len(nbrs))
+		return true
 	})
-	if k > n {
-		k = n
-	}
-	return ids[:k]
+	return TopKByRank(degree, k)
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -45,19 +46,7 @@ func ReportAdj(adj graph.Adjacency, directed bool) AdjacencyReport {
 		return rep
 	}
 
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	var find func(x int32) int32
-	find = func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]] // path halving
-			x = parent[x]
-		}
-		return x
-	}
-
+	uf := newUnionFind(n)
 	rep.Degree.Min = math.MaxInt
 	total := 0
 	// The structure sweep looks at the neighbor ids only; the weights ride
@@ -76,9 +65,7 @@ func ReportAdj(adj graph.Adjacency, directed bool) AdjacencyReport {
 			if v == u {
 				rep.SelfLoops++
 			}
-			if ra, rb := find(int32(u)), find(int32(v)); ra != rb {
-				parent[ra] = rb
-			}
+			uf.union(int32(u), int32(v))
 		}
 		return true
 	}
@@ -97,16 +84,8 @@ func ReportAdj(adj graph.Adjacency, directed bool) AdjacencyReport {
 		rep.Edges = (rep.HalfEdges + rep.SelfLoops) / 2
 	}
 
-	sizes := map[int32]int{}
-	for u := 0; u < n; u++ {
-		sizes[find(int32(u))]++
-	}
-	rep.WeakComponents = len(sizes)
-	for _, s := range sizes {
-		if s > rep.LargestComponent {
-			rep.LargestComponent = s
-		}
-	}
+	sizes, count := uf.sizes()
+	rep.WeakComponents, rep.LargestComponent = count, slices.Max(sizes)
 	return rep
 }
 

@@ -8,20 +8,23 @@ import (
 
 // BFSDistances returns the hop distance from src to every node (-1 for
 // unreachable).
-func BFSDistances(g *graph.Graph, src graph.NodeID) []int32 {
-	n := g.NumNodes()
+func BFSDistances(adj graph.Adjacency, src graph.NodeID) []int32 {
+	n := adj.N()
 	dist := make([]int32, n)
-	bfsInto(g, src, dist, make([]graph.NodeID, n))
+	cur := adj.Cursor()
+	defer cur.Close()
+	bfsInto(cur, src, dist, make([]graph.NodeID, n))
 	return dist
 }
 
 // bfsInto fills dist (length n) with the hop distance from src to every
-// node, -1 for unreachable. queue (length n) is scratch: every node is
-// enqueued at most once, so a fixed array with head and tail indices
-// holds the whole frontier. Callers running many BFSs reuse both buffers.
+// node, -1 for unreachable, reading rows through cur. queue (length n) is
+// scratch: every node is enqueued at most once, so a fixed array with
+// head and tail indices holds the whole frontier. Callers running many
+// BFSs reuse the cursor and both buffers.
 //
 //gmine:hotpath
-func bfsInto(g *graph.Graph, src graph.NodeID, dist []int32, queue []graph.NodeID) {
+func bfsInto(cur graph.RowCursor, src graph.NodeID, dist []int32, queue []graph.NodeID) {
 	for i := range dist {
 		dist[i] = -1
 	}
@@ -29,10 +32,10 @@ func bfsInto(g *graph.Graph, src graph.NodeID, dist []int32, queue []graph.NodeI
 	queue[0] = src
 	for head, tail := 0, 1; head < tail; head++ {
 		u := queue[head]
-		for _, e := range g.Neighbors(u) {
-			if dist[e.To] < 0 {
-				dist[e.To] = dist[u] + 1
-				queue[tail] = e.To
+		for _, v := range cur.NeighborIDs(u) {
+			if dist[v] < 0 {
+				dist[v] = dist[u] + 1
+				queue[tail] = v
 				tail++
 			}
 		}
@@ -56,8 +59,8 @@ type HopPlot struct {
 // ComputeHopPlot estimates the hop plot from `samples` BFS sources drawn
 // with rng (all nodes if samples <= 0 or >= n). This is GMine's "number of
 // hops" metric.
-func ComputeHopPlot(g *graph.Graph, samples int, rng *rand.Rand) HopPlot {
-	n := g.NumNodes()
+func ComputeHopPlot(adj graph.Adjacency, samples int, rng *rand.Rand) HopPlot {
+	n := adj.N()
 	hp := HopPlot{}
 	if n == 0 {
 		return hp
@@ -77,8 +80,10 @@ func ComputeHopPlot(g *graph.Graph, samples int, rng *rand.Rand) HopPlot {
 	hp.Samples = len(sources)
 	var perHop []float64 // perHop[h] = # sampled pairs at distance exactly h
 	dist, queue := make([]int32, n), make([]graph.NodeID, n)
+	cur := adj.Cursor()
+	defer cur.Close()
 	for _, s := range sources {
-		bfsInto(g, s, dist, queue)
+		bfsInto(cur, s, dist, queue)
 		for _, d := range dist {
 			if d < 0 {
 				continue
@@ -111,15 +116,17 @@ func ComputeHopPlot(g *graph.Graph, samples int, rng *rand.Rand) HopPlot {
 	return hp
 }
 
-// Diameter returns the exact diameter of g (longest shortest path over all
-// reachable pairs) by running BFS from every node — intended for the
+// Diameter returns the exact diameter of adj (longest shortest path over
+// all reachable pairs) by running BFS from every node — intended for the
 // community-sized subgraphs GMine inspects, not the full graph.
-func Diameter(g *graph.Graph) int {
-	n := g.NumNodes()
+func Diameter(adj graph.Adjacency) int {
+	n := adj.N()
 	max := 0
 	dist, queue := make([]int32, n), make([]graph.NodeID, n)
+	cur := adj.Cursor()
+	defer cur.Close()
 	for u := 0; u < n; u++ {
-		bfsInto(g, graph.NodeID(u), dist, queue)
+		bfsInto(cur, graph.NodeID(u), dist, queue)
 		for _, d := range dist {
 			if int(d) > max {
 				max = int(d)

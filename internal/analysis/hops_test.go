@@ -8,8 +8,8 @@ import (
 	"repro/internal/graph"
 )
 
-// sliceQueueBFS is the textbook BFS with a growing slice queue; it
-// referees BFSDistances.
+// sliceQueueBFS is the textbook BFS with a growing slice queue over the
+// graph's own rows; it referees BFSDistances.
 func sliceQueueBFS(g *graph.Graph, src graph.NodeID) []int32 {
 	dist := make([]int32, g.NumNodes())
 	for i := range dist {
@@ -32,8 +32,8 @@ func sliceQueueBFS(g *graph.Graph, src graph.NodeID) []int32 {
 
 // refHopPlot is ComputeHopPlot with one BFSDistances call per source and
 // the same rng draws.
-func refHopPlot(g *graph.Graph, samples int, rng *rand.Rand) HopPlot {
-	n := g.NumNodes()
+func refHopPlot(adj graph.Adjacency, samples int, rng *rand.Rand) HopPlot {
+	n := adj.N()
 	hp := HopPlot{}
 	if n == 0 {
 		return hp
@@ -51,7 +51,7 @@ func refHopPlot(g *graph.Graph, samples int, rng *rand.Rand) HopPlot {
 	hp.Samples = len(sources)
 	var perHop []float64
 	for _, s := range sources {
-		for _, d := range BFSDistances(g, s) {
+		for _, d := range BFSDistances(adj, s) {
 			if d < 0 {
 				continue
 			}
@@ -83,10 +83,10 @@ func refHopPlot(g *graph.Graph, samples int, rng *rand.Rand) HopPlot {
 	return hp
 }
 
-func refDiameter(g *graph.Graph) int {
+func refDiameter(adj graph.Adjacency) int {
 	max := 0
-	for u := 0; u < g.NumNodes(); u++ {
-		for _, d := range BFSDistances(g, graph.NodeID(u)) {
+	for u := 0; u < adj.N(); u++ {
+		for _, d := range BFSDistances(adj, graph.NodeID(u)) {
 			if int(d) > max {
 				max = int(d)
 			}
@@ -119,37 +119,40 @@ func TestHopPlotAndDiameterMatchPerSourceBFS(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(60)
 		g := randomHopGraph(rng, n, rng.Intn(2) == 0, rng.Intn(2) == 0, rng.Intn(n/4+1))
+		adj := graph.ToCSR(g)
 		for u := 0; u < n; u++ {
-			if got, want := BFSDistances(g, graph.NodeID(u)), sliceQueueBFS(g, graph.NodeID(u)); !reflect.DeepEqual(got, want) {
+			if got, want := BFSDistances(adj, graph.NodeID(u)), sliceQueueBFS(g, graph.NodeID(u)); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d: BFSDistances(%d) = %v, slice-queue BFS %v", trial, u, got, want)
 			}
 		}
 		for _, samples := range []int{0, 1 + rng.Intn(n), n + 3} {
 			seed := rng.Int63()
-			got := ComputeHopPlot(g, samples, newRand(seed))
-			want := refHopPlot(g, samples, newRand(seed))
+			got := ComputeHopPlot(adj, samples, newRand(seed))
+			want := refHopPlot(adj, samples, newRand(seed))
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d (n=%d, directed=%v, samples=%d): hop plot\n got %+v\nwant %+v",
 					trial, n, g.Directed(), samples, got, want)
 			}
 		}
-		if got, want := Diameter(g), refDiameter(g); got != want {
+		if got, want := Diameter(adj), refDiameter(adj); got != want {
 			t.Fatalf("trial %d: Diameter = %d, per-source BFS %d", trial, got, want)
 		}
 	}
-	if hp := ComputeHopPlot(graph.New(false), 0, newRand(1)); !reflect.DeepEqual(hp, refHopPlot(graph.New(false), 0, newRand(1))) {
+	empty := graph.ToCSR(graph.New(false))
+	if hp := ComputeHopPlot(empty, 0, newRand(1)); !reflect.DeepEqual(hp, refHopPlot(empty, 0, newRand(1))) {
 		t.Fatalf("empty graph hop plot %+v", hp)
 	}
 }
 
-// ring returns an n-cycle: every BFS source sees the same farthest
-// distance, so the per-hop histogram grows the same way from any source.
-func ring(n int) *graph.Graph {
+// ring returns an n-cycle as a CSR: every BFS source sees the same
+// farthest distance, so the per-hop histogram grows the same way from any
+// source.
+func ring(n int) *graph.CSR {
 	g := graph.NewWithNodes(n, false)
 	for i := 0; i < n; i++ {
 		g.AddEdge(graph.NodeID(i), graph.NodeID((i+1)%n), 1)
 	}
-	return g
+	return graph.ToCSR(g)
 }
 
 func TestHopPlotAllocsIndependentOfSources(t *testing.T) {

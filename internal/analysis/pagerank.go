@@ -41,22 +41,14 @@ func (o PageRankOptions) withDefaults() PageRankOptions {
 	return o
 }
 
-// PageRank computes the PageRank vector by power iteration, weighting
-// transitions by edge weight. Dangling nodes redistribute uniformly. The
-// result sums to 1. It converts g to CSR form first; callers holding a
-// cached adjacency (core.Engine) should use PageRankAdj directly.
-func PageRank(g *graph.Graph, opts PageRankOptions) []float64 {
-	return PageRankAdj(graph.ToCSR(g), opts)
-}
-
-// PageRankAdj is PageRank over any prebuilt Adjacency — an in-memory CSR,
-// a store's resident tier or its paged CSR — so repeated analysis queries
-// against one graph read one shared representation instead of re-deriving
-// it per call. A paged adjacency cannot surface I/O faults
-// through the Adjacency methods; callers running directly over one must
-// check its fault latch (gtree.PagedCSR.Err) after the call, on a view
-// no other reader shares (core.Engine's PageRank solves on the query's
-// own view and does this — prefer it for disk-backed engines).
+// PageRankAdj computes the PageRank vector by power iteration over any
+// Adjacency — an in-memory CSR, a store's resident tier or its paged CSR
+// — weighting transitions by edge weight. Dangling nodes redistribute
+// uniformly, and the result sums to 1. A paged adjacency cannot surface
+// I/O faults through the Adjacency methods; callers running directly over
+// one must check its fault latch (gtree.PagedCSR.Err) after the call, on
+// a view no other reader shares (core.Engine's PageRank solves on the
+// query's own view and does this — prefer it for disk-backed engines).
 func PageRankAdj(c graph.Adjacency, opts PageRankOptions) []float64 {
 	opts = opts.withDefaults()
 	n := c.N()
@@ -144,12 +136,10 @@ func TopKByRank(scores []float64, k int) []graph.NodeID {
 }
 
 // SubgraphReport bundles every metric GMine computes for a focused
-// subgraph (paper §III.B).
+// subgraph (paper §III.B): the whole-graph structure report, plus strong
+// components, the exact or sampled hop plot's diameters and PageRank.
 type SubgraphReport struct {
-	Nodes             int
-	Edges             int
-	Degree            DegreeStats
-	WeakComponents    int
+	AdjacencyReport
 	StrongComponents  int
 	EffectiveDiameter int
 	MaxHops           int
@@ -159,19 +149,15 @@ type SubgraphReport struct {
 }
 
 // Report computes the full §III.B metric suite for a subgraph. hopSamples
-// bounds the hop-plot BFS sources (<=0 = exact).
+// bounds the hop-plot BFS sources (<=0 = exact). It converts g to a CSR
+// once and runs every metric over it.
 func Report(g *graph.Graph, hopSamples int, seed int64) SubgraphReport {
-	r := SubgraphReport{
-		Nodes:  g.NumNodes(),
-		Edges:  g.NumEdges(),
-		Degree: DegreeDistribution(g),
-	}
-	_, r.WeakComponents = WeakComponents(g)
-	_, r.StrongComponents = StrongComponents(g)
-	hp := ComputeHopPlot(g, hopSamples, newRand(seed))
-	r.EffectiveDiameter = hp.EffectiveDiameter
-	r.MaxHops = hp.MaxHops
-	r.PageRank = PageRank(g, PageRankOptions{})
+	adj := graph.ToCSR(g)
+	r := SubgraphReport{AdjacencyReport: ReportAdj(adj, g.Directed())}
+	_, r.StrongComponents = StrongComponents(adj)
+	hp := ComputeHopPlot(adj, hopSamples, newRand(seed))
+	r.EffectiveDiameter, r.MaxHops = hp.EffectiveDiameter, hp.MaxHops
+	r.PageRank = PageRankAdj(adj, PageRankOptions{})
 	r.TopRanked = TopKByRank(r.PageRank, 10)
 	return r
 }

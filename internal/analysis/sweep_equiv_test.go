@@ -65,29 +65,6 @@ func requireReport(t *testing.T, tag string, got, want AdjacencyReport) {
 	}
 }
 
-// TestPageRankAdjSweepBitIdentical: the PageRank sweep converges to the
-// same bits on the in-memory CSR and on a paged CSR through a small pool.
-func TestPageRankAdjSweepBitIdentical(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3} {
-		csr, paged, _ := analysisFixture(t, seed, 150+int(seed)*40, 600)
-		opts := PageRankOptions{MaxIter: 60}
-		requireRanks(t, "paged", PageRankAdj(paged, opts), PageRankAdj(csr, opts))
-		if err := paged.Err(); err != nil {
-			t.Fatalf("seed %d: paged fault: %v", seed, err)
-		}
-	}
-}
-
-// TestReportAdjSweepBitIdentical: the one-pass structure report is
-// identical (histograms, components, self-loops, power-law fit) on the
-// in-memory CSR and on a paged CSR.
-func TestReportAdjSweepBitIdentical(t *testing.T) {
-	for _, seed := range []int64{4, 5} {
-		csr, paged, g := analysisFixture(t, seed, 200, 800)
-		requireReport(t, "paged", ReportAdj(paged, g.Directed()), ReportAdj(csr, g.Directed()))
-	}
-}
-
 // TestPageRankAdjShardedBitIdentical: PageRankOptions.Shards is accepted
 // and ignored, so a solve asking for any shard count lands on exactly the
 // bits of the default solve, on both backends.

@@ -357,9 +357,15 @@ func (e *Engine) RenderSceneAt(id gtree.TreeID, size float64, opts gtree.Tomahaw
 
 // LeafSubgraph returns the induced subgraph of a leaf community (local
 // coordinates, labels carried) and the mapping back to original node ids,
-// decoded from the leaf's blob in the store.
+// decoded from the leaf's blob in the store. An id that names no leaf is
+// the caller's error; failing to read or decode a leaf's blob is the
+// store's, and wraps ErrPagedIO.
 func (e *Engine) LeafSubgraph(id gtree.TreeID) (*graph.Graph, []graph.NodeID, error) {
-	return e.store.LoadLeaf(id)
+	sub, members, err := e.store.LoadLeaf(id)
+	if err != nil && e.tree.Valid(id) && e.tree.Node(id).IsLeaf() {
+		err = fmt.Errorf("%w: %v", ErrPagedIO, err)
+	}
+	return sub, members, err
 }
 
 // RenderLeaf force-lays-out a leaf community's subgraph and renders it,

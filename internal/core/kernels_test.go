@@ -104,6 +104,24 @@ type kernelQuery struct {
 		sources []graph.NodeID
 		opts    extract.Options
 	}
+	leaves []kernelLeaf
+}
+
+// kernelLeaf is one leaf community of the rows' G-Tree, whose metric
+// report every row computes.
+type kernelLeaf struct {
+	id      gtree.TreeID
+	members []graph.NodeID
+}
+
+// treeLeaves lists the leaves of the built engine's tree with their
+// members; every engine row serves the same tree.
+func treeLeaves(built *Engine) []kernelLeaf {
+	var leaves []kernelLeaf
+	for _, id := range built.Tree().Leaves() {
+		leaves = append(leaves, kernelLeaf{id, built.Tree().Node(id).Members})
+	}
+	return leaves
 }
 
 // kernelOut is one row's answers.
@@ -115,6 +133,7 @@ type kernelOut struct {
 	report   analysis.AdjacencyReport
 	extracts []*extract.Result
 	analyzed *GraphAnalysis
+	leaves   []analysis.SubgraphReport
 }
 
 // prOpts converges PageRank far enough for the oracle's tolerance.
@@ -122,7 +141,9 @@ var prOpts = analysis.PageRankOptions{Epsilon: 1e-12, MaxIter: 500}
 
 // runKernels runs every kernel on row, with a live context. On an
 // engine, RWR, RWRMulti, RWRSet and ReportAdj solve on one query view, and
-// PageRank, Extract and AnalyzeGraph are the engine's own.
+// PageRank, Extract, AnalyzeGraph and the leaves' MetricsReport are the
+// engine's own. The CSR row reports on each leaf's members induced from
+// the in-memory CSR.
 func runKernels(t *testing.T, row kernelRow, g *graph.Graph, q kernelQuery) kernelOut {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -179,17 +200,29 @@ func runKernels(t *testing.T, row kernelRow, g *graph.Graph, q kernelQuery) kern
 	} else if out.analyzed, err = row.eng.AnalyzeGraphTraced(ctx, nil, prOpts, 10); err != nil {
 		t.Fatal(err)
 	}
+	for _, l := range q.leaves {
+		var rep analysis.SubgraphReport
+		if row.eng == nil {
+			sub, _ := graph.Induced(adj, g.Directed(), g.Label, l.members)
+			rep = analysis.Report(sub, 0, 1)
+		} else if rep, err = row.eng.MetricsReport(l.id, 1); err != nil {
+			t.Fatalf("leaf %d: %v", l.id, err)
+		}
+		out.leaves = append(out.leaves, rep)
+	}
 	return out
 }
 
 // TestKernels is the kernel table: RWR, RWRMulti, PageRankAdj, ReportAdj,
-// Extract and AnalyzeGraph on every row of kernelRows, each result bit for
-// bit the in-memory CSR row's. On the graphs of at most 200 nodes — an
-// undirected one and a directed one, each with nodes without edges and
-// self-loops — the CSR row's results also equal graphtest.Oracle's within
-// 1e-9, with the oracle's extraction fed the kernels' own goodness so the
-// key paths compare exactly. Adding or removing an engine backend is one
-// row of kernelRows.
+// Extract, AnalyzeGraph and every leaf's MetricsReport on every row of
+// kernelRows, each result bit for bit the in-memory CSR row's. On the
+// graphs of at most 200 nodes — an undirected one and a directed one,
+// each with nodes without edges and self-loops — the CSR row's results
+// also equal graphtest.Oracle's within 1e-9, with the oracle's extraction
+// fed the kernels' own goodness so the key paths compare exactly, and
+// each leaf's structure, strong components and hop plot equal the
+// oracle's on that leaf exactly, its PageRank within 1e-8. Adding or
+// removing an engine backend is one row of kernelRows.
 func TestKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, c := range []struct {
@@ -204,8 +237,10 @@ func TestKernels(t *testing.T) {
 		g := c.g
 		t.Run(c.name, func(t *testing.T) {
 			q := kernelQueries(rng, g, c.extracts)
+			rows := kernelRows(t, g)
+			q.leaves = treeLeaves(rows[1].eng)
 			var want kernelOut
-			for _, row := range kernelRows(t, g) {
+			for _, row := range rows {
 				got := runKernels(t, row, g, q)
 				if row.eng == nil {
 					want = got
@@ -316,6 +351,19 @@ func requireSameOut(t *testing.T, row string, want, got kernelOut) {
 		want.analyzed.Directed != got.analyzed.Directed {
 		t.Fatalf("%s: analysis ranking %v %v, csr %v %v", row, got.analyzed.TopRanked, got.analyzed.TopLabels, want.analyzed.TopRanked, want.analyzed.TopLabels)
 	}
+	if len(got.leaves) != len(want.leaves) {
+		t.Fatalf("%s: %d leaf reports, csr %d", row, len(got.leaves), len(want.leaves))
+	}
+	for i, w := range want.leaves {
+		g, leaf := got.leaves[i], fmt.Sprintf("%s leaf %d", row, i)
+		requireSameReport(t, leaf, w.AdjacencyReport, g.AdjacencyReport)
+		sameBits(fmt.Sprintf("leaf %d pagerank", i), w.PageRank, g.PageRank)
+		if g.StrongComponents != w.StrongComponents || g.EffectiveDiameter != w.EffectiveDiameter || g.MaxHops != w.MaxHops ||
+			!reflect.DeepEqual(g.TopRanked, w.TopRanked) {
+			t.Fatalf("%s: %d strong components, diameters %d/%d, top %v; csr %d, %d/%d, %v", leaf,
+				g.StrongComponents, g.EffectiveDiameter, g.MaxHops, g.TopRanked, w.StrongComponents, w.EffectiveDiameter, w.MaxHops, w.TopRanked)
+		}
+	}
 }
 
 // requireSameReport fails unless got equals want, the power-law fit
@@ -335,29 +383,23 @@ func requireSameReport(t *testing.T, row string, want, got analysis.AdjacencyRep
 func checkOracle(t *testing.T, g *graph.Graph, q kernelQuery, out kernelOut) {
 	t.Helper()
 	o := graphtest.NewOracle(g)
-	near := func(what string, got, want []float64) {
+	near := func(what string, got, want []float64, tol float64) {
 		t.Helper()
 		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-9 {
+			if math.Abs(got[i]-want[i]) > tol {
 				t.Fatalf("%s[%d] = %v, oracle %v", what, i, got[i], want[i])
 			}
 		}
 	}
 	const restart = 0.15 // RWROptions' default
-	near("rwr", out.rwr, o.RWR(restart, q.sources[0]))
+	near("rwr", out.rwr, o.RWR(restart, q.sources[0]), 1e-9)
 	for i, s := range q.sources {
-		near(fmt.Sprintf("rwrMulti[%d]", i), out.multi[i], o.RWR(restart, s))
+		near(fmt.Sprintf("rwrMulti[%d]", i), out.multi[i], o.RWR(restart, s), 1e-9)
 	}
-	near("rwrSet", out.set, o.RWR(restart, q.sources...))
-	near("pagerank", out.pagerank, o.PageRank(0.85))
+	near("rwrSet", out.set, o.RWR(restart, q.sources...), 1e-9)
+	near("pagerank", out.pagerank, o.PageRank(0.85), 1e-9)
 
-	s, rep := o.Structure(), out.report
-	if rep.Nodes != o.N() || rep.HalfEdges != s.HalfEdges || rep.Edges != s.Edges || rep.SelfLoops != s.SelfLoops ||
-		rep.WeakComponents != s.WeakComponents || rep.LargestComponent != s.LargestComponent ||
-		rep.Degree.Min != s.MinDegree || rep.Degree.Max != s.MaxDegree || math.Abs(rep.Degree.Mean-s.MeanDegree) > 1e-9 ||
-		!reflect.DeepEqual(rep.Degree.Histogram, s.Histogram) {
-		t.Fatalf("report %+v, oracle %+v", rep, s)
-	}
+	s := checkStructure(t, "report", o, out.report)
 	if s.SelfLoops == 0 || s.Histogram[0] == 0 {
 		t.Fatalf("fixture has %d self-loops and %d nodes without edges, want some of each", s.SelfLoops, s.Histogram[0])
 	}
@@ -377,6 +419,39 @@ func checkOracle(t *testing.T, g *graph.Graph, q kernelQuery, out kernelOut) {
 			t.Fatalf("extract %d: nodes %v with %d edges, oracle %v with %d", i, res.Nodes, res.Subgraph.NumEdges(), want, o.InducedEdges(want))
 		}
 	}
+	sccs := 0
+	for i, l := range q.leaves {
+		sub, _ := graph.Induced(graph.ToCSR(g), g.Directed(), g.Label, l.members)
+		lo, rep, what := graphtest.NewOracle(sub), out.leaves[i], fmt.Sprintf("leaf %d", l.id)
+		checkStructure(t, what, lo, rep.AdjacencyReport)
+		hops := lo.Hops()
+		exact := analysis.ComputeHopPlot(graph.ToCSR(sub), 0, nil)
+		if rep.StrongComponents != lo.StrongComponents() || rep.MaxHops != hops.MaxHops || rep.EffectiveDiameter != hops.EffectiveDiameter ||
+			!reflect.DeepEqual(exact.Counts, hops.Counts) {
+			t.Fatalf("%s: %d strong components, diameters %d/%d, hop plot %v; oracle %d, %d/%d, %v", what,
+				rep.StrongComponents, rep.EffectiveDiameter, rep.MaxHops, exact.Counts, lo.StrongComponents(), hops.EffectiveDiameter, hops.MaxHops, hops.Counts)
+		}
+		// Report runs PageRank to its default threshold, 1e-9 in L1.
+		near(what+" pagerank", rep.PageRank, lo.PageRank(0.85), 1e-8)
+		sccs += rep.StrongComponents - rep.WeakComponents
+	}
+	if g.Directed() && sccs == 0 {
+		t.Fatal("no directed leaf splits a weak component into strong ones")
+	}
+}
+
+// checkStructure compares rep with the oracle's structure report and
+// returns the latter.
+func checkStructure(t *testing.T, what string, o *graphtest.Oracle, rep analysis.AdjacencyReport) graphtest.Structure {
+	t.Helper()
+	s := o.Structure()
+	if rep.Nodes != o.N() || rep.HalfEdges != s.HalfEdges || rep.Edges != s.Edges || rep.SelfLoops != s.SelfLoops ||
+		rep.WeakComponents != s.WeakComponents || rep.LargestComponent != s.LargestComponent ||
+		rep.Degree.Min != s.MinDegree || rep.Degree.Max != s.MaxDegree || math.Abs(rep.Degree.Mean-s.MeanDegree) > 1e-9 ||
+		!reflect.DeepEqual(rep.Degree.Histogram, s.Histogram) {
+		t.Fatalf("%s %+v, oracle %+v", what, rep, s)
+	}
+	return s
 }
 
 // equalResults requires two extraction results to be bit-identical.

@@ -231,7 +231,7 @@ func (w *Workspace) RemoveNode(u graph.NodeID) error {
 			keep = append(keep, graph.NodeID(i))
 		}
 	}
-	ng, _ := graph.Induced(w.sub, keep)
+	ng, _ := graph.Induced(graph.ToCSR(w.sub), w.sub.Directed(), w.sub.Label, keep)
 	newMembers := make([]graph.NodeID, 0, len(keep))
 	for _, old := range keep {
 		newMembers = append(newMembers, w.members[old])

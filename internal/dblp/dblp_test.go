@@ -94,7 +94,7 @@ func TestCommunityStructureIsAssortative(t *testing.T) {
 
 func TestHeavyTailedDegrees(t *testing.T) {
 	ds := Generate(Config{Scale: 0.02, Seed: 2})
-	st := analysis.DegreeDistribution(ds.Graph)
+	st := analysis.ReportAdj(graph.ToCSR(ds.Graph), ds.Graph.Directed()).Degree
 	if st.Max < 10*int(st.Mean) {
 		t.Fatalf("max degree %d vs mean %.1f: tail too light for a co-authorship graph", st.Max, st.Mean)
 	}
@@ -151,7 +151,7 @@ func TestNotableFig5Topology(t *testing.T) {
 		t.Fatal("Jagadish-Korn edge missing")
 	}
 	// ...and 1-step-away connections with Yu and Garofalakis.
-	dist := analysis.BFSDistances(g, jaga)
+	dist := analysis.BFSDistances(graph.ToCSR(g), jaga)
 	if dist[yu] != 2 && dist[yu] != 1 {
 		t.Fatalf("Jagadish-Yu distance %d, want <= 2", dist[yu])
 	}
@@ -195,7 +195,7 @@ func TestSmallFixture(t *testing.T) {
 		t.Fatal("empty description")
 	}
 	// Largest component should dominate (DBLP has a giant component).
-	lc := analysis.LargestComponent(ds.Graph)
+	lc := analysis.LargestComponent(graph.ToCSR(ds.Graph))
 	if float64(len(lc)) < 0.5*float64(ds.Graph.NumNodes()) {
 		t.Fatalf("giant component only %d of %d nodes", len(lc), ds.Graph.NumNodes())
 	}

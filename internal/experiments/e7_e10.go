@@ -180,7 +180,7 @@ func RunE9(cfg *Config) (*E9Result, error) {
 	}
 	g := eng.Graph()
 	// Query sets drawn from the giant component, deterministic.
-	lc := analysis.LargestComponent(g)
+	lc := analysis.LargestComponent(graph.ToCSR(g))
 	pick := func(i int) graph.NodeID { return lc[(i*104729)%len(lc)] }
 	res := &E9Result{}
 	budget := 30

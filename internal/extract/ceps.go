@@ -174,7 +174,7 @@ func ConnectionSubgraphAdj(adj graph.Adjacency, directed bool, labelOf func(grap
 	// expand runs the key-path rounds on one row cursor and one set of DP
 	// tables. It is a function of its own so the cursor is closed — pins
 	// dropped — on the cancellation return as on the normal one, and
-	// before inducedFromAdj reads the backend again.
+	// before graph.Induced reads the backend again.
 	expand := func() error {
 		cur := adj.Cursor()
 		defer cur.Close()
@@ -221,7 +221,7 @@ func ConnectionSubgraphAdj(adj graph.Adjacency, directed bool, labelOf func(grap
 	stage("expand", begin)
 
 	begin = time.Now()
-	sub, mapping := inducedFromAdj(adj, directed, labelOf, chosen)
+	sub, mapping := graph.Induced(adj, directed, labelOf, chosen)
 	stage("induce", begin)
 	res := &Result{Subgraph: sub, Nodes: mapping, Iterations: iterations}
 	res.Goodness = make([]float64, len(mapping))
@@ -237,60 +237,6 @@ func ConnectionSubgraphAdj(adj graph.Adjacency, directed bool, labelOf func(grap
 		res.Sources = append(res.Sources, local[s])
 	}
 	return res, nil
-}
-
-// inducedFromAdj mirrors graph.Induced over an Adjacency: the subgraph of
-// the chosen nodes in order of first appearance, each undirected half-edge
-// pair collapsed to one logical edge, labels carried when labelOf is set.
-// Keeping the construction identical to graph.Induced is what makes
-// extraction results byte-for-byte equal across memory and paged backends;
-// TestInducedFromAdjMatchesGraphInduced pins the two against each other,
-// so edit either in lockstep (internal/graph/subgraph.go).
-//
-// One deliberate difference: labels are set only when non-empty, so a
-// labeled graph whose chosen nodes all carry empty labels yields
-// Subgraph.Labeled()==false (graph.Induced reports true there). A paged
-// backend cannot observe "labeled but all-empty" — its index stores only
-// non-empty labels — and cross-backend bit-identity outranks that
-// degenerate case.
-func inducedFromAdj(adj graph.Adjacency, directed bool, labelOf func(graph.NodeID) string, nodes []graph.NodeID) (*graph.Graph, []graph.NodeID) {
-	old2new := make(map[graph.NodeID]graph.NodeID, len(nodes))
-	var new2old []graph.NodeID
-	for _, u := range nodes {
-		if _, ok := old2new[u]; ok {
-			continue
-		}
-		old2new[u] = graph.NodeID(len(new2old))
-		new2old = append(new2old, u)
-	}
-	sub := graph.NewWithNodes(len(new2old), directed)
-	if labelOf != nil {
-		for nu, ou := range new2old {
-			if l := labelOf(ou); l != "" {
-				sub.SetLabel(graph.NodeID(nu), l)
-			}
-		}
-	}
-	// Opened after the label lookups above: a goroutine holding a cursor
-	// must not read the backend any other way.
-	cur := adj.Cursor()
-	defer cur.Close()
-	for nu, ou := range new2old {
-		nbrs, ws := cur.Neighbors(ou)
-		for i, v := range nbrs {
-			nv, ok := old2new[v]
-			if !ok {
-				continue
-			}
-			// Undirected adjacency stores both half-edges; keep each
-			// logical edge once (self-loops are stored once already).
-			if !directed && v < ou {
-				continue
-			}
-			sub.AddEdge(graph.NodeID(nu), nv, ws[i])
-		}
-	}
-	return sub, new2old
 }
 
 // maxFusedSources caps how many sources' key-path tables one row pass

@@ -190,8 +190,7 @@ func TestConnectionSubgraphBasics(t *testing.T) {
 		}
 	}
 	// Output connected (the underlying graph is connected).
-	_, wc := analysis.WeakComponents(res.Subgraph)
-	if wc != 1 {
+	if wc := analysis.ReportAdj(graph.ToCSR(res.Subgraph), res.Subgraph.Directed()).WeakComponents; wc != 1 {
 		t.Fatalf("output has %d components, want 1", wc)
 	}
 	if res.TotalGoodness <= 0 {
@@ -445,66 +444,5 @@ func TestMultiSourceBeatsPairwiseOnGoodness(t *testing.T) {
 	}
 	if sum(ceps.Nodes) < sum(base.Nodes) {
 		t.Fatalf("multi-source goodness %g below pairwise-union %g", sum(ceps.Nodes), sum(base.Nodes))
-	}
-}
-
-// TestInducedFromAdjMatchesGraphInduced pins the two induce
-// implementations (graph.Induced and the Adjacency-based copy extraction
-// uses) against each other over random graphs, so they cannot silently
-// diverge — cross-backend bit-identity of extraction results depends on
-// them staying in lockstep. Only the Labeled() marker may differ when
-// every carried label is empty (documented on inducedFromAdj).
-func TestInducedFromAdjMatchesGraphInduced(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 40; trial++ {
-		n := 5 + rng.Intn(40)
-		directed := trial%2 == 1
-		g := graph.NewWithNodes(n, directed)
-		for i := 0; i < n*2; i++ {
-			u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
-			g.AddEdge(u, v, rng.Float64()) // self-loops and parallels allowed
-		}
-		if trial%3 != 0 {
-			for i := 0; i < n; i += 2 {
-				g.SetLabel(graph.NodeID(i), "L"+string(rune('a'+i%26)))
-			}
-		}
-		var nodes []graph.NodeID
-		for i := 0; i < 2+rng.Intn(n); i++ {
-			nodes = append(nodes, graph.NodeID(rng.Intn(n))) // dups allowed
-		}
-		want, wantMap := graph.Induced(g, nodes)
-		got, gotMap := inducedFromAdj(graph.ToCSR(g), directed, g.Label, nodes)
-		if len(gotMap) != len(wantMap) || got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
-			t.Fatalf("trial %d: shape %d/%d nodes %d/%d edges", trial,
-				got.NumNodes(), want.NumNodes(), got.NumEdges(), want.NumEdges())
-		}
-		for i := range wantMap {
-			if gotMap[i] != wantMap[i] {
-				t.Fatalf("trial %d: mapping[%d] %d vs %d", trial, i, gotMap[i], wantMap[i])
-			}
-			if got.Label(graph.NodeID(i)) != want.Label(graph.NodeID(i)) {
-				t.Fatalf("trial %d: label[%d] %q vs %q", trial, i,
-					got.Label(graph.NodeID(i)), want.Label(graph.NodeID(i)))
-			}
-		}
-		type edge struct {
-			u, v graph.NodeID
-			w    float64
-		}
-		collect := func(s *graph.Graph) []edge {
-			var out []edge
-			s.Edges(func(u, v graph.NodeID, w float64) bool {
-				out = append(out, edge{u, v, w})
-				return true
-			})
-			return out
-		}
-		we, ge := collect(want), collect(got)
-		for i := range we {
-			if ge[i] != we[i] {
-				t.Fatalf("trial %d: edge %d %v vs %v", trial, i, ge[i], we[i])
-			}
-		}
 	}
 }

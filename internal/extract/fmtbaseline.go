@@ -58,6 +58,17 @@ type PairwiseResult struct {
 // PairwiseConnection extracts a connection subgraph between exactly two
 // nodes with the delivered-current heuristic.
 func PairwiseConnection(g *graph.Graph, s, t graph.NodeID, opts PairwiseOptions) (*PairwiseResult, error) {
+	res, err := pairwiseNodes(g, s, t, opts)
+	if err != nil {
+		return nil, err
+	}
+	res.Subgraph, _ = graph.Induced(graph.ToCSR(g), g.Directed(), g.Label, res.Nodes)
+	return res, nil
+}
+
+// pairwiseNodes is PairwiseConnection without the subgraph, which
+// MultiSourceViaPairwise's runs do not read.
+func pairwiseNodes(g *graph.Graph, s, t graph.NodeID, opts PairwiseOptions) (*PairwiseResult, error) {
 	if err := g.CheckNode(s); err != nil {
 		return nil, err
 	}
@@ -102,10 +113,8 @@ func PairwiseConnection(g *graph.Graph, s, t graph.NodeID, opts PairwiseOptions)
 			}
 		}
 	}
-	sub, mapping := graph.Induced(g, order)
-	res := &PairwiseResult{Subgraph: sub, Nodes: mapping, DeliveredCurrent: delivered}
-	res.Voltages = make([]float64, len(mapping))
-	for i, u := range mapping {
+	res := &PairwiseResult{Nodes: order, DeliveredCurrent: delivered, Voltages: make([]float64, len(order))}
+	for i, u := range order {
 		res.Voltages[i] = volt[u]
 	}
 	return res, nil
@@ -200,7 +209,7 @@ func MultiSourceViaPairwise(g *graph.Graph, sources []graph.NodeID, opts Pairwis
 	var delivered float64
 	for i := 0; i < len(sources); i++ {
 		for j := i + 1; j < len(sources); j++ {
-			res, err := PairwiseConnection(g, sources[i], sources[j], opts)
+			res, err := pairwiseNodes(g, sources[i], sources[j], opts)
 			if err != nil {
 				return nil, runs, err
 			}
@@ -237,6 +246,6 @@ func MultiSourceViaPairwise(g *graph.Graph, sources []graph.NodeID, opts Pairwis
 		}
 		order = append(order, sc.node)
 	}
-	sub, mapping := graph.Induced(g, order)
+	sub, mapping := graph.Induced(graph.ToCSR(g), g.Directed(), g.Label, order)
 	return &PairwiseResult{Subgraph: sub, Nodes: mapping, DeliveredCurrent: delivered}, runs, nil
 }

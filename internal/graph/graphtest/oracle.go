@@ -9,8 +9,9 @@ import (
 
 // Oracle is a graph held as a map from each node to its edge list, with
 // the kernels GMine runs over an Adjacency written out the textbook way:
-// dense RWR, power-iteration PageRank, BFS components, the degree
-// histogram and the key-path DP. It is the referee the kernel tables
+// dense RWR, power-iteration PageRank, BFS components, strong components
+// by mutual reachability, the all-pairs hop plot, the degree histogram and
+// the key-path DP. It is the referee the kernel tables
 // compare every backend against, so it is written for clarity and never
 // for speed — small graphs only.
 type Oracle struct {
@@ -166,6 +167,88 @@ func (o *Oracle) Structure() Structure {
 		s.LargestComponent = max(s.LargestComponent, size)
 	}
 	return s
+}
+
+// distances returns the hop distance from src to every node it reaches,
+// by breadth-first search along stored edges.
+func (o *Oracle) distances(src graph.NodeID) map[graph.NodeID]int {
+	dist := map[graph.NodeID]int{src: 0}
+	queue := []graph.NodeID{src}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for _, e := range o.out[u] {
+			if _, seen := dist[e.To]; !seen {
+				dist[e.To] = dist[u] + 1
+				queue = append(queue, e.To)
+			}
+		}
+	}
+	return dist
+}
+
+// StrongComponents counts strongly connected components by definition:
+// u and v share one when each reaches the other. An undirected graph
+// stores every edge both ways, so its strong components are its weak
+// ones.
+func (o *Oracle) StrongComponents() int {
+	reach := make([]map[graph.NodeID]int, o.n)
+	for u := range graph.NodeID(o.n) {
+		reach[u] = o.distances(u)
+	}
+	count, placed := 0, map[graph.NodeID]bool{}
+	for u := range graph.NodeID(o.n) {
+		if placed[u] {
+			continue
+		}
+		count++
+		for v := range graph.NodeID(o.n) {
+			_, uv := reach[u][v]
+			_, vu := reach[v][u]
+			if uv && vu {
+				placed[v] = true
+			}
+		}
+	}
+	return count
+}
+
+// Hops is the exact hop plot: Counts[h] is the number of ordered pairs
+// (u, v), the n pairs (u, u) included, with v reachable from u in at most
+// h hops; MaxHops is the longest finite distance, and EffectiveDiameter
+// the smallest h whose count reaches 90% of Counts[MaxHops].
+type Hops struct {
+	Counts            []float64
+	MaxHops           int
+	EffectiveDiameter int
+}
+
+// Hops computes the hop plot from a breadth-first search out of every
+// node.
+func (o *Oracle) Hops() Hops {
+	var h Hops
+	if o.n == 0 {
+		return h
+	}
+	perHop := map[int]int{}
+	for u := range graph.NodeID(o.n) {
+		for _, d := range o.distances(u) {
+			perHop[d]++
+			h.MaxHops = max(h.MaxHops, d)
+		}
+	}
+	pairs := 0
+	for d := 0; d <= h.MaxHops; d++ {
+		pairs += perHop[d]
+		h.Counts = append(h.Counts, float64(pairs))
+	}
+	for d, c := range h.Counts {
+		if c >= 0.9*h.Counts[h.MaxHops] {
+			h.EffectiveDiameter = d
+			break
+		}
+	}
+	return h
 }
 
 // KeyPath is the key-path DP as written in a textbook: tables over every

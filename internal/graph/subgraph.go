@@ -2,15 +2,15 @@ package graph
 
 import "sort"
 
-// Induced returns the subgraph of g induced by nodes, together with the
-// mapping from new IDs to original IDs (the inverse of the compaction).
-// Labels are carried over. Duplicate entries in nodes are ignored; order of
-// first appearance determines the new IDs.
-//
-// extract.inducedFromAdj mirrors this construction over an Adjacency and
-// is lockstep-tested against it (TestInducedFromAdjMatchesGraphInduced);
-// change the two together.
-func Induced(g *Graph, nodes []NodeID) (*Graph, []NodeID) {
+// Induced returns the subgraph of adj induced by nodes, together with the
+// mapping from new IDs to original IDs. Duplicates in nodes are ignored;
+// order of first appearance sets the new IDs. directed says how adj
+// stores edges: an undirected adjacency holds both half-edges of an edge,
+// and the subgraph keeps it once. labelOf, when set, supplies labels, and
+// only non-empty ones are set, so chosen nodes without labels make an
+// unlabeled subgraph: a paged backend's label index cannot tell empty
+// from unlabeled, and every backend must yield the same subgraph.
+func Induced(adj Adjacency, directed bool, labelOf func(NodeID) string, nodes []NodeID) (*Graph, []NodeID) {
 	old2new := make(map[NodeID]NodeID, len(nodes))
 	var new2old []NodeID
 	for _, u := range nodes {
@@ -20,24 +20,31 @@ func Induced(g *Graph, nodes []NodeID) (*Graph, []NodeID) {
 		old2new[u] = NodeID(len(new2old))
 		new2old = append(new2old, u)
 	}
-	sub := NewWithNodes(len(new2old), g.Directed())
-	if g.Labeled() {
+	sub := NewWithNodes(len(new2old), directed)
+	if labelOf != nil {
 		for nu, ou := range new2old {
-			sub.SetLabel(NodeID(nu), g.Label(ou))
+			if l := labelOf(ou); l != "" {
+				sub.SetLabel(NodeID(nu), l)
+			}
 		}
 	}
+	// Opened after the label lookups above: a goroutine holding a cursor
+	// must not read the backend any other way.
+	cur := adj.Cursor()
+	defer cur.Close()
 	for nu, ou := range new2old {
-		for _, e := range g.Neighbors(ou) {
-			nv, ok := old2new[e.To]
+		nbrs, ws := cur.Neighbors(ou)
+		for i, v := range nbrs {
+			nv, ok := old2new[v]
 			if !ok {
 				continue
 			}
 			// Undirected adjacency stores both half-edges; keep each
 			// logical edge once (self-loops are stored once already).
-			if !g.Directed() && e.To < ou {
+			if !directed && v < ou {
 				continue
 			}
-			sub.AddEdge(NodeID(nu), nv, e.Weight)
+			sub.AddEdge(NodeID(nu), nv, ws[i])
 		}
 	}
 	return sub, new2old

@@ -6,6 +6,11 @@ import (
 	"testing/quick"
 )
 
+// induce runs Induced over g's CSR with g's labels.
+func induce(g *Graph, nodes []NodeID) (*Graph, []NodeID) {
+	return Induced(ToCSR(g), g.Directed(), g.Label, nodes)
+}
+
 func TestInducedBasic(t *testing.T) {
 	g := NewWithNodes(5, false)
 	g.SetLabel(1, "b")
@@ -13,7 +18,7 @@ func TestInducedBasic(t *testing.T) {
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 3, 2)
 	g.AddEdge(3, 4, 1)
-	sub, m := Induced(g, []NodeID{1, 3})
+	sub, m := induce(g, []NodeID{1, 3})
 	if sub.NumNodes() != 2 {
 		t.Fatalf("n=%d want 2", sub.NumNodes())
 	}
@@ -29,12 +34,17 @@ func TestInducedBasic(t *testing.T) {
 	if sub.Label(0) != "b" || sub.Label(1) != "d" {
 		t.Fatalf("labels lost: %q %q", sub.Label(0), sub.Label(1))
 	}
+	// Only non-empty labels are set: unlabeled picks make an unlabeled
+	// subgraph of a labeled graph.
+	if sub, _ := induce(g, []NodeID{0, 4}); sub.Labeled() {
+		t.Fatalf("picks without labels gave a labeled subgraph %q", sub.Labels())
+	}
 }
 
 func TestInducedIgnoresDuplicates(t *testing.T) {
 	g := NewWithNodes(3, false)
 	g.AddEdge(0, 1, 1)
-	sub, m := Induced(g, []NodeID{1, 1, 0, 1})
+	sub, m := induce(g, []NodeID{1, 1, 0, 1})
 	if sub.NumNodes() != 2 || len(m) != 2 {
 		t.Fatalf("n=%d len(m)=%d want 2 2", sub.NumNodes(), len(m))
 	}
@@ -46,7 +56,7 @@ func TestInducedIgnoresDuplicates(t *testing.T) {
 func TestInducedSelfLoopKept(t *testing.T) {
 	g := NewWithNodes(2, false)
 	g.AddEdge(0, 0, 5)
-	sub, _ := Induced(g, []NodeID{0})
+	sub, _ := induce(g, []NodeID{0})
 	if sub.NumEdges() != 1 || sub.EdgeWeight(0, 0) != 5 {
 		t.Fatalf("self-loop lost: m=%d w=%g", sub.NumEdges(), sub.EdgeWeight(0, 0))
 	}
@@ -57,7 +67,7 @@ func TestInducedDirected(t *testing.T) {
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 0, 2)
 	g.AddEdge(1, 2, 1)
-	sub, _ := Induced(g, []NodeID{0, 1})
+	sub, _ := induce(g, []NodeID{0, 1})
 	if sub.NumEdges() != 2 {
 		t.Fatalf("m=%d want 2", sub.NumEdges())
 	}
@@ -69,7 +79,7 @@ func TestInducedDirected(t *testing.T) {
 func TestInducedEmptySelection(t *testing.T) {
 	g := NewWithNodes(3, false)
 	g.AddEdge(0, 1, 1)
-	sub, m := Induced(g, nil)
+	sub, m := induce(g, nil)
 	if sub.NumNodes() != 0 || len(m) != 0 {
 		t.Fatal("empty selection produced non-empty subgraph")
 	}
@@ -115,7 +125,7 @@ func TestPropertyInducedEdgePreservation(t *testing.T) {
 				nodes = append(nodes, NodeID(u))
 			}
 		}
-		sub, m := Induced(g, nodes)
+		sub, m := induce(g, nodes)
 		// Count expected edges.
 		want := 0
 		g.Edges(func(u, v NodeID, w float64) bool {

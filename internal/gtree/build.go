@@ -77,6 +77,9 @@ func BuildContext(ctx context.Context, g *graph.Graph, opts BuildOptions) (*Tree
 		all[i] = graph.NodeID(i)
 	}
 	level := []work{{id: 0, members: all}}
+	// One CSR per build: every community's split reads its rows. The
+	// partitioner reads no labels, so none are induced.
+	adj := graph.ToCSR(g)
 	for len(level) > 0 {
 		// Decide and split every community of this level in parallel;
 		// ids and seeds depend only on the community id, so any worker
@@ -99,7 +102,7 @@ func BuildContext(ctx context.Context, g *graph.Graph, opts BuildOptions) (*Tree
 			go func(i int, w work) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				sub, toOrig := graph.Induced(g, w.members)
+				sub, toOrig := graph.Induced(adj, g.Directed(), nil, w.members)
 				popts := opts.Partition
 				popts.K = opts.K
 				popts.Seed = opts.Partition.Seed + int64(w.id)

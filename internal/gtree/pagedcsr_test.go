@@ -234,7 +234,7 @@ func TestDirectedLeafRoundTrip(t *testing.T) {
 		if !diskSub.Directed() {
 			t.Fatalf("leaf %d decoded undirected from a directed file", leaf)
 		}
-		memSub, _ := graph.Induced(g, tree.Node(leaf).Members)
+		memSub, _ := graph.Induced(graph.ToCSR(g), g.Directed(), g.Label, tree.Node(leaf).Members)
 		if diskSub.NumEdges() != memSub.NumEdges() || len(members) != memSub.NumNodes() {
 			t.Fatalf("leaf %d: %d/%d edges, %d/%d nodes", leaf,
 				diskSub.NumEdges(), memSub.NumEdges(), len(members), memSub.NumNodes())

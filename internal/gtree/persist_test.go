@@ -111,7 +111,7 @@ func TestLoadLeafMatchesOriginal(t *testing.T) {
 			}
 		}
 		// Edges must match the induced subgraph of the original.
-		wantSub, _ := graph.Induced(g, want)
+		wantSub, _ := graph.Induced(graph.ToCSR(g), g.Directed(), g.Label, want)
 		if sub.NumEdges() != wantSub.NumEdges() {
 			t.Fatalf("leaf %d edges %d want %d", leaf, sub.NumEdges(), wantSub.NumEdges())
 		}

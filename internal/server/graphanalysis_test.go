@@ -5,14 +5,19 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dblp"
 	"repro/internal/graph"
+	"repro/internal/storage"
 )
 
 // saveFixtureTree persists the small fixture as a G-Tree and as an
@@ -169,6 +174,58 @@ func TestGraphAnalysisFaultMapsTo500(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("graph analysis over corrupted file: status %d, want 500 (%s)", resp.StatusCode, b)
+	}
+}
+
+// TestLeafAnalysisFaultMapsTo500: a leaf whose blob cannot be read is a
+// backend fault like a failed whole-graph sweep. GET …/analysis answers
+// 500, not the 400 of a bad community id, and the session's breaker counts
+// the failure: with a threshold of one, the next query is refused with 503.
+func TestLeafAnalysisFaultMapsTo500(t *testing.T) {
+	var inj *storage.FaultInjector
+	s := New(Config{
+		CacheEntries: 8, RequestTimeout: 30 * time.Second,
+		BreakerThreshold: 1, BreakerCooldown: time.Minute,
+		FaultWrap: func(f storage.File) storage.File {
+			inj = storage.NewFaultInjector(f, 1)
+			return inj
+		},
+	})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	gtreePath, _ := saveFixtureTree(t, 256)
+	createDiskSession(t, ts, "disk", gtreePath, 8)
+
+	var leaves []int
+	for _, c := range decodeBody[treeResponse](t, mustGet(t, ts.URL+"/sessions/disk/tree")).Listing {
+		if c.Leaf {
+			leaves = append(leaves, int(c.ID))
+		}
+	}
+	if len(leaves) < 2 {
+		t.Fatalf("fixture has %d leaves, want two", len(leaves))
+	}
+	analysis := func(leaf, seed int) (int, string) {
+		resp, err := http.Get(ts.URL + "/sessions/disk/analysis?community=" + strconv.Itoa(leaf) + "&seed=" + strconv.Itoa(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, string(b)
+	}
+	if code, body := analysis(leaves[0], 1); code != http.StatusOK {
+		t.Fatalf("clean leaf analysis: status %d (%s)", code, body)
+	}
+
+	// More faults than the pager's retry budget: the first read of the
+	// second leaf's blob fails for good.
+	inj.Script(slices.Repeat([]storage.FaultKind{storage.FaultErr}, 8)...)
+	if code, body := analysis(leaves[1], 3); code != http.StatusInternalServerError {
+		t.Fatalf("leaf analysis over a failed read: status %d (%s), want 500", code, body)
+	}
+	if code, body := analysis(leaves[0], 2); code != http.StatusServiceUnavailable || !strings.Contains(body, "breaker_open") {
+		t.Fatalf("query after the leaf fault: status %d (%s), want 503 from the open breaker", code, body)
 	}
 }
 

@@ -131,11 +131,13 @@ type FaultInjectorStats struct {
 //
 // Rate mode injects TRANSIENT faults only, by construction: a transient
 // fault is one that heals on re-read, so after readAttempts-1 consecutive
-// injected faults at one offset the next read there goes through clean,
-// whatever the rate. A page load that re-reads its page within the
-// pager's budget therefore always succeeds under rate injection (the pool
-// runs one load per page at a time). Exhausting the retry budget takes a
-// script, which has no such cap.
+// injected faults on one reader's reads of one offset, that reader's next
+// read there goes through clean, whatever the rate. A reader is one
+// destination buffer: the pager's retry loop re-reads into the buffer it
+// first read into, so a page read that retries within the pager's budget
+// always succeeds under rate injection, however other readers of the same
+// offset interleave with it. Exhausting the retry budget takes a script,
+// which has no such cap.
 // Reads at offset 0 are never faulted: the superblock is read once during
 // Open, outside the pager's retry loop, and poisoning it would fail every
 // open rather than exercise the recovery machinery.
@@ -152,22 +154,30 @@ type FaultInjector struct {
 	kinds   []FaultKind
 	latency time.Duration
 	script  []FaultKind
-	// streak counts the consecutive rate-injected faults at each offset
-	// that is currently in a run of them (entries leave on a clean read).
-	streak map[int64]int
+	// streak counts the consecutive rate-injected faults of each reader
+	// currently in a run of them (entries leave on a clean read).
+	streak map[streakKey]int
 	stats  FaultInjectorStats
+}
+
+// streakKey names one reader's reads of one offset: the offset and the
+// destination buffer. With a streak per offset alone, another reader's
+// clean read would reset it, and a reader could fault on every attempt.
+type streakKey struct {
+	off int64
+	buf *byte
 }
 
 // NewFaultInjector wraps f. With no script and no rate set it is a
 // transparent pass-through.
 func NewFaultInjector(f File, seed int64) *FaultInjector {
-	return &FaultInjector{f: f, rng: rand.New(rand.NewSource(seed)), streak: map[int64]int{}}
+	return &FaultInjector{f: f, rng: rand.New(rand.NewSource(seed)), streak: map[streakKey]int{}}
 }
 
 // SetRate arms probabilistic injection: each eligible read faults with
 // probability rate, drawing uniformly from kinds (default: flip, err,
-// short) — except that a run of readAttempts-1 faults at one offset is
-// always followed by a clean read there.
+// short) — except that a run of readAttempts-1 faults on one reader's
+// reads of one offset is always followed by a clean read for that reader.
 func (fi *FaultInjector) SetRate(rate float64, kinds ...FaultKind) {
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
@@ -201,8 +211,8 @@ func (fi *FaultInjector) Stats() FaultInjectorStats {
 	return fi.stats
 }
 
-// draw picks the fault (if any) for one eligible read at off.
-func (fi *FaultInjector) draw(off int64) (FaultKind, time.Duration, bool) {
+// draw picks the fault (if any) for one eligible read by key's reader.
+func (fi *FaultInjector) draw(key streakKey) (FaultKind, time.Duration, bool) {
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
 	fi.stats.Reads++
@@ -212,13 +222,13 @@ func (fi *FaultInjector) draw(off int64) (FaultKind, time.Duration, bool) {
 		fi.stats.Injected++
 		return k, fi.latency, true
 	}
-	if fi.rate > 0 && fi.rng.Float64() < fi.rate && fi.streak[off] < readAttempts-1 {
+	if fi.rate > 0 && fi.rng.Float64() < fi.rate && fi.streak[key] < readAttempts-1 {
 		k := fi.kinds[fi.rng.Intn(len(fi.kinds))]
-		fi.streak[off]++
+		fi.streak[key]++
 		fi.stats.Injected++
 		return k, fi.latency, true
 	}
-	delete(fi.streak, off)
+	delete(fi.streak, key)
 	return 0, 0, false
 }
 
@@ -226,7 +236,11 @@ func (fi *FaultInjector) ReadAt(p []byte, off int64) (int, error) {
 	if off == 0 {
 		return fi.f.ReadAt(p, off)
 	}
-	kind, latency, inject := fi.draw(off)
+	key := streakKey{off: off}
+	if len(p) > 0 {
+		key.buf = &p[0]
+	}
+	kind, latency, inject := fi.draw(key)
 	if !inject {
 		return fi.f.ReadAt(p, off)
 	}

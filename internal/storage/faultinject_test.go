@@ -155,6 +155,39 @@ func TestRateInjectionAlwaysHeals(t *testing.T) {
 	}
 }
 
+// TestRateInjectionStreakPerReader: the rate-mode streak cap holds per
+// reader, not per offset. Reader A faults once; reader B then reads the
+// same offset three times; A's retries must still heal within its budget.
+// With one streak per offset, B's third read came through clean, reset
+// the streak A had started, and A's next three reads all faulted: four
+// faults in A's four attempts.
+func TestRateInjectionStreakPerReader(t *testing.T) {
+	path, id := buildFile(t)
+	p, inj := openInjected(t, path, 3)
+	defer p.Close()
+	inj.SetRate(1, FaultErr)
+	off := int64(id) * int64(p.PageSize())
+	a, b := make([]byte, p.PageSize()), make([]byte, p.PageSize())
+	faulted := func(buf []byte) bool {
+		_, err := inj.ReadAt(buf, off)
+		return err != nil
+	}
+	aFaults := 0
+	if faulted(a) {
+		aFaults++
+	}
+	for range 3 {
+		faulted(b)
+	}
+	for attempt := 1; attempt < readAttempts; attempt++ {
+		if !faulted(a) {
+			return
+		}
+		aFaults++
+	}
+	t.Fatalf("reader A faulted on all %d of its %d attempts, with reader B between them", aFaults, readAttempts)
+}
+
 func TestInjectorExemptsSuperblock(t *testing.T) {
 	path, _ := buildFile(t)
 	// Rate 1 faults every eligible read; Open must still succeed because
