@@ -30,9 +30,11 @@ race:
 
 check: build vet lint race
 
-# Short randomized shake of the decoder/sweep/cursor entry points that
-# parse attacker-shaped bytes (CI runs the same four).
+# Short randomized shake of the decoder/sweep/cursor entry points and the
+# edge-list reader, which parse attacker-shaped bytes (CI runs the same
+# five).
 fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzSweepEdges -fuzztime 10s ./internal/gtree
 	$(GO) test -run '^$$' -fuzz FuzzCursorRows -fuzztime 10s ./internal/gtree
 	$(GO) test -run '^$$' -fuzz FuzzDecodeLeaf -fuzztime 10s ./internal/gtree

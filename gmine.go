@@ -60,16 +60,11 @@ type EdgeSweeper = graph.EdgeSweeper
 // ToCSR converts a graph to CSR form.
 func ToCSR(g *Graph) *CSR { return graph.ToCSR(g) }
 
-// ReadEdgeList / WriteEdgeList / ReadBinary / WriteBinary / ReadMETIS /
-// WriteMETIS re-export graph I/O (METIS interop matches the partitioner
-// the paper used).
+// ReadEdgeList / WriteEdgeList re-export the edge-list format, the one
+// graph input format.
 var (
 	ReadEdgeList  = graph.ReadEdgeList
 	WriteEdgeList = graph.WriteEdgeList
-	ReadBinary    = graph.ReadBinary
-	WriteBinary   = graph.WriteBinary
-	ReadMETIS     = graph.ReadMETIS
-	WriteMETIS    = graph.WriteMETIS
 )
 
 // --- Engine ---
@@ -183,14 +178,6 @@ func ConnectionSubgraph(g *Graph, sources []NodeID, opts ExtractOptions) (*Extra
 	return extract.ConnectionSubgraph(g, sources, opts)
 }
 
-// ConnectionSubgraphAdj is the extraction core over any Adjacency — in
-// memory or paged from disk — with directedness and an optional label
-// lookup supplied by the caller. Results are bit-identical across
-// backends over the same graph.
-func ConnectionSubgraphAdj(adj Adjacency, directed bool, labelOf func(NodeID) string, sources []NodeID, opts ExtractOptions) (*ExtractResult, error) {
-	return extract.ConnectionSubgraphAdj(adj, directed, labelOf, sources, opts)
-}
-
 // RWRPower computes the exact random walk with restart by power
 // iteration; RWRPush is the residual-push approximation (local work,
 // suited to interactive queries on the full-scale graph).
@@ -213,9 +200,6 @@ var RWRMulti = extract.RWRMulti
 
 // PairwiseOptions configures the KDD'04 electrical baseline.
 type PairwiseOptions = extract.PairwiseOptions
-
-// PairwiseConnection runs the pairwise delivered-current baseline.
-var PairwiseConnection = extract.PairwiseConnection
 
 // MultiSourceViaPairwise answers multi-source queries with pairwise runs.
 var MultiSourceViaPairwise = extract.MultiSourceViaPairwise

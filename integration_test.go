@@ -1,7 +1,6 @@
 package gmine_test
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -131,18 +130,6 @@ func TestIntegrationDirectSubstrates(t *testing.T) {
 	// NMI sanity via facade.
 	if gmine.NMI([]int32{0, 0, 1, 1}, []int32{5, 5, 6, 6}) != 1 {
 		t.Fatal("facade NMI broken")
-	}
-	// METIS IO via facade.
-	var buf bytes.Buffer
-	if err := gmine.WriteMETIS(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	back, err := gmine.ReadMETIS(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumEdges() != g.NumEdges() {
-		t.Fatal("facade METIS round trip broken")
 	}
 	// Force layout + subgraph SVG via facade.
 	pos := gmine.ForceLayout(g, gmine.Circle{R: 100}, gmine.ForceOptions{Iterations: 10, Seed: 1})

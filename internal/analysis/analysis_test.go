@@ -63,31 +63,6 @@ func TestPowerLawExponentOnSyntheticTail(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogramSorted(t *testing.T) {
-	degrees, counts := DegreeHistogramSorted(ReportAdj(graph.ToCSR(star(4)), false).Degree)
-	if len(degrees) != 2 || degrees[0] != 1 || degrees[1] != 4 {
-		t.Fatalf("degrees %v", degrees)
-	}
-	if counts[0] != 4 || counts[1] != 1 {
-		t.Fatalf("counts %v", counts)
-	}
-}
-
-func TestTopKByDegree(t *testing.T) {
-	g := graph.ToCSR(star(5))
-	top := TopKByDegree(g, 2)
-	if top[0] != 0 {
-		t.Fatalf("hub not first: %v", top)
-	}
-	if len(top) != 2 {
-		t.Fatalf("len %d", len(top))
-	}
-	all := TopKByDegree(g, 100)
-	if len(all) != 6 {
-		t.Fatalf("k>n returned %d", len(all))
-	}
-}
-
 func TestWeakComponentsPathPlusIsolated(t *testing.T) {
 	g := path(5)
 	g.AddNodes(3) // isolated

@@ -8,12 +8,8 @@
 package analysis
 
 import (
-	"maps"
 	"math"
-	"slices"
 	"sort"
-
-	"repro/internal/graph"
 )
 
 // DegreeStats summarizes a graph's degree distribution.
@@ -66,27 +62,4 @@ func fitPowerLaw(hist map[int]int) float64 {
 	}
 	slope := (nf*sxy - sx*sy) / den
 	return -slope
-}
-
-// DegreeHistogramSorted returns st's (degree, count) pairs in increasing
-// degree order, convenient for printing the distribution an experiment
-// reports.
-func DegreeHistogramSorted(st DegreeStats) (degrees []int, counts []int) {
-	degrees = slices.Sorted(maps.Keys(st.Histogram))
-	counts = make([]int, len(degrees))
-	for i, d := range degrees {
-		counts[i] = st.Histogram[d]
-	}
-	return degrees, counts
-}
-
-// TopKByDegree returns the k nodes with the most stored neighbors (ties
-// broken by id).
-func TopKByDegree(adj graph.Adjacency, k int) []graph.NodeID {
-	degree := make([]float64, adj.N())
-	_ = adj.SweepEdges(0, graph.NodeID(len(degree)), func(u graph.NodeID, nbrs []graph.NodeID, _ []float64) bool {
-		degree[u] = float64(len(nbrs))
-		return true
-	})
-	return TopKByRank(degree, k)
 }

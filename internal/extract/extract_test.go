@@ -341,12 +341,12 @@ func TestTopGoodness(t *testing.T) {
 func TestPairwiseConnectionBasics(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := randomConnected(rng, 120, 240)
-	res, err := PairwiseConnection(g, 3, 99, PairwiseOptions{Budget: 12})
+	res, err := pairwiseNodes(g, 3, 99, PairwiseOptions{Budget: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Subgraph.NumNodes() > 12 {
-		t.Fatalf("budget exceeded: %d", res.Subgraph.NumNodes())
+	if len(res.Nodes) > 12 {
+		t.Fatalf("budget exceeded: %d", len(res.Nodes))
 	}
 	if res.Nodes[0] != 3 || res.Nodes[1] != 99 {
 		t.Fatalf("endpoints not first: %v", res.Nodes[:2])
@@ -376,10 +376,10 @@ func TestPairwiseVoltagesBoundedAndOriented(t *testing.T) {
 
 func TestPairwiseErrors(t *testing.T) {
 	g := pathGraph(4)
-	if _, err := PairwiseConnection(g, 1, 1, PairwiseOptions{}); err == nil {
+	if _, err := pairwiseNodes(g, 1, 1, PairwiseOptions{}); err == nil {
 		t.Fatal("accepted s == t")
 	}
-	if _, err := PairwiseConnection(g, 0, 77, PairwiseOptions{}); err == nil {
+	if _, err := pairwiseNodes(g, 0, 77, PairwiseOptions{}); err == nil {
 		t.Fatal("accepted bad node")
 	}
 }

@@ -45,7 +45,8 @@ func (o PairwiseOptions) withDefaults() PairwiseOptions {
 	return o
 }
 
-// PairwiseResult is the output of the electrical baseline.
+// PairwiseResult is the output of the electrical baseline. Subgraph is
+// set on MultiSourceViaPairwise's result only.
 type PairwiseResult struct {
 	Subgraph *graph.Graph
 	Nodes    []graph.NodeID
@@ -55,19 +56,9 @@ type PairwiseResult struct {
 	DeliveredCurrent float64
 }
 
-// PairwiseConnection extracts a connection subgraph between exactly two
-// nodes with the delivered-current heuristic.
-func PairwiseConnection(g *graph.Graph, s, t graph.NodeID, opts PairwiseOptions) (*PairwiseResult, error) {
-	res, err := pairwiseNodes(g, s, t, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Subgraph, _ = graph.Induced(graph.ToCSR(g), g.Directed(), g.Label, res.Nodes)
-	return res, nil
-}
-
-// pairwiseNodes is PairwiseConnection without the subgraph, which
-// MultiSourceViaPairwise's runs do not read.
+// pairwiseNodes runs the delivered-current heuristic between exactly two
+// nodes. It returns the chosen nodes, endpoints first, without a
+// subgraph: MultiSourceViaPairwise induces one over the pooled nodes.
 func pairwiseNodes(g *graph.Graph, s, t graph.NodeID, opts PairwiseOptions) (*PairwiseResult, error) {
 	if err := g.CheckNode(s); err != nil {
 		return nil, err

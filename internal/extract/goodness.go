@@ -24,19 +24,6 @@ const (
 	CombineKSoftAND
 )
 
-func (m CombineMode) String() string {
-	switch m {
-	case CombineAND:
-		return "AND"
-	case CombineOR:
-		return "OR"
-	case CombineKSoftAND:
-		return "k-softAND"
-	default:
-		return "unknown"
-	}
-}
-
 // Goodness combines the per-source RWR vectors into one score per node.
 // k is only used by CombineKSoftAND (clamped to [1,len(rwr)]).
 func Goodness(rwr [][]float64, mode CombineMode, k int) []float64 {

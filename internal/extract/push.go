@@ -130,16 +130,3 @@ func RWRPushCtx(ctx context.Context, c graph.Adjacency, src graph.NodeID, restar
 	}
 	return p, nil
 }
-
-// RWRMultiPush runs the push approximation independently per source.
-func RWRMultiPush(c graph.Adjacency, sources []graph.NodeID, restart, epsilon float64) ([][]float64, error) {
-	out := make([][]float64, len(sources))
-	for i, s := range sources {
-		p, err := RWRPush(c, s, restart, epsilon)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = p
-	}
-	return out, nil
-}

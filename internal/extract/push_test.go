@@ -109,9 +109,6 @@ func TestRWRPushErrors(t *testing.T) {
 			t.Errorf("RWRPush accepted restart=%g epsilon=%g", tc.restart, tc.epsilon)
 		}
 	}
-	if _, err := RWRMultiPush(c, []graph.NodeID{0}, math.NaN(), 1e-8); err == nil {
-		t.Error("RWRMultiPush accepted NaN restart")
-	}
 }
 
 func TestRWRPushSourceDominates(t *testing.T) {
@@ -125,26 +122,5 @@ func TestRWRPushSourceDominates(t *testing.T) {
 		if i != 5 && p[i] >= p[5] {
 			t.Fatalf("p[%d]=%g >= p[src]=%g", i, p[i], p[5])
 		}
-	}
-}
-
-func TestRWRMultiPush(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := randomConnected(rng, 80, 160)
-	c := graph.ToCSR(g)
-	vs, err := RWRMultiPush(c, []graph.NodeID{1, 2, 3}, 0.15, 1e-8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vs) != 3 {
-		t.Fatalf("got %d vectors", len(vs))
-	}
-	for i, v := range vs {
-		if v[[]graph.NodeID{1, 2, 3}[i]] == 0 {
-			t.Fatal("source has zero estimate")
-		}
-	}
-	if _, err := RWRMultiPush(c, []graph.NodeID{99}, 0.15, 1e-8); err == nil {
-		t.Fatal("accepted bad source")
 	}
 }

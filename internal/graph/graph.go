@@ -1,7 +1,7 @@
 // Package graph provides the graph substrate used by every GMine module:
 // a compact weighted graph with optional node labels, support for directed
 // and undirected semantics, induced subgraphs, a CSR (compressed sparse row)
-// view for algorithm kernels, and text/binary serialization.
+// view for algorithm kernels, and the edge-list text format.
 //
 // The representation is tuned for the workloads of the GMine paper:
 // co-authorship style graphs with hundreds of thousands of nodes and a few
@@ -12,6 +12,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -198,9 +199,6 @@ func (g *Graph) Dedup() {
 	}
 }
 
-// EdgeCount recomputes and returns the logical edge count without merging.
-func (g *Graph) EdgeCount() int { return g.numEdges }
-
 // Edges calls fn once per logical edge. For undirected graphs each edge
 // {u,v} is reported once with u <= v. Iteration stops early if fn returns
 // false.
@@ -224,22 +222,9 @@ func (g *Graph) TotalWeight() float64 {
 	return s
 }
 
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{directed: g.directed, numEdges: g.numEdges, hasLabel: g.hasLabel}
-	c.adj = make([][]Edge, len(g.adj))
-	for u := range g.adj {
-		c.adj[u] = append([]Edge(nil), g.adj[u]...)
-	}
-	if g.hasLabel {
-		c.labels = append([]string(nil), g.labels...)
-	}
-	return c
-}
-
 // Validate checks internal invariants: in-range endpoints, symmetric
-// storage for undirected graphs, and non-negative weights. It returns the
-// first violation found.
+// storage for undirected graphs, and finite, non-negative weights. It
+// returns the first violation found.
 func (g *Graph) Validate() error {
 	n := NodeID(len(g.adj))
 	for u := range g.adj {
@@ -247,8 +232,8 @@ func (g *Graph) Validate() error {
 			if e.To < 0 || e.To >= n {
 				return fmt.Errorf("graph: node %d has edge to out-of-range node %d (n=%d)", u, e.To, n)
 			}
-			if e.Weight < 0 {
-				return fmt.Errorf("graph: negative weight %g on edge %d->%d", e.Weight, u, e.To)
+			if e.Weight < 0 || math.IsNaN(e.Weight) || math.IsInf(e.Weight, 0) {
+				return fmt.Errorf("graph: invalid weight %g on edge %d->%d", e.Weight, u, e.To)
 			}
 		}
 	}

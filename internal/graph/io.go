@@ -2,26 +2,26 @@ package graph
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
 
-// Text edge-list format:
+// The edge-list format is the one graph input format:
 //
-//	# directed|undirected
-//	# nodes <n>
+//	# directed|undirected       (optional; before "# nodes" and every edge)
+//	# nodes <n>                 (optional)
 //	# label <id> <label...>     (optional, any number)
-//	<u> <v> <w>                 (one logical edge per line; w optional)
+//	<u> <v> <w>                 (one logical edge per line; w optional, default 1)
 //
-// Binary format (little endian):
-//
-//	magic "GMGR" | version u16 | flags u16 (bit0 directed, bit1 labeled)
-//	n u32 | m u32
-//	labels: per node, u16 length + bytes (only if labeled)
-//	edges: m records of u32 u, u32 v, f64 w (logical edges)
+// Node and label ids lie in [0, 2^31-1), so a node count is at most
+// 2^31-1 and every id fits a NodeID. Weights are finite and non-negative.
+// Other "#" lines are comments.
+
+// maxNodes bounds a graph's node count; ids lie in [0, maxNodes).
+const maxNodes = math.MaxInt32
 
 // WriteEdgeList writes g in the text edge-list format.
 func WriteEdgeList(w io.Writer, g *Graph) error {
@@ -49,7 +49,10 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadEdgeList parses the text edge-list format.
+// ReadEdgeList parses the edge-list format. It rejects, naming the line,
+// what the graph cannot represent: an id outside [0, 2^31-1), a node
+// count above 2^31-1, a NaN, infinite or negative weight, and a
+// directedness line after the node count or an edge (it would drop them).
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
@@ -59,6 +62,7 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		s  string
 	}
 	directedSet := false
+	bodySeen := false // a node count or an edge: too late to pick directedness
 	line := 0
 	for sc.Scan() {
 		line++
@@ -72,33 +76,35 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 				continue
 			}
 			switch fields[0] {
-			case "directed":
+			case "directed", "undirected":
+				if bodySeen {
+					return nil, fmt.Errorf("graph: line %d: %q after the node count or an edge", line, t)
+				}
 				if !directedSet {
-					g = New(true)
+					g = New(fields[0] == "directed")
 					directedSet = true
 				}
-			case "undirected":
-				directedSet = true
 			case "nodes":
 				if len(fields) >= 2 {
 					n, err := strconv.Atoi(fields[1])
-					if err != nil {
+					if err != nil || n < 0 || n > maxNodes {
 						return nil, fmt.Errorf("graph: line %d: bad node count %q", line, fields[1])
 					}
+					bodySeen = true
 					if n > g.NumNodes() {
 						g.AddNodes(n - g.NumNodes())
 					}
 				}
 			case "label":
 				if len(fields) >= 3 {
-					id, err := strconv.Atoi(fields[1])
-					if err != nil {
+					id, ok := parseNode(fields[1])
+					if !ok {
 						return nil, fmt.Errorf("graph: line %d: bad label id %q", line, fields[1])
 					}
 					labels = append(labels, struct {
 						id NodeID
 						s  string
-					}{NodeID(id), strings.Join(fields[2:], " ")})
+					}{id, strings.Join(fields[2:], " ")})
 				}
 			}
 			continue
@@ -107,29 +113,27 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		if len(fields) < 2 {
 			return nil, fmt.Errorf("graph: line %d: expected 'u v [w]', got %q", line, t)
 		}
-		u, err := strconv.Atoi(fields[0])
-		if err != nil {
+		u, ok := parseNode(fields[0])
+		if !ok {
 			return nil, fmt.Errorf("graph: line %d: bad node %q", line, fields[0])
 		}
-		v, err := strconv.Atoi(fields[1])
-		if err != nil {
+		v, ok := parseNode(fields[1])
+		if !ok {
 			return nil, fmt.Errorf("graph: line %d: bad node %q", line, fields[1])
 		}
 		w := 1.0
 		if len(fields) >= 3 {
+			var err error
 			w, err = strconv.ParseFloat(fields[2], 64)
-			if err != nil {
+			if err != nil || w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 				return nil, fmt.Errorf("graph: line %d: bad weight %q", line, fields[2])
 			}
 		}
-		maxID := u
-		if v > maxID {
-			maxID = v
+		bodySeen = true
+		if top := int(max(u, v)); top >= g.NumNodes() {
+			g.AddNodes(top + 1 - g.NumNodes())
 		}
-		if maxID >= g.NumNodes() {
-			g.AddNodes(maxID + 1 - g.NumNodes())
-		}
-		g.AddEdge(NodeID(u), NodeID(v), w)
+		g.AddEdge(u, v, w)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -143,112 +147,11 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	return g, nil
 }
 
-const (
-	binMagic   = "GMGR"
-	binVersion = 1
-)
-
-// WriteBinary writes g in the compact binary format.
-func WriteBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binMagic); err != nil {
-		return err
+// parseNode parses a node or label id in [0, maxNodes).
+func parseNode(s string) (NodeID, bool) {
+	id, err := strconv.Atoi(s)
+	if err != nil || id < 0 || id >= maxNodes {
+		return 0, false
 	}
-	var flags uint16
-	if g.Directed() {
-		flags |= 1
-	}
-	if g.Labeled() {
-		flags |= 2
-	}
-	hdr := []any{uint16(binVersion), flags, uint32(g.NumNodes()), uint32(g.NumEdges())}
-	for _, v := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	if g.Labeled() {
-		for _, l := range g.Labels() {
-			if len(l) > 0xFFFF {
-				l = l[:0xFFFF]
-			}
-			if err := binary.Write(bw, binary.LittleEndian, uint16(len(l))); err != nil {
-				return err
-			}
-			if _, err := bw.WriteString(l); err != nil {
-				return err
-			}
-		}
-	}
-	var err error
-	g.Edges(func(u, v NodeID, wt float64) bool {
-		if err = binary.Write(bw, binary.LittleEndian, uint32(u)); err != nil {
-			return false
-		}
-		if err = binary.Write(bw, binary.LittleEndian, uint32(v)); err != nil {
-			return false
-		}
-		err = binary.Write(bw, binary.LittleEndian, wt)
-		return err == nil
-	})
-	if err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadBinary parses the compact binary format.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, err
-	}
-	if string(magic) != binMagic {
-		return nil, fmt.Errorf("graph: bad magic %q", magic)
-	}
-	var version, flags uint16
-	var n, m uint32
-	for _, p := range []any{&version, &flags, &n, &m} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, err
-		}
-	}
-	if version != binVersion {
-		return nil, fmt.Errorf("graph: unsupported version %d", version)
-	}
-	g := NewWithNodes(int(n), flags&1 != 0)
-	if flags&2 != 0 {
-		for i := uint32(0); i < n; i++ {
-			var ll uint16
-			if err := binary.Read(br, binary.LittleEndian, &ll); err != nil {
-				return nil, err
-			}
-			buf := make([]byte, ll)
-			if _, err := io.ReadFull(br, buf); err != nil {
-				return nil, err
-			}
-			if ll > 0 {
-				g.SetLabel(NodeID(i), string(buf))
-			}
-		}
-	}
-	for i := uint32(0); i < m; i++ {
-		var u, v uint32
-		var w float64
-		if err := binary.Read(br, binary.LittleEndian, &u); err != nil {
-			return nil, err
-		}
-		if err := binary.Read(br, binary.LittleEndian, &v); err != nil {
-			return nil, err
-		}
-		if err := binary.Read(br, binary.LittleEndian, &w); err != nil {
-			return nil, err
-		}
-		if u >= n || v >= n {
-			return nil, fmt.Errorf("graph: edge %d-%d out of range (n=%d)", u, v, n)
-		}
-		g.AddEdge(NodeID(u), NodeID(v), w)
-	}
-	return g, nil
+	return NodeID(id), true
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -117,65 +118,6 @@ func TestEdgeListSkipsBlanksAndComments(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	g := NewWithNodes(5, false)
-	g.SetLabel(1, "Philip S. Yu")
-	g.AddEdge(0, 1, 2.5)
-	g.AddEdge(1, 4, 1)
-	g.AddEdge(2, 2, 7)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !graphsEqual(g, back) {
-		t.Fatal("binary round trip mismatch")
-	}
-}
-
-func TestBinaryRejectsBadMagic(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("NOPE----------"))); err == nil {
-		t.Fatal("accepted bad magic")
-	}
-}
-
-func TestBinaryRejectsTruncation(t *testing.T) {
-	g := NewWithNodes(3, false)
-	g.AddEdge(0, 1, 1)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	for _, cut := range []int{3, 8, len(full) - 1} {
-		if _, err := ReadBinary(bytes.NewReader(full[:cut])); err == nil {
-			t.Fatalf("accepted truncation at %d bytes", cut)
-		}
-	}
-}
-
-func TestPropertyBinaryRoundTripRandom(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomGraph(rng, 2+rng.Intn(30), 50)
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, g); err != nil {
-			return false
-		}
-		back, err := ReadBinary(&buf)
-		if err != nil {
-			return false
-		}
-		return graphsEqual(g, back)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPropertyEdgeListRoundTripRandom(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -191,6 +133,62 @@ func TestPropertyEdgeListRoundTripRandom(t *testing.T) {
 		return graphsEqual(g, back)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// edgeListRejects are inputs the graph cannot represent, each with the
+// line its error must name. huge rows hold an id or count of 2^31-1 or
+// more, which a reader without the bound would try to allocate.
+var edgeListRejects = []struct {
+	name, in string
+	line     int
+	huge     bool
+}{
+	{"negative node", "0 1\n-1 2\n", 2, false},
+	{"negative neighbor", "3 -2\n", 1, false},
+	{"negative label id", "0 1\n# label -1 Ann\n", 2, false},
+	{"negative node count", "# nodes -1\n", 1, false},
+	{"NaN weight", "0 1 NaN\n", 1, false},
+	{"+Inf weight", "0 1 +Inf\n", 1, false},
+	{"-Inf weight", "0 1 -inf\n", 1, false},
+	{"negative weight", "0 1 1\n1 2 -0.5\n", 2, false},
+	{"overflowing weight", "0 1 1e400\n", 1, false},
+	{"directed after an edge", "0 1\n# directed\n", 2, false},
+	{"undirected after an edge", "0 1\n# undirected\n", 2, false},
+	{"directed after the node count", "# nodes 3\n# directed\n0 1\n", 2, false},
+	{"node id 2^31-1", "0 2147483647\n", 1, true},
+	{"node id 2^31", "2147483648 0\n", 1, true},
+	{"node id 2^40", "0 1099511627776\n", 1, true},
+	{"label id 2^31", "# label 2147483648 Ann\n", 1, true},
+	{"node count 2^31", "# nodes 2147483648\n", 1, true},
+}
+
+func TestReadEdgeListRejects(t *testing.T) {
+	for _, tc := range edgeListRejects {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := ReadEdgeList(strings.NewReader(tc.in))
+			if err == nil {
+				t.Fatalf("accepted %q: %d nodes, %d edges", tc.in, g.NumNodes(), g.NumEdges())
+			}
+			if want := fmt.Sprintf("line %d:", tc.line); !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not name %s", err, want)
+			}
+		})
+	}
+}
+
+// TestReadEdgeListAcceptsBoundaries: the rules' edges are inside them.
+func TestReadEdgeListAcceptsBoundaries(t *testing.T) {
+	in := "# comment first\n# directed\n# nodes 3\n0 1 0\n1 2\n# label 2 Ann\n"
+	g, err := ReadEdgeList(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.Directed() || g.NumNodes() != 3 || g.NumEdges() != 2 || g.Label(2) != "Ann" {
+		t.Fatalf("directed=%v n=%d m=%d label=%q", g.Directed(), g.NumNodes(), g.NumEdges(), g.Label(2))
+	}
+	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }

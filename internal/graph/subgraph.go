@@ -1,7 +1,5 @@
 package graph
 
-import "sort"
-
 // Induced returns the subgraph of adj induced by nodes, together with the
 // mapping from new IDs to original IDs. Duplicates in nodes are ignored;
 // order of first appearance sets the new IDs. directed says how adj
@@ -48,33 +46,4 @@ func Induced(adj Adjacency, directed bool, labelOf func(NodeID) string, nodes []
 		}
 	}
 	return sub, new2old
-}
-
-// CutEdge is a logical edge crossing a node-set boundary.
-type CutEdge struct {
-	U, V NodeID
-	W    float64
-}
-
-// CutEdges returns the logical edges of g with exactly one endpoint in set.
-// Each crossing undirected edge is reported once.
-func CutEdges(g *Graph, set map[NodeID]bool) []CutEdge {
-	var out []CutEdge
-	g.Edges(func(u, v NodeID, w float64) bool {
-		if set[u] != set[v] {
-			out = append(out, CutEdge{u, v, w})
-		}
-		return true
-	})
-	return out
-}
-
-// SortedNodeIDs returns a sorted copy of the keys of set.
-func SortedNodeIDs(set map[NodeID]bool) []NodeID {
-	out := make([]NodeID, 0, len(set))
-	for u := range set {
-		out = append(out, u)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -85,32 +85,6 @@ func TestInducedEmptySelection(t *testing.T) {
 	}
 }
 
-func TestCutEdges(t *testing.T) {
-	g := NewWithNodes(4, false)
-	g.AddEdge(0, 1, 1) // inside
-	g.AddEdge(1, 2, 2) // crossing
-	g.AddEdge(2, 3, 3) // outside
-	set := map[NodeID]bool{0: true, 1: true}
-	cut := CutEdges(g, set)
-	if len(cut) != 1 {
-		t.Fatalf("cut size=%d want 1", len(cut))
-	}
-	if cut[0].W != 2 {
-		t.Fatalf("cut edge weight=%g want 2", cut[0].W)
-	}
-}
-
-func TestSortedNodeIDs(t *testing.T) {
-	set := map[NodeID]bool{5: true, 1: true, 3: true}
-	got := SortedNodeIDs(set)
-	want := []NodeID{1, 3, 5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v want %v", got, want)
-		}
-	}
-}
-
 // Property: induced subgraph edges are exactly the original edges with both
 // endpoints selected, with identical weights.
 func TestPropertyInducedEdgePreservation(t *testing.T) {

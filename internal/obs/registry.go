@@ -44,12 +44,6 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 // Gauge is a value that can go up and down.
 type Gauge struct{ v atomic.Int64 }
 
-// Set replaces the value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adds d (negative to subtract).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
 // Inc adds one.
 func (g *Gauge) Inc() { g.v.Add(1) }
 
@@ -132,21 +126,11 @@ type family struct {
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
-	onScrape []func()
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
-}
-
-// OnScrape registers fn to run at the start of every WritePrometheus —
-// the hook collectors use to refresh a shared snapshot once per scrape
-// instead of once per family.
-func (r *Registry) OnScrape(fn func()) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.onScrape = append(r.onScrape, fn)
 }
 
 func (r *Registry) register(name, help, typ string, labels []string, bounds []float64) *family {
@@ -252,19 +236,6 @@ func (v *CounterVec) With(labelValues ...string) *Counter {
 	return v.f.lookup(labelValues, func() any { return &Counter{} }).(*Counter)
 }
 
-// GaugeVec is a gauge family with a fixed label schema.
-type GaugeVec struct{ f *family }
-
-// GaugeVec registers a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	return &GaugeVec{r.register(name, help, TypeGauge, labelNames, nil)}
-}
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(labelValues ...string) *Gauge {
-	return v.f.lookup(labelValues, func() any { return &Gauge{} }).(*Gauge)
-}
-
 // HistogramVec is a histogram family with a fixed label schema.
 type HistogramVec struct{ f *family }
 
@@ -302,7 +273,6 @@ func formatValue(v float64) string {
 // label key, so output is deterministic for a given state.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.RLock()
-	hooks := append([]func(){}, r.onScrape...)
 	names := make([]string, 0, len(r.families))
 	for n := range r.families {
 		names = append(names, n)
@@ -314,9 +284,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	r.mu.RUnlock()
 
-	for _, h := range hooks {
-		h()
-	}
 	var b strings.Builder
 	for _, f := range fams {
 		b.Reset()

@@ -16,7 +16,8 @@ func TestWritePrometheusGolden(t *testing.T) {
 	c := r.Counter("gmine_events_total", "Total events.")
 	c.Add(3)
 	g := r.Gauge("gmine_depth", "Current depth.")
-	g.Set(-2)
+	g.Dec()
+	g.Dec()
 	v := r.CounterVec("gmine_http_requests_total", "HTTP requests.", "method", "code")
 	v.With("GET", "200").Add(7)
 	v.With("POST", "500").Inc()
@@ -128,7 +129,6 @@ func TestRegistryConcurrentScrape(t *testing.T) {
 	v := r.CounterVec("hammer_total", "hammer", "worker", "kind")
 	h := r.HistogramVec("hammer_seconds", "hammer", []float64{0.001, 0.1, 1}, "worker")
 	g := r.Gauge("hammer_inflight", "hammer")
-	r.OnScrape(func() { g.Set(g.Value()) })
 
 	const workers, iters = 8, 500
 	var wg sync.WaitGroup

@@ -32,15 +32,6 @@ func CutEdgeCount(g *graph.Graph, parts []int32) int {
 	return cnt
 }
 
-// PartSizes returns the node count of each part.
-func PartSizes(parts []int32, k int) []int {
-	sizes := make([]int, k)
-	for _, p := range parts {
-		sizes[p]++
-	}
-	return sizes
-}
-
 // Imbalance returns max part size over the ideal size n/k. 1.0 is perfect
 // balance; for an empty partitioning it returns 0.
 func Imbalance(parts []int32, k int) float64 {
@@ -48,7 +39,10 @@ func Imbalance(parts []int32, k int) float64 {
 	if n == 0 || k == 0 {
 		return 0
 	}
-	sizes := PartSizes(parts, k)
+	sizes := make([]int, k)
+	for _, p := range parts {
+		sizes[p]++
+	}
 	max := 0
 	for _, s := range sizes {
 		if s > max {

@@ -29,19 +29,6 @@ const (
 	Random
 )
 
-func (m Method) String() string {
-	switch m {
-	case Multilevel:
-		return "multilevel"
-	case BFSGrow:
-		return "bfs"
-	case Random:
-		return "random"
-	default:
-		return fmt.Sprintf("Method(%d)", int(m))
-	}
-}
-
 // Options configures Partition.
 type Options struct {
 	// K is the number of parts; must be >= 1.

@@ -62,7 +62,7 @@ func TestCachedResultSingleflight(t *testing.T) {
 	if misses != 1 {
 		t.Fatalf("%d leaders, want exactly 1 (states %v)", misses, states)
 	}
-	if st := s.CacheStats(); st.Coalesced == 0 {
+	if st := s.cache.snapshot(); st.Coalesced == 0 {
 		t.Fatalf("stats did not record coalesced followers: %+v", st)
 	} else if st.Misses != 1 {
 		// Misses means "builds actually run", so a stampede of n requests

@@ -5,9 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"log/slog"
+	"net"
 	"net/http"
 	"runtime"
 	"testing"
+	"time"
+
+	"repro/internal/storage"
 )
 
 // TestCreateSessionCancelledByDisconnect: a client that goes away while
@@ -75,5 +81,48 @@ func TestCreateSessionCancelledStatus(t *testing.T) {
 	}
 	if _, ok := s.reg.get("gone"); ok {
 		t.Fatal("cancelled create left its reservation behind")
+	}
+}
+
+// panicFile is a storage.File whose every read panics.
+type panicFile struct{ storage.File }
+
+func (panicFile) ReadAt([]byte, int64) (int, error) { panic("read of a poisoned file") }
+
+// TestCreateSessionPanicReleasesName: a build that panics answers 500 and
+// releases the reserved name, so a later GET of the session answers 404 at
+// once instead of queueing forever behind a build lock nobody holds.
+func TestCreateSessionPanicReleasesName(t *testing.T) {
+	s := New(Config{
+		CacheEntries: 8, RequestTimeout: 30 * time.Second,
+		FaultWrap: func(f storage.File) storage.File { return panicFile{f} },
+		Logger:    slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
+	// http.Server.Close, unlike httptest.Server.Close, does not wait for
+	// handlers, so a session left locked fails the test instead of hanging
+	// it.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &http.Server{Handler: s.Handler()}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	base := "http://" + ln.Addr().String()
+	gtreePath, _ := saveFixtureTree(t, 256)
+
+	resp := postJSON(t, base+"/sessions", CreateSessionRequest{Name: "x", Source: "gtree", Path: gtreePath})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("create over a panicking file: status %d, want 500", resp.StatusCode)
+	}
+	client := &http.Client{Timeout: 2 * time.Second}
+	resp, err = client.Get(base + "/sessions/x")
+	if err != nil {
+		t.Fatalf("GET of the failed session: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET of the failed session: status %d, want 404", resp.StatusCode)
 	}
 }

@@ -348,7 +348,8 @@ func (s *Server) Preload(req CreateSessionRequest) (SessionInfo, error) {
 // createSession validates req, reserves the name and builds the engine.
 // The returned status accompanies a non-nil error. A build whose ctx is
 // cancelled (the client went away) stops at the next community split and
-// releases the name instead of committing a session nobody waits for.
+// releases the name instead of committing a session nobody waits for; a
+// build that fails or panics releases it too.
 func (s *Server) createSession(ctx context.Context, req CreateSessionRequest) (SessionInfo, int, error) {
 	if !validName(req.Name) {
 		return SessionInfo{}, http.StatusBadRequest,
@@ -374,15 +375,21 @@ func (s *Server) createSession(ctx context.Context, req CreateSessionRequest) (S
 	if err != nil {
 		return SessionInfo{}, http.StatusConflict, err
 	}
+	committed := false
+	defer func() {
+		if !committed {
+			s.reg.abort(sess)
+		}
+	}()
 	begin := time.Now()
 	eng, err := buildEngine(ctx, req, method, s.cfg.FaultWrap)
 	if err != nil {
-		s.reg.abort(sess)
 		return SessionInfo{}, statusOf(err, http.StatusBadRequest), fmt.Errorf("build failed: %w", err)
 	}
 	sess.source = req.Source
 	sess.buildMillis = time.Since(begin).Milliseconds()
 	s.reg.commit(sess, eng)
+	committed = true
 
 	info, err := sess.info()
 	if err != nil {

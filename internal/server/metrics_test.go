@@ -121,7 +121,7 @@ func TestTraceSidecarPaged(t *testing.T) {
 	resp.Body.Close()
 
 	poolGets := func() uint64 {
-		sess, ok := s.Registry().get("disk")
+		sess, ok := s.reg.get("disk")
 		if !ok {
 			t.Fatal("session disk missing")
 		}
@@ -212,7 +212,7 @@ func TestHealthzStalePools(t *testing.T) {
 	resp.Body.Close()
 	// Populate the cached snapshot, then wedge the session behind its
 	// write lock as a long build or delete would.
-	sess, _ := s.Registry().get("disk")
+	sess, _ := s.reg.get("disk")
 	if pi := sess.poolSnapshot(true); pi == nil || pi.Stale {
 		t.Fatalf("fresh snapshot = %+v", pi)
 	}

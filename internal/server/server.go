@@ -212,9 +212,3 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.reg.closeAll()
 	return err
 }
-
-// Registry exposes the session registry (for embedding and preloading).
-func (s *Server) Registry() *Registry { return s.reg }
-
-// CacheStats snapshots the result-cache counters.
-func (s *Server) CacheStats() CacheStats { return s.cache.snapshot() }

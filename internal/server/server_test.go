@@ -323,7 +323,7 @@ func TestExtractAndCache(t *testing.T) {
 	}
 
 	// Hits are observable on /healthz.
-	if st := s.CacheStats(); st.Hits < 2 || st.Entries == 0 {
+	if st := s.cache.snapshot(); st.Hits < 2 || st.Entries == 0 {
 		t.Fatalf("cache stats: %+v", st)
 	}
 

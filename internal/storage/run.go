@@ -113,13 +113,6 @@ func NewRunReader(pool *BufferPool, first PageID, stride, count int) (*RunReader
 	return &RunReader{pool: pool, pager: pool.pager, first: first, stride: stride, perPage: RunPerPage(stride, payload), count: count}, nil
 }
 
-// Count returns the number of elements in the run.
-func (r *RunReader) Count() int { return r.count }
-
-// First returns the run's first page id (meaningless when Count is 0:
-// empty runs occupy no pages).
-func (r *RunReader) First() PageID { return r.first }
-
 // PerPage returns how many elements each page of the run holds.
 func (r *RunReader) PerPage() int { return r.perPage }
 
