@@ -9,7 +9,7 @@ import (
 // FuzzReadEdgeList: no input makes the edge-list reader panic, and every
 // graph it accepts passes Validate. Inputs with a numeric token above
 // 1<<16 are skipped, so an accepted id or node count cannot ask for
-// gigabytes; TestReadEdgeListRejects covers the bound itself.
+// gigabytes; TestEdgeListRejectsGarbage covers the bound itself.
 func FuzzReadEdgeList(f *testing.F) {
 	f.Add("# undirected\n# nodes 4\n# label 0 Jiawei Han\n0 1 2\n1 2\n3 3 0.5\n")
 	f.Add("# directed\n0 1\n1 0 3\n")

@@ -11,7 +11,7 @@ import (
 
 // The edge-list format is the one graph input format:
 //
-//	# directed|undirected       (optional; before "# nodes" and every edge)
+//	# directed|undirected       (optional, at most one; before "# nodes" and every edge)
 //	# nodes <n>                 (optional)
 //	# label <id> <label...>     (optional, any number)
 //	<u> <v> <w>                 (one logical edge per line; w optional, default 1)
@@ -52,7 +52,8 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 // ReadEdgeList parses the edge-list format. It rejects, naming the line,
 // what the graph cannot represent: an id outside [0, 2^31-1), a node
 // count above 2^31-1, a NaN, infinite or negative weight, and a
-// directedness line after the node count or an edge (it would drop them).
+// directedness line after another, the node count or an edge (it would
+// contradict the first or drop them).
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
@@ -61,8 +62,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		id NodeID
 		s  string
 	}
-	directedSet := false
-	bodySeen := false // a node count or an edge: too late to pick directedness
+	// A directedness line, a node count or an edge: too late to pick
+	// directedness again.
+	headed := false
 	line := 0
 	for sc.Scan() {
 		line++
@@ -77,20 +79,18 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			}
 			switch fields[0] {
 			case "directed", "undirected":
-				if bodySeen {
-					return nil, fmt.Errorf("graph: line %d: %q after the node count or an edge", line, t)
+				if headed {
+					return nil, fmt.Errorf("graph: line %d: %q after a directedness line, the node count or an edge", line, t)
 				}
-				if !directedSet {
-					g = New(fields[0] == "directed")
-					directedSet = true
-				}
+				g = New(fields[0] == "directed")
+				headed = true
 			case "nodes":
 				if len(fields) >= 2 {
 					n, err := strconv.Atoi(fields[1])
 					if err != nil || n < 0 || n > maxNodes {
 						return nil, fmt.Errorf("graph: line %d: bad node count %q", line, fields[1])
 					}
-					bodySeen = true
+					headed = true
 					if n > g.NumNodes() {
 						g.AddNodes(n - g.NumNodes())
 					}
@@ -129,7 +129,7 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 				return nil, fmt.Errorf("graph: line %d: bad weight %q", line, fields[2])
 			}
 		}
-		bodySeen = true
+		headed = true
 		if top := int(max(u, v)); top >= g.NumNodes() {
 			g.AddNodes(top + 1 - g.NumNodes())
 		}

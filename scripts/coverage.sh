@@ -4,13 +4,13 @@
 # reach. It lists the non-test functions under internal/ that none of them
 # runs (the input to coverage-guided deletion).
 #
-#   bash scripts/coverage.sh <out-dir> [bench-seconds]
+#   bash scripts/coverage.sh <out-dir>
 #
 # It copies the checkout's files (tracked and untracked, not ignored) to
 # <out-dir>/src and works there, so the checkout is never touched; only in
 # that copy does bench/run.sh build gmine with -cover. It then:
-#   1. runs the four bench workloads (trace 0, seed 1) against the
-#      cover-built server;
+#   1. runs the four bench workloads (12 s each, trace 0, seed 1) against
+#      the cover-built server;
 #   2. runs every gmine subcommand, `gmine repro -scale 0.01 -levels 4`
 #      (and -exp E7) and every example at scale 0.01;
 #   3. serves a synthetic (with a debug listener), an -in, a -tree, a
@@ -23,9 +23,9 @@
 #      <out-dir>/zero-internal.txt.
 # Takes about five minutes on two cores. Uses ports 18180-18189.
 set -uo pipefail
-[ $# -ge 1 ] || { echo "usage: $0 <out-dir> [bench-seconds]" >&2; exit 2; }
+[ $# -eq 1 ] || { echo "usage: $0 <out-dir>" >&2; exit 2; }
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
-mkdir -p "$1"; out=$(cd "$1" && pwd); secs=${2:-12}
+mkdir -p "$1"; out=$(cd "$1" && pwd)
 src=$out/src; w=$out/work
 rm -rf "$src" "$w" "$out/covdata"; mkdir -p "$src" "$w" "$out/covdata"
 (cd "$root" && git ls-files -co --exclude-standard | tar -cf - -T -) | tar -xf - -C "$src"
@@ -36,7 +36,7 @@ cd "$src"
 sed -i 's|exec.Command("go", "build", "-o", out, pkg)|exec.Command("go", "build", "-cover", "-coverpkg=./...", "-o", out, pkg)|' bench/fixture.go
 grep -q -- '-coverpkg' bench/fixture.go || { echo "bench/fixture.go: go build line not found" >&2; exit 1; }
 for wl in navigate compute-mem compute-paged session-skewed; do
-	bash bench/run.sh --workload $wl --seed 1 --seconds "$secs" --trace 0 >"$w/bench-$wl.txt" 2>&1
+	bash bench/run.sh --workload $wl --seed 1 --seconds 12 --trace 0 >"$w/bench-$wl.txt" 2>&1
 	echo "bench $wl: exit $?"
 done
 
@@ -67,7 +67,11 @@ for ex in examples/*/; do
 done
 echo "cli, experiments and examples: output in $w/cli.txt"
 
-# 3. Servers and routes.
+# 3. Servers and routes. The tiered (18182) and -chaos (18183) sequences
+# mirror CI's "Serve smoke (tiered extraction ...)" and "Serve smoke
+# (chaos ...)" steps in .github/workflows/ci.yml, and the routes driven on
+# 18180/18184/18185 cover its boot, navigate and memory = file smokes:
+# a change to a route or to one of those steps is made in both places.
 B=http://127.0.0.1
 up() { for _ in $(seq 1 150); do curl -sf $B:$1/healthz >/dev/null && return 0; sleep 0.2; done; echo "port $1 not up" >&2; }
 c() { curl -s -o /dev/null -w '%{http_code} ' "$@"; }
