@@ -149,7 +149,7 @@ func cmdBuild(args []string) error {
 		return err
 	}
 	t2 := time.Now()
-	if err := gtree.Save(tr, g, *out, *pageSize); err != nil {
+	if err := gtree.Save(tr, graph.ToCSR(g), g.Directed(), g.Label, *out, *pageSize); err != nil {
 		return err
 	}
 	t3 := time.Now()

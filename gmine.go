@@ -75,14 +75,6 @@ type Engine = core.Engine
 // BuildConfig configures hierarchy construction.
 type BuildConfig = core.BuildConfig
 
-// Workspace is an editable working subgraph (§III.B: "edition of nodes
-// and edges" and edge expansion).
-type Workspace = core.Workspace
-
-// NodeInfoPopup is the hover pop-up data (§III.B "pop up node
-// information").
-type NodeInfoPopup = core.NodeInfo
-
 // Build constructs an engine over g: its G-Tree is saved into an
 // in-memory file and served from there, the whole graph resident.
 func Build(g *Graph, cfg BuildConfig) (*Engine, error) { return core.BuildEngine(g, cfg) }

@@ -8,8 +8,8 @@ import (
 )
 
 // TestIntegrationFullPaperPipeline walks the complete public API the way
-// the paper's demo session does: generate → build (parallel) → persist →
-// reopen → navigate → query → pop-up → expand → mine → extract → render.
+// the paper's demo session does: generate → build (parallel) → navigate →
+// query → mine → extract → render.
 func TestIntegrationFullPaperPipeline(t *testing.T) {
 	ds := gmine.GenerateDBLP(gmine.DBLPConfig{Scale: 0.02, Seed: 3})
 	eng, err := gmine.Build(ds.Graph, gmine.BuildConfig{K: 5, Levels: 4, Seed: 3, Parallel: 4})
@@ -31,29 +31,14 @@ func TestIntegrationFullPaperPipeline(t *testing.T) {
 		t.Fatal("scene svg broken")
 	}
 
-	// Pop-up info for the planted hub.
-	info, err := eng.NodeInfo(ds.Notables[gmine.NameJiaweiHan])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.TopCoauthors[0].Label != gmine.NameKeWang {
-		t.Fatalf("pop-up top co-author %q", info.TopCoauthors[0].Label)
-	}
-
-	// Workspace editing + edge expansion.
-	w, err := eng.WorkspaceFromLeaf(info.Leaf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.ExpandNode(w.LocalOf(info.Node), 5); err != nil {
-		t.Fatal(err)
-	}
-	if w.Edits() == 0 {
-		t.Fatal("expansion did not count as an edit")
+	// The planted hub's community, from the label index.
+	hits, err := eng.FindLabel(gmine.NameJiaweiHan)
+	if err != nil || len(hits) != 1 {
+		t.Fatalf("label query for the hub: %v, %v", hits, err)
 	}
 
 	// Mining metrics on the focused community.
-	rep, err := eng.MetricsReport(info.Leaf, 3)
+	rep, err := eng.MetricsReport(hits[0].Leaf, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

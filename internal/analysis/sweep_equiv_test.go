@@ -24,7 +24,7 @@ func analysisFixture(t *testing.T, seed int64, n, m int) (*graph.CSR, *gtree.Pag
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "an.gtree")
-	if err := gtree.Save(tree, g, path, 256); err != nil {
+	if err := gtree.Save(tree, graph.ToCSR(g), g.Directed(), g.Label, path, 256); err != nil {
 		t.Fatal(err)
 	}
 	s, err := gtree.OpenFile(path, 24)

@@ -57,24 +57,18 @@ type BuildConfig struct {
 // Engine is a GMine session over one graph, held as a G-Tree store:
 // topology and connectivity resident, leaves, the label index and the
 // graph's CSR read on demand through the store's buffer pool, or from its
-// resident tier while the tier budget covers the graph. Every query reads
-// through the store, whichever constructor made the engine.
+// resident tier while the tier budget covers the graph. The store is the
+// engine's only copy of the graph, whichever constructor made it.
 type Engine struct {
-	// g is BuildEngine's input graph (nil on opened engines). No query
-	// reads it: only SaveTree and Graph do.
-	g     *graph.Graph
-	tree  *gtree.Tree
 	store *gtree.Store
-
-	focus   gtree.TreeID
-	history []gtree.TreeID
+	focus gtree.TreeID
 }
 
 // BuildEngine partitions g recursively, saves the G-Tree into an
 // in-memory file at the default page size and opens it as a store with
 // the default pool, promoting the whole graph to the resident tier and
-// loading the label index. The engine is focused at the root; its tree
-// is the built one, so it also knows every node's leaf.
+// loading the label index. Neither g nor the built tree is kept. The
+// engine is focused at the root.
 func BuildEngine(g *graph.Graph, cfg BuildConfig) (*Engine, error) {
 	ctx := cfg.Ctx
 	if ctx == nil {
@@ -91,7 +85,7 @@ func BuildEngine(g *graph.Graph, cfg BuildConfig) (*Engine, error) {
 		return nil, err
 	}
 	f := storage.NewMemFile(nil)
-	if err := gtree.SaveTo(t, g, f, 0); err != nil {
+	if err := gtree.SaveTo(t, graph.ToCSR(g), g.Directed(), g.Label, f, 0); err != nil {
 		return nil, err
 	}
 	st, err := gtree.OpenWith(f, 0)
@@ -104,18 +98,15 @@ func BuildEngine(g *graph.Graph, cfg BuildConfig) (*Engine, error) {
 	if err != nil {
 		return nil, err // nothing to release: the store's file is memory
 	}
-	return &Engine{g: g, tree: t, store: st, focus: t.Root()}, nil
+	return &Engine{store: st, focus: t.Root()}, nil
 }
 
 // SaveTree persists the engine's G-Tree (leaf subgraphs, label index and
-// the graph's paged CSR section) into a single page file at path, encoding
-// it again from the build graph at pageSize (0 = default). An engine
-// opened from a file has no build graph and cannot save.
+// the graph's paged CSR section) into a single page file at path,
+// re-encoding it from the store at pageSize (0 = default); see
+// gtree.Store.Save.
 func (e *Engine) SaveTree(path string, pageSize int) error {
-	if e.g == nil {
-		return fmt.Errorf("core: an engine opened from a file cannot re-save")
-	}
-	return gtree.Save(e.tree, e.g, path, pageSize)
+	return e.store.Save(path, pageSize)
 }
 
 // OpenEngine opens a persisted G-Tree file as a disk-backed engine.
@@ -134,19 +125,34 @@ func OpenEngineWrapped(path string, poolPages int, wrap func(storage.File) stora
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{store: st, tree: st.Tree(), focus: st.Tree().Root()}, nil
+	return &Engine{store: st, focus: st.Tree().Root()}, nil
 }
 
 // Close releases the engine's store and its file.
 func (e *Engine) Close() error { return e.store.Close() }
 
-// Tree returns the engine's G-Tree.
-func (e *Engine) Tree() *gtree.Tree { return e.tree }
+// Tree returns the store's G-Tree: topology and connectivity, without
+// leaf members (LeafSubgraph reads those).
+func (e *Engine) Tree() *gtree.Tree { return e.store.Tree() }
 
-// Graph returns BuildEngine's input graph, or nil for opened engines. It
-// serves build-side callers (the experiments, bench/layers' probes); no
-// engine query reads it.
-func (e *Engine) Graph() *graph.Graph { return e.g }
+// Graph reads the whole graph, labels included, out of the store into a
+// new graph.Graph, or returns nil when a read fails. No engine query calls
+// it; it stays for bench/layers' probes.
+func (e *Engine) Graph() *graph.Graph {
+	view, err := e.store.QueryView(context.Background())
+	if err != nil || e.store.PreloadLabels() != nil {
+		return nil
+	}
+	all := make([]graph.NodeID, view.Adj.N())
+	for i := range all {
+		all[i] = graph.NodeID(i)
+	}
+	g, _ := graph.Induced(view.Adj, e.store.Directed(), e.store.LabelOf, all)
+	if view.Err() != nil {
+		return nil
+	}
+	return g
+}
 
 // ErrPagedIO wraps an I/O or corruption fault hit while a query paged the
 // graph from disk. It marks a backend (5xx-class) failure: the request
@@ -281,47 +287,27 @@ func (e *Engine) Store() *gtree.Store { return e.store }
 // Focus returns the community currently in focus.
 func (e *Engine) Focus() gtree.TreeID { return e.focus }
 
-// FocusOn moves the focus to an arbitrary community, recording history.
+// FocusOn moves the focus to an arbitrary community.
 func (e *Engine) FocusOn(id gtree.TreeID) error {
-	if !e.tree.Valid(id) {
+	if !e.Tree().Valid(id) {
 		return fmt.Errorf("core: invalid community %d", id)
 	}
-	e.history = append(e.history, e.focus)
 	e.focus = id
 	return nil
 }
 
-// FocusParent moves the focus one level up.
-func (e *Engine) FocusParent() error {
-	p := e.tree.Node(e.focus).Parent
-	if p == gtree.InvalidTree {
-		return fmt.Errorf("core: already at the root")
-	}
-	return e.FocusOn(p)
-}
-
 // FocusChild moves the focus to the i-th child of the current focus.
 func (e *Engine) FocusChild(i int) error {
-	ch := e.tree.Node(e.focus).Children
+	ch := e.Tree().Node(e.focus).Children
 	if i < 0 || i >= len(ch) {
 		return fmt.Errorf("core: focus %d has %d children, no index %d", e.focus, len(ch), i)
 	}
 	return e.FocusOn(ch[i])
 }
 
-// Back undoes the last focus change.
-func (e *Engine) Back() error {
-	if len(e.history) == 0 {
-		return fmt.Errorf("core: no focus history")
-	}
-	e.focus = e.history[len(e.history)-1]
-	e.history = e.history[:len(e.history)-1]
-	return nil
-}
-
 // Scene builds the Tomahawk scene for the current focus.
 func (e *Engine) Scene(opts gtree.TomahawkOptions) *gtree.Scene {
-	return e.tree.Tomahawk(e.focus, opts)
+	return e.Tree().Tomahawk(e.focus, opts)
 }
 
 // SceneAt builds the Tomahawk scene for an arbitrary focus without moving
@@ -329,17 +315,17 @@ func (e *Engine) Scene(opts gtree.TomahawkOptions) *gtree.Scene {
 // so concurrent callers (e.g. the HTTP server) can share one engine under
 // a read lock.
 func (e *Engine) SceneAt(id gtree.TreeID, opts gtree.TomahawkOptions) (*gtree.Scene, error) {
-	if !e.tree.Valid(id) {
+	if !e.Tree().Valid(id) {
 		return nil, fmt.Errorf("core: invalid community %d", id)
 	}
-	return e.tree.Tomahawk(id, opts), nil
+	return e.Tree().Tomahawk(id, opts), nil
 }
 
 // RenderScene renders the current Tomahawk scene to SVG.
 func (e *Engine) RenderScene(size float64, opts gtree.TomahawkOptions) string {
 	s := e.Scene(opts)
-	l := layout.LayoutScene(e.tree, s, size/2)
-	return render.SceneSVG(e.tree, s, l, size)
+	l := layout.LayoutScene(e.Tree(), s, size/2)
+	return render.SceneSVG(e.Tree(), s, l, size)
 }
 
 // RenderSceneAt renders the Tomahawk scene of an arbitrary focus to SVG
@@ -349,8 +335,8 @@ func (e *Engine) RenderSceneAt(id gtree.TreeID, size float64, opts gtree.Tomahaw
 	if err != nil {
 		return "", err
 	}
-	l := layout.LayoutScene(e.tree, s, size/2)
-	return render.SceneSVG(e.tree, s, l, size), nil
+	l := layout.LayoutScene(e.Tree(), s, size/2)
+	return render.SceneSVG(e.Tree(), s, l, size), nil
 }
 
 // --- Leaf access ----------------------------------------------------------
@@ -362,7 +348,7 @@ func (e *Engine) RenderSceneAt(id gtree.TreeID, size float64, opts gtree.Tomahaw
 // store's, and wraps ErrPagedIO.
 func (e *Engine) LeafSubgraph(id gtree.TreeID) (*graph.Graph, []graph.NodeID, error) {
 	sub, members, err := e.store.LoadLeaf(id)
-	if err != nil && e.tree.Valid(id) && e.tree.Node(id).IsLeaf() {
+	if err != nil && e.Tree().Valid(id) && e.Tree().Node(id).IsLeaf() {
 		err = fmt.Errorf("%w: %v", ErrPagedIO, err)
 	}
 	return sub, members, err

@@ -1,12 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -16,6 +14,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/gtree"
 	"repro/internal/obs"
+	"repro/internal/partition"
 )
 
 // builtAndOpened builds g into an engine and opens a second engine from
@@ -38,104 +37,55 @@ func builtAndOpened(t *testing.T, g *graph.Graph) (built, opened *Engine) {
 	return built, opened
 }
 
-// popupDigests hashes NodeInfo of every node, and the workspace after
-// expanding every node by 5 inside the workspace of its leaf (leaf taken
-// from the built tree, which knows it).
-func popupDigests(t *testing.T, e *Engine, leafOf func(graph.NodeID) gtree.TreeID, n int) (info, expand string) {
-	t.Helper()
-	hi, he := sha256.New(), sha256.New()
-	var b []byte
-	ids := func(vs []graph.NodeID) {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(vs)))
-		for _, v := range vs {
-			b = binary.LittleEndian.AppendUint32(b, uint32(v))
-		}
-	}
-	for u := graph.NodeID(0); int(u) < n; u++ {
-		ni, err := e.NodeInfo(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		js, _ := json.Marshal(ni)
-		hi.Write(js)
-		w, err := e.WorkspaceFromLeaf(leafOf(u))
-		if err != nil {
-			t.Fatal(err)
-		}
-		added, err := w.ExpandNode(w.LocalOf(u), 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b = b[:0]
-		ids([]graph.NodeID{u, graph.NodeID(w.Edits())})
-		ids(added)
-		ids(w.Members())
-		g := w.Graph()
-		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-			b = append(append(b, g.Label(v)...), 0)
-			for _, ed := range g.Neighbors(v) {
-				b = binary.LittleEndian.AppendUint32(b, uint32(ed.To))
-				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ed.Weight))
-			}
-			b = append(b, 0xff)
-		}
-		he.Write(b)
-	}
-	return fmt.Sprintf("%x", hi.Sum(nil)), fmt.Sprintf("%x", he.Sum(nil))
-}
-
-// TestNodeInfoAndExpandGolden pins the pop-up and edge expansion of every
-// node of the small fixture on a built engine. The digests were taken
-// from the memory-only implementation these now replace, which read
-// g.Neighbors; the rows now come through a query view's cursor.
-func TestNodeInfoAndExpandGolden(t *testing.T) {
+// TestResaveIsExact: SaveTree re-encodes from the store, so an engine
+// opened from a file saves that file again byte for byte, and a built
+// engine saves what gtree.Save writes from the input graph (gmine build's
+// path), at a small and at the default page size.
+func TestResaveIsExact(t *testing.T) {
 	ds := dblp.SmallFixture()
-	e, err := BuildEngine(ds.Graph, BuildConfig{K: 3, Levels: 3, Seed: 1})
+	g := ds.Graph
+	built, err := BuildEngine(g, BuildConfig{K: 3, Levels: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, expand := popupDigests(t, e, e.Tree().LeafOf, ds.Graph.NumNodes())
-	if want := "2ca7bda210d61a9f44ebdc377108d507fb970bdf8540447c4e81bfd6c091eafe"; info != want {
-		t.Errorf("NodeInfo digest %s, want %s", info, want)
+	tree, err := gtree.Build(g, gtree.BuildOptions{K: 3, Levels: 3, Partition: partition.Options{Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if want := "bb73286e8424edaf3172413c88e1c794287de02a80f69cbf593fc4e906a3106f"; expand != want {
-		t.Errorf("ExpandNode digest %s, want %s", expand, want)
-	}
-}
-
-// TestNodeInfoOpenedEngine: pop-ups and edge expansion run on an engine
-// opened from a file and agree with the built engine's, except that an
-// opened tree carries no leaf membership, so Leaf and Path are unknown.
-func TestNodeInfoOpenedEngine(t *testing.T) {
-	ds := dblp.SmallFixture()
-	built, opened := builtAndOpened(t, ds.Graph)
-	for u := graph.NodeID(0); int(u) < ds.Graph.NumNodes(); u += 7 {
-		want, err := built.NodeInfo(u)
+	dir := t.TempDir()
+	read := func(path string) []byte {
+		t.Helper()
+		b, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := opened.NodeInfo(u)
+		return b
+	}
+	for _, ps := range []int{256, 4096} {
+		direct := filepath.Join(dir, fmt.Sprintf("direct-%d.gtree", ps))
+		if err := gtree.Save(tree, graph.ToCSR(g), g.Directed(), g.Label, direct, ps); err != nil {
+			t.Fatal(err)
+		}
+		first := filepath.Join(dir, fmt.Sprintf("built-%d.gtree", ps))
+		if err := built.SaveTree(first, ps); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(read(first), read(direct)) {
+			t.Fatalf("page size %d: the built engine's SaveTree differs from gtree.Save of its graph", ps)
+		}
+		opened, err := OpenEngine(first, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Leaf != gtree.InvalidTree || got.Path != nil {
-			t.Fatalf("node %d: opened engine reports leaf %d path %v", u, got.Leaf, got.Path)
+		again := filepath.Join(dir, fmt.Sprintf("opened-%d.gtree", ps))
+		err = opened.SaveTree(again, ps)
+		opened.Close()
+		if err != nil {
+			t.Fatal(err)
 		}
-		want.Leaf, want.Path = gtree.InvalidTree, nil
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("node %d: opened %+v, built %+v", u, got, want)
+		if !bytes.Equal(read(again), read(first)) {
+			t.Fatalf("page size %d: an opened engine's SaveTree differs from the file it was opened from", ps)
 		}
-	}
-	if _, err := opened.NodeInfo(graph.NodeID(ds.Graph.NumNodes())); err == nil {
-		t.Fatal("accepted out-of-range node")
-	}
-	wantInfo, wantExpand := popupDigests(t, built, built.Tree().LeafOf, 200)
-	gotInfo, gotExpand := popupDigests(t, opened, built.Tree().LeafOf, 200)
-	if gotExpand != wantExpand {
-		t.Fatal("edge expansion differs between the opened and the built engine")
-	}
-	if gotInfo == wantInfo {
-		t.Fatal("opened engine's pop-ups carry leaf paths it cannot know")
 	}
 }
 

@@ -23,7 +23,9 @@ import (
 //
 // Beside each file digest sits a digest of the tree alone (treeDigest): a
 // change to the file format re-pins the file digest, and the unchanged
-// tree digest shows that the partition did not drift with it.
+// tree digest shows that the partition did not drift with it. The file
+// digests were last re-pinned for format version 3 (labels only in the
+// label index).
 func TestBuildGoldenDigest(t *testing.T) {
 	cases := []struct {
 		scale      float64
@@ -31,10 +33,10 @@ func TestBuildGoldenDigest(t *testing.T) {
 		levels     int
 		file, tree string
 	}{
-		{0.03, 1, 4, "6be819dbc1da2990844056ac1315251ce5ad7e7688f24b098f3034d6f7749bc9", "b4f497e651d720c4b196a392f82090056543b9a9b417466d80c80630e9086d89"},
-		{0.03, 2, 4, "5c9a9576547e0ec213ab056fd1df14c19724a5346af531a9f69a28f6ec6dcdb1", "670cd6e3fa2685ba9e0c7d17256c52f887e31f587024f864c9f343a1dd2ec03b"},
-		{0.03, 3, 4, "0e99c13af735efafef480b3dde4ed0bda1da8b08e812277831b9db4a283e45d7", "d1b32792fc17936b8d3675cbb1830f2d2fae7cddf2c9480b9dfb83659c203d59"},
-		{0.1, 1, 5, "9920a7c1d54c651b9f9054186dae2821f127c95b84ea084257aba96feaabd096", "9a460c73bfce2abbba502d72eeb656b0215768ea6ff5792b67f0d5057d87abc3"},
+		{0.03, 1, 4, "657d06b1ef0ad8775071271a2f88b2075f46f27ee89da15ae7d9b025a43eae63", "b4f497e651d720c4b196a392f82090056543b9a9b417466d80c80630e9086d89"},
+		{0.03, 2, 4, "bd8bfdc3c51488a829de4f6c7ae5146556ff233b495ac5ffbc8cb4ebd20a21a3", "670cd6e3fa2685ba9e0c7d17256c52f887e31f587024f864c9f343a1dd2ec03b"},
+		{0.03, 3, 4, "b024e93a4554478b3f3a1fdb2fcd96607d7824d9a9e91f112eecb85e4536c05a", "d1b32792fc17936b8d3675cbb1830f2d2fae7cddf2c9480b9dfb83659c203d59"},
+		{0.1, 1, 5, "0ff2ee07ba63a872e89ee94a17811455eeb6c62c0c159ec54802621003b09d6f", "9a460c73bfce2abbba502d72eeb656b0215768ea6ff5792b67f0d5057d87abc3"},
 	}
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("scale%g_seed%d", tc.scale, tc.seed), func(t *testing.T) {
@@ -55,20 +57,21 @@ func TestBuildGoldenDigest(t *testing.T) {
 			if got := hex.EncodeToString(sum[:]); got != tc.file {
 				t.Errorf("SaveTree digest = %s, want %s", got, tc.file)
 			}
-			if got := treeDigest(t, eng.Tree(), ds.Graph.NumNodes()); got != tc.tree {
+			if got := treeDigest(t, eng, ds.Graph.NumNodes()); got != tc.tree {
 				t.Errorf("tree digest = %s, want %s", got, tc.tree)
 			}
 		})
 	}
 }
 
-// treeDigest hashes a built tree independently of any file layout: per
-// community its parent, level, size, sorted children, internal count and
-// weight, and a leaf's sorted members; then every connectivity entry in
-// key order with its count and weight. n is the graph's node count, which
-// the leaves must cover.
-func treeDigest(t *testing.T, tr *gtree.Tree, n int) string {
+// treeDigest hashes an engine's tree independently of any file layout:
+// per community its parent, level, size, sorted children, internal count
+// and weight, and a leaf's sorted members (read from its blob); then every
+// connectivity entry in key order with its count and weight. n is the
+// graph's node count, which the leaves must cover.
+func treeDigest(t *testing.T, eng *Engine, n int) string {
 	t.Helper()
+	tr := eng.Tree()
 	h := sha256.New()
 	put := func(vs ...uint64) {
 		for _, v := range vs {
@@ -86,11 +89,15 @@ func treeDigest(t *testing.T, tr *gtree.Tree, n int) string {
 			put(uint64(ch))
 		}
 		if c.IsLeaf() {
-			put(uint64(len(c.Members)))
-			for _, u := range slices.Sorted(slices.Values(c.Members)) {
+			_, leaf, err := eng.LeafSubgraph(gtree.TreeID(id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			put(uint64(len(leaf)))
+			for _, u := range slices.Sorted(slices.Values(leaf)) {
 				put(uint64(u))
 			}
-			members += len(c.Members)
+			members += len(leaf)
 		}
 	}
 	if members != n {

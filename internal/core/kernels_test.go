@@ -116,10 +116,15 @@ type kernelLeaf struct {
 
 // treeLeaves lists the leaves of the built engine's tree with their
 // members; every engine row serves the same tree.
-func treeLeaves(built *Engine) []kernelLeaf {
+func treeLeaves(t *testing.T, built *Engine) []kernelLeaf {
+	t.Helper()
 	var leaves []kernelLeaf
 	for _, id := range built.Tree().Leaves() {
-		leaves = append(leaves, kernelLeaf{id, built.Tree().Node(id).Members})
+		_, members, err := built.LeafSubgraph(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaves = append(leaves, kernelLeaf{id, members})
 	}
 	return leaves
 }
@@ -238,7 +243,7 @@ func TestKernels(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			q := kernelQueries(rng, g, c.extracts)
 			rows := kernelRows(t, g)
-			q.leaves = treeLeaves(rows[1].eng)
+			q.leaves = treeLeaves(t, rows[1].eng)
 			var want kernelOut
 			for _, row := range rows {
 				got := runKernels(t, row, g, q)

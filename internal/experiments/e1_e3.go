@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -110,28 +111,32 @@ func RunE2(cfg *Config) (*E2Result, error) {
 	if len(scene.Edges) > 0 {
 		e := scene.Edges[0]
 		res.ExampleConn = t.Connectivity(e.A, e.B)
-		inA := map[graph.NodeID]bool{}
-		for _, leaf := range t.Leaves() {
-			p := t.Path(leaf)
-			for _, anc := range p {
-				if anc == e.A {
-					for _, u := range t.Node(leaf).Members {
-						inA[u] = true
-					}
+		// The graph nodes under a community, read from its leaves' blobs.
+		under := func(c gtree.TreeID) (map[graph.NodeID]bool, error) {
+			set := map[graph.NodeID]bool{}
+			for _, leaf := range t.Leaves() {
+				if !slices.Contains(t.Path(leaf), c) {
+					continue
+				}
+				_, members, err := eng.LeafSubgraph(leaf)
+				if err != nil {
+					return nil, err
+				}
+				for _, u := range members {
+					set[u] = true
 				}
 			}
+			return set, nil
 		}
-		inB := map[graph.NodeID]bool{}
-		for _, leaf := range t.Leaves() {
-			for _, anc := range t.Path(leaf) {
-				if anc == e.B {
-					for _, u := range t.Node(leaf).Members {
-						inB[u] = true
-					}
-				}
-			}
+		inA, err := under(e.A)
+		if err != nil {
+			return nil, err
 		}
-		eng.Graph().Edges(func(u, v graph.NodeID, w float64) bool {
+		inB, err := under(e.B)
+		if err != nil {
+			return nil, err
+		}
+		cfg.dataset().Graph.Edges(func(u, v graph.NodeID, w float64) bool {
 			if (inA[u] && inB[v]) || (inA[v] && inB[u]) {
 				res.BruteForceConn++
 			}

@@ -80,7 +80,7 @@ func RunE5(cfg *Config) (*E5Result, error) {
 		return nil, err
 	}
 	res := &E5Result{
-		GraphNodes: eng.Graph().NumNodes(),
+		GraphNodes: cfg.dataset().Graph.NumNodes(),
 		Sources:    []string{dblp.NamePhilipYu, dblp.NameFlipKorn, dblp.NameGarofalakis},
 	}
 	var out *extract.Result

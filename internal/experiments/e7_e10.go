@@ -174,11 +174,7 @@ type E9Result struct{ Rows []E9Row }
 // probability for the same budget.
 func RunE9(cfg *Config) (*E9Result, error) {
 	*cfg = cfg.withDefaults()
-	eng, err := cfg.engine()
-	if err != nil {
-		return nil, err
-	}
-	g := eng.Graph()
+	g := cfg.dataset().Graph
 	// Query sets drawn from the giant component, deterministic.
 	lc := analysis.LargestComponent(graph.ToCSR(g))
 	pick := func(i int) graph.NodeID { return lc[(i*104729)%len(lc)] }
@@ -197,6 +193,7 @@ func RunE9(cfg *Config) (*E9Result, error) {
 		}
 		row := E9Row{M: m}
 		var ceps *extract.Result
+		var err error
 		row.CepsTime, err = timeIt(func() error {
 			var err error
 			ceps, err = extract.ConnectionSubgraph(g, sources, extract.Options{Budget: budget})

@@ -27,7 +27,7 @@ func pagedStoreFixture(t *testing.T, g *graph.Graph, poolPages int) (*gtree.Stor
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "equiv.gtree")
-	if err := gtree.Save(tree, g, path, 256); err != nil {
+	if err := gtree.Save(tree, graph.ToCSR(g), g.Directed(), g.Label, path, 256); err != nil {
 		t.Fatal(err)
 	}
 	s, err := gtree.OpenFile(path, poolPages)

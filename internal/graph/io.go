@@ -53,7 +53,9 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 // what the graph cannot represent: an id outside [0, 2^31-1), a node
 // count above 2^31-1, a NaN, infinite or negative weight, and a
 // directedness line after another, the node count or an edge (it would
-// contradict the first or drop them).
+// contradict the first or drop them). An error names the line and the
+// failed check but never quotes the line: the server reads files its
+// clients name, and its errors must not echo their bytes.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
@@ -80,7 +82,7 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			switch fields[0] {
 			case "directed", "undirected":
 				if headed {
-					return nil, fmt.Errorf("graph: line %d: %q after a directedness line, the node count or an edge", line, t)
+					return nil, fmt.Errorf("graph: line %d: directedness line after a directedness line, the node count or an edge", line)
 				}
 				g = New(fields[0] == "directed")
 				headed = true
@@ -88,7 +90,7 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 				if len(fields) >= 2 {
 					n, err := strconv.Atoi(fields[1])
 					if err != nil || n < 0 || n > maxNodes {
-						return nil, fmt.Errorf("graph: line %d: bad node count %q", line, fields[1])
+						return nil, fmt.Errorf("graph: line %d: bad node count (want an integer in [0, 2^31-1])", line)
 					}
 					headed = true
 					if n > g.NumNodes() {
@@ -99,7 +101,7 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 				if len(fields) >= 3 {
 					id, ok := parseNode(fields[1])
 					if !ok {
-						return nil, fmt.Errorf("graph: line %d: bad label id %q", line, fields[1])
+						return nil, fmt.Errorf("graph: line %d: bad label id (want an integer in [0, 2^31-1))", line)
 					}
 					labels = append(labels, struct {
 						id NodeID
@@ -111,22 +113,22 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		}
 		fields := strings.Fields(t)
 		if len(fields) < 2 {
-			return nil, fmt.Errorf("graph: line %d: expected 'u v [w]', got %q", line, t)
+			return nil, fmt.Errorf("graph: line %d: expected 'u v [w]', got one field", line)
 		}
 		u, ok := parseNode(fields[0])
 		if !ok {
-			return nil, fmt.Errorf("graph: line %d: bad node %q", line, fields[0])
+			return nil, fmt.Errorf("graph: line %d: bad node id u (want an integer in [0, 2^31-1))", line)
 		}
 		v, ok := parseNode(fields[1])
 		if !ok {
-			return nil, fmt.Errorf("graph: line %d: bad node %q", line, fields[1])
+			return nil, fmt.Errorf("graph: line %d: bad node id v (want an integer in [0, 2^31-1))", line)
 		}
 		w := 1.0
 		if len(fields) >= 3 {
 			var err error
 			w, err = strconv.ParseFloat(fields[2], 64)
 			if err != nil || w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-				return nil, fmt.Errorf("graph: line %d: bad weight %q", line, fields[2])
+				return nil, fmt.Errorf("graph: line %d: bad weight (want a finite, non-negative number)", line)
 			}
 		}
 		headed = true

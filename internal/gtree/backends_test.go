@@ -30,7 +30,7 @@ func backends(t *testing.T, g *graph.Graph) []backend {
 			f := storage.NewMemFile(nil)
 			tree, err := Build(g, BuildOptions{K: 3, Levels: 3})
 			if err == nil {
-				err = SaveTo(tree, g, f, pageSize)
+				err = SaveTo(tree, graph.ToCSR(g), g.Directed(), g.Label, f, pageSize)
 			}
 			if err != nil {
 				t.Fatal(err)

@@ -66,7 +66,7 @@ func BuildContext(ctx context.Context, g *graph.Graph, opts BuildOptions) (*Tree
 	n := g.NumNodes()
 	t := &Tree{K: opts.K, conn: make(map[connKey]ConnStat)}
 	t.nodes = append(t.nodes, Node{ID: 0, Parent: InvalidTree, Level: 0, Size: n})
-	t.leafOf = make([]TreeID, n)
+	leafOf := make([]TreeID, n)
 
 	type work struct {
 		id      TreeID
@@ -145,7 +145,7 @@ func BuildContext(ctx context.Context, g *graph.Graph, opts BuildOptions) (*Tree
 				node := &t.nodes[w.id]
 				node.Members = w.members
 				for _, u := range w.members {
-					t.leafOf[u] = w.id
+					leafOf[u] = w.id
 				}
 				continue
 			}
@@ -171,7 +171,7 @@ func BuildContext(ctx context.Context, g *graph.Graph, opts BuildOptions) (*Tree
 			t.Levels = l
 		}
 	}
-	t.computeConnectivity(g)
+	t.computeConnectivity(g, leafOf)
 	return t, nil
 }
 
@@ -179,8 +179,9 @@ func BuildContext(ctx context.Context, g *graph.Graph, opts BuildOptions) (*Tree
 // stats. For each original edge (u,v): every ancestor level at which u and
 // v fall in the same community counts the edge as internal there; every
 // level at which they differ contributes to the connectivity edge between
-// the two (same-level) communities.
-func (t *Tree) computeConnectivity(g *graph.Graph) {
+// the two (same-level) communities. leafOf maps each graph node to its
+// leaf.
+func (t *Tree) computeConnectivity(g *graph.Graph, leafOf []TreeID) {
 	// Root-to-leaf paths, once per leaf instead of twice per edge.
 	paths := make([][]TreeID, len(t.nodes))
 	for i := range t.nodes {
@@ -189,8 +190,8 @@ func (t *Tree) computeConnectivity(g *graph.Graph) {
 		}
 	}
 	g.Edges(func(u, v graph.NodeID, w float64) bool {
-		pu := paths[t.leafOf[u]]
-		pv := paths[t.leafOf[v]]
+		pu := paths[leafOf[u]]
+		pv := paths[leafOf[v]]
 		maxLevel := len(pu)
 		if len(pv) < maxLevel {
 			maxLevel = len(pv)

@@ -349,7 +349,7 @@ func FuzzCursorRows(f *testing.F) {
 			t.Skip()
 		}
 		path := filepath.Join(t.TempDir(), "fz.gtree")
-		if err := Save(tree, g, path, pageSize); err != nil {
+		if err := Save(tree, graph.ToCSR(g), g.Directed(), g.Label, path, pageSize); err != nil {
 			t.Skip()
 		}
 		if corruptAt != 0 {

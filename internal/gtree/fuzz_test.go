@@ -1,8 +1,10 @@
 package gtree
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -13,19 +15,43 @@ import (
 // never as panics or runaway allocations. Run as seed-corpus unit tests
 // in CI; `go test -fuzz FuzzDecodeLeaf ./internal/gtree` explores further.
 
-// leafBlobSeed produces one valid encoded leaf to anchor the corpus.
-func leafBlobSeed() []byte {
+// leafBlobSeed encodes one labeled leaf, its members out of id order, and
+// returns the blob with the induced subgraph and the members it encodes.
+func leafBlobSeed() ([]byte, *graph.Graph, []graph.NodeID) {
 	g := graph.NewWithNodes(5, false)
 	g.SetLabel(0, "alpha")
 	g.SetLabel(3, "beta")
 	g.AddEdge(0, 1, 1.5)
 	g.AddEdge(1, 3, 2.0)
 	g.AddEdge(2, 4, 0.5)
-	return encodeLeaf(g, []graph.NodeID{0, 1, 2, 3, 4})
+	g.AddEdge(3, 3, 0.25)
+	members := []graph.NodeID{3, 0, 4, 1, 2}
+	sub, _ := graph.Induced(graph.ToCSR(g), false, g.Label, members)
+	return encodeLeaf(sub, members), sub, members
 }
 
+// FuzzDecodeLeaf pins the v3 leaf blob layout on its seed — the member
+// count and ids, then the edge count and (u, v, weight) edges, no labels —
+// and that decoding the seed rebuilds the encoded subgraph adjacency list
+// for adjacency list. Fuzzed blobs must decode to a consistent, unlabeled
+// subgraph or fail.
 func FuzzDecodeLeaf(f *testing.F) {
-	seed := leafBlobSeed()
+	seed, sub, members := leafBlobSeed()
+	if want := 4 + 4*len(members) + 4 + 16*sub.NumEdges(); len(seed) != want {
+		f.Fatalf("seed blob is %d bytes, the v3 layout makes %d", len(seed), want)
+	}
+	if bytes.Contains(seed, []byte("alpha")) || bytes.Contains(seed, []byte("beta")) {
+		f.Fatal("seed blob carries labels")
+	}
+	got, gotMembers, err := decodeLeaf(seed, false)
+	if err != nil || !slices.Equal(gotMembers, members) {
+		f.Fatalf("seed decodes to members %v (%v), want %v", gotMembers, err, members)
+	}
+	for u := range members {
+		if !slices.Equal(got.Neighbors(graph.NodeID(u)), sub.Neighbors(graph.NodeID(u))) {
+			f.Fatalf("seed node %d decodes to %v, want %v", u, got.Neighbors(graph.NodeID(u)), sub.Neighbors(graph.NodeID(u)))
+		}
+	}
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2]) // truncated
 	f.Add([]byte{})
@@ -41,6 +67,12 @@ func FuzzDecodeLeaf(f *testing.F) {
 		}
 		if err := sub.Validate(); err != nil {
 			t.Fatalf("decoded leaf fails validation: %v", err)
+		}
+		if sub.Labeled() {
+			t.Fatal("decoded leaf carries labels")
+		}
+		if need := 4 + 4*len(members) + 4 + 16*sub.NumEdges(); len(blob) < need {
+			t.Fatalf("decoded %d members and %d edges from %d bytes, need %d", len(members), sub.NumEdges(), len(blob), need)
 		}
 	})
 }
@@ -63,7 +95,7 @@ func csrFileSeed(f *testing.F) []byte {
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "seed.gtree")
-	if err := Save(tree, g, path, 256); err != nil {
+	if err := Save(tree, graph.ToCSR(g), g.Directed(), g.Label, path, 256); err != nil {
 		f.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)

@@ -66,15 +66,12 @@ func mkConnKey(a, b TreeID) connKey {
 }
 
 // Tree is the in-memory G-Tree: topology, per-level connectivity edges and
-// (for trees built in memory) the leaf membership of every graph node.
+// (for trees built in memory) the members of every leaf.
 type Tree struct {
 	K      int
 	Levels int // deepest populated level + 1
 	nodes  []Node
 	conn   map[connKey]ConnStat
-	// leafOf maps each graph node to its leaf community; nil for trees
-	// opened from disk without membership loaded.
-	leafOf []TreeID
 }
 
 // Root returns the root community id.
@@ -110,15 +107,6 @@ func (t *Tree) LevelNodes(level int) []TreeID {
 		}
 	}
 	return out
-}
-
-// LeafOf returns the leaf community containing graph node u, or
-// InvalidTree if membership is not loaded.
-func (t *Tree) LeafOf(u graph.NodeID) TreeID {
-	if t.leafOf == nil || int(u) >= len(t.leafOf) {
-		return InvalidTree
-	}
-	return t.leafOf[u]
 }
 
 // Path returns the communities from the root down to id, inclusive.
@@ -223,7 +211,8 @@ func (t *Tree) ComputeStats() Stats {
 }
 
 // Validate checks structural invariants: parent/child agreement, level
-// consistency, sizes summing up the hierarchy, and disjoint leaf coverage.
+// consistency, sizes summing up the hierarchy, and, where leaves carry
+// their members, that no graph node sits in two leaves.
 func (t *Tree) Validate() error {
 	if len(t.nodes) == 0 {
 		return fmt.Errorf("gtree: empty tree")
@@ -257,21 +246,13 @@ func (t *Tree) Validate() error {
 			return fmt.Errorf("gtree: leaf %d size %d != members %d", i, n.Size, len(n.Members))
 		}
 	}
-	if t.leafOf != nil {
-		counts := make(map[TreeID]int)
-		for u, l := range t.leafOf {
-			if !t.Valid(l) {
-				return fmt.Errorf("gtree: graph node %d in invalid leaf %d", u, l)
+	leafOf := make(map[graph.NodeID]TreeID)
+	for i := range t.nodes {
+		for _, u := range t.nodes[i].Members {
+			if l, dup := leafOf[u]; dup {
+				return fmt.Errorf("gtree: graph node %d in leaves %d and %d", u, l, i)
 			}
-			if !t.nodes[l].IsLeaf() {
-				return fmt.Errorf("gtree: graph node %d assigned to non-leaf %d", u, l)
-			}
-			counts[l]++
-		}
-		for l, c := range counts {
-			if t.nodes[l].Size != c {
-				return fmt.Errorf("gtree: leaf %d size %d but %d graph nodes map to it", l, t.nodes[l].Size, c)
-			}
+			leafOf[u] = TreeID(i)
 		}
 	}
 	return nil

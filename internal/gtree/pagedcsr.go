@@ -14,7 +14,7 @@ import (
 )
 
 // PagedCSR is the disk-backed implementation of graph.Adjacency: the
-// persisted CSR section of a v2 G-Tree file read on demand. The row
+// persisted CSR section of a G-Tree file read on demand. The row
 // offsets (Xadj, 4·(n+1) bytes) are decoded once per store into a
 // validated table, the O(N) part that every kernel needs resident anyway;
 // the O(E) neighbor ids and weights stay on disk and are read two ways:

@@ -2,6 +2,7 @@ package gtree
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -38,7 +39,7 @@ func buildAndSave(t *testing.T, g *graph.Graph, pageSize int) string {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "g.gtree")
-	if err := Save(tree, g, path, pageSize); err != nil {
+	if err := Save(tree, graph.ToCSR(g), g.Directed(), g.Label, path, pageSize); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -116,19 +117,30 @@ func TestPagedCSRPoolBounded(t *testing.T) {
 }
 
 // TestOpenRejectsV1File: a version 1 file, written before the CSR section
-// existed, fails at open with an error that says how to rebuild it.
-func TestOpenRejectsV1File(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v1.gtree")
+// existed, fails at open with an error that says how to rebuild it. Its
+// whole superblock is magic, version, then k, levels, numNodes, the
+// topology, connectivity and label pages and graphNodes.
+func TestOpenRejectsV1File(t *testing.T) { requireRefused(t, 1, 7) }
+
+// TestOpenRejectsV2File: a version 2 file, whose leaf blobs held a second
+// copy of every label, fails at open the same way. Its superblock adds
+// the CSR flags, the half-edge count and four run pages to version 1's.
+func TestOpenRejectsV2File(t *testing.T) { requireRefused(t, 2, 13) }
+
+// requireRefused writes a superblock of the given version with fields
+// zero u32s after it, and requires OpenFile to refuse it, naming the
+// version and `gmine build`.
+func requireRefused(t *testing.T, version uint32, fields int) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "old.gtree")
 	p, err := storage.Create(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The whole v1 superblock: magic, version, then k, levels, numNodes,
-	// the topology, connectivity and label pages and graphNodes.
 	var meta encoder
 	meta.u32(fileMagic)
-	meta.u32(1)
-	for range 7 {
+	meta.u32(version)
+	for range fields {
 		meta.u32(0)
 	}
 	if err := p.SetMeta(meta.b); err != nil {
@@ -140,10 +152,10 @@ func TestOpenRejectsV1File(t *testing.T) {
 	s, err := OpenFile(path, 16)
 	if err == nil {
 		s.Close()
-		t.Fatal("version 1 file opened")
+		t.Fatalf("version %d file opened", version)
 	}
-	if !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "gmine build") {
-		t.Fatalf("error %q does not name the version and `gmine build`", err)
+	if want := fmt.Sprintf("version %d", version); !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "gmine build") {
+		t.Fatalf("error %q does not name the %s and `gmine build`", err, want)
 	}
 }
 
@@ -215,7 +227,7 @@ func TestDirectedLeafRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "dir.gtree")
-	if err := Save(tree, g, path, 0); err != nil {
+	if err := Save(tree, graph.ToCSR(g), g.Directed(), g.Label, path, 0); err != nil {
 		t.Fatal(err)
 	}
 	s, err := OpenFile(path, 16)

@@ -2,9 +2,9 @@ package gtree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
-	"repro/internal/graph"
 	"repro/internal/partition"
 )
 
@@ -39,10 +39,8 @@ func TestBuildParallelDeterminism(t *testing.T) {
 				t.Fatalf("parallel=%d: node %d differs", par, i)
 			}
 		}
-		for u := 0; u < g.NumNodes(); u++ {
-			if seq.LeafOf(graph.NodeID(u)) != p.LeafOf(graph.NodeID(u)) {
-				t.Fatalf("parallel=%d: leaf assignment differs at node %d", par, u)
-			}
+		if !slices.Equal(leafOf(seq, g.NumNodes()), leafOf(p, g.NumNodes())) {
+			t.Fatalf("parallel=%d: leaf assignment differs", par)
 		}
 		same := true
 		seq.ConnectedPairs(func(a, b TreeID, s ConnStat) bool {

@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/storage"
@@ -21,9 +23,11 @@ import (
 //	                 internalCount, internalWeight, childCount, children...
 //	conn blob:       count, then (a, b, count, weight) entries
 //	label blob:      count, then (label, graphNode, leaf) sorted by label
-//	leaf blobs:      per leaf: memberCount, members (graph ids),
-//	                 labels (one per member), edgeCount,
+//	leaf blobs:      per leaf: memberCount, members (graph ids), edgeCount,
 //	                 (localU, localV, weight) intra-community edges
+//
+// Each label is stored once, in the label index: a leaf's labels are read
+// from there when the leaf is loaded.
 //
 // Internal tree nodes and connectivity stay resident (they are small and
 // every interaction needs them); leaf blobs, the label index and the full
@@ -36,36 +40,34 @@ import (
 // count, four run page ids). A store can therefore answer whole-graph
 // queries — connection-subgraph extraction, PageRank — out of core through
 // gtree.PagedCSR, with resident adjacency bounded by the buffer pool.
-// Version 1 files, written before the CSR section existed, are refused at
-// open with a pointer to `gmine build`.
+// Version 1 files, written before the CSR section existed, and version 2
+// files, whose leaf blobs held a second copy of every label, are refused
+// at open with a pointer to `gmine build`.
 
 const (
 	fileMagic   = 0x47545245 // "GTRE"
-	fileVersion = 2
+	fileVersion = 3
 
 	csrFlagDirected = 1 << 0
 )
 
-// Save writes the tree, its source graph's leaf subgraphs and the graph's
-// paged CSR section to a single page file at path (see SaveTo), crash-
-// safely: an existing file at path is replaced only by a complete, synced
-// new one (storage.ReplaceFile).
-func Save(t *Tree, g *graph.Graph, path string, pageSize int) error {
+// Save writes the tree and the graph it was built on — c, its edge
+// semantics and labelOf, its labels — to a single page file at path (see
+// SaveTo), crash-safely: an existing file at path is replaced only by a
+// complete, synced new one (storage.ReplaceFile).
+func Save(t *Tree, c *graph.CSR, directed bool, labelOf func(graph.NodeID) string, path string, pageSize int) error {
 	return storage.ReplaceFile(path, func(f storage.File) error {
-		return SaveTo(t, g, f, pageSize)
+		return SaveTo(t, c, directed, labelOf, f, pageSize)
 	})
 }
 
-// SaveTo writes the tree, its source graph's leaf subgraphs and the
-// graph's paged CSR section into f, an empty File, then syncs and closes
-// it; any write, sync or close error is returned. The tree must have been
-// produced by Build on g (it needs leaf membership). pageSize 0 selects
-// the storage default.
-func SaveTo(t *Tree, g *graph.Graph, f storage.File, pageSize int) (err error) {
-	if t.leafOf == nil {
-		f.Close()
-		return fmt.Errorf("gtree: Save needs a tree with leaf membership (built in memory)")
-	}
+// SaveTo writes the tree, its leaf subgraphs, the label index and the
+// paged CSR section of the graph c (directed says how c stores edges,
+// labelOf gives its labels) into f, an empty File, then syncs and closes
+// it; any write, sync or close error is returned. Every leaf of t must
+// carry its members, as a tree from Build does. pageSize 0 selects the
+// storage default.
+func SaveTo(t *Tree, c *graph.CSR, directed bool, labelOf func(graph.NodeID) string, f storage.File, pageSize int) (err error) {
 	p, err := storage.CreateWith(f, pageSize)
 	if err != nil {
 		return err
@@ -78,13 +80,23 @@ func SaveTo(t *Tree, g *graph.Graph, f storage.File, pageSize int) (err error) {
 
 	// Leaf blobs first so topology can reference their pages.
 	memberPages := make(map[TreeID]uint32)
+	leafOf := make([]TreeID, c.N())
 	for i := range t.nodes {
 		n := &t.nodes[i]
 		if !n.IsLeaf() {
 			continue
 		}
-		blob := encodeLeaf(g, n.Members)
-		pg, err := storage.WriteBlob(p, blob)
+		if n.Members == nil {
+			return fmt.Errorf("gtree: Save needs every leaf's members; leaf %d has none", n.ID)
+		}
+		for _, u := range n.Members {
+			if u < 0 || int(u) >= len(leafOf) {
+				return fmt.Errorf("gtree: leaf %d holds node %d, graph has %d", n.ID, u, len(leafOf))
+			}
+			leafOf[u] = n.ID
+		}
+		sub, _ := graph.Induced(c, directed, nil, n.Members)
+		pg, err := storage.WriteBlob(p, encodeLeaf(sub, n.Members))
 		if err != nil {
 			return fmt.Errorf("gtree: writing leaf %d: %w", n.ID, err)
 		}
@@ -125,12 +137,12 @@ func SaveTo(t *Tree, g *graph.Graph, f storage.File, pageSize int) (err error) {
 		return fmt.Errorf("gtree: writing connectivity: %w", err)
 	}
 
-	labelPage, err := writeLabelIndex(p, g, t)
+	labelPage, err := writeLabelIndex(p, labelOf, leafOf)
 	if err != nil {
 		return fmt.Errorf("gtree: writing label index: %w", err)
 	}
 
-	csrPages, halfEdges, flags, err := writeCSRSection(p, g)
+	csrPages, err := writeCSRSection(p, c)
 	if err != nil {
 		return fmt.Errorf("gtree: writing CSR section: %w", err)
 	}
@@ -144,44 +156,40 @@ func SaveTo(t *Tree, g *graph.Graph, f storage.File, pageSize int) (err error) {
 	meta.u32(uint32(topoPage))
 	meta.u32(uint32(connPage))
 	meta.u32(uint32(labelPage))
-	meta.u32(uint32(g.NumNodes()))
+	meta.u32(uint32(c.N()))
+	var flags uint32
+	if directed {
+		flags |= csrFlagDirected
+	}
 	meta.u32(flags)
-	meta.u32(uint32(halfEdges))
+	meta.u32(uint32(c.HalfEdges()))
 	for _, pg := range csrPages {
 		meta.u32(uint32(pg))
 	}
 	return p.SetMeta(meta.b)
 }
 
-// writeCSRSection persists g's CSR arrays as four fixed-stride page runs
-// and returns their first pages (xadj, adjncy, edgew, nodew), the
-// half-edge count and the format flags.
-func writeCSRSection(p *storage.Pager, g *graph.Graph) ([4]storage.PageID, int, uint32, error) {
+// writeCSRSection persists c's arrays as four fixed-stride page runs and
+// returns their first pages (xadj, adjncy, edgew, nodew).
+func writeCSRSection(p *storage.Pager, c *graph.CSR) ([4]storage.PageID, error) {
 	var pages [4]storage.PageID
-	c := graph.ToCSR(g)
 	// Cap at MaxInt32, not MaxUint32: Xadj offsets are int32, so anything
 	// past 2^31-1 would save "fine" and then wrap negative on every read.
 	if uint64(c.HalfEdges()) > math.MaxInt32 {
-		return pages, 0, 0, fmt.Errorf("graph has %d half-edges, format caps at %d", c.HalfEdges(), int32(math.MaxInt32))
-	}
-	var flags uint32
-	if g.Directed() {
-		flags |= csrFlagDirected
+		return pages, fmt.Errorf("graph has %d half-edges, format caps at %d", c.HalfEdges(), int32(math.MaxInt32))
 	}
 	var err error
 	if pages[0], err = storage.WriteRun(p, encodeI32Run(c.Xadj), 4); err != nil {
-		return pages, 0, 0, err
+		return pages, err
 	}
 	if pages[1], err = storage.WriteRun(p, encodeI32Run(c.Adjncy), 4); err != nil {
-		return pages, 0, 0, err
+		return pages, err
 	}
 	if pages[2], err = storage.WriteRun(p, encodeF64Run(c.EdgeW), 8); err != nil {
-		return pages, 0, 0, err
+		return pages, err
 	}
-	if pages[3], err = storage.WriteRun(p, encodeI32Run(c.NodeW), 4); err != nil {
-		return pages, 0, 0, err
-	}
-	return pages, c.HalfEdges(), flags, nil
+	pages[3], err = storage.WriteRun(p, encodeI32Run(c.NodeW), 4)
+	return pages, err
 }
 
 func encodeI32Run(vals []int32) []byte {
@@ -200,52 +208,37 @@ func encodeF64Run(vals []float64) []byte {
 	return out
 }
 
-// encodeLeaf serializes one leaf community: members, their labels, and the
-// intra-community edges in local coordinates.
-func encodeLeaf(g *graph.Graph, members []graph.NodeID) []byte {
-	local := make(map[graph.NodeID]int32, len(members))
-	for i, u := range members {
-		local[u] = int32(i)
-	}
+// encodeLeaf serializes one leaf community: its members, then the edges of
+// sub, the subgraph graph.Induced makes of them, in local coordinates and
+// in the order Induced added them, so decodeLeaf's AddEdge calls rebuild
+// every adjacency list of sub entry for entry. Induced adds an undirected
+// edge once, from the endpoint with the lower graph id, and it sits in the
+// lists of both: the copy in the other endpoint's list is skipped here.
+func encodeLeaf(sub *graph.Graph, members []graph.NodeID) []byte {
 	var e encoder
 	e.u32(uint32(len(members)))
 	for _, u := range members {
 		e.i32(int32(u))
 	}
-	for _, u := range members {
-		e.str(g.Label(u))
-	}
-	type edge struct {
-		u, v int32
-		w    float64
-	}
-	var edges []edge
-	for i, u := range members {
-		for _, ne := range g.Neighbors(u) {
-			lv, ok := local[ne.To]
-			if !ok {
+	e.u32(uint32(sub.NumEdges()))
+	for lu, u := range members {
+		for _, ne := range sub.Neighbors(graph.NodeID(lu)) {
+			if !sub.Directed() && members[ne.To] < u {
 				continue
 			}
-			if !g.Directed() && ne.To < u {
-				continue // undirected edges stored twice; keep one
-			}
-			edges = append(edges, edge{u: int32(i), v: lv, w: ne.Weight})
+			e.i32(int32(lu))
+			e.i32(ne.To)
+			e.f64(ne.Weight)
 		}
-	}
-	e.u32(uint32(len(edges)))
-	for _, ed := range edges {
-		e.i32(ed.u)
-		e.i32(ed.v)
-		e.f64(ed.w)
 	}
 	return e.b
 }
 
-// decodeLeaf rebuilds a leaf subgraph. Returns the local graph (with
-// labels) and the member mapping local->original.
+// decodeLeaf rebuilds a leaf subgraph, unlabeled. Returns the local graph
+// and the member mapping local->original.
 func decodeLeaf(blob []byte, directed bool) (*graph.Graph, []graph.NodeID, error) {
 	d := decoder{b: blob}
-	n := d.count(4) // 4 bytes per member id (labels and edges follow)
+	n := d.count(4) // 4 bytes per member id (the edges follow)
 	if d.err != nil {
 		return nil, nil, d.err
 	}
@@ -254,11 +247,6 @@ func decodeLeaf(blob []byte, directed bool) (*graph.Graph, []graph.NodeID, error
 		members[i] = graph.NodeID(d.i32())
 	}
 	sub := graph.NewWithNodes(n, directed)
-	for i := 0; i < n; i++ {
-		if l := d.str(); l != "" {
-			sub.SetLabel(graph.NodeID(i), l)
-		}
-	}
 	m := d.count(16) // 4+4+8 bytes per edge
 	if d.err != nil {
 		return nil, nil, d.err
@@ -291,14 +279,13 @@ type labelEntry struct {
 	Leaf  TreeID
 }
 
-func writeLabelIndex(p *storage.Pager, g *graph.Graph, t *Tree) (storage.PageID, error) {
+// writeLabelIndex writes the label index: every labeled node (labelOf
+// gives "" for the rest) with its leaf.
+func writeLabelIndex(p *storage.Pager, labelOf func(graph.NodeID) string, leafOf []TreeID) (storage.PageID, error) {
 	var entries []labelEntry
-	if g.Labeled() {
-		for u, l := range g.Labels() {
-			if l == "" {
-				continue
-			}
-			entries = append(entries, labelEntry{Label: l, Node: graph.NodeID(u), Leaf: t.leafOf[u]})
+	for u, leaf := range leafOf {
+		if l := labelOf(graph.NodeID(u)); l != "" {
+			entries = append(entries, labelEntry{Label: l, Node: graph.NodeID(u), Leaf: leaf})
 		}
 	}
 	sort.Slice(entries, func(i, j int) bool {
@@ -336,9 +323,12 @@ type Store struct {
 	csr     *PagedCSR
 	csrErr  error
 
-	mu          sync.Mutex
-	labels      []labelEntry // lazily loaded
-	labelByNode map[graph.NodeID]string
+	mu     sync.Mutex
+	labels []labelEntry // lazily loaded
+	// byNode is the label index by node id ("" when unlabeled), published
+	// once by PreloadLabels and read without a lock: every leaf load and
+	// every annotated result reads it.
+	byNode atomic.Pointer[[]string]
 }
 
 // OpenFile opens a persisted G-Tree. poolPages bounds the buffer pool (0
@@ -386,6 +376,9 @@ func openStore(p *storage.Pager, name string, poolPages int) (*Store, error) {
 	case 1:
 		p.Close()
 		return nil, fmt.Errorf("gtree: %s is a version 1 G-Tree file, which has no graph CSR section and is no longer supported; rebuild it with `gmine build`", name)
+	case 2:
+		p.Close()
+		return nil, fmt.Errorf("gtree: %s is a version 2 G-Tree file, which keeps a second copy of every label in its leaves and is no longer supported; rebuild it with `gmine build`", name)
 	default:
 		p.Close()
 		return nil, fmt.Errorf("gtree: unsupported version %d", version)
@@ -471,8 +464,9 @@ func (s *Store) Tree() *Tree { return s.tree }
 func (s *Store) GraphNodes() int { return s.graphNodes }
 
 // LoadLeaf reads the subgraph of a leaf community from disk: the induced
-// intra-community graph in local coordinates (with labels) and the mapping
-// local -> original graph id.
+// intra-community graph in local coordinates, labeled from the label
+// index, and the mapping local -> original graph id. A fault reading the
+// leaf's blob or the label index fails the call.
 func (s *Store) LoadLeaf(id TreeID) (*graph.Graph, []graph.NodeID, error) {
 	if !s.tree.Valid(id) {
 		return nil, nil, fmt.Errorf("gtree: invalid community %d", id)
@@ -481,11 +475,74 @@ func (s *Store) LoadLeaf(id TreeID) (*graph.Graph, []graph.NodeID, error) {
 	if !n.IsLeaf() {
 		return nil, nil, fmt.Errorf("gtree: community %d is not a leaf", id)
 	}
+	if err := s.PreloadLabels(); err != nil {
+		return nil, nil, err
+	}
 	blob, err := storage.ReadBlob(s.pool, storage.PageID(n.MemberPage))
 	if err != nil {
 		return nil, nil, fmt.Errorf("gtree: reading leaf %d: %w", id, err)
 	}
-	return decodeLeaf(blob, s.directed)
+	sub, members, err := decodeLeaf(blob, s.directed)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, u := range members {
+		if l := s.LabelOf(u); l != "" {
+			sub.SetLabel(graph.NodeID(i), l)
+		}
+	}
+	return sub, members, nil
+}
+
+// Save re-encodes the store into a new G-Tree file at path (see the
+// package-level Save), taking everything it writes from the store: the
+// graph's CSR from the resident tier or from one decode sweep of the CSR
+// section, with the NodeW run as the file holds it; the labels from the
+// label index; and each leaf's members from its blob. Saved at the page
+// size it was written with, a store's file comes back byte for byte.
+func (s *Store) Save(path string, pageSize int) error {
+	c, err := s.graphCSR()
+	if err != nil {
+		return err
+	}
+	nodes := slices.Clone(s.tree.nodes)
+	for i := range nodes {
+		if nodes[i].IsLeaf() {
+			if _, nodes[i].Members, err = s.LoadLeaf(TreeID(i)); err != nil {
+				return err
+			}
+		}
+	}
+	t := &Tree{K: s.tree.K, Levels: s.tree.Levels, nodes: nodes, conn: s.tree.conn}
+	return Save(t, c, s.directed, s.LabelOf, path, pageSize)
+}
+
+// graphCSR returns the store's whole graph as an in-memory CSR: the
+// resident tier's arrays when promoted, else one decode sweep's, with the
+// NodeW run read from the file.
+func (s *Store) graphCSR() (*graph.CSR, error) {
+	base, err := s.PagedCSR()
+	if err != nil {
+		return nil, err
+	}
+	mem := base.sh.tier.csr.Load()
+	if mem == nil {
+		if mem, err = decodeCSR(base.view(s.pool, nil)); err != nil {
+			return nil, fmt.Errorf("gtree: reading the CSR section: %w", err)
+		}
+	}
+	nodew, err := storage.NewRunReader(s.pool, s.csrPages[3], 4, s.graphNodes)
+	if err != nil {
+		return nil, err
+	}
+	raw := make([]byte, 4*s.graphNodes)
+	var scratch []byte
+	if _, err := nodew.Read(0, s.graphNodes, raw, &scratch); err != nil {
+		return nil, fmt.Errorf("gtree: reading CSR nodew: %w", err)
+	}
+	c := &graph.CSR{NumNodes: mem.NumNodes, Xadj: mem.Xadj, Adjncy: mem.Adjncy, EdgeW: mem.EdgeW, NodeW: make([]int32, s.graphNodes)}
+	decodeIDs(c.NodeW, raw)
+	return c, nil
 }
 
 // LabelHit is the result of a label query.
@@ -732,16 +789,23 @@ func (v *QueryView) Promote() {
 // LabelOf (which cannot return an error) call this first, so a failed
 // index read fails the query instead of silently stripping labels.
 func (s *Store) PreloadLabels() error {
+	if s.byNode.Load() != nil {
+		return nil
+	}
 	if err := s.ensureLabels(); err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.labelByNode == nil {
-		s.labelByNode = make(map[graph.NodeID]string, len(s.labels))
+	if s.byNode.Load() == nil {
+		byNode := make([]string, s.graphNodes)
 		for _, le := range s.labels {
-			s.labelByNode[le.Node] = le.Label
+			if le.Node < 0 || int(le.Node) >= len(byNode) {
+				return fmt.Errorf("gtree: label index names node %d, the graph has %d", le.Node, len(byNode))
+			}
+			byNode[le.Node] = le.Label
 		}
+		s.byNode.Store(&byNode)
 	}
 	return nil
 }
@@ -755,9 +819,10 @@ func (s *Store) LabelOf(u graph.NodeID) string {
 	if err := s.PreloadLabels(); err != nil {
 		return ""
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.labelByNode[u]
+	if byNode := *s.byNode.Load(); u >= 0 && int(u) < len(byNode) {
+		return byNode[u]
+	}
+	return ""
 }
 
 // PoolInfo bundles the buffer-pool counters with its configuration — the

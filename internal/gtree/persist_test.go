@@ -37,7 +37,7 @@ func saveLoad(t *testing.T, g *graph.Graph, k, levels, pageSize, pool int) (*Tre
 	t.Helper()
 	tr := buildTest(t, g, k, levels)
 	path := filepath.Join(t.TempDir(), "tree.gmine")
-	if err := Save(tr, g, path, pageSize); err != nil {
+	if err := Save(tr, graph.ToCSR(g), g.Directed(), g.Label, path, pageSize); err != nil {
 		t.Fatal(err)
 	}
 	st, err := OpenFile(path, pool)
@@ -156,8 +156,8 @@ func TestFindLabel(t *testing.T) {
 	if h.Node != 7 {
 		t.Fatalf("hit node=%d want 7", h.Node)
 	}
-	if h.Leaf != tr.LeafOf(7) {
-		t.Fatalf("hit leaf=%d want %d", h.Leaf, tr.LeafOf(7))
+	if want := leafOf(tr, g.NumNodes())[7]; h.Leaf != want {
+		t.Fatalf("hit leaf=%d want %d", h.Leaf, want)
 	}
 	if h.Path[0] != tr.Root() || h.Path[len(h.Path)-1] != h.Leaf {
 		t.Fatalf("hit path=%v", h.Path)
@@ -259,7 +259,7 @@ func TestUnlabeledGraphPersists(t *testing.T) {
 
 func TestSaveRequiresMembership(t *testing.T) {
 	tr := &Tree{K: 2, Levels: 1, nodes: []Node{{ID: 0, Parent: InvalidTree}}}
-	if err := Save(tr, graph.New(false), filepath.Join(t.TempDir(), "x"), 0); err == nil {
+	if err := Save(tr, graph.ToCSR(graph.New(false)), false, nil, filepath.Join(t.TempDir(), "x"), 0); err == nil {
 		t.Fatal("saved tree without membership")
 	}
 }

@@ -37,10 +37,10 @@ func (f *nthWriteFailFile) WriteAt(p []byte, off int64) (int, error) {
 func TestSaveToReturnsSyncError(t *testing.T) {
 	g := labeledCommunityGraph(rand.New(rand.NewSource(3)), 3, 12)
 	tr := buildTest(t, g, 2, 2)
-	if err := SaveTo(tr, g, syncFailFile{storage.NewMemFile(nil)}, 0); !errors.Is(err, errInjected) {
+	if err := SaveTo(tr, graph.ToCSR(g), g.Directed(), g.Label, syncFailFile{storage.NewMemFile(nil)}, 0); !errors.Is(err, errInjected) {
 		t.Fatalf("SaveTo over a failing Sync returned %v, want the sync error", err)
 	}
-	if err := SaveTo(tr, g, storage.NewMemFile(nil), 0); err != nil {
+	if err := SaveTo(tr, graph.ToCSR(g), g.Directed(), g.Label, storage.NewMemFile(nil), 0); err != nil {
 		t.Fatalf("SaveTo over a sound file: %v", err)
 	}
 }
@@ -54,27 +54,27 @@ func TestSaveCrashSafe(t *testing.T) {
 	tr := buildTest(t, g, 2, 2)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "tree.gmine")
-	if err := Save(tr, g, path, 512); err != nil {
+	if err := Save(tr, graph.ToCSR(g), g.Directed(), g.Label, path, 512); err != nil {
 		t.Fatal(err)
 	}
 	old, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Count the writes a full save makes.
+	g2 := labeledCommunityGraph(rand.New(rand.NewSource(5)), 3, 16) // a different file
+	tr2 := buildTest(t, g2, 2, 2)
+	// Count the writes the replacing save makes.
 	counter := &nthWriteFailFile{File: storage.NewMemFile(nil), k: 1 << 30}
-	if err := SaveTo(tr, g, counter, 512); err != nil {
+	if err := SaveTo(tr2, graph.ToCSR(g2), g2.Directed(), g2.Label, counter, 512); err != nil {
 		t.Fatal(err)
 	}
 	total := counter.writes
 	if total < 4 {
 		t.Fatalf("a save made only %d writes", total)
 	}
-	g2 := labeledCommunityGraph(rand.New(rand.NewSource(5)), 3, 16) // a different file
-	tr2 := buildTest(t, g2, 2, 2)
 	for _, k := range []int{1, 2, total / 2, total} {
 		err := storage.ReplaceFile(path, func(f storage.File) error {
-			return SaveTo(tr2, g2, &nthWriteFailFile{File: f, k: k}, 512)
+			return SaveTo(tr2, graph.ToCSR(g2), g2.Directed(), g2.Label, &nthWriteFailFile{File: f, k: k}, 512)
 		})
 		if !errors.Is(err, errInjected) {
 			t.Fatalf("write %d of %d failed, save returned %v", k, total, err)
@@ -88,7 +88,7 @@ func TestSaveCrashSafe(t *testing.T) {
 			t.Fatalf("write %d of %d failed and left %d entries in the directory (%v)", k, total, len(ents), err)
 		}
 	}
-	if err := Save(tr2, g2, path, 512); err != nil {
+	if err := Save(tr2, graph.ToCSR(g2), g2.Directed(), g2.Label, path, 512); err != nil {
 		t.Fatal(err)
 	}
 	if st, err := OpenFile(path, 8); err != nil || st.GraphNodes() != g2.NumNodes() {
@@ -105,7 +105,7 @@ func TestOpenWithMemFile(t *testing.T) {
 	g := labeledCommunityGraph(rand.New(rand.NewSource(6)), 4, 20)
 	tr, disk := saveLoad(t, g, 2, 3, 0, 16)
 	f := storage.NewMemFile(nil)
-	if err := SaveTo(tr, g, f, 0); err != nil {
+	if err := SaveTo(tr, graph.ToCSR(g), g.Directed(), g.Label, f, 0); err != nil {
 		t.Fatal(err)
 	}
 	mem, err := OpenWith(f, 16)

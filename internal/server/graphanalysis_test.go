@@ -177,11 +177,12 @@ func TestGraphAnalysisFaultMapsTo500(t *testing.T) {
 	}
 }
 
-// TestLeafAnalysisFaultMapsTo500: a leaf whose blob cannot be read is a
-// backend fault like a failed whole-graph sweep. GET …/analysis answers
-// 500, not the 400 of a bad community id, and the session's breaker counts
-// the failure: with a threshold of one, the next query is refused with 503.
-func TestLeafAnalysisFaultMapsTo500(t *testing.T) {
+// faultyDiskSession serves the small fixture's G-Tree file as session
+// "disk" through a fault injector, with a breaker that opens on the first
+// backend fault. It returns the injector, the leaf ids and a function that
+// GETs one leaf's analysis at a seed and returns the status and body.
+func faultyDiskSession(t *testing.T) (*storage.FaultInjector, []int, func(leaf, seed int) (int, string)) {
+	t.Helper()
 	var inj *storage.FaultInjector
 	s := New(Config{
 		CacheEntries: 8, RequestTimeout: 30 * time.Second,
@@ -214,6 +215,15 @@ func TestLeafAnalysisFaultMapsTo500(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode, string(b)
 	}
+	return inj, leaves, analysis
+}
+
+// TestLeafAnalysisFaultMapsTo500: a leaf whose blob cannot be read is a
+// backend fault like a failed whole-graph sweep. GET …/analysis answers
+// 500, not the 400 of a bad community id, and the session's breaker counts
+// the failure: with a threshold of one, the next query is refused with 503.
+func TestLeafAnalysisFaultMapsTo500(t *testing.T) {
+	inj, leaves, analysis := faultyDiskSession(t)
 	if code, body := analysis(leaves[0], 1); code != http.StatusOK {
 		t.Fatalf("clean leaf analysis: status %d (%s)", code, body)
 	}
@@ -226,6 +236,23 @@ func TestLeafAnalysisFaultMapsTo500(t *testing.T) {
 	}
 	if code, body := analysis(leaves[0], 2); code != http.StatusServiceUnavailable || !strings.Contains(body, "breaker_open") {
 		t.Fatalf("query after the leaf fault: status %d (%s), want 503 from the open breaker", code, body)
+	}
+}
+
+// TestLeafLabelIndexFaultMapsTo500: a leaf's labels come from the label
+// index, so on a fresh store a leaf analysis reads the index first. When
+// that read fails for good the analysis answers 500, not a report of
+// unlabeled nodes, and the fault counts against the session's breaker.
+func TestLeafLabelIndexFaultMapsTo500(t *testing.T) {
+	inj, leaves, analysis := faultyDiskSession(t)
+	// More faults than the pager's retry budget, on the store's next read:
+	// the label index's first page.
+	inj.Script(slices.Repeat([]storage.FaultKind{storage.FaultErr}, 8)...)
+	if code, body := analysis(leaves[0], 1); code != http.StatusInternalServerError || !strings.Contains(body, "label index") {
+		t.Fatalf("leaf analysis over a failed label index read: status %d (%s), want 500", code, body)
+	}
+	if code, body := analysis(leaves[0], 2); code != http.StatusServiceUnavailable || !strings.Contains(body, "breaker_open") {
+		t.Fatalf("query after the label index fault: status %d (%s), want 503 from the open breaker", code, body)
 	}
 }
 

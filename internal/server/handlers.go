@@ -429,14 +429,14 @@ func buildEngine(ctx context.Context, req CreateSessionRequest, method partition
 		defer f.Close()
 		g, err := graph.ReadEdgeList(f)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", req.Path, err)
 		}
 		g.Dedup()
 		return core.BuildEngine(g, cfg)
 	case "gtree":
 		eng, err := core.OpenEngineWrapped(req.Path, req.PoolPages, wrap)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", req.Path, err)
 		}
 		eng.SetTierBudget(req.TierBudget)
 		return eng, nil

@@ -600,3 +600,30 @@ func TestServeAndShutdown(t *testing.T) {
 		t.Fatalf("serve returned: %v", err)
 	}
 }
+
+// TestSessionErrorsDoNotEchoFileBytes: a session over a file that is not
+// an edge list or a G-Tree answers 400 naming the path and the failed
+// check, and quotes none of the file's bytes back to the client.
+func TestSessionErrorsDoNotEchoFileBytes(t *testing.T) {
+	_, ts := newTestServer(t)
+	path := filepath.Join(t.TempDir(), "secret.txt")
+	if err := os.WriteFile(path, []byte("db_password=hunter2 extra\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	for _, source := range []string{"edges", "gtree"} {
+		resp := postJSON(t, ts.URL+"/sessions", CreateSessionRequest{Name: "s-" + source, Source: source, Path: path})
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400 (%s)", source, resp.StatusCode, body)
+		}
+		if !bytes.Contains(body, []byte(path)) {
+			t.Errorf("%s: error does not name the path: %s", source, body)
+		}
+		for _, leak := range []string{"hunter2", "db_p"} {
+			if bytes.Contains(body, []byte(leak)) {
+				t.Errorf("%s: error echoes the file's bytes (%q): %s", source, leak, body)
+			}
+		}
+	}
+}

@@ -134,7 +134,7 @@ func OpenWith(f File, readOnly bool) (*Pager, error) {
 	}
 	if string(hdr[:4]) != pagerMagic {
 		f.Close()
-		return nil, fmt.Errorf("storage: bad magic %q", hdr[:4])
+		return nil, fmt.Errorf("storage: not a page file (bad magic)")
 	}
 	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != pagerVersion {
 		f.Close()

@@ -13,15 +13,17 @@
 #      the cover-built server;
 #   2. runs every gmine subcommand, `gmine repro -scale 0.01 -levels 4`
 #      (and -exp E7) and every example at scale 0.01;
-#   3. serves a synthetic (with a debug listener), an -in, a -tree, a
-#      tiered and a -chaos session, and drives every route: extractions in
-#      each mode and format, batch, scene, tree, leaf and graph analysis,
-#      labels, healthz, metrics, session create/list/info/delete, error
-#      paths, and the CI chaos smoke (heal, corrupt, breaker, repair);
+#   3. runs scripts/smoke.sh, CI's serve smokes (boot, navigate, memory =
+#      file, tiered, chaos), then serves a synthetic (with a debug
+#      listener), an -in and a -tree session and drives every route:
+#      extractions in each mode and format, batch, scene, tree, leaf and
+#      graph analysis, labels, healthz, metrics, session
+#      create/list/info/delete and error paths;
 #   4. merges the counters into <out-dir>/func.txt (go tool cover -func)
 #      and lists the 0 % functions under internal/ in
 #      <out-dir>/zero-internal.txt.
-# Takes about five minutes on two cores. Uses ports 18180-18189.
+# Takes about five minutes on two cores. Uses ports 18080-18085 (the
+# smokes) and 18180-18189.
 set -uo pipefail
 [ $# -eq 1 ] || { echo "usage: $0 <out-dir>" >&2; exit 2; }
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
@@ -67,22 +69,17 @@ for ex in examples/*/; do
 done
 echo "cli, experiments and examples: output in $w/cli.txt"
 
-# 3. Servers and routes. The tiered (18182) and -chaos (18183) sequences
-# mirror CI's "Serve smoke (tiered extraction ...)" and "Serve smoke
-# (chaos ...)" steps in .github/workflows/ci.yml, and the routes driven on
-# 18180/18184/18185 cover its boot, navigate and memory = file smokes:
-# a change to a route or to one of those steps is made in both places.
+# 3. Servers and routes: CI's serve smokes, then every route.
+bash scripts/smoke.sh "$G" "$w/smoke" >"$w/smoke.txt" 2>&1
+echo "serve smokes: exit $? (output in $w/smoke.txt)"
 B=http://127.0.0.1
 up() { for _ in $(seq 1 150); do curl -sf $B:$1/healthz >/dev/null && return 0; sleep 0.2; done; echo "port $1 not up" >&2; }
 c() { curl -s -o /dev/null -w '%{http_code} ' "$@"; }
-cp "$w/p.gtree" "$w/c.gtree"; cp "$w/p.gtree" "$w/c.pristine"
 $G serve -addr 127.0.0.1:18180 -synthetic 0.01 -log json -debug-addr 127.0.0.1:18189 >"$w/serve-18180.log" 2>&1 & P1=$!
 $G serve -addr 127.0.0.1:18184 -in "$w/d.edges" -log text >"$w/serve-18184.log" 2>&1 & P2=$!
 $G serve -addr 127.0.0.1:18185 -tree "$w/d.gtree" -log off >"$w/serve-18185.log" 2>&1 & P3=$!
-$G serve -addr 127.0.0.1:18182 -tree "$w/p.gtree" -pool 256 -tierbudget 4194304 -log json >"$w/serve-18182.log" 2>&1 & P4=$!
-$G serve -addr 127.0.0.1:18183 -tree "$w/c.gtree" -pool 8 -chaos 'rate=0.01,seed=1,latency=50us,kinds=flip+err+short' -log json >"$w/serve-18183.log" 2>&1 & P5=$!
-trap 'kill $P1 $P2 $P3 $P4 $P5 2>/dev/null' EXIT
-for p in 18180 18184 18185 18182 18183; do up $p; done
+trap 'kill $P1 $P2 $P3 2>/dev/null' EXIT
+for p in 18180 18184 18185; do up $p; done
 for p in 18180 18184 18185; do
 	s=$B:$p/sessions/default
 	c -X POST $s/extract -d '{"sources":[1,5],"budget":10}'
@@ -113,21 +110,7 @@ c -X POST $B:18180/sessions -d "{\"name\":\"missing\",\"source\":\"edges\",\"pat
 c $B:18180/sessions; c $B:18180/sessions/gt; c -X POST $B:18180/sessions/gt/extract -d '{"sources":[1,5],"budget":10}'
 for n in syn ed gt nope; do c -X DELETE $B:18180/sessions/$n; done
 echo "<- session lifecycle"
-for i in $(seq 1 16); do c -X POST $B:18182/sessions/default/extract -d "{\"sources\":[1,5,$((i * 7))],\"budget\":10}"; done
-c $B:18182/healthz; c $B:18182/metrics; echo "<- tiered"
-for i in 1 2 3; do c -X POST $B:18183/sessions/default/extract -d "{\"sources\":[1,$((i * 5))],\"budget\":10}"; done
-python3 -c '
-import sys
-data = bytearray(open(sys.argv[1], "rb").read())
-for off in range(1024 + 13, len(data), 1024):
-    data[off] ^= 0xFF
-open(sys.argv[1], "wb").write(data)' "$w/c.gtree"
-for i in 4 5 6 7; do c -X POST $B:18183/sessions/default/extract -d "{\"sources\":[1,$((i * 5))],\"budget\":10}"; done
-c "$B:18183/sessions/default/analysis/graph?topk=5"
-cp "$w/c.pristine" "$w/c.gtree"; sleep 2.5
-c -X POST $B:18183/sessions/default/extract -d '{"sources":[1,40],"budget":10}'
-c $B:18183/metrics; echo "<- chaos"
-kill -TERM $P1 $P2 $P3 $P4 $P5; wait $P1 $P2 $P3 $P4 $P5 2>/dev/null
+kill -TERM $P1 $P2 $P3; wait $P1 $P2 $P3 2>/dev/null
 trap - EXIT
 
 # 4. Merge.
