@@ -4,7 +4,7 @@ GO ?= go
 # how long each runs. 1s gives stable ns/op; drop to e.g. 5x for a quick
 # local look.
 BENCHTIME ?= 1s
-BENCH_JSON_PATTERN ?= 'BenchmarkExtractMemoryVsPaged|BenchmarkPageRankMemoryVsPaged|BenchmarkRWRMultiFused|BenchmarkRWRPushVsPower|BenchmarkRWRSetSweepVsNeighbors|BenchmarkPageRankSweepVsNeighbors|BenchmarkExtractTieredSkewed|BenchmarkKeyPathPagedCursor|BenchmarkPoolMiss|BenchmarkE1_GTreeBuild|BenchmarkPartition/Multilevel|BenchmarkGTreeBuildScale|BenchmarkE2_SceneKinds|BenchmarkE7_SubgraphMetrics'
+BENCH_JSON_PATTERN ?= 'BenchmarkExtractMemoryVsPaged|BenchmarkPageRankMemoryVsPaged|BenchmarkRWRMultiFused|BenchmarkRWRSetSweepVsNeighbors|BenchmarkPageRankSweepVsNeighbors|BenchmarkExtractTieredSkewed|BenchmarkKeyPathPagedCursor|BenchmarkPoolMiss|BenchmarkE1_GTreeBuild|BenchmarkPartition/Multilevel|BenchmarkGTreeBuildScale|BenchmarkE2_SceneKinds|BenchmarkE7_SubgraphMetrics'
 
 .PHONY: all build vet lint test race check bench bench-json fmt fuzz-smoke
 

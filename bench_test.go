@@ -367,31 +367,6 @@ func BenchmarkForceLayout(b *testing.B) {
 	}
 }
 
-// BenchmarkRWRPushVsPower contrasts the two RWR implementations (ablation
-// in EXPERIMENTS.md): power iteration touches every edge per sweep; the
-// residual push works locally around the source.
-func BenchmarkRWRPushVsPower(b *testing.B) {
-	setup(b)
-	csr := gmine.ToCSR(benchDS.Graph)
-	src := benchDS.Notables[gmine.NameFlipKorn]
-	b.Run("Power", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := gmine.RWRPower(csr, src, gmine.RWROptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Push", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := gmine.RWRPush(csr, src, 0.15, 1e-7); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // sweepCountBench counts the whole-graph passes a solve makes.
 type sweepCountBench struct {
 	gmine.Adjacency

@@ -170,13 +170,9 @@ func ConnectionSubgraph(g *Graph, sources []NodeID, opts ExtractOptions) (*Extra
 	return extract.ConnectionSubgraph(g, sources, opts)
 }
 
-// RWRPower computes the exact random walk with restart by power
-// iteration; RWRPush is the residual-push approximation (local work,
-// suited to interactive queries on the full-scale graph).
-var (
-	RWRPower = extract.RWR
-	RWRPush  = extract.RWRPush
-)
+// RWRPower computes the random walk with restart from one source by
+// power iteration, the one solver behind RWRSet, RWRMulti and PageRankAdj.
+var RWRPower = extract.RWR
 
 // RWRSet computes RWR with the restart mass spread over a source set —
 // the per-source building block of extraction, exported for benchmarks
@@ -186,8 +182,9 @@ var RWRSet = extract.RWRSet
 
 // RWRMulti runs one independent RWR per source, all advanced by the same
 // sweep per power iteration (k sources cost the slowest one's sweeps, not
-// the sum). Each vector is bit-identical to RWRPower on that source alone;
-// RWROptions.Parallel and RWROptions.Shards are accepted and ignored.
+// the sum): the goodness inputs of extraction. Each vector is
+// bit-identical to RWRPower on that source alone; RWROptions.Parallel and
+// RWROptions.Shards are accepted and ignored.
 var RWRMulti = extract.RWRMulti
 
 // PairwiseOptions configures the KDD'04 electrical baseline.
@@ -207,7 +204,8 @@ func AnalysisReport(g *Graph, hopSamples int, seed int64) SubgraphReport {
 }
 
 // PageRank, components and hops over any Adjacency; pass ToCSR(g) for a
-// *Graph. Degree statistics and weak components come from ReportAdj. For
+// *Graph. PageRankAdj is RWRSet over every node at restart 1 − Damping.
+// Degree statistics and weak components come from ReportAdj. For
 // disk-backed engines prefer Engine.PageRank, which solves on the query's
 // own view and fails the call if any of its reads faulted.
 var (

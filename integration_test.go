@@ -85,27 +85,15 @@ func TestIntegrationDirectSubstrates(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// CSR + both RWR implementations agree on the top node.
-	csr := gmine.ToCSR(g)
-	power, err := gmine.RWRPower(csr, 15, gmine.RWROptions{})
+	// CSR + RWR: the source holds the most mass.
+	power, err := gmine.RWRPower(gmine.ToCSR(g), 15, gmine.RWROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	push, err := gmine.RWRPush(csr, 15, 0.15, 1e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	argmax := func(v []float64) int {
-		best := 0
-		for i := range v {
-			if v[i] > v[best] {
-				best = i
-			}
+	for i := range power {
+		if power[i] > power[15] {
+			t.Fatalf("RWR from 15 ranks node %d above its source", i)
 		}
-		return best
-	}
-	if argmax(power) != 15 || argmax(push) != 15 {
-		t.Fatal("RWR implementations disagree on the source")
 	}
 	// ANF on a path.
 	anf := gmine.ComputeANF(gmine.ToCSR(g), g.Directed(), gmine.ANFOptions{K: 16, Seed: 1})

@@ -2,9 +2,9 @@ package analysis
 
 import (
 	"context"
-	"math"
 	"sort"
 
+	"repro/internal/extract"
 	"repro/internal/graph"
 )
 
@@ -22,9 +22,9 @@ type PageRankOptions struct {
 	Shards int
 	// Ctx optionally carries the caller's cancellation: the power iteration
 	// polls it at every iteration boundary and stops early. PageRankAdj has
-	// no error surface, so a cancelled solve simply returns the partial
-	// vector — callers that must distinguish (core.Engine) check their
-	// context after the call and discard the result. nil = never cancelled.
+	// no error surface, so a cancelled solve returns nil — callers that
+	// must tell why (core.Engine) check their context after the call.
+	// nil = never cancelled.
 	Ctx context.Context
 }
 
@@ -41,78 +41,33 @@ func (o PageRankOptions) withDefaults() PageRankOptions {
 	return o
 }
 
-// PageRankAdj computes the PageRank vector by power iteration over any
-// Adjacency — an in-memory CSR, a store's resident tier or its paged CSR
-// — weighting transitions by edge weight. Dangling nodes redistribute
-// uniformly, and the result sums to 1. A paged adjacency cannot surface
-// I/O faults through the Adjacency methods; callers running directly over
-// one must check its fault latch (gtree.PagedCSR.Err) after the call, on
-// a view no other reader shares (core.Engine's PageRank solves on the
-// query's own view and does this — prefer it for disk-backed engines).
+// PageRankAdj computes the PageRank vector over any Adjacency — an
+// in-memory CSR, a store's resident tier or its paged CSR — weighting
+// transitions by edge weight. PageRank is the random walk with restart
+// whose restart set is every node, at restart probability 1 − Damping, so
+// this is extract.RWRSet over all nodes: the same power-iteration body as
+// extraction's walks. Dangling nodes redistribute uniformly, and the
+// result sums to 1. It returns nil for an empty graph and when the solve
+// stops early (cancelled, or a paged sweep failed). A paged adjacency
+// cannot surface I/O faults through the Adjacency methods; callers running
+// directly over one must check its fault latch (gtree.PagedCSR.Err) after
+// the call, on a view no other reader shares (core.Engine's PageRank
+// solves on the query's own view and does this — prefer it for
+// disk-backed engines).
 func PageRankAdj(c graph.Adjacency, opts PageRankOptions) []float64 {
 	opts = opts.withDefaults()
 	n := c.N()
 	if n == 0 {
 		return nil
 	}
-	rank := make([]float64, n)
-	next := make([]float64, n)
-	inv := 1.0 / float64(n)
-	for i := range rank {
-		rank[i] = inv
+	every := make([]graph.NodeID, n)
+	for i := range every {
+		every[i] = graph.NodeID(i)
 	}
-	wdeg := c.WeightedDegrees()
-	// Each iteration is one sweep of the adjacency in storage layout order:
-	// O(filePages) page reads per iteration on a paged CSR.
-	// Rows arrive in ascending u on every backend, so every backend folds
-	// the same products in the same order and converges to the same bits.
-	push := func(u graph.NodeID, nbrs []graph.NodeID, ws []float64) bool {
-		if wdeg[u] == 0 {
-			return true
-		}
-		share := opts.Damping * rank[u] / wdeg[u]
-		for i, v := range nbrs {
-			next[v] += share * ws[i]
-		}
-		return true
-	}
-	var done <-chan struct{}
-	if opts.Ctx != nil {
-		done = opts.Ctx.Done()
-	}
-	for iter := 0; iter < opts.MaxIter; iter++ {
-		if done != nil {
-			select {
-			case <-done:
-				return rank
-			default:
-			}
-		}
-		var dangling float64
-		for u := 0; u < n; u++ {
-			if wdeg[u] == 0 {
-				dangling += rank[u]
-			}
-		}
-		base := (1-opts.Damping)*1.0/float64(n) + opts.Damping*dangling/float64(n)
-		for i := range next {
-			next[i] = base
-		}
-		if err := c.SweepEdges(0, graph.NodeID(n), push); err != nil {
-			// The Adjacency contract has no error surface here; a paged
-			// backend has latched the fault on the query's view, which the
-			// engine-level bracket turns into ErrPagedIO. Stop iterating
-			// rather than keep grinding a doomed solve.
-			break
-		}
-		var delta float64
-		for i := range rank {
-			delta += math.Abs(next[i] - rank[i])
-		}
-		rank, next = next, rank
-		if delta < opts.Epsilon {
-			break
-		}
+	rank, err := extract.RWRSet(c, every, extract.RWROptions{
+		Restart: 1 - opts.Damping, Epsilon: opts.Epsilon, MaxIter: opts.MaxIter, Ctx: opts.Ctx})
+	if err != nil {
+		return nil
 	}
 	return rank
 }

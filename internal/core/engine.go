@@ -220,7 +220,7 @@ func (e *Engine) queryAdj(ctx context.Context, tr *obs.Trace) (graph.Adjacency, 
 			tr.Count("pool.evictions", int64(qc.Pool.Evictions))
 			tr.Count("pool.load_waits", int64(qc.Pool.LoadWaits))
 			tr.Count("pool.faults", int64(qc.Faults))
-			// Row reads of the local kernels (key paths, push, induce):
+			// Row reads of the local kernels (key paths, induce):
 			// pins/rows near the page count over the row count means the
 			// cursors' sticky pins held; near 3 means every row paid the
 			// pool on its own.
@@ -412,8 +412,8 @@ func (e *Engine) SearchLabelPrefix(prefix string, limit int) ([]LabelHit, error)
 // checks, in order:
 //
 //  1. A cancelled solve returns ctx's error unwrapped. Kernels without an
-//     error surface, like PageRankAdj, stop early and return a partial
-//     vector — the check here is what discards it. It is never ErrPagedIO
+//     error surface, like PageRankAdj, stop early and return nil — the
+//     check here is what turns that into the error. It is never ErrPagedIO
 //     and never counts against the session's circuit breaker upstream:
 //     nothing is wrong with the store when a client hangs up.
 //  2. If the query's own view latched a fault, the solve read bad or
@@ -521,7 +521,7 @@ func (e *Engine) PageRank(opts analysis.PageRankOptions) ([]float64, error) {
 
 // PageRankTraced is PageRank with per-stage timings and pool pin counts
 // recorded on tr (nil tr = untraced; see ExtractTraced). ctx cancels the
-// iteration cooperatively, discarding the partial vector.
+// iteration cooperatively.
 func (e *Engine) PageRankTraced(ctx context.Context, tr *obs.Trace, opts analysis.PageRankOptions) (ranks []float64, err error) {
 	defer func() { err = tagTrace(tr, err) }()
 	memDone := memStatsBracket(tr)

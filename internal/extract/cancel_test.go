@@ -34,21 +34,6 @@ func TestRWRSetContextCancellation(t *testing.T) {
 	}
 }
 
-// TestRWRPushContextCancellation: a cancelled context aborts the push loop
-// (polled every pushCancelStride pops, so the pre-cancelled case trips on
-// the very first pop), and the nil-ctx path is unchanged.
-func TestRWRPushContextCancellation(t *testing.T) {
-	c := cancelFixture()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := RWRPushCtx(ctx, c, 0, 0, 0); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled RWRPushCtx returned %v, want context.Canceled", err)
-	}
-	if _, err := RWRPush(c, 0, 0, 0); err != nil {
-		t.Fatalf("RWRPush without ctx failed: %v", err)
-	}
-}
-
 // TestRWRCtxDoesNotChangeResults: Ctx is an execution knob — an
 // uncancelled context must not perturb a single bit of the solve.
 func TestRWRCtxDoesNotChangeResults(t *testing.T) {

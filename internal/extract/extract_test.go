@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/analysis"
 	"repro/internal/graph"
 	"repro/internal/graph/graphtest"
 )
@@ -190,7 +189,7 @@ func TestConnectionSubgraphBasics(t *testing.T) {
 		}
 	}
 	// Output connected (the underlying graph is connected).
-	if wc := analysis.ReportAdj(graph.ToCSR(res.Subgraph), res.Subgraph.Directed()).WeakComponents; wc != 1 {
+	if wc := graphtest.NewOracle(res.Subgraph).Structure().WeakComponents; wc != 1 {
 		t.Fatalf("output has %d components, want 1", wc)
 	}
 	if res.TotalGoodness <= 0 {

@@ -115,19 +115,21 @@ func RWRMulti(c graph.Adjacency, sources []graph.NodeID, opts RWROptions) ([][]f
 }
 
 // rwrWalk is the state of one restart set's power iteration inside a blocked
-// solve: mass is its restart distribution, r and next the score pair.
+// solve: the score pair r and next.
 type rwrWalk struct {
-	set           []graph.NodeID
-	share         float64
-	mass, r, next []float64
+	set     []graph.NodeID
+	r, next []float64
 }
 
-// rwrBlocked is the one power-iteration body behind RWRSet and RWRMulti:
-// one walk per restart set, all advanced by the same pass over the
-// adjacency. Within a pass the walks are applied to each row in set order
-// and every walk sees exactly the floating-point operations, in exactly
-// the order, of a solve run alone; a walk that converges is frozen at that
-// iteration and drops out of the later passes.
+// rwrBlocked is the one power-iteration body behind RWRSet, RWRMulti and
+// analysis.PageRankAdj (the walk whose restart set is every node): one walk
+// per restart set, all advanced by the same pass over the adjacency.
+// Before each pass every walk folds its restart mass — c, plus the mass
+// sitting on nodes without out-edges, whose walkers restart — onto its set;
+// within a pass the walks are applied to each row in set order. Every walk
+// sees exactly the floating-point operations, in exactly the order, of a
+// solve run alone; a walk that converges is frozen at that iteration and
+// drops out of the later passes.
 func rwrBlocked(c graph.Adjacency, sets [][]graph.NodeID, opts RWROptions) ([][]float64, error) {
 	opts, err := opts.Normalize()
 	if err != nil {
@@ -146,15 +148,20 @@ func rwrBlocked(c graph.Adjacency, sets [][]graph.NodeID, opts RWROptions) ([][]
 	}
 	walks := make([]*rwrWalk, len(sets))
 	for j, set := range sets {
-		w := &rwrWalk{set: set, share: 1.0 / float64(len(set)),
-			mass: make([]float64, n), r: make([]float64, n), next: make([]float64, n)}
+		w := &rwrWalk{set: set, r: make([]float64, n), next: make([]float64, n)}
+		share := 1.0 / float64(len(set))
 		for _, s := range set {
-			w.mass[s] += w.share
+			w.r[s] += share
 		}
-		copy(w.r, w.mass)
 		walks[j] = w
 	}
 	wdeg := c.WeightedDegrees()
+	var dangling []graph.NodeID
+	for u, d := range wdeg {
+		if d == 0 {
+			dangling = append(dangling, graph.NodeID(u))
+		}
+	}
 	cc := opts.Restart
 	// live holds the walks still iterating, in set order.
 	live := append([]*rwrWalk(nil), walks...)
@@ -163,19 +170,16 @@ func rwrBlocked(c graph.Adjacency, sets [][]graph.NodeID, opts RWROptions) ([][]
 	// and rows arrive in ascending u on every backend, so every backend
 	// produces the same floating-point vectors.
 	push := func(u graph.NodeID, nbrs []graph.NodeID, ws []float64) bool {
+		wu := wdeg[u]
+		if wu == 0 {
+			return true // folded into the restart before the pass
+		}
 		for _, w := range live {
 			ru := w.r[u]
 			if ru == 0 {
 				continue
 			}
-			if wdeg[u] == 0 {
-				// Dangling walker restarts entirely.
-				for _, s := range w.set {
-					w.next[s] += (1 - cc) * ru * w.share
-				}
-				continue
-			}
-			scale := (1 - cc) * ru / wdeg[u]
+			scale := (1 - cc) * ru / wu
 			next := w.next
 			for i, v := range nbrs {
 				next[v] += scale * ws[i]
@@ -201,8 +205,19 @@ func rwrBlocked(c graph.Adjacency, sets [][]graph.NodeID, opts RWROptions) ([][]
 			}
 		}
 		for _, w := range live {
-			for i := range w.next {
-				w.next[i] = cc * w.mass[i]
+			clear(w.next)
+			// The walker restarts with probability c, and always from a
+			// node without out-edges: each of the k set members gets c/k
+			// plus (1−c)/k of the mass on those nodes, summed in ascending
+			// id.
+			var sum float64
+			for _, u := range dangling {
+				sum += w.r[u]
+			}
+			k := float64(len(w.set))
+			base := cc/k + (1-cc)*sum/k
+			for _, s := range w.set {
+				w.next[s] += base
 			}
 		}
 		if err := c.SweepEdges(0, graph.NodeID(n), push); err != nil {
@@ -212,11 +227,7 @@ func rwrBlocked(c graph.Adjacency, sets [][]graph.NodeID, opts RWROptions) ([][]
 		for _, w := range live {
 			var delta float64
 			for i := range w.r {
-				d := w.next[i] - w.r[i]
-				if d < 0 {
-					d = -d
-				}
-				delta += d
+				delta += math.Abs(w.next[i] - w.r[i])
 			}
 			w.r, w.next = w.next, w.r
 			if delta < opts.Epsilon {

@@ -1,8 +1,7 @@
 package graph
 
 // Adjacency is the read-only view of a graph's neighbor structure that the
-// algorithm kernels (RWR, residual push, goodness, key paths, PageRank)
-// consume. Three implementations exist: the in-memory *CSR, the
+// algorithm kernels (RWR, goodness, key paths, PageRank) consume. Three implementations exist: the in-memory *CSR, the
 // disk-backed gtree.PagedCSR, which reads neighbor ranges through the
 // storage buffer pool so the resident adjacency memory is bounded by the
 // pool size instead of the graph size, and gtree.TieredCSR, which is one
@@ -31,8 +30,8 @@ type Adjacency interface {
 }
 
 // RowCursor is the random-access primitive of the local kernels — key-path
-// DP, residual push, induced-subgraph materialization — which read one
-// node's row at a time in an order only they know. It is opened from an
+// DP and induced-subgraph materialization — which read one node's row at
+// a time in an order only they know. It is opened from an
 // Adjacency, belongs to ONE goroutine, and must be Closed on every path
 // (the pinpair analyzer checks).
 //

@@ -6,9 +6,10 @@
 #
 #   bash scripts/coverage.sh <out-dir>
 #
-# It copies the checkout's files (tracked and untracked, not ignored) to
-# <out-dir>/src and works there, so the checkout is never touched; only in
-# that copy does bench/run.sh build gmine with -cover. It then:
+# It copies the checkout's files (tracked and untracked, not ignored, not
+# deleted) to <out-dir>/src and works there, so the checkout is never
+# touched; only in that copy does bench/run.sh build gmine with -cover.
+# It then:
 #   1. runs the four bench workloads (12 s each, trace 0, seed 1) against
 #      the cover-built server;
 #   2. runs every gmine subcommand, `gmine repro -scale 0.01 -levels 4`
@@ -30,7 +31,10 @@ root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
 mkdir -p "$1"; out=$(cd "$1" && pwd)
 src=$out/src; w=$out/work
 rm -rf "$src" "$w" "$out/covdata"; mkdir -p "$src" "$w" "$out/covdata"
-(cd "$root" && git ls-files -co --exclude-standard | tar -cf - -T -) | tar -xf - -C "$src"
+# Tracked files deleted in the working tree are still listed by -c; leave
+# them out, and stop if the copy fails.
+(cd "$root" && git ls-files -co --exclude-standard | grep -vxFf <(git ls-files --deleted) | tar -cf - -T -) |
+	tar -xf - -C "$src" || { echo "copying the checkout to $src failed" >&2; exit 1; }
 export GOCOVERDIR=$out/covdata
 cd "$src"
 
