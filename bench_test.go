@@ -37,6 +37,16 @@ var (
 	benchDir  string
 )
 
+// TestMain removes the benchmarks' saved G-Tree once every test and
+// benchmark of the package has run.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if benchDir != "" {
+		os.RemoveAll(benchDir)
+	}
+	os.Exit(code)
+}
+
 func setup(b *testing.B) {
 	b.Helper()
 	setupOnce.Do(func() {
@@ -99,8 +109,8 @@ func BenchmarkE2_SceneKinds(b *testing.B) {
 	setup(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		svg := benchEng.RenderScene(900, gmine.TomahawkOptions{Grandchildren: true})
-		if len(svg) == 0 {
+		svg, err := benchEng.RenderSceneAt(benchEng.Tree().Root(), 900, gmine.TomahawkOptions{Grandchildren: true})
+		if err != nil || len(svg) == 0 {
 			b.Fatal("empty scene")
 		}
 	}
@@ -116,11 +126,8 @@ func BenchmarkE3_NavigationSequence(b *testing.B) {
 		if err != nil || len(hits) != 1 {
 			b.Fatal("label query failed")
 		}
-		if err := benchEng.FocusOn(hits[0].Leaf); err != nil {
-			b.Fatal(err)
-		}
-		scene := benchEng.Scene(gmine.TomahawkOptions{})
-		if scene.Size() == 0 {
+		scene, err := benchEng.SceneAt(hits[0].Leaf, gmine.TomahawkOptions{})
+		if err != nil || scene.Size() == 0 {
 			b.Fatal("empty scene")
 		}
 		if _, _, err := benchEng.LeafSubgraph(hits[0].Leaf); err != nil {
@@ -245,10 +252,9 @@ func BenchmarkE8_MultiResolutionVsFullDraw(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			leaf := leaves[i%len(leaves)]
-			if err := disk.FocusOn(leaf); err != nil {
+			if _, err := disk.RenderSceneAt(leaf, 900, gmine.TomahawkOptions{}); err != nil {
 				b.Fatal(err)
 			}
-			_ = disk.RenderScene(900, gmine.TomahawkOptions{})
 			if _, _, err := disk.LeafSubgraph(leaf); err != nil {
 				b.Fatal(err)
 			}
@@ -493,6 +499,17 @@ func BenchmarkExtractMemoryVsPaged(b *testing.B) {
 	}
 }
 
+// pageRank runs the PageRank half of a whole-graph analysis: the kernel
+// on a fresh query view of eng's store, failing on any read fault.
+func pageRank(eng *gmine.Engine, opts gmine.PageRankOptions) error {
+	view, err := eng.Store().QueryView(context.Background())
+	if err != nil {
+		return err
+	}
+	gmine.PageRankAdj(view.Adj, opts)
+	return view.Err()
+}
+
 // BenchmarkPageRankMemoryVsPaged contrasts whole-graph PageRank — the
 // workload behind GET /sessions/{id}/analysis/graph — on the in-memory
 // CSR against the out-of-core paged CSR at two pool sizes.
@@ -502,7 +519,7 @@ func BenchmarkPageRankMemoryVsPaged(b *testing.B) {
 	b.Run("MemoryCSR", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := benchEng.PageRank(opts); err != nil {
+			if err := pageRank(benchEng, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -517,7 +534,7 @@ func BenchmarkPageRankMemoryVsPaged(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := disk.PageRank(opts); err != nil {
+				if err := pageRank(disk, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -237,31 +237,39 @@ func cmdNavigate(args []string) error {
 		return err
 	}
 	defer eng.Close()
+	t := eng.Tree()
+	focus := t.Root()
 	if *community >= 0 {
-		if err := eng.FocusOn(gtree.TreeID(*community)); err != nil {
-			return err
-		}
+		focus = gtree.TreeID(*community)
 	} else if *path != "" {
 		for _, part := range strings.Split(*path, ",") {
 			idx, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil {
 				return fmt.Errorf("bad path element %q", part)
 			}
-			if err := eng.FocusChild(idx); err != nil {
-				return err
+			ch := t.Node(focus).Children
+			if idx < 0 || idx >= len(ch) {
+				return fmt.Errorf("focus %d has %d children, no index %d", focus, len(ch), idx)
 			}
+			focus = ch[idx]
 		}
 	}
-	t := eng.Tree()
-	scene := eng.Scene(gtree.TomahawkOptions{Grandchildren: *deep})
-	n := t.Node(eng.Focus())
+	opts := gtree.TomahawkOptions{Grandchildren: *deep}
+	scene, err := eng.SceneAt(focus, opts)
+	if err != nil {
+		return err
+	}
+	n := t.Node(focus)
 	fmt.Printf("focus s%03d: level %d, %d nodes, %d children, %d siblings shown, %d scene edges\n",
-		eng.Focus(), n.Level, n.Size, len(scene.Children), len(scene.Siblings), len(scene.Edges))
+		focus, n.Level, n.Size, len(scene.Children), len(scene.Siblings), len(scene.Edges))
 	for _, e := range scene.Edges {
 		fmt.Printf("  connectivity s%03d - s%03d: %d edges (weight %.0f)\n", e.A, e.B, e.Count, e.Weight)
 	}
 	if *svg != "" {
-		doc := eng.RenderScene(900, gtree.TomahawkOptions{Grandchildren: *deep})
+		doc, err := eng.RenderSceneAt(focus, 900, opts)
+		if err != nil {
+			return err
+		}
 		if err := os.WriteFile(*svg, []byte(doc), 0o644); err != nil {
 			return err
 		}

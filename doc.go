@@ -24,9 +24,9 @@
 //
 //	ds := gmine.GenerateDBLP(gmine.DBLPConfig{Scale: 0.05, Seed: 1})
 //	eng, err := gmine.Build(ds.Graph, gmine.BuildConfig{K: 5, Levels: 5, Seed: 1})
-//	// navigate:
-//	eng.FocusChild(0)
-//	svg := eng.RenderScene(900, gmine.TomahawkOptions{Grandchildren: true})
+//	// navigate: scenes are addressed by community id
+//	child := eng.Tree().Node(eng.Tree().Root()).Children[0]
+//	svg, _ := eng.RenderSceneAt(child, 900, gmine.TomahawkOptions{Grandchildren: true})
 //	// query and mine:
 //	hits, _ := eng.FindLabel("Jiawei Han")
 //	res, _ := eng.ExtractByLabels([]string{"Philip S. Yu", "Flip Korn"},

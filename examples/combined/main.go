@@ -57,15 +57,19 @@ func main() {
 	for _, c := range t.Node(t.Root()).Children {
 		fmt.Printf("    s%03d: %d nodes\n", c, t.Node(c).Size)
 	}
-	write("fig6b.svg", sub.RenderScene(800, gmine.TomahawkOptions{}))
+	scene := func(name string, id gmine.TreeID) {
+		svg, err := sub.RenderSceneAt(id, 800, gmine.TomahawkOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		write(name, svg)
+	}
+	scene("fig6b.svg", t.Root())
 
 	// (c) one level down the hierarchy...
-	if err := sub.FocusChild(0); err != nil {
-		log.Fatal(err)
-	}
-	scene := sub.Scene(gmine.TomahawkOptions{})
-	fmt.Printf("(c) inside s%03d: %d sub-communities\n", sub.Focus(), len(scene.Children))
-	write("fig6c.svg", sub.RenderScene(800, gmine.TomahawkOptions{}))
+	child := t.Node(t.Root()).Children[0]
+	fmt.Printf("(c) inside s%03d: %d sub-communities\n", child, len(t.Node(child).Children))
+	scene("fig6c.svg", child)
 
 	// (d) ...and another level down: the very nodes of the graph.
 	for _, leaf := range t.Leaves() {

@@ -28,10 +28,13 @@ func main() {
 
 	// Fig 3(a): the root scene shows 5 first-level and 25 second-level
 	// communities at once.
-	scene := eng.Scene(gmine.TomahawkOptions{Grandchildren: true})
+	t := eng.Tree()
+	scene, err := eng.SceneAt(t.Root(), gmine.TomahawkOptions{Grandchildren: true})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("(a) root scene: %d first-level + %d second-level communities\n",
 		len(scene.Children), len(scene.Grandchildren))
-	t := eng.Tree()
 	for _, c := range scene.Children {
 		deg := 0
 		for _, o := range scene.Children {
@@ -43,8 +46,11 @@ func main() {
 			c, t.Node(c).Size, deg)
 	}
 	dir := os.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "fig3a.svg"),
-		[]byte(eng.RenderScene(900, gmine.TomahawkOptions{Grandchildren: true})), 0o644); err != nil {
+	svg, err := eng.RenderSceneAt(t.Root(), 900, gmine.TomahawkOptions{Grandchildren: true})
+	if err == nil {
+		err = os.WriteFile(filepath.Join(dir, "fig3a.svg"), []byte(svg), 0o644)
+	}
+	if err != nil {
 		log.Fatal(err)
 	}
 
@@ -67,7 +73,7 @@ func main() {
 	}
 	fmt.Printf("(e) community s%03d holds %d authors and %d co-author edges\n",
 		han.Leaf, sub.NumNodes(), sub.NumEdges())
-	svg, err := eng.RenderLeaf(han.Leaf, 800, []gmine.NodeID{han.Node}, 1)
+	svg, err = eng.RenderLeaf(han.Leaf, 800, []gmine.NodeID{han.Node}, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -29,13 +29,17 @@ func main() {
 		st.Communities, st.Leaves, st.AvgLeafSize)
 
 	// 3. Navigate: focus the first child and render its Tomahawk scene.
-	if err := eng.FocusChild(0); err != nil {
+	focus := eng.Tree().Node(eng.Tree().Root()).Children[0]
+	scene, err := eng.SceneAt(focus, gmine.TomahawkOptions{})
+	if err != nil {
 		log.Fatal(err)
 	}
-	scene := eng.Scene(gmine.TomahawkOptions{})
 	fmt.Printf("focused s%03d: %d children, %d siblings, %d connectivity edges displayed\n",
-		eng.Focus(), len(scene.Children), len(scene.Siblings), len(scene.Edges))
-	svg := eng.RenderScene(900, gmine.TomahawkOptions{Grandchildren: true})
+		focus, len(scene.Children), len(scene.Siblings), len(scene.Edges))
+	svg, err := eng.RenderSceneAt(focus, 900, gmine.TomahawkOptions{Grandchildren: true})
+	if err != nil {
+		log.Fatal(err)
+	}
 	out := filepath.Join(os.TempDir(), "gmine-quickstart-scene.svg")
 	if err := os.WriteFile(out, []byte(svg), 0o644); err != nil {
 		log.Fatal(err)

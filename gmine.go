@@ -170,20 +170,17 @@ func ConnectionSubgraph(g *Graph, sources []NodeID, opts ExtractOptions) (*Extra
 	return extract.ConnectionSubgraph(g, sources, opts)
 }
 
-// RWRPower computes the random walk with restart from one source by
-// power iteration, the one solver behind RWRSet, RWRMulti and PageRankAdj.
-var RWRPower = extract.RWR
-
-// RWRSet computes RWR with the restart mass spread over a source set —
-// the per-source building block of extraction, exported for benchmarks
-// and direct kernel use. One edge sweep of the Adjacency per power
-// iteration.
+// RWRSet computes the random walk with restart whose restart mass is
+// spread over a source set, by power iteration — one edge sweep of the
+// Adjacency per iteration. A one-member set is the single-source walk.
+// It is the one solver behind RWRMulti and PageRankAdj, exported for
+// benchmarks and direct kernel use.
 var RWRSet = extract.RWRSet
 
 // RWRMulti runs one independent RWR per source, all advanced by the same
 // sweep per power iteration (k sources cost the slowest one's sweeps, not
 // the sum): the goodness inputs of extraction. Each vector is
-// bit-identical to RWRPower on that source alone; RWROptions.Parallel and
+// bit-identical to RWRSet on that source alone; RWROptions.Parallel and
 // RWROptions.Shards are accepted and ignored.
 var RWRMulti = extract.RWRMulti
 
@@ -203,15 +200,14 @@ func AnalysisReport(g *Graph, hopSamples int, seed int64) SubgraphReport {
 	return analysis.Report(g, hopSamples, seed)
 }
 
-// PageRank, components and hops over any Adjacency; pass ToCSR(g) for a
+// PageRank and components over any Adjacency; pass ToCSR(g) for a
 // *Graph. PageRankAdj is RWRSet over every node at restart 1 − Damping.
 // Degree statistics and weak components come from ReportAdj. For
-// disk-backed engines prefer Engine.PageRank, which solves on the query's
-// own view and fails the call if any of its reads faulted.
+// disk-backed engines prefer Engine.AnalyzeGraph, which solves on the
+// query's own view and fails the call if any of its reads faulted.
 var (
 	PageRankAdj      = analysis.PageRankAdj
 	StrongComponents = analysis.StrongComponents
-	BFSDistances     = analysis.BFSDistances
 	LargestComponent = analysis.LargestComponent
 )
 

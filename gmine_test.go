@@ -24,11 +24,9 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.FocusChild(0); err != nil {
-		t.Fatal(err)
-	}
-	svg := eng.RenderScene(900, gmine.TomahawkOptions{Grandchildren: true})
-	if !strings.Contains(svg, "<svg") {
+	child := eng.Tree().Node(eng.Tree().Root()).Children[0]
+	svg, err := eng.RenderSceneAt(child, 900, gmine.TomahawkOptions{Grandchildren: true})
+	if err != nil || !strings.Contains(svg, "<svg") {
 		t.Fatal("no svg")
 	}
 	hits, err := eng.FindLabel(gmine.NameJiaweiHan)

@@ -18,12 +18,10 @@ func TestIntegrationFullPaperPipeline(t *testing.T) {
 	}
 
 	// Tomahawk navigation from the root downwards.
-	if err := eng.FocusChild(0); err != nil {
-		t.Fatal(err)
-	}
-	scene := eng.Scene(gmine.TomahawkOptions{Grandchildren: true})
-	if scene.Size() == 0 {
-		t.Fatal("empty scene")
+	child := eng.Tree().Node(eng.Tree().Root()).Children[0]
+	scene, err := eng.SceneAt(child, gmine.TomahawkOptions{Grandchildren: true})
+	if err != nil || scene.Size() == 0 {
+		t.Fatalf("scene of s%03d: %v", child, err)
 	}
 	l := gmine.LayoutScene(eng.Tree(), scene, 400)
 	svg := gmine.SceneSVG(eng.Tree(), scene, l, 800)
@@ -86,7 +84,7 @@ func TestIntegrationDirectSubstrates(t *testing.T) {
 		t.Fatal(err)
 	}
 	// CSR + RWR: the source holds the most mass.
-	power, err := gmine.RWRPower(gmine.ToCSR(g), 15, gmine.RWROptions{})
+	power, err := gmine.RWRSet(gmine.ToCSR(g), []gmine.NodeID{15}, gmine.RWROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +109,8 @@ func TestIntegrationDirectSubstrates(t *testing.T) {
 	}
 	// Direct analysis helpers.
 	adj := gmine.ToCSR(g)
-	if d := gmine.BFSDistances(adj, 0); d[29] != 29 {
-		t.Fatalf("BFS distance %d want 29", d[29])
+	if d := gmine.AnalysisReport(g, 0, 1).MaxHops; d != 29 {
+		t.Fatalf("path-of-30 diameter %d want 29", d)
 	}
 	if st := gmine.ReportAdj(adj, g.Directed()).Degree; st.Max != 2 {
 		t.Fatalf("degree max %d want 2", st.Max)

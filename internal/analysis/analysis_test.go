@@ -153,33 +153,10 @@ func TestStrongComponentsDeepPathNoOverflow(t *testing.T) {
 	}
 }
 
-func TestBFSDistancesPath(t *testing.T) {
-	g := path(5)
-	dist := BFSDistances(graph.ToCSR(g), 0)
-	for i := 0; i < 5; i++ {
-		if dist[i] != int32(i) {
-			t.Fatalf("dist[%d]=%d want %d", i, dist[i], i)
-		}
-	}
-	g.AddNodes(1)
-	dist = BFSDistances(graph.ToCSR(g), 0)
-	if dist[5] != -1 {
-		t.Fatal("unreachable node has distance")
-	}
-}
-
-func TestDiameter(t *testing.T) {
-	if d := Diameter(graph.ToCSR(path(6))); d != 5 {
-		t.Fatalf("path diameter=%d want 5", d)
-	}
-	if d := Diameter(graph.ToCSR(star(7))); d != 2 {
-		t.Fatalf("star diameter=%d want 2", d)
-	}
-	if d := Diameter(graph.ToCSR(graph.NewWithNodes(3, false))); d != 0 {
-		t.Fatalf("edgeless diameter=%d want 0", d)
-	}
-}
-
+// TestHopPlotExactPath checks exact hop plots against hand counts: the
+// whole plot of path(4), and the diameter (MaxHops) and reachable ordered
+// pairs of a longer path, a star, nodes without edges and a path beside
+// an unreachable node.
 func TestHopPlotExactPath(t *testing.T) {
 	g := path(4) // pairs by distance: 0:4, 1:6, 2:4, 3:2 (ordered)
 	hp := ComputeHopPlot(graph.ToCSR(g), 0, newRand(1))
@@ -198,6 +175,24 @@ func TestHopPlotExactPath(t *testing.T) {
 	// 90% of 16 = 14.4 -> first h with >= 14.4 is 3.
 	if hp.EffectiveDiameter != 3 {
 		t.Fatalf("effective diameter=%d want 3", hp.EffectiveDiameter)
+	}
+	beside := path(5)
+	beside.AddNodes(1)
+	for _, c := range []struct {
+		name    string
+		g       *graph.Graph
+		maxHops int
+		pairs   float64
+	}{
+		{"path(6)", path(6), 5, 36},
+		{"star(7)", star(7), 2, 64},
+		{"three isolated nodes", graph.NewWithNodes(3, false), 0, 3},
+		{"path(5) and an isolated node", beside, 4, 26},
+	} {
+		hp := ComputeHopPlot(graph.ToCSR(c.g), 0, nil)
+		if hp.MaxHops != c.maxHops || hp.Counts[len(hp.Counts)-1] != c.pairs {
+			t.Fatalf("%s: MaxHops %d over %v pairs, want %d over %v", c.name, hp.MaxHops, hp.Counts[len(hp.Counts)-1], c.maxHops, c.pairs)
+		}
 	}
 }
 

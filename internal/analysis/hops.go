@@ -6,17 +6,6 @@ import (
 	"repro/internal/graph"
 )
 
-// BFSDistances returns the hop distance from src to every node (-1 for
-// unreachable).
-func BFSDistances(adj graph.Adjacency, src graph.NodeID) []int32 {
-	n := adj.N()
-	dist := make([]int32, n)
-	cur := adj.Cursor()
-	defer cur.Close()
-	bfsInto(cur, src, dist, make([]graph.NodeID, n))
-	return dist
-}
-
 // bfsInto fills dist (length n) with the hop distance from src to every
 // node, -1 for unreachable, reading rows through cur. queue (length n) is
 // scratch: every node is enqueued at most once, so a fixed array with
@@ -114,24 +103,4 @@ func ComputeHopPlot(adj graph.Adjacency, samples int, rng *rand.Rand) HopPlot {
 		}
 	}
 	return hp
-}
-
-// Diameter returns the exact diameter of adj (longest shortest path over
-// all reachable pairs) by running BFS from every node — intended for the
-// community-sized subgraphs GMine inspects, not the full graph.
-func Diameter(adj graph.Adjacency) int {
-	n := adj.N()
-	max := 0
-	dist, queue := make([]int32, n), make([]graph.NodeID, n)
-	cur := adj.Cursor()
-	defer cur.Close()
-	for u := 0; u < n; u++ {
-		bfsInto(cur, graph.NodeID(u), dist, queue)
-		for _, d := range dist {
-			if int(d) > max {
-				max = int(d)
-			}
-		}
-	}
-	return max
 }

@@ -61,14 +61,12 @@ type BuildConfig struct {
 // engine's only copy of the graph, whichever constructor made it.
 type Engine struct {
 	store *gtree.Store
-	focus gtree.TreeID
 }
 
 // BuildEngine partitions g recursively, saves the G-Tree into an
 // in-memory file at the default page size and opens it as a store with
 // the default pool, promoting the whole graph to the resident tier and
-// loading the label index. Neither g nor the built tree is kept. The
-// engine is focused at the root.
+// loading the label index. Neither g nor the built tree is kept.
 func BuildEngine(g *graph.Graph, cfg BuildConfig) (*Engine, error) {
 	ctx := cfg.Ctx
 	if ctx == nil {
@@ -98,7 +96,7 @@ func BuildEngine(g *graph.Graph, cfg BuildConfig) (*Engine, error) {
 	if err != nil {
 		return nil, err // nothing to release: the store's file is memory
 	}
-	return &Engine{store: st, focus: t.Root()}, nil
+	return &Engine{store: st}, nil
 }
 
 // SaveTree persists the engine's G-Tree (leaf subgraphs, label index and
@@ -125,7 +123,7 @@ func OpenEngineWrapped(path string, poolPages int, wrap func(storage.File) stora
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{store: st, focus: st.Tree().Root()}, nil
+	return &Engine{store: st}, nil
 }
 
 // Close releases the engine's store and its file.
@@ -282,38 +280,12 @@ func tagTrace(tr *obs.Trace, err error) error {
 // Store returns the engine's G-Tree store.
 func (e *Engine) Store() *gtree.Store { return e.store }
 
-// --- Navigation session -------------------------------------------------
+// --- Navigation ----------------------------------------------------------
 
-// Focus returns the community currently in focus.
-func (e *Engine) Focus() gtree.TreeID { return e.focus }
-
-// FocusOn moves the focus to an arbitrary community.
-func (e *Engine) FocusOn(id gtree.TreeID) error {
-	if !e.Tree().Valid(id) {
-		return fmt.Errorf("core: invalid community %d", id)
-	}
-	e.focus = id
-	return nil
-}
-
-// FocusChild moves the focus to the i-th child of the current focus.
-func (e *Engine) FocusChild(i int) error {
-	ch := e.Tree().Node(e.focus).Children
-	if i < 0 || i >= len(ch) {
-		return fmt.Errorf("core: focus %d has %d children, no index %d", e.focus, len(ch), i)
-	}
-	return e.FocusOn(ch[i])
-}
-
-// Scene builds the Tomahawk scene for the current focus.
-func (e *Engine) Scene(opts gtree.TomahawkOptions) *gtree.Scene {
-	return e.Tree().Tomahawk(e.focus, opts)
-}
-
-// SceneAt builds the Tomahawk scene for an arbitrary focus without moving
-// the engine's navigation state. Unlike FocusOn+Scene it mutates nothing,
-// so concurrent callers (e.g. the HTTP server) can share one engine under
-// a read lock.
+// SceneAt builds the Tomahawk scene focused on community id. The engine
+// keeps no navigation state: a caller walks the tree itself
+// (Tree().Node(id).Children) and addresses each scene by id, so concurrent
+// callers (e.g. the HTTP server) share one engine.
 func (e *Engine) SceneAt(id gtree.TreeID, opts gtree.TomahawkOptions) (*gtree.Scene, error) {
 	if !e.Tree().Valid(id) {
 		return nil, fmt.Errorf("core: invalid community %d", id)
@@ -321,15 +293,8 @@ func (e *Engine) SceneAt(id gtree.TreeID, opts gtree.TomahawkOptions) (*gtree.Sc
 	return e.Tree().Tomahawk(id, opts), nil
 }
 
-// RenderScene renders the current Tomahawk scene to SVG.
-func (e *Engine) RenderScene(size float64, opts gtree.TomahawkOptions) string {
-	s := e.Scene(opts)
-	l := layout.LayoutScene(e.Tree(), s, size/2)
-	return render.SceneSVG(e.Tree(), s, l, size)
-}
-
-// RenderSceneAt renders the Tomahawk scene of an arbitrary focus to SVG
-// without moving the engine's navigation state (read-only, see SceneAt).
+// RenderSceneAt renders the Tomahawk scene focused on community id to SVG
+// (see SceneAt).
 func (e *Engine) RenderSceneAt(id gtree.TreeID, size float64, opts gtree.TomahawkOptions) (string, error) {
 	s, err := e.SceneAt(id, opts)
 	if err != nil {
@@ -425,7 +390,7 @@ func (e *Engine) SearchLabelPrefix(prefix string, limit int) ([]LabelHit, error)
 // another view — a concurrent query's or the tier promoter's — fails
 // neither a clean query nor a validation error's classification. This
 // helper is the single home of the discipline; every whole-graph query
-// path (Extract, PageRank, AnalyzeGraph) must go through it.
+// path (Extract, AnalyzeGraph) must go through it.
 func withFaultCheck(ctx context.Context, view *gtree.QueryView, fn func() error) error {
 	err := fn()
 	if err == nil {
@@ -509,41 +474,6 @@ func (e *Engine) ExtractTraced(ctx context.Context, tr *obs.Trace, sources []gra
 		return nil, err
 	}
 	return res, nil
-}
-
-// PageRank runs weighted PageRank over the engine's whole graph through
-// the query's view — out of core unless the tier is resident — with the
-// same fault discipline as Extract: any paged read fault during the
-// iteration fails the call instead of returning a silently wrong vector.
-func (e *Engine) PageRank(opts analysis.PageRankOptions) ([]float64, error) {
-	return e.PageRankTraced(context.Background(), nil, opts)
-}
-
-// PageRankTraced is PageRank with per-stage timings and pool pin counts
-// recorded on tr (nil tr = untraced; see ExtractTraced). ctx cancels the
-// iteration cooperatively.
-func (e *Engine) PageRankTraced(ctx context.Context, tr *obs.Trace, opts analysis.PageRankOptions) (ranks []float64, err error) {
-	defer func() { err = tagTrace(tr, err) }()
-	memDone := memStatsBracket(tr)
-	defer memDone()
-	adj, view, release, err := e.queryAdj(ctx, tr)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if opts.Ctx == nil {
-		opts.Ctx = ctx
-	}
-	sp := tr.StartStage("solve")
-	err = withFaultCheck(ctx, view, func() error {
-		ranks = analysis.PageRankAdj(adj, opts)
-		return nil
-	})
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return ranks, nil
 }
 
 // GraphAnalysis is the whole-graph analysis suite of AnalyzeGraph:

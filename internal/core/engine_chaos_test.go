@@ -48,7 +48,7 @@ func chaosEngines(t *testing.T, poolPages int, seed int64) (*Engine, *Engine, *s
 // TestChaosSoakBitIdentityUnderTransientFaults is the acceptance soak:
 // with a ≥1% seeded transient fault rate on every page read (bit flips
 // that heal on re-read, transient errors, short reads), concurrent
-// extraction, PageRank and whole-graph analysis must produce results
+// extraction and whole-graph analysis must produce results
 // bit-identical to the clean in-memory engine — the retry layer heals
 // every fault below the queries' fault latches — and once the soak
 // drains, the pool must hold zero pinned frames.
@@ -89,7 +89,7 @@ func TestChaosSoakBitIdentityUnderTransientFaults(t *testing.T) {
 	// MaxIter keeps the paged whole-file sweep affordable in the soak; the
 	// identity contract holds for any iteration count.
 	prOpts := analysis.PageRankOptions{MaxIter: 12}
-	wantRank, err := mem.PageRank(prOpts)
+	wantRep, err := mem.AnalyzeGraph(prOpts, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,13 +119,13 @@ func TestChaosSoakBitIdentityUnderTransientFaults(t *testing.T) {
 					}
 				}
 				if w == 0 && it == 0 {
-					gotRank, err := disk.PageRank(prOpts)
+					gotRep, err := disk.AnalyzeGraph(prOpts, 10)
 					if err != nil {
 						errc <- err
 						continue
 					}
-					for i := range wantRank {
-						if math.Float64bits(gotRank[i]) != math.Float64bits(wantRank[i]) {
+					for i := range wantRep.PageRank {
+						if math.Float64bits(gotRep.PageRank[i]) != math.Float64bits(wantRep.PageRank[i]) {
 							t.Errorf("pagerank[%d] diverged under chaos", i)
 							break
 						}
@@ -164,6 +164,11 @@ func TestChaosSoakBitIdentityUnderTransientFaults(t *testing.T) {
 // succeeds — the session survives the fault.
 func TestChaosRetryExhaustionFailsQueryOnce(t *testing.T) {
 	_, disk, inj := chaosEngines(t, 4, 3)
+	// The analysis preloads the label index before it sweeps; warm it, so
+	// the scripted faults land on the sweep's reads.
+	if err := disk.Store().PreloadLabels(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Four consecutive scripted transient errors exhaust readAttempts on
 	// the next query's first file read — the store's offset-table build,
@@ -171,7 +176,7 @@ func TestChaosRetryExhaustionFailsQueryOnce(t *testing.T) {
 	// the fault.
 	inj.Script(storage.FaultErr, storage.FaultErr, storage.FaultErr, storage.FaultErr)
 	tr := obs.NewTrace("exhausted")
-	_, err := disk.PageRankTraced(context.Background(), tr, analysis.PageRankOptions{})
+	_, err := disk.AnalyzeGraphTraced(context.Background(), tr, analysis.PageRankOptions{}, 5)
 	if err == nil {
 		t.Fatal("query succeeded through retry exhaustion")
 	}
@@ -187,7 +192,7 @@ func TestChaosRetryExhaustionFailsQueryOnce(t *testing.T) {
 
 	// Script drained: the same query now reads clean.
 	tr = obs.NewTrace("clean")
-	if _, err := disk.PageRankTraced(context.Background(), tr, analysis.PageRankOptions{}); err != nil {
+	if _, err := disk.AnalyzeGraphTraced(context.Background(), tr, analysis.PageRankOptions{}, 5); err != nil {
 		t.Fatalf("clean query after fault failed: %v", err)
 	}
 	if f := tr.CountValue("pool.faults"); f != 0 {

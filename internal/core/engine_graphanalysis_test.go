@@ -1,39 +1,13 @@
 package core
 
 import (
-	"errors"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/dblp"
-	"repro/internal/extract"
-	"repro/internal/graph"
 )
-
-// buildMemAndDisk returns a memory engine over the small fixture and a
-// disk engine paging the same graph from a freshly saved file.
-func buildMemAndDisk(t *testing.T, poolPages int) (*Engine, *Engine, string) {
-	t.Helper()
-	ds := dblp.SmallFixture()
-	mem, err := BuildEngine(ds.Graph, BuildConfig{K: 3, Levels: 3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "ga.gtree")
-	if err := mem.SaveTree(path, 256); err != nil {
-		t.Fatal(err)
-	}
-	disk, err := OpenEngine(path, poolPages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { disk.Close() })
-	return mem, disk, path
-}
 
 // TestAnalyzeGraphMatchesAcrossBackends is the endpoint's acceptance
 // property at the engine level: the whole-graph report — degrees,
@@ -76,38 +50,5 @@ func TestAnalyzeGraphMatchesAcrossBackends(t *testing.T) {
 	}
 	if want.WeakComponents < 1 || want.LargestComponent < 1 {
 		t.Fatalf("degenerate connectivity: %d comps, largest %d", want.WeakComponents, want.LargestComponent)
-	}
-}
-
-// TestAnalyzeGraphFaultMapsToErrPagedIO corrupts the file underneath a
-// live disk engine and requires the whole-graph sweep to fail closed with
-// ErrPagedIO (the server's 500) instead of returning a silently wrong
-// report built from empty neighbor reads.
-func TestAnalyzeGraphFaultMapsToErrPagedIO(t *testing.T) {
-	_, disk, path := buildMemAndDisk(t, 8)
-	// Warm call works.
-	if _, err := disk.AnalyzeGraph(analysis.PageRankOptions{}, 5); err != nil {
-		t.Fatal(err)
-	}
-	// Flip the checksum byte of every data page. The 8-frame pool is far
-	// smaller than the file, so the next sweep must re-read corrupted
-	// pages.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const pageSize = 256
-	for off := 2*pageSize - 1; off < len(raw); off += pageSize {
-		raw[off] ^= 0x01
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := disk.AnalyzeGraph(analysis.PageRankOptions{}, 5); !errors.Is(err, ErrPagedIO) {
-		t.Fatalf("AnalyzeGraph over corrupted file: %v, want ErrPagedIO", err)
-	}
-	// Extraction fails closed the same way.
-	if _, err := disk.Extract([]graph.NodeID{0, 1}, extract.Options{Budget: 5}); !errors.Is(err, ErrPagedIO) {
-		t.Fatalf("Extract over corrupted file: %v, want ErrPagedIO", err)
 	}
 }

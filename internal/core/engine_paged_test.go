@@ -85,7 +85,8 @@ func TestPagedExtractionPropertyIdentity(t *testing.T) {
 }
 
 // TestEnginePageRankMatchesAcrossBackends checks whole-graph PageRank over
-// the paged adjacency is bit-identical to the in-memory run.
+// the paged adjacency, as AnalyzeGraph reports it, is bit-identical to the
+// in-memory run.
 func TestEnginePageRankMatchesAcrossBackends(t *testing.T) {
 	ds := dblp.SmallFixture()
 	mem, err := BuildEngine(ds.Graph, BuildConfig{K: 3, Levels: 3, Seed: 1})
@@ -101,14 +102,15 @@ func TestEnginePageRankMatchesAcrossBackends(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer disk.Close()
-	want, err := mem.PageRank(analysis.PageRankOptions{})
+	wantRep, err := mem.AnalyzeGraph(analysis.PageRankOptions{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := disk.PageRank(analysis.PageRankOptions{})
+	gotRep, err := disk.AnalyzeGraph(analysis.PageRankOptions{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, got := wantRep.PageRank, gotRep.PageRank
 	if len(got) != len(want) {
 		t.Fatalf("%d vs %d ranks", len(got), len(want))
 	}

@@ -3,14 +3,72 @@ package core
 import (
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/dblp"
 	"repro/internal/extract"
 	"repro/internal/graph"
 	"repro/internal/gtree"
 )
+
+// buildMemAndDisk returns a memory engine over the small fixture and a
+// disk engine paging the same graph from a freshly saved file of
+// 256-byte pages, and the file's path.
+func buildMemAndDisk(t *testing.T, poolPages int) (*Engine, *Engine, string) {
+	t.Helper()
+	ds := dblp.SmallFixture()
+	mem, err := BuildEngine(ds.Graph, BuildConfig{K: 3, Levels: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ga.gtree")
+	if err := mem.SaveTree(path, 256); err != nil {
+		t.Fatal(err)
+	}
+	disk, err := OpenEngine(path, poolPages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { disk.Close() })
+	return mem, disk, path
+}
+
+// TestAnalyzeGraphFaultMapsToErrPagedIO corrupts the file underneath a
+// live disk engine and requires the whole-graph sweep to fail closed with
+// ErrPagedIO (the server's 500) instead of returning a silently wrong
+// report built from empty neighbor reads.
+func TestAnalyzeGraphFaultMapsToErrPagedIO(t *testing.T) {
+	_, disk, path := buildMemAndDisk(t, 8)
+	// Warm call works.
+	if _, err := disk.AnalyzeGraph(analysis.PageRankOptions{}, 5); err != nil {
+		t.Fatal(err)
+	}
+	// Flip the checksum byte of every data page. The 8-frame pool is far
+	// smaller than the file, so the next sweep must re-read corrupted
+	// pages.
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pageSize = 256
+	for off := 2*pageSize - 1; off < len(raw); off += pageSize {
+		raw[off] ^= 0x01
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := disk.AnalyzeGraph(analysis.PageRankOptions{}, 5); !errors.Is(err, ErrPagedIO) {
+		t.Fatalf("AnalyzeGraph over corrupted file: %v, want ErrPagedIO", err)
+	}
+	// Extraction fails closed the same way.
+	if _, err := disk.Extract([]graph.NodeID{0, 1}, extract.Options{Budget: 5}); !errors.Is(err, ErrPagedIO) {
+		t.Fatalf("Extract over corrupted file: %v, want ErrPagedIO", err)
+	}
+}
 
 // TestWholeGraphQueriesReleasePartitions: every whole-graph query path on
 // a disk engine pins pages through its own counted view of the pool and
@@ -18,9 +76,6 @@ import (
 // never leaks a pinned (unevictable) frame.
 func TestWholeGraphQueriesReleasePartitions(t *testing.T) {
 	_, disk, _ := buildMemAndDisk(t, 16)
-	if _, err := disk.PageRank(analysis.PageRankOptions{}); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := disk.Extract([]graph.NodeID{0, 1}, extract.Options{Budget: 10}); err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +98,7 @@ func TestWholeGraphQueriesReleasePartitions(t *testing.T) {
 // also guards against pool deadlock.
 func TestConcurrentPartitionedQueriesBitIdentical(t *testing.T) {
 	mem, disk, _ := buildMemAndDisk(t, 12)
-	wantPR, err := mem.PageRank(analysis.PageRankOptions{})
+	want, err := mem.AnalyzeGraph(analysis.PageRankOptions{}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,13 +112,13 @@ func TestConcurrentPartitionedQueriesBitIdentical(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 2; i++ {
-				pr, err := disk.PageRank(analysis.PageRankOptions{})
+				got, err := disk.AnalyzeGraph(analysis.PageRankOptions{}, 10)
 				if err != nil {
-					t.Errorf("PageRank: %v", err)
+					t.Errorf("AnalyzeGraph: %v", err)
 					return
 				}
-				for v := range wantPR {
-					if math.Float64bits(pr[v]) != math.Float64bits(wantPR[v]) {
+				for v := range want.PageRank {
+					if math.Float64bits(got.PageRank[v]) != math.Float64bits(want.PageRank[v]) {
 						t.Errorf("pagerank[%d] diverged under concurrency", v)
 						return
 					}

@@ -30,45 +30,37 @@ func TestBuildEngineBasics(t *testing.T) {
 	if g := e.Graph(); g == nil || g.NumNodes() != ds.Graph.NumNodes() || g.NumEdges() != ds.Graph.NumEdges() {
 		t.Fatal("engine's store does not hold its graph")
 	}
-	if e.Focus() != e.Tree().Root() {
-		t.Fatal("initial focus not at root")
-	}
 	if err := e.Tree().Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestNavigationSession walks from the root to its first child by id, the
+// way every caller navigates: the engine keeps no focus, and an id that
+// names no community is refused.
 func TestNavigationSession(t *testing.T) {
 	e, _ := testEngine(t)
 	root := e.Tree().Root()
-	if err := e.FocusChild(0); err != nil {
-		t.Fatal(err)
+	child := e.Tree().Node(root).Children[0]
+	if s, err := e.SceneAt(child, gtree.TomahawkOptions{}); err != nil || s.Focus != child || e.Tree().Node(s.Focus).Parent != root {
+		t.Fatalf("scene of the root's first child %d: %v", child, err)
 	}
-	child := e.Focus()
-	if e.Tree().Node(child).Parent != root {
-		t.Fatal("FocusChild went astray")
-	}
-	if err := e.FocusChild(99); err == nil {
-		t.Fatal("accepted out-of-range child")
-	}
-	if err := e.FocusOn(root); err != nil || e.Focus() != root {
-		t.Fatal("FocusOn did not return to root")
-	}
-	if err := e.FocusOn(gtree.TreeID(-5)); err == nil {
-		t.Fatal("accepted invalid focus")
+	for _, bad := range []gtree.TreeID{-5, gtree.TreeID(e.Tree().NumCommunities())} {
+		if _, err := e.SceneAt(bad, gtree.TomahawkOptions{}); err == nil {
+			t.Fatalf("SceneAt accepted community %d", bad)
+		}
+		if _, err := e.RenderSceneAt(bad, 800, gtree.TomahawkOptions{}); err == nil {
+			t.Fatalf("RenderSceneAt accepted community %d", bad)
+		}
 	}
 }
 
 func TestSceneAndRender(t *testing.T) {
 	e, _ := testEngine(t)
-	if err := e.FocusChild(0); err != nil {
+	svg, err := e.RenderSceneAt(e.Tree().Node(e.Tree().Root()).Children[0], 800, gtree.TomahawkOptions{Grandchildren: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	s := e.Scene(gtree.TomahawkOptions{})
-	if s.Focus != e.Focus() {
-		t.Fatal("scene focus mismatch")
-	}
-	svg := e.RenderScene(800, gtree.TomahawkOptions{Grandchildren: true})
 	if !strings.HasPrefix(svg, "<?xml") || !strings.Contains(svg, "<svg") {
 		t.Fatal("scene render is not SVG")
 	}
@@ -155,20 +147,6 @@ func TestSaveOpenDiskBackedEngine(t *testing.T) {
 	}
 	if _, err := d.MetricsReport(leaf, 1); err != nil {
 		t.Fatal(err)
-	}
-	// Extraction runs out of core on the paged CSR and matches the
-	// memory-backed engine exactly.
-	got, err := d.Extract([]graph.NodeID{0, 1}, extract.Options{Budget: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := e.Extract([]graph.NodeID{0, 1}, extract.Options{Budget: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.TotalGoodness != want.TotalGoodness || len(got.Nodes) != len(want.Nodes) {
-		t.Fatalf("paged extraction diverged: %v/%d vs %v/%d",
-			got.TotalGoodness, len(got.Nodes), want.TotalGoodness, len(want.Nodes))
 	}
 	// Saving again over the file it reads is crash-safe: the new file
 	// replaces the open one only once complete, and holds the same bytes.

@@ -114,9 +114,9 @@ func twoHopSources(t *testing.T) []graph.NodeID {
 // release beside pool.pins). Four concurrent extractions may wait on and
 // evict each other's cursor pages any number of times, but warm-up aside
 // every pin goes through some query's counted view, so each of the
-// traces' pool counts adds up to the pool's own counter exactly. The
-// PageRank and the whole-graph analysis running beside them sweep the
-// file and add file reads, not pins.
+// traces' pool counts adds up to the pool's own counter exactly. The two
+// whole-graph analyses running beside them sweep the file and add file
+// reads, not pins.
 func TestExtractTraceLoadWaits(t *testing.T) {
 	eng := tracedDiskEngine(t)
 	sources := twoHopSources(t)
@@ -125,15 +125,12 @@ func TestExtractTraceLoadWaits(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := eng.Store().PoolInfo()
-	queries := []func(tr *obs.Trace) error{
-		func(tr *obs.Trace) error {
-			_, err := eng.PageRankTraced(context.Background(), tr, analysis.PageRankOptions{})
-			return err
-		},
-		func(tr *obs.Trace) error {
+	var queries []func(tr *obs.Trace) error
+	for range 2 {
+		queries = append(queries, func(tr *obs.Trace) error {
 			_, err := eng.AnalyzeGraphTraced(context.Background(), tr, analysis.PageRankOptions{}, 5)
 			return err
-		},
+		})
 	}
 	for range 4 {
 		queries = append(queries, func(tr *obs.Trace) error {
@@ -233,7 +230,7 @@ func TestExtractTraceCursorCounts(t *testing.T) {
 	}
 
 	tr = obs.NewTrace("sweep-req")
-	if _, err := eng.PageRankTraced(context.Background(), tr, analysis.PageRankOptions{MaxIter: 3}); err != nil {
+	if _, err := eng.AnalyzeGraphTraced(context.Background(), tr, analysis.PageRankOptions{MaxIter: 3}, 5); err != nil {
 		t.Fatal(err)
 	}
 	if rows := tr.CountValue("pool.cursor.rows"); rows != 0 {
@@ -318,7 +315,7 @@ func TestExtractFusedWorkCounts(t *testing.T) {
 	csr := graph.ToCSR(dblp.SmallFixture().Graph)
 	iterations := func(s graph.NodeID) int64 {
 		c := &sweepCounter{CSR: csr}
-		if _, err := extract.RWR(c, s, extract.RWROptions{}); err != nil {
+		if _, err := extract.RWRSet(c, []graph.NodeID{s}, extract.RWROptions{}); err != nil {
 			t.Fatal(err)
 		}
 		return c.sweeps

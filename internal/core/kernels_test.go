@@ -84,7 +84,7 @@ func kernelRows(t *testing.T, g *graph.Graph) []kernelRow {
 		// Pages its first query, which promotes the whole graph when it
 		// ends: every later query reads memory.
 		kernelRow{"tiered/promoted-by-query", whole, func(t *testing.T) {
-			if ti := whole.Store().TierInfo(); ti.Fragments != 1 || ti.Promotions != 1 || ti.Hits == 0 || ti.Misses == 0 {
+			if ti := whole.Store().TierInfo(); ti.Fragments != 1 || ti.Promotions != 1 || ti.Hits == 0 || ti.Misses == 0 || ti.Bytes > ti.Budget {
 				t.Fatalf("tier promoted by the first query: %+v", ti)
 			}
 		}},
@@ -99,7 +99,7 @@ func isCSR(adj graph.Adjacency) bool {
 
 // kernelQuery is what TestKernels asks of every row.
 type kernelQuery struct {
-	sources  []graph.NodeID // RWR's source is sources[0]
+	sources  []graph.NodeID // the one-source walk's source is sources[0]
 	extracts []struct {
 		sources []graph.NodeID
 		opts    extract.Options
@@ -134,7 +134,6 @@ type kernelOut struct {
 	rwr      []float64
 	multi    [][]float64
 	set      []float64
-	pagerank []float64
 	report   analysis.AdjacencyReport
 	extracts []*extract.Result
 	analyzed *GraphAnalysis
@@ -145,10 +144,11 @@ type kernelOut struct {
 var prOpts = analysis.PageRankOptions{Epsilon: 1e-12, MaxIter: 500}
 
 // runKernels runs every kernel on row, with a live context. On an
-// engine, RWR, RWRMulti, RWRSet and ReportAdj solve on one query view, and
-// PageRank, Extract, AnalyzeGraph and the leaves' MetricsReport are the
-// engine's own. The CSR row reports on each leaf's members induced from
-// the in-memory CSR.
+// engine, one-source RWRSet, RWRMulti, RWRSet and ReportAdj solve on one
+// query view, and Extract, AnalyzeGraph (PageRank included) and the
+// leaves' MetricsReport are the engine's own. The CSR row runs
+// PageRankAdj and reports on each leaf's members induced from the
+// in-memory CSR.
 func runKernels(t *testing.T, row kernelRow, g *graph.Graph, q kernelQuery) kernelOut {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -164,7 +164,7 @@ func runKernels(t *testing.T, row kernelRow, g *graph.Graph, q kernelQuery) kern
 	}
 	var out kernelOut
 	rwrOpts := extract.RWROptions{Ctx: ctx}
-	if out.rwr, err = extract.RWR(adj, q.sources[0], rwrOpts); err != nil {
+	if out.rwr, err = extract.RWRSet(adj, q.sources[:1], rwrOpts); err != nil {
 		t.Fatal(err)
 	}
 	if out.multi, err = extract.RWRMulti(adj, q.sources, rwrOpts); err != nil {
@@ -176,13 +176,6 @@ func runKernels(t *testing.T, row kernelRow, g *graph.Graph, q kernelQuery) kern
 	out.report = analysis.ReportAdj(adj, g.Directed())
 	if qv != nil && qv.Err() != nil {
 		t.Fatalf("kernels latched %v", qv.Err())
-	}
-	if row.eng == nil {
-		pr := prOpts
-		pr.Ctx = ctx
-		out.pagerank = analysis.PageRankAdj(adj, pr)
-	} else if out.pagerank, err = row.eng.PageRankTraced(ctx, nil, prOpts); err != nil {
-		t.Fatal(err)
 	}
 	for _, x := range q.extracts {
 		var res *extract.Result
@@ -197,8 +190,11 @@ func runKernels(t *testing.T, row kernelRow, g *graph.Graph, q kernelQuery) kern
 		out.extracts = append(out.extracts, res)
 	}
 	if row.eng == nil {
-		out.analyzed = &GraphAnalysis{AdjacencyReport: out.report, Directed: g.Directed(), PageRank: out.pagerank,
-			TopRanked: analysis.TopKByRank(out.pagerank, 10)}
+		pr := prOpts
+		pr.Ctx = ctx
+		ranks := analysis.PageRankAdj(adj, pr)
+		out.analyzed = &GraphAnalysis{AdjacencyReport: out.report, Directed: g.Directed(), PageRank: ranks,
+			TopRanked: analysis.TopKByRank(ranks, 10)}
 		for _, u := range out.analyzed.TopRanked {
 			out.analyzed.TopLabels = append(out.analyzed.TopLabels, g.Label(u))
 		}
@@ -218,8 +214,9 @@ func runKernels(t *testing.T, row kernelRow, g *graph.Graph, q kernelQuery) kern
 	return out
 }
 
-// TestKernels is the kernel table: RWR, RWRMulti, PageRankAdj, ReportAdj,
-// Extract, AnalyzeGraph and every leaf's MetricsReport on every row of
+// TestKernels is the kernel table: RWRSet from one source and from three,
+// RWRMulti, ReportAdj, Extract, AnalyzeGraph (PageRankAdj on the CSR row)
+// and every leaf's MetricsReport on every row of
 // kernelRows, each result bit for bit the in-memory CSR row's. On the
 // graphs of at most 200 nodes — an undirected one and a directed one,
 // each with nodes without edges and self-loops — the CSR row's results
@@ -263,8 +260,8 @@ func TestKernels(t *testing.T) {
 				}
 				if row.eng != nil {
 					a1, _ := row.eng.Adj()
-					if a2, _ := row.eng.Adj(); a1 != a2 || row.eng.Store().PinnedFrames() != 0 {
-						t.Fatalf("%s: Adj not shared (%p, %p) or %d frames left pinned", row.name, a1, a2, row.eng.Store().PinnedFrames())
+					if a2, _ := row.eng.Adj(); a1 != a2 || a1.N() != g.NumNodes() || row.eng.Store().PinnedFrames() != 0 {
+						t.Fatalf("%s: Adj not shared (%p, %p), of %d nodes, or %d frames left pinned", row.name, a1, a2, a1.N(), row.eng.Store().PinnedFrames())
 					}
 				}
 			}
@@ -345,7 +342,6 @@ func requireSameOut(t *testing.T, row string, want, got kernelOut) {
 		sameBits(fmt.Sprintf("rwrMulti[%d]", i), want.multi[i], got.multi[i])
 	}
 	sameBits("rwrSet", want.set, got.set)
-	sameBits("pagerank", want.pagerank, got.pagerank)
 	requireSameReport(t, row, want.report, got.report)
 	for i := range want.extracts {
 		equalResults(t, fmt.Sprintf("%s extract %d", row, i), want.extracts[i], got.extracts[i])
@@ -402,7 +398,7 @@ func checkOracle(t *testing.T, g *graph.Graph, q kernelQuery, out kernelOut) {
 		near(fmt.Sprintf("rwrMulti[%d]", i), out.multi[i], o.RWR(restart, s), 1e-9)
 	}
 	near("rwrSet", out.set, o.RWR(restart, q.sources...), 1e-9)
-	near("pagerank", out.pagerank, o.PageRank(0.85), 1e-9)
+	near("pagerank", out.analyzed.PageRank, o.PageRank(0.85), 1e-9)
 
 	s := checkStructure(t, "report", o, out.report)
 	if s.SelfLoops == 0 || s.Histogram[0] == 0 {

@@ -26,8 +26,8 @@ func floatsDigest(xs []float64) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// TestWholeGraphGolden pins the whole-graph kernels — PageRank, the
-// structure report and a one-walk RWR — to digests taken before the
+// TestWholeGraphGolden pins the whole-graph kernels — PageRank (the rank
+// vector of AnalyzeGraph), the structure report and a one-walk RWR — to digests taken before the
 // sharded sweeps and the node-centric fallbacks were deleted. At that
 // commit every digest was taken twice, with the engines' default (auto)
 // shard count and with SetSweepShards(1), and the two agreed. The
@@ -71,16 +71,12 @@ func TestWholeGraphGolden(t *testing.T) {
 				e.eng.SetSweepShards(shards)
 			}
 			tag := fmt.Sprintf("%s/shards=%d", e.name, shards)
-			ranks, err := e.eng.PageRank(analysis.PageRankOptions{})
-			if err != nil {
-				t.Fatalf("%s: PageRank: %v", tag, err)
-			}
-			if got := floatsDigest(ranks); got != wantPageRank {
-				t.Errorf("%s: PageRank digest %s, want %s", tag, got, wantPageRank)
-			}
 			rep, err := e.eng.AnalyzeGraph(analysis.PageRankOptions{}, 10)
 			if err != nil {
 				t.Fatalf("%s: AnalyzeGraph: %v", tag, err)
+			}
+			if got := floatsDigest(rep.PageRank); got != wantPageRank {
+				t.Errorf("%s: PageRank digest %s, want %s", tag, got, wantPageRank)
 			}
 			body, err := json.Marshal(rep)
 			if err != nil {

@@ -150,13 +150,24 @@ func TestNotableFig5Topology(t *testing.T) {
 	if !g.HasEdge(jaga, korn) {
 		t.Fatal("Jagadish-Korn edge missing")
 	}
-	// ...and 1-step-away connections with Yu and Garofalakis.
-	dist := analysis.BFSDistances(graph.ToCSR(g), jaga)
-	if dist[yu] != 2 && dist[yu] != 1 {
-		t.Fatalf("Jagadish-Yu distance %d, want <= 2", dist[yu])
+	// ...and 1-step-away connections with Yu and Garofalakis: an edge, or
+	// a co-author in common.
+	within2 := func(v graph.NodeID) bool {
+		if g.HasEdge(jaga, v) {
+			return true
+		}
+		for _, e := range g.Neighbors(jaga) {
+			if g.HasEdge(e.To, v) {
+				return true
+			}
+		}
+		return false
 	}
-	if dist[garo] != 2 && dist[garo] != 1 {
-		t.Fatalf("Jagadish-Garofalakis distance %d, want <= 2", dist[garo])
+	if !within2(yu) {
+		t.Fatal("Jagadish-Yu distance above 2")
+	}
+	if !within2(garo) {
+		t.Fatal("Jagadish-Garofalakis distance above 2")
 	}
 }
 

@@ -256,10 +256,10 @@ func RunE3(cfg *Config) (*E3Result, error) {
 	if len(mHits) == 1 && len(sHits) == 1 {
 		res.OutlierPair = [2]string{dblp.NameMiller, dblp.NameStockton}
 		res.OutlierWeight = ds.Graph.EdgeWeight(mHits[0].Node, sHits[0].Node)
-		if err := eng.FocusOn(mHits[0].Leaf); err != nil {
+		sceneC, err := eng.SceneAt(mHits[0].Leaf, gtree.TomahawkOptions{})
+		if err != nil {
 			return nil, err
 		}
-		sceneC := eng.Scene(gtree.TomahawkOptions{})
 		lc := layout.LayoutScene(t, sceneC, 450)
 		p, err := cfg.writeArtifact("fig3c_outlier.svg", render.SceneSVG(t, sceneC, lc, 900))
 		if err != nil {

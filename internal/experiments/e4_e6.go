@@ -164,15 +164,16 @@ func RunE6(cfg *Config) (*E6Result, error) {
 		return nil, err
 	}
 	res.SVGPaths = append(res.SVGPaths, p)
-	// (b) three communities.
-	p, err = cfg.writeArtifact("fig6b_partitioned.svg", sub.RenderScene(800, gtree.TomahawkOptions{}))
-	if err != nil {
-		return nil, err
+	// (b) three communities, and (c) one level down.
+	names, ids := []string{"fig6b_partitioned.svg", "fig6c_level2.svg"}, []gtree.TreeID{t.Root()}
+	if ch := t.Node(t.Root()).Children; len(ch) > 0 {
+		ids = append(ids, ch[0])
 	}
-	res.SVGPaths = append(res.SVGPaths, p)
-	// (c) one level down.
-	if err := sub.FocusChild(0); err == nil {
-		p, err = cfg.writeArtifact("fig6c_level2.svg", sub.RenderScene(800, gtree.TomahawkOptions{}))
+	for i, id := range ids {
+		svg, err := sub.RenderSceneAt(id, 800, gtree.TomahawkOptions{})
+		if err == nil {
+			p, err = cfg.writeArtifact(names[i], svg)
+		}
 		if err != nil {
 			return nil, err
 		}

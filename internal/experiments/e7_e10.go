@@ -130,10 +130,10 @@ func RunE8(cfg *Config) (*E8Result, error) {
 		it, err := timeIt(func() error {
 			for i := 0; i < interactions; i++ {
 				leaf := leaves[(i*37)%len(leaves)]
-				if err := disk.FocusOn(leaf); err != nil {
+				scene, err := disk.SceneAt(leaf, gtree.TomahawkOptions{})
+				if err != nil {
 					return err
 				}
-				scene := disk.Scene(gtree.TomahawkOptions{})
 				_ = layout.LayoutScene(t, scene, 450)
 				if _, _, err := disk.LeafSubgraph(leaf); err != nil {
 					return err

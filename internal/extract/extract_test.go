@@ -40,7 +40,7 @@ func TestRWRMatchesDenseSolve(t *testing.T) {
 		g := randomConnected(rng, 6+rng.Intn(5), 6)
 		c := graph.ToCSR(g)
 		src := graph.NodeID(rng.Intn(g.NumNodes()))
-		got, err := RWR(c, src, RWROptions{Restart: 0.2, Epsilon: 1e-14, MaxIter: 5000})
+		got, err := RWRSet(c, []graph.NodeID{src}, RWROptions{Restart: 0.2, Epsilon: 1e-14, MaxIter: 5000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func TestRWRSumsToOne(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomConnected(rng, 5+rng.Intn(30), 20)
 		c := graph.ToCSR(g)
-		r, err := RWR(c, 0, RWROptions{})
+		r, err := RWRSet(c, []graph.NodeID{0}, RWROptions{})
 		if err != nil {
 			return false
 		}
@@ -76,7 +76,7 @@ func TestRWRSumsToOne(t *testing.T) {
 func TestRWRSourceHasHighScore(t *testing.T) {
 	g := pathGraph(9)
 	c := graph.ToCSR(g)
-	r, err := RWR(c, 4, RWROptions{})
+	r, err := RWRSet(c, []graph.NodeID{4}, RWROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +94,8 @@ func TestRWRSourceHasHighScore(t *testing.T) {
 func TestRWRHighRestartConcentratesAtSource(t *testing.T) {
 	g := pathGraph(5)
 	c := graph.ToCSR(g)
-	low, _ := RWR(c, 2, RWROptions{Restart: 0.1})
-	high, _ := RWR(c, 2, RWROptions{Restart: 0.9})
+	low, _ := RWRSet(c, []graph.NodeID{2}, RWROptions{Restart: 0.1})
+	high, _ := RWRSet(c, []graph.NodeID{2}, RWROptions{Restart: 0.9})
 	if high[2] <= low[2] {
 		t.Fatalf("restart 0.9 source mass %g <= restart 0.1 mass %g", high[2], low[2])
 	}
@@ -105,7 +105,7 @@ func TestRWRIsolatedSource(t *testing.T) {
 	g := graph.NewWithNodes(3, false)
 	g.AddEdge(1, 2, 1)
 	c := graph.ToCSR(g)
-	r, err := RWR(c, 0, RWROptions{})
+	r, err := RWRSet(c, []graph.NodeID{0}, RWROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestRWRIsolatedSource(t *testing.T) {
 func TestRWRRejectsBadSources(t *testing.T) {
 	g := pathGraph(3)
 	c := graph.ToCSR(g)
-	if _, err := RWR(c, 99, RWROptions{}); err == nil {
+	if _, err := RWRSet(c, []graph.NodeID{99}, RWROptions{}); err == nil {
 		t.Fatal("accepted out-of-range source")
 	}
 	if _, err := RWRSet(c, nil, RWROptions{}); err == nil {

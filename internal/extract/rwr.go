@@ -82,14 +82,6 @@ func (o RWROptions) Normalize() (RWROptions, error) {
 	return o, nil
 }
 
-// RWR computes the steady-state visiting distribution of a random walk
-// restarting at src: r = (1-c)·Pᵀr + c·e_src, where P is the row-stochastic
-// transition matrix weighted by edge weight. The result sums to 1 when src
-// can always move (isolated sources keep all mass).
-func RWR(c graph.Adjacency, src graph.NodeID, opts RWROptions) ([]float64, error) {
-	return RWRSet(c, []graph.NodeID{src}, opts)
-}
-
 // RWRSet computes RWR with the restart mass spread uniformly over a source
 // set (the particle teleports to a random member of the set).
 func RWRSet(c graph.Adjacency, sources []graph.NodeID, opts RWROptions) ([]float64, error) {
@@ -105,7 +97,7 @@ func RWRSet(c graph.Adjacency, sources []graph.NodeID, opts RWROptions) ([]float
 // together: one pass over the adjacency per power iteration serves every
 // source that has not converged yet, so k sources cost as many sweeps as
 // the slowest of them, not the sum. Each vector is bit-identical to
-// RWR(c, source, opts). opts.Parallel and opts.Shards are not read.
+// RWRSet(c, []graph.NodeID{source}, opts). opts.Parallel and opts.Shards are not read.
 func RWRMulti(c graph.Adjacency, sources []graph.NodeID, opts RWROptions) ([][]float64, error) {
 	sets := make([][]graph.NodeID, len(sources))
 	for i := range sources {

@@ -79,7 +79,7 @@ func TestRWRMultiFusedBitIdentical(t *testing.T) {
 				want := make([][]float64, k)
 				for i, s := range sources {
 					probe.sweeps = 0
-					r, err := RWR(probe, s, opts)
+					r, err := RWRSet(probe, []graph.NodeID{s}, opts)
 					if err != nil {
 						t.Fatal(err)
 					}

