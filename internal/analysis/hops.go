@@ -1,34 +1,47 @@
 package analysis
 
 import (
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/graph"
 )
 
-// bfsInto fills dist (length n) with the hop distance from src to every
-// node, -1 for unreachable, reading rows through cur. queue (length n) is
-// scratch: every node is enqueued at most once, so a fixed array with
-// head and tail indices holds the whole frontier. Callers running many
-// BFSs reuse the cursor and both buffers.
+// hopBlock runs the BFSs of up to 64 sources at once, adding each hop's
+// newly reached (source, node) pairs to perHop, which it returns grown to
+// the farthest hop. Bit i of reach[v] says sources[i] has reached v. Each
+// level ORs every frontier word into its out-neighbours' next words; the
+// bits new to reach are the next frontier and that hop's pairs. reach,
+// front and next (length n) are scratch.
 //
 //gmine:hotpath
-func bfsInto(cur graph.RowCursor, src graph.NodeID, dist []int32, queue []graph.NodeID) {
-	for i := range dist {
-		dist[i] = -1
+func hopBlock(cur graph.RowCursor, sources []graph.NodeID, reach, front, next []uint64, perHop []float64) []float64 {
+	clear(reach)
+	for i, s := range sources {
+		reach[s] |= 1 << i
 	}
-	dist[src] = 0
-	queue[0] = src
-	for head, tail := 0, 1; head < tail; head++ {
-		u := queue[head]
-		for _, v := range cur.NeighborIDs(u) {
-			if dist[v] < 0 {
-				dist[v] = dist[u] + 1
-				queue[tail] = v
-				tail++
+	copy(front, reach)
+	for h, count := 0, len(sources); count > 0; h++ {
+		if h == len(perHop) {
+			perHop = append(perHop, 0)
+		}
+		perHop[h] += float64(count)
+		clear(next)
+		for u, f := range front {
+			if f != 0 {
+				for _, v := range cur.NeighborIDs(graph.NodeID(u)) {
+					next[v] |= f
+				}
 			}
 		}
+		count = 0
+		for v, x := range next {
+			x &^= reach[v]
+			front[v], reach[v] = x, reach[v]|x
+			count += bits.OnesCount64(x)
+		}
 	}
+	return perHop
 }
 
 // HopPlot holds N(h): the number of ordered reachable pairs within h hops,
@@ -68,24 +81,16 @@ func ComputeHopPlot(adj graph.Adjacency, samples int, rng *rand.Rand) HopPlot {
 	}
 	hp.Samples = len(sources)
 	var perHop []float64 // perHop[h] = # sampled pairs at distance exactly h
-	dist, queue := make([]int32, n), make([]graph.NodeID, n)
+	words := make([]uint64, 3*n)
+	reach, front, next := words[:n:n], words[n:2*n:2*n], words[2*n:]
 	cur := adj.Cursor()
 	defer cur.Close()
-	for _, s := range sources {
-		bfsInto(cur, s, dist, queue)
-		for _, d := range dist {
-			if d < 0 {
-				continue
-			}
-			for int(d) >= len(perHop) {
-				perHop = append(perHop, 0)
-			}
-			perHop[d]++
-			if int(d) > hp.MaxHops {
-				hp.MaxHops = int(d)
-			}
-		}
+	for rest := sources; len(rest) > 0; {
+		block := rest[:min(64, len(rest))]
+		rest = rest[len(block):]
+		perHop = hopBlock(cur, block, reach, front, next, perHop)
 	}
+	hp.MaxHops = len(perHop) - 1
 	scale := float64(n) / float64(len(sources))
 	hp.Counts = make([]float64, len(perHop))
 	var cum float64

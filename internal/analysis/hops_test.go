@@ -9,7 +9,7 @@ import (
 )
 
 // sliceQueueBFS is the textbook BFS with a growing slice queue over the
-// graph's own rows; it referees bfsInto.
+// graph's own rows; refHopPlot runs it once per source.
 func sliceQueueBFS(g *graph.Graph, src graph.NodeID) []int32 {
 	dist := make([]int32, g.NumNodes())
 	for i := range dist {
@@ -102,13 +102,17 @@ func randomHopGraph(rng *rand.Rand, n int, directed, split bool, isolated int) *
 	return g
 }
 
+// TestHopPlotAndDiameterMatchPerSourceBFS referees the 64-source blocks
+// against one BFS per source. Graphs reach ~200 nodes, so exact plots run
+// up to four blocks with a partial last one, and the sampled counts 63,
+// 64, 65 and 129 land on either side of a block edge.
 func TestHopPlotAndDiameterMatchPerSourceBFS(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(60)
+		n := 1 + rng.Intn(200)
 		g := randomHopGraph(rng, n, rng.Intn(2) == 0, rng.Intn(2) == 0, rng.Intn(n/4+1))
 		adj := graph.ToCSR(g)
-		for _, samples := range []int{0, 1 + rng.Intn(n), n + 3} {
+		for _, samples := range []int{0, 1 + rng.Intn(n), n + 3, 63, 64, 65, 129} {
 			seed := rng.Int63()
 			got := ComputeHopPlot(adj, samples, newRand(seed))
 			want := refHopPlot(g, samples, newRand(seed))

@@ -29,7 +29,8 @@ type Config struct {
 	K, Levels int
 	// Out receives the experiment report (default os.Stdout).
 	Out io.Writer
-	// Dir receives artifacts (SVGs, tree files). Empty = temp dir.
+	// Dir receives artifacts (SVGs, tree files). Empty = one temp dir per
+	// Config, made on the first artifact.
 	Dir string
 	// Quiet suppresses the report (results still returned).
 	Quiet bool
@@ -61,14 +62,18 @@ func (c *Config) printf(format string, args ...any) {
 	}
 }
 
+// artifactDir returns Dir, creating it if needed; with Dir empty it makes
+// one temp directory, reports it and keeps it as Dir for the whole run.
 func (c *Config) artifactDir() (string, error) {
 	if c.Dir != "" {
-		if err := os.MkdirAll(c.Dir, 0o755); err != nil {
-			return "", err
-		}
-		return c.Dir, nil
+		return c.Dir, os.MkdirAll(c.Dir, 0o755)
 	}
-	return os.MkdirTemp("", "gmine-exp")
+	dir, err := os.MkdirTemp("", "gmine-exp")
+	if err == nil {
+		c.Dir = dir
+		c.printf("artifacts: %s\n", dir)
+	}
+	return dir, err
 }
 
 func (c *Config) writeArtifact(name, content string) (string, error) {

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -256,5 +258,27 @@ func TestRunByIDAndUnknown(t *testing.T) {
 	out := cfg.Out.(*bytes.Buffer).String()
 	if !strings.Contains(out, "=== E1") {
 		t.Fatal("report header missing")
+	}
+}
+
+// TestArtifactDirOncePerConfig: without Dir, a run's artifacts share one
+// temp directory, made on first use and reported once.
+func TestArtifactDirOncePerConfig(t *testing.T) {
+	var buf bytes.Buffer
+	cfg := &Config{Out: &buf}
+	first, err := cfg.writeArtifact("a.svg", "<svg/>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.RemoveAll(cfg.Dir) })
+	second, err := cfg.writeArtifact("b.svg", "<svg/>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if filepath.Dir(first) != cfg.Dir || filepath.Dir(second) != cfg.Dir {
+		t.Fatalf("artifacts %s and %s, want both in %s", first, second, cfg.Dir)
+	}
+	if n := strings.Count(buf.String(), cfg.Dir); n != 1 {
+		t.Fatalf("artifact directory reported %d times, want once:\n%s", n, buf.String())
 	}
 }

@@ -153,6 +153,9 @@ dispatch:
 			s.metrics.batchErr.Inc()
 		}
 	}
+	if s.refuse(w, r, nil, 0) {
+		return
+	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -188,12 +191,12 @@ func (s *Server) runBatchItem(ctx context.Context, sess *Session, req ExtractReq
 		item.Error = fmt.Sprintf("batch items must use format \"json\" (got %q)", req.Format)
 		return item
 	}
-	p, status, err := s.planExtract(sess, req)
+	p, status, err := s.planExtract(ctx, sess, req)
 	if err != nil {
 		item.Status, item.Error = status, err.Error()
 		return item
 	}
-	body, _, state, errStatus, err := s.cachedResult(p.key, func() ([]byte, string, int, error) {
+	body, _, state, errStatus, err := s.cachedResult(ctx, p.key, func() ([]byte, string, int, error) {
 		return s.buildExtract(ctx, sess, p, tr)
 	})
 	tr.Note("cache", state)

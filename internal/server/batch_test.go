@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -37,7 +39,7 @@ func TestCachedResultSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			body, _, state, _, err := s.cachedResult("k", build)
+			body, _, state, _, err := s.cachedResult(context.Background(), "k", build)
 			if err != nil || string(body) != "expensive" {
 				t.Errorf("request %d: body %q err %v", i, body, err)
 			}
@@ -70,7 +72,7 @@ func TestCachedResultSingleflight(t *testing.T) {
 		t.Fatalf("stampede recorded %d misses, want 1: %+v", st.Misses, st)
 	}
 	// The key is cached now: a late request is a plain hit, no build.
-	if _, _, state, _, err := s.cachedResult("k", build); err != nil || state != "hit" {
+	if _, _, state, _, err := s.cachedResult(context.Background(), "k", build); err != nil || state != "hit" {
 		t.Fatalf("post-stampede request: state %q err %v", state, err)
 	}
 	if builds.Load() != 1 {
@@ -87,10 +89,10 @@ func TestCachedResultErrorsNotCached(t *testing.T) {
 		builds.Add(1)
 		return nil, "", http.StatusBadRequest, fmt.Errorf("boom")
 	}
-	if _, _, _, status, err := s.cachedResult("k", failing); err == nil || status != http.StatusBadRequest {
+	if _, _, _, status, err := s.cachedResult(context.Background(), "k", failing); err == nil || status != http.StatusBadRequest {
 		t.Fatalf("want boom/400, got status %d err %v", status, err)
 	}
-	if _, _, _, _, err := s.cachedResult("k", failing); err == nil {
+	if _, _, _, _, err := s.cachedResult(context.Background(), "k", failing); err == nil {
 		t.Fatal("error was cached")
 	}
 	if builds.Load() != 2 {
@@ -106,7 +108,7 @@ func TestCachedResultLeaderPanic(t *testing.T) {
 	proceed := make(chan struct{})
 	go func() {
 		defer func() { _ = recover() }() // net/http would recover the handler goroutine
-		_, _, _, _, _ = s.cachedResult("k", func() ([]byte, string, int, error) {
+		_, _, _, _, _ = s.cachedResult(context.Background(), "k", func() ([]byte, string, int, error) {
 			close(inBuild)
 			<-proceed
 			panic("boom")
@@ -120,7 +122,7 @@ func TestCachedResultLeaderPanic(t *testing.T) {
 	}
 	got := make(chan res, 1)
 	go func() {
-		_, _, state, status, err := s.cachedResult("k", func() ([]byte, string, int, error) {
+		_, _, state, status, err := s.cachedResult(context.Background(), "k", func() ([]byte, string, int, error) {
 			t.Error("follower must not build")
 			return nil, "", 0, nil
 		})
@@ -132,6 +134,39 @@ func TestCachedResultLeaderPanic(t *testing.T) {
 	if r.err == nil || r.status != http.StatusInternalServerError {
 		t.Fatalf("follower of a panicked leader got state=%q status=%d err=%v, want a 500 error",
 			r.state, r.status, r.err)
+	}
+}
+
+// TestCachedResultFollowerDeadline checks a follower stops waiting for a
+// slow leader when its own context ends: it returns the deadline error
+// and its 503 status while the leader's build runs on and is cached.
+func TestCachedResultFollowerDeadline(t *testing.T) {
+	s := New(Config{CacheEntries: 8})
+	inBuild := make(chan struct{})
+	proceed := make(chan struct{})
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		_, _, _, _, _ = s.cachedResult(context.Background(), "k", func() ([]byte, string, int, error) {
+			close(inBuild)
+			<-proceed
+			return []byte("slow"), "text/plain", 0, nil
+		})
+	}()
+	<-inBuild
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	_, _, state, status, err := s.cachedResult(ctx, "k", func() ([]byte, string, int, error) {
+		t.Error("follower must not build")
+		return nil, "", 0, nil
+	})
+	if !errors.Is(err, context.DeadlineExceeded) || status != http.StatusServiceUnavailable || state != "coalesced" {
+		t.Fatalf("follower past its deadline: state %q status %d err %v, want coalesced 503 deadline", state, status, err)
+	}
+	close(proceed)
+	<-leaderDone
+	if body, _, state, _, err := s.cachedResult(context.Background(), "k", nil); err != nil || state != "hit" || string(body) != "slow" {
+		t.Fatalf("leader's result after the follower left: %q state %q err %v", body, state, err)
 	}
 }
 

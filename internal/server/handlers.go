@@ -61,8 +61,9 @@ func (s *Server) session(w http.ResponseWriter, r *http.Request) (*Session, bool
 // returned state is "hit" (cache), "miss" (this caller ran the build) or
 // "coalesced" (an identical build was already in flight; this caller
 // waited and shares its result). Coalescing is what stops a cache
-// stampede: N concurrent misses on one key cost one build, not N.
-func (s *Server) cachedResult(key string,
+// stampede: N concurrent misses on one key cost one build, not N. A
+// follower stops waiting when ctx ends and returns ctx's error.
+func (s *Server) cachedResult(ctx context.Context, key string,
 	build func() (body []byte, ctyp string, errStatus int, err error)) (
 	body []byte, ctyp, state string, errStatus int, err error) {
 	if body, ctyp, ok := s.cache.get(key); ok {
@@ -70,7 +71,11 @@ func (s *Server) cachedResult(key string,
 	}
 	call, leader := s.flight.begin(key)
 	if !leader {
-		<-call.done
+		select {
+		case <-call.done:
+		case <-ctx.Done():
+			return nil, "", "coalesced", statusOf(ctx.Err(), 0), ctx.Err()
+		}
 		s.cache.coalesced()
 		if !call.ok {
 			// The leader never completed (its build panicked); don't hand
@@ -106,13 +111,10 @@ func (s *Server) cachedResult(key string,
 // engine stages — the trace's cache note says why.
 func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string,
 	build func() (body []byte, ctyp string, errStatus int, err error)) {
-	body, ctyp, state, errStatus, err := s.cachedResult(key, build)
+	body, ctyp, state, errStatus, err := s.cachedResult(r.Context(), key, build)
 	tr := traceFrom(r.Context())
 	tr.Note("cache", state)
-	if err != nil {
-		if !s.maybeWriteOverload(w, err) {
-			writeError(w, errStatus, "%s", err)
-		}
+	if s.refuse(w, r, err, errStatus) {
 		return
 	}
 	w.Header().Set("X-Gmine-Cache", state)
@@ -235,13 +237,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// of vanishing from the probe.
 	for _, name := range resp.Sessions {
 		if sess, ok := s.reg.get(name); ok {
-			if pi := sess.poolSnapshot(false); pi != nil {
+			if pi := sess.poolSnapshot(); pi != nil {
 				if resp.Pools == nil {
 					resp.Pools = make(map[string]PoolInfo)
 				}
 				resp.Pools[name] = *pi
 			}
 		}
+	}
+	if s.refuse(w, r, nil, 0) {
+		return
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -391,7 +396,7 @@ func (s *Server) createSession(ctx context.Context, req CreateSessionRequest) (S
 	s.reg.commit(sess, eng)
 	committed = true
 
-	info, err := sess.info()
+	info, err := sess.info(ctx)
 	if err != nil {
 		return SessionInfo{}, statusOf(err, http.StatusInternalServerError), err
 	}
@@ -450,10 +455,13 @@ func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
 	infos := make([]SessionInfo, 0)
 	for _, name := range s.reg.names() {
 		if sess, ok := s.reg.get(name); ok {
-			if info, err := sess.info(); err == nil {
+			if info, err := sess.info(r.Context()); err == nil {
 				infos = append(infos, info)
 			}
 		}
+	}
+	if s.refuse(w, r, nil, 0) {
+		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"sessions": infos})
 }
@@ -463,9 +471,8 @@ func (s *Server) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	info, err := sess.info()
-	if err != nil {
-		writeError(w, statusOf(err, http.StatusInternalServerError), "%s", err)
+	info, err := sess.info(r.Context())
+	if s.refuse(w, r, err, statusOf(err, http.StatusInternalServerError)) {
 		return
 	}
 	writeJSON(w, http.StatusOK, info)
@@ -520,7 +527,7 @@ func (s *Server) handleTree(w http.ResponseWriter, r *http.Request) {
 	}
 	listing := r.URL.Query().Get("listing") != "false"
 	var resp treeResponse
-	err := sess.withRead(func(eng *core.Engine) error {
+	err := sess.withRead(r.Context(), func(eng *core.Engine) error {
 		t := eng.Tree()
 		st := t.ComputeStats()
 		resp = treeResponse{
@@ -548,8 +555,7 @@ func (s *Server) handleTree(w http.ResponseWriter, r *http.Request) {
 		}
 		return nil
 	})
-	if err != nil {
-		writeError(w, statusOf(err, http.StatusInternalServerError), "%s", err)
+	if s.refuse(w, r, err, statusOf(err, http.StatusInternalServerError)) {
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -618,7 +624,7 @@ func (s *Server) handleScene(w http.ResponseWriter, r *http.Request) {
 	s.serveCached(w, r, key, func() ([]byte, string, int, error) {
 		var body []byte
 		var ctyp string
-		err := sess.withRead(func(eng *core.Engine) error {
+		err := sess.withRead(r.Context(), func(eng *core.Engine) error {
 			if format == "svg" {
 				doc, err := eng.RenderSceneAt(gtree.TreeID(focus), size, opts)
 				if err != nil {
@@ -744,7 +750,7 @@ type extractPlan struct {
 
 // planExtract validates req against sess and canonicalizes it into an
 // executable plan. The returned status accompanies a non-nil error.
-func (s *Server) planExtract(sess *Session, req ExtractRequest) (extractPlan, int, error) {
+func (s *Server) planExtract(ctx context.Context, sess *Session, req ExtractRequest) (extractPlan, int, error) {
 	var p extractPlan
 	if len(req.Sources) == 0 && len(req.Labels) == 0 {
 		return p, http.StatusBadRequest, fmt.Errorf("need sources or labels")
@@ -772,7 +778,7 @@ func (s *Server) planExtract(sess *Session, req ExtractRequest) (extractPlan, in
 	// Resolve labels to ids under the read lock, then canonicalize the
 	// source set (sorted, deduped) so query order does not defeat caching.
 	sources := append([]graph.NodeID(nil), req.Sources...)
-	err = sess.withRead(func(eng *core.Engine) error {
+	err = sess.withRead(ctx, func(eng *core.Engine) error {
 		for _, l := range req.Labels {
 			hits, err := eng.FindLabel(l)
 			if err != nil {
@@ -787,14 +793,7 @@ func (s *Server) planExtract(sess *Session, req ExtractRequest) (extractPlan, in
 		return nil
 	})
 	if err != nil {
-		status := http.StatusBadRequest
-		switch {
-		case errors.Is(err, errSessionGone):
-			status = http.StatusNotFound
-		case errors.Is(err, errBackendFault):
-			status = http.StatusInternalServerError
-		}
-		return p, status, err
+		return p, statusOf(err, http.StatusBadRequest), err
 	}
 	sort.Slice(sources, func(i, j int) bool { return sources[i] < sources[j] })
 	dedup := sources[:0]
@@ -846,7 +845,7 @@ func (s *Server) planExtract(sess *Session, req ExtractRequest) (extractPlan, in
 func (s *Server) buildExtract(ctx context.Context, sess *Session, p extractPlan, tr *obs.Trace) ([]byte, string, int, error) {
 	var body []byte
 	var ctyp string
-	err := sess.guardedRead(func(eng *core.Engine) error {
+	err := sess.guardedRead(ctx, func(eng *core.Engine) error {
 		res, err := eng.ExtractTraced(ctx, tr, p.sources, p.opts)
 		if err != nil {
 			return err
@@ -876,9 +875,8 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad extract body: %s", err)
 		return
 	}
-	p, status, err := s.planExtract(sess, req)
-	if err != nil {
-		writeError(w, status, "%s", err)
+	p, status, err := s.planExtract(r.Context(), sess, req)
+	if s.refuse(w, r, err, status) {
 		return
 	}
 	tr := traceFrom(r.Context())
@@ -971,7 +969,7 @@ func (s *Server) handleAnalysis(w http.ResponseWriter, r *http.Request) {
 	tr := traceFrom(r.Context())
 	s.serveCached(w, r, key, func() ([]byte, string, int, error) {
 		var body []byte
-		err := sess.guardedRead(func(eng *core.Engine) error {
+		err := sess.guardedRead(r.Context(), func(eng *core.Engine) error {
 			t := eng.Tree()
 			id := gtree.TreeID(community)
 			if community < 0 {
@@ -1064,7 +1062,7 @@ func (s *Server) handleGraphAnalysis(w http.ResponseWriter, r *http.Request) {
 	tr := traceFrom(r.Context())
 	s.serveCached(w, r, key, func() ([]byte, string, int, error) {
 		var body []byte
-		err := sess.guardedRead(func(eng *core.Engine) error {
+		err := sess.guardedRead(r.Context(), func(eng *core.Engine) error {
 			rep, err := eng.AnalyzeGraphTraced(r.Context(), tr, analysis.PageRankOptions{}, topK)
 			if err != nil {
 				return err
@@ -1144,7 +1142,7 @@ func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) {
 		limit = n
 	}
 	var hits []core.LabelHit
-	err := sess.withRead(func(eng *core.Engine) error {
+	err := sess.withRead(r.Context(), func(eng *core.Engine) error {
 		var err error
 		if exact != "" {
 			hits, err = eng.FindLabel(exact)
@@ -1153,8 +1151,7 @@ func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) {
 		}
 		return err
 	})
-	if err != nil {
-		writeError(w, statusOf(err, http.StatusBadRequest), "%s", err)
+	if s.refuse(w, r, err, statusOf(err, http.StatusBadRequest)) {
 		return
 	}
 	out := make([]labelHitJSON, 0, len(hits))

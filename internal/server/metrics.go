@@ -112,7 +112,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			if !ok {
 				continue
 			}
-			if pi := sess.poolSnapshot(false); pi != nil {
+			if pi := sess.poolSnapshot(); pi != nil {
 				emit(pick(pi), name)
 			}
 		}
@@ -154,7 +154,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 				if !ok {
 					continue
 				}
-				if pi := sess.poolSnapshot(false); pi != nil {
+				if pi := sess.poolSnapshot(); pi != nil {
 					emit(float64(pi.Retry.Retries), name, "retry")
 					emit(float64(pi.Retry.Healed), name, "healed")
 					emit(float64(pi.Retry.Failed), name, "failed")
@@ -196,7 +196,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			if !ok {
 				continue
 			}
-			if pi := sess.poolSnapshot(false); pi != nil && pi.Tier != nil {
+			if pi := sess.poolSnapshot(); pi != nil && pi.Tier != nil {
 				each(name, pi.Tier)
 			}
 		}
@@ -246,6 +246,9 @@ func (m *serverMetrics) observeTrace(tr *obs.Trace) {
 const metricsContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	if s.refuse(w, r, nil, 0) {
+		return
+	}
 	w.Header().Set("Content-Type", metricsContentType)
 	_ = s.metrics.reg.WritePrometheus(w)
 }

@@ -125,7 +125,7 @@ func TestTraceSidecarPaged(t *testing.T) {
 		if !ok {
 			t.Fatal("session disk missing")
 		}
-		pi := sess.poolSnapshot(true)
+		pi := sess.poolSnapshot()
 		return pi.Hits + pi.Misses
 	}
 	before := poolGets()
@@ -213,7 +213,7 @@ func TestHealthzStalePools(t *testing.T) {
 	// Populate the cached snapshot, then wedge the session behind its
 	// write lock as a long build or delete would.
 	sess, _ := s.reg.get("disk")
-	if pi := sess.poolSnapshot(true); pi == nil || pi.Stale {
+	if pi := sess.poolSnapshot(); pi == nil || pi.Stale {
 		t.Fatalf("fresh snapshot = %+v", pi)
 	}
 	sess.mu.Lock()

@@ -49,12 +49,8 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 // context into the engine, captures status and latency per route, contains
 // handler panics as 500s, and emits one structured log line per request.
 //
-// It must run INSIDE http.TimeoutHandler: the timeout handler forwards a
-// copied request, and the route pattern a ServeMux resolves (r.Pattern) is
-// written to whichever copy the mux actually serves. Sitting inside, the
-// middleware hands its own request pointer to the mux and can read the
-// matched pattern after next returns — an outer middleware would only ever
-// see the pre-copy request and log every query as "/".
+// It wraps the route mux and hands it its own request copy, so the route
+// pattern the mux resolves (r.Pattern) is on that copy when next returns.
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := obs.NewRequestID()

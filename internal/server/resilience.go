@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -79,37 +80,41 @@ func (s *Server) admit(next http.Handler) http.Handler {
 // rather than an immediate identical retry.
 const timeoutRetryAfter = 2 * time.Second
 
-// timeoutRetryWriter sits OUTSIDE http.TimeoutHandler and injects the
-// Retry-After header (plus JSON content type and the overload metric) when
-// the timeout handler writes its 503 — its fixed writer API offers no other
-// header seam. Handler-originated 503s (shed, breaker) already carry
-// Retry-After and pass through untouched.
-type timeoutRetryWriter struct {
-	http.ResponseWriter
-	srv *Server
+// timed runs a query route on the connection's goroutine under a context
+// that ends cfg.RequestTimeout after it starts. The engine's cooperative
+// cancellation and the route's waits (a session still building, a shared
+// in-flight build) observe it, and each route calls refuse before it
+// writes its 200, so a query past its deadline answers the timeout 503.
+func (s *Server) timed(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		defer cancel()
+		next.ServeHTTP(w, r.WithContext(ctx))
+	})
 }
 
-func (w *timeoutRetryWriter) WriteHeader(code int) {
-	if code == http.StatusServiceUnavailable && w.Header().Get("Retry-After") == "" {
-		w.Header().Set("Retry-After", strconv.Itoa(int(timeoutRetryAfter/time.Second)))
-		w.Header().Set("Content-Type", jsonContentType)
-		w.srv.metrics.overload.With("timeout").Inc()
+// refuse writes the answer of a query that will not return its 200 and
+// reports whether it wrote one: the timeout 503 once r's deadline has
+// passed (read from the clock, not the deadline timer), else a non-nil err
+// as a transient 503 (open breaker, deadline) or a plain error with status.
+func (s *Server) refuse(w http.ResponseWriter, r *http.Request, err error, status int) bool {
+	if dl, ok := r.Context().Deadline(); ok && !time.Now().Before(dl) {
+		err = context.DeadlineExceeded
 	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// maybeWriteOverload writes the structured 503 for transient, retryable
-// rejections (currently: an open circuit breaker surfacing through the
-// query path); it reports false for every other error so the caller falls
-// through to the plain error writer.
-func (s *Server) maybeWriteOverload(w http.ResponseWriter, err error) bool {
 	var boe *breakerOpenError
-	if errors.As(err, &boe) {
+	switch {
+	case err == nil:
+		return false
+	case errors.As(err, &boe):
 		s.metrics.overload.With("breaker_open").Inc()
 		writeOverload(w, "breaker_open", boe.retryAfter, "%s", boe)
-		return true
+	case errors.Is(err, context.DeadlineExceeded):
+		s.metrics.overload.With("timeout").Inc()
+		writeOverload(w, "timeout", timeoutRetryAfter, "request timed out")
+	default:
+		writeError(w, status, "%s", err)
 	}
-	return false
+	return true
 }
 
 // --- Per-session circuit breaker -------------------------------------------
@@ -122,7 +127,7 @@ const (
 )
 
 // errBreakerOpen marks rejections by an open session breaker; handlers map
-// it to 503 + Retry-After through maybeWriteOverload.
+// it to 503 + Retry-After through refuse.
 var errBreakerOpen = errors.New("server: session circuit breaker open")
 
 // breakerOpenError carries the cooldown remaining when the breaker rejected

@@ -207,57 +207,158 @@ func grepLines(s, substr string) string {
 	return strings.Join(out, "\n")
 }
 
-// TestTimeoutRetryAfter: the writer wrapped around http.TimeoutHandler
-// injects Retry-After + JSON content type on the timeout 503 (the fixed
-// TimeoutHandler API offers no header seam of its own), and counts the
-// rejection in the overload metric.
-func TestTimeoutRetryAfter(t *testing.T) {
-	s := New(Config{CacheEntries: 8})
-	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-r.Context().Done():
-		case <-time.After(time.Minute):
-		}
-	})
-	timed := http.TimeoutHandler(slow, 10*time.Millisecond, string(marshalJSON(overloadError{
-		Error: "request timed out", Kind: "timeout",
-		RetryAfterSeconds: int(timeoutRetryAfter / time.Second),
-	})))
-	rec := httptest.NewRecorder()
-	req := httptest.NewRequest("GET", "/sessions/x/analysis", nil)
-	timed.ServeHTTP(&timeoutRetryWriter{ResponseWriter: rec, srv: s}, req)
+// requireTimeout503 checks resp is the request-timeout rejection: 503,
+// Retry-After 2, JSON content type and the structured overload body.
+func requireTimeout503(t *testing.T, what string, resp *http.Response) {
+	t.Helper()
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("%s: status %d, want 503 (body %s)", what, resp.StatusCode, body)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "2" {
+		t.Fatalf("%s: Retry-After %q, want 2", what, ra)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != jsonContentType {
+		t.Fatalf("%s: Content-Type %q, want %q", what, ct, jsonContentType)
+	}
+	const want = `{"error":"request timed out","kind":"timeout","retryAfterSeconds":2}`
+	if got := compactJSON(t, body); got != want {
+		t.Fatalf("%s: body %s, want %s", what, got, want)
+	}
+}
 
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("timeout status = %d, want 503", rec.Code)
-	}
-	if ra := rec.Header().Get("Retry-After"); ra != "2" {
-		t.Fatalf("timeout Retry-After = %q, want 2", ra)
-	}
-	if ct := rec.Header().Get("Content-Type"); ct != jsonContentType {
-		t.Fatalf("timeout Content-Type = %q, want %q", ct, jsonContentType)
-	}
-	var oe overloadError
-	if err := json.Unmarshal(rec.Body.Bytes(), &oe); err != nil {
-		t.Fatalf("timeout body is not overload JSON: %v (%s)", err, rec.Body.String())
-	}
-	if oe.Kind != "timeout" || oe.RetryAfterSeconds != 2 {
-		t.Fatalf("timeout body = %+v", oe)
-	}
+// TestRequestTimeoutExtraction: an extraction that outlives the request
+// deadline answers the timeout 503 and counts one overload{timeout}.
+func TestRequestTimeoutExtraction(t *testing.T) {
+	s := New(Config{CacheEntries: 8, RequestTimeout: 10 * time.Millisecond})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	createSynthetic(t, ts, "dblp")
+	resp := postJSON(t, ts.URL+"/sessions/dblp/extract", ExtractRequest{
+		Labels: []string{"Philip S. Yu", "Flip Korn"}, Budget: 2000,
+	})
+	requireTimeout503(t, "extraction", resp)
 	if got := s.metrics.overload.With("timeout").Value(); got != 1 {
 		t.Fatalf("overload{timeout} = %d, want 1", got)
 	}
+}
 
-	// Handler-originated 503s already carry Retry-After and must pass
-	// through untouched (no double count, header preserved).
-	rec = httptest.NewRecorder()
-	w := &timeoutRetryWriter{ResponseWriter: rec, srv: s}
-	w.Header().Set("Retry-After", "7")
-	w.WriteHeader(http.StatusServiceUnavailable)
-	if ra := rec.Header().Get("Retry-After"); ra != "7" {
-		t.Fatalf("pre-set Retry-After rewritten to %q", ra)
+// TestRequestTimeoutWhileBuilding: queries to a session whose build is
+// still running stop waiting at their deadline and answer the timeout 503,
+// while the build goes on and commits.
+func TestRequestTimeoutWhileBuilding(t *testing.T) {
+	s := New(Config{CacheEntries: 8, RequestTimeout: 100 * time.Millisecond})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	created := make(chan int, 1)
+	go func() {
+		b, _ := json.Marshal(CreateSessionRequest{Name: "big", Source: "synthetic", Scale: 0.1, Seed: 1})
+		resp, err := http.Post(ts.URL+"/sessions", "application/json", bytes.NewReader(b))
+		if err != nil {
+			created <- 0
+			return
+		}
+		resp.Body.Close()
+		created <- resp.StatusCode
+	}()
+	waitFor(t, "session reserved", func() bool { _, ok := s.reg.get("big"); return ok })
+
+	queries := map[string]func() (*http.Response, error){
+		"info":  func() (*http.Response, error) { return http.Get(ts.URL + "/sessions/big") },
+		"tree":  func() (*http.Response, error) { return http.Get(ts.URL + "/sessions/big/tree") },
+		"scene": func() (*http.Response, error) { return http.Get(ts.URL + "/sessions/big/scene") },
+		"leaf":  func() (*http.Response, error) { return http.Get(ts.URL + "/sessions/big/analysis") },
+		"labels": func() (*http.Response, error) {
+			return http.Get(ts.URL + "/sessions/big/labels?prefix=Ph")
+		},
+		"extract": func() (*http.Response, error) {
+			return http.Post(ts.URL+"/sessions/big/extract", "application/json",
+				strings.NewReader(`{"sources":[1,5]}`))
+		},
 	}
-	if got := s.metrics.overload.With("timeout").Value(); got != 1 {
-		t.Fatalf("pass-through 503 double-counted: overload{timeout} = %d", got)
+	type answer struct {
+		name    string
+		resp    *http.Response
+		err     error
+		elapsed time.Duration
+	}
+	answers := make(chan answer, len(queries))
+	for name, q := range queries {
+		go func() {
+			start := time.Now()
+			resp, err := q()
+			answers <- answer{name, resp, err, time.Since(start)}
+		}()
+	}
+	for range queries {
+		a := <-answers
+		if a.err != nil {
+			t.Fatalf("%s: %v", a.name, a.err)
+		}
+		requireTimeout503(t, a.name, a.resp)
+		if a.elapsed > time.Second {
+			t.Fatalf("%s answered after %v, want within 1s", a.name, a.elapsed)
+		}
+	}
+	select {
+	case code := <-created:
+		t.Fatalf("build finished (status %d) before the queries timed out; the test needs a slower build", code)
+	default:
+	}
+	if code := <-created; code != http.StatusCreated {
+		t.Fatalf("build status %d, want 201", code)
+	}
+	if got, want := s.metrics.overload.With("timeout").Value(), uint64(len(queries)); got != want {
+		t.Fatalf("overload{timeout} = %d, want %d", got, want)
+	}
+	resp := mustGet(t, ts.URL+"/sessions/big/tree?listing=false")
+	resp.Body.Close()
+}
+
+// TestRequestTimeoutPassedNeverAnswers200: once the deadline has passed,
+// every query route answers the timeout 503 instead of its 200, while
+// session creation and deletion, which run without a deadline, still
+// succeed.
+func TestRequestTimeoutPassedNeverAnswers200(t *testing.T) {
+	s := New(Config{CacheEntries: 8, RequestTimeout: time.Nanosecond})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	createSynthetic(t, ts, "dblp")
+	gets := []string{
+		"/healthz", "/metrics", "/sessions", "/sessions/dblp", "/sessions/dblp/tree",
+		"/sessions/dblp/scene", "/sessions/dblp/scene?format=svg&grandchildren=true",
+		"/sessions/dblp/analysis", "/sessions/dblp/analysis/graph", "/sessions/dblp/labels?prefix=Ph",
+	}
+	for _, path := range gets {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireTimeout503(t, path, resp)
+	}
+	posts := map[string]string{
+		"/sessions/dblp/extract":       `{"sources":[1,5],"budget":10}`,
+		"/sessions/dblp/extract/batch": `{"requests":[{"sources":[1,5],"budget":10}]}`,
+	}
+	for path, body := range posts {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireTimeout503(t, path, resp)
+	}
+	if got, want := s.metrics.overload.With("timeout").Value(), uint64(len(gets)+len(posts)); got != want {
+		t.Fatalf("overload{timeout} = %d, want %d", got, want)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/sessions/dblp", nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete under a passed deadline: status %d, want 200", resp.StatusCode)
 	}
 }
 

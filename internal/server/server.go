@@ -142,49 +142,32 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Handler returns the routed handler with the request-timeout middleware
-// applied to query routes (exported for httptest and embedding). Session
-// creation and deletion stay outside the timeout: a large build may
-// legitimately exceed the query budget, and timing it out mid-build would
-// tell the client "failed" while the session still commits. The instrument
-// middleware (request IDs, trace, metrics, request log) sits INSIDE the
-// timeout handler — see its comment for why route patterns force that
-// nesting — and wraps the untimed routes individually.
+// Handler returns the routed handler (exported for httptest and
+// embedding). Query routes run under the request deadline (see timed);
+// session creation and deletion do not: a large build may legitimately
+// exceed the query budget, and timing it out mid-build would tell the
+// client "failed" while the session still commits. The instrument
+// middleware (request IDs, trace, metrics, request log) wraps every route.
 func (s *Server) Handler() http.Handler {
+	mux := http.NewServeMux()
+	query := func(pattern string, h http.Handler) { mux.Handle(pattern, s.timed(h)) }
 	// Heavy query routes sit behind the admission semaphore (load shedding
 	// under overload); liveness (/healthz, /metrics) and cheap listings do
 	// not, so an overloaded or broken server can still be observed.
-	queries := http.NewServeMux()
-	queries.HandleFunc("GET /healthz", s.handleHealthz)
-	queries.HandleFunc("GET /metrics", s.handleMetrics)
-	queries.HandleFunc("GET /sessions", s.handleListSessions)
-	queries.HandleFunc("GET /sessions/{id}", s.handleSessionInfo)
-	queries.Handle("GET /sessions/{id}/tree", s.admit(http.HandlerFunc(s.handleTree)))
-	queries.Handle("GET /sessions/{id}/scene", s.admit(http.HandlerFunc(s.handleScene)))
-	queries.Handle("POST /sessions/{id}/extract", s.admit(http.HandlerFunc(s.handleExtract)))
-	queries.Handle("POST /sessions/{id}/extract/batch", s.admit(http.HandlerFunc(s.handleExtractBatch)))
-	queries.Handle("GET /sessions/{id}/analysis", s.admit(http.HandlerFunc(s.handleAnalysis)))
-	queries.Handle("GET /sessions/{id}/analysis/graph", s.admit(http.HandlerFunc(s.handleGraphAnalysis)))
-	queries.Handle("GET /sessions/{id}/labels", s.admit(http.HandlerFunc(s.handleLabels)))
-	// TimeoutHandler cancels the request context at the deadline (the
-	// engine's cooperative cancellation unwinds the solve) and writes this
-	// body itself; the timeoutRetryWriter outside it injects the
-	// Retry-After header its fixed writer API cannot, so timeout 503s carry
-	// the same backoff contract as shed and breaker 503s.
-	timed := http.TimeoutHandler(s.instrument(queries), s.cfg.RequestTimeout,
-		string(marshalJSON(overloadError{
-			Error:             "request timed out",
-			Kind:              "timeout",
-			RetryAfterSeconds: int(timeoutRetryAfter / time.Second),
-		})))
-
-	mux := http.NewServeMux()
-	mux.Handle("POST /sessions", s.instrument(http.HandlerFunc(s.handleCreateSession)))
-	mux.Handle("DELETE /sessions/{id}", s.instrument(http.HandlerFunc(s.handleDeleteSession)))
-	mux.Handle("/", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		timed.ServeHTTP(&timeoutRetryWriter{ResponseWriter: w, srv: s}, r)
-	}))
-	return mux
+	query("GET /healthz", http.HandlerFunc(s.handleHealthz))
+	query("GET /metrics", http.HandlerFunc(s.handleMetrics))
+	query("GET /sessions", http.HandlerFunc(s.handleListSessions))
+	query("GET /sessions/{id}", http.HandlerFunc(s.handleSessionInfo))
+	query("GET /sessions/{id}/tree", s.admit(http.HandlerFunc(s.handleTree)))
+	query("GET /sessions/{id}/scene", s.admit(http.HandlerFunc(s.handleScene)))
+	query("POST /sessions/{id}/extract", s.admit(http.HandlerFunc(s.handleExtract)))
+	query("POST /sessions/{id}/extract/batch", s.admit(http.HandlerFunc(s.handleExtractBatch)))
+	query("GET /sessions/{id}/analysis", s.admit(http.HandlerFunc(s.handleAnalysis)))
+	query("GET /sessions/{id}/analysis/graph", s.admit(http.HandlerFunc(s.handleGraphAnalysis)))
+	query("GET /sessions/{id}/labels", s.admit(http.HandlerFunc(s.handleLabels)))
+	mux.HandleFunc("POST /sessions", s.handleCreateSession)
+	mux.HandleFunc("DELETE /sessions/{id}", s.handleDeleteSession)
+	return s.instrument(mux)
 }
 
 // ListenAndServe binds cfg.Addr and serves until Shutdown.

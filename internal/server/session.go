@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -23,6 +24,9 @@ type Session struct {
 
 	mu  sync.RWMutex
 	eng *core.Engine // nil while building, and again after the session dies
+	// built closes when the build commits or aborts: a query waits on it,
+	// not on mu, so it can give up at its deadline.
+	built chan struct{}
 
 	// Immutable after the build completes (published before mu unlocks).
 	source      string
@@ -44,8 +48,15 @@ type Session struct {
 // its build failed or it was deleted while the caller waited on the lock.
 var errSessionGone = fmt.Errorf("server: session is gone")
 
-// withRead runs fn with the session engine under the read lock.
-func (s *Session) withRead(fn func(eng *core.Engine) error) error {
+// withRead runs fn with the session engine under the read lock, once the
+// session's build has committed or aborted; if ctx ends first, it returns
+// ctx's error without waiting further.
+func (s *Session) withRead(ctx context.Context, fn func(eng *core.Engine) error) error {
+	select {
+	case <-s.built:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.eng == nil {
@@ -63,53 +74,37 @@ func (s *Session) withRead(fn func(eng *core.Engine) error) error {
 // cancellation) is evidence it reads fine and closes the breaker again.
 // Engine-touching query handlers use this; liveness probes keep the
 // unguarded paths so an open breaker never blinds /healthz.
-func (s *Session) guardedRead(fn func(eng *core.Engine) error) error {
+func (s *Session) guardedRead(ctx context.Context, fn func(eng *core.Engine) error) error {
 	if wait, ok := s.brk.allow(); !ok {
 		return &breakerOpenError{session: s.name, retryAfter: wait}
 	}
-	err := s.withRead(fn)
+	err := s.withRead(ctx, fn)
 	s.brk.record(errors.Is(err, core.ErrPagedIO))
 	return err
-}
-
-// tryRead is withRead without blocking: if the session is write-locked
-// (building or being deleted) it returns errSessionGone immediately.
-// Liveness surfaces use it so they never queue behind a long build.
-func (s *Session) tryRead(fn func(eng *core.Engine) error) error {
-	if !s.mu.TryRLock() {
-		return errSessionGone
-	}
-	defer s.mu.RUnlock()
-	if s.eng == nil {
-		return errSessionGone
-	}
-	return fn(s.eng)
 }
 
 // poolSnapshot returns the session's buffer-pool state in wire form, or
 // nil for sessions not opened from a G-Tree file (a built engine's pool
 // reads an in-memory file and is not reported). It is the single snapshot
 // path shared by /healthz, /metrics and session info, so the stat structs
-// cannot drift apart again. With block=false it never waits on the session
-// lock: if the session is write-locked (building, deleting), it returns the
-// last successful snapshot marked Stale=true — previously /healthz silently
+// cannot drift apart again. It never waits on the session lock: if the
+// session is write-locked (building, deleting), it returns the last
+// successful snapshot marked Stale=true — previously /healthz silently
 // dropped the row, making a session under load indistinguishable from a
 // memory one.
-func (s *Session) poolSnapshot(block bool) *PoolInfo {
-	read := s.tryRead
-	if block {
-		read = s.withRead
-	}
+func (s *Session) poolSnapshot() *PoolInfo {
 	var fresh *PoolInfo
-	err := read(func(eng *core.Engine) error {
-		if s.diskBacked() {
-			fresh = poolInfoFrom(eng.Store())
+	live := s.mu.TryRLock()
+	if live {
+		live = s.eng != nil
+		if live && s.diskBacked() {
+			fresh = poolInfoFrom(s.eng.Store())
 		}
-		return nil
-	})
+		s.mu.RUnlock()
+	}
 	s.poolMu.Lock()
 	defer s.poolMu.Unlock()
-	if err == nil {
+	if live {
 		if fresh == nil {
 			return nil // not opened from a file: no pool, nothing to go stale
 		}
@@ -148,9 +143,9 @@ type SessionInfo struct {
 }
 
 // info snapshots the session under the read lock.
-func (s *Session) info() (SessionInfo, error) {
+func (s *Session) info(ctx context.Context) (SessionInfo, error) {
 	var out SessionInfo
-	err := s.withRead(func(eng *core.Engine) error {
+	err := s.withRead(ctx, func(eng *core.Engine) error {
 		st := eng.Tree().ComputeStats()
 		// The root community counts every logical edge once.
 		root := eng.Tree().Node(eng.Tree().Root())
@@ -169,7 +164,7 @@ func (s *Session) info() (SessionInfo, error) {
 		return nil
 	})
 	if err == nil {
-		out.Pool = s.poolSnapshot(true)
+		out.Pool = s.poolSnapshot()
 	}
 	return out, err
 }
@@ -210,7 +205,8 @@ func (r *Registry) reserve(name string) (*Session, error) {
 	r.nextGen++
 	s := &Session{
 		name: name, gen: r.nextGen, createdAt: time.Now(),
-		brk: newBreaker(r.brkThreshold, r.brkCooldown),
+		built: make(chan struct{}),
+		brk:   newBreaker(r.brkThreshold, r.brkCooldown),
 	}
 	s.mu.Lock()
 	r.sessions[name] = s
@@ -221,6 +217,7 @@ func (r *Registry) reserve(name string) (*Session, error) {
 func (r *Registry) commit(s *Session, eng *core.Engine) {
 	s.eng = eng
 	s.mu.Unlock()
+	close(s.built)
 }
 
 // abort removes a reserved session whose build failed and releases the
@@ -230,6 +227,7 @@ func (r *Registry) abort(s *Session) {
 	delete(r.sessions, s.name)
 	r.mu.Unlock()
 	s.mu.Unlock()
+	close(s.built)
 }
 
 // get returns the named session.

@@ -6,7 +6,7 @@
 #
 # CI's "Serve smoke" step runs it against a fresh build, and section 3 of
 # scripts/coverage.sh runs it against the cover-built binary, so the two
-# drive the same requests. Five smokes run in order:
+# drive the same requests. Six smokes run in order:
 #   1. boot: a synthetic session answers an extraction, and /metrics shows
 #      the served extraction and a recorded solve stage;
 #   2. navigate: a grandchildren scene renders as SVG that parses as XML,
@@ -21,8 +21,11 @@
 #   5. chaos: under seeded transient faults extractions answer 200 with
 #      healed retries on /metrics; once the file is really corrupted they
 #      answer 500 until the breaker opens (503), and after the file is
-#      repaired the half-open probe closes it again.
-# Uses ports 18080-18085 and writes only under <work-dir>.
+#      repaired the half-open probe closes it again;
+#   6. timeout: under -timeout 50ms an extraction too heavy to finish in
+#      time answers 503 with Retry-After 2 and the timeout overload body,
+#      and /metrics counts one overload{timeout}.
+# Uses ports 18080-18086 and writes only under <work-dir>.
 set -eu
 [ $# -eq 2 ] || { echo "usage: $0 <gmine-binary> <work-dir>" >&2; exit 2; }
 G=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
@@ -187,5 +190,25 @@ CODE=$(xcode 8)
 curl -sf http://127.0.0.1:18083/metrics \
 	| grep -E 'gmine_session_breaker_state\{session="default"\} 0' \
 	|| { echo "breaker did not close after recovery"; exit 1; }
+stop
+
+echo "== smoke 6: request timeout"
+serve 18086 -synthetic 0.01 -timeout 50ms -log off
+curl -s -D "$W/timeout.head" -o "$W/timeout.body" -X POST http://127.0.0.1:18086/sessions/default/extract \
+	-d '{"labels":["Philip S. Yu","Flip Korn"],"budget":2000}'
+python3 - "$W" <<'PY'
+import json, sys
+w = sys.argv[1]
+lines = open(f"{w}/timeout.head").read().splitlines()
+status = lines[0].split()[1]
+head = {k.strip().lower(): v.strip() for k, v in (l.split(":", 1) for l in lines[1:] if ":" in l)}
+body = json.load(open(f"{w}/timeout.body"))
+assert status == "503", f"status {status}, want 503"
+assert head.get("retry-after") == "2", f"Retry-After {head.get('retry-after')!r}, want 2"
+assert body == {"error": "request timed out", "kind": "timeout", "retryAfterSeconds": 2}, f"body {body}"
+print("timeout: 503, Retry-After 2,", body)
+PY
+curl -sf http://127.0.0.1:18086/metrics | grep -E '^gmine_http_overload_total\{kind="timeout"\} 1$' \
+	|| { echo "timeout not counted once in /metrics"; curl -s http://127.0.0.1:18086/metrics | grep overload; exit 1; }
 stop
 echo "== serve smokes passed"
