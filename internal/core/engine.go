@@ -161,7 +161,7 @@ var ErrPagedIO = errors.New("core: paged graph read failed")
 // outside a query: the resident tier's CSR while one is promoted (always,
 // on a built engine), else the store's paged CSR, which pages neighbor
 // ranges through the buffer pool. Queries open their own view instead
-// (queryAdj), so their reads and faults are counted apart.
+// (query), so their reads and faults are counted apart.
 func (e *Engine) Adj() (graph.Adjacency, error) { return e.store.Adj() }
 
 // SetPoolQuota does nothing: the buffer pool has one policy, plain LRU,
@@ -185,31 +185,36 @@ func (e *Engine) SetSweepShards(int) {}
 // pages once, when it opens, and keeps its pick.
 func (e *Engine) SetTierBudget(bytes int64) { e.store.SetTierBudget(max(bytes, 0)) }
 
-// queryAdj returns the adjacency a whole-graph query should solve on, the
-// query's gtree.QueryView behind it and a release function to call when
-// done. The view pins through a counted view of the buffer pool, latches
-// the query's own faults, carries ctx into the blocked sweeps (a server
-// timeout or client disconnect aborts the sweep at the next chunk
-// boundary) and, while a tier budget is set, reads the resident graph if
-// one was published as it opened.
+// query runs fn as one whole-graph query, the one prologue of the traced
+// entries: it opens the query's gtree.QueryView, preloads the label index
+// and hands fn the view, whose Adj fn solves on, then tags any error with
+// tr's request ID. The view pins through a counted
+// view of the buffer pool, latches the query's own faults, carries ctx
+// into the blocked sweeps (a server timeout or client disconnect aborts
+// the sweep at the next chunk boundary) and, while a tier budget is set,
+// reads the resident graph if one was published as it opened.
 //
-// When tr is non-nil the acquisition is recorded as the "open" stage, and
-// the release function charges the query's I/O — pins (buffer pool Gets =
+// When tr is non-nil the view's acquisition is recorded as the "open"
+// stage and the preload as "labels", debug traces get the memstats
+// bracket, and when fn returns the query's I/O — pins (buffer pool Gets =
 // hits + misses), hits/misses, evictions, load waits, the view's own
 // faults, the row cursors' rows/pins, the sweeps' file reads and pages,
-// retries and whether the query read the resident tier — to the trace. This is the engine's
-// "report what this query cost" seam: the counters come from the view the
-// query read through, so they name this query's work, not the session's.
-func (e *Engine) queryAdj(ctx context.Context, tr *obs.Trace) (graph.Adjacency, *gtree.QueryView, func(), error) {
+// retries and whether the query read the resident tier — is charged to
+// the trace. This is the engine's "report what this query cost" seam: the
+// counters come from the view the query read through, so they name this
+// query's work, not the session's.
+func (e *Engine) query(ctx context.Context, tr *obs.Trace, fn func(view *gtree.QueryView) error) (err error) {
+	defer func() { err = tagTrace(tr, err) }()
+	defer memStatsBracket(tr)()
 	sp := tr.StartStage("open")
-	defer sp.End()
 	view, err := e.store.QueryView(ctx)
+	sp.End()
 	if err != nil {
 		// The CSR section's geometry does not match the file: the request
 		// is fine, the store is not.
-		return nil, nil, nil, fmt.Errorf("%w: %v", ErrPagedIO, err)
+		return fmt.Errorf("%w: %v", ErrPagedIO, err)
 	}
-	release := func() {
+	defer func() {
 		if tr != nil {
 			qc := view.Counts()
 			tr.Count("pool.pins", int64(qc.Pool.Hits+qc.Pool.Misses))
@@ -245,8 +250,14 @@ func (e *Engine) queryAdj(ctx context.Context, tr *obs.Trace) (graph.Adjacency, 
 		// Query-amortized promotion: load the whole graph once the budget
 		// covers it.
 		view.Promote()
+	}()
+	sp = tr.StartStage("labels")
+	err = e.preloadLabels()
+	sp.End()
+	if err != nil {
+		return err
 	}
-	return view.Adj, view, release, nil
+	return fn(view)
 }
 
 // memStatsBracket returns a closure charging runtime.ReadMemStats deltas
@@ -443,33 +454,21 @@ func (e *Engine) Extract(sources []graph.NodeID, opts extract.Options) (*extract
 // surfaces ctx's error (never ErrPagedIO — see
 // withFaultCheck).
 func (e *Engine) ExtractTraced(ctx context.Context, tr *obs.Trace, sources []graph.NodeID, opts extract.Options) (res *extract.Result, err error) {
-	defer func() { err = tagTrace(tr, err) }()
-	memDone := memStatsBracket(tr)
-	defer memDone()
-	adj, view, release, err := e.queryAdj(ctx, tr)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	sp := tr.StartStage("labels")
-	err = e.preloadLabels()
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
 	if tr != nil {
 		opts.StageHook = tr.ObserveStage
 	}
 	if opts.RWR.Ctx == nil {
 		opts.RWR.Ctx = ctx
 	}
-	sp = tr.StartStage("solve")
-	err = withFaultCheck(ctx, view, func() error {
-		var err error
-		res, err = extract.ConnectionSubgraphAdj(adj, e.store.Directed(), e.store.LabelOf, sources, opts)
-		return err
+	err = e.query(ctx, tr, func(view *gtree.QueryView) error {
+		sp := tr.StartStage("solve")
+		defer sp.End()
+		return withFaultCheck(ctx, view, func() error {
+			var err error
+			res, err = extract.ConnectionSubgraphAdj(view.Adj, e.store.Directed(), e.store.LabelOf, sources, opts)
+			return err
+		})
 	})
-	sp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -508,56 +507,48 @@ func (e *Engine) AnalyzeGraph(opts analysis.PageRankOptions, topK int) (*GraphAn
 // tr (nil tr = untraced; see ExtractTraced). ctx cancels both sweeps
 // cooperatively at chunk/iteration boundaries.
 func (e *Engine) AnalyzeGraphTraced(ctx context.Context, tr *obs.Trace, opts analysis.PageRankOptions, topK int) (res *GraphAnalysis, err error) {
-	defer func() { err = tagTrace(tr, err) }()
-	memDone := memStatsBracket(tr)
-	defer memDone()
 	if topK <= 0 {
 		topK = 10
-	}
-	// One query view covers both sweeps: the structure report warms the
-	// pages PageRank is about to walk, and both charge the same counters.
-	adj, view, release, err := e.queryAdj(ctx, tr)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	sp := tr.StartStage("labels")
-	err = e.preloadLabels()
-	sp.End()
-	if err != nil {
-		return nil, err
 	}
 	if opts.Ctx == nil {
 		opts.Ctx = ctx
 	}
 	directed := e.store.Directed()
 	res = &GraphAnalysis{Directed: directed}
-	sp = tr.StartStage("report")
-	err = withFaultCheck(ctx, view, func() error {
-		res.AdjacencyReport = analysis.ReportAdj(adj, directed)
+	// One query view covers both sweeps: the structure report warms the
+	// pages PageRank is about to walk, and both charge the same counters.
+	err = e.query(ctx, tr, func(view *gtree.QueryView) error {
+		sp := tr.StartStage("report")
+		err := withFaultCheck(ctx, view, func() error {
+			res.AdjacencyReport = analysis.ReportAdj(view.Adj, directed)
+			return nil
+		})
+		sp.End()
+		if err != nil {
+			return err
+		}
+		// The iteration gets the same check on the same view.
+		sp = tr.StartStage("pagerank")
+		err = withFaultCheck(ctx, view, func() error {
+			res.PageRank = analysis.PageRankAdj(view.Adj, opts)
+			return nil
+		})
+		sp.End()
+		if err != nil {
+			return err
+		}
+		sp = tr.StartStage("rank")
+		defer sp.End()
+		res.TopRanked = analysis.TopKByRank(res.PageRank, topK)
+		res.TopLabels = make([]string, len(res.TopRanked))
+		for i, u := range res.TopRanked {
+			res.TopLabels[i] = e.store.LabelOf(u)
+		}
 		return nil
 	})
-	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	// The iteration gets the same check on the same view.
-	sp = tr.StartStage("pagerank")
-	err = withFaultCheck(ctx, view, func() error {
-		res.PageRank = analysis.PageRankAdj(adj, opts)
-		return nil
-	})
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	sp = tr.StartStage("rank")
-	res.TopRanked = analysis.TopKByRank(res.PageRank, topK)
-	res.TopLabels = make([]string, len(res.TopRanked))
-	for i, u := range res.TopRanked {
-		res.TopLabels[i] = e.store.LabelOf(u)
-	}
-	sp.End()
 	return res, nil
 }
 

@@ -826,40 +826,47 @@ func (s *Store) LabelOf(u graph.NodeID) string {
 }
 
 // PoolInfo bundles the buffer-pool counters with its configuration — the
-// observability surface for out-of-core behavior (served on /healthz and
-// in per-session info by the HTTP server).
+// observability surface for out-of-core behavior, and its wire form on
+// /healthz and in per-session info. What one query cost the pool is in
+// that query's trace (?trace=1), not here.
 type PoolInfo struct {
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-	LoadWaits uint64 // Gets that waited on another goroutine's load of their page
-	Capacity  int
-	Resident  int
-	FilePages uint32
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Evictions uint64 `json:"evictions"`
+	// LoadWaits counts page requests that waited for another query's
+	// in-flight load of the same page instead of reading it again.
+	LoadWaits uint64 `json:"loadWaits"`
+	Capacity  int    `json:"capacity"`
+	Resident  int    `json:"resident"`
+	FilePages uint32 `json:"filePages"`
+	// PinnedFrames counts resident frames currently pinned by in-flight
+	// queries; a non-zero value on an idle store means a query leaked pins.
+	PinnedFrames int `json:"pinnedFrames"`
 	// Retry is the pager's transient-read recovery ledger: re-read
 	// attempts, reads healed by retry, and reads that exhausted the budget
 	// and surfaced as permanent faults.
-	Retry storage.RetryStats
+	Retry storage.RetryStats `json:"retry"`
 	// Tier is the hot/cold tiering state — whether the decoded CSR is
 	// resident, its bytes against the budget, promotions and demotions, and
 	// the queries served from memory (hits) and from pages (misses) — nil
 	// while tiering is off (no budget ever set and nothing ever promoted).
-	Tier *TierInfo
+	Tier *TierInfo `json:"tier,omitempty"`
 }
 
 // PoolInfo snapshots the buffer pool and file size.
 func (s *Store) PoolInfo() PoolInfo {
 	st := s.pool.Stats()
 	return PoolInfo{
-		Hits:      st.Hits,
-		Misses:    st.Misses,
-		Evictions: st.Evictions,
-		LoadWaits: st.LoadWaits,
-		Capacity:  s.pool.Capacity(),
-		Resident:  s.pool.Resident(),
-		FilePages: s.pager.NumPages(),
-		Retry:     s.pager.RetryStats(),
-		Tier:      s.TierInfo(),
+		Hits:         st.Hits,
+		Misses:       st.Misses,
+		Evictions:    st.Evictions,
+		LoadWaits:    st.LoadWaits,
+		Capacity:     s.pool.Capacity(),
+		Resident:     s.pool.Resident(),
+		FilePages:    s.pager.NumPages(),
+		PinnedFrames: s.pool.PinnedFrames(),
+		Retry:        s.pager.RetryStats(),
+		Tier:         s.TierInfo(),
 	}
 }
 

@@ -10,11 +10,11 @@ import (
 // of the total node weight. It coarsens, bisects the coarsest graph by
 // greedy graph growing, and refines with FM on every uncoarsening level.
 func multilevelBisect(c *graph.CSR, frac float64, opts Options, rng *rand.Rand) []int8 {
-	levels := coarsen(c, opts.CoarsenTo, rng)
+	levels := coarsen(c, max(coarsenTo, 4*opts.K), rng)
 	coarsest := levels[len(levels)-1].csr
-	side := growBisection(coarsest, frac, opts, rng)
+	side := growBisection(coarsest, frac, rng)
 	sc := newFMScratch(c.N())
-	fmRefine(coarsest, side, frac, opts.Imbalance, opts.FMPasses, sc)
+	fmRefine(coarsest, side, frac, imbalance, opts.FMPasses, sc)
 	// Project back through the hierarchy, refining at each level.
 	for li := len(levels) - 1; li > 0; li-- {
 		fine := levels[li-1].csr
@@ -24,7 +24,7 @@ func multilevelBisect(c *graph.CSR, frac float64, opts Options, rng *rand.Rand) 
 			fineSide[u] = side[cmap[u]]
 		}
 		side = fineSide
-		fmRefine(fine, side, frac, opts.Imbalance, opts.FMPasses, sc)
+		fmRefine(fine, side, frac, imbalance, opts.FMPasses, sc)
 	}
 	return side
 }
@@ -33,7 +33,7 @@ func multilevelBisect(c *graph.CSR, frac float64, opts Options, rng *rand.Rand) 
 // graph growing: start from a random seed, repeatedly absorb the frontier
 // node whose move reduces the would-be cut most, until side 0 holds the
 // target weight. Tries several seeds and keeps the smallest cut.
-func growBisection(c *graph.CSR, frac float64, opts Options, rng *rand.Rand) []int8 {
+func growBisection(c *graph.CSR, frac float64, rng *rand.Rand) []int8 {
 	n := c.N()
 	total := c.TotalNodeWeight()
 	target := int64(frac * float64(total))
@@ -42,11 +42,7 @@ func growBisection(c *graph.CSR, frac float64, opts Options, rng *rand.Rand) []i
 	}
 	var bestSide []int8
 	bestCut := -1.0
-	tries := opts.GrowTries
-	if tries < 1 {
-		tries = 1
-	}
-	for t := 0; t < tries; t++ {
+	for t := 0; t < growTries; t++ {
 		side := make([]int8, n)
 		for i := range side {
 			side[i] = 1

@@ -35,49 +35,37 @@ type Options struct {
 	K int
 	// Method selects the algorithm; default Multilevel.
 	Method Method
-	// Imbalance is the allowed ratio of a side's weight to its target weight
-	// in each bisection. Values <= 1 mean the default of 1.10. Recursive
-	// bisection compounds it: a part sits below ceil(log2 K) bisections, so
-	// the heaviest part may reach Imbalance^ceil(log2 K) times the ideal
-	// part weight (1.33 at K = 5 with the default; 1.13-1.22 measured).
-	Imbalance float64
 	// Seed drives all randomized choices; the same seed gives the same
 	// partitioning.
 	Seed int64
-	// CoarsenTo stops coarsening once the coarse graph has at most this many
-	// nodes (floored at 4*K). Zero means the default of 120.
-	CoarsenTo int
 	// FMPasses is the number of refinement passes applied per uncoarsening
 	// level. Zero means the default of 4. Negative disables refinement
 	// (used by the ablation benches).
 	FMPasses int
-	// GrowTries is the number of random seeds tried by the initial greedy
-	// bisection. Zero means the default of 8.
-	GrowTries int
 	// KWayRefine enables a direct k-way greedy boundary refinement pass
 	// after recursive bisection, recovering cut the independent
 	// bisections cannot see across their boundaries.
 	KWayRefine bool
 }
 
+// Fixed multilevel knobs. imbalance is the allowed ratio of a side's
+// weight to its target weight in each bisection; recursive bisection
+// compounds it, so the heaviest part may reach imbalance^ceil(log2 K)
+// times the ideal part weight (1.33 at K = 5; 1.13-1.22 measured).
+// Coarsening stops once the coarse graph has at most max(coarsenTo, 4·K)
+// nodes, and the initial greedy bisection tries growTries random seeds.
+const (
+	imbalance = 1.10
+	coarsenTo = 120
+	growTries = 8
+)
+
 func (o Options) withDefaults() Options {
-	if o.Imbalance <= 1 {
-		o.Imbalance = 1.10
-	}
-	if o.CoarsenTo == 0 {
-		o.CoarsenTo = 120
-	}
-	if o.CoarsenTo < 4*o.K {
-		o.CoarsenTo = 4 * o.K
-	}
 	if o.FMPasses == 0 {
 		o.FMPasses = 4
 	}
 	if o.FMPasses < 0 {
 		o.FMPasses = 0
-	}
-	if o.GrowTries == 0 {
-		o.GrowTries = 8
 	}
 	return o
 }
@@ -117,7 +105,7 @@ func Partition(g *graph.Graph, opts Options) (*Result, error) {
 		c := graph.ToCSR(undirected(g))
 		assignRecursive(c, identity(n), opts.K, 0, parts, opts, rng)
 		if opts.KWayRefine && opts.K > 1 {
-			kwayRefine(c, parts, opts.K, opts.Imbalance, opts.FMPasses)
+			kwayRefine(c, parts, opts.K, imbalance, opts.FMPasses)
 		}
 	case BFSGrow:
 		bfsPartition(g, opts.K, parts, rng)

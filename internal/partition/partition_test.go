@@ -449,7 +449,7 @@ func TestGrowBisectionRespectsTargetFraction(t *testing.T) {
 	g := ringOfCliques(4, 10)
 	c := graph.ToCSR(g)
 	rng := rand.New(rand.NewSource(1))
-	side := growBisection(c, 0.25, Options{GrowTries: 4}.withDefaults(), rng)
+	side := growBisection(c, 0.25, rng)
 	var w0 int64
 	for u, s := range side {
 		if s == 0 {
@@ -463,16 +463,15 @@ func TestGrowBisectionRespectsTargetFraction(t *testing.T) {
 	}
 }
 
-// TestImbalanceCompoundsPerBisection pins what Options.Imbalance bounds:
-// each bisection may overshoot its target by that factor, so after the
-// ceil(log2 K) bisections above a part, the heaviest part stays within
-// Imbalance^ceil(log2 K) of the ideal weight — not within Imbalance itself.
+// TestImbalanceCompoundsPerBisection pins what the imbalance constant
+// bounds: each bisection may overshoot its target by that factor, so after
+// the ceil(log2 K) bisections above a part, the heaviest part stays within
+// imbalance^ceil(log2 K) of the ideal weight — not within imbalance itself.
 func TestImbalanceCompoundsPerBisection(t *testing.T) {
-	const imbalance = 1.10
 	for seed := int64(1); seed <= 6; seed++ {
 		g := randomCommunityGraph(rand.New(rand.NewSource(seed)), 6, 100, 0.08, 0.004)
 		for k := 2; k <= 8; k++ {
-			res, err := Partition(g, Options{K: k, Seed: seed, Imbalance: imbalance})
+			res, err := Partition(g, Options{K: k, Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -133,10 +133,13 @@ dispatch:
 	}
 	close(jobs)
 	wg.Wait()
+	// Items never dispatched answer as the batch does: 499 when the client
+	// went away, 503 when the request deadline passed. Only a disconnect
+	// counts as a cancelled query.
 	for idx := dispatched; idx < n; idx++ {
 		resp.Results[idx] = BatchExtractItem{
 			Index:  idx,
-			Status: statusClientClosedRequest,
+			Status: statusOf(ctx.Err(), statusClientClosedRequest),
 			Error:  "batch cancelled before dispatch: " + ctx.Err().Error(),
 		}
 	}

@@ -170,6 +170,54 @@ func TestCachedResultFollowerDeadline(t *testing.T) {
 	}
 }
 
+// TestCachedResultInFlightTakesNoSlot: a key whose build is running holds
+// no LRU slot. With capacity 2 and two stored keys, both still hit while a
+// third key's build is blocked, and storing the third evicts exactly one
+// entry, the least recently used.
+func TestCachedResultInFlightTakesNoSlot(t *testing.T) {
+	s := New(Config{CacheEntries: 2})
+	ctx := context.Background()
+	body := func(b string) func() ([]byte, string, int, error) {
+		return func() ([]byte, string, int, error) { return []byte(b), "text/plain", 0, nil }
+	}
+	for _, k := range []string{"a", "b"} {
+		if _, _, state, _, err := s.cachedResult(ctx, k, body(k)); err != nil || state != "miss" {
+			t.Fatalf("store %s: state %q err %v", k, state, err)
+		}
+	}
+	inBuild, proceed, stored := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stored)
+		s.cachedResult(ctx, "c", func() ([]byte, string, int, error) {
+			close(inBuild)
+			<-proceed
+			return []byte("c"), "text/plain", 0, nil
+		})
+	}()
+	<-inBuild
+	for _, k := range []string{"a", "b"} {
+		if got, _, state, _, err := s.cachedResult(ctx, k, nil); err != nil || state != "hit" || string(got) != k {
+			t.Fatalf("%s while c builds: %q state %q err %v", k, got, state, err)
+		}
+	}
+	if st := s.cache.snapshot(); st.Entries != 2 || st.Evictions != 0 {
+		t.Fatalf("while c builds: %+v, want 2 entries and no eviction", st)
+	}
+	close(proceed)
+	<-stored
+	if st := s.cache.snapshot(); st.Entries != 2 || st.Evictions != 1 {
+		t.Fatalf("after c is stored: %+v, want 2 entries and 1 eviction", st)
+	}
+	for _, k := range []string{"b", "c"} {
+		if _, _, state, _, err := s.cachedResult(ctx, k, nil); err != nil || state != "hit" {
+			t.Fatalf("%s after c is stored: state %q err %v", k, state, err)
+		}
+	}
+	if _, _, state, _, _ := s.cachedResult(ctx, "a", body("a")); state != "miss" {
+		t.Fatalf("least recently used a: state %q, want miss", state)
+	}
+}
+
 // TestExtractStampedeSingleBuild exercises the singleflight through the
 // full HTTP layer: concurrent identical extracts produce exactly one miss
 // (the leader) and serve everyone the same body.

@@ -2,6 +2,9 @@ package server
 
 import (
 	"container/list"
+	"context"
+	"fmt"
+	"net/http"
 	"sync"
 )
 
@@ -18,22 +21,36 @@ type CacheStats struct {
 	Coalesced uint64 `json:"coalesced"`
 }
 
-// resultCache is a bounded LRU keyed by canonicalized request parameters.
-// Repeated interactive queries (the same extraction re-run while the user
-// pans, the same scene re-fetched on window resize) skip the RWR solve and
-// layout entirely and serve the previously rendered body.
+// resultCache is a bounded LRU keyed by canonicalized request parameters,
+// and its own singleflight. Repeated interactive queries (the same
+// extraction re-run while the user pans, the same scene re-fetched on
+// window resize) skip the RWR solve and layout entirely and serve the
+// previously rendered body; concurrent identical misses run one build.
+// A key whose build is running is an entry with no LRU slot: it counts
+// toward neither Entries nor capacity until its body is stored.
 type resultCache struct {
 	mu    sync.Mutex
 	cap   int
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
+	ll    *list.List // stored entries, front = most recently used
+	items map[string]*cacheEntry
 	stats CacheStats
 }
 
+// cacheEntry is one key's stored body, or its build in flight. The leader
+// writes the result fields before it closes done; a stored entry never
+// changes again, so a hit or a follower reads them without the lock. ok
+// distinguishes a completed build from a leader that never finished (its
+// build panicked and the deferred finish ran during unwinding), so
+// followers are never served a zero-value "success".
 type cacheEntry struct {
-	key  string
-	body []byte
-	ctyp string
+	key       string
+	el        *list.Element // nil while the build runs or failed
+	done      chan struct{}
+	ok        bool
+	body      []byte
+	ctyp      string
+	errStatus int
+	err       error
 }
 
 // newResultCache returns a cache bounded to capacity entries (min 1).
@@ -44,52 +61,49 @@ func newResultCache(capacity int) *resultCache {
 	return &resultCache{
 		cap:   capacity,
 		ll:    list.New(),
-		items: make(map[string]*list.Element, capacity),
+		items: make(map[string]*cacheEntry, capacity),
 	}
 }
 
-// get returns the cached body and content type for key, recording a hit on
-// success. A failed lookup records nothing: misses are counted by the
-// singleflight leader that actually runs a build (see miss), so the
-// Misses counter means "solves run", not "lookups that raced".
-func (c *resultCache) get(key string) ([]byte, string, bool) {
+// lookup resolves key in one critical section. A stored body is a "hit"
+// (counted and LRU-refreshed); a running build is "coalesced" (the caller
+// waits on its done); otherwise the caller becomes the "miss" leader of a
+// new in-flight entry and must finish it. Misses count leaders, so the
+// counter means "builds run", not "lookups that raced".
+func (c *resultCache) lookup(key string) (*cacheEntry, string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, "", false
+	if e, ok := c.items[key]; ok {
+		if e.el == nil {
+			return e, "coalesced"
+		}
+		c.stats.Hits++
+		c.ll.MoveToFront(e.el)
+		return e, "hit"
 	}
-	c.stats.Hits++
-	c.ll.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
-	return e.body, e.ctyp, true
-}
-
-// miss records one build actually run after a cold lookup.
-func (c *resultCache) miss() {
-	c.mu.Lock()
+	e := &cacheEntry{key: key, done: make(chan struct{})}
+	c.items[key] = e
 	c.stats.Misses++
-	c.mu.Unlock()
+	return e, "miss"
 }
 
-// put stores body under key, evicting the least recently used entry when
-// over capacity.
-func (c *resultCache) put(key string, body []byte, ctyp string) {
+// finish publishes a leader's result: a successful body takes the front
+// LRU slot, evicting the least recently used entries over capacity; a
+// failed or panicked build leaves the cache, so the next caller retries.
+func (c *resultCache) finish(e *cacheEntry) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).body = body
-		el.Value.(*cacheEntry).ctyp = ctyp
-		return
+	if e.ok && e.err == nil {
+		e.el = c.ll.PushFront(e)
+		for c.ll.Len() > c.cap {
+			back := c.ll.Remove(c.ll.Back()).(*cacheEntry)
+			delete(c.items, back.key)
+			c.stats.Evictions++
+		}
+	} else {
+		delete(c.items, e.key)
 	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, body: body, ctyp: ctyp})
-	for c.ll.Len() > c.cap {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.items, back.Value.(*cacheEntry).key)
-		c.stats.Evictions++
-	}
+	c.mu.Unlock()
+	close(e.done)
 }
 
 // coalesced records one singleflight follower served by a shared build.
@@ -99,13 +113,15 @@ func (c *resultCache) coalesced() {
 	c.mu.Unlock()
 }
 
-// reset drops every entry and zeroes the counters (used by benchmarks to
-// measure cold latency).
+// reset drops every stored entry and zeroes the counters (used by
+// benchmarks to measure cold latency). Builds in flight stay joinable.
 func (c *resultCache) reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		delete(c.items, el.Value.(*cacheEntry).key)
+	}
 	c.ll.Init()
-	c.items = make(map[string]*list.Element, c.cap)
 	c.stats = CacheStats{}
 }
 
@@ -117,4 +133,39 @@ func (c *resultCache) snapshot() CacheStats {
 	s.Capacity = c.cap
 	s.Entries = c.ll.Len()
 	return s
+}
+
+// cachedResult serves key from the result cache, or runs build as the
+// key's one in-flight build, caches a successful body and returns it. The
+// returned state is "hit" (cache), "miss" (this caller ran the build) or
+// "coalesced" (an identical build was already in flight; this caller
+// waited and shares its result). Coalescing is what stops a cache
+// stampede: N concurrent misses on one key cost one build, not N. A
+// follower stops waiting when ctx ends and returns ctx's error.
+func (s *Server) cachedResult(ctx context.Context, key string,
+	build func() (body []byte, ctyp string, errStatus int, err error)) (
+	body []byte, ctyp, state string, errStatus int, err error) {
+	e, state := s.cache.lookup(key)
+	switch state {
+	case "hit":
+		return e.body, e.ctyp, state, 0, nil
+	case "coalesced":
+		select {
+		case <-e.done:
+		case <-ctx.Done():
+			return nil, "", state, statusOf(ctx.Err(), 0), ctx.Err()
+		}
+		s.cache.coalesced()
+		if !e.ok {
+			// The leader never completed (its build panicked); don't hand
+			// out a zero-value body as a 200.
+			return nil, "", state, http.StatusInternalServerError,
+				fmt.Errorf("shared in-flight build did not complete")
+		}
+		return e.body, e.ctyp, state, e.errStatus, e.err
+	}
+	defer s.cache.finish(e)
+	body, ctyp, errStatus, err = build()
+	e.body, e.ctyp, e.errStatus, e.err, e.ok = body, ctyp, errStatus, err, true
+	return body, ctyp, state, errStatus, err
 }

@@ -55,7 +55,7 @@ func TestCreateSessionCancelledByDisconnect(t *testing.T) {
 
 	// A build that ran to completion would commit and keep the name.
 	waitFor(t, "the aborted reservation", func() bool { _, ok := s.reg.get("big"); return !ok })
-	if names := s.reg.names(); len(names) != 0 {
+	if names := s.reg.list(); len(names) != 0 {
 		t.Fatalf("sessions listed after a cancelled create: %v", names)
 	}
 	waitFor(t, "goroutines to return to baseline", func() bool { return runtime.NumGoroutine() <= baseline })

@@ -36,9 +36,7 @@ type apiError struct {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", jsonContentType)
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(marshalJSON(v))
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -54,52 +52,6 @@ func (s *Server) session(w http.ResponseWriter, r *http.Request) (*Session, bool
 		return nil, false
 	}
 	return sess, true
-}
-
-// cachedResult serves key from the result cache, or runs build under a
-// per-key singleflight, caches a successful body and returns it. The
-// returned state is "hit" (cache), "miss" (this caller ran the build) or
-// "coalesced" (an identical build was already in flight; this caller
-// waited and shares its result). Coalescing is what stops a cache
-// stampede: N concurrent misses on one key cost one build, not N. A
-// follower stops waiting when ctx ends and returns ctx's error.
-func (s *Server) cachedResult(ctx context.Context, key string,
-	build func() (body []byte, ctyp string, errStatus int, err error)) (
-	body []byte, ctyp, state string, errStatus int, err error) {
-	if body, ctyp, ok := s.cache.get(key); ok {
-		return body, ctyp, "hit", 0, nil
-	}
-	call, leader := s.flight.begin(key)
-	if !leader {
-		select {
-		case <-call.done:
-		case <-ctx.Done():
-			return nil, "", "coalesced", statusOf(ctx.Err(), 0), ctx.Err()
-		}
-		s.cache.coalesced()
-		if !call.ok {
-			// The leader never completed (its build panicked); don't hand
-			// out a zero-value body as a 200.
-			return nil, "", "coalesced", http.StatusInternalServerError,
-				fmt.Errorf("shared in-flight build did not complete")
-		}
-		return call.body, call.ctyp, "coalesced", call.errStatus, call.err
-	}
-	defer s.flight.finish(key, call)
-	// Double-check: a previous leader may have filled the cache between our
-	// first lookup and joining the flight group. This is a genuinely served
-	// hit, so count and LRU-refresh it like any other.
-	if body, ctyp, ok := s.cache.get(key); ok {
-		call.body, call.ctyp, call.ok = body, ctyp, true
-		return body, ctyp, "hit", 0, nil
-	}
-	s.cache.miss()
-	body, ctyp, errStatus, err = build()
-	call.body, call.ctyp, call.errStatus, call.err, call.ok = body, ctyp, errStatus, err, true
-	if err == nil {
-		s.cache.put(key, body, ctyp)
-	}
-	return body, ctyp, "miss", errStatus, err
 }
 
 // serveCached writes a cachedResult to the response, reporting the cache
@@ -176,52 +128,7 @@ type healthResponse struct {
 }
 
 // PoolInfo is the wire form of a disk-backed session's buffer-pool state.
-// What one query cost the pool is in that query's trace (?trace=1), not
-// here.
-type PoolInfo struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	// LoadWaits counts page requests that waited for another query's
-	// in-flight load of the same page instead of reading it again.
-	LoadWaits uint64 `json:"loadWaits"`
-	Capacity  int    `json:"capacity"`
-	Resident  int    `json:"resident"`
-	FilePages uint32 `json:"filePages"`
-	// PinnedFrames counts resident frames currently pinned by in-flight
-	// queries; a non-zero value on an idle session means a query leaked
-	// pins (the cancellation soak asserts it returns to zero).
-	PinnedFrames int `json:"pinnedFrames"`
-	// Retry is the pager's transient-read recovery ledger: re-read
-	// attempts, reads healed by retry, reads that exhausted the budget.
-	Retry storage.RetryStats `json:"retry"`
-	// Stale marks a last-known snapshot served while the session was
-	// write-locked (building or deleting); fresh reads omit it.
-	Stale bool `json:"stale,omitempty"`
-	// Tier reports the hot-tier state of sessions with a tier budget set
-	// (nil while tiering is off): whether the decoded graph is resident
-	// (fragments 0 or 1), the bytes it holds against the budget, the
-	// cumulative promotions and demotions, and the queries served from
-	// memory (hits) and from pages (misses).
-	Tier *gtree.TierInfo `json:"tier,omitempty"`
-}
-
-// poolInfoFrom converts a store's pool snapshot to the wire form.
-func poolInfoFrom(st *gtree.Store) *PoolInfo {
-	pi := st.PoolInfo()
-	return &PoolInfo{
-		Hits:         pi.Hits,
-		Misses:       pi.Misses,
-		Evictions:    pi.Evictions,
-		LoadWaits:    pi.LoadWaits,
-		Capacity:     pi.Capacity,
-		Resident:     pi.Resident,
-		FilePages:    pi.FilePages,
-		PinnedFrames: st.PinnedFrames(),
-		Retry:        pi.Retry,
-		Tier:         pi.Tier,
-	}
-}
+type PoolInfo = gtree.PoolInfo
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := healthResponse{
@@ -229,20 +136,18 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Goroutines:    runtime.NumGoroutine(),
 		InFlight:      s.metrics.inFlight.Value(),
-		Sessions:      s.reg.names(),
+		Sessions:      []string{},
 		Cache:         s.cache.snapshot(),
 	}
-	// Pool rows come from the shared non-blocking snapshot path: a session
-	// mid-build contributes its last-known counters marked "stale" instead
-	// of vanishing from the probe.
-	for _, name := range resp.Sessions {
-		if sess, ok := s.reg.get(name); ok {
-			if pi := sess.poolSnapshot(); pi != nil {
-				if resp.Pools == nil {
-					resp.Pools = make(map[string]PoolInfo)
-				}
-				resp.Pools[name] = *pi
+	// Pool rows come from the non-blocking snapshot path: a write-locked
+	// session has no row this time, and the probe never waits on it.
+	for _, sess := range s.reg.list() {
+		resp.Sessions = append(resp.Sessions, sess.name)
+		if pi := sess.poolSnapshot(); pi != nil {
+			if resp.Pools == nil {
+				resp.Pools = make(map[string]PoolInfo)
 			}
+			resp.Pools[sess.name] = *pi
 		}
 	}
 	if s.refuse(w, r, nil, 0) {
@@ -451,13 +356,19 @@ func buildEngine(ctx context.Context, req CreateSessionRequest, method partition
 
 // --- GET /sessions, GET/DELETE /sessions/{id} -----------------------------
 
+// handleListSessions lists the sessions already built. A session still
+// building is left out rather than waited for, so the list stays as
+// observable during a long build as /healthz.
 func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
 	infos := make([]SessionInfo, 0)
-	for _, name := range s.reg.names() {
-		if sess, ok := s.reg.get(name); ok {
-			if info, err := sess.info(r.Context()); err == nil {
-				infos = append(infos, info)
-			}
+	for _, sess := range s.reg.list() {
+		select {
+		case <-sess.built:
+		default:
+			continue
+		}
+		if info, err := sess.info(r.Context()); err == nil {
+			infos = append(infos, info)
 		}
 	}
 	if s.refuse(w, r, nil, 0) {
@@ -622,20 +533,14 @@ func (s *Server) handleScene(w http.ResponseWriter, r *http.Request) {
 	}
 	key := sess.cacheKey(fmt.Sprintf("scene|f=%d|g=%t|fmt=%s|sz=%g", focus, grand, format, keySize))
 	s.serveCached(w, r, key, func() ([]byte, string, int, error) {
-		var body []byte
-		var ctyp string
-		err := sess.withRead(r.Context(), func(eng *core.Engine) error {
+		return engineBody(r.Context(), sess.withRead, http.StatusBadRequest, func(eng *core.Engine) ([]byte, string, error) {
 			if format == "svg" {
 				doc, err := eng.RenderSceneAt(gtree.TreeID(focus), size, opts)
-				if err != nil {
-					return err
-				}
-				body, ctyp = []byte(doc), render.ContentType
-				return nil
+				return []byte(doc), render.ContentType, err
 			}
 			sc, err := eng.SceneAt(gtree.TreeID(focus), opts)
 			if err != nil {
-				return err
+				return nil, "", err
 			}
 			n := eng.Tree().Node(sc.Focus)
 			resp := sceneResponse{
@@ -652,14 +557,27 @@ func (s *Server) handleScene(w http.ResponseWriter, r *http.Request) {
 			for _, e := range sc.Edges {
 				resp.Edges = append(resp.Edges, sceneEdgeJSON{A: e.A, B: e.B, Count: e.Count, Weight: e.Weight})
 			}
-			body, ctyp = marshalJSON(resp), jsonContentType
-			return nil
+			return marshalJSON(resp), jsonContentType, nil
 		})
-		if err != nil {
-			return nil, "", statusOf(err, http.StatusBadRequest), err
-		}
-		return body, ctyp, 0, nil
 	})
+}
+
+// engineBody is a cachedResult build: fn renders one body from the
+// session's engine under read (withRead, or guardedRead behind the
+// breaker): an error maps through statusOf, falling back to fallback.
+func engineBody(ctx context.Context, read func(context.Context, func(*core.Engine) error) error,
+	fallback int, fn func(eng *core.Engine) ([]byte, string, error)) ([]byte, string, int, error) {
+	var body []byte
+	var ctyp string
+	err := read(ctx, func(eng *core.Engine) error {
+		var err error
+		body, ctyp, err = fn(eng)
+		return err
+	})
+	if err != nil {
+		return nil, "", statusOf(err, fallback), err
+	}
+	return body, ctyp, 0, nil
 }
 
 func emptyIfNil(ids []gtree.TreeID) []gtree.TreeID {
@@ -843,24 +761,16 @@ func (s *Server) planExtract(ctx context.Context, sess *Session, req ExtractRequ
 // request's build was coalesced into) collects the engine's stage
 // breakdown and pool pins.
 func (s *Server) buildExtract(ctx context.Context, sess *Session, p extractPlan, tr *obs.Trace) ([]byte, string, int, error) {
-	var body []byte
-	var ctyp string
-	err := sess.guardedRead(ctx, func(eng *core.Engine) error {
+	return engineBody(ctx, sess.guardedRead, http.StatusBadRequest, func(eng *core.Engine) ([]byte, string, error) {
 		res, err := eng.ExtractTraced(ctx, tr, p.sources, p.opts)
 		if err != nil {
-			return err
+			return nil, "", err
 		}
 		if p.format == "svg" {
-			body, ctyp = []byte(core.RenderExtraction(res, p.size, p.seed)), render.ContentType
-			return nil
+			return []byte(core.RenderExtraction(res, p.size, p.seed)), render.ContentType, nil
 		}
-		body, ctyp = marshalJSON(extractToJSON(sess.name, res)), jsonContentType
-		return nil
+		return marshalJSON(extractToJSON(sess.name, res)), jsonContentType, nil
 	})
-	if err != nil {
-		return nil, "", statusOf(err, http.StatusBadRequest), err
-	}
-	return body, ctyp, 0, nil
 }
 
 func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
@@ -968,8 +878,7 @@ func (s *Server) handleAnalysis(w http.ResponseWriter, r *http.Request) {
 	key := sess.cacheKey(fmt.Sprintf("analysis|c=%d|seed=%d", community, seed))
 	tr := traceFrom(r.Context())
 	s.serveCached(w, r, key, func() ([]byte, string, int, error) {
-		var body []byte
-		err := sess.guardedRead(r.Context(), func(eng *core.Engine) error {
+		return engineBody(r.Context(), sess.guardedRead, http.StatusBadRequest, func(eng *core.Engine) ([]byte, string, error) {
 			t := eng.Tree()
 			id := gtree.TreeID(community)
 			if community < 0 {
@@ -985,7 +894,7 @@ func (s *Server) handleAnalysis(w http.ResponseWriter, r *http.Request) {
 			sub, members, err := eng.LeafSubgraph(id)
 			sp.End()
 			if err != nil {
-				return err
+				return nil, "", err
 			}
 			sp = tr.StartStage("report")
 			rep := analysis.Report(sub, 0, seed)
@@ -1012,13 +921,8 @@ func (s *Server) handleAnalysis(w http.ResponseWriter, r *http.Request) {
 					PageRank: rep.PageRank[u],
 				})
 			}
-			body = marshalJSON(resp)
-			return nil
+			return marshalJSON(resp), jsonContentType, nil
 		})
-		if err != nil {
-			return nil, "", statusOf(err, http.StatusBadRequest), err
-		}
-		return body, jsonContentType, 0, nil
 	})
 }
 
@@ -1060,12 +964,14 @@ func (s *Server) handleGraphAnalysis(w http.ResponseWriter, r *http.Request) {
 	}
 	key := sess.cacheKey(fmt.Sprintf("analysis-graph|k=%d", topK))
 	tr := traceFrom(r.Context())
+	// The request was validated before the build, so a build error is the
+	// session (404) or the storage backend — including corrupt CSR-section
+	// geometry — which must be a 500, never a 400.
 	s.serveCached(w, r, key, func() ([]byte, string, int, error) {
-		var body []byte
-		err := sess.guardedRead(r.Context(), func(eng *core.Engine) error {
+		return engineBody(r.Context(), sess.guardedRead, http.StatusInternalServerError, func(eng *core.Engine) ([]byte, string, error) {
 			rep, err := eng.AnalyzeGraphTraced(r.Context(), tr, analysis.PageRankOptions{}, topK)
 			if err != nil {
-				return err
+				return nil, "", err
 			}
 			resp := graphAnalysisResponse{
 				Session:          sess.name,
@@ -1089,17 +995,8 @@ func (s *Server) handleGraphAnalysis(w http.ResponseWriter, r *http.Request) {
 					PageRank: rep.PageRank[u],
 				})
 			}
-			body = marshalJSON(resp)
-			return nil
+			return marshalJSON(resp), jsonContentType, nil
 		})
-		if err != nil {
-			// The request itself was validated before the build, so any
-			// error here is the session (404) or the storage backend —
-			// including corrupt CSR-section geometry — which must be a 500,
-			// never a 400.
-			return nil, "", statusOf(err, http.StatusInternalServerError), err
-		}
-		return body, jsonContentType, 0, nil
 	})
 }
 

@@ -75,7 +75,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		func() float64 { return time.Since(s.started).Seconds() })
 	reg.GaugeFunc("gmine_sessions",
 		"Live sessions in the registry.",
-		func() float64 { return float64(len(s.reg.names())) })
+		func() float64 { return float64(len(s.reg.list())) })
 
 	// Result cache: the cache keeps its own counters; read them at scrape
 	// time instead of double-counting on the request path.
@@ -102,125 +102,28 @@ func newServerMetrics(s *Server) *serverMetrics {
 			emit(float64(s.cache.snapshot().Capacity))
 		})
 
-	// Buffer pools of disk-backed sessions. eachPool uses the non-blocking
-	// snapshot path, so a scrape racing a session build reports the last
-	// known values instead of stalling the scrape (same contract as
-	// /healthz "stale").
-	eachPool := func(emit func(v float64, labelVals ...string), pick func(pi *PoolInfo) float64) {
-		for _, name := range s.reg.names() {
-			sess, ok := s.reg.get(name)
-			if !ok {
-				continue
-			}
-			if pi := sess.poolSnapshot(); pi != nil {
-				emit(pick(pi), name)
-			}
+	// Per-session families: buffer pools of disk-backed sessions, circuit
+	// breakers of every session, and hot tiers of sessions with a tier
+	// budget. Each reads one snapshot per session at scrape time; pool rows
+	// come from the non-blocking snapshot path, so a scrape racing a
+	// write-locked session leaves its row out instead of stalling.
+	for _, f := range sessionFamilies {
+		labels := []string{"session"}
+		if f.ops != nil {
+			labels = append(labels, "op")
 		}
-	}
-	poolLabels := []string{"session"}
-	reg.Collect("gmine_pool_hits_total", "Buffer-pool page hits by session.",
-		"counter", poolLabels, func(emit func(v float64, labelVals ...string)) {
-			eachPool(emit, func(pi *PoolInfo) float64 { return float64(pi.Hits) })
-		})
-	reg.Collect("gmine_pool_misses_total", "Buffer-pool page misses (disk reads) by session.",
-		"counter", poolLabels, func(emit func(v float64, labelVals ...string)) {
-			eachPool(emit, func(pi *PoolInfo) float64 { return float64(pi.Misses) })
-		})
-	reg.Collect("gmine_pool_evictions_total", "Buffer-pool evictions by session.",
-		"counter", poolLabels, func(emit func(v float64, labelVals ...string)) {
-			eachPool(emit, func(pi *PoolInfo) float64 { return float64(pi.Evictions) })
-		})
-	reg.Collect("gmine_pool_resident_frames", "Resident buffer-pool frames by session.",
-		"gauge", poolLabels, func(emit func(v float64, labelVals ...string)) {
-			eachPool(emit, func(pi *PoolInfo) float64 { return float64(pi.Resident) })
-		})
-	reg.Collect("gmine_pool_capacity_frames", "Buffer-pool frame capacity by session.",
-		"gauge", poolLabels, func(emit func(v float64, labelVals ...string)) {
-			eachPool(emit, func(pi *PoolInfo) float64 { return float64(pi.Capacity) })
-		})
-	reg.Collect("gmine_pool_pinned_frames",
-		"Resident frames currently pinned by in-flight queries, by session "+
-			"(non-zero on an idle session means leaked pins).",
-		"gauge", poolLabels, func(emit func(v float64, labelVals ...string)) {
-			eachPool(emit, func(pi *PoolInfo) float64 { return float64(pi.PinnedFrames) })
-		})
-	reg.Collect("gmine_pool_read_retries_total",
-		"Transient page-read recovery by session: retry (re-read attempts), "+
-			"healed (reads recovered by retry), failed (reads that exhausted "+
-			"the retry budget and latched a permanent fault).",
-		"counter", []string{"session", "op"}, func(emit func(v float64, labelVals ...string)) {
-			for _, name := range s.reg.names() {
-				sess, ok := s.reg.get(name)
-				if !ok {
-					continue
-				}
-				if pi := sess.poolSnapshot(); pi != nil {
-					emit(float64(pi.Retry.Retries), name, "retry")
-					emit(float64(pi.Retry.Healed), name, "healed")
-					emit(float64(pi.Retry.Failed), name, "failed")
+		reg.Collect(f.name, f.help, f.kind, labels, func(emit func(v float64, labelVals ...string)) {
+			for _, sess := range s.reg.list() {
+				for i, v := range f.read(sess) {
+					if f.ops == nil {
+						emit(v, sess.name)
+					} else {
+						emit(v, sess.name, f.ops[i])
+					}
 				}
 			}
 		})
-	reg.Collect("gmine_pool_load_waits_total",
-		"Page requests that waited on another reader's in-flight load of the same page, by session.",
-		"counter", poolLabels, func(emit func(v float64, labelVals ...string)) {
-			eachPool(emit, func(pi *PoolInfo) float64 { return float64(pi.LoadWaits) })
-		})
-
-	// Circuit breaker state per session: 0 closed, 1 open, 2 half-open.
-	eachBreaker := func(each func(name string, state int, opens uint64)) {
-		for _, name := range s.reg.names() {
-			if sess, ok := s.reg.get(name); ok && sess.brk != nil {
-				st, opens := sess.brk.state()
-				each(name, st, opens)
-			}
-		}
 	}
-	reg.Collect("gmine_session_breaker_state",
-		"Session circuit breaker position: 0 closed, 1 open (rejecting), 2 half-open (probe admitted).",
-		"gauge", poolLabels, func(emit func(v float64, labelVals ...string)) {
-			eachBreaker(func(name string, state int, _ uint64) { emit(float64(state), name) })
-		})
-	reg.Collect("gmine_session_breaker_opens_total",
-		"Times each session's circuit breaker opened (including failed half-open probes re-opening it).",
-		"counter", poolLabels, func(emit func(v float64, labelVals ...string)) {
-			eachBreaker(func(name string, _ int, opens uint64) { emit(float64(opens), name) })
-		})
-
-	// Hot-tier families only emit rows for sessions with a tier budget
-	// set — the Tier pointer is nil while tiering is off, so idle servers
-	// scrape no extra series.
-	eachTier := func(each func(name string, ti *gtree.TierInfo)) {
-		for _, name := range s.reg.names() {
-			sess, ok := s.reg.get(name)
-			if !ok {
-				continue
-			}
-			if pi := sess.poolSnapshot(); pi != nil && pi.Tier != nil {
-				each(name, pi.Tier)
-			}
-		}
-	}
-	reg.Collect("gmine_tier_resident_bytes",
-		"Bytes of the decoded CSR held in memory by the hot tier, 0 while nothing is promoted, by session (budget in gmine_tier_budget_bytes).",
-		"gauge", poolLabels, func(emit func(v float64, labelVals ...string)) {
-			eachTier(func(name string, ti *gtree.TierInfo) { emit(float64(ti.Bytes), name) })
-		})
-	reg.Collect("gmine_tier_budget_bytes",
-		"Configured hot-tier byte budget, by session.",
-		"gauge", poolLabels, func(emit func(v float64, labelVals ...string)) {
-			eachTier(func(name string, ti *gtree.TierInfo) { emit(float64(ti.Budget), name) })
-		})
-	reg.Collect("gmine_tier_ops_total",
-		"Hot-tier operations by session: whole-graph promotions and demotions, and queries served from memory (hit) vs the paged store (miss).",
-		"counter", []string{"session", "op"}, func(emit func(v float64, labelVals ...string)) {
-			eachTier(func(name string, ti *gtree.TierInfo) {
-				emit(float64(ti.Promotions), name, "promotion")
-				emit(float64(ti.Demotions), name, "demotion")
-				emit(float64(ti.Hits), name, "hit")
-				emit(float64(ti.Misses), name, "miss")
-			})
-		})
 	return m
 }
 
@@ -241,6 +144,85 @@ func (m *serverMetrics) observeTrace(tr *obs.Trace) {
 	if f := tr.CountValue("pool.faults"); f > 0 {
 		m.faults.Add(uint64(f))
 	}
+}
+
+// sessionFamily is a metric family with one row per session: read returns
+// the session's values, one per op label value (one value when ops is
+// nil), or nil to leave the session out.
+type sessionFamily struct {
+	name, help, kind string
+	ops              []string
+	read             func(sess *Session) []float64
+}
+
+// floats converts counter and gauge values to samples.
+func floats[T ~int | ~int64 | ~uint64](vs ...T) []float64 {
+	out := make([]float64, len(vs))
+	for i, v := range vs {
+		out[i] = float64(v)
+	}
+	return out
+}
+
+// fromPool reads a family from the session's pool snapshot (disk-backed
+// sessions only); fromTier from its hot-tier state (tier budget set only).
+func fromPool(pick func(pi *PoolInfo) []float64) func(*Session) []float64 {
+	return func(sess *Session) []float64 {
+		if pi := sess.poolSnapshot(); pi != nil {
+			return pick(pi)
+		}
+		return nil
+	}
+}
+
+func fromTier(pick func(ti *gtree.TierInfo) []float64) func(*Session) []float64 {
+	return fromPool(func(pi *PoolInfo) []float64 {
+		if pi.Tier == nil {
+			return nil
+		}
+		return pick(pi.Tier)
+	})
+}
+
+var sessionFamilies = []sessionFamily{
+	{"gmine_pool_hits_total", "Buffer-pool page hits by session.", "counter", nil,
+		fromPool(func(pi *PoolInfo) []float64 { return floats(pi.Hits) })},
+	{"gmine_pool_misses_total", "Buffer-pool page misses (disk reads) by session.", "counter", nil,
+		fromPool(func(pi *PoolInfo) []float64 { return floats(pi.Misses) })},
+	{"gmine_pool_evictions_total", "Buffer-pool evictions by session.", "counter", nil,
+		fromPool(func(pi *PoolInfo) []float64 { return floats(pi.Evictions) })},
+	{"gmine_pool_resident_frames", "Resident buffer-pool frames by session.", "gauge", nil,
+		fromPool(func(pi *PoolInfo) []float64 { return floats(pi.Resident) })},
+	{"gmine_pool_capacity_frames", "Buffer-pool frame capacity by session.", "gauge", nil,
+		fromPool(func(pi *PoolInfo) []float64 { return floats(pi.Capacity) })},
+	{"gmine_pool_pinned_frames",
+		"Resident frames currently pinned by in-flight queries, by session " +
+			"(non-zero on an idle session means leaked pins).", "gauge", nil,
+		fromPool(func(pi *PoolInfo) []float64 { return floats(pi.PinnedFrames) })},
+	{"gmine_pool_read_retries_total",
+		"Transient page-read recovery by session: retry (re-read attempts), " +
+			"healed (reads recovered by retry), failed (reads that exhausted " +
+			"the retry budget and latched a permanent fault).", "counter",
+		[]string{"retry", "healed", "failed"},
+		fromPool(func(pi *PoolInfo) []float64 { return floats(pi.Retry.Retries, pi.Retry.Healed, pi.Retry.Failed) })},
+	{"gmine_pool_load_waits_total",
+		"Page requests that waited on another reader's in-flight load of the same page, by session.", "counter", nil,
+		fromPool(func(pi *PoolInfo) []float64 { return floats(pi.LoadWaits) })},
+	{"gmine_session_breaker_state",
+		"Session circuit breaker position: 0 closed, 1 open (rejecting), 2 half-open (probe admitted).", "gauge", nil,
+		func(sess *Session) []float64 { st, _ := sess.brk.state(); return floats(st) }},
+	{"gmine_session_breaker_opens_total",
+		"Times each session's circuit breaker opened (including failed half-open probes re-opening it).", "counter", nil,
+		func(sess *Session) []float64 { _, opens := sess.brk.state(); return floats(opens) }},
+	{"gmine_tier_resident_bytes",
+		"Bytes of the decoded CSR held in memory by the hot tier, 0 while nothing is promoted, by session (budget in gmine_tier_budget_bytes).", "gauge", nil,
+		fromTier(func(ti *gtree.TierInfo) []float64 { return floats(ti.Bytes) })},
+	{"gmine_tier_budget_bytes", "Configured hot-tier byte budget, by session.", "gauge", nil,
+		fromTier(func(ti *gtree.TierInfo) []float64 { return floats(ti.Budget) })},
+	{"gmine_tier_ops_total",
+		"Hot-tier operations by session: whole-graph promotions and demotions, and queries served from memory (hit) vs the paged store (miss).", "counter",
+		[]string{"promotion", "demotion", "hit", "miss"},
+		fromTier(func(ti *gtree.TierInfo) []float64 { return floats(ti.Promotions, ti.Demotions, ti.Hits, ti.Misses) })},
 }
 
 const metricsContentType = "text/plain; version=0.0.4; charset=utf-8"

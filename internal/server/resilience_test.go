@@ -410,6 +410,63 @@ func TestBatchCancelledClient(t *testing.T) {
 	}
 }
 
+// TestListSessionsWhileBuilding: GET /sessions answers at once while a
+// session is still building, listing only the sessions already built;
+// the building one joins the list once it commits.
+func TestListSessionsWhileBuilding(t *testing.T) {
+	s := New(Config{CacheEntries: 8, RequestTimeout: 2 * time.Second})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	createSynthetic(t, ts, "ready")
+	// A reserved session is what a build in progress looks like.
+	building, err := s.reg.reserve("building")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.reg.abort(building) })
+	start := time.Now()
+	list := decodeBody[struct {
+		Sessions []SessionInfo `json:"sessions"`
+	}](t, mustGet(t, ts.URL+"/sessions"))
+	elapsed := time.Since(start)
+	if len(list.Sessions) != 1 || list.Sessions[0].Name != "ready" {
+		t.Fatalf("list while building: %+v, want the built session alone", list.Sessions)
+	}
+	if elapsed > time.Second {
+		t.Fatalf("list while building answered after %v, want at once", elapsed)
+	}
+}
+
+// TestBatchDeadlineBeforeDispatch: a batch whose request deadline has
+// passed answers the timeout 503, and its items — dispatched or not — are
+// deadline failures, not client cancellations: the cancellation metric
+// does not move.
+func TestBatchDeadlineBeforeDispatch(t *testing.T) {
+	s, ts := newTestServer(t)
+	createSynthetic(t, ts, "dblp")
+	reqs := make([]ExtractRequest, 16)
+	for i := range reqs {
+		reqs[i] = ExtractRequest{Sources: []int32{0, 1}, Budget: 10 + i}
+	}
+	b, err := json.Marshal(BatchExtractRequest{Requests: reqs, Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	req := httptest.NewRequest("POST", "/sessions/dblp/extract/batch", bytes.NewReader(b)).WithContext(ctx)
+	req.SetPathValue("id", "dblp")
+	rec := httptest.NewRecorder()
+	cancels0 := s.metrics.cancels.Value()
+	s.handleExtractBatch(rec, req)
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("batch past its deadline: status %d body %s, want 503", rec.Code, rec.Body.String())
+	}
+	if got := s.metrics.cancels.Value() - cancels0; got != 0 {
+		t.Fatalf("batch past its deadline counted %d cancelled queries, want 0", got)
+	}
+}
+
 // TestChaosWrappedServer: Config.FaultWrap (the -chaos serve flag) injects
 // seeded transient faults under every disk-backed session the server
 // opens; queries still answer 200 — the retry layer heals below the

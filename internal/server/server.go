@@ -103,7 +103,6 @@ type Server struct {
 	cfg     Config
 	reg     *Registry
 	cache   *resultCache
-	flight  flightGroup
 	started time.Time
 	httpSrv *http.Server
 	log     *slog.Logger

@@ -36,12 +36,6 @@ type Session struct {
 	// brk is the session's circuit breaker over permanent paged faults
 	// (see guardedRead). Set at reserve time, immutable afterwards.
 	brk *breaker
-
-	// lastPool caches the most recent buffer-pool snapshot so liveness
-	// surfaces (/healthz, /metrics) can report last-known values marked
-	// stale when the session is write-locked, instead of dropping the row.
-	poolMu   sync.Mutex
-	lastPool *PoolInfo
 }
 
 // errSessionGone is returned by withRead when a session was reserved but
@@ -83,40 +77,22 @@ func (s *Session) guardedRead(ctx context.Context, fn func(eng *core.Engine) err
 	return err
 }
 
-// poolSnapshot returns the session's buffer-pool state in wire form, or
-// nil for sessions not opened from a G-Tree file (a built engine's pool
-// reads an in-memory file and is not reported). It is the single snapshot
-// path shared by /healthz, /metrics and session info, so the stat structs
-// cannot drift apart again. It never waits on the session lock: if the
-// session is write-locked (building, deleting), it returns the last
-// successful snapshot marked Stale=true — previously /healthz silently
-// dropped the row, making a session under load indistinguishable from a
-// memory one.
+// poolSnapshot returns the session's buffer-pool state, or nil for
+// sessions not opened from a G-Tree file (a built engine's pool reads an
+// in-memory file and is not reported). It is the one snapshot path of
+// /healthz, /metrics and session info. It never waits on the session
+// lock: a write-locked session (building, or leaving the registry in
+// remove) reports nil too.
 func (s *Session) poolSnapshot() *PoolInfo {
-	var fresh *PoolInfo
-	live := s.mu.TryRLock()
-	if live {
-		live = s.eng != nil
-		if live && s.diskBacked() {
-			fresh = poolInfoFrom(s.eng.Store())
-		}
-		s.mu.RUnlock()
-	}
-	s.poolMu.Lock()
-	defer s.poolMu.Unlock()
-	if live {
-		if fresh == nil {
-			return nil // not opened from a file: no pool, nothing to go stale
-		}
-		s.lastPool = fresh
-		return fresh
-	}
-	if s.lastPool == nil {
+	if !s.mu.TryRLock() {
 		return nil
 	}
-	cp := *s.lastPool
-	cp.Stale = true
-	return &cp
+	defer s.mu.RUnlock()
+	if s.eng == nil || !s.diskBacked() {
+		return nil
+	}
+	pi := s.eng.Store().PoolInfo()
+	return &pi
 }
 
 // diskBacked reports a session opened from a G-Tree file: only those
@@ -261,21 +237,21 @@ func (r *Registry) remove(name string) error {
 	return nil
 }
 
-// names returns the registered session names, sorted.
-func (r *Registry) names() []string {
+// list returns the registered sessions, sorted by name.
+func (r *Registry) list() []*Session {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.sessions))
-	for n := range r.sessions {
-		out = append(out, n)
+	out := make([]*Session, 0, len(r.sessions))
+	for _, s := range r.sessions {
+		out = append(out, s)
 	}
-	sort.Strings(out)
+	r.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }
 
 // closeAll closes every session (server shutdown).
 func (r *Registry) closeAll() {
-	for _, n := range r.names() {
-		_ = r.remove(n)
+	for _, s := range r.list() {
+		_ = r.remove(s.name)
 	}
 }
