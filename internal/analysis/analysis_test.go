@@ -327,4 +327,11 @@ func TestReportOnCommunity(t *testing.T) {
 	if r.EffectiveDiameter < 1 {
 		t.Fatal("effective diameter should be >= 1 on a connected-ish graph")
 	}
+	// The exact hop plot (hopSamples <= 0 or >= n) draws no sources, so
+	// the seed cannot change the report.
+	for _, samples := range []int{0, n} {
+		if other := Report(g, samples, 2); !reflect.DeepEqual(r, other) {
+			t.Fatalf("Report(g, %d, 2) differs from Report(g, 0, 1)", samples)
+		}
+	}
 }

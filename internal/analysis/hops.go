@@ -59,8 +59,8 @@ type HopPlot struct {
 }
 
 // ComputeHopPlot estimates the hop plot from `samples` BFS sources drawn
-// with rng (all nodes if samples <= 0 or >= n). This is GMine's "number of
-// hops" metric.
+// with rng (all nodes if samples <= 0 or >= n, when rng may be nil). This
+// is GMine's "number of hops" metric.
 func ComputeHopPlot(adj graph.Adjacency, samples int, rng *rand.Rand) HopPlot {
 	n := adj.N()
 	hp := HopPlot{}

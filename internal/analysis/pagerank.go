@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"context"
+	"math/rand"
 	"sort"
 
 	"repro/internal/extract"
@@ -104,13 +105,18 @@ type SubgraphReport struct {
 }
 
 // Report computes the full §III.B metric suite for a subgraph. hopSamples
-// bounds the hop-plot BFS sources (<=0 = exact). It converts g to a CSR
-// once and runs every metric over it.
+// bounds the hop-plot BFS sources (<=0 = exact), drawn with seed only
+// when they are fewer than g's nodes. It converts g to a CSR once and runs
+// every metric over it.
 func Report(g *graph.Graph, hopSamples int, seed int64) SubgraphReport {
 	adj := graph.ToCSR(g)
 	r := SubgraphReport{AdjacencyReport: ReportAdj(adj, g.Directed())}
 	_, r.StrongComponents = StrongComponents(adj)
-	hp := ComputeHopPlot(adj, hopSamples, newRand(seed))
+	var rng *rand.Rand // the exact hop plot draws no sources
+	if hopSamples > 0 && hopSamples < adj.N() {
+		rng = newRand(seed)
+	}
+	hp := ComputeHopPlot(adj, hopSamples, rng)
 	r.EffectiveDiameter, r.MaxHops = hp.EffectiveDiameter, hp.MaxHops
 	r.PageRank = PageRankAdj(adj, PageRankOptions{})
 	r.TopRanked = TopKByRank(r.PageRank, 10)

@@ -451,6 +451,101 @@ func TestKeyPathDPOrderIndependent(t *testing.T) {
 	}
 }
 
+// TestKeyPathDPDestinationIndependent: a build's tables do not depend on
+// its destination, only its best length does. On tie-heavy fixtures (the
+// goodness values of TestKeyPathDPOrderIndependent), one source group is
+// built level by level once, keeping every level's scores and parents,
+// and then built again for several destinations that are not sources,
+// some of them of zero goodness. Every build leaves the first build's
+// parents rows at every level, and each build's best length and score are
+// the first level at which that destination's score is the strict maximum
+// over the first build's levels, and the textbook's. So one build per
+// group can serve every destination of an extraction, with each node's
+// best length taken in the same level pass.
+func TestKeyPathDPDestinationIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	negInf := math.Inf(-1)
+	for trial := 0; trial < 6; trial++ {
+		n := 80 + rng.Intn(200)
+		g := randomConnected(rng, n, 2*n+rng.Intn(2*n))
+		values := []float64{-1, -2, -3}[:2+trial%2]
+		logGood := make([]float64, n)
+		for v := range logGood {
+			logGood[v] = values[rng.Intn(len(values))]
+		}
+		for v := 3; v < n; v += 13 {
+			logGood[v] = negInf
+		}
+		maxLen := 4 + rng.Intn(5)
+		srcs := make([]graph.NodeID, 1+rng.Intn(maxFusedSources))
+		isSrc := make([]bool, n)
+		for i := range srcs {
+			srcs[i] = graph.NodeID(rng.Intn(n))
+			logGood[srcs[i]] = values[0]
+			isSrc[srcs[i]] = true
+		}
+		var dsts []graph.NodeID
+		for len(dsts) < 8 {
+			if v := graph.NodeID(rng.Intn(n)); !isSrc[v] {
+				dsts = append(dsts, v)
+			}
+		}
+		dsts = append(dsts, 3) // zero goodness: no walk reaches it
+		reach := reachOf(logGood)
+		for name, adj := range map[string]graph.Adjacency{"csr": graph.ToCSR(g), "paged": pagedFixture(t, g, 6+rng.Intn(24))} {
+			cur := adj.Cursor()
+			dp := keyPathDP{}
+			reached := 0
+			// The first build, for dsts[0], as build runs it, with every
+			// level's scores and parents kept.
+			scores := make([][][]float64, len(srcs))
+			parents := make([][][]int32, len(srcs))
+			for j := range srcs {
+				scores[j], parents[j] = make([][]float64, maxLen+1), make([][]int32, maxLen+1)
+			}
+			dp.start(srcs, dsts[0], logGood, maxLen)
+			for l := 1; l <= maxLen; l++ {
+				dp.level(cur, l, dsts[0], logGood, reach, dp.desc)
+				dp.desc = !dp.desc
+				for j := range srcs {
+					scores[j][l] = slices.Clone(dp.tabs[j].prev)
+					parents[j][l] = slices.Clone(dp.tabs[j].parents[l])
+				}
+			}
+			for _, dst := range dsts {
+				dp.build(cur, srcs, dst, logGood, reach, maxLen)
+				for j, src := range srcs {
+					tag := fmt.Sprintf("trial %d %s source %d dst %d", trial, name, src, dst)
+					tb := &dp.tabs[j]
+					for l := 1; l <= maxLen; l++ {
+						if !slices.Equal(tb.parents[l], parents[j][l]) {
+							t.Fatalf("%s: level %d parents differ from the first build's", tag, l)
+						}
+					}
+					once, onceScore := graphtest.BestLength(scores[j], dst)
+					if tb.best != once || math.Float64bits(tb.bestScore) != math.Float64bits(onceScore) {
+						t.Fatalf("%s: best length %d score %v, the first build's levels give %d %v", tag, tb.best, tb.bestScore, once, onceScore)
+					}
+					score, _, _ := graphtest.NewOracle(g).KeyPath(src, logGood, maxLen)
+					if want, _ := graphtest.BestLength(score, dst); tb.best != want {
+						t.Fatalf("%s: best length %d, textbook %d", tag, tb.best, want)
+					}
+					if logGood[dst] == negInf && tb.best != -1 {
+						t.Fatalf("%s: zero-goodness destination has best length %d", tag, tb.best)
+					}
+					if tb.best > 0 {
+						reached++
+					}
+				}
+			}
+			cur.Close()
+			if reached < len(srcs)*(len(dsts)-1)/2 {
+				t.Fatalf("trial %d %s: only %d of %d (source, destination) pairs have a walk", trial, name, reached, len(srcs)*len(dsts))
+			}
+		}
+	}
+}
+
 // TestKeyPathPrunedMatchesTextbook is the referee of the improving-frontier
 // prune. A level relaxes u only when u's score beats every score it had at
 // an earlier level, and that is exact whatever the sign of logGood: a

@@ -288,7 +288,7 @@ func TestCreateSessionIgnoresSweepShards(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bodies[i] = bytes.Replace(body, []byte(`"session": "`+name+`"`), []byte(`"session": "s"`), 1)
+			bodies[i] = bytes.Replace(body, []byte(`"session":"`+name+`"`), []byte(`"session":"s"`), 1)
 		}
 		for i := 1; i < len(bodies); i++ {
 			if !bytes.Equal(bodies[0], bodies[i]) {

@@ -106,8 +106,11 @@ func statusOf(err error, fallback int) int {
 	return fallback
 }
 
+// marshalJSON encodes every JSON body the server writes: compact, on one
+// line ending in a newline (pipe a body through `jq .` to read it
+// indented).
 func marshalJSON(v any) []byte {
-	b, _ := json.MarshalIndent(v, "", "  ")
+	b, _ := json.Marshal(v)
 	return append(b, '\n')
 }
 

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -78,6 +79,72 @@ func TestHealthz(t *testing.T) {
 	}
 	if len(h.Sessions) != 0 {
 		t.Fatalf("fresh server has sessions: %v", h.Sessions)
+	}
+}
+
+// TestJSONBodiesOneLine: every JSON body the server writes — query
+// results, ?trace=1 envelopes, batch answers, /healthz, session info,
+// errors and the timeout 503 — is valid compact JSON on one line that
+// ends in a newline.
+func TestJSONBodiesOneLine(t *testing.T) {
+	_, ts := newTestServer(t)
+	createSynthetic(t, ts, "dblp")
+	leaf := -1
+	for _, c := range decodeBody[treeResponse](t, mustGet(t, ts.URL+"/sessions/dblp/tree")).Listing {
+		if c.Leaf {
+			leaf = int(c.ID)
+			break
+		}
+	}
+	if leaf < 0 {
+		t.Fatal("fixture has no leaf")
+	}
+	get := func(path string) func() (*http.Response, error) {
+		return func() (*http.Response, error) { return http.Get(ts.URL + path) }
+	}
+	post := func(path string, body any) func() (*http.Response, error) {
+		return func() (*http.Response, error) { return postJSON(t, ts.URL+path, body), nil }
+	}
+	extract := ExtractRequest{Labels: []string{"Philip S. Yu", "Flip Korn"}, Budget: 20}
+	timeout := New(Config{CacheEntries: 8, RequestTimeout: 10 * time.Millisecond})
+	tts := httptest.NewServer(timeout.Handler())
+	t.Cleanup(tts.Close)
+	createSynthetic(t, tts, "dblp")
+	cases := []struct {
+		name   string
+		do     func() (*http.Response, error)
+		status int
+	}{
+		{"scene", get("/sessions/dblp/scene"), http.StatusOK},
+		{"scene trace", get("/sessions/dblp/scene?trace=1"), http.StatusOK},
+		{"tree", get("/sessions/dblp/tree"), http.StatusOK},
+		{"labels", get("/sessions/dblp/labels?prefix=Ph"), http.StatusOK},
+		{"leaf analysis", get("/sessions/dblp/analysis?community=" + strconv.Itoa(leaf)), http.StatusOK},
+		{"graph analysis", get("/sessions/dblp/analysis/graph"), http.StatusOK},
+		{"extract", post("/sessions/dblp/extract", extract), http.StatusOK},
+		{"batch", post("/sessions/dblp/extract/batch", BatchExtractRequest{Requests: []ExtractRequest{extract, extract}}), http.StatusOK},
+		{"healthz", get("/healthz"), http.StatusOK},
+		{"session info", get("/sessions/dblp"), http.StatusOK},
+		{"error", get("/sessions/nope/tree"), http.StatusNotFound},
+		{"timeout", func() (*http.Response, error) {
+			return postJSON(t, tts.URL+"/sessions/dblp/extract", ExtractRequest{
+				Labels: []string{"Philip S. Yu", "Flip Korn"}, Budget: 2000,
+			}), nil
+		}, http.StatusServiceUnavailable},
+	}
+	for _, c := range cases {
+		resp, err := c.do()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.status {
+			t.Fatalf("%s: status %d, want %d (body %s)", c.name, resp.StatusCode, c.status, body)
+		}
+		if compactJSON(t, body)+"\n" != string(body) {
+			t.Fatalf("%s: body is not compact JSON on one line ending in a newline:\n%q", c.name, body)
+		}
 	}
 }
 
