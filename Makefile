@@ -31,15 +31,14 @@ race:
 check: build vet lint race
 
 # Short randomized shake of the decoder/sweep/cursor entry points and the
-# edge-list reader, which parse attacker-shaped bytes, and of the SVG
-# number formatter's fast path against strconv (CI runs the same six).
+# edge-list reader, which parse attacker-shaped bytes (CI runs the same
+# five).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzSweepEdges -fuzztime 10s ./internal/gtree
 	$(GO) test -run '^$$' -fuzz FuzzCursorRows -fuzztime 10s ./internal/gtree
 	$(GO) test -run '^$$' -fuzz FuzzDecodeLeaf -fuzztime 10s ./internal/gtree
 	$(GO) test -run '^$$' -fuzz FuzzOpenCSRSection -fuzztime 10s ./internal/gtree
-	$(GO) test -run '^$$' -fuzz FuzzSVGNum -fuzztime 10s ./internal/render
 
 bench:
 	$(GO) test -bench . -benchmem -run xxx ./...

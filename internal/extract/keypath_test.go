@@ -325,7 +325,11 @@ func improves(score [][]float64, l int, v graph.NodeID) bool {
 // paged. Zero-goodness blocks at both ends of the id range make reach
 // start after node 0 and end before node n-1; odd trials add a
 // zero-goodness source, which yields no walk; and a counting cursor shows
-// no zero-goodness row is ever read.
+// no zero-goodness row is ever read. The tables do not depend on the
+// destination: every build leaves each source's first build's parents
+// rows at every level, and, where the levels run one by one, takes its
+// best length and score from the first build's per-level scores (ROADMAP
+// item 17's one build per source).
 func TestKeyPathDPOrderIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	negInf := math.Inf(-1)
@@ -389,7 +393,13 @@ func TestKeyPathDPOrderIndependent(t *testing.T) {
 				for _, startDesc := range []bool{false, true} {
 					cur := &guardCursor{RowCursor: adj.Cursor(), logGood: logGood}
 					dp := keyPathDP{}
+					// Each source's first build (for a destination other
+					// than itself) keeps its parents rows and, where the
+					// levels run one by one, its per-level scores.
+					firstPar := make([][][]int32, len(srcs))
+					firstScore := make([][][]float64, len(srcs))
 					for q, dst := range dsts {
+						var levels [][][]float64
 						if dir == nil {
 							if q == 0 {
 								dp.start(srcs, dst, logGood, maxLen)
@@ -398,8 +408,15 @@ func TestKeyPathDPOrderIndependent(t *testing.T) {
 							dp.build(cur, srcs, dst, logGood, reach, maxLen)
 						} else {
 							dp.start(srcs, dst, logGood, maxLen)
+							levels = make([][][]float64, len(srcs))
+							for j := range levels {
+								levels[j] = [][]float64{nil} // level 0; BestLength starts at 1
+							}
 							for l := 1; l <= maxLen && len(dp.live) > 0; l++ {
 								dp.level(cur, l, dst, logGood, reach, dir(l, &dp) != startDesc)
+								for j := range levels {
+									levels[j] = append(levels[j], slices.Clone(dp.tabs[j].prev))
+								}
 							}
 						}
 						tag := func(j int) string {
@@ -439,6 +456,29 @@ func TestKeyPathDPOrderIndependent(t *testing.T) {
 							if tb.best != bestLen || math.Float64bits(tb.bestScore) != math.Float64bits(bestScore) {
 								t.Fatalf("%s: best length %d score %v, textbook %d %v", tag(j), tb.best, tb.bestScore, bestLen, bestScore)
 							}
+							// The tables do not depend on the destination, only
+							// the best length does: one build per source could
+							// serve every destination of an extraction.
+							if firstPar[j] == nil {
+								firstPar[j] = make([][]int32, maxLen+1)
+								for l := 1; l <= maxLen; l++ {
+									firstPar[j][l] = slices.Clone(tb.parents[l])
+								}
+								if levels != nil {
+									firstScore[j] = levels[j]
+								}
+							}
+							for l := 1; l <= maxLen; l++ {
+								if !slices.Equal(tb.parents[l], firstPar[j][l]) {
+									t.Fatalf("%s: level %d parents differ from the first build's", tag(j), l)
+								}
+							}
+							if firstScore[j] != nil {
+								once, onceScore := graphtest.BestLength(firstScore[j], dst)
+								if tb.best != once || math.Float64bits(tb.bestScore) != math.Float64bits(onceScore) {
+									t.Fatalf("%s: best length %d score %v, the first build's levels give %d %v", tag(j), tb.best, tb.bestScore, once, onceScore)
+								}
+							}
 						}
 					}
 					cur.Close()
@@ -446,101 +486,6 @@ func TestKeyPathDPOrderIndependent(t *testing.T) {
 						t.Fatalf("trial %d %s %s start-desc=%v: read %d rows, %d of zero goodness", trial, name, mode, startDesc, cur.rows, cur.zero)
 					}
 				}
-			}
-		}
-	}
-}
-
-// TestKeyPathDPDestinationIndependent: a build's tables do not depend on
-// its destination, only its best length does. On tie-heavy fixtures (the
-// goodness values of TestKeyPathDPOrderIndependent), one source group is
-// built level by level once, keeping every level's scores and parents,
-// and then built again for several destinations that are not sources,
-// some of them of zero goodness. Every build leaves the first build's
-// parents rows at every level, and each build's best length and score are
-// the first level at which that destination's score is the strict maximum
-// over the first build's levels, and the textbook's. So one build per
-// group can serve every destination of an extraction, with each node's
-// best length taken in the same level pass.
-func TestKeyPathDPDestinationIndependent(t *testing.T) {
-	rng := rand.New(rand.NewSource(97))
-	negInf := math.Inf(-1)
-	for trial := 0; trial < 6; trial++ {
-		n := 80 + rng.Intn(200)
-		g := randomConnected(rng, n, 2*n+rng.Intn(2*n))
-		values := []float64{-1, -2, -3}[:2+trial%2]
-		logGood := make([]float64, n)
-		for v := range logGood {
-			logGood[v] = values[rng.Intn(len(values))]
-		}
-		for v := 3; v < n; v += 13 {
-			logGood[v] = negInf
-		}
-		maxLen := 4 + rng.Intn(5)
-		srcs := make([]graph.NodeID, 1+rng.Intn(maxFusedSources))
-		isSrc := make([]bool, n)
-		for i := range srcs {
-			srcs[i] = graph.NodeID(rng.Intn(n))
-			logGood[srcs[i]] = values[0]
-			isSrc[srcs[i]] = true
-		}
-		var dsts []graph.NodeID
-		for len(dsts) < 8 {
-			if v := graph.NodeID(rng.Intn(n)); !isSrc[v] {
-				dsts = append(dsts, v)
-			}
-		}
-		dsts = append(dsts, 3) // zero goodness: no walk reaches it
-		reach := reachOf(logGood)
-		for name, adj := range map[string]graph.Adjacency{"csr": graph.ToCSR(g), "paged": pagedFixture(t, g, 6+rng.Intn(24))} {
-			cur := adj.Cursor()
-			dp := keyPathDP{}
-			reached := 0
-			// The first build, for dsts[0], as build runs it, with every
-			// level's scores and parents kept.
-			scores := make([][][]float64, len(srcs))
-			parents := make([][][]int32, len(srcs))
-			for j := range srcs {
-				scores[j], parents[j] = make([][]float64, maxLen+1), make([][]int32, maxLen+1)
-			}
-			dp.start(srcs, dsts[0], logGood, maxLen)
-			for l := 1; l <= maxLen; l++ {
-				dp.level(cur, l, dsts[0], logGood, reach, dp.desc)
-				dp.desc = !dp.desc
-				for j := range srcs {
-					scores[j][l] = slices.Clone(dp.tabs[j].prev)
-					parents[j][l] = slices.Clone(dp.tabs[j].parents[l])
-				}
-			}
-			for _, dst := range dsts {
-				dp.build(cur, srcs, dst, logGood, reach, maxLen)
-				for j, src := range srcs {
-					tag := fmt.Sprintf("trial %d %s source %d dst %d", trial, name, src, dst)
-					tb := &dp.tabs[j]
-					for l := 1; l <= maxLen; l++ {
-						if !slices.Equal(tb.parents[l], parents[j][l]) {
-							t.Fatalf("%s: level %d parents differ from the first build's", tag, l)
-						}
-					}
-					once, onceScore := graphtest.BestLength(scores[j], dst)
-					if tb.best != once || math.Float64bits(tb.bestScore) != math.Float64bits(onceScore) {
-						t.Fatalf("%s: best length %d score %v, the first build's levels give %d %v", tag, tb.best, tb.bestScore, once, onceScore)
-					}
-					score, _, _ := graphtest.NewOracle(g).KeyPath(src, logGood, maxLen)
-					if want, _ := graphtest.BestLength(score, dst); tb.best != want {
-						t.Fatalf("%s: best length %d, textbook %d", tag, tb.best, want)
-					}
-					if logGood[dst] == negInf && tb.best != -1 {
-						t.Fatalf("%s: zero-goodness destination has best length %d", tag, tb.best)
-					}
-					if tb.best > 0 {
-						reached++
-					}
-				}
-			}
-			cur.Close()
-			if reached < len(srcs)*(len(dsts)-1)/2 {
-				t.Fatalf("trial %d %s: only %d of %d (source, destination) pairs have a walk", trial, name, reached, len(srcs)*len(dsts))
 			}
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -428,44 +427,5 @@ func TestEscAndSceneSVGAllocs(t *testing.T) {
 	if al != as {
 		t.Fatalf("SceneSVG allocs: %v for %d communities + %d edges, %v for %d + %d; want equal",
 			as, small.Size(), len(small.Edges), al, large.Size(), len(large.Edges))
-	}
-}
-
-// numMatches reports whether num formats v exactly as its strconv contract
-// says.
-func numMatches(t *testing.T, v float64) {
-	t.Helper()
-	if got, want := num(nil, v), strconv.AppendFloat(nil, v, 'f', 2, 64); string(got) != string(want) {
-		t.Fatalf("num(%v) [bits %#016x] = %q, want %q", v, math.Float64bits(v), got, want)
-	}
-}
-
-// FuzzSVGNum checks num's fast integer path against strconv on the
-// values where it is easiest to get wrong: signed zeros, the non-finite
-// values, exact and inexact .xx5 ties, and both sides of the 2^50/100
-// cut-off above which num defers to strconv.
-func FuzzSVGNum(f *testing.F) {
-	edge := 0x1p50 / 100
-	for _, v := range []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
-		0.005, 0.125, 2.675, 99.995, 1e13, -0.001, 5e-324,
-		edge, math.Nextafter(edge, 0), math.Nextafter(edge, math.Inf(1)), -edge} {
-		f.Add(v)
-	}
-	f.Fuzz(numMatches)
-}
-
-// TestSVGNumMatchesStrconv sweeps num over random bit patterns, random
-// coordinates, every k/800 (whose .xx5 values are exact binary ties) and
-// the float neighbours of each.
-func TestSVGNumMatchesStrconv(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 200000; i++ {
-		numMatches(t, math.Float64frombits(rng.Uint64()))
-		v := (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(18)))
-		numMatches(t, v)
-		k := float64(rng.Intn(1<<24)-1<<23) / 800
-		for _, w := range []float64{k, math.Nextafter(k, math.Inf(1)), math.Nextafter(k, math.Inf(-1))} {
-			numMatches(t, w)
-		}
 	}
 }

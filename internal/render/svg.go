@@ -6,7 +6,6 @@
 package render
 
 import (
-	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -38,36 +37,9 @@ var escaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "
 
 func esc(s string) string { return escaper.Replace(s) }
 
-// num appends exactly the bytes of strconv.AppendFloat(b, v, 'f', 2, 64),
-// which is how %.2f formats v (NaN, ±Inf and -0 included). strconv takes
-// its slow big-decimal path for every fixed-precision 'f', so the common
-// case is formatted here as a scaled integer: s = |v|·100 is within half
-// an ulp of the exact product, so when s < 2^50 and its fraction is more
-// than one ulp away from .5, rounding s to the nearest integer rounds the
-// exact value the same way. Everything else (NaN, ±Inf, huge values,
-// ties and near-ties, where strconv rounds half to even on the exact
-// binary value) goes to strconv.
-func num(b []byte, v float64) []byte {
-	s := math.Abs(v) * 100
-	if !(s < 0x1p50) { // also NaN and ±Inf
-		return strconv.AppendFloat(b, v, 'f', 2, 64)
-	}
-	whole := math.Floor(s)
-	frac := s - whole // exact: whole ≥ s/2 or whole = 0
-	if math.Abs(frac-0.5) <= s*0x1p-52 {
-		return strconv.AppendFloat(b, v, 'f', 2, 64)
-	}
-	cents := uint64(whole)
-	if frac > 0.5 {
-		cents++
-	}
-	if math.Signbit(v) {
-		b = append(b, '-')
-	}
-	b = strconv.AppendUint(b, cents/100, 10)
-	c := cents % 100
-	return append(b, '.', byte('0'+c/10), byte('0'+c%10))
-}
+// num appends v formatted as %.2f would format it (NaN, ±Inf and -0
+// included).
+func num(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'f', 2, 64) }
 
 // key appends ` name="`, the start of an attribute.
 func key(b []byte, name string) []byte { return append(append(append(b, ' '), name...), `="`...) }
