@@ -36,22 +36,11 @@ type BuildConfig struct {
 	// Levels is the number of hierarchy levels including the root
 	// (paper: 5).
 	Levels int
-	// MinCommunity stops splitting communities at or below this size
-	// (0 = 2*K).
-	MinCommunity int
-	// Method selects the partitioner (default Multilevel).
-	Method partition.Method
 	// Seed drives all randomized steps.
 	Seed int64
 	// Parallel bounds concurrent community partitionings per level
 	// (0 = GOMAXPROCS); the result is identical for any value.
 	Parallel int
-	// Ctx optionally carries the caller's cancellation into the build
-	// (same pattern as extract.RWROptions.Ctx): it is polled before each
-	// community split, and a cancelled build returns ctx.Err() and no
-	// engine. It has no effect on a build that completes. nil means never
-	// cancelled.
-	Ctx context.Context
 }
 
 // Engine is a GMine session over one graph, held as a G-Tree store:
@@ -68,16 +57,11 @@ type Engine struct {
 // the default pool, promoting the whole graph to the resident tier and
 // loading the label index. Neither g nor the built tree is kept.
 func BuildEngine(g *graph.Graph, cfg BuildConfig) (*Engine, error) {
-	ctx := cfg.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	t, err := gtree.BuildContext(ctx, g, gtree.BuildOptions{
-		K:            cfg.K,
-		Levels:       cfg.Levels,
-		MinCommunity: cfg.MinCommunity,
-		Parallel:     cfg.Parallel,
-		Partition:    partition.Options{Method: cfg.Method, Seed: cfg.Seed},
+	t, err := gtree.Build(g, gtree.BuildOptions{
+		K:         cfg.K,
+		Levels:    cfg.Levels,
+		Parallel:  cfg.Parallel,
+		Partition: partition.Options{Seed: cfg.Seed},
 	})
 	if err != nil {
 		return nil, err

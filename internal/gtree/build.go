@@ -1,7 +1,6 @@
 package gtree
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -52,13 +51,6 @@ func (o BuildOptions) withDefaults() (BuildOptions, error) {
 // in one bottom-up pass. Communities of one level partition concurrently;
 // the output is deterministic regardless of parallelism.
 func Build(g *graph.Graph, opts BuildOptions) (*Tree, error) {
-	return BuildContext(context.Background(), g, opts)
-}
-
-// BuildContext is Build for a caller that may give up: ctx is polled before
-// each community split, and once it is cancelled no further split starts,
-// the running ones finish, and the context's error is returned.
-func BuildContext(ctx context.Context, g *graph.Graph, opts BuildOptions) (*Tree, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
@@ -95,9 +87,6 @@ func BuildContext(ctx context.Context, g *graph.Graph, opts BuildOptions) (*Tree
 				continue // leaf: settled below
 			}
 			sem <- struct{}{}
-			if ctx.Err() != nil {
-				break
-			}
 			wg.Add(1)
 			go func(i int, w work) {
 				defer wg.Done()
@@ -119,9 +108,6 @@ func BuildContext(ctx context.Context, g *graph.Graph, opts BuildOptions) (*Tree
 			}(i, w)
 		}
 		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		for _, err := range errs {
 			if err != nil {
 				return nil, err

@@ -3,7 +3,6 @@ package gtree
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -99,46 +98,5 @@ func TestSweepContextCancellation(t *testing.T) {
 	}
 	if next != c.N() {
 		t.Fatalf("clean sweep emitted %d of %d", next, c.N())
-	}
-}
-
-// pollCtx reports cancellation from its (after+1)-th Err call on, so a test
-// can cancel a build at an exact poll instead of at a wall-clock moment.
-type pollCtx struct {
-	context.Context
-	after int32
-	polls atomic.Int32
-}
-
-func (c *pollCtx) Err() error {
-	if c.polls.Add(1) > c.after {
-		return context.Canceled
-	}
-	return nil
-}
-
-// TestBuildContextCancellation: Build polls its context before each
-// community split; once it reads cancelled, no further split starts and the
-// bare context error comes back with no tree.
-func TestBuildContextCancellation(t *testing.T) {
-	g := hubGraph(3000, 9000, 3, 17)
-	opts := BuildOptions{K: 3, Levels: 4, Parallel: 1}
-
-	pre, cancel := context.WithCancel(context.Background())
-	cancel()
-	if tree, err := BuildContext(pre, g, opts); !errors.Is(err, context.Canceled) || tree != nil {
-		t.Fatalf("pre-cancelled build returned (%v, %v), want (nil, context.Canceled)", tree, err)
-	}
-
-	// Cancel at the poll before the third split: the root and one level-1
-	// community are split, then the build stops. With Parallel 1 that is
-	// one more poll (the level's closing check), not one per remaining
-	// community.
-	mid := &pollCtx{Context: context.Background(), after: 3}
-	if tree, err := BuildContext(mid, g, opts); !errors.Is(err, context.Canceled) || tree != nil {
-		t.Fatalf("mid-build cancel returned (%v, %v), want (nil, context.Canceled)", tree, err)
-	}
-	if got := mid.polls.Load(); got != 5 {
-		t.Fatalf("cancelled build polled its context %d times, want 5 (no split started after the cancel)", got)
 	}
 }

@@ -67,10 +67,7 @@ func (s *Server) handleExtractBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchExtractRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad batch body: %s", err)
+	if !readJSON(w, r, s.batchBodyBytes(), "batch", &req) {
 		return
 	}
 	n := len(req.Requests)
@@ -194,7 +191,7 @@ func (s *Server) runBatchItem(ctx context.Context, sess *Session, req ExtractReq
 		item.Error = fmt.Sprintf("batch items must use format \"json\" (got %q)", req.Format)
 		return item
 	}
-	p, status, err := s.planExtract(ctx, sess, req)
+	p, status, err := s.planExtract(sess, req)
 	if err != nil {
 		item.Status, item.Error = status, err.Error()
 		return item

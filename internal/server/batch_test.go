@@ -222,8 +222,8 @@ func TestCachedResultInFlightTakesNoSlot(t *testing.T) {
 // full HTTP layer: concurrent identical extracts produce exactly one miss
 // (the leader) and serve everyone the same body.
 func TestExtractStampedeSingleBuild(t *testing.T) {
-	_, ts := newTestServer(t)
-	createSynthetic(t, ts, "dblp")
+	s, ts := newTestServer(t)
+	createSynthetic(t, s, "dblp")
 	body := fmt.Sprintf(`{"labels":[%q,%q],"budget":25}`, dblp.NamePhilipYu, dblp.NameFlipKorn)
 	const n = 16
 	var wg sync.WaitGroup
@@ -266,8 +266,8 @@ func TestExtractStampedeSingleBuild(t *testing.T) {
 // --- Request validation through the new Normalize path ----------------------
 
 func TestExtractRejectsOutOfRangeOptions(t *testing.T) {
-	_, ts := newTestServer(t)
-	createSynthetic(t, ts, "dblp")
+	s, ts := newTestServer(t)
+	createSynthetic(t, s, "dblp")
 	for _, body := range []string{
 		`{"sources":[1,2],"restart":1.5}`,
 		`{"sources":[1,2],"restart":-0.2}`,
@@ -291,8 +291,8 @@ func TestExtractRejectsOutOfRangeOptions(t *testing.T) {
 // the extract route and as a batch item, and no RWR runs for either: the
 // one RWR stage /metrics counts afterwards is the valid extraction's.
 func TestExtractRejectsOverlongPathBeforeSolve(t *testing.T) {
-	_, ts := newTestServer(t)
-	createSynthetic(t, ts, "dblp")
+	s, ts := newTestServer(t)
+	createSynthetic(t, s, "dblp")
 	limit := fmt.Sprint(extract.MaxPathLenCap)
 	resp, err := http.Post(ts.URL+"/sessions/dblp/extract", "application/json",
 		bytes.NewReader([]byte(`{"sources":[0],"budget":10,"maxPathLen":1000000}`)))
@@ -336,8 +336,8 @@ func compactJSON(t *testing.T, b []byte) string {
 }
 
 func TestExtractBatch(t *testing.T) {
-	_, ts := newTestServer(t)
-	createSynthetic(t, ts, "dblp")
+	s, ts := newTestServer(t)
+	createSynthetic(t, s, "dblp")
 
 	// Single-extract responses are the ground truth for batch items.
 	single := func(body string) []byte {
@@ -419,7 +419,7 @@ func TestExtractBatch(t *testing.T) {
 
 func TestExtractBatchValidation(t *testing.T) {
 	s, ts := newTestServer(t)
-	createSynthetic(t, ts, "dblp")
+	createSynthetic(t, s, "dblp")
 	cases := []struct {
 		name string
 		body string

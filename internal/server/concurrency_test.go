@@ -16,8 +16,9 @@ import (
 // sessions are created and deleted — the locking-discipline proof the
 // acceptance criteria ask for. Run under -race.
 func TestConcurrentRequests(t *testing.T) {
-	_, ts := newTestServer(t)
-	createSynthetic(t, ts, "dblp")
+	s, ts := newTestServer(t)
+	createSynthetic(t, s, "dblp")
+	churnTree, _ := saveFixtureTree(t, 256)
 
 	const workers = 4
 	const rounds = 5
@@ -85,14 +86,14 @@ func TestConcurrentRequests(t *testing.T) {
 		}
 	}()
 
-	// Registry churn: build and tear down other sessions while the shared
+	// Registry churn: open and tear down other sessions while the shared
 	// one is being read.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 3; i++ {
 			name := fmt.Sprintf("churn%d", i)
-			body := fmt.Sprintf(`{"name":%q,"source":"synthetic","scale":0.005,"seed":%d,"k":3,"levels":2}`, name, i+1)
+			body := fmt.Sprintf(`{"name":%q,"source":"gtree","path":%s}`, name, jsonQuote(churnTree))
 			resp, err := http.Post(ts.URL+"/sessions", "application/json", strings.NewReader(body))
 			check(resp, err, "churn create", http.StatusCreated)
 			req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/sessions/"+name, nil)

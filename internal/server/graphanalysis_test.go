@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -52,18 +53,13 @@ func saveFixtureTree(t *testing.T, pageSize int) (gtreePath, edgesPath string) {
 // loaded as an in-memory session and as a gtree session — and the
 // gtree run must actually have paged (visible in the pool counters).
 func TestGraphAnalysisEndpointMatchesAcrossBackends(t *testing.T) {
-	_, ts := newTestServer(t)
+	s, ts := newTestServer(t)
 	gtreePath, edgesPath := saveFixtureTree(t, 256)
 	for _, req := range []CreateSessionRequest{
 		{Name: "mem", Source: "edges", Path: edgesPath, K: 3, Levels: 3, Seed: 1},
 		{Name: "disk", Source: "gtree", Path: gtreePath, PoolPages: 16},
 	} {
-		resp := postJSON(t, ts.URL+"/sessions", req)
-		if resp.StatusCode != http.StatusCreated {
-			b, _ := io.ReadAll(resp.Body)
-			t.Fatalf("create %s: status %d (%s)", req.Name, resp.StatusCode, b)
-		}
-		resp.Body.Close()
+		addSession(t, s, ts, req)
 	}
 
 	var bodies [2][]byte
@@ -257,51 +253,37 @@ func TestLeafLabelIndexFaultMapsTo500(t *testing.T) {
 }
 
 // TestCreateSessionIgnoresSweepShards: POST /sessions still decodes a body
-// carrying the deleted "sweepShards" or "poolQuota" knob (the decoder
-// rejects unknown fields) and ignores it — the session answers whole-graph
-// analysis with exactly the bytes a session created without it does,
-// memory and paged.
+// carrying a deleted knob ("sweepShards", "poolQuota", "method",
+// "minCommunity"; the decoder rejects unknown fields) and ignores it — the
+// session answers whole-graph analysis with exactly the bytes a session
+// opened without it does.
 func TestCreateSessionIgnoresSweepShards(t *testing.T) {
 	_, ts := newTestServer(t)
-	gtreePath, edgesPath := saveFixtureTree(t, 256)
-	for _, src := range []string{
-		`"source":"edges","path":` + jsonQuote(edgesPath) + `,"k":3,"levels":3,"seed":1`,
-		`"source":"gtree","path":` + jsonQuote(gtreePath) + `,"poolPages":16`,
-	} {
-		names := []string{"plain", "sharded", "quota"}
-		var bodies [3][]byte
-		for i, extra := range []string{"", `,"sweepShards":4`, `,"poolQuota":8`} {
-			name := names[i]
-			resp, err := http.Post(ts.URL+"/sessions", "application/json",
-				strings.NewReader(`{"name":"`+name+`",`+src+extra+`}`))
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusCreated {
-				t.Fatalf("create %s {%s%s}: status %d (%s)", name, src, extra, resp.StatusCode, b)
-			}
-			resp = mustGet(t, ts.URL+"/sessions/"+name+"/analysis/graph")
-			body, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			bodies[i] = bytes.Replace(body, []byte(`"session":"`+name+`"`), []byte(`"session":"s"`), 1)
+	gtreePath, _ := saveFixtureTree(t, 256)
+	src := `"source":"gtree","path":` + jsonQuote(gtreePath) + `,"poolPages":16`
+	extras := []string{"", `,"sweepShards":4`, `,"poolQuota":8`, `,"method":"bfs"`, `,"minCommunity":50`}
+	bodies := make([][]byte, len(extras))
+	for i, extra := range extras {
+		name := fmt.Sprint("s", i)
+		resp, err := http.Post(ts.URL+"/sessions", "application/json",
+			strings.NewReader(`{"name":"`+name+`",`+src+extra+`}`))
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := 1; i < len(bodies); i++ {
-			if !bytes.Equal(bodies[0], bodies[i]) {
-				t.Fatalf("{%s}: %s changed the analysis:\nplain: %s\n%s: %s", src, names[i], bodies[0], names[i], bodies[i])
-			}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create {%s%s}: status %d (%s)", src, extra, resp.StatusCode, b)
 		}
-		for _, name := range names {
-			req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/sessions/"+name, nil)
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
+		resp = mustGet(t, ts.URL+"/sessions/"+name+"/analysis/graph")
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[i] = bytes.Replace(body, []byte(`"session":"`+name+`"`), []byte(`"session":"s"`), 1)
+		if !bytes.Equal(bodies[0], bodies[i]) {
+			t.Fatalf("{%s} changed the analysis:\nplain: %s\nwith it: %s", extra, bodies[0], bodies[i])
 		}
 	}
 }

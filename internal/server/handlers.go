@@ -20,7 +20,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/gtree"
 	"repro/internal/obs"
-	"repro/internal/partition"
 	"repro/internal/render"
 	"repro/internal/storage"
 )
@@ -106,6 +105,42 @@ func statusOf(err error, fallback int) int {
 	return fallback
 }
 
+// Request body caps. A legal extraction names at most Config.MaxBudget
+// distinct sources (the solver refuses more than its budget), each as an id
+// or a label of about sourceBytes; bodyFrameBytes covers the options and
+// the JSON around them. A session body is a name, a path and a few numbers.
+const (
+	bodyFrameBytes   = 4 << 10
+	sourceBytes      = 256
+	sessionBodyBytes = 16 << 10
+)
+
+func (s *Server) extractBodyBytes() int64 {
+	return bodyFrameBytes + int64(s.cfg.MaxBudget)*sourceBytes
+}
+
+func (s *Server) batchBodyBytes() int64 {
+	return bodyFrameBytes + int64(s.cfg.MaxBatch)*s.extractBodyBytes()
+}
+
+// readJSON decodes r's body into v, rejecting unknown fields and bodies
+// over limit bytes. On failure it writes the 413 or 400 and returns false.
+func readJSON(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, "%s body exceeds %d bytes", what, limit)
+	default:
+		writeError(w, http.StatusBadRequest, "bad %s body: %s", what, err)
+	}
+	return false
+}
+
 // marshalJSON encodes every JSON body the server writes: compact, on one
 // line ending in a newline (pipe a body through `jq .` to read it
 // indented).
@@ -161,13 +196,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // --- POST /sessions -------------------------------------------------------
 
-// CreateSessionRequest is the body of POST /sessions.
+// CreateSessionRequest is the body of POST /sessions and of Server.Preload.
 type CreateSessionRequest struct {
 	// Name identifies the session in URLs ([A-Za-z0-9._-], max 64).
 	Name string `json:"name"`
-	// Source selects the backend: "synthetic" (DBLP generator), "edges"
-	// (edge-list file at Path) or "gtree" (persisted G-Tree at Path,
-	// disk-backed).
+	// Source selects the backend: "gtree" opens the persisted G-Tree at
+	// Path, disk-backed. "synthetic" (DBLP generator) and "edges"
+	// (edge-list file at Path) build a hierarchy in memory; only
+	// Server.Preload builds, and POST /sessions refuses them.
 	Source string `json:"source"`
 	// Path locates the input file for "edges" and "gtree" sources.
 	Path string `json:"path"`
@@ -175,12 +211,10 @@ type CreateSessionRequest struct {
 	Scale float64 `json:"scale"`
 	// Seed drives generation and partitioning.
 	Seed int64 `json:"seed"`
-	// K / Levels / MinCommunity / Method configure the hierarchy build
-	// (memory sources only; defaults K=5, Levels=5).
-	K            int    `json:"k"`
-	Levels       int    `json:"levels"`
-	MinCommunity int    `json:"minCommunity"`
-	Method       string `json:"method"` // "multilevel" (default), "bfs", "random"
+	// K / Levels configure the hierarchy build (built sources only;
+	// defaults K=5, Levels=5).
+	K      int `json:"k"`
+	Levels int `json:"levels"`
 	// PoolPages bounds the buffer pool of "gtree" sources (0 = default).
 	PoolPages int `json:"poolPages"`
 	// TierBudget is the byte budget of a "gtree" session's hot tier (0 =
@@ -201,6 +235,10 @@ type IgnoredSessionFields struct {
 	// PoolQuota: the buffer pool is one LRU and reserves no frames for any
 	// query.
 	PoolQuota int `json:"poolQuota,omitempty"`
+	// Method and MinCommunity: a built session always splits with the
+	// multilevel partitioner down to communities of 2*K nodes.
+	Method       string `json:"method,omitempty"`
+	MinCommunity int    `json:"minCommunity,omitempty"`
 }
 
 func validName(s string) bool {
@@ -223,27 +261,22 @@ func validName(s string) bool {
 	return true
 }
 
-func parseMethod(s string) (partition.Method, error) {
-	switch s {
-	case "", "multilevel":
-		return partition.Multilevel, nil
-	case "bfs":
-		return partition.BFSGrow, nil
-	case "random":
-		return partition.Random, nil
-	}
-	return 0, fmt.Errorf("unknown partition method %q", s)
-}
+// errBuildOffline answers a POST /sessions that asks the server to build a
+// hierarchy: clients open G-Tree files, built offline.
+const errBuildOffline = `source %q builds a G-Tree, which the server does only at start-up; ` +
+	`build it offline instead: "gmine generate -out g.edges" (synthetic only), ` +
+	`"gmine build -in g.edges -out g.gtree", then POST {"source":"gtree","path":"g.gtree"}`
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var req CreateSessionRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad session body: %s", err)
+	if !readJSON(w, r, sessionBodyBytes, "session", &req) {
 		return
 	}
-	info, status, err := s.createSession(r.Context(), req)
+	if req.Source == "synthetic" || req.Source == "edges" {
+		writeError(w, http.StatusBadRequest, errBuildOffline, req.Source)
+		return
+	}
+	info, status, err := s.createSession(req)
 	if err != nil {
 		writeError(w, status, "%s", err)
 		return
@@ -251,26 +284,22 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, info)
 }
 
-// Preload builds a session outside HTTP (the CLI uses it to come up warm
-// before the listener opens).
+// Preload registers a session outside HTTP; it is the one path that builds
+// a hierarchy ("synthetic" and "edges" sources). The CLI uses it to come
+// up warm before the listener opens.
 func (s *Server) Preload(req CreateSessionRequest) (SessionInfo, error) {
-	info, _, err := s.createSession(context.Background(), req)
+	info, _, err := s.createSession(req)
 	return info, err
 }
 
-// createSession validates req, reserves the name and builds the engine.
-// The returned status accompanies a non-nil error. A build whose ctx is
-// cancelled (the client went away) stops at the next community split and
-// releases the name instead of committing a session nobody waits for; a
-// build that fails or panics releases it too.
-func (s *Server) createSession(ctx context.Context, req CreateSessionRequest) (SessionInfo, int, error) {
+// createSession validates req, constructs its engine outside the registry
+// and registers it, so a session is listed only once its engine exists.
+// The returned status accompanies a non-nil error. A name taken while the
+// engine was constructed answers 409, and the new engine is closed.
+func (s *Server) createSession(req CreateSessionRequest) (SessionInfo, int, error) {
 	if !validName(req.Name) {
 		return SessionInfo{}, http.StatusBadRequest,
 			fmt.Errorf("session name must be 1-64 chars of [A-Za-z0-9._-]")
-	}
-	method, err := parseMethod(req.Method)
-	if err != nil {
-		return SessionInfo{}, http.StatusBadRequest, err
 	}
 	switch req.Source {
 	case "synthetic", "edges", "gtree":
@@ -281,30 +310,20 @@ func (s *Server) createSession(ctx context.Context, req CreateSessionRequest) (S
 	if (req.Source == "edges" || req.Source == "gtree") && req.Path == "" {
 		return SessionInfo{}, http.StatusBadRequest, fmt.Errorf("source %q needs a path", req.Source)
 	}
-
-	// Reserve first: the name is taken atomically and any reader that finds
-	// the session before the build finishes blocks on the read lock.
-	sess, err := s.reg.reserve(req.Name)
-	if err != nil {
-		return SessionInfo{}, http.StatusConflict, err
+	if _, ok := s.reg.get(req.Name); ok {
+		return SessionInfo{}, http.StatusConflict, errSessionExists(req.Name)
 	}
-	committed := false
-	defer func() {
-		if !committed {
-			s.reg.abort(sess)
-		}
-	}()
 	begin := time.Now()
-	eng, err := buildEngine(ctx, req, method, s.cfg.FaultWrap)
+	eng, err := buildEngine(req, s.cfg.FaultWrap)
 	if err != nil {
 		return SessionInfo{}, statusOf(err, http.StatusBadRequest), fmt.Errorf("build failed: %w", err)
 	}
-	sess.source = req.Source
-	sess.buildMillis = time.Since(begin).Milliseconds()
-	s.reg.commit(sess, eng)
-	committed = true
-
-	info, err := sess.info(ctx)
+	sess, err := s.reg.add(req.Name, req.Source, eng, time.Since(begin).Milliseconds())
+	if err != nil {
+		_ = eng.Close()
+		return SessionInfo{}, http.StatusConflict, err
+	}
+	info, err := sess.info()
 	if err != nil {
 		return SessionInfo{}, statusOf(err, http.StatusInternalServerError), err
 	}
@@ -313,17 +332,9 @@ func (s *Server) createSession(ctx context.Context, req CreateSessionRequest) (S
 
 // buildEngine constructs the engine behind a session. wrap (nil = none)
 // interposes on the backing file of disk-backed sessions — the server's
-// chaos fault injection seam. ctx cancels a hierarchy build; opening a
-// gtree file builds nothing and ignores it.
-func buildEngine(ctx context.Context, req CreateSessionRequest, method partition.Method, wrap func(storage.File) storage.File) (*core.Engine, error) {
-	cfg := core.BuildConfig{
-		Ctx:          ctx,
-		K:            req.K,
-		Levels:       req.Levels,
-		MinCommunity: req.MinCommunity,
-		Method:       method,
-		Seed:         req.Seed,
-	}
+// chaos fault injection seam.
+func buildEngine(req CreateSessionRequest, wrap func(storage.File) storage.File) (*core.Engine, error) {
+	cfg := core.BuildConfig{K: req.K, Levels: req.Levels, Seed: req.Seed}
 	if cfg.K <= 0 {
 		cfg.K = 5
 	}
@@ -359,18 +370,12 @@ func buildEngine(ctx context.Context, req CreateSessionRequest, method partition
 
 // --- GET /sessions, GET/DELETE /sessions/{id} -----------------------------
 
-// handleListSessions lists the sessions already built. A session still
-// building is left out rather than waited for, so the list stays as
-// observable during a long build as /healthz.
+// handleListSessions lists the registered sessions; one deleted while the
+// list is built is left out.
 func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
 	infos := make([]SessionInfo, 0)
 	for _, sess := range s.reg.list() {
-		select {
-		case <-sess.built:
-		default:
-			continue
-		}
-		if info, err := sess.info(r.Context()); err == nil {
+		if info, err := sess.info(); err == nil {
 			infos = append(infos, info)
 		}
 	}
@@ -385,7 +390,7 @@ func (s *Server) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	info, err := sess.info(r.Context())
+	info, err := sess.info()
 	if s.refuse(w, r, err, statusOf(err, http.StatusInternalServerError)) {
 		return
 	}
@@ -441,7 +446,7 @@ func (s *Server) handleTree(w http.ResponseWriter, r *http.Request) {
 	}
 	listing := r.URL.Query().Get("listing") != "false"
 	var resp treeResponse
-	err := sess.withRead(r.Context(), func(eng *core.Engine) error {
+	err := sess.withRead(func(eng *core.Engine) error {
 		t := eng.Tree()
 		st := t.ComputeStats()
 		resp = treeResponse{
@@ -536,7 +541,7 @@ func (s *Server) handleScene(w http.ResponseWriter, r *http.Request) {
 	}
 	key := sess.cacheKey(fmt.Sprintf("scene|f=%d|g=%t|fmt=%s|sz=%g", focus, grand, format, keySize))
 	s.serveCached(w, r, key, func() ([]byte, string, int, error) {
-		return engineBody(r.Context(), sess.withRead, http.StatusBadRequest, func(eng *core.Engine) ([]byte, string, error) {
+		return engineBody(sess.withRead, http.StatusBadRequest, func(eng *core.Engine) ([]byte, string, error) {
 			if format == "svg" {
 				doc, err := eng.RenderSceneAt(gtree.TreeID(focus), size, opts)
 				return []byte(doc), render.ContentType, err
@@ -568,11 +573,11 @@ func (s *Server) handleScene(w http.ResponseWriter, r *http.Request) {
 // engineBody is a cachedResult build: fn renders one body from the
 // session's engine under read (withRead, or guardedRead behind the
 // breaker): an error maps through statusOf, falling back to fallback.
-func engineBody(ctx context.Context, read func(context.Context, func(*core.Engine) error) error,
+func engineBody(read func(func(*core.Engine) error) error,
 	fallback int, fn func(eng *core.Engine) ([]byte, string, error)) ([]byte, string, int, error) {
 	var body []byte
 	var ctyp string
-	err := read(ctx, func(eng *core.Engine) error {
+	err := read(func(eng *core.Engine) error {
 		var err error
 		body, ctyp, err = fn(eng)
 		return err
@@ -671,7 +676,7 @@ type extractPlan struct {
 
 // planExtract validates req against sess and canonicalizes it into an
 // executable plan. The returned status accompanies a non-nil error.
-func (s *Server) planExtract(ctx context.Context, sess *Session, req ExtractRequest) (extractPlan, int, error) {
+func (s *Server) planExtract(sess *Session, req ExtractRequest) (extractPlan, int, error) {
 	var p extractPlan
 	if len(req.Sources) == 0 && len(req.Labels) == 0 {
 		return p, http.StatusBadRequest, fmt.Errorf("need sources or labels")
@@ -699,7 +704,7 @@ func (s *Server) planExtract(ctx context.Context, sess *Session, req ExtractRequ
 	// Resolve labels to ids under the read lock, then canonicalize the
 	// source set (sorted, deduped) so query order does not defeat caching.
 	sources := append([]graph.NodeID(nil), req.Sources...)
-	err = sess.withRead(ctx, func(eng *core.Engine) error {
+	err = sess.withRead(func(eng *core.Engine) error {
 		for _, l := range req.Labels {
 			hits, err := eng.FindLabel(l)
 			if err != nil {
@@ -764,7 +769,7 @@ func (s *Server) planExtract(ctx context.Context, sess *Session, req ExtractRequ
 // request's build was coalesced into) collects the engine's stage
 // breakdown and pool pins.
 func (s *Server) buildExtract(ctx context.Context, sess *Session, p extractPlan, tr *obs.Trace) ([]byte, string, int, error) {
-	return engineBody(ctx, sess.guardedRead, http.StatusBadRequest, func(eng *core.Engine) ([]byte, string, error) {
+	return engineBody(sess.guardedRead, http.StatusBadRequest, func(eng *core.Engine) ([]byte, string, error) {
 		res, err := eng.ExtractTraced(ctx, tr, p.sources, p.opts)
 		if err != nil {
 			return nil, "", err
@@ -782,13 +787,10 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ExtractRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad extract body: %s", err)
+	if !readJSON(w, r, s.extractBodyBytes(), "extract", &req) {
 		return
 	}
-	p, status, err := s.planExtract(r.Context(), sess, req)
+	p, status, err := s.planExtract(sess, req)
 	if s.refuse(w, r, err, status) {
 		return
 	}
@@ -881,7 +883,7 @@ func (s *Server) handleAnalysis(w http.ResponseWriter, r *http.Request) {
 	key := sess.cacheKey(fmt.Sprintf("analysis|c=%d|seed=%d", community, seed))
 	tr := traceFrom(r.Context())
 	s.serveCached(w, r, key, func() ([]byte, string, int, error) {
-		return engineBody(r.Context(), sess.guardedRead, http.StatusBadRequest, func(eng *core.Engine) ([]byte, string, error) {
+		return engineBody(sess.guardedRead, http.StatusBadRequest, func(eng *core.Engine) ([]byte, string, error) {
 			t := eng.Tree()
 			id := gtree.TreeID(community)
 			if community < 0 {
@@ -971,7 +973,7 @@ func (s *Server) handleGraphAnalysis(w http.ResponseWriter, r *http.Request) {
 	// session (404) or the storage backend — including corrupt CSR-section
 	// geometry — which must be a 500, never a 400.
 	s.serveCached(w, r, key, func() ([]byte, string, int, error) {
-		return engineBody(r.Context(), sess.guardedRead, http.StatusInternalServerError, func(eng *core.Engine) ([]byte, string, error) {
+		return engineBody(sess.guardedRead, http.StatusInternalServerError, func(eng *core.Engine) ([]byte, string, error) {
 			rep, err := eng.AnalyzeGraphTraced(r.Context(), tr, analysis.PageRankOptions{}, topK)
 			if err != nil {
 				return nil, "", err
@@ -1042,7 +1044,7 @@ func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) {
 		limit = n
 	}
 	var hits []core.LabelHit
-	err := sess.withRead(r.Context(), func(eng *core.Engine) error {
+	err := sess.withRead(func(eng *core.Engine) error {
 		var err error
 		if exact != "" {
 			hits, err = eng.FindLabel(exact)

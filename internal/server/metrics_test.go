@@ -56,8 +56,8 @@ func metricValue(t *testing.T, metrics, prefix string) float64 {
 // HTTP by route, cache ops, per-stage query timings — with non-zero
 // values where work actually happened.
 func TestMetricsExposition(t *testing.T) {
-	_, ts := newTestServer(t)
-	createSynthetic(t, ts, "m1")
+	s, ts := newTestServer(t)
+	createSynthetic(t, s, "m1")
 	resp := postJSON(t, ts.URL+"/sessions/m1/extract", ExtractRequest{
 		Sources: []graph.NodeID{1, 5}, Budget: 10,
 	})
@@ -239,8 +239,8 @@ func TestHealthzStalePools(t *testing.T) {
 // against concurrent scrapes; run under -race this is the registry's
 // integration race test, and every scrape must stay well-formed.
 func TestMetricsScrapeUnderLoad(t *testing.T) {
-	_, ts := newTestServer(t)
-	createSynthetic(t, ts, "load")
+	s, ts := newTestServer(t)
+	createSynthetic(t, s, "load")
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -277,7 +277,7 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 // batch outcome counters.
 func TestBatchItemTraces(t *testing.T) {
 	s, ts := newTestServer(t)
-	createSynthetic(t, ts, "b1")
+	createSynthetic(t, s, "b1")
 	resp := postJSON(t, ts.URL+"/sessions/b1/extract/batch", BatchExtractRequest{
 		Requests: []ExtractRequest{
 			{Sources: []graph.NodeID{1, 5}, Budget: 8},

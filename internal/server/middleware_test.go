@@ -34,8 +34,8 @@ func (b *lockedBuffer) String() string {
 // waitFor polls cond until it holds or the deadline passes. Request
 // metrics and logs are flushed in a middleware defer that runs after the
 // response reaches the client, so assertions on them must tolerate that
-// tiny window. The deadline is generous because one caller waits out a
-// community split of a cancelled build, which takes seconds under -race.
+// tiny window. The deadline is generous for -race runs on a loaded
+// machine.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(20 * time.Second)

@@ -82,8 +82,8 @@ const timeoutRetryAfter = 2 * time.Second
 
 // timed runs a query route on the connection's goroutine under a context
 // that ends cfg.RequestTimeout after it starts. The engine's cooperative
-// cancellation and the route's waits (a session still building, a shared
-// in-flight build) observe it, and each route calls refuse before it
+// cancellation and the route's wait on a shared in-flight build observe
+// it, and each route calls refuse before it
 // writes its 200, so a query past its deadline answers the timeout 503.
 func (s *Server) timed(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

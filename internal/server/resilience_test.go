@@ -55,7 +55,7 @@ func TestAdmissionShed(t *testing.T) {
 	s := New(Config{CacheEntries: 8, RequestTimeout: 30 * time.Second, MaxInFlight: 1})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	createSynthetic(t, ts, "dblp")
+	createSynthetic(t, s, "dblp")
 
 	s.admission <- struct{}{} // hold the only slot
 	resp := postJSON(t, ts.URL+"/sessions/dblp/extract", ExtractRequest{Sources: []int32{0, 1}})
@@ -234,7 +234,7 @@ func TestRequestTimeoutExtraction(t *testing.T) {
 	s := New(Config{CacheEntries: 8, RequestTimeout: 10 * time.Millisecond})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	createSynthetic(t, ts, "dblp")
+	createSynthetic(t, s, "dblp")
 	resp := postJSON(t, ts.URL+"/sessions/dblp/extract", ExtractRequest{
 		Labels: []string{"Philip S. Yu", "Flip Korn"}, Budget: 2000,
 	})
@@ -242,78 +242,6 @@ func TestRequestTimeoutExtraction(t *testing.T) {
 	if got := s.metrics.overload.With("timeout").Value(); got != 1 {
 		t.Fatalf("overload{timeout} = %d, want 1", got)
 	}
-}
-
-// TestRequestTimeoutWhileBuilding: queries to a session whose build is
-// still running stop waiting at their deadline and answer the timeout 503,
-// while the build goes on and commits.
-func TestRequestTimeoutWhileBuilding(t *testing.T) {
-	s := New(Config{CacheEntries: 8, RequestTimeout: 100 * time.Millisecond})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	created := make(chan int, 1)
-	go func() {
-		b, _ := json.Marshal(CreateSessionRequest{Name: "big", Source: "synthetic", Scale: 0.1, Seed: 1})
-		resp, err := http.Post(ts.URL+"/sessions", "application/json", bytes.NewReader(b))
-		if err != nil {
-			created <- 0
-			return
-		}
-		resp.Body.Close()
-		created <- resp.StatusCode
-	}()
-	waitFor(t, "session reserved", func() bool { _, ok := s.reg.get("big"); return ok })
-
-	queries := map[string]func() (*http.Response, error){
-		"info":  func() (*http.Response, error) { return http.Get(ts.URL + "/sessions/big") },
-		"tree":  func() (*http.Response, error) { return http.Get(ts.URL + "/sessions/big/tree") },
-		"scene": func() (*http.Response, error) { return http.Get(ts.URL + "/sessions/big/scene") },
-		"leaf":  func() (*http.Response, error) { return http.Get(ts.URL + "/sessions/big/analysis") },
-		"labels": func() (*http.Response, error) {
-			return http.Get(ts.URL + "/sessions/big/labels?prefix=Ph")
-		},
-		"extract": func() (*http.Response, error) {
-			return http.Post(ts.URL+"/sessions/big/extract", "application/json",
-				strings.NewReader(`{"sources":[1,5]}`))
-		},
-	}
-	type answer struct {
-		name    string
-		resp    *http.Response
-		err     error
-		elapsed time.Duration
-	}
-	answers := make(chan answer, len(queries))
-	for name, q := range queries {
-		go func() {
-			start := time.Now()
-			resp, err := q()
-			answers <- answer{name, resp, err, time.Since(start)}
-		}()
-	}
-	for range queries {
-		a := <-answers
-		if a.err != nil {
-			t.Fatalf("%s: %v", a.name, a.err)
-		}
-		requireTimeout503(t, a.name, a.resp)
-		if a.elapsed > time.Second {
-			t.Fatalf("%s answered after %v, want within 1s", a.name, a.elapsed)
-		}
-	}
-	select {
-	case code := <-created:
-		t.Fatalf("build finished (status %d) before the queries timed out; the test needs a slower build", code)
-	default:
-	}
-	if code := <-created; code != http.StatusCreated {
-		t.Fatalf("build status %d, want 201", code)
-	}
-	if got, want := s.metrics.overload.With("timeout").Value(), uint64(len(queries)); got != want {
-		t.Fatalf("overload{timeout} = %d, want %d", got, want)
-	}
-	resp := mustGet(t, ts.URL+"/sessions/big/tree?listing=false")
-	resp.Body.Close()
 }
 
 // TestRequestTimeoutPassedNeverAnswers200: once the deadline has passed,
@@ -324,7 +252,7 @@ func TestRequestTimeoutPassedNeverAnswers200(t *testing.T) {
 	s := New(Config{CacheEntries: 8, RequestTimeout: time.Nanosecond})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	createSynthetic(t, ts, "dblp")
+	createSynthetic(t, s, "dblp")
 	gets := []string{
 		"/healthz", "/metrics", "/sessions", "/sessions/dblp", "/sessions/dblp/tree",
 		"/sessions/dblp/scene", "/sessions/dblp/scene?format=svg&grandchildren=true",
@@ -351,6 +279,7 @@ func TestRequestTimeoutPassedNeverAnswers200(t *testing.T) {
 	if got, want := s.metrics.overload.With("timeout").Value(), uint64(len(gets)+len(posts)); got != want {
 		t.Fatalf("overload{timeout} = %d, want %d", got, want)
 	}
+	createDiskSession(t, ts, "disk", saveSmallTree(t, 256), 0)
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/sessions/dblp", nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -367,8 +296,8 @@ func TestRequestTimeoutPassedNeverAnswers200(t *testing.T) {
 // closed request) and counts each in the cancellation metric — no orphan
 // solves keep burning the pool after the disconnect.
 func TestBatchCancelledClient(t *testing.T) {
-	s, ts := newTestServer(t)
-	createSynthetic(t, ts, "dblp")
+	s, _ := newTestServer(t)
+	createSynthetic(t, s, "dblp")
 
 	reqs := make([]ExtractRequest, 4)
 	for i := range reqs {
@@ -410,40 +339,13 @@ func TestBatchCancelledClient(t *testing.T) {
 	}
 }
 
-// TestListSessionsWhileBuilding: GET /sessions answers at once while a
-// session is still building, listing only the sessions already built;
-// the building one joins the list once it commits.
-func TestListSessionsWhileBuilding(t *testing.T) {
-	s := New(Config{CacheEntries: 8, RequestTimeout: 2 * time.Second})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	createSynthetic(t, ts, "ready")
-	// A reserved session is what a build in progress looks like.
-	building, err := s.reg.reserve("building")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.reg.abort(building) })
-	start := time.Now()
-	list := decodeBody[struct {
-		Sessions []SessionInfo `json:"sessions"`
-	}](t, mustGet(t, ts.URL+"/sessions"))
-	elapsed := time.Since(start)
-	if len(list.Sessions) != 1 || list.Sessions[0].Name != "ready" {
-		t.Fatalf("list while building: %+v, want the built session alone", list.Sessions)
-	}
-	if elapsed > time.Second {
-		t.Fatalf("list while building answered after %v, want at once", elapsed)
-	}
-}
-
 // TestBatchDeadlineBeforeDispatch: a batch whose request deadline has
 // passed answers the timeout 503, and its items — dispatched or not — are
 // deadline failures, not client cancellations: the cancellation metric
 // does not move.
 func TestBatchDeadlineBeforeDispatch(t *testing.T) {
-	s, ts := newTestServer(t)
-	createSynthetic(t, ts, "dblp")
+	s, _ := newTestServer(t)
+	createSynthetic(t, s, "dblp")
 	reqs := make([]ExtractRequest, 16)
 	for i := range reqs {
 		reqs[i] = ExtractRequest{Sources: []int32{0, 1}, Budget: 10 + i}

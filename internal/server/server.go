@@ -1,18 +1,21 @@
 // Package server puts the GMine engine behind a long-lived HTTP/JSON
-// service: named engine sessions (memory-built from an edge list or the
-// synthetic DBLP generator, or disk-backed via a persisted G-Tree) live in
-// a registry, and the paper's interactive operations — Tomahawk scenes,
-// label queries, §III.B mining metrics, §IV connection-subgraph
-// extraction — are endpoints. Per-session RW locking lets navigation and
-// extraction reads run in parallel while builds stay exclusive, and a
-// bounded LRU cache keyed on canonicalized request parameters serves
-// repeated interactive queries without re-running the RWR solve.
+// service: named engine sessions live in a registry, and the paper's
+// interactive operations — Tomahawk scenes, label queries, §III.B mining
+// metrics, §IV connection-subgraph extraction — are endpoints. Clients
+// open sessions over persisted G-Tree files (disk-backed), built offline
+// by `gmine build`; only the operator's Preload (`gmine serve -in`,
+// `-synthetic`) builds a hierarchy in memory, from an edge list or the
+// synthetic DBLP generator. A session is registered once its engine
+// exists. Per-session RW locking lets navigation and extraction reads run
+// in parallel while deletion stays exclusive, and a bounded LRU cache keyed
+// on canonicalized request parameters serves repeated interactive queries
+// without re-running the RWR solve.
 //
 // Endpoints:
 //
 //	GET    /healthz                      liveness + session list + cache stats
 //	GET    /metrics                      Prometheus text scrape of the obs registry
-//	POST   /sessions                     build or open a session
+//	POST   /sessions                     open a G-Tree file as a session
 //	GET    /sessions                     list sessions
 //	GET    /sessions/{id}                session info
 //	DELETE /sessions/{id}                close and remove a session
@@ -43,8 +46,7 @@ type Config struct {
 	Addr string
 	// CacheEntries bounds the LRU result cache (default 256).
 	CacheEntries int
-	// RequestTimeout caps each request end to end (default 60s); builds of
-	// very large sessions may need more.
+	// RequestTimeout caps each query request end to end (default 60s).
 	RequestTimeout time.Duration
 	// MaxBudget caps the extraction node budget a request may ask for
 	// (default 2000) so one query cannot monopolize the server.
@@ -143,9 +145,9 @@ func New(cfg Config) *Server {
 
 // Handler returns the routed handler (exported for httptest and
 // embedding). Query routes run under the request deadline (see timed);
-// session creation and deletion do not: a large build may legitimately
-// exceed the query budget, and timing it out mid-build would tell the
-// client "failed" while the session still commits. The instrument
+// session creation and deletion do not: timing out an open of a large
+// file would tell the client "failed" while the session still registers,
+// and a delete waits for the session's in-flight reads. The instrument
 // middleware (request IDs, trace, metrics, request log) wraps every route.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()

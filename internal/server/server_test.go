@@ -54,15 +54,35 @@ func decodeBody[T any](t *testing.T, resp *http.Response) T {
 	return v
 }
 
-// createSynthetic builds a small synthetic session over HTTP.
-func createSynthetic(t *testing.T, ts *httptest.Server, name string) SessionInfo {
+// createSynthetic builds a small synthetic session through Preload, the
+// operator's path (POST /sessions opens G-Tree files only).
+func createSynthetic(t *testing.T, s *Server, name string) SessionInfo {
 	t.Helper()
-	resp := postJSON(t, ts.URL+"/sessions", CreateSessionRequest{
+	info, err := s.Preload(CreateSessionRequest{
 		Name: name, Source: "synthetic", Scale: 0.01, Seed: 7, K: 3, Levels: 3,
 	})
+	if err != nil {
+		t.Fatalf("preload session: %v", err)
+	}
+	return info
+}
+
+// addSession registers req the way a deployment does: a built source
+// through Preload, a G-Tree file over POST /sessions.
+func addSession(t *testing.T, s *Server, ts *httptest.Server, req CreateSessionRequest) SessionInfo {
+	t.Helper()
+	if req.Source != "gtree" {
+		info, err := s.Preload(req)
+		if err != nil {
+			t.Fatalf("preload %s: %v", req.Name, err)
+		}
+		return info
+	}
+	resp := postJSON(t, ts.URL+"/sessions", req)
 	if resp.StatusCode != http.StatusCreated {
 		b, _ := io.ReadAll(resp.Body)
-		t.Fatalf("create session: status %d body %s", resp.StatusCode, b)
+		resp.Body.Close()
+		t.Fatalf("create %s: status %d (%s)", req.Name, resp.StatusCode, b)
 	}
 	return decodeBody[SessionInfo](t, resp)
 }
@@ -87,8 +107,8 @@ func TestHealthz(t *testing.T) {
 // errors and the timeout 503 — is valid compact JSON on one line that
 // ends in a newline.
 func TestJSONBodiesOneLine(t *testing.T) {
-	_, ts := newTestServer(t)
-	createSynthetic(t, ts, "dblp")
+	s, ts := newTestServer(t)
+	createSynthetic(t, s, "dblp")
 	leaf := -1
 	for _, c := range decodeBody[treeResponse](t, mustGet(t, ts.URL+"/sessions/dblp/tree")).Listing {
 		if c.Leaf {
@@ -109,7 +129,7 @@ func TestJSONBodiesOneLine(t *testing.T) {
 	timeout := New(Config{CacheEntries: 8, RequestTimeout: 10 * time.Millisecond})
 	tts := httptest.NewServer(timeout.Handler())
 	t.Cleanup(tts.Close)
-	createSynthetic(t, tts, "dblp")
+	createSynthetic(t, timeout, "dblp")
 	cases := []struct {
 		name   string
 		do     func() (*http.Response, error)
@@ -149,8 +169,8 @@ func TestJSONBodiesOneLine(t *testing.T) {
 }
 
 func TestSessionLifecycle(t *testing.T) {
-	_, ts := newTestServer(t)
-	info := createSynthetic(t, ts, "dblp")
+	s, ts := newTestServer(t)
+	info := createSynthetic(t, s, "dblp")
 	if info.Name != "dblp" || info.Source != "synthetic" {
 		t.Fatalf("bad info: %+v", info)
 	}
@@ -269,8 +289,8 @@ func escapeQuery(s string) string {
 }
 
 func TestBadRequests(t *testing.T) {
-	_, ts := newTestServer(t)
-	createSynthetic(t, ts, "dblp")
+	s, ts := newTestServer(t)
+	createSynthetic(t, s, "dblp")
 
 	get := func(path string) int {
 		t.Helper()
@@ -321,11 +341,13 @@ func TestBadRequests(t *testing.T) {
 			resp.Body.Close()
 			return resp.StatusCode
 		}(), http.StatusNotFound},
-		{"create duplicate", post("/sessions", `{"name":"dblp","source":"synthetic","scale":0.01}`), http.StatusConflict},
+		{"create duplicate", post("/sessions", `{"name":"dblp","source":"gtree","path":"x.gtree"}`), http.StatusConflict},
 		{"create bad source", post("/sessions", `{"name":"x","source":"oracle"}`), http.StatusBadRequest},
-		{"create bad name", post("/sessions", `{"name":"a b!","source":"synthetic"}`), http.StatusBadRequest},
-		{"create dot-dot name", post("/sessions", `{"name":"..","source":"synthetic"}`), http.StatusBadRequest},
-		{"create missing path", post("/sessions", `{"name":"x","source":"edges"}`), http.StatusBadRequest},
+		{"create bad name", post("/sessions", `{"name":"a b!","source":"gtree","path":"x.gtree"}`), http.StatusBadRequest},
+		{"create dot-dot name", post("/sessions", `{"name":"..","source":"gtree","path":"x.gtree"}`), http.StatusBadRequest},
+		{"create missing path", post("/sessions", `{"name":"x","source":"gtree"}`), http.StatusBadRequest},
+		{"create synthetic", post("/sessions", `{"name":"x","source":"synthetic","scale":0.01}`), http.StatusBadRequest},
+		{"create edges", post("/sessions", `{"name":"x","source":"edges","path":"x.edges"}`), http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		if c.got != c.want {
@@ -336,7 +358,7 @@ func TestBadRequests(t *testing.T) {
 
 func TestExtractAndCache(t *testing.T) {
 	s, ts := newTestServer(t)
-	createSynthetic(t, ts, "dblp")
+	createSynthetic(t, s, "dblp")
 	body := ExtractRequest{
 		Labels: []string{dblp.NamePhilipYu, dblp.NameFlipKorn},
 		Budget: 20,
@@ -408,8 +430,8 @@ func TestExtractAndCache(t *testing.T) {
 // the cache key does too — k 0 and 1, and k 9 and 2 over two sources, each
 // compute the same bytes and share one entry.
 func TestExtractKSoftKeyCanonical(t *testing.T) {
-	_, ts := newTestServer(t)
-	createSynthetic(t, ts, "dblp")
+	s, ts := newTestServer(t)
+	createSynthetic(t, s, "dblp")
 	labels := []string{dblp.NamePhilipYu, dblp.NameFlipKorn}
 	for _, ks := range [][2]int{{0, 1}, {9, 2}, {-3, 1}} {
 		var bodies [2][]byte
@@ -435,8 +457,8 @@ func TestExtractKSoftKeyCanonical(t *testing.T) {
 }
 
 func TestSceneCache(t *testing.T) {
-	_, ts := newTestServer(t)
-	createSynthetic(t, ts, "dblp")
+	s, ts := newTestServer(t)
+	createSynthetic(t, s, "dblp")
 	for i, want := range []string{"miss", "hit"} {
 		resp, err := http.Get(ts.URL + "/sessions/dblp/scene?format=svg")
 		if err != nil {
@@ -539,7 +561,7 @@ func mustGet(t *testing.T, url string) *http.Response {
 // responses (modulo the session name), single and batch, serial and
 // parallel.
 func TestDiskBackedExtractMatchesMemory(t *testing.T) {
-	_, ts := newTestServer(t)
+	s, ts := newTestServer(t)
 
 	ds := dblp.SmallFixture()
 	eng, err := core.BuildEngine(ds.Graph, core.BuildConfig{K: 3, Levels: 3, Seed: 1})
@@ -565,12 +587,7 @@ func TestDiskBackedExtractMatchesMemory(t *testing.T) {
 		{Name: "mem", Source: "edges", Path: epath, K: 3, Levels: 3, Seed: 1},
 		{Name: "disk", Source: "gtree", Path: path, PoolPages: 32},
 	} {
-		resp := postJSON(t, ts.URL+"/sessions", req)
-		if resp.StatusCode != http.StatusCreated {
-			b, _ := io.ReadAll(resp.Body)
-			t.Fatalf("create %s: status %d (%s)", req.Name, resp.StatusCode, b)
-		}
-		resp.Body.Close()
+		addSession(t, s, ts, req)
 	}
 
 	normalize := func(r extractResponse) extractResponse {
@@ -609,7 +626,7 @@ func TestDiskBackedExtractMatchesMemory(t *testing.T) {
 }
 
 func TestEdgeListSession(t *testing.T) {
-	_, ts := newTestServer(t)
+	s, _ := newTestServer(t)
 	// Write a labeled edge list via the graph package round-trip.
 	ds := dblp.SmallFixture()
 	path := filepath.Join(t.TempDir(), "small.edges")
@@ -622,14 +639,12 @@ func TestEdgeListSession(t *testing.T) {
 	}
 	f.Close()
 
-	resp := postJSON(t, ts.URL+"/sessions", CreateSessionRequest{
+	info, err := s.Preload(CreateSessionRequest{
 		Name: "edges", Source: "edges", Path: path, K: 3, Levels: 3,
 	})
-	if resp.StatusCode != http.StatusCreated {
-		b, _ := io.ReadAll(resp.Body)
-		t.Fatalf("edge session: status %d body %s", resp.StatusCode, b)
+	if err != nil {
+		t.Fatalf("edge session: %v", err)
 	}
-	info := decodeBody[SessionInfo](t, resp)
 	if info.Nodes != ds.Graph.NumNodes() {
 		t.Fatalf("edge session nodes = %d, want %d", info.Nodes, ds.Graph.NumNodes())
 	}
@@ -669,28 +684,36 @@ func TestServeAndShutdown(t *testing.T) {
 }
 
 // TestSessionErrorsDoNotEchoFileBytes: a session over a file that is not
-// an edge list or a G-Tree answers 400 naming the path and the failed
-// check, and quotes none of the file's bytes back to the client.
+// a G-Tree answers 400 naming the path and the failed check, and quotes
+// none of the file's bytes back to the client; a Preload over one that is
+// not an edge list fails the same way.
 func TestSessionErrorsDoNotEchoFileBytes(t *testing.T) {
-	_, ts := newTestServer(t)
+	s, ts := newTestServer(t)
 	path := filepath.Join(t.TempDir(), "secret.txt")
 	if err := os.WriteFile(path, []byte("db_password=hunter2 extra\n"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	for _, source := range []string{"edges", "gtree"} {
-		resp := postJSON(t, ts.URL+"/sessions", CreateSessionRequest{Name: "s-" + source, Source: source, Path: path})
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status %d, want 400 (%s)", source, resp.StatusCode, body)
-		}
-		if !bytes.Contains(body, []byte(path)) {
-			t.Errorf("%s: error does not name the path: %s", source, body)
+	check := func(source, msg string) {
+		t.Helper()
+		if !strings.Contains(msg, path) {
+			t.Errorf("%s: error does not name the path: %s", source, msg)
 		}
 		for _, leak := range []string{"hunter2", "db_p"} {
-			if bytes.Contains(body, []byte(leak)) {
-				t.Errorf("%s: error echoes the file's bytes (%q): %s", source, leak, body)
+			if strings.Contains(msg, leak) {
+				t.Errorf("%s: error echoes the file's bytes (%q): %s", source, leak, msg)
 			}
 		}
 	}
+	resp := postJSON(t, ts.URL+"/sessions", CreateSessionRequest{Name: "s-gtree", Source: "gtree", Path: path})
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("gtree: status %d, want 400 (%s)", resp.StatusCode, body)
+	}
+	check("gtree", string(body))
+	_, err := s.Preload(CreateSessionRequest{Name: "s-edges", Source: "edges", Path: path})
+	if err == nil {
+		t.Fatal("edges: Preload of a non-edge-list succeeded")
+	}
+	check("edges", err.Error())
 }

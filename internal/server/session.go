@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -14,43 +13,34 @@ import (
 // Session is one named engine instance hosted by the server. Its RWMutex
 // is the server's concurrency discipline: every query handler (tree,
 // scene, extract, analysis, labels) runs under the read lock so
-// interactive reads proceed in parallel, while the initial build and
-// deletion hold the write lock exclusively. An engine holds no query
-// state — a scene is addressed by its focus id — and the disk-backed page
-// path is internally synchronized, so shared reads are race-free.
+// interactive reads proceed in parallel, while deletion holds the write
+// lock exclusively. A session enters the registry only once its engine
+// exists. An engine holds no query state — a scene is addressed by its
+// focus id — and the disk-backed page path is internally synchronized, so
+// shared reads are race-free.
 type Session struct {
 	name string
-	gen  uint64 // registry-unique; cache keys embed it so a rebuilt name never hits stale entries
+	gen  uint64 // registry-unique; cache keys embed it so a re-created name never hits stale entries
 
 	mu  sync.RWMutex
-	eng *core.Engine // nil while building, and again after the session dies
-	// built closes when the build commits or aborts: a query waits on it,
-	// not on mu, so it can give up at its deadline.
-	built chan struct{}
+	eng *core.Engine // nil once the session has been removed
 
-	// Immutable after the build completes (published before mu unlocks).
+	// Immutable after registration.
 	source      string
 	createdAt   time.Time
 	buildMillis int64
 
 	// brk is the session's circuit breaker over permanent paged faults
-	// (see guardedRead). Set at reserve time, immutable afterwards.
+	// (see guardedRead).
 	brk *breaker
 }
 
-// errSessionGone is returned by withRead when a session was reserved but
-// its build failed or it was deleted while the caller waited on the lock.
+// errSessionGone is returned by withRead when the session was deleted
+// while the caller waited on the lock.
 var errSessionGone = fmt.Errorf("server: session is gone")
 
-// withRead runs fn with the session engine under the read lock, once the
-// session's build has committed or aborted; if ctx ends first, it returns
-// ctx's error without waiting further.
-func (s *Session) withRead(ctx context.Context, fn func(eng *core.Engine) error) error {
-	select {
-	case <-s.built:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+// withRead runs fn with the session engine under the read lock.
+func (s *Session) withRead(fn func(eng *core.Engine) error) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.eng == nil {
@@ -68,11 +58,11 @@ func (s *Session) withRead(ctx context.Context, fn func(eng *core.Engine) error)
 // cancellation) is evidence it reads fine and closes the breaker again.
 // Engine-touching query handlers use this; liveness probes keep the
 // unguarded paths so an open breaker never blinds /healthz.
-func (s *Session) guardedRead(ctx context.Context, fn func(eng *core.Engine) error) error {
+func (s *Session) guardedRead(fn func(eng *core.Engine) error) error {
 	if wait, ok := s.brk.allow(); !ok {
 		return &breakerOpenError{session: s.name, retryAfter: wait}
 	}
-	err := s.withRead(ctx, fn)
+	err := s.withRead(fn)
 	s.brk.record(errors.Is(err, core.ErrPagedIO))
 	return err
 }
@@ -81,8 +71,7 @@ func (s *Session) guardedRead(ctx context.Context, fn func(eng *core.Engine) err
 // sessions not opened from a G-Tree file (a built engine's pool reads an
 // in-memory file and is not reported). It is the one snapshot path of
 // /healthz, /metrics and session info. It never waits on the session
-// lock: a write-locked session (building, or leaving the registry in
-// remove) reports nil too.
+// lock: a session leaving the registry in remove reports nil too.
 func (s *Session) poolSnapshot() *PoolInfo {
 	if !s.mu.TryRLock() {
 		return nil
@@ -119,9 +108,9 @@ type SessionInfo struct {
 }
 
 // info snapshots the session under the read lock.
-func (s *Session) info(ctx context.Context) (SessionInfo, error) {
+func (s *Session) info() (SessionInfo, error) {
 	var out SessionInfo
-	err := s.withRead(ctx, func(eng *core.Engine) error {
+	err := s.withRead(func(eng *core.Engine) error {
 		st := eng.Tree().ComputeStats()
 		// The root community counts every logical edge once.
 		root := eng.Tree().Node(eng.Tree().Root())
@@ -151,15 +140,13 @@ func (s *Session) cacheKey(params string) string {
 	return fmt.Sprintf("%s#%d|%s", s.name, s.gen, params)
 }
 
-// Registry maps names to live sessions. Creation is two-phase: reserve
-// publishes a write-locked placeholder (so the name is taken and readers
-// queue behind the build), then commit or abort releases it.
+// Registry maps names to live sessions, each with its engine.
 type Registry struct {
 	mu       sync.RWMutex
 	sessions map[string]*Session
 	nextGen  uint64
 
-	// Breaker parameters stamped onto every reserved session (zero =
+	// Breaker parameters stamped onto every registered session (zero =
 	// package defaults). Set once before the registry serves traffic.
 	brkThreshold int
 	brkCooldown  time.Duration
@@ -170,40 +157,27 @@ func NewRegistry() *Registry {
 	return &Registry{sessions: make(map[string]*Session)}
 }
 
-// reserve claims name and returns the placeholder session with its write
-// lock held. The caller must call commit or abort exactly once.
-func (r *Registry) reserve(name string) (*Session, error) {
+// errSessionExists reports a name already registered.
+func errSessionExists(name string) error {
+	return fmt.Errorf("server: session %q already exists", name)
+}
+
+// add registers eng under name. If the name is taken it registers nothing
+// and returns errSessionExists; the caller still owns eng.
+func (r *Registry) add(name, source string, eng *core.Engine, buildMillis int64) (*Session, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.sessions[name]; ok {
-		return nil, fmt.Errorf("server: session %q already exists", name)
+		return nil, errSessionExists(name)
 	}
 	r.nextGen++
 	s := &Session{
-		name: name, gen: r.nextGen, createdAt: time.Now(),
-		built: make(chan struct{}),
-		brk:   newBreaker(r.brkThreshold, r.brkCooldown),
+		name: name, gen: r.nextGen, eng: eng,
+		source: source, createdAt: time.Now(), buildMillis: buildMillis,
+		brk: newBreaker(r.brkThreshold, r.brkCooldown),
 	}
-	s.mu.Lock()
 	r.sessions[name] = s
 	return s, nil
-}
-
-// commit publishes the built engine and releases the build lock.
-func (r *Registry) commit(s *Session, eng *core.Engine) {
-	s.eng = eng
-	s.mu.Unlock()
-	close(s.built)
-}
-
-// abort removes a reserved session whose build failed and releases the
-// build lock; queued readers observe errSessionGone.
-func (r *Registry) abort(s *Session) {
-	r.mu.Lock()
-	delete(r.sessions, s.name)
-	r.mu.Unlock()
-	s.mu.Unlock()
-	close(s.built)
 }
 
 // get returns the named session.
@@ -229,12 +203,9 @@ func (r *Registry) remove(name string) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.eng != nil {
-		err := s.eng.Close()
-		s.eng = nil
-		return err
-	}
-	return nil
+	err := s.eng.Close()
+	s.eng = nil
+	return err
 }
 
 // list returns the registered sessions, sorted by name.

@@ -19,7 +19,7 @@ import (
 // node and edge counts, taken from data every engine has, while only the
 // opened one reports a buffer pool.
 func TestSessionInfoCountsBothKinds(t *testing.T) {
-	_, ts := newTestServer(t)
+	s, ts := newTestServer(t)
 	ds := dblp.SmallFixture()
 	dir := t.TempDir()
 	epath := filepath.Join(dir, "small.edges")
@@ -43,8 +43,7 @@ func TestSessionInfoCountsBothKinds(t *testing.T) {
 		{Name: "mem", Source: "edges", Path: epath, K: 3, Levels: 3, Seed: 1},
 		{Name: "disk", Source: "gtree", Path: tpath},
 	} {
-		resp := postJSON(t, ts.URL+"/sessions", req)
-		info := decodeBody[SessionInfo](t, resp)
+		info := addSession(t, s, ts, req)
 		if info.Nodes != ds.Graph.NumNodes() || info.Edges != ds.Graph.NumEdges() {
 			t.Fatalf("%s session: %d nodes %d edges, want %d and %d",
 				req.Name, info.Nodes, info.Edges, ds.Graph.NumNodes(), ds.Graph.NumEdges())

@@ -106,10 +106,12 @@ func NewBufferPool(pager *Pager, capacity int) *BufferPool {
 	if capacity < 1 {
 		capacity = 1
 	}
+	// The pool never holds more frames than the file has pages, so a
+	// capacity far past the file pre-sizes nothing for it.
 	bp := &BufferPool{
 		pager:  pager,
 		cap:    capacity,
-		frames: make(map[PageID]*frame, capacity),
+		frames: make(map[PageID]*frame, min(capacity, int(pager.NumPages()))),
 	}
 	bp.cond = sync.NewCond(&bp.mu)
 	return bp

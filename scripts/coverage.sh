@@ -101,18 +101,17 @@ for p in 18180 18184 18185; do
 	c "$s/labels?q=Jiawei%20Han"; c "$s/labels?prefix=Ji&limit=3"
 	c $B:$p/sessions; c $s; c $B:$p/healthz; c $B:$p/metrics
 	c -X POST $s/extract -d '{bad'; c $B:$p/sessions/nope; c $s/extract
-	c -X POST $B:$p/sessions -d '{"name":"default","source":"synthetic","scale":0.005}'
+	c -X POST $B:$p/sessions -d "{\"name\":\"default\",\"source\":\"gtree\",\"path\":\"$w/d.gtree\"}"
 	echo "<- routes on $p"
 done
 c $B:18189/metrics; c $B:18189/debug/pprof/; echo "<- debug listener"
-c -X POST $B:18180/sessions -d '{"name":"syn","source":"synthetic","scale":0.005,"seed":2,"k":3,"levels":3,"method":"bfs"}'
-c -X POST $B:18180/sessions -d '{"name":"rnd","source":"synthetic","scale":0.005,"method":"random"}'
-c -X POST $B:18180/sessions -d "{\"name\":\"ed\",\"source\":\"edges\",\"path\":\"$w/d.edges\",\"k\":3,\"levels\":3}"
+c -X POST $B:18180/sessions -d '{"name":"syn","source":"synthetic","scale":0.005}'
+c -X POST $B:18180/sessions -d "{\"name\":\"gt0\",\"source\":\"gtree\",\"path\":\"$w/d.gtree\",\"method\":\"bfs\"}"
 c -X POST $B:18180/sessions -d "{\"name\":\"gt\",\"source\":\"gtree\",\"path\":\"$w/d.gtree\",\"poolPages\":64,\"tierBudget\":4194304}"
 c -X POST $B:18180/sessions -d '{"name":"bad","source":"nope"}'
-c -X POST $B:18180/sessions -d "{\"name\":\"missing\",\"source\":\"edges\",\"path\":\"$w/missing.edges\"}"
+c -X POST $B:18180/sessions -d "{\"name\":\"missing\",\"source\":\"gtree\",\"path\":\"$w/missing.gtree\"}"
 c $B:18180/sessions; c $B:18180/sessions/gt; c -X POST $B:18180/sessions/gt/extract -d '{"sources":[1,5],"budget":10}'
-for n in syn ed gt nope; do c -X DELETE $B:18180/sessions/$n; done
+for n in gt0 gt nope; do c -X DELETE $B:18180/sessions/$n; done
 echo "<- session lifecycle"
 kill -TERM $P1 $P2 $P3; wait $P1 $P2 $P3 2>/dev/null
 trap - EXIT

@@ -8,7 +8,9 @@
 # scripts/coverage.sh runs it against the cover-built binary, so the two
 # drive the same requests. Six smokes run in order:
 #   1. boot: a synthetic session answers an extraction, and /metrics shows
-#      the served extraction and a recorded solve stage;
+#      the served extraction and a recorded solve stage; a client's
+#      synthetic create answers 400 with the offline-build guidance, and an
+#      oversize extract body answers 413;
 #   2. navigate: a grandchildren scene renders as SVG that parses as XML,
 #      and one leaf's analysis answers 200 with a report of that leaf;
 #   3. memory = file: one edge list served built (-in) and opened from its
@@ -62,6 +64,14 @@ echo "$METRICS" | grep -E 'gmine_http_requests_total\{route="POST /sessions/\{id
 	|| { echo "extract not counted in /metrics"; echo "$METRICS"; exit 1; }
 echo "$METRICS" | grep -E 'gmine_query_stage_seconds_count\{stage="solve"\} [1-9]' \
 	|| { echo "no solve stage recorded in /metrics"; echo "$METRICS"; exit 1; }
+code=$(curl -s -o "$W/refused.json" -w '%{http_code}' -X POST http://127.0.0.1:18080/sessions \
+	-d '{"name":"syn","source":"synthetic","scale":0.01}')
+[ "$code" = 400 ] && grep -q 'gmine build -in g.edges -out g.gtree' "$W/refused.json" \
+	|| { echo "synthetic create: status $code, want 400 with the build guidance"; cat "$W/refused.json"; exit 1; }
+python3 -c 'print("{\"sources\":[" + ",".join(map(str, range(100000))) + "]}")' >"$W/big.json"
+code=$(curl -s -o "$W/big.out" -w '%{http_code}' -X POST http://127.0.0.1:18080/sessions/default/extract \
+	--data-binary @"$W/big.json")
+[ "$code" = 413 ] || { echo "oversize extract body: status $code, want 413"; cat "$W/big.out"; exit 1; }
 stop
 
 echo "== smoke 2: navigate"
